@@ -1,10 +1,10 @@
 //! Scaling (§3.2): cost of building/exploring flat pipelines of growing
 //! length versus the constant-size abstraction obligations, plus the cost
 //! profile of the shared exploration core (sequential vs. parallel, and the
-//! zone subsumption policies).
+//! default zone abstraction vs. the exact oracle).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dbm::{explore_timed_with, ExploreSpec, Subsumption, ZoneExplorationOptions};
+use dbm::{explore_timed_with, ExploreSpec, ZoneExplorationOptions};
 
 fn scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("scaling/flat_pipeline_untimed_reachability");
@@ -21,16 +21,15 @@ fn scaling(c: &mut Criterion) {
         b.iter(|| ipcmos::experiment_4().expect("experiment 4 builds"))
     });
 
-    // Zone exploration of a 1-stage pipeline under the five interesting
-    // driver configurations (bounded so a single iteration stays cheap).
+    // Zone exploration of a 1-stage pipeline under the exact oracle and the
+    // default abstraction, sequential and parallel (bounded so a single
+    // iteration stays cheap).
     let pipeline = ipcmos::flat_pipeline(1).expect("pipeline builds");
     let mut group = c.benchmark_group("scaling/zone_exploration");
-    for (name, threads, subsumption) in [
-        ("sequential_subsumption", 1usize, Subsumption::Inclusion),
-        ("sequential_exact", 1, Subsumption::Exact),
-        ("sequential_alu", 1, Subsumption::Alu),
-        ("parallel2_subsumption", 2, Subsumption::Inclusion),
-        ("parallel4_subsumption", 4, Subsumption::Inclusion),
+    for (name, threads, exact) in [
+        ("sequential_exact", 1usize, true),
+        ("sequential_alu", 1, false),
+        ("parallel4_alu", 4, false),
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {
@@ -39,7 +38,7 @@ fn scaling(c: &mut Criterion) {
                     ZoneExplorationOptions {
                         spec: ExploreSpec {
                             threads,
-                            subsumption,
+                            exact,
                             limit: Some(3_000),
                             ..ExploreSpec::default()
                         },

@@ -2,14 +2,12 @@
 //! pipeline (untimed state count + zone-based timed exploration) versus the
 //! constant-size assume-guarantee obligations.
 //!
-//! The zone exploration is run as six series — the exact semantics
-//! sequential with convex zone subsumption, with exact-duplicate
-//! deduplication only, and parallel with convex subsumption, plus the
-//! LU-extrapolated variants (`zones-lu`, `zones-lu-active`) and the
-//! non-convex aLU-subsumption series (`zones-alu`) — so the report
-//! quantifies the subsumption win, the parallel speedup, the
-//! coarse-abstraction win of LU extrapolation and active-clock reduction,
-//! and the further reduction of aLU coverage.
+//! The zone exploration is run as three series — the exact oracle
+//! (`zone_sequential_exact`: exact zones, exact-duplicate deduplication),
+//! the default abstraction (`zones-alu`: LU extrapolation, active-clock
+//! reduction and aLU coverage) and the default abstraction at `--threads N`
+//! (`zones-alu-parallel`) — so the report quantifies the abstraction win and
+//! the parallel speedup.
 //!
 //! ```text
 //! scaling_report [MAX_STAGES] [--threads N] [--limit N] [--json PATH]
@@ -21,16 +19,12 @@
 use std::time::Instant;
 
 use bench::json::Value;
-use dbm::{
-    explore_timed_with, ExploreSpec, Extrapolation, Subsumption, ZoneExplorationOptions,
-    ZoneOutcome,
-};
+use dbm::{explore_timed_with, ExploreSpec, ZoneExplorationOptions, ZoneOutcome};
 
 struct Series {
     name: &'static str,
     threads: usize,
-    subsumption: Subsumption,
-    extrapolation: Extrapolation,
+    exact: bool,
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -65,40 +59,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let series = [
         Series {
-            name: "zone_sequential_subsumption",
-            threads: 1,
-            subsumption: Subsumption::Inclusion,
-            extrapolation: Extrapolation::None,
-        },
-        Series {
             name: "zone_sequential_exact",
             threads: 1,
-            subsumption: Subsumption::Exact,
-            extrapolation: Extrapolation::None,
-        },
-        Series {
-            name: "zone_parallel_subsumption",
-            threads,
-            subsumption: Subsumption::Inclusion,
-            extrapolation: Extrapolation::None,
-        },
-        Series {
-            name: "zones-lu",
-            threads: 1,
-            subsumption: Subsumption::Inclusion,
-            extrapolation: Extrapolation::Lu,
-        },
-        Series {
-            name: "zones-lu-active",
-            threads: 1,
-            subsumption: Subsumption::Inclusion,
-            extrapolation: Extrapolation::LuActive,
+            exact: true,
         },
         Series {
             name: "zones-alu",
             threads: 1,
-            subsumption: Subsumption::Alu,
-            extrapolation: Extrapolation::LuActive,
+            exact: false,
+        },
+        Series {
+            name: "zones-alu-parallel",
+            threads,
+            exact: false,
         },
     ];
 
@@ -113,11 +86,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for spec in &series {
         println!(
-            "series `{}` (threads={}, subsumption={}, extrapolation={}):",
-            spec.name,
-            spec.threads,
-            spec.subsumption.name(),
-            spec.extrapolation.name()
+            "series `{}` (threads={}, exact={}):",
+            spec.name, spec.threads, spec.exact
         );
         println!(
             "{:>7} {:>15} {:>15} {:>20} {:>10} {:>10}",
@@ -132,9 +102,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ZoneExplorationOptions {
                     spec: ExploreSpec {
                         threads: spec.threads,
-                        subsumption: spec.subsumption,
+                        exact: spec.exact,
                         limit: Some(limit),
-                        extrapolation: spec.extrapolation,
                         ..ExploreSpec::default()
                     },
                 },
@@ -180,8 +149,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Value::object()
                 .field("name", spec.name)
                 .field("threads", spec.threads)
-                .field("subsumption", spec.subsumption.name())
-                .field("extrapolation", spec.extrapolation.name())
+                .field("exact", spec.exact)
                 .field("points", points),
         );
     }

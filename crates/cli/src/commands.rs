@@ -18,7 +18,7 @@ use bench::json::Value;
 use transyt_session::{
     render, Completion, RunControl, Session, SessionError, TaskCommand, TaskSpec,
 };
-use transyt_session::{Bounds, CancelToken, Extrapolation, ProgressSink, Subsumption};
+use transyt_session::{CancelToken, ProgressSink};
 
 use crate::format::Model;
 use crate::json;
@@ -33,15 +33,8 @@ pub struct Options {
     /// Worker threads for every exploration (`--threads`, default 1; any
     /// value produces identical output).
     pub threads: usize,
-    /// Zone subsumption policy (`--subsumption exact|inclusion|alu`,
-    /// default `alu`).
-    pub subsumption: Subsumption,
-    /// Zone abstraction mode (`--extrapolation none|lu|lu-active`, default
-    /// `lu-active`).
-    pub extrapolation: Extrapolation,
-    /// LU bound vectors of the zone abstraction (`--bounds global|local`,
-    /// default `local`).
-    pub bounds: Bounds,
+    /// Explore the zone graph unabstracted, the exact oracle (`--exact`).
+    pub exact: bool,
     /// Print a witness / counterexample trace (`--trace`).
     pub trace: bool,
     /// Exploration size limit (`--limit`, default per command).
@@ -68,9 +61,7 @@ impl Default for Options {
     fn default() -> Self {
         Options {
             threads: 1,
-            subsumption: Subsumption::default(),
-            extrapolation: Extrapolation::default(),
-            bounds: Bounds::default(),
+            exact: false,
             trace: false,
             limit: None,
             to_label: None,
@@ -88,9 +79,7 @@ impl Options {
     pub fn from_spec(spec: &TaskSpec) -> Options {
         Options {
             threads: spec.threads,
-            subsumption: spec.subsumption,
-            extrapolation: spec.extrapolation,
-            bounds: spec.bounds,
+            exact: spec.exact,
             trace: spec.trace,
             limit: spec.limit,
             to_label: spec.to_label.clone(),
@@ -109,9 +98,7 @@ impl Options {
             model: hash.to_owned(),
             command,
             threads: self.threads,
-            subsumption: self.subsumption,
-            extrapolation: self.extrapolation,
-            bounds: self.bounds,
+            exact: self.exact,
             trace: self.trace,
             limit: self.limit,
             to_label: self.to_label.clone(),

@@ -25,10 +25,8 @@ USAGE:
     transyt verify FILE [--threads N] [--trace] [--timeout SECS] [--progress] [--json PATH]
     transyt reach  FILE [--threads N] [--trace] [--to LABEL] [--limit N] [--timeout SECS]
                         [--max-configs N] [--progress] [--json PATH]
-    transyt zones  FILE [--threads N] [--subsumption exact|inclusion|alu]
-                        [--extrapolation none|lu|lu-active] [--bounds global|local]
-                        [--trace] [--limit N] [--timeout SECS] [--max-configs N]
-                        [--max-zone-bytes N] [--progress] [--json PATH]
+    transyt zones  FILE [--threads N] [--exact] [--trace] [--limit N] [--timeout SECS]
+                        [--max-configs N] [--max-zone-bytes N] [--progress] [--json PATH]
     transyt table1      [--threads N] [--json PATH]
     transyt export NAME [--out PATH]     # or: transyt export --list / --all --dir DIR
     transyt serve       [--addr HOST:PORT] [--workers N] [--queue-depth N]
@@ -37,14 +35,15 @@ USAGE:
     transyt store ls|gc --data-dir DIR [--keep-results N] [--result-ttl SECS]
     transyt submit FILE --server HOST:PORT [--command verify|reach|zones] [--wait]
                         [--watch] [--priority interactive|batch|background]
-                        [--threads N] [--subsumption exact|inclusion|alu]
-                        [--extrapolation none|lu|lu-active] [--bounds global|local]
-                        [--trace] [--limit N] [--to LABEL] [--timeout SECS]
-                        [--max-configs N] [--max-zone-bytes N] [--json PATH]
+                        [--threads N] [--exact] [--trace] [--limit N] [--to LABEL]
+                        [--timeout SECS] [--max-configs N] [--max-zone-bytes N]
+                        [--json PATH]
     transyt status [JOBID] --server HOST:PORT
 
 FILE is a textual model in the .stg or .tts format (see docs/FILE_FORMATS.md;
-shipped examples live in models/). Every exploration accepts --threads N and
+shipped examples live in models/). `zones` abstracts the zone graph with LU
+extrapolation and aLU coverage; --exact runs it unabstracted instead (the
+oracle, which may not terminate). Every exploration accepts --threads N and
 produces identical output for every thread count; --timeout cancels the run at
 the deadline, --max-configs / --max-zone-bytes bound its resources (a breach
 ends the job as `budget_exceeded`), --progress streams exploration progress to
@@ -182,9 +181,6 @@ struct CollectedArgs {
 /// Task flags that take a value (lowered as `(name, value)` pairs).
 const VALUE_FLAGS: &[&str] = &[
     "threads",
-    "subsumption",
-    "extrapolation",
-    "bounds",
     "limit",
     "to",
     "timeout",
@@ -207,7 +203,7 @@ fn collect_args(args: &[String], command: &str) -> Result<CollectedArgs, CliErro
                 collected.json_path = Some(iter.next().ok_or_else(|| missing("--json"))?.clone());
             }
             "--progress" => collected.progress = true,
-            "--trace" => collected.pairs.push(("trace".into(), "true".into())),
+            "--trace" | "--exact" => collected.pairs.push((arg[2..].to_owned(), "true".into())),
             flag if flag.starts_with("--") && VALUE_FLAGS.contains(&&flag[2..]) => {
                 let value = iter.next().ok_or_else(|| missing(flag))?.clone();
                 collected.pairs.push((flag[2..].to_owned(), value));
@@ -396,7 +392,7 @@ fn run_submit(args: &[String]) -> Result<(), CliError> {
             "--json" => {
                 json_path = Some(iter.next().ok_or_else(|| missing("--json"))?.clone());
             }
-            "--trace" => pairs.push(("trace".into(), "true".into())),
+            "--trace" | "--exact" => pairs.push((arg[2..].to_owned(), "true".into())),
             flag if flag.starts_with("--") && VALUE_FLAGS.contains(&&flag[2..]) => {
                 let value = iter.next().ok_or_else(|| missing(flag))?.clone();
                 pairs.push((flag[2..].to_owned(), value));
@@ -430,8 +426,7 @@ fn run_submit(args: &[String]) -> Result<(), CliError> {
         server: server
             .ok_or_else(|| CliError::Usage("`submit` needs --server HOST:PORT".to_owned()))?,
         file: file.ok_or_else(|| CliError::Usage("`submit` needs a model file".to_owned()))?,
-        command,
-        options: Options::from_spec(&spec),
+        spec,
         priority,
         wait,
         watch,

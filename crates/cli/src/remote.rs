@@ -9,9 +9,11 @@
 //! `transyt <command> --json` output. (The old `Backend` trait is gone: the
 //! session layer *is* the backend now.)
 
+use transyt_server::http::percent_encode;
 use transyt_server::{client, Server, ServerConfig};
+use transyt_session::TaskSpec;
 
-use crate::commands::{CliError, Options};
+use crate::commands::CliError;
 
 /// `transyt serve`: bind, print the address, serve until SIGTERM / ctrl-c /
 /// `POST /shutdown`.
@@ -134,11 +136,10 @@ pub struct SubmitArgs {
     pub server: String,
     /// Path of the model file to upload.
     pub file: String,
-    /// The job command: `verify`, `reach` or `zones`.
-    pub command: String,
-    /// The job options (the `cancel` / `progress` fields are ignored —
-    /// cancellation of remote jobs goes through `POST /jobs/<id>/cancel`).
-    pub options: Options,
+    /// The job: command and options (the model hash is bound after the
+    /// upload). Cancellation of remote jobs goes through
+    /// `POST /jobs/<id>/cancel`.
+    pub spec: TaskSpec,
     /// Scheduling class (`interactive` / `batch` / `background`); `None`
     /// submits in the server's default class (batch).
     pub priority: Option<String>,
@@ -176,43 +177,12 @@ pub fn cmd_submit(args: &SubmitArgs) -> Result<(), CliError> {
         .ok_or_else(|| CliError::Run(format!("upload response carried no hash: {body}")))?;
     let name = client::json_str_field(&body, "name").unwrap_or_default();
 
-    let mut path = format!(
-        "/jobs?model={hash}&command={}",
-        transyt_server::http::percent_encode(&args.command)
-    );
-    let options = &args.options;
-    if options.threads != 1 {
-        path.push_str(&format!("&threads={}", options.threads));
-    }
-    if options.subsumption != transyt_session::Subsumption::default() {
-        path.push_str(&format!("&subsumption={}", options.subsumption.name()));
-    }
-    if options.extrapolation != transyt_session::Extrapolation::default() {
-        path.push_str(&format!("&extrapolation={}", options.extrapolation.name()));
-    }
-    if options.bounds != transyt_session::Bounds::default() {
-        path.push_str(&format!("&bounds={}", options.bounds.name()));
-    }
-    if options.trace {
-        path.push_str("&trace=true");
-    }
-    if let Some(limit) = options.limit {
-        path.push_str(&format!("&limit={limit}"));
-    }
-    if let Some(label) = &options.to_label {
-        path.push_str(&format!(
-            "&to={}",
-            transyt_server::http::percent_encode(label)
-        ));
-    }
-    if let Some(timeout) = options.timeout {
-        path.push_str(&format!("&timeout={}", timeout.as_secs().max(1)));
-    }
-    if let Some(max_configs) = options.max_configs {
-        path.push_str(&format!("&max-configs={max_configs}"));
-    }
-    if let Some(max_zone_bytes) = options.max_zone_bytes {
-        path.push_str(&format!("&max-zone-bytes={max_zone_bytes}"));
+    // The spec's own wire form: the same parameters the server lowers back
+    // through `TaskSpec::parse`.
+    let command = args.spec.command;
+    let mut path = format!("/jobs?model={hash}&command={command}");
+    for (name, value) in args.spec.to_params() {
+        path.push_str(&format!("&{name}={}", percent_encode(&value)));
     }
     if let Some(priority) = &args.priority {
         path.push_str(&format!("&priority={priority}"));
@@ -221,10 +191,7 @@ pub fn cmd_submit(args: &SubmitArgs) -> Result<(), CliError> {
     let job = client::json_uint_field(&body, "job")
         .ok_or_else(|| CliError::Run(format!("submission response carried no job id: {body}")))?;
     let priority = client::json_str_field(&body, "priority").unwrap_or_default();
-    println!(
-        "submitted job {job} ({} {name} @ {hash}, {priority})",
-        args.command
-    );
+    println!("submitted job {job} ({command} {name} @ {hash}, {priority})");
     if let Some(position) = client::json_uint_field(&body, "position") {
         println!("queue position {position}");
     }

@@ -11,7 +11,6 @@ use transyt_cli::commands::{
 };
 use transyt_cli::format::Model;
 use transyt_cli::scenarios;
-use transyt_session::Subsumption;
 
 fn models_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../models")
@@ -169,31 +168,23 @@ fn reach_finds_marking_paths_and_zones_find_symbolic_traces() {
 #[test]
 fn zone_trace_is_identical_across_thread_counts_and_subsumption() {
     let model = load("ipcmos_1stage.stg");
-    const POLICIES: [Subsumption; 3] =
-        [Subsumption::Exact, Subsumption::Inclusion, Subsumption::Alu];
-    let mut texts = Vec::new();
-    for threads in [1, 4] {
-        for subsumption in POLICIES {
-            let options = Options {
-                threads,
-                subsumption,
-                trace: true,
-                ..Options::default()
-            };
-            // The pipeline has no violating or deadlocked state, so the
-            // trace search reports unreachability — but the exploration
-            // counters must agree between thread counts.
-            let result = cmd_zones(&model, &options).unwrap();
-            texts.push((subsumption, result.text));
-        }
-    }
-    for i in 0..POLICIES.len() {
-        assert_eq!(
-            texts[i],
-            texts[i + POLICIES.len()],
-            "threads 1 vs 4 ({})",
-            POLICIES[i]
-        );
+    for exact in [false, true] {
+        let texts: Vec<String> = [1, 4]
+            .into_iter()
+            .map(|threads| {
+                let options = Options {
+                    threads,
+                    exact,
+                    trace: true,
+                    ..Options::default()
+                };
+                // The pipeline has no violating or deadlocked state, so the
+                // trace search reports unreachability — but the exploration
+                // counters must agree between thread counts.
+                cmd_zones(&model, &options).unwrap().text
+            })
+            .collect();
+        assert_eq!(texts[0], texts[1], "threads 1 vs 4 (exact={exact})");
     }
 }
 
@@ -238,6 +229,19 @@ fn the_binary_runs_end_to_end() {
     assert!(!output.status.success());
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("unknown subcommand"), "{stderr}");
+    // The retired zone-abstraction flags are usage errors.
+    for flag in ["--subsumption", "--extrapolation", "--bounds"] {
+        let output = Command::new(binary)
+            .args(["zones", model.to_str().unwrap(), flag, "global"])
+            .output()
+            .unwrap();
+        assert!(!output.status.success());
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(&format!("`zones` does not accept `{flag}`")),
+            "{stderr}"
+        );
+    }
 }
 
 /// The `--json` documents are a wire format (CI artifacts diff them, the
@@ -304,7 +308,6 @@ fn json_documents_are_unchanged_golden() {
         "{\"model\":\"race_overlap\",\"configurations\":4,\"subsumed\":0,\
          \"alu_subsumed\":0,\"reachable_states\":4,\"violating_states\":1,\"deadlock_states\":1,\
          \"extrapolated_zones\":3,\"projected_clocks\":4,\
-         \"local_bound_states\":3,\"tightened_clock_bounds\":4,\
          \"arena\":{\"allocated\":4,\"reused\":0,\"recycled\":1},\
          \"completed\":true,\"trace\":{\"kind\":\"witness\",\"start\":\"s0\",\
          \"end\":\"slow-first\",\"steps\":[{\"event\":\"slow\",\"state\":\"slow-first\",\

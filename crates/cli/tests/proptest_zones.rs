@@ -1,20 +1,16 @@
-//! Property tests for the zone abstraction: LU-bounds extrapolation,
-//! active-clock reduction and aLU subsumption are *exact* abstractions — on
-//! randomized delay-window perturbations of the shipped models, every
-//! extrapolation mode and every subsumption policy reports the same verdict
-//! and the same reachable / violating / deadlocked discrete state sets as
-//! the unabstracted exploration.
+//! Property test for the zone abstraction: LU-bounds extrapolation,
+//! active-clock reduction and aLU coverage are *exact* abstractions — on
+//! randomized delay-window perturbations of the shipped models, the default
+//! exploration reports the same reachable / violating / deadlocked discrete
+//! state sets as the unabstracted `exact` oracle, in no more configurations.
 
 use std::path::PathBuf;
 
-use dbm::{
-    explore_timed_with, Bounds, ExploreSpec, Extrapolation, Subsumption, ZoneExplorationOptions,
-    ZoneOutcome,
-};
+use dbm::{explore_timed_with, ExploreSpec, ZoneExplorationOptions, ZoneOutcome};
 use proptest::prelude::*;
 use transyt_cli::commands::{cmd_zones, Options};
 use transyt_cli::format::Model;
-use tts::{DelayInterval, Time, TimedTransitionSystem};
+use tts::{DelayInterval, Time};
 
 /// Small shipped models (the larger pipelines would dominate the proptest
 /// budget without exercising anything new).
@@ -38,147 +34,46 @@ fn perturbed_model(file: &str, picks: &[(i64, i64)]) -> Model {
     model
 }
 
-fn perturbed(file: &str, picks: &[(i64, i64)]) -> TimedTransitionSystem {
-    perturbed_model(file, picks)
-        .timed_system()
-        .expect("shipped model instantiates")
-}
-
-fn explore_policy(
-    timed: &TimedTransitionSystem,
-    extrapolation: Extrapolation,
-    subsumption: Subsumption,
-) -> ZoneOutcome {
-    explore_timed_with(
-        timed,
-        ZoneExplorationOptions {
-            spec: ExploreSpec {
-                extrapolation,
-                subsumption,
-                limit: Some(100_000),
-                ..ExploreSpec::default()
-            },
-        },
-    )
-}
-
-fn explore(timed: &TimedTransitionSystem, extrapolation: Extrapolation) -> ZoneOutcome {
-    explore_policy(timed, extrapolation, Subsumption::default())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn extrapolation_modes_report_identical_discrete_semantics(
-        picks in proptest::collection::vec((0i64..6, 0i64..6), 1..8),
-    ) {
-        for file in MODELS {
-            let timed = perturbed(file, &picks);
-            let ZoneOutcome::Completed(exact) = explore(&timed, Extrapolation::None) else {
-                panic!("{file}: exact exploration must terminate on bounded delays");
-            };
-            for mode in [Extrapolation::Lu, Extrapolation::LuActive] {
-                let ZoneOutcome::Completed(report) = explore(&timed, mode) else {
-                    panic!("{file}: abstracted exploration aborted under {mode}");
-                };
-                // The abstraction may merge zones (fewer configurations) but
-                // must not change what is discretely reachable — the
-                // verdicts of `transyt zones` are derived from these sets.
-                prop_assert_eq!(&report.reachable_states, &exact.reachable_states);
-                prop_assert_eq!(&report.violating_states, &exact.violating_states);
-                prop_assert_eq!(&report.deadlock_states, &exact.deadlock_states);
-                prop_assert!(
-                    report.configurations <= exact.configurations,
-                    "{file}: {mode} explored more configurations than exact"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn subsumption_policies_report_identical_discrete_semantics(
-        picks in proptest::collection::vec((0i64..6, 0i64..6), 1..8),
-    ) {
-        for file in MODELS {
-            let timed = perturbed(file, &picks);
-            // Exact-duplicate deduplication is the reference semantics; run
-            // it without extrapolation so nothing but the policy varies.
-            let ZoneOutcome::Completed(exact) =
-                explore_policy(&timed, Extrapolation::None, Subsumption::Exact)
-            else {
-                panic!("{file}: exact exploration must terminate on bounded delays");
-            };
-            // Exact dedup (and convex inclusion below) cannot attribute
-            // any skip to aLU.
-            prop_assert_eq!(exact.alu_subsumed, 0);
-            for policy in [Subsumption::Inclusion, Subsumption::Alu] {
-                let ZoneOutcome::Completed(report) =
-                    explore_policy(&timed, Extrapolation::None, policy)
-                else {
-                    panic!("{file}: exploration aborted under {policy} subsumption");
-                };
-                // Coverage may prune configurations but must not change what
-                // is discretely reachable — the verdicts of `transyt zones`
-                // are derived from these sets.
-                prop_assert_eq!(&report.reachable_states, &exact.reachable_states);
-                prop_assert_eq!(&report.violating_states, &exact.violating_states);
-                prop_assert_eq!(&report.deadlock_states, &exact.deadlock_states);
-                prop_assert!(
-                    report.configurations <= exact.configurations,
-                    "{file}: {policy} subsumption explored more configurations than exact dedup"
-                );
-                if policy == Subsumption::Inclusion {
-                    prop_assert_eq!(report.alu_subsumed, 0);
-                }
-            }
-        }
-    }
-
-    /// The `bounds` dimension: per-state local LU bounds are an exact
-    /// abstraction too. Under every extrapolation mode the `local` and
-    /// `global` vectors report the same reachable / violating / deadlocked
-    /// sets, local never enlarges the zone graph (its vectors are entrywise
-    /// ≤ the global constants, so extrapolation only coarsens further), and
-    /// the default rendering stays byte-identical across worker-thread
-    /// counts.
-    #[test]
-    fn bounds_choices_report_identical_discrete_semantics(
+    fn default_and_exact_report_identical_discrete_semantics(
         picks in proptest::collection::vec((0i64..6, 0i64..6), 1..8),
     ) {
         for file in MODELS {
             let model = perturbed_model(file, &picks);
             let timed = model.timed_system().expect("shipped model instantiates");
-            for mode in [Extrapolation::None, Extrapolation::Lu, Extrapolation::LuActive] {
-                let run = |bounds| explore_timed_with(
-                    &timed,
-                    ZoneExplorationOptions {
-                        spec: ExploreSpec {
-                            extrapolation: mode,
-                            bounds,
-                            limit: Some(100_000),
-                            ..ExploreSpec::default()
-                        },
+            let run = |exact| explore_timed_with(
+                &timed,
+                ZoneExplorationOptions {
+                    spec: ExploreSpec {
+                        exact,
+                        limit: Some(100_000),
+                        ..ExploreSpec::default()
                     },
-                );
-                let ZoneOutcome::Completed(global) = run(Bounds::Global) else {
-                    panic!("{file}: exploration aborted under global bounds ({mode})");
-                };
-                let ZoneOutcome::Completed(local) = run(Bounds::Local) else {
-                    panic!("{file}: exploration aborted under local bounds ({mode})");
-                };
-                prop_assert_eq!(&local.reachable_states, &global.reachable_states);
-                prop_assert_eq!(&local.violating_states, &global.violating_states);
-                prop_assert_eq!(&local.deadlock_states, &global.deadlock_states);
-                prop_assert!(
-                    local.configurations <= global.configurations,
-                    "{file}: local bounds explored more configurations than global under {mode}"
-                );
-            }
-            // The full `transyt zones` rendering (text and JSON document,
-            // local bounds by default) is byte-identical at 1 and 4 worker
-            // threads — the per-state bound table must not introduce any
-            // schedule dependence.
+                },
+            );
+            let ZoneOutcome::Completed(exact) = run(true) else {
+                panic!("{file}: exact exploration must terminate on bounded delays");
+            };
+            let ZoneOutcome::Completed(report) = run(false) else {
+                panic!("{file}: abstracted exploration aborted");
+            };
+            // The abstraction may merge zones (fewer configurations) but
+            // must not change what is discretely reachable — the verdicts
+            // of `transyt zones` are derived from these sets.
+            prop_assert_eq!(&report.reachable_states, &exact.reachable_states);
+            prop_assert_eq!(&report.violating_states, &exact.violating_states);
+            prop_assert_eq!(&report.deadlock_states, &exact.deadlock_states);
+            prop_assert!(
+                report.configurations <= exact.configurations,
+                "{file}: the abstraction explored more configurations than exact"
+            );
+            // The exact oracle attributes no skip to aLU.
+            prop_assert_eq!(exact.alu_subsumed, 0);
+            // The full `transyt zones` rendering (text and JSON document) is
+            // byte-identical at 1 and 4 worker threads.
             let render = |threads| {
                 let options = Options { threads, ..Options::default() };
                 let result = cmd_zones(&model, &options).expect("zones run succeeds");

@@ -232,8 +232,8 @@ fn model_cache_and_api_errors() {
     assert!(listing.contains("c_element"), "{listing}");
     assert!(listing.contains("race_overlap"), "{listing}");
 
-    // Error paths: bad model, unknown hash, unknown command, unknown job,
-    // unknown route, wrong method.
+    // Error paths: bad model, unknown hash, unknown command, retired
+    // parameters, unknown job, unknown route, wrong method.
     let (status, body) = client::request(&addr, "POST", "/models", Some(b"not a model")).unwrap();
     assert_eq!(status, 400, "{body}");
     let (status, body) =
@@ -249,6 +249,12 @@ fn model_cache_and_api_errors() {
     .unwrap();
     assert_eq!(status, 400);
     assert!(body.contains("unknown command"), "{body}");
+    for param in ["subsumption=alu", "extrapolation=lu-active", "bounds=local"] {
+        let query = format!("/jobs?model={other}&command=zones&{param}");
+        let (status, body) = client::request(&addr, "POST", &query, None).unwrap();
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("(allowed: threads, exact, trace"), "{body}");
+    }
     let (status, _) = client::request(&addr, "GET", "/jobs/99", None).unwrap();
     assert_eq!(status, 404);
     let (status, _) = client::request(&addr, "GET", "/frobnicate", None).unwrap();
@@ -303,19 +309,19 @@ fn identical_concurrent_submissions_share_one_run() {
         client::request(&addr, "GET", &format!("/jobs/{second}/result"), None).unwrap();
     assert_eq!(doc_a, doc_b);
     // A differently-spelled but identical spec also reuses the completed
-    // run through the memo (still one execution): `subsumption=alu` is the
+    // run through the memo (still one execution): `exact=false` is the
     // default the first submissions already ran under.
-    let third = submit(&addr, &format!("{query}&subsumption=alu&trace=false"));
+    let third = submit(&addr, &format!("{query}&exact=false&trace=false"));
     assert_eq!(wait_for(&addr, third, terminal, "terminal"), "done");
     assert_eq!(state.session().stats().runs_executed, 1);
-    // A different subsumption policy is a different zones task — it must
-    // NOT be served from the aLU run.
-    let fourth = submit(&addr, &format!("{query}&subsumption=inclusion"));
+    // The exact oracle is a different zones task — it must NOT be served
+    // from the abstracted run.
+    let fourth = submit(&addr, &format!("{query}&exact=true"));
     assert_eq!(wait_for(&addr, fourth, terminal, "terminal"), "done");
     assert_eq!(
         state.session().stats().runs_executed,
         2,
-        "a convex-inclusion zones job must run separately from the aLU run"
+        "an exact zones job must run separately from the abstracted run"
     );
 
     handle.shutdown().expect("graceful shutdown");

@@ -40,7 +40,7 @@ use crate::property::SafetyProperty;
 /// `"verification cancelled"`; the `progress` sink receives a
 /// [`ProgressEvent::Refinement`] per pass plus the exploration's batch/level
 /// events. The untimed failure search deduplicates exactly, so the spec's
-/// `subsumption`, `limit` and `extrapolation` fields are carried inert.
+/// `exact` and `limit` fields are carried inert.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyOptions {
     /// The shared exploration knobs.

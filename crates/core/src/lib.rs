@@ -77,4 +77,4 @@ pub use ces::{Justification, RelativeTimingConstraint};
 // Re-export the cancellation token [`VerifyOptions`] (and the sibling option
 // structs of `dbm` and `stg`) embed, so front ends can cancel long-running
 // verifications without depending on the `explore` crate directly.
-pub use explore::{CancelToken, ExploreSpec, Extrapolation};
+pub use explore::{CancelToken, ExploreSpec};

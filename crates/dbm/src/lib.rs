@@ -12,10 +12,10 @@
 //! * [`Dbm`] — canonical difference bound matrices with the standard zone
 //!   operations (`up`, `reset`, `constrain`, inclusion, intersection).
 //! * [`explore_timed`] — symbolic reachability of a
-//!   [`tts::TimedTransitionSystem`] using one clock per event, with optional
-//!   LU-bounds extrapolation and active-clock reduction
-//!   ([`Extrapolation`]) and a buffer-reusing [`DbmArena`] behind the zone
-//!   interner.
+//!   [`tts::TimedTransitionSystem`] using one clock per event, abstracted by
+//!   default with LU-bounds extrapolation, active-clock reduction and aLU
+//!   coverage (exact with [`ExploreSpec::exact`]), and a buffer-reusing
+//!   [`DbmArena`] behind the zone interner.
 //!
 //! # Example
 //!
@@ -42,10 +42,10 @@ mod zone_graph;
 
 pub use arena::{ArenaStats, DbmArena};
 pub use entry::Entry;
-pub use explore::{Bounds, ExploreSpec, Extrapolation, Subsumption};
+pub use explore::ExploreSpec;
 pub use matrix::Dbm;
 pub use zone_graph::{
     explore_timed, explore_timed_with, find_witness, path_firing_windows, FiringWindow,
-    LuBoundsProvider, SymbolicTrace, WitnessGoal, WitnessOutcome, ZoneExplorationOptions,
-    ZoneOutcome, ZoneReport, DEFAULT_CONFIGURATION_LIMIT,
+    SymbolicTrace, WitnessGoal, WitnessOutcome, ZoneExplorationOptions, ZoneOutcome, ZoneReport,
+    DEFAULT_CONFIGURATION_LIMIT,
 };

@@ -14,25 +14,14 @@
 //!
 //! The frontier/dedup loop itself lives in the [`explore`] crate; this module
 //! contributes the search space: configurations are `(state, zone)` pairs,
-//! and — under a non-[`Exact`](Subsumption::Exact) [`Subsumption`] policy — a
-//! configuration whose zone is *covered* by an already-seen zone of the same
-//! state is skipped entirely, including configurations that were already
-//! enqueued when the wider zone arrived (the pop-time subsumption check the
-//! hand-rolled loop lacked). Coverage is convex inclusion under
-//! [`Subsumption::Inclusion`] and the non-convex aLU simulation relation of
-//! Herbreteau–Srivathsan–Walukiewicz under the default [`Subsumption::Alu`]
-//! (see [`Dbm::included_in_alu`]); stored zones stay convex DBMs in every
-//! policy — the non-convex abstraction exists only inside the O(n²) coverage
-//! check, never as a materialised zone. Zones are interned behind [`Arc`]s,
-//! so the many configurations sharing a zone after clock resets share one
-//! canonical DBM allocation.
+//! interned behind [`Arc`]s so the many configurations sharing a zone after
+//! clock resets share one canonical DBM allocation.
 //!
 //! # Zone abstraction
 //!
-//! With the default [`Extrapolation::LuActive`] the explorer applies the
-//! standard zone-abstraction toolkit, both *exact for discrete-state
-//! reachability* (the reachable / violating / deadlocked state sets are
-//! identical to the exact engine's):
+//! By default the explorer applies the standard zone-abstraction toolkit,
+//! all *exact for discrete-state reachability* (the reachable / violating /
+//! deadlocked state sets are identical to the unabstracted exploration's):
 //!
 //! * **Active-clock reduction** — the clock of an event disabled in a state
 //!   carries no information (it is reset the moment the event is re-enabled,
@@ -43,16 +32,24 @@
 //!   interning time, bounds above the per-clock lower/upper delay constants
 //!   of the model are widened away, so only finitely many zones exist per
 //!   state and cyclic systems with unbounded clock drift terminate.
-//! * **Per-state LU bounds** ([`Bounds::Local`], the default) — the
-//!   [`LuBoundsProvider`] precomputes one L/U vector per discrete state by
-//!   backward static guard analysis; extrapolation and the aLU check consult
-//!   the state's own vector instead of the whole-model maxima. Local vectors
-//!   are entrywise ≤ the global ones, so the abstraction only gets coarser;
-//!   in this one-clock-per-event semantics the analysis converges to
-//!   "enabled clocks carry their own event's constants, disabled clocks
-//!   carry zero", which makes it exactly as strong as global bounds plus
-//!   active-clock reduction — and strictly stronger than global bounds
-//!   whenever active-clock reduction is off (e.g. `--extrapolation lu`).
+//! * **aLU coverage** (Herbreteau–Srivathsan–Walukiewicz) — a configuration
+//!   whose zone is included in the aLU abstraction of an already-seen zone
+//!   of the same state is skipped, including configurations that were
+//!   already enqueued when the covering zone arrived (the pop-time
+//!   subsumption check). Stored zones stay convex DBMs: the non-convex
+//!   abstraction exists only inside the O(n²) coverage check (see
+//!   [`Dbm::included_in_alu`]), never as a materialised zone.
+//!
+//! Extrapolation and the aLU check consult the model's global per-clock
+//! constants. Per-state bounds would gain nothing: in this
+//! one-clock-per-event semantics a clock faces only its own event's
+//! constants while the event is enabled, and nothing while it is disabled —
+//! when active-clock reduction already pins it to zero.
+//!
+//! With [`ExploreSpec::exact`] set the explorer is the unabstracted oracle
+//! instead: zones are stored exactly and deduplicated only against
+//! identical zones. It may not terminate on cyclic systems with unbounded
+//! clock drift.
 //!
 //! The widened matrices are cloned through a [`DbmArena`] free list living
 //! inside the interner lock, so the hot path reuses retired entry buffers
@@ -66,8 +63,7 @@ use std::convert::Infallible;
 use std::sync::{Arc, Mutex};
 
 use explore::{
-    Bounds, BudgetMeter, ExploreOptions, ExploreOutcome, ExploreSpec, Extrapolation, SearchSpace,
-    Subsumption, TraceOptions,
+    BudgetMeter, ExploreOptions, ExploreOutcome, ExploreSpec, SearchSpace, TraceOptions,
 };
 use tts::{Bound, EventId, StateId, Time, TimedTransitionSystem};
 
@@ -79,15 +75,14 @@ use crate::matrix::Dbm;
 pub const DEFAULT_CONFIGURATION_LIMIT: usize = 200_000;
 
 /// Options for the zone-graph exploration: the shared [`ExploreSpec`] core
-/// (threads / subsumption / limit / extrapolation / cancel / progress).
+/// (threads / exact / limit / cancel / progress / budget).
 ///
 /// An unset [`ExploreSpec::limit`] resolves to
-/// [`DEFAULT_CONFIGURATION_LIMIT`]. Subsumption skips a `(state, zone)`
-/// configuration when an already-seen zone for that state covers it under
-/// the chosen [`Subsumption`] policy — sound (coverage preserves
-/// discrete-state reachability) and strictly reducing on models with
-/// converging timing; [`Subsumption::Exact`] enumerates exact-duplicate
-/// zones only.
+/// [`DEFAULT_CONFIGURATION_LIMIT`]. By default a `(state, zone)`
+/// configuration is skipped when an already-seen zone for that state
+/// aLU-covers it — sound (coverage preserves discrete-state reachability)
+/// and strictly reducing on models with converging timing;
+/// [`ExploreSpec::exact`] enumerates exact-duplicate zones only.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ZoneExplorationOptions {
     /// The shared exploration knobs.
@@ -108,30 +103,20 @@ pub struct ZoneReport {
     pub deadlock_states: Vec<StateId>,
     /// Number of symbolic configurations (state, zone) explored.
     pub configurations: usize,
-    /// Enqueued configurations skipped because a subsuming zone for the same
-    /// state arrived before their turn (0 when subsumption is disabled).
+    /// Enqueued configurations skipped because a covering zone for the same
+    /// state arrived before their turn (0 in exact mode).
     pub subsumed_configurations: usize,
     /// Subsumption skips only the non-convex aLU relation explains: at skip
     /// time no stored zone of the state contained the skipped zone
-    /// convexly. Always ≤ `subsumed_configurations`; 0 unless the policy is
-    /// [`Subsumption::Alu`].
+    /// convexly. Always ≤ `subsumed_configurations`.
     pub alu_subsumed: usize,
     /// Stored configurations whose zone LU-bounds extrapolation actually
-    /// widened (0 under [`Extrapolation::None`]).
+    /// widened (0 in exact mode).
     pub extrapolated_zones: usize,
     /// Dead clock dimensions (clocks of disabled events, pinned to zero by
-    /// active-clock reduction) summed over stored configurations (0 unless
-    /// the mode is [`Extrapolation::LuActive`]).
+    /// active-clock reduction) summed over stored configurations (0 in
+    /// exact mode).
     pub projected_clocks: usize,
-    /// Discrete states whose static per-state LU vectors are strictly
-    /// tighter than the global constants in at least one clock (0 under
-    /// [`Bounds::Global`]). A static census of the [`LuBoundsProvider`]'s
-    /// analysis, so it is deterministic for every thread count and identical
-    /// between full and witness explorations.
-    pub local_bound_states: usize,
-    /// Total `(state, clock)` bound entries the static analysis tightened
-    /// below their global constants (0 under [`Bounds::Global`]).
-    pub tightened_clock_bounds: usize,
     /// Allocation counters of the interner's DBM arena.
     pub arena: ArenaStats,
 }
@@ -156,7 +141,7 @@ pub enum ZoneOutcome {
         /// Number of configurations explored before aborting.
         explored: usize,
         /// Enqueued configurations skipped by zone subsumption before the
-        /// abort (0 when subsumption is disabled).
+        /// abort (0 in exact mode).
         subsumed: usize,
     },
     /// The [`ExploreSpec::cancel`](explore::ExploreSpec::cancel) token fired before the
@@ -165,7 +150,7 @@ pub enum ZoneOutcome {
         /// Number of configurations explored before the cancellation.
         explored: usize,
         /// Enqueued configurations skipped by zone subsumption before the
-        /// cancellation (0 when subsumption is disabled).
+        /// cancellation (0 in exact mode).
         subsumed: usize,
     },
 }
@@ -199,7 +184,7 @@ fn clock_of(event: EventId) -> usize {
     event.index() + 1
 }
 
-/// One pair of per-clock LU extrapolation vectors, indexed by clock (index 0
+/// The model's per-clock LU extrapolation vectors, indexed by clock (index 0
 /// is the reference clock and stays 0).
 ///
 /// In this semantics every comparison a clock faces is known from the delay
@@ -207,7 +192,6 @@ fn clock_of(event: EventId) -> usize {
 /// the upper bounds `x ≤ δu`, so `L = δl` and `U = δu` — with `U = 0` for
 /// events without an upper delay bound, the coarsest sound choice since no
 /// upper comparison ever consults such a clock.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct LuBounds {
     lower: Vec<i64>,
     upper: Vec<i64>,
@@ -226,213 +210,6 @@ impl LuBounds {
             }
         }
         LuBounds { lower, upper }
-    }
-}
-
-/// The deduplicated result of the per-state static guard analysis.
-struct LocalBounds {
-    /// The distinct LU vectors that occur (most states share one of a
-    /// handful of vectors, so they are interned).
-    table: Vec<LuBounds>,
-    /// Per-state index into `table`.
-    index: Vec<u32>,
-    /// States whose local vectors are strictly tighter than the global
-    /// constants in at least one clock.
-    tightened_states: usize,
-    /// Total `(state, clock)` bound entries strictly below their global
-    /// constants, summed over all states.
-    tightened_clock_bounds: usize,
-    /// Backward sweeps until the fixpoint stabilised (≥ 1).
-    sweeps: usize,
-}
-
-/// The LU bound vectors feeding zone extrapolation and the aLU coverage
-/// check — one vector for the whole model under [`Bounds::Global`], or
-/// per-discrete-state vectors from backward static guard analysis under
-/// [`Bounds::Local`] (Behrmann et al.'s static guard analysis, instantiated
-/// for the one-clock-per-event semantics).
-///
-/// # The static analysis
-///
-/// A clock's bound at state `s` is the join of every constraint it can face
-/// along any path from `s` *before its next reset*:
-///
-/// * **Seed** — at `s` itself, the clock `x` of an event `e` enabled in `s`
-///   faces `e`'s guard `x ≥ δl(e)` (when `e` fires) and the state invariant
-///   `x ≤ δu(e)` (while time elapses in `s`), so it seeds `L = δl(e)`,
-///   `U = δu(e)`. A disabled clock faces nothing and seeds `(0, 0)`.
-/// * **Propagation** — for every transition `s --f--> t` that `x` survives
-///   un-reset (in this semantics `x` is reset exactly when `e` is freshly
-///   enabled in `t`, i.e. `e == f` or `e` was disabled in `s`), the bounds
-///   at `t` flow back into the bounds at `s`.
-///
-/// Bounds only grow and are capped by the global per-clock constants, so the
-/// backward sweep loop converges; the result never under-approximates the
-/// global vector (every seed is ≤ the global constant and joins preserve
-/// that). Local bounds subsume active-clock reduction statically: a disabled
-/// clock's bounds are `(0, 0)`, so extrapolation erases whatever stale value
-/// it carries.
-pub struct LuBoundsProvider {
-    /// The whole-model vector (also the fallback under [`Bounds::Global`]).
-    global: LuBounds,
-    /// The per-state analysis result (`None` under [`Bounds::Global`]).
-    local: Option<LocalBounds>,
-}
-
-impl LuBoundsProvider {
-    /// Builds the provider for `timed` under the given [`Bounds`] choice.
-    pub fn new(timed: &TimedTransitionSystem, bounds: Bounds) -> LuBoundsProvider {
-        let global = LuBounds::of(timed);
-        let local = match bounds {
-            Bounds::Global => None,
-            Bounds::Local => Some(Self::analyze(timed, &global)),
-        };
-        LuBoundsProvider { global, local }
-    }
-
-    /// The backward fixpoint over the untimed transition structure.
-    fn analyze(timed: &TimedTransitionSystem, global: &LuBounds) -> LocalBounds {
-        let ts = timed.underlying();
-        let events = ts.alphabet().len();
-        let states = ts.state_count();
-        let clocks = events + 1;
-
-        // Enabledness bitmap (`active[s * events + e]`), computed once: the
-        // sweep loop consults it per edge per clock.
-        let mut active = vec![false; states * events];
-        for s in 0..states {
-            for &e in &ts.enabled(StateId::from_index(s)) {
-                active[s * events + e.index()] = true;
-            }
-        }
-
-        // Seeds, in two flat row-major `states × clocks` arrays.
-        let mut lower = vec![0i64; states * clocks];
-        let mut upper = vec![0i64; states * clocks];
-        for s in 0..states {
-            for index in 0..events {
-                if active[s * events + index] {
-                    let delay = timed.delay(EventId::from_index(index));
-                    lower[s * clocks + index + 1] = delay.lower().as_i64();
-                    if let Bound::Finite(u) = delay.upper() {
-                        upper[s * clocks + index + 1] = u.as_i64();
-                    }
-                }
-            }
-        }
-
-        // Backward sweeps to the least fixpoint. Reverse state order pays
-        // off because state ids follow breadth-first discovery order, so
-        // most edges point id-upward and one sweep propagates a whole
-        // chain.
-        let mut sweeps = 0;
-        loop {
-            sweeps += 1;
-            let mut changed = false;
-            for s in (0..states).rev() {
-                for &(fired, target) in ts.transitions_from(StateId::from_index(s)) {
-                    let t = target.index();
-                    for index in 0..events {
-                        // The clock survives the edge un-reset unless its
-                        // event is freshly enabled in the target.
-                        let fresh = active[t * events + index]
-                            && (index == fired.index() || !active[s * events + index]);
-                        if fresh {
-                            continue;
-                        }
-                        let clock = index + 1;
-                        let (tl, tu) = (lower[t * clocks + clock], upper[t * clocks + clock]);
-                        if tl > lower[s * clocks + clock] {
-                            lower[s * clocks + clock] = tl;
-                            changed = true;
-                        }
-                        if tu > upper[s * clocks + clock] {
-                            upper[s * clocks + clock] = tu;
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-
-        // Intern the per-state vectors (a handful of distinct vectors cover
-        // hundreds of thousands of states) and take the tightening census
-        // against the global constants.
-        let mut interned: std::collections::HashMap<LuBounds, u32> =
-            std::collections::HashMap::new();
-        let mut table = Vec::new();
-        let mut index = Vec::with_capacity(states);
-        let mut tightened_states = 0;
-        let mut tightened_clock_bounds = 0;
-        for s in 0..states {
-            let row = LuBounds {
-                lower: lower[s * clocks..(s + 1) * clocks].to_vec(),
-                upper: upper[s * clocks..(s + 1) * clocks].to_vec(),
-            };
-            let tightened = (1..clocks)
-                .filter(|&c| row.lower[c] < global.lower[c] || row.upper[c] < global.upper[c])
-                .count();
-            if tightened > 0 {
-                tightened_states += 1;
-                tightened_clock_bounds += tightened;
-            }
-            let id = match interned.get(&row) {
-                Some(&id) => id,
-                None => {
-                    let id = u32::try_from(table.len()).expect("bound table fits u32");
-                    table.push(row.clone());
-                    interned.insert(row, id);
-                    id
-                }
-            };
-            index.push(id);
-        }
-        LocalBounds {
-            table,
-            index,
-            tightened_states,
-            tightened_clock_bounds,
-            sweeps,
-        }
-    }
-
-    /// The bound vectors in effect at `state`.
-    fn for_state(&self, state: StateId) -> &LuBounds {
-        match &self.local {
-            Some(local) => &local.table[local.index[state.index()] as usize],
-            None => &self.global,
-        }
-    }
-
-    /// The per-clock `L` vector at `state` (index 0 is the reference clock).
-    pub fn lower(&self, state: StateId) -> &[i64] {
-        &self.for_state(state).lower
-    }
-
-    /// The per-clock `U` vector at `state` (index 0 is the reference clock).
-    pub fn upper(&self, state: StateId) -> &[i64] {
-        &self.for_state(state).upper
-    }
-
-    /// States whose local vectors are strictly tighter than the global
-    /// constants (0 under [`Bounds::Global`]).
-    pub fn local_bound_states(&self) -> usize {
-        self.local.as_ref().map_or(0, |l| l.tightened_states)
-    }
-
-    /// Total `(state, clock)` bound entries tightened below their global
-    /// constants (0 under [`Bounds::Global`]).
-    pub fn tightened_clock_bounds(&self) -> usize {
-        self.local.as_ref().map_or(0, |l| l.tightened_clock_bounds)
-    }
-
-    /// Backward sweeps until the static analysis converged (0 under
-    /// [`Bounds::Global`]).
-    pub fn sweeps(&self) -> usize {
-        self.local.as_ref().map_or(0, |l| l.sweeps)
     }
 }
 
@@ -476,19 +253,19 @@ fn apply_invariant(timed: &TimedTransitionSystem, zone: &mut Dbm, state: StateId
 ///
 /// This single function defines the timed successor relation; the explorer
 /// and the witness replay both go through it, so a reconstructed trace
-/// replays to exactly the zones the search stored. Under
-/// [`Extrapolation::LuActive`] the successor is additionally projected onto
-/// the clocks active in `target` (see [`project_inactive`]); the LU widening
-/// itself happens later, at interning time, because it must only apply to
-/// *stored* zones (it is a widening, so storing it keeps subsumption sound,
-/// whereas candidates must stay exact for the inclusion checks).
+/// replays to exactly the zones the search stored. Unless `exact`, the
+/// successor is additionally projected onto the clocks active in `target`
+/// (see [`project_inactive`]); the LU widening itself happens later, at
+/// interning time, because it must only apply to *stored* zones (it is a
+/// widening, so storing it keeps subsumption sound, whereas candidates must
+/// stay exact for the coverage checks).
 fn timed_successor(
     timed: &TimedTransitionSystem,
     zone: &Dbm,
     enabled_here: &std::collections::BTreeSet<EventId>,
     event: EventId,
     target: StateId,
-    extrapolation: Extrapolation,
+    exact: bool,
 ) -> Option<Dbm> {
     let ts = timed.underlying();
     // Guard: the event's clock has reached its lower bound.
@@ -513,7 +290,7 @@ fn timed_successor(
     if next.is_empty() {
         return None;
     }
-    if extrapolation == Extrapolation::LuActive {
+    if !exact {
         project_inactive(timed, &mut next, target);
     }
     Some(next)
@@ -558,11 +335,11 @@ impl InternerState {
 /// interned clock zone.
 struct ZoneSpace<'a> {
     timed: &'a TimedTransitionSystem,
-    subsumption: Subsumption,
-    extrapolation: Extrapolation,
+    /// The unabstracted oracle: exact zones, exact-duplicate deduplication.
+    exact: bool,
     /// The LU bound vectors feeding extrapolation and the aLU check (unused
-    /// under [`Extrapolation::None`] with a non-aLU policy).
-    bounds: LuBoundsProvider,
+    /// in exact mode).
+    bounds: LuBounds,
     /// Halt the search at the first committed configuration whose discrete
     /// state satisfies this goal (the witness search); `None` explores
     /// exhaustively.
@@ -583,9 +360,8 @@ impl<'a> ZoneSpace<'a> {
     ) -> ZoneSpace<'a> {
         ZoneSpace {
             timed,
-            subsumption: spec.subsumption,
-            extrapolation: spec.extrapolation,
-            bounds: LuBoundsProvider::new(timed, spec.bounds),
+            exact: spec.exact,
+            bounds: LuBounds::of(timed),
             goal,
             budget: spec.budget.clone(),
             interner: InternerState::new(),
@@ -600,8 +376,6 @@ impl<'a> ZoneSpace<'a> {
             extrapolated_zones: state.extrapolated,
             projected_clocks: state.projected,
             alu_subsumed: state.alu_subsumed,
-            local_bound_states: self.bounds.local_bound_states(),
-            tightened_clock_bounds: self.bounds.tightened_clock_bounds(),
             arena: state.arena.stats(),
         }
     }
@@ -613,8 +387,6 @@ struct AbstractionStats {
     extrapolated_zones: usize,
     projected_clocks: usize,
     alu_subsumed: usize,
-    local_bound_states: usize,
-    tightened_clock_bounds: usize,
     arena: ArenaStats,
 }
 
@@ -623,8 +395,8 @@ const INTERNER_SWEEP_INTERVAL: usize = 4096;
 
 impl SearchSpace for ZoneSpace<'_> {
     type Config = (StateId, Arc<Dbm>);
-    /// With subsumption the key is the discrete state (zones of one state
-    /// form the bucket); without it the zone joins the key, giving exact
+    /// By default the key is the discrete state (zones of one state form
+    /// the bucket); in exact mode the zone joins the key, giving exact
     /// `(state, zone)` deduplication.
     type Key = (StateId, Option<Arc<Dbm>>);
     type Edge = EventId;
@@ -640,7 +412,7 @@ impl SearchSpace for ZoneSpace<'_> {
             apply_invariant(self.timed, &mut zone, s0);
             zone.canonicalize();
             if !zone.is_empty() {
-                if self.extrapolation == Extrapolation::LuActive {
+                if !self.exact {
                     project_inactive(self.timed, &mut zone, s0);
                 }
                 initial.push((s0, Arc::new(zone)));
@@ -650,7 +422,7 @@ impl SearchSpace for ZoneSpace<'_> {
     }
 
     fn key(&self, (state, zone): &Self::Config) -> Self::Key {
-        if self.subsumption == Subsumption::Exact {
+        if self.exact {
             (*state, Some(zone.clone()))
         } else {
             (*state, None)
@@ -665,14 +437,9 @@ impl SearchSpace for ZoneSpace<'_> {
         let enabled_here = ts.enabled(*state);
         let mut successors = Vec::new();
         for &(event, target) in ts.transitions_from(*state) {
-            if let Some(next) = timed_successor(
-                self.timed,
-                zone,
-                &enabled_here,
-                event,
-                target,
-                self.extrapolation,
-            ) {
+            if let Some(next) =
+                timed_successor(self.timed, zone, &enabled_here, event, target, self.exact)
+            {
                 successors.push((event, (target, Arc::new(next))));
             }
         }
@@ -693,23 +460,15 @@ impl SearchSpace for ZoneSpace<'_> {
     }
 
     fn subsumes(&self, stored: &Self::Config, candidate: &Self::Config) -> bool {
-        match self.subsumption {
-            // Equal keys imply equal zones: exact deduplication.
-            Subsumption::Exact => true,
-            Subsumption::Inclusion => stored.1.includes(&candidate.1),
-            Subsumption::Alu => {
-                // Both zones sit at the candidate's discrete state, so the
-                // relation is judged under that state's bounds.
-                let bounds = self.bounds.for_state(candidate.0);
-                candidate
-                    .1
-                    .included_in_alu(&stored.1, &bounds.lower, &bounds.upper)
-            }
-        }
+        // In exact mode equal keys imply equal zones: exact deduplication.
+        self.exact
+            || candidate
+                .1
+                .included_in_alu(&stored.1, &self.bounds.lower, &self.bounds.upper)
     }
 
     fn uses_subsumption(&self) -> bool {
-        self.subsumption != Subsumption::Exact
+        !self.exact
     }
 
     fn note_pop_skip(&self, skipped: &Self::Config, stored: &[Self::Config]) {
@@ -718,9 +477,7 @@ impl SearchSpace for ZoneSpace<'_> {
         // the pruning arrival aLU-covered the skipped zone, and by
         // transitivity so does whatever zone pruned *it*, i.e. some zone in
         // the current bucket.
-        if self.subsumption == Subsumption::Alu
-            && !stored.iter().any(|(_, zone)| zone.includes(&skipped.1))
-        {
+        if !stored.iter().any(|(_, zone)| zone.includes(&skipped.1)) {
             self.interner
                 .lock()
                 .expect("zone interner poisoned")
@@ -733,21 +490,15 @@ impl SearchSpace for ZoneSpace<'_> {
         let st = &mut *guard;
         // LU-bounds extrapolation: widen the zone about to be stored. The
         // widened zone subsumes the candidate, exactly what the intern
-        // contract allows for subsumption spaces; exact-dedup spaces key
-        // buckets by the pre-intern (exact) zone, so distinct exact zones
-        // that widen to one representative still dedup against each other's
-        // successors. The clone goes through the arena so an unchanged zone
-        // costs only a recycled buffer.
-        let zone = if self.extrapolation == Extrapolation::None {
+        // contract allows for subsumption spaces. The clone goes through the
+        // arena so an unchanged zone costs only a recycled buffer.
+        let zone = if self.exact {
             zone
         } else {
-            if self.extrapolation == Extrapolation::LuActive {
-                let ts = self.timed.underlying();
-                st.projected += ts.alphabet().len() - ts.enabled(state).len();
-            }
-            let bounds = self.bounds.for_state(state);
+            let ts = self.timed.underlying();
+            st.projected += ts.alphabet().len() - ts.enabled(state).len();
             let mut widened = st.arena.clone_dbm(&zone);
-            if widened.extrapolate_lu(&bounds.lower, &bounds.upper) {
+            if widened.extrapolate_lu(&self.bounds.lower, &self.bounds.upper) {
                 widened.canonicalize();
                 st.extrapolated += 1;
                 Arc::new(widened)
@@ -897,8 +648,6 @@ fn aggregate_report(
         alu_subsumed: stats.alu_subsumed,
         extrapolated_zones: stats.extrapolated_zones,
         projected_clocks: stats.projected_clocks,
-        local_bound_states: stats.local_bound_states,
-        tightened_clock_bounds: stats.tightened_clock_bounds,
         arena: stats.arena,
     }
 }
@@ -924,12 +673,9 @@ pub enum WitnessGoal {
 pub struct SymbolicTrace {
     start: (StateId, Arc<Dbm>),
     steps: Vec<(EventId, StateId, Arc<Dbm>)>,
-    /// The abstraction the search stored its zones under; the replay applies
-    /// the same normalisation so recomputed zones match the recorded ones.
-    extrapolation: Extrapolation,
-    /// The LU bound vectors the search extrapolated with, mirrored by the
-    /// replay for the same reason.
-    bounds: Bounds,
+    /// Whether the search stored exact zones; otherwise the replay applies
+    /// the same abstraction so recomputed zones match the recorded ones.
+    exact: bool,
 }
 
 /// The absolute-time window in which one step of a [`SymbolicTrace`] can
@@ -996,7 +742,7 @@ impl SymbolicTrace {
     /// indicate a reconstruction bug).
     pub fn replay(&self, timed: &TimedTransitionSystem) -> Option<StateId> {
         let ts = timed.underlying();
-        let bounds = LuBoundsProvider::new(timed, self.bounds);
+        let bounds = LuBounds::of(timed);
         let mut state = self.start.0;
         let mut zone = self.start.1.clone();
         for (event, target, recorded) in &self.steps {
@@ -1004,20 +750,10 @@ impl SymbolicTrace {
                 return None;
             }
             let enabled_here = ts.enabled(state);
-            let mut next = timed_successor(
-                timed,
-                &zone,
-                &enabled_here,
-                *event,
-                *target,
-                self.extrapolation,
-            )?;
-            // The search widens stored zones at interning time under the
-            // target state's bounds; mirror it.
-            let target_bounds = bounds.for_state(*target);
-            if self.extrapolation != Extrapolation::None
-                && next.extrapolate_lu(&target_bounds.lower, &target_bounds.upper)
-            {
+            let mut next =
+                timed_successor(timed, &zone, &enabled_here, *event, *target, self.exact)?;
+            // The search widens stored zones at interning time; mirror it.
+            if !self.exact && next.extrapolate_lu(&bounds.lower, &bounds.upper) {
                 next.canonicalize();
             }
             if next != **recorded {
@@ -1134,8 +870,8 @@ pub enum WitnessOutcome {
     LimitExceeded {
         /// Number of configurations explored before aborting.
         explored: usize,
-        /// Enqueued configurations skipped by zone subsumption (0 when
-        /// subsumption is disabled).
+        /// Enqueued configurations skipped by zone subsumption (0 in exact
+        /// mode).
         subsumed: usize,
     },
     /// The [`ExploreSpec::cancel`](explore::ExploreSpec::cancel) token fired before the goal
@@ -1143,8 +879,8 @@ pub enum WitnessOutcome {
     Cancelled {
         /// Number of configurations explored before the cancellation.
         explored: usize,
-        /// Enqueued configurations skipped by zone subsumption (0 when
-        /// subsumption is disabled).
+        /// Enqueued configurations skipped by zone subsumption (0 in exact
+        /// mode).
         subsumed: usize,
     },
 }
@@ -1266,8 +1002,7 @@ pub fn find_witness(
     WitnessOutcome::Found(SymbolicTrace {
         start,
         steps,
-        extrapolation: options.spec.extrapolation,
-        bounds: options.spec.bounds,
+        exact: options.spec.exact,
     })
 }
 
@@ -1286,16 +1021,17 @@ mod tests {
         ZoneExplorationOptions { spec }
     }
 
-    /// All three abstraction modes.
-    const MODES: [Extrapolation; 3] = [
-        Extrapolation::None,
-        Extrapolation::Lu,
-        Extrapolation::LuActive,
-    ];
+    /// Both modes: the default abstraction and the exact oracle (the value
+    /// of [`ExploreSpec::exact`]).
+    const MODES: [bool; 2] = [false, true];
 
-    /// All three subsumption policies.
-    const POLICIES: [Subsumption; 3] =
-        [Subsumption::Exact, Subsumption::Inclusion, Subsumption::Alu];
+    /// Options running the exact oracle.
+    fn exact_spec() -> ExploreSpec {
+        ExploreSpec {
+            exact: true,
+            ..ExploreSpec::default()
+        }
+    }
 
     fn sorted(ids: &[StateId]) -> bool {
         ids.windows(2).all(|w| w[0] < w[1])
@@ -1436,36 +1172,20 @@ mod tests {
     #[test]
     fn subsumption_explores_no_more_than_exact_dedup() {
         let timed = reconvergent();
-        let run = |subsumption| {
-            explore_timed_with(
-                &timed,
-                with_spec(ExploreSpec {
-                    subsumption,
-                    ..ExploreSpec::default()
-                }),
-            )
+        let abstracted = explore_timed(&timed).report().unwrap().clone();
+        let exact = explore_timed_with(&timed, with_spec(exact_spec()))
             .report()
             .unwrap()
-            .clone()
-        };
-        let alu = run(Subsumption::Alu);
-        let inclusion = run(Subsumption::Inclusion);
-        let exact = run(Subsumption::Exact);
-        // Each policy is at least as reducing as the finer one.
-        assert!(alu.configurations <= inclusion.configurations);
-        assert!(inclusion.configurations <= exact.configurations);
+            .clone();
+        assert!(abstracted.configurations <= exact.configurations);
         assert_eq!(exact.subsumed_configurations, 0);
-        // The attribution counter only fires under Alu.
         assert_eq!(exact.alu_subsumed, 0);
-        assert_eq!(inclusion.alu_subsumed, 0);
-        assert!(alu.alu_subsumed <= alu.subsumed_configurations);
+        assert!(abstracted.alu_subsumed <= abstracted.subsumed_configurations);
         // Verdict-bearing sets agree.
-        for report in [&alu, &inclusion] {
-            assert_eq!(report.reachable_states, exact.reachable_states);
-            assert_eq!(report.violating_states, exact.violating_states);
-            assert_eq!(report.deadlock_states, exact.deadlock_states);
-            assert_sorted(report);
-        }
+        assert_eq!(abstracted.reachable_states, exact.reachable_states);
+        assert_eq!(abstracted.violating_states, exact.violating_states);
+        assert_eq!(abstracted.deadlock_states, exact.deadlock_states);
+        assert_sorted(&abstracted);
         assert_sorted(&exact);
     }
 
@@ -1516,22 +1236,20 @@ mod tests {
             WitnessGoal::Violation,
         );
         for threads in [1, 2, 4] {
-            for subsumption in POLICIES {
-                for extrapolation in MODES {
-                    let outcome = find_witness(
-                        &timed,
-                        with_spec(ExploreSpec {
-                            threads,
-                            subsumption,
-                            extrapolation,
-                            ..ExploreSpec::default()
-                        }),
-                        WitnessGoal::Violation,
-                    );
-                    let trace = outcome.trace().expect("violation reachable");
-                    assert_eq!(trace.run(), base.trace().unwrap().run());
-                    assert_eq!(trace.end_state(), base.trace().unwrap().end_state());
-                }
+            for exact in MODES {
+                let outcome = find_witness(
+                    &timed,
+                    with_spec(ExploreSpec {
+                        threads,
+                        exact,
+                        ..ExploreSpec::default()
+                    }),
+                    WitnessGoal::Violation,
+                );
+                let trace = outcome.trace().expect("violation reachable");
+                assert_eq!(trace.run(), base.trace().unwrap().run());
+                assert_eq!(trace.end_state(), base.trace().unwrap().end_state());
+                assert_eq!(trace.replay(&timed), Some(trace.end_state()));
             }
         }
     }
@@ -1663,28 +1381,25 @@ mod tests {
     #[test]
     fn parallel_exploration_matches_sequential_exactly() {
         for timed in [race(), reconvergent()] {
-            for subsumption in POLICIES {
-                for extrapolation in MODES {
-                    let base = ExploreSpec {
-                        subsumption,
-                        extrapolation,
-                        ..ExploreSpec::default()
-                    };
-                    let sequential = explore_timed_with(&timed, with_spec(base.clone()));
-                    for threads in [2, 4] {
-                        let parallel = explore_timed_with(
-                            &timed,
-                            with_spec(ExploreSpec {
-                                threads,
-                                ..base.clone()
-                            }),
-                        );
-                        // `ZoneOutcome` equality covers the verdict sets,
-                        // the configuration counters *and* the abstraction /
-                        // arena counters, so this pins them all as
-                        // thread-count independent.
-                        assert_eq!(sequential, parallel, "threads={threads}");
-                    }
+            for exact in MODES {
+                let base = ExploreSpec {
+                    exact,
+                    ..ExploreSpec::default()
+                };
+                let sequential = explore_timed_with(&timed, with_spec(base.clone()));
+                for threads in [2, 4] {
+                    let parallel = explore_timed_with(
+                        &timed,
+                        with_spec(ExploreSpec {
+                            threads,
+                            ..base.clone()
+                        }),
+                    );
+                    // `ZoneOutcome` equality covers the verdict sets, the
+                    // configuration counters *and* the abstraction / arena
+                    // counters, so this pins them all as thread-count
+                    // independent.
+                    assert_eq!(sequential, parallel, "threads={threads}");
                 }
             }
         }
@@ -1693,26 +1408,16 @@ mod tests {
     #[test]
     fn extrapolation_modes_agree_on_verdicts() {
         for timed in [race(), reconvergent(), overlapping_race()] {
-            let exact = explore_timed(&timed).report().unwrap().clone();
-            for extrapolation in MODES {
-                for subsumption in POLICIES {
-                    let report = explore_timed_with(
-                        &timed,
-                        with_spec(ExploreSpec {
-                            subsumption,
-                            extrapolation,
-                            ..ExploreSpec::default()
-                        }),
-                    )
-                    .report()
-                    .unwrap()
-                    .clone();
-                    assert_eq!(report.reachable_states, exact.reachable_states);
-                    assert_eq!(report.violating_states, exact.violating_states);
-                    assert_eq!(report.deadlock_states, exact.deadlock_states);
-                    assert_sorted(&report);
-                }
-            }
+            let exact = explore_timed_with(&timed, with_spec(exact_spec()))
+                .report()
+                .unwrap()
+                .clone();
+            let report = explore_timed(&timed).report().unwrap().clone();
+            assert_eq!(report.reachable_states, exact.reachable_states);
+            assert_eq!(report.violating_states, exact.violating_states);
+            assert_eq!(report.deadlock_states, exact.deadlock_states);
+            assert_sorted(&report);
+            assert_sorted(&exact);
         }
     }
 
@@ -1735,67 +1440,29 @@ mod tests {
     #[test]
     fn lu_extrapolation_terminates_where_exact_zones_diverge() {
         let timed = unbounded_drift();
-        // Convex subsumption pinned: under the default aLU policy even the
-        // unextrapolated exploration converges (the drifting clock has no
-        // upper comparison, so U = 0 makes its growth invisible to the
-        // relation) — see `alu_subsumption_terminates_unextrapolated_drift`.
         let exact = explore_timed_with(
             &timed,
             with_spec(ExploreSpec {
-                subsumption: Subsumption::Inclusion,
-                extrapolation: Extrapolation::None,
                 limit: Some(200),
-                ..ExploreSpec::default()
+                ..exact_spec()
             }),
         );
         assert!(
             matches!(exact, ZoneOutcome::LimitExceeded { .. }),
             "exact zones were expected to diverge, got {exact:?}"
         );
-        for extrapolation in [Extrapolation::Lu, Extrapolation::LuActive] {
-            let abstracted = explore_timed_with(
-                &timed,
-                with_spec(ExploreSpec {
-                    extrapolation,
-                    limit: Some(200),
-                    ..ExploreSpec::default()
-                }),
-            );
-            let report = abstracted
-                .report()
-                .unwrap_or_else(|| panic!("{extrapolation} should terminate, got {abstracted:?}"));
-            assert_eq!(report.reachable_states.len(), 1);
-            assert!(report.extrapolated_zones > 0, "widening never fired");
-        }
-    }
-
-    #[test]
-    fn alu_subsumption_terminates_unextrapolated_drift() {
-        // The non-convex relation alone tames the drift that defeats convex
-        // inclusion: the drifting clock faces no upper comparison (U = 0),
-        // so zones differing only in its age aLU-cover each other without
-        // any zone ever being widened.
-        let timed = unbounded_drift();
-        let outcome = explore_timed_with(
+        let abstracted = explore_timed_with(
             &timed,
             with_spec(ExploreSpec {
-                subsumption: Subsumption::Alu,
-                extrapolation: Extrapolation::None,
                 limit: Some(200),
                 ..ExploreSpec::default()
             }),
         );
-        let report = outcome
+        let report = abstracted
             .report()
-            .unwrap_or_else(|| panic!("aLU subsumption should terminate, got {outcome:?}"));
+            .unwrap_or_else(|| panic!("the abstraction should terminate, got {abstracted:?}"));
         assert_eq!(report.reachable_states.len(), 1);
-        assert_eq!(report.extrapolated_zones, 0);
-        // On this tiny fixture every aLU win happens at the push-time
-        // prefilter (the covered successor is never enqueued), so no
-        // pop-time skip is attributed; the counter invariant still holds.
-        // The `alu_subsumed > 0` behaviour is exercised on the pipeline
-        // models in the workspace-level `engine_vs_zones` tests.
-        assert!(report.alu_subsumed <= report.subsumed_configurations);
+        assert!(report.extrapolated_zones > 0, "widening never fired");
     }
 
     #[test]
@@ -1820,226 +1487,56 @@ mod tests {
 
     #[test]
     fn default_exploration_reports_abstraction_work() {
-        // The default mode is LuActive: the race's disabled clocks get
-        // projected and at least the unbounded-invariant-free zones widen.
+        // The race's disabled clocks get projected and at least the
+        // unbounded-invariant-free zones widen.
         let report = explore_timed(&race()).report().unwrap().clone();
         assert!(report.projected_clocks > 0);
         // Arena counters are wired through: every intern clones via the
-        // arena under LuActive.
+        // arena.
         assert!(report.arena.allocated + report.arena.reused > 0);
+        // The exact oracle abstracts nothing.
+        let exact = explore_timed_with(&race(), with_spec(exact_spec()));
+        let exact = exact.report().unwrap();
+        assert_eq!(exact.projected_clocks, 0);
+        assert_eq!(exact.extrapolated_zones, 0);
+        assert_eq!(exact.arena.allocated + exact.arena.reused, 0);
     }
 
-    // ---- static guard analysis (per-state LU bounds) battery ----
-
-    /// A three-event linear chain: a [1,2] then b [3,4] then c [5,6], each
-    /// event enabled in exactly one state.
-    fn chain3() -> TimedTransitionSystem {
-        let mut b = TsBuilder::new("chain3");
-        let s0 = b.add_state("s0");
-        let s1 = b.add_state("s1");
-        let s2 = b.add_state("s2");
-        let s3 = b.add_state("s3");
-        b.add_transition(s0, "a", s1);
-        b.add_transition(s1, "b", s2);
-        b.add_transition(s2, "c", s3);
-        b.set_initial(s0);
-        let mut timed = TimedTransitionSystem::new(b.build().unwrap());
-        timed.set_delay_by_name("a", d(1, 2));
-        timed.set_delay_by_name("b", d(3, 4));
-        timed.set_delay_by_name("c", d(5, 6));
-        timed
-    }
-
-    /// The a/b oscillator with one unbounded event: a [1,2] and b [3,∞)
-    /// alternate forever. The cycle is where a naive backward analysis
-    /// would widen without bound; ours is capped by the global constants
-    /// and must converge.
-    fn osc_unbounded() -> TimedTransitionSystem {
-        let mut b = TsBuilder::new("osc-unbounded");
-        let s0 = b.add_state("s0");
-        let s1 = b.add_state("s1");
-        b.add_transition(s0, "a", s1);
-        b.add_transition(s1, "b", s0);
-        b.set_initial(s0);
-        let mut timed = TimedTransitionSystem::new(b.build().unwrap());
-        timed.set_delay_by_name("a", d(1, 2));
-        timed.set_delay_by_name("b", DelayInterval::at_least(Time::new(3)).unwrap());
-        timed
-    }
-
-    fn state_of(timed: &TimedTransitionSystem, name: &str) -> StateId {
-        let ts = timed.underlying();
-        (0..ts.state_count())
-            .map(StateId::from_index)
-            .find(|&s| ts.state_name(s) == name)
-            .unwrap_or_else(|| panic!("no state named {name}"))
-    }
-
-    /// Chain: each state's vectors carry exactly its own enabled event's
-    /// delay window; everything else is pinned to (0, 0) — including the
-    /// clocks of events already fired and not yet re-enabled.
+    /// Why the abstraction uses the model's global LU constants: per-state
+    /// bounds (a clock's own event's constants while the event is enabled,
+    /// zero while it is disabled) would widen no successor differently,
+    /// because active-clock reduction has already pinned every disabled
+    /// clock to zero.
     #[test]
-    fn local_bounds_on_linear_chain_match_hand_computation() {
-        let timed = chain3();
-        let bounds = LuBoundsProvider::new(&timed, Bounds::Local);
-        // Clock layout: 0 = reference, 1 = a, 2 = b, 3 = c.
-        let expect = [
-            ("s0", [0, 1, 0, 0], [0, 2, 0, 0]),
-            ("s1", [0, 0, 3, 0], [0, 0, 4, 0]),
-            ("s2", [0, 0, 0, 5], [0, 0, 0, 6]),
-            ("s3", [0, 0, 0, 0], [0, 0, 0, 0]),
-        ];
-        for (name, lower, upper) in expect {
-            let s = state_of(&timed, name);
-            assert_eq!(bounds.lower(s), lower, "L at {name}");
-            assert_eq!(bounds.upper(s), upper, "U at {name}");
-        }
-        // The seed is already the fixpoint (propagation adds nothing in
-        // this semantics): exactly one sweep, no widening.
-        assert_eq!(bounds.sweeps(), 1);
-        // Census: every state lacks two of the three events (s3 all
-        // three), so 4 tightened states covering 2+2+2+3 clock bounds.
-        assert_eq!(bounds.local_bound_states(), 4);
-        assert_eq!(bounds.tightened_clock_bounds(), 9);
-    }
-
-    /// Branching: on the race diamond a clock that survives a branch
-    /// un-reset (slow across s0 --fast--> fast-first) keeps its full
-    /// window on both sides, while the branch that *fires* an event drops
-    /// that event's bounds in the target.
-    #[test]
-    fn local_bounds_on_branches_follow_resets() {
-        let timed = race(); // fast [1,2] vs slow [5,9], diamond to `both`
-        let bounds = LuBoundsProvider::new(&timed, Bounds::Local);
-        let fast = 1; // clock indices follow alphabet order
-        let slow = 2;
-        let s0 = state_of(&timed, "s0");
-        // Both events enabled at the root: the local vector IS the global
-        // vector there.
-        assert_eq!(bounds.lower(s0), &[0, 1, 5]);
-        assert_eq!(bounds.upper(s0), &[0, 2, 9]);
-        // After `fast` fires, only `slow` is pending: fast's clock is
-        // (0, 0) even though it just ran — it is never consulted again
-        // before its next (re-)enabling resets it.
-        let sf = state_of(&timed, "fast-first");
-        assert_eq!(bounds.lower(sf)[fast], 0);
-        assert_eq!(bounds.upper(sf)[fast], 0);
-        assert_eq!(bounds.lower(sf)[slow], 5);
-        assert_eq!(bounds.upper(sf)[slow], 9);
-        // Mirror image on the other branch.
-        let ss = state_of(&timed, "slow-first");
-        assert_eq!(bounds.lower(ss)[slow], 0);
-        assert_eq!(bounds.upper(ss)[fast], 2);
-        // The join state has nothing enabled: all-zero vectors.
-        let sboth = state_of(&timed, "both");
-        assert_eq!(bounds.lower(sboth), &[0, 0, 0]);
-        assert_eq!(bounds.upper(sboth), &[0, 0, 0]);
-        assert_eq!(bounds.sweeps(), 1);
-        assert_eq!(bounds.local_bound_states(), 3);
-        assert_eq!(bounds.tightened_clock_bounds(), 4);
-    }
-
-    /// Cycle: the backward sweep terminates on loops (bounds only grow and
-    /// are capped by the global constants), and an event without an upper
-    /// delay bound keeps U = 0 everywhere — unbounded growth of its clock
-    /// stays invisible to extrapolation and to aLU.
-    #[test]
-    fn local_bounds_on_cycles_converge_without_widening() {
-        let timed = osc_unbounded();
-        let bounds = LuBoundsProvider::new(&timed, Bounds::Local);
-        let s0 = state_of(&timed, "s0");
-        let s1 = state_of(&timed, "s1");
-        assert_eq!(bounds.lower(s0), &[0, 1, 0]);
-        assert_eq!(bounds.upper(s0), &[0, 2, 0]);
-        assert_eq!(bounds.lower(s1), &[0, 0, 3]);
-        // b has no upper delay bound: U stays 0 on the whole cycle.
-        assert_eq!(bounds.upper(s1), &[0, 0, 0]);
-        assert_eq!(bounds.sweeps(), 1);
-    }
-
-    /// Soundness floor of the analysis: on every fixture the local vectors
-    /// never exceed the global constants entrywise, and an *enabled*
-    /// event's clock always carries its full delay window (dropping it
-    /// would unsoundly widen zones against the state's own invariant).
-    #[test]
-    fn local_bounds_never_exceed_global_and_keep_enabled_windows() {
-        for timed in [race(), chain3(), osc_unbounded(), overlapping_race()] {
-            let local = LuBoundsProvider::new(&timed, Bounds::Local);
-            let global = LuBoundsProvider::new(&timed, Bounds::Global);
+    fn per_state_bounds_widen_no_successor_differently() {
+        for timed in [
+            race(),
+            reconvergent(),
+            overlapping_race(),
+            unbounded_drift(),
+        ] {
+            let space = ZoneSpace::new(&timed, &ExploreSpec::default(), None);
+            let Ok(ExploreOutcome::Completed(report)) =
+                explore::explore(&space, &ExploreOptions::default())
+            else {
+                panic!("the default exploration completes");
+            };
             let ts = timed.underlying();
-            for s in 0..ts.state_count() {
-                let s = StateId::from_index(s);
-                let (l, u) = (local.lower(s), local.upper(s));
-                let (gl, gu) = (global.lower(s), global.upper(s));
-                for c in 0..l.len() {
-                    assert!(l[c] <= gl[c] && u[c] <= gu[c], "over-approx at {s:?}");
-                }
-                for &e in &ts.enabled(s) {
-                    let c = clock_of(e);
-                    let delay = timed.delay(e);
-                    assert_eq!(l[c], delay.lower().as_i64(), "enabled L at {s:?}");
-                    if let Bound::Finite(upper) = delay.upper() {
-                        assert_eq!(u[c], upper.as_i64(), "enabled U at {s:?}");
+            for node in &report.nodes {
+                for (_, (target, zone)) in space.expand(&node.config).unwrap() {
+                    let enabled = ts.enabled(target);
+                    let (mut lower, mut upper) =
+                        (space.bounds.lower.clone(), space.bounds.upper.clone());
+                    for index in 0..ts.alphabet().len() {
+                        if !enabled.contains(&EventId::from_index(index)) {
+                            lower[index + 1] = 0;
+                            upper[index + 1] = 0;
+                        }
                     }
-                }
-            }
-        }
-    }
-
-    /// Under [`Bounds::Global`] the provider is the constant global vector
-    /// and reports an empty census.
-    #[test]
-    fn global_bounds_provider_is_constant() {
-        let timed = chain3();
-        let bounds = LuBoundsProvider::new(&timed, Bounds::Global);
-        for s in 0..timed.underlying().state_count() {
-            let s = StateId::from_index(s);
-            assert_eq!(bounds.lower(s), &[0, 1, 3, 5]);
-            assert_eq!(bounds.upper(s), &[0, 2, 4, 6]);
-        }
-        assert_eq!(bounds.local_bound_states(), 0);
-        assert_eq!(bounds.tightened_clock_bounds(), 0);
-        assert_eq!(bounds.sweeps(), 0);
-    }
-
-    /// The policy-agreement core: `global` and `local` bounds explore the
-    /// same reachable/violating/deadlocked state sets under every
-    /// extrapolation × subsumption combination, and local bounds never
-    /// enlarge the configuration count (both are sound abstractions of the
-    /// same timed semantics; local is entrywise ≤ global).
-    #[test]
-    fn local_and_global_bounds_agree_on_verdicts() {
-        for timed in [race(), chain3(), osc_unbounded(), overlapping_race()] {
-            for extrapolation in MODES {
-                for subsumption in POLICIES {
-                    let run = |bounds| {
-                        explore_timed_with(
-                            &timed,
-                            with_spec(ExploreSpec {
-                                subsumption,
-                                extrapolation,
-                                bounds,
-                                limit: Some(10_000),
-                                ..ExploreSpec::default()
-                            }),
-                        )
-                    };
-                    let global = run(Bounds::Global);
-                    let local = run(Bounds::Local);
-                    let (Some(g), Some(l)) = (global.report(), local.report()) else {
-                        // Exact zones may diverge on the unbounded cycle
-                        // under `Extrapolation::None` with convex
-                        // subsumption — for both bound choices alike.
-                        assert_eq!(global.report().is_none(), local.report().is_none());
-                        continue;
-                    };
-                    assert_eq!(g.reachable_states, l.reachable_states);
-                    assert_eq!(g.violating_states, l.violating_states);
-                    assert_eq!(g.deadlock_states, l.deadlock_states);
-                    assert!(
-                        l.configurations <= g.configurations,
-                        "local enlarged the zone graph under {extrapolation:?}/{subsumption:?}"
-                    );
+                    let (mut global, mut local) = ((*zone).clone(), (*zone).clone());
+                    global.extrapolate_lu(&space.bounds.lower, &space.bounds.upper);
+                    local.extrapolate_lu(&lower, &upper);
+                    assert_eq!(global, local, "{}: {target:?}", ts.name());
                 }
             }
         }

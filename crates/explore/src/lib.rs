@@ -42,10 +42,10 @@
 //!   merge point as its size limits, so a breached budget cancels the search
 //!   at the identical configuration count for every thread count. The
 //!   default meter is inert and costs nothing.
-//! * [`ExploreSpec`] — the shared options core (threads / subsumption /
-//!   limit / [`Extrapolation`] / cancel / progress) that the per-domain
-//!   options structs (`ZoneExplorationOptions`, `ExpandOptions`,
-//!   `VerifyOptions`) embed instead of re-declaring the same fields.
+//! * [`ExploreSpec`] — the shared options core (threads / exact / limit /
+//!   cancel / progress / budget) that the per-domain options structs
+//!   (`ZoneExplorationOptions`, `ExpandOptions`, `VerifyOptions`) embed
+//!   instead of re-declaring the same fields.
 //!
 //! # Determinism
 //!
@@ -132,4 +132,4 @@ pub use driver::{
 };
 pub use progress::{ProgressEvent, ProgressSink};
 pub use space::SearchSpace;
-pub use spec::{Bounds, ExploreSpec, Extrapolation, Subsumption};
+pub use spec::ExploreSpec;

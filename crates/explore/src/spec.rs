@@ -8,160 +8,9 @@
 //! adding the next knob is a one-struct change instead of a five-struct
 //! threading exercise.
 
-use std::fmt;
-
 use crate::budget::BudgetMeter;
 use crate::cancel::CancelToken;
 use crate::progress::ProgressSink;
-
-/// Zone-abstraction level of a timed exploration.
-///
-/// Only the zone-graph explorer (`dbm`) interprets this; untimed searches
-/// carry it inert. The abstractions are *exact for discrete-state
-/// reachability*: every mode reports the identical reachable / violating /
-/// deadlocked state sets, differing only in how many symbolic configurations
-/// it takes to get there.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum Extrapolation {
-    /// Exact zones, no abstraction (the pre-abstraction baseline; may not
-    /// terminate on cyclic systems with unbounded drift).
-    None,
-    /// Coarse LU-bounds extrapolation (Behrmann et al.): zone bounds above
-    /// the per-clock lower/upper delay constants are widened away.
-    Lu,
-    /// LU-bounds extrapolation plus active-clock reduction: clocks of
-    /// disabled events are projected out before extrapolating. The default.
-    #[default]
-    LuActive,
-}
-
-impl Extrapolation {
-    /// The wire name: `none`, `lu` or `lu-active`.
-    pub fn name(self) -> &'static str {
-        match self {
-            Extrapolation::None => "none",
-            Extrapolation::Lu => "lu",
-            Extrapolation::LuActive => "lu-active",
-        }
-    }
-
-    /// Parses a wire name back into a mode.
-    pub fn parse(name: &str) -> Option<Extrapolation> {
-        match name {
-            "none" => Some(Extrapolation::None),
-            "lu" => Some(Extrapolation::Lu),
-            "lu-active" => Some(Extrapolation::LuActive),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for Extrapolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Which LU bound vectors feed the zone abstraction (extrapolation and the
-/// aLU coverage check).
-///
-/// Only the zone-graph explorer (`dbm`) interprets this; untimed searches
-/// carry it inert. Both choices are *exact for discrete-state reachability*
-/// — they report identical reachable / violating / deadlocked state sets —
-/// and `local` bounds are entrywise ≤ the `global` ones, so the abstraction
-/// can only get coarser (never more configurations).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum Bounds {
-    /// One LU vector for the whole model: the per-clock maxima over every
-    /// guard and invariant (the pre-static-analysis behaviour).
-    Global,
-    /// Per-discrete-state LU vectors from backward static guard analysis: a
-    /// clock's bound at a state is the maximum over the constraints it can
-    /// face from that state before its next reset. Subsumes active-clock
-    /// reduction statically (a disabled clock faces nothing until reset, so
-    /// its local bounds are zero). The default.
-    #[default]
-    Local,
-}
-
-impl Bounds {
-    /// The wire name: `global` or `local`.
-    pub fn name(self) -> &'static str {
-        match self {
-            Bounds::Global => "global",
-            Bounds::Local => "local",
-        }
-    }
-
-    /// Parses a wire name back into a bounds choice.
-    pub fn parse(name: &str) -> Option<Bounds> {
-        match name {
-            "global" => Some(Bounds::Global),
-            "local" => Some(Bounds::Local),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for Bounds {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Coverage policy of the seen-set: when does a stored configuration make a
-/// candidate redundant?
-///
-/// Only searches with a genuine subsumption order (zone exploration in
-/// `dbm`) interpret this; exact-dedup searches carry it inert. Every policy
-/// is *exact for discrete-state reachability* — the reported reachable /
-/// violating / deadlocked state sets are identical, only the number of
-/// symbolic configurations explored differs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum Subsumption {
-    /// Exact deduplication: a candidate is redundant only if an identical
-    /// configuration is stored.
-    Exact,
-    /// Convex inclusion: a candidate zone is redundant if a stored zone
-    /// contains it entrywise (`Z ⊆ Z'`).
-    Inclusion,
-    /// Non-convex aLU simulation coverage (Herbreteau–Srivathsan–
-    /// Walukiewicz): a candidate zone is redundant if it is included in the
-    /// aLU abstraction of a stored zone (`Z ⊆ aLU(Z')`), checked per clock
-    /// pair without ever materialising the non-convex widened zone. Strictly
-    /// coarser than convex inclusion, still exact for reachability. The
-    /// default.
-    #[default]
-    Alu,
-}
-
-impl Subsumption {
-    /// The wire name: `exact`, `inclusion` or `alu`.
-    pub fn name(self) -> &'static str {
-        match self {
-            Subsumption::Exact => "exact",
-            Subsumption::Inclusion => "inclusion",
-            Subsumption::Alu => "alu",
-        }
-    }
-
-    /// Parses a wire name back into a policy. The pre-policy boolean spellings
-    /// stay accepted: `on` meant convex inclusion, `off` meant exact dedup.
-    pub fn parse(name: &str) -> Option<Subsumption> {
-        match name {
-            "exact" | "off" => Some(Subsumption::Exact),
-            "inclusion" | "on" => Some(Subsumption::Inclusion),
-            "alu" => Some(Subsumption::Alu),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for Subsumption {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// The exploration knobs shared by every search in the workspace.
 ///
@@ -173,33 +22,28 @@ impl fmt::Display for Subsumption {
 /// # Examples
 ///
 /// ```
-/// use explore::{Bounds, ExploreSpec, Extrapolation, Subsumption};
+/// use explore::ExploreSpec;
 ///
 /// let spec = ExploreSpec {
 ///     threads: 4,
 ///     limit: Some(10_000),
 ///     ..ExploreSpec::default()
 /// };
-/// assert_eq!(spec.subsumption, Subsumption::Alu);
-/// assert_eq!(spec.extrapolation, Extrapolation::LuActive);
-/// assert_eq!(spec.bounds, Bounds::Local);
+/// assert!(!spec.exact);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExploreSpec {
     /// Number of worker threads (`1` = sequential; any value produces the
     /// identical result).
     pub threads: usize,
-    /// Subsumption policy where the search supports it (zone coverage in
-    /// the DBM explorer); ignored by exact-dedup searches.
-    pub subsumption: Subsumption,
+    /// Explore without abstraction (timed explorations only): exact zones
+    /// and exact-duplicate deduplication instead of the default LU
+    /// extrapolation and aLU coverage. The unabstracted oracle; it may not
+    /// terminate on cyclic systems with unbounded clock drift.
+    pub exact: bool,
     /// Exploration size limit (configurations, markings, …); `None` lets
     /// each consumer apply its own default.
     pub limit: Option<usize>,
-    /// Zone-abstraction level (timed explorations only).
-    pub extrapolation: Extrapolation,
-    /// LU bound vectors feeding the zone abstraction (timed explorations
-    /// only): one global vector or per-state vectors from static analysis.
-    pub bounds: Bounds,
     /// Cooperative cancellation: a search whose token fires stops at the
     /// next batch boundary. The default token is inert.
     pub cancel: CancelToken,
@@ -215,10 +59,8 @@ impl Default for ExploreSpec {
     fn default() -> Self {
         ExploreSpec {
             threads: 1,
-            subsumption: Subsumption::default(),
+            exact: false,
             limit: None,
-            extrapolation: Extrapolation::default(),
-            bounds: Bounds::default(),
             cancel: CancelToken::default(),
             progress: ProgressSink::default(),
             budget: BudgetMeter::default(),
@@ -247,48 +89,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn extrapolation_names_round_trip() {
-        for mode in [
-            Extrapolation::None,
-            Extrapolation::Lu,
-            Extrapolation::LuActive,
-        ] {
-            assert_eq!(Extrapolation::parse(mode.name()), Some(mode));
-            assert_eq!(mode.to_string(), mode.name());
-        }
-        assert_eq!(Extrapolation::parse("fancy"), None);
-        assert_eq!(Extrapolation::default(), Extrapolation::LuActive);
-    }
-
-    #[test]
-    fn bounds_names_round_trip() {
-        for bounds in [Bounds::Global, Bounds::Local] {
-            assert_eq!(Bounds::parse(bounds.name()), Some(bounds));
-            assert_eq!(bounds.to_string(), bounds.name());
-        }
-        assert_eq!(Bounds::parse("fancy"), None);
-        assert_eq!(Bounds::default(), Bounds::Local);
-    }
-
-    #[test]
-    fn subsumption_names_round_trip() {
-        for policy in [Subsumption::Exact, Subsumption::Inclusion, Subsumption::Alu] {
-            assert_eq!(Subsumption::parse(policy.name()), Some(policy));
-            assert_eq!(policy.to_string(), policy.name());
-        }
-        // The pre-policy boolean spellings stay accepted.
-        assert_eq!(Subsumption::parse("on"), Some(Subsumption::Inclusion));
-        assert_eq!(Subsumption::parse("off"), Some(Subsumption::Exact));
-        assert_eq!(Subsumption::parse("fancy"), None);
-        assert_eq!(Subsumption::default(), Subsumption::Alu);
-    }
-
-    #[test]
     fn spec_defaults_and_limit_resolution() {
         let spec = ExploreSpec::default();
         assert_eq!(spec.threads, 1);
-        assert_eq!(spec.subsumption, Subsumption::Alu);
-        assert_eq!(spec.bounds, Bounds::Local);
+        assert!(!spec.exact);
         assert_eq!(spec.limit, None);
         assert_eq!(spec.limit_or(42), 42);
         assert_eq!(ExploreSpec::threaded(8).threads, 8);

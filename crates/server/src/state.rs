@@ -1343,6 +1343,58 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Zones jobs journaled before the zone-abstraction knobs collapsed
+    /// into `exact` carry `subsumption`, `extrapolation` and `bounds`
+    /// params, which `TaskSpec::parse` now refuses. Replay keeps such a job
+    /// visible but terminal, ids stay dense, and service goes on.
+    #[test]
+    fn journaled_spec_with_retired_params_recovers_as_failed() {
+        let dir = test_data_dir("retired");
+        let (model, _) = Session::new().add_model(RACE).unwrap();
+        let (persist, _) = Store::open(&dir, false).unwrap();
+        persist.save_model_text(&model.hash, RACE).unwrap();
+        persist
+            .append(&Record::Model {
+                hash: model.hash.clone(),
+            })
+            .unwrap();
+        let pair = |name: &str, value: &str| (name.to_owned(), value.to_owned());
+        let journaled = [
+            ("zones", vec![pair("threads", "1"), pair("bounds", "local")]),
+            ("verify", vec![pair("threads", "1")]),
+        ];
+        for (id, (command, params)) in journaled.into_iter().enumerate() {
+            persist
+                .append(&Record::Job {
+                    id,
+                    command: command.to_owned(),
+                    model: model.hash.clone(),
+                    params,
+                    prio: "batch".to_owned(),
+                })
+                .unwrap();
+        }
+        drop(persist);
+
+        let state = durable_state(&dir, ResultStoreConfig::default());
+        let retired = state.job(0).unwrap();
+        assert_eq!(retired.status, JobStatus::Failed);
+        let error = retired.error.unwrap();
+        assert!(
+            error.starts_with("unrecoverable journaled spec: `zones` does not accept `bounds`"),
+            "{error}"
+        );
+        // The job after it replays normally, and a new submission takes the
+        // next dense id.
+        assert_eq!(state.job(1).unwrap().status, JobStatus::Queued);
+        let next = submit(&state, TaskSpec::zones(&model.hash)).unwrap();
+        assert_eq!(next, 2);
+        drain(&state);
+        assert_eq!(state.job(1).unwrap().status, JobStatus::Done);
+        assert_eq!(state.job(next).unwrap().status, JobStatus::Done);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn deadline_marks_jobs_timed_out() {
         let state = state_with(ResultStoreConfig::default());

@@ -11,7 +11,7 @@
 //! * [`Session`] — owns parsed models, interned by content hash
 //!   ([`Session::add_model`]); runs [`TaskSpec`]s against them.
 //! * [`TaskSpec`] — a typed task description (`verify` / `reach` / `zones`
-//!   × threads / subsumption / trace / limit / deadline) with one textual
+//!   × threads / exact / trace / limit / deadline) with one textual
 //!   lowering ([`TaskSpec::parse`]) shared by the CLI's flags and the
 //!   server's query strings, and a canonical [`TaskKey`] — the fingerprint
 //!   of model hash + normalized options that identical submissions share.
@@ -49,8 +49,8 @@ mod session;
 mod task;
 
 pub use explore::{
-    Bounds, BudgetBreach, BudgetMeter, BudgetResource, CancelToken, ExploreSpec, Extrapolation,
-    ProgressEvent, ProgressSink, Subsumption,
+    BudgetBreach, BudgetMeter, BudgetResource, CancelToken, ExploreSpec, ProgressEvent,
+    ProgressSink,
 };
 pub use outcome::{
     asap_run, replay_rendered, trace_of_verdict, BudgetExceededOutcome, Outcome, ReachGoalOutcome,

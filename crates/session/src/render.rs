@@ -124,8 +124,6 @@ pub fn zones_document(model: &str, outcome: &ZoneOutcome, trace: Option<&Rendere
             .field("deadlock_states", report.deadlock_states.len())
             .field("extrapolated_zones", report.extrapolated_zones)
             .field("projected_clocks", report.projected_clocks)
-            .field("local_bound_states", report.local_bound_states)
-            .field("tightened_clock_bounds", report.tightened_clock_bounds)
             .field(
                 "arena",
                 Value::object()
@@ -226,10 +224,6 @@ fn summarise_zone_outcome(outcome: &ZoneOutcome, text: &mut String) {
                 report.projected_clocks,
                 report.arena.allocated,
                 report.arena.reused
-            ));
-            text.push_str(&format!(
-                "local bounds: {} states tightened, {} clock bounds below global\n",
-                report.local_bound_states, report.tightened_clock_bounds
             ));
         }
         ZoneOutcome::LimitExceeded { explored, subsumed } => {

@@ -666,7 +666,6 @@ fn kind_of(model: &Model) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use explore::Extrapolation;
 
     const RACE: &str = "tts race\n\
          state s0 s0\n\
@@ -688,10 +687,10 @@ mod tests {
         let session = Session::new();
         let (cached, _) = session.add_model(RACE).unwrap();
 
-        // `verify` ignores the zone abstraction mode, so the two specs
-        // normalize to the same key and the second call is a memo hit.
+        // `verify` ignores the exact zone mode, so the two specs normalize
+        // to the same key and the second call is a memo hit.
         let a = TaskSpec::verify(&cached.hash);
-        let b = TaskSpec::verify(&cached.hash).extrapolation(Extrapolation::None);
+        let b = TaskSpec::verify(&cached.hash).exact(true);
         assert_eq!(a.key(), b.key());
         let first = session.run(&a).unwrap();
         let second = session.run(&b).unwrap();
@@ -711,7 +710,7 @@ mod tests {
 
         // For `zones` the mode is load-bearing: distinct keys, distinct runs.
         let a = TaskSpec::zones(&cached.hash);
-        let b = TaskSpec::zones(&cached.hash).extrapolation(Extrapolation::None);
+        let b = TaskSpec::zones(&cached.hash).exact(true);
         assert_ne!(a.key(), b.key());
         session.run(&a).unwrap();
         session.run(&b).unwrap();

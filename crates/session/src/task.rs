@@ -11,9 +11,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use explore::{
-    Bounds, BudgetMeter, CancelToken, ExploreSpec, Extrapolation, ProgressSink, Subsumption,
-};
+use explore::{BudgetMeter, CancelToken, ExploreSpec, ProgressSink};
 
 /// The commands a [`Session`](crate::Session) can run. (`table1` and
 /// `export` are CLI conveniences built on other crates, not session tasks.)
@@ -72,24 +70,22 @@ pub const ZONES_DEFAULT_LIMIT: usize = 50_000;
 ///
 /// ```
 /// use std::time::Duration;
-/// use transyt_session::{Subsumption, TaskSpec};
+/// use transyt_session::TaskSpec;
 ///
 /// let spec = TaskSpec::zones("0011223344556677")
 ///     .threads(4)
-///     .subsumption(Subsumption::Exact)
+///     .exact(true)
 ///     .with_trace(true)
 ///     .limit(80_000)
 ///     .deadline(Duration::from_secs(30));
 /// assert_eq!(spec.key().canonical(),
-///     "model=0011223344556677 command=zones threads=4 subsumption=exact \
-///      extrapolation=lu-active bounds=local trace=yes limit=80000 to=- \
-///      deadline=30000ms max-configs=- max-zone-bytes=-");
+///     "model=0011223344556677 command=zones threads=4 exact=yes trace=yes \
+///      limit=80000 to=- deadline=30000ms max-configs=- max-zone-bytes=-");
 ///
-/// // Identical submissions — however they were spelled — share a key (the
-/// // legacy `off` spelling normalizes to `exact`).
+/// // Identical submissions — however they were spelled — share a key.
 /// let parsed = TaskSpec::parse("zones", &[
 ///     ("threads".into(), "4".into()),
-///     ("subsumption".into(), "off".into()),
+///     ("exact".into(), "true".into()),
 ///     ("trace".into(), "true".into()),
 ///     ("limit".into(), "80000".into()),
 ///     ("timeout".into(), "30".into()),
@@ -105,15 +101,10 @@ pub struct TaskSpec {
     /// Worker threads for every exploration (default 1; any value produces
     /// identical output).
     pub threads: usize,
-    /// Zone subsumption policy (`zones` only; default
-    /// [`Subsumption::Alu`]).
-    pub subsumption: Subsumption,
-    /// Zone abstraction mode (`zones` only; default
-    /// [`Extrapolation::LuActive`]).
-    pub extrapolation: Extrapolation,
-    /// LU bound vectors feeding the zone abstraction (`zones` only; default
-    /// [`Bounds::Local`]).
-    pub bounds: Bounds,
+    /// Explore the zone graph unabstracted — the exact oracle (`zones` only;
+    /// default off: LU extrapolation and aLU coverage, see
+    /// [`ExploreSpec::exact`]).
+    pub exact: bool,
     /// Produce a witness / counterexample trace.
     pub trace: bool,
     /// Exploration size limit (default per command).
@@ -154,9 +145,7 @@ impl TaskSpec {
             model: model_hash.into(),
             command,
             threads: 1,
-            subsumption: Subsumption::default(),
-            extrapolation: Extrapolation::default(),
-            bounds: Bounds::default(),
+            exact: false,
             trace: false,
             limit: None,
             to_label: None,
@@ -188,24 +177,10 @@ impl TaskSpec {
         self
     }
 
-    /// Selects the zone subsumption policy.
+    /// Runs `zones` unabstracted (the exact oracle).
     #[must_use]
-    pub fn subsumption(mut self, policy: Subsumption) -> TaskSpec {
-        self.subsumption = policy;
-        self
-    }
-
-    /// Selects the zone abstraction mode.
-    #[must_use]
-    pub fn extrapolation(mut self, mode: Extrapolation) -> TaskSpec {
-        self.extrapolation = mode;
-        self
-    }
-
-    /// Selects the LU bound vectors of the zone abstraction.
-    #[must_use]
-    pub fn bounds(mut self, bounds: Bounds) -> TaskSpec {
-        self.bounds = bounds;
+    pub fn exact(mut self, on: bool) -> TaskSpec {
+        self.exact = on;
         self
     }
 
@@ -267,9 +242,7 @@ impl TaskSpec {
             TaskCommand::Reach => &["threads", "trace", "to", "limit", "timeout", "max-configs"],
             TaskCommand::Zones => &[
                 "threads",
-                "subsumption",
-                "extrapolation",
-                "bounds",
+                "exact",
                 "trace",
                 "limit",
                 "timeout",
@@ -312,35 +285,21 @@ impl TaskSpec {
                         .parse()
                         .map_err(|_| SpecError(format!("bad `threads` value `{value}`")))?;
                 }
-                "subsumption" => {
-                    spec.subsumption = Subsumption::parse(value).ok_or_else(|| {
-                        SpecError(format!(
-                            "bad `subsumption` value `{value}` (use exact|inclusion|alu)"
-                        ))
-                    })?;
-                }
-                "extrapolation" => {
-                    spec.extrapolation = Extrapolation::parse(value).ok_or_else(|| {
-                        SpecError(format!(
-                            "bad `extrapolation` value `{value}` (use none|lu|lu-active)"
-                        ))
-                    })?;
-                }
-                "bounds" => {
-                    spec.bounds = Bounds::parse(value).ok_or_else(|| {
-                        SpecError(format!("bad `bounds` value `{value}` (use global|local)"))
-                    })?;
-                }
-                "trace" => {
-                    spec.trace = match value.as_str() {
+                "trace" | "exact" => {
+                    let on = match value.as_str() {
                         "true" => true,
                         "false" => false,
                         other => {
                             return Err(SpecError(format!(
-                                "bad `trace` value `{other}` (use true|false)"
+                                "bad `{name}` value `{other}` (use true|false)"
                             )))
                         }
                     };
+                    if name == "trace" {
+                        spec.trace = on;
+                    } else {
+                        spec.exact = on;
+                    }
                 }
                 "limit" => {
                     spec.limit = Some(
@@ -385,17 +344,8 @@ impl TaskSpec {
     pub fn to_params(&self) -> Vec<(String, String)> {
         let allowed = TaskSpec::allowed_params(self.command);
         let mut params = vec![("threads".to_owned(), self.threads.to_string())];
-        if allowed.contains(&"subsumption") {
-            params.push(("subsumption".to_owned(), self.subsumption.name().to_owned()));
-        }
-        if allowed.contains(&"extrapolation") {
-            params.push((
-                "extrapolation".to_owned(),
-                self.extrapolation.name().to_owned(),
-            ));
-        }
-        if allowed.contains(&"bounds") {
-            params.push(("bounds".to_owned(), self.bounds.name().to_owned()));
+        if self.exact && allowed.contains(&"exact") {
+            params.push(("exact".to_owned(), "true".to_owned()));
         }
         if self.trace {
             params.push(("trace".to_owned(), "true".to_owned()));
@@ -466,10 +416,8 @@ impl TaskSpec {
     ) -> ExploreSpec {
         ExploreSpec {
             threads: self.threads,
-            subsumption: self.subsumption,
+            exact: self.exact,
             limit: self.effective_limit(),
-            extrapolation: self.extrapolation,
-            bounds: self.bounds,
             cancel,
             progress,
             budget,
@@ -481,16 +429,9 @@ impl TaskSpec {
     /// so two submissions that would produce the same document — however
     /// they were spelled — share a key.
     pub fn key(&self) -> TaskKey {
-        let subsumption = match self.command {
-            TaskCommand::Zones => self.subsumption.name(),
-            _ => "-",
-        };
-        let extrapolation = match self.command {
-            TaskCommand::Zones => self.extrapolation.name(),
-            _ => "-",
-        };
-        let bounds = match self.command {
-            TaskCommand::Zones => self.bounds.name(),
+        let exact = match (self.command, self.exact) {
+            (TaskCommand::Zones, true) => "yes",
+            (TaskCommand::Zones, false) => "no",
             _ => "-",
         };
         let limit = match self.effective_limit() {
@@ -514,8 +455,7 @@ impl TaskSpec {
         let max_zone_bytes = erased(max_zone_bytes);
         TaskKey {
             canonical: format!(
-                "model={} command={} threads={} subsumption={subsumption} \
-                 extrapolation={extrapolation} bounds={bounds} trace={} limit={limit} \
+                "model={} command={} threads={} exact={exact} trace={} limit={limit} \
                  to={to} deadline={deadline} max-configs={max_configs} \
                  max-zone-bytes={max_zone_bytes}",
                 self.model,
@@ -568,39 +508,17 @@ mod tests {
         assert_eq!(explicit.key(), implicit.key());
         assert_ne!(explicit.key(), TaskSpec::zones("abc").limit(10).key());
 
-        // Options the command ignores are erased: subsumption is
+        // Options the command ignores are erased: the exact zone mode is
         // meaningless outside `zones`.
-        let a = TaskSpec::verify("abc").subsumption(Subsumption::Exact);
-        let b = TaskSpec::verify("abc");
-        assert_eq!(a.key(), b.key());
-        let a = TaskSpec::zones("abc").subsumption(Subsumption::Exact);
-        let b = TaskSpec::zones("abc");
-        assert_ne!(a.key(), b.key());
-        // Every policy is its own run for `zones` — alu and inclusion
-        // explore different configuration sets even though verdicts agree.
-        let alu = TaskSpec::zones("abc").subsumption(Subsumption::Alu);
-        let inclusion = TaskSpec::zones("abc").subsumption(Subsumption::Inclusion);
-        assert_ne!(alu.key(), inclusion.key());
-        // ... while verify jobs differing only in subsumption share one.
-        let a = TaskSpec::verify("abc").subsumption(Subsumption::Alu);
-        let b = TaskSpec::verify("abc").subsumption(Subsumption::Inclusion);
-        assert_eq!(a.key(), b.key());
-
-        // Same for the abstraction mode: meaningful for `zones` only.
-        let a = TaskSpec::verify("abc").extrapolation(Extrapolation::None);
-        let b = TaskSpec::verify("abc");
-        assert_eq!(a.key(), b.key());
-        let a = TaskSpec::zones("abc").extrapolation(Extrapolation::None);
-        let b = TaskSpec::zones("abc");
-        assert_ne!(a.key(), b.key());
-
-        // Same for the bounds choice: meaningful for `zones` only.
-        let a = TaskSpec::verify("abc").bounds(Bounds::Global);
-        let b = TaskSpec::verify("abc");
-        assert_eq!(a.key(), b.key());
-        let a = TaskSpec::zones("abc").bounds(Bounds::Global);
-        let b = TaskSpec::zones("abc");
-        assert_ne!(a.key(), b.key());
+        for spec in [TaskSpec::verify("abc"), TaskSpec::reach("abc")] {
+            assert_eq!(spec.clone().exact(true).key(), spec.key());
+        }
+        // For `zones` the exact oracle explores a different configuration
+        // set (even though verdicts agree), so it is its own run.
+        assert_ne!(
+            TaskSpec::zones("abc").exact(true).key(),
+            TaskSpec::zones("abc").key()
+        );
 
         // Different models never collide.
         assert_ne!(TaskSpec::verify("abc").key(), TaskSpec::verify("abd").key());
@@ -610,7 +528,7 @@ mod tests {
     #[test]
     fn budgets_are_erased_where_the_command_ignores_them() {
         // `verify` accepts no budgets: a stray builder call never splits the
-        // key (mirroring subsumption erasure above).
+        // key (mirroring the exact-mode erasure above).
         let a = TaskSpec::verify("abc").max_configs(10).max_zone_bytes(10);
         let b = TaskSpec::verify("abc");
         assert_eq!(a.key(), b.key());
@@ -645,10 +563,9 @@ mod tests {
             TaskSpec::verify("aa").threads(3).with_trace(true),
             TaskSpec::verify("aa").deadline(Duration::from_secs(7)),
             TaskSpec::reach("aa").to("C+").limit(42).max_configs(5_000),
+            TaskSpec::zones("aa"),
             TaskSpec::zones("aa")
-                .subsumption(Subsumption::Exact)
-                .extrapolation(Extrapolation::None)
-                .bounds(Bounds::Global)
+                .exact(true)
                 .limit(9)
                 .with_trace(true)
                 .deadline(Duration::from_secs(30))
@@ -674,27 +591,34 @@ mod tests {
     fn parse_checks_names_values_and_commands() {
         let pair = |name: &str, value: &str| (name.to_owned(), value.to_owned());
         assert!(TaskSpec::parse("table1", &[]).is_err());
-        assert!(TaskSpec::parse("verify", &[pair("subsumption", "on")]).is_err());
         assert!(TaskSpec::parse("zones", &[pair("threads", "x")]).is_err());
         assert!(TaskSpec::parse("zones", &[pair("trace", "maybe")]).is_err());
-        assert!(TaskSpec::parse("zones", &[pair("extrapolation", "fancy")]).is_err());
-        assert!(TaskSpec::parse("zones", &[pair("subsumption", "fancy")]).is_err());
-        let spec = TaskSpec::parse("zones", &[pair("subsumption", "inclusion")]).unwrap();
-        assert_eq!(spec.subsumption, Subsumption::Inclusion);
-        // The legacy boolean spellings map onto the policies they meant.
-        let spec = TaskSpec::parse("zones", &[pair("subsumption", "on")]).unwrap();
-        assert_eq!(spec.subsumption, Subsumption::Inclusion);
-        let spec = TaskSpec::parse("zones", &[pair("subsumption", "off")]).unwrap();
-        assert_eq!(spec.subsumption, Subsumption::Exact);
-        assert!(TaskSpec::parse("verify", &[pair("extrapolation", "lu")]).is_err());
-        let spec = TaskSpec::parse("zones", &[pair("extrapolation", "none")]).unwrap();
-        assert_eq!(spec.extrapolation, Extrapolation::None);
-        assert!(TaskSpec::parse("zones", &[pair("bounds", "fancy")]).is_err());
-        assert!(TaskSpec::parse("verify", &[pair("bounds", "global")]).is_err());
-        let spec = TaskSpec::parse("zones", &[pair("bounds", "global")]).unwrap();
-        assert_eq!(spec.bounds, Bounds::Global);
-        let spec = TaskSpec::parse("zones", &[]).unwrap();
-        assert_eq!(spec.bounds, Bounds::Local);
+        // The retired zone-abstraction knobs are unknown to every command,
+        // and the refusal names what is accepted.
+        for command in ["verify", "reach", "zones"] {
+            for (name, value) in [
+                ("subsumption", "alu"),
+                ("extrapolation", "lu-active"),
+                ("bounds", "local"),
+            ] {
+                let error = TaskSpec::parse(command, &[pair(name, value)]).unwrap_err();
+                assert!(
+                    error
+                        .0
+                        .contains(&format!("does not accept `{name}` (allowed: threads")),
+                    "{error}"
+                );
+            }
+        }
+        assert!(TaskSpec::parse("verify", &[pair("exact", "true")]).is_err());
+        assert!(TaskSpec::parse("reach", &[pair("exact", "true")]).is_err());
+        assert!(TaskSpec::parse("zones", &[pair("exact", "maybe")]).is_err());
+        assert!(
+            TaskSpec::parse("zones", &[pair("exact", "true")])
+                .unwrap()
+                .exact
+        );
+        assert!(!TaskSpec::parse("zones", &[]).unwrap().exact);
         assert!(TaskSpec::parse("verify", &[pair("timeout", "0")]).is_err());
         // Budgets: per-command validity and value checks.
         assert!(TaskSpec::parse("verify", &[pair("max-configs", "5")]).is_err());

@@ -83,8 +83,8 @@ pub const DEFAULT_MARKING_LIMIT: usize = 1_000_000;
 ///
 /// The shared exploration knobs (threads / limit / cancel / progress) live
 /// in the embedded [`ExploreSpec`]; the marking search uses exact
-/// deduplication, so the spec's `subsumption` and `extrapolation` fields are
-/// carried inert. An unset [`ExploreSpec::limit`] resolves to
+/// deduplication, so the spec's `exact` field is carried inert. An unset
+/// [`ExploreSpec::limit`] resolves to
 /// [`DEFAULT_MARKING_LIMIT`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExpandOptions {

@@ -6,20 +6,19 @@
 # noisy wall-clock thresholds: if a count rises past its ceiling, an
 # abstraction or coverage relation regressed. The gates:
 #
-#   * `transyt zones` (defaults: aLU subsumption, LU-active extrapolation)
-#     on the shipped 1-stage and 2-stage pipelines stays within the pinned
-#     configuration ceilings;
-#   * the scaling_report flat 1-stage series `zones-lu-active` and
-#     `zones-alu` stay within theirs (pass a pre-computed BENCH_scaling.json
-#     with --scaling-json to avoid re-running the ~1 min report);
-#   * the 3-stage pipeline COMPLETES under `--subsumption alu` within the
+#   * `transyt zones` (default abstraction: LU extrapolation, active-clock
+#     reduction, aLU coverage) on the shipped 1-stage and 2-stage pipelines
+#     stays within the pinned configuration ceilings;
+#   * the scaling_report flat 1-stage series `zones-alu` stays within its
+#     ceiling (pass a pre-computed BENCH_scaling.json with --scaling-json to
+#     avoid re-running the report);
+#   * the 3-stage pipeline COMPLETES under the defaults within the
 #     1,000,000-configuration budget — the headline aLU acceptance gate
 #     (skip with --skip-3stage for a quick local run);
 #   * the 4-stage pipeline — too large for full zone closure in CI — runs a
-#     BUDGETED determinism gate: `--subsumption alu --limit 50000` must
-#     abort at exactly the pinned configuration count and produce a
-#     byte-identical JSON document at --threads 1 and --threads 4
-#     (skip with --skip-4stage).
+#     BUDGETED determinism gate: `--limit 50000` must abort at exactly the
+#     pinned configuration count and produce a byte-identical JSON document
+#     at --threads 1 and --threads 4 (skip with --skip-4stage).
 #
 # Usage: scripts/check-scaling.sh [--binary PATH] [--baseline PATH]
 #                                 [--scaling-json PATH] [--skip-3stage]
@@ -85,27 +84,25 @@ if [ -z "$SCALING_JSON" ]; then
   cargo run --release -p bench --bin scaling_report --quiet -- \
     1 --threads 4 --limit 100000 --json "$SCALING_JSON" > /dev/null
 fi
-for series in zones-lu-active zones-alu; do
-  measured=$(python3 -c "
+measured=$(python3 -c "
 import json
 report = json.load(open('$SCALING_JSON'))
-[series] = [s for s in report['series'] if s['name'] == '$series']
+[series] = [s for s in report['series'] if s['name'] == 'zones-alu']
 point = series['points'][0]
-assert point['completed'], '$series did not complete'
+assert point['completed'], 'zones-alu did not complete'
 print(point['configurations'])
 ")
-  gate "scaling_report $series (flat 1-stage)" "$measured" "$(ceiling scaling_report "$series")"
-done
+gate "scaling_report zones-alu (flat 1-stage)" "$measured" "$(ceiling scaling_report zones-alu)"
 
 if [ "$RUN_3STAGE" = 1 ]; then
   budget=$(python3 -c "import json; print(json.load(open('$BASELINE'))['alu_gate']['max_configurations'])")
-  "$BINARY" zones models/ipcmos_3stage.stg --subsumption alu --limit "$budget" \
+  "$BINARY" zones models/ipcmos_3stage.stg --limit "$budget" \
     --json "$workdir/ipcmos_3stage.json" > /dev/null
   if [ "$(json_field "$workdir/ipcmos_3stage.json" completed)" = "True" ]; then
-    gate "zones ipcmos_3stage (--subsumption alu)" \
+    gate "zones ipcmos_3stage (defaults)" \
       "$(json_field "$workdir/ipcmos_3stage.json" configurations)" "$budget"
   else
-    echo "perf-gate FAIL: ipcmos_3stage did not complete under aLU within $budget configurations" >&2
+    echo "perf-gate FAIL: ipcmos_3stage did not complete within $budget configurations" >&2
     fail=1
   fi
 else
@@ -116,7 +113,7 @@ if [ "$RUN_4STAGE" = 1 ]; then
   limit=$(python3 -c "import json; print(json.load(open('$BASELINE'))['four_stage_gate']['limit'])")
   expected=$(python3 -c "import json; print(json.load(open('$BASELINE'))['four_stage_gate']['expected_configurations'])")
   for threads in 1 4; do
-    "$BINARY" zones models/ipcmos_4stage.stg --subsumption alu \
+    "$BINARY" zones models/ipcmos_4stage.stg \
       --limit "$limit" --threads "$threads" \
       --json "$workdir/ipcmos_4stage_t$threads.json" > /dev/null
   done

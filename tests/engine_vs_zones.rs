@@ -65,24 +65,19 @@ fn engine_and_zones_agree_on_overlapping_delays() {
 #[test]
 fn one_stage_pipeline_zone_exploration_needs_the_lu_abstraction() {
     // The *exact* zone-based exploration of the transistor-level stage
-    // between its environments blows past a 3,000-configuration budget
-    // (the full space is 61,386 configurations) — this is precisely the
-    // paper's motivation for relative timing and abstraction. Convex-zone
-    // subsumption is pinned so the run shows the pre-aLU baseline;
-    // `alu_subsumption_tames_the_unextrapolated_pipeline` below shows the
-    // same budget is beaten by the aLU relation alone. With the default
-    // LU-bounds extrapolation + active-clock reduction the same model
-    // completes well under that budget with the same discrete verdict: no
-    // violating state (the timed semantics does reach one genuinely
-    // deadlocked discrete state).
+    // between its environments blows past a 3,000-configuration budget —
+    // this is precisely the paper's motivation for relative timing and
+    // abstraction. With the default LU-bounds extrapolation, active-clock
+    // reduction and aLU coverage the same model completes well under that
+    // budget with the same discrete verdict: no violating state (the timed
+    // semantics does reach one genuinely deadlocked discrete state).
     let pipeline = ipcmos::flat_pipeline(1).expect("pipeline builds");
     let exact = explore_timed_with(
         &pipeline,
         ZoneExplorationOptions {
             spec: ExploreSpec {
                 limit: Some(3_000),
-                extrapolation: dbm::Extrapolation::None,
-                subsumption: dbm::Subsumption::Inclusion,
+                exact: true,
                 ..ExploreSpec::default()
             },
         },
@@ -106,62 +101,17 @@ fn one_stage_pipeline_zone_exploration_needs_the_lu_abstraction() {
             assert!(report.violating_states.is_empty());
             assert_eq!(report.deadlock_states.len(), 1);
             assert!(report.extrapolated_zones > 0);
+            assert!(report.alu_subsumed <= report.subsumed_configurations);
         }
         other => panic!("abstracted exploration should complete, got {other:?}"),
     }
 }
 
-#[test]
-fn alu_subsumption_tames_the_unextrapolated_pipeline() {
-    // The companion of the test above: with extrapolation switched OFF
-    // entirely, the aLU coverage relation alone collapses the 61,386
-    // exact configurations (convex subsumption still exceeds 3,000) to
-    // under 1,000 — and the discrete verdict is unchanged. A run like
-    // this is also where the `alu_subsumed` counter genuinely fires:
-    // stored zones are never widened, so some pop-time skips are
-    // explained by no convexly-larger stored zone.
-    let pipeline = ipcmos::flat_pipeline(1).expect("pipeline builds");
-    let outcome = explore_timed_with(
-        &pipeline,
-        ZoneExplorationOptions {
-            spec: ExploreSpec {
-                limit: Some(3_000),
-                extrapolation: dbm::Extrapolation::None,
-                subsumption: dbm::Subsumption::Alu,
-                ..ExploreSpec::default()
-            },
-        },
-    );
-    match outcome {
-        ZoneOutcome::Completed(report) => {
-            assert!(report.violating_states.is_empty());
-            assert_eq!(report.deadlock_states.len(), 1);
-            assert_eq!(report.extrapolated_zones, 0, "no extrapolation requested");
-            assert!(
-                report.configurations < 1_000,
-                "aLU should collapse the space, got {} configurations",
-                report.configurations
-            );
-            assert!(
-                report.alu_subsumed > 0,
-                "some skips must be attributable to aLU beyond convex inclusion"
-            );
-            assert!(report.alu_subsumed <= report.subsumed_configurations);
-        }
-        other => panic!("aLU exploration should complete, got {other:?}"),
-    }
-}
-
-/// Satellite of the aLU-subsumption PR: a witness trace found under the
-/// coarse aLU coverage replays step-by-step through the *exact* discrete
-/// semantics, and its violating end state is confirmed by the exact-dedup
-/// zone exploration. aLU prunes the search, not the evidence.
-#[test]
-fn alu_witness_trace_replays_through_exact_semantics() {
-    use transyt_session::{
-        replay_rendered, Completion, Outcome, RunControl, Session, Subsumption, TaskSpec,
-        ZoneWitness,
-    };
+/// The shipped race model's source text and the witness trace `transyt
+/// zones --trace` reports for it, under the default abstraction or, with
+/// `exact`, the unabstracted oracle.
+fn race_overlap_witness(exact: bool) -> (String, transyt_session::RenderedTrace) {
+    use transyt_session::{Completion, Outcome, RunControl, Session, TaskSpec, ZoneWitness};
 
     let text = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -171,36 +121,44 @@ fn alu_witness_trace_replays_through_exact_semantics() {
     let session = Session::new();
     let (cached, _) = session.add_model(&text).expect("shipped model parses");
 
-    let spec = TaskSpec::zones(&cached.hash)
-        .subsumption(Subsumption::Alu)
-        .with_trace(true);
+    let spec = TaskSpec::zones(&cached.hash).exact(exact).with_trace(true);
     let Completion::Finished(result) = session.run_task(&spec, RunControl::default()) else {
         panic!("a one-shot run never detaches");
     };
-    let outcome = result.outcome.as_ref().expect("zones run succeeds");
+    let outcome = result.outcome.as_ref().expect("zones run succeeds").clone();
     let Outcome::Zones(zones) = outcome else {
         panic!("zones task yields a zones outcome");
     };
-    let Some(ZoneWitness::Found { trace, .. }) = &zones.witness else {
-        panic!("race_overlap has a violating state; aLU must still find it");
+    let Some(ZoneWitness::Found { trace, .. }) = zones.witness else {
+        panic!("race_overlap has a violating state; it must be found (exact={exact})");
     };
+    (text, trace)
+}
 
-    // Replay the rendered trace through the exact discrete system.
-    let timed = transyt_session::format::Model::parse(&text)
+fn race_overlap_timed(text: &str) -> TimedTransitionSystem {
+    transyt_session::format::Model::parse(text)
         .expect("model parses")
         .timed_system()
-        .expect("model instantiates");
-    let end = replay_rendered(trace, timed.underlying())
+        .expect("model instantiates")
+}
+
+/// A witness trace found under the coarse aLU coverage of the default
+/// abstraction replays step-by-step through the *exact* discrete semantics,
+/// and its violating end state is confirmed by the exact zone exploration.
+/// aLU prunes the search, not the evidence.
+#[test]
+fn alu_witness_trace_replays_through_exact_semantics() {
+    let (text, trace) = race_overlap_witness(false);
+    let timed = race_overlap_timed(&text);
+    let end = transyt_session::replay_rendered(&trace, timed.underlying())
         .expect("aLU witness must replay through the exact semantics");
     assert_eq!(end, trace.end, "replay must land on the reported end state");
 
-    // And exact-dedup exploration confirms the end state really violates.
     let exact = explore_timed_with(
         &timed,
         ZoneExplorationOptions {
             spec: ExploreSpec {
-                subsumption: dbm::Subsumption::Exact,
-                extrapolation: dbm::Extrapolation::None,
+                exact: true,
                 ..ExploreSpec::default()
             },
         },
@@ -220,52 +178,21 @@ fn alu_witness_trace_replays_through_exact_semantics() {
     );
 }
 
-/// A witness found under per-state local LU bounds replays through the
-/// exact discrete semantics, and its rendered trace is byte-identical to
-/// the one found under the global constants — the bound choice must not
-/// change which witness the deterministic search reports.
+/// The witness the default abstraction reports is byte-identical to the one
+/// the `exact` oracle reports, and the oracle's own witness replays through
+/// the exact discrete semantics too — the abstraction must not change which
+/// witness the deterministic search reports.
 #[test]
-fn local_bounds_witness_trace_replays_through_exact_semantics() {
-    use transyt_session::{
-        replay_rendered, Bounds, Completion, Outcome, RunControl, Session, Subsumption, TaskSpec,
-        ZoneWitness,
-    };
+fn default_and_exact_report_the_same_witness() {
+    let (text, exact) = race_overlap_witness(true);
+    let (_, default) = race_overlap_witness(false);
+    assert_eq!(
+        default, exact,
+        "the abstraction changed the reported witness"
+    );
 
-    let text = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/models/race_overlap.tts"
-    ))
-    .expect("shipped model readable");
-    let session = Session::new();
-    let (cached, _) = session.add_model(&text).expect("shipped model parses");
-
-    let witness_under = |bounds| {
-        let spec = TaskSpec::zones(&cached.hash)
-            .subsumption(Subsumption::Alu)
-            .bounds(bounds)
-            .with_trace(true);
-        let Completion::Finished(result) = session.run_task(&spec, RunControl::default()) else {
-            panic!("a one-shot run never detaches");
-        };
-        let outcome = result.outcome.as_ref().expect("zones run succeeds").clone();
-        let Outcome::Zones(zones) = outcome else {
-            panic!("zones task yields a zones outcome");
-        };
-        let Some(ZoneWitness::Found { trace, .. }) = zones.witness else {
-            panic!("race_overlap has a violating state; it must be found under {bounds:?}");
-        };
-        trace
-    };
-
-    let local = witness_under(Bounds::Local);
-    let global = witness_under(Bounds::Global);
-    assert_eq!(local, global, "bound choice changed the reported witness");
-
-    let timed = transyt_session::format::Model::parse(&text)
-        .expect("model parses")
-        .timed_system()
-        .expect("model instantiates");
-    let end = replay_rendered(&local, timed.underlying())
-        .expect("local-bounds witness must replay through the exact semantics");
-    assert_eq!(end, local.end, "replay must land on the reported end state");
+    let timed = race_overlap_timed(&text);
+    let end = transyt_session::replay_rendered(&exact, timed.underlying())
+        .expect("the exact witness must replay through the exact semantics");
+    assert_eq!(end, exact.end, "replay must land on the reported end state");
 }

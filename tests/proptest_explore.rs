@@ -126,15 +126,11 @@ proptest! {
         delays in proptest::collection::vec((0i64..6, 0i64..6), 5),
     ) {
         let timed = random_timed(states, &transitions, &delays);
-        for subsumption in [
-            dbm::Subsumption::Exact,
-            dbm::Subsumption::Inclusion,
-            dbm::Subsumption::Alu,
-        ] {
+        for exact in [false, true] {
             let base = dbm::ZoneExplorationOptions {
                 spec: dbm::ExploreSpec {
                     threads: 1,
-                    subsumption,
+                    exact,
                     limit: Some(600),
                     ..dbm::ExploreSpec::default()
                 },
@@ -165,37 +161,28 @@ proptest! {
         delays in proptest::collection::vec((0i64..6, 0i64..6), 5),
     ) {
         let timed = random_timed(states, &transitions, &delays);
-        let run = |subsumption| {
+        let run = |exact| {
             dbm::explore_timed_with(
                 &timed,
                 dbm::ZoneExplorationOptions {
                     spec: dbm::ExploreSpec {
                         threads: 1,
-                        subsumption,
+                        exact,
                         limit: Some(1_500),
                         ..dbm::ExploreSpec::default()
                     },
                 },
             )
         };
-        if let (
-            dbm::ZoneOutcome::Completed(alu),
-            dbm::ZoneOutcome::Completed(convex),
-            dbm::ZoneOutcome::Completed(exact),
-        ) = (
-            run(dbm::Subsumption::Alu),
-            run(dbm::Subsumption::Inclusion),
-            run(dbm::Subsumption::Exact),
-        ) {
-            // Coarser coverage may only shrink the configuration count and
+        if let (dbm::ZoneOutcome::Completed(abstracted), dbm::ZoneOutcome::Completed(exact)) =
+            (run(false), run(true))
+        {
+            // The abstraction may only shrink the configuration count and
             // must not change any verdict-bearing state set.
-            prop_assert!(alu.configurations <= convex.configurations);
-            prop_assert!(convex.configurations <= exact.configurations);
-            for completed in [&alu, &convex] {
-                prop_assert_eq!(&completed.reachable_states, &exact.reachable_states);
-                prop_assert_eq!(&completed.violating_states, &exact.violating_states);
-                prop_assert_eq!(&completed.deadlock_states, &exact.deadlock_states);
-            }
+            prop_assert!(abstracted.configurations <= exact.configurations);
+            prop_assert_eq!(&abstracted.reachable_states, &exact.reachable_states);
+            prop_assert_eq!(&abstracted.violating_states, &exact.violating_states);
+            prop_assert_eq!(&abstracted.deadlock_states, &exact.deadlock_states);
         }
     }
 
