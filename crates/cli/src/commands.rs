@@ -14,18 +14,13 @@
 use std::fmt;
 use std::time::Duration;
 
-use bench::json::Value;
+use transyt_session::json::Value;
 use transyt_session::{
     render, Completion, RunControl, Session, SessionError, TaskCommand, TaskSpec,
 };
 use transyt_session::{CancelToken, ProgressSink};
 
 use crate::format::Model;
-use crate::json;
-
-// Re-exported from the session layer for embedders and the integration
-// tests that replay printed traces (these types used to be defined here).
-pub use transyt_session::{asap_run, replay_rendered, trace_of_verdict, RenderedTrace, TraceStep};
 
 /// Options shared by the subcommands (parsed from the command line).
 #[derive(Debug, Clone)]
@@ -209,8 +204,9 @@ pub fn cmd_zones(model: &Model, options: &Options) -> Result<CommandResult, CliE
 }
 
 /// `transyt table1`: the five Table 1 obligations of the paper (hard-wired
-/// IPCMOS models), matching the `table1_report` bench binary. Not a session
-/// task — it runs the `ipcmos` experiment suite, not a model file.
+/// IPCMOS models), with per-experiment verdicts, refinement counts and
+/// wall-clock times. Not a session task — it runs the `ipcmos` experiment
+/// suite, not a model file.
 pub fn cmd_table1(options: &Options) -> Result<CommandResult, CliError> {
     let verify_options = transyt::VerifyOptions {
         spec: transyt::ExploreSpec {
@@ -231,6 +227,30 @@ pub fn cmd_table1(options: &Options) -> Result<CommandResult, CliError> {
     } else {
         text.push_str("WARNING: not all obligations verified\n");
     }
-    let json = json::table1_document(options.threads, &report);
+    let json = table1_document(options.threads, &report);
     Ok(CommandResult { text, json })
+}
+
+/// The document of a `transyt table1` run.
+fn table1_document(threads: usize, report: &transyt::ProofReport) -> Value {
+    let experiments: Vec<Value> = report
+        .steps()
+        .iter()
+        .map(|step| {
+            let r = step.verdict.report();
+            Value::object()
+                .field("name", step.name.as_str())
+                .field("verified", step.verdict.is_verified())
+                .field("refinements", r.refinements)
+                .field("constraints", r.constraints.len())
+                .field("explored_states", r.explored_states)
+                .field("millis", step.elapsed.as_millis())
+        })
+        .collect();
+    Value::object()
+        .field("benchmark", "table1")
+        .field("threads", threads)
+        .field("all_verified", report.all_verified())
+        .field("total_refinements", report.total_refinements())
+        .field("experiments", experiments)
 }

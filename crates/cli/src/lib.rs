@@ -30,7 +30,6 @@
 
 pub mod commands;
 pub use transyt_session::format;
-pub mod json;
 pub mod remote;
 pub mod scenarios;
 pub mod store_admin;

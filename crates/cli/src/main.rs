@@ -16,6 +16,7 @@ use transyt_cli::format::Model;
 use transyt_cli::remote::{self, SubmitArgs};
 use transyt_cli::scenarios;
 use transyt_server::ServerConfig;
+use transyt_session::render::render_document;
 use transyt_session::{ProgressEvent, ProgressSink, TaskSpec};
 
 const USAGE: &str = "\
@@ -162,7 +163,7 @@ fn emit(result: CommandResult, json_path: Option<String>) -> Result<(), CliError
     print!("{}", result.text);
     if let Some(path) = json_path {
         // The one canonical rendering — the same bytes the server serves.
-        std::fs::write(&path, transyt_cli::json::render_document(&result.json))
+        std::fs::write(&path, render_document(&result.json))
             .map_err(|e| CliError::Run(format!("writing {path}: {e}")))?;
         println!("wrote {path}");
     }

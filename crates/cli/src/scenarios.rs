@@ -171,7 +171,7 @@ pub fn ring_pipeline() -> Scenario {
 /// `d`, which only holds once the delay intervals are taken into account
 /// (the engine needs at least one refinement).
 pub fn intro_fig1() -> Scenario {
-    let timed = bench::intro_example();
+    let timed = ipcmos::intro_example();
     let (ts, delay_map) = timed.into_parts();
     let mut delays: Vec<(tts::EventId, DelayInterval)> = delay_map.into_iter().collect();
     delays.sort_by_key(|&(event, _)| event);

@@ -1,16 +1,15 @@
 //! Integration tests of the `transyt` CLI: the shipped `models/` files stay
 //! in sync with the scenario builders, every printed trace replays
 //! step-by-step to its reported end state, and `--threads 1` and
-//! `--threads 4` produce identical output (the PR acceptance criterion).
+//! `--threads 4` produce identical output.
 
 use std::path::PathBuf;
 use std::process::Command;
 
-use transyt_cli::commands::{
-    cmd_reach, cmd_verify, cmd_zones, replay_rendered, trace_of_verdict, Options,
-};
+use transyt_cli::commands::{cmd_reach, cmd_verify, cmd_zones, Options};
 use transyt_cli::format::Model;
 use transyt_cli::scenarios;
+use transyt_session::{replay_rendered, trace_of_verdict};
 
 fn models_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../models")
@@ -43,7 +42,7 @@ fn shipped_models_match_their_scenario_builders() {
     }
 }
 
-/// The acceptance criterion: `transyt verify models/ipcmos_1stage.stg
+/// The headline check: `transyt verify models/ipcmos_1stage.stg
 /// --trace` prints a timed witness trace that replays step-by-step to the
 /// reported end state, identically at `--threads 1` and `--threads 4`.
 #[test]
@@ -246,11 +245,11 @@ fn the_binary_runs_end_to_end() {
 
 /// The `--json` documents are a wire format (CI artifacts diff them, the
 /// server serves them byte-identically): these goldens were captured before
-/// the rendering moved into the shared `transyt_cli::json` module and pin
-/// the exact bytes.
+/// the rendering moved into the shared `transyt_session::render` module and
+/// pin the exact bytes.
 #[test]
 fn json_documents_are_unchanged_golden() {
-    use transyt_cli::json::render_document;
+    use transyt_session::render::render_document;
 
     let verify = |file: &str| {
         let model = load(file);

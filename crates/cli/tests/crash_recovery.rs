@@ -18,8 +18,8 @@ use std::time::{Duration, Instant};
 
 use transyt_cli::commands::{cmd_verify, cmd_zones, Options};
 use transyt_cli::format::Model;
-use transyt_cli::json;
 use transyt_server::client;
+use transyt_session::render::render_document;
 
 fn models_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../models")
@@ -156,7 +156,7 @@ fn one_shot_document(file: &str, command: &str, options: &Options) -> String {
         "zones" => cmd_zones(&model, options).expect("cli zones runs"),
         other => panic!("unexpected command {other}"),
     };
-    json::render_document(&result.json)
+    render_document(&result.json)
 }
 
 #[test]

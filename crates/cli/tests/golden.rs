@@ -9,8 +9,8 @@ use std::time::{Duration, Instant};
 
 use transyt_cli::commands::{cmd_reach, cmd_verify, cmd_zones, Options};
 use transyt_cli::format::Model;
-use transyt_cli::json::render_document;
 use transyt_server::{client, Server, ServerConfig};
+use transyt_session::render::render_document;
 use transyt_session::{render, Session, TaskSpec};
 
 fn repo_path(relative: &str) -> PathBuf {

@@ -77,7 +77,7 @@ proptest! {
             let render = |threads| {
                 let options = Options { threads, ..Options::default() };
                 let result = cmd_zones(&model, &options).expect("zones run succeeds");
-                (result.text, transyt_cli::json::render_document(&result.json))
+                (result.text, transyt_session::render::render_document(&result.json))
             };
             let (one, four) = (render(1), render(4));
             prop_assert!(one == four, "{file}: thread-count drift in rendered output");

@@ -1,6 +1,6 @@
 //! Integration tests of `transyt serve`: a real server on a real socket,
-//! concurrent jobs, cancellation mid-flight, and — the acceptance criterion —
-//! result documents byte-identical to the one-shot CLI's `--json` output.
+//! concurrent jobs, cancellation mid-flight, and — above all — result
+//! documents byte-identical to the one-shot CLI's `--json` output.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -8,8 +8,8 @@ use std::time::{Duration, Instant};
 
 use transyt_cli::commands::{cmd_verify, Options};
 use transyt_cli::format::Model;
-use transyt_cli::json;
 use transyt_server::{client, JobStatus, Server, ServerConfig, ServerHandle};
+use transyt_session::render::render_document;
 
 fn models_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../models")
@@ -86,10 +86,10 @@ fn cli_verify_document(file: &str) -> String {
         ..Options::default()
     };
     let result = cmd_verify(&model, &options).expect("cli verify runs");
-    json::render_document(&result.json)
+    render_document(&result.json)
 }
 
-/// The acceptance criterion: ≥4 concurrent verification jobs over a real
+/// The headline check: ≥4 concurrent verification jobs over a real
 /// socket — passing and failing models mixed, one job cancelled mid-flight —
 /// and every returned document is byte-identical to the one-shot CLI's.
 #[test]
@@ -582,6 +582,170 @@ fn interactive_jobs_overtake_a_queued_batch_job() {
         );
     }
     assert_eq!(wait_for(&addr, batch, terminal, "terminal"), "done");
+    handle.shutdown().expect("graceful shutdown");
+}
+
+/// One atomic snapshot of the job table (`GET /jobs`): `(id, status)` pairs
+/// in submission order.
+fn job_table(addr: &str) -> Vec<(u64, String)> {
+    let (status, body) = client::request(addr, "GET", "/jobs", None).expect("job list");
+    assert_eq!(status, 200, "{body}");
+    body.split("{\"job\":")
+        .skip(1)
+        .map(|entry| {
+            let id = entry
+                .split(',')
+                .next()
+                .and_then(|id| id.parse().ok())
+                .expect("job id");
+            let status = client::json_str_field(entry, "status").expect("job status");
+            (id, status)
+        })
+        .collect()
+}
+
+/// Aging over a real socket: with one worker and queue depth 4, a queued
+/// `background` job is claimed within the gate's aging window even though
+/// two clients keep the queue full of `interactive` work, retrying through
+/// 429s. Every job the stream got admitted, and the background job, ends
+/// `done`.
+#[test]
+fn aging_claims_a_background_job_under_an_interactive_stream() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Mutex;
+    use transyt_server::GateConfig;
+
+    let aging_threshold = GateConfig::default().aging_threshold;
+    let (handle, addr) = start_server_with(ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        workers: 1,
+        queue_depth: 4,
+        ..ServerConfig::default()
+    });
+    let hash = upload(&addr, &model_text("ipcmos_2stage.stg"));
+    let occupant = submit(
+        &addr,
+        &format!("model={hash}&command=zones&limit=100000000"),
+    );
+    wait_for(&addr, occupant, |s| s == "running", "running");
+    // Long enough that the job table is sampled while it runs, which
+    // freezes the claim count: the single worker claims nothing else.
+    let background = submit(
+        &addr,
+        &format!("model={hash}&command=zones&limit=1000&priority=background"),
+    );
+
+    let next = AtomicUsize::new(0);
+    let rejects = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let admitted = Mutex::new(Vec::new());
+    let stream = || {
+        while !stop.load(Ordering::Relaxed) {
+            // Distinct limits give every submission its own task key, so
+            // no run is deduplicated; all stay above the net's 2,400
+            // markings, so every reach completes.
+            let path = format!(
+                "/jobs?model={hash}&command=reach&limit={}&priority=interactive",
+                10_000 + next.fetch_add(1, Ordering::Relaxed)
+            );
+            loop {
+                let (status, headers, body) =
+                    client::request_with_headers(&addr, "POST", &path, None).expect("submit");
+                if status == 202 {
+                    let id = client::json_uint_field(&body, "job").expect("job id");
+                    admitted.lock().unwrap().push(id);
+                    break;
+                }
+                assert_eq!(status, 429, "{body}");
+                rejects.fetch_add(1, Ordering::Relaxed);
+                if stop.load(Ordering::Relaxed) {
+                    return;
+                }
+                // Honour the hint's proportion, scaled from seconds to tens
+                // of milliseconds: a polite client would let the queue
+                // drain, and this test needs it kept full.
+                let retry_after: u64 = client::header(&headers, "retry-after")
+                    .and_then(|secs| secs.parse().ok())
+                    .expect("429 carries Retry-After");
+                std::thread::sleep(Duration::from_millis(25 * retry_after.min(4)));
+            }
+        }
+    };
+
+    /// Stops the stream when the watching thread leaves the scope, panics
+    /// included, so a failed assertion fails the test instead of hanging it.
+    struct StopOnDrop<'a>(&'a AtomicBool);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+
+    std::thread::scope(|scope| {
+        scope.spawn(stream);
+        scope.spawn(stream);
+        let _stop_stream = StopOnDrop(&stop);
+
+        // The queue is full (background + three interactive jobs) once a
+        // submission bounced; only then does the worker start claiming.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while rejects.load(Ordering::Relaxed) == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the stream never filled the queue"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let (status, _) =
+            client::request(&addr, "POST", &format!("/jobs/{occupant}/cancel"), None).unwrap();
+        assert_eq!(status, 200);
+
+        let status_of = |table: &[(u64, String)], id: u64| {
+            table
+                .iter()
+                .find(|(job, _)| *job == id)
+                .map(|(_, status)| status.clone())
+                .expect("job in table")
+        };
+        let table = loop {
+            let table = job_table(&addr);
+            if status_of(&table, background) != "queued" {
+                break table;
+            }
+            assert!(Instant::now() < deadline, "background job starved");
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        stop.store(true, Ordering::Relaxed);
+        assert_eq!(
+            status_of(&table, background),
+            "running",
+            "the background job must be sampled while it runs: {table:?}"
+        );
+        // Jobs after the background one are the stream's. One worker runs
+        // jobs in claim order, so those that left the queue were claimed
+        // ahead of the background job. While each reach outlasts a retry
+        // (as in a debug build) interactive work waits throughout, the
+        // count equals the threshold, and the promotion served the job.
+        let claimed_ahead = table
+            .iter()
+            .filter(|(id, status)| *id > background && status != "queued")
+            .count();
+        assert!(
+            claimed_ahead <= aging_threshold,
+            "{claimed_ahead} interactive claims ahead of the background job \
+             (aging threshold {aging_threshold}): {table:?}"
+        );
+    });
+
+    assert_eq!(wait_for(&addr, occupant, terminal, "terminal"), "cancelled");
+    let admitted = admitted.into_inner().unwrap();
+    for job in admitted.iter().copied().chain([background]) {
+        assert_eq!(
+            wait_for(&addr, job, terminal, "terminal"),
+            "done",
+            "job {job}"
+        );
+    }
     handle.shutdown().expect("graceful shutdown");
 }
 

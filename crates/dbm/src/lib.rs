@@ -3,8 +3,9 @@
 //! This crate is the *conventional* timed-verification baseline of the IPCMOS
 //! case study: an exact, zone-based exploration of the timed state space in
 //! the style of timed-automata model checkers. The paper's argument is that
-//! this approach does not scale to transistor-level pipelines — the
-//! `scaling` benchmark of this repository reproduces that observation — while
+//! this approach does not scale to transistor-level pipelines — the exact
+//! exploration of even the flat 1-stage pipeline overruns a
+//! 3,000-configuration budget (`tests/engine_vs_zones.rs`) — while
 //! on small models it provides ground truth against which the relative-timing
 //! engine (`transyt` crate) is cross-checked.
 //!

@@ -10,7 +10,8 @@
 //!    (violating) states are reachable when delays are taken into account,
 //!    which cross-checks the relative-timing engine.
 //! 2. **Baseline** — its blow-up with pipeline depth quantifies the paper's
-//!    motivation for abstraction and relative timing (the scaling benchmark).
+//!    motivation for abstraction and relative timing (the flat-pipeline
+//!    tests in `tests/engine_vs_zones.rs`).
 //!
 //! The frontier/dedup loop itself lives in the [`explore`] crate; this module
 //! contributes the search space: configurations are `(state, zone)` pairs,

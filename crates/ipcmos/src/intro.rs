@@ -1,14 +1,8 @@
-//! Shared workloads for the benchmark harness.
-//!
-//! Each bench target and report binary regenerates one table or figure of the
-//! paper; this library provides the models they share, most notably the
-//! introductory example of Fig. 1/2 (reconstructed: the paper's drawing is a
-//! 15-state system in which the ordering "`g` always fires before `d`" only
-//! holds once delays are taken into account).
+//! The introductory example of Fig. 1/2 of the paper (reconstructed: the
+//! paper's drawing is a 15-state system in which the ordering "`g` always
+//! fires before `d`" only holds once delays are taken into account).
 
 use tts::{DelayInterval, Time, TimedTransitionSystem, TsBuilder};
-
-pub mod json;
 
 /// Delay helper.
 fn d(l: i64, u: i64) -> DelayInterval {
@@ -79,30 +73,4 @@ pub fn intro_example() -> TimedTransitionSystem {
     timed.set_delay_by_name("c", d(5, 6));
     timed.set_delay_by_name("g", d(1, 1));
     timed
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use transyt::{verify, SafetyProperty, VerifyOptions};
-
-    #[test]
-    fn intro_example_has_untimed_violations_but_verifies_with_timing() {
-        let timed = intro_example();
-        assert!(!timed.underlying().marked_reachable_states().is_empty());
-        let verdict = verify(
-            &timed,
-            &SafetyProperty::new("g before d").forbid_marked_states(),
-            &VerifyOptions::default(),
-        );
-        assert!(verdict.is_verified(), "intro example: {verdict}");
-        assert!(verdict.report().refinements >= 1);
-    }
-
-    #[test]
-    fn intro_example_matches_zone_based_ground_truth() {
-        let timed = intro_example();
-        let report = dbm::explore_timed(&timed).report().cloned().unwrap();
-        assert!(report.violating_states.is_empty());
-    }
 }

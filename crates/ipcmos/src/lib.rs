@@ -15,7 +15,8 @@
 //!   proof of §4.2 plus the transistor-level verification of §5,
 //! * [`flat_pipeline`] and [`simulate`] — flat (abstraction-free) pipelines
 //!   for the scaling comparison and the pulse-level simulator behind the
-//!   Fig. 7 waveform.
+//!   Fig. 7 waveform,
+//! * [`intro_example`] — the introductory example of Fig. 1/2.
 //!
 //! # Example
 //!
@@ -32,6 +33,7 @@
 mod env;
 mod experiments;
 mod export;
+mod intro;
 mod sim;
 mod stage;
 
@@ -43,5 +45,6 @@ pub use experiments::{
     table_1_with, verification_report, ExperimentError,
 };
 pub use export::{pipeline_stg, StgPipelineModel};
+pub use intro::intro_example;
 pub use sim::{simulate, SimEvent, SimTrace};
 pub use stage::{stage_circuit, stage_model, transistor_count, StageSignals};

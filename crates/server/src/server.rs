@@ -6,8 +6,8 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use bench::json::Value;
 use transyt_gate::{GateConfig, Priority};
+use transyt_session::json::Value;
 use transyt_session::{Session, TaskSpec};
 
 use crate::http::{Request, Response};

@@ -1,9 +1,11 @@
-//! A minimal JSON emitter for the machine-readable benchmark reports.
+//! A minimal JSON emitter for every machine-readable document the stack
+//! writes: task documents ([`render`](crate::render)), the server's status
+//! and health responses, and the CLI's Table 1 report.
 //!
-//! The build environment is offline, so instead of `serde_json` the report
-//! binaries assemble their documents with this small value tree. Only the
-//! shapes the reports need are supported: objects (insertion-ordered),
-//! arrays, strings, unsigned integers and booleans.
+//! The build environment is offline, so instead of `serde_json` documents are
+//! assembled with this small value tree. Only the shapes those documents
+//! need are supported: objects (insertion-ordered), arrays, strings,
+//! unsigned integers and booleans.
 
 use std::fmt::Write as _;
 

@@ -22,7 +22,7 @@
 //! * [`Outcome`] — structured results (verdict, reports, replayable
 //!   traces), with the canonical text / JSON renderings in
 //!   [`render`] — byte-identical to the one-shot CLI's output and to what
-//!   `transyt serve` serves.
+//!   `transyt serve` serves. Documents are [`json::Value`] trees.
 //! * [`ProgressEvent`]s — configurations explored, levels, refinement
 //!   iterations, cancellation — stream through a [`ProgressSink`] callback
 //!   threaded down into the exploration driver's deterministic merge.
@@ -41,6 +41,7 @@
 #![warn(missing_docs)]
 
 pub mod format;
+pub mod json;
 mod outcome;
 mod persist;
 pub mod render;

@@ -8,12 +8,12 @@
 //! model and options (the property the golden tests and the CI `server` and
 //! `api` jobs diff for).
 
-use bench::json::Value;
 use dbm::ZoneOutcome;
 use stg::ReachReport;
 use transyt::Verdict;
 use tts::Bound;
 
+use crate::json::Value;
 use crate::outcome::{Outcome, RenderedTrace, ZoneWitness};
 
 /// Renders a document exactly as the CLI writes it to a `--json` file (and

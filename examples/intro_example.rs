@@ -7,7 +7,7 @@
 use transyt::{verify, SafetyProperty, VerifyOptions};
 
 fn main() {
-    let timed = bench_models::intro_example();
+    let timed = ipcmos::intro_example();
     let untimed_violations = timed.underlying().marked_reachable_states().len();
     println!(
         "untimed state space: {} states, {} of them violate the property",
@@ -28,66 +28,5 @@ fn main() {
             report.reachable_states.len(),
             report.violating_states.len()
         );
-    }
-}
-
-// The example model lives in the bench support crate; rebuild it here so the
-// example stays a self-contained binary of the root package.
-mod bench_models {
-    use tts::{DelayInterval, Time, TimedTransitionSystem, TsBuilder};
-
-    pub fn intro_example() -> TimedTransitionSystem {
-        let d = |l, u| DelayInterval::new(Time::new(l), Time::new(u)).expect("delay");
-        let mut builder = TsBuilder::new("fig1-intro");
-        let mut states = std::collections::HashMap::new();
-        let mut add = |builder: &mut TsBuilder, key: (bool, bool, bool, bool, bool)| {
-            *states.entry(key).or_insert_with(|| {
-                builder.add_state(format!(
-                    "a{}b{}c{}g{}d{}",
-                    key.0 as u8, key.1 as u8, key.2 as u8, key.3 as u8, key.4 as u8
-                ))
-            })
-        };
-        let all: Vec<(bool, bool, bool, bool, bool)> = (0..32)
-            .map(|i| (i & 1 != 0, i & 2 != 0, i & 4 != 0, i & 8 != 0, i & 16 != 0))
-            .collect();
-        for &key in &all {
-            let (a, b, c, g, dd) = key;
-            if (c && !a) || (dd && !c) {
-                continue;
-            }
-            let from = add(&mut builder, key);
-            if !a {
-                let to = add(&mut builder, (true, b, c, g, dd));
-                builder.add_transition(from, "a", to);
-            }
-            if !b {
-                let to = add(&mut builder, (a, true, c, g, dd));
-                builder.add_transition(from, "b", to);
-            }
-            if a && !c {
-                let to = add(&mut builder, (a, b, true, g, dd));
-                builder.add_transition(from, "c", to);
-            }
-            if !g {
-                let to = add(&mut builder, (a, b, c, true, dd));
-                builder.add_transition(from, "g", to);
-            }
-            if c && !dd {
-                let to = add(&mut builder, (a, b, c, g, true));
-                builder.add_transition(from, "d", to);
-                if !g {
-                    builder.mark_violation(to, "d fired before g");
-                }
-            }
-        }
-        let initial = states[&(false, false, false, false, false)];
-        builder.set_initial(initial);
-        let mut timed = TimedTransitionSystem::new(builder.build().expect("well formed"));
-        timed.set_delay_by_name("a", d(2, 4));
-        timed.set_delay_by_name("b", d(2, 4));
-        timed.set_delay_by_name("c", d(5, 6));
-        timed.set_delay_by_name("g", d(1, 1));
-        timed
     }
 }

@@ -9,9 +9,6 @@
 #   * `transyt zones` (default abstraction: LU extrapolation, active-clock
 #     reduction, aLU coverage) on the shipped 1-stage and 2-stage pipelines
 #     stays within the pinned configuration ceilings;
-#   * the scaling_report flat 1-stage series `zones-alu` stays within its
-#     ceiling (pass a pre-computed BENCH_scaling.json with --scaling-json to
-#     avoid re-running the report);
 #   * the 3-stage pipeline COMPLETES under the defaults within the
 #     1,000,000-configuration budget — the headline aLU acceptance gate
 #     (skip with --skip-3stage for a quick local run);
@@ -20,9 +17,11 @@
 #     pinned configuration count and produce a byte-identical JSON document
 #     at --threads 1 and --threads 4 (skip with --skip-4stage).
 #
+# The flat (transistor-level) 1-stage count is pinned exactly by the tier-1
+# test `tests/engine_vs_zones.rs`, so this script needs only the binary.
+#
 # Usage: scripts/check-scaling.sh [--binary PATH] [--baseline PATH]
-#                                 [--scaling-json PATH] [--skip-3stage]
-#                                 [--skip-4stage]
+#                                 [--skip-3stage] [--skip-4stage]
 
 set -euo pipefail
 
@@ -30,7 +29,6 @@ cd "$(dirname "$0")/.."
 
 BINARY=target/release/transyt
 BASELINE=ci/scaling-baseline.json
-SCALING_JSON=""
 RUN_3STAGE=1
 RUN_4STAGE=1
 
@@ -38,7 +36,6 @@ while [ $# -gt 0 ]; do
   case "$1" in
     --binary) BINARY=$2; shift 2 ;;
     --baseline) BASELINE=$2; shift 2 ;;
-    --scaling-json) SCALING_JSON=$2; shift 2 ;;
     --skip-3stage) RUN_3STAGE=0; shift ;;
     --skip-4stage) RUN_4STAGE=0; shift ;;
     *) echo "unknown argument: $1" >&2; exit 2 ;;
@@ -77,22 +74,6 @@ for model in ipcmos_1stage ipcmos_2stage; do
     "$(json_field "$workdir/$model.json" configurations)" \
     "$(ceiling zones "$model")"
 done
-
-if [ -z "$SCALING_JSON" ]; then
-  SCALING_JSON=$workdir/BENCH_scaling.json
-  echo "running scaling_report (pass --scaling-json to reuse an existing report)..."
-  cargo run --release -p bench --bin scaling_report --quiet -- \
-    1 --threads 4 --limit 100000 --json "$SCALING_JSON" > /dev/null
-fi
-measured=$(python3 -c "
-import json
-report = json.load(open('$SCALING_JSON'))
-[series] = [s for s in report['series'] if s['name'] == 'zones-alu']
-point = series['points'][0]
-assert point['completed'], 'zones-alu did not complete'
-print(point['configurations'])
-")
-gate "scaling_report zones-alu (flat 1-stage)" "$measured" "$(ceiling scaling_report zones-alu)"
 
 if [ "$RUN_3STAGE" = 1 ]; then
   budget=$(python3 -c "import json; print(json.load(open('$BASELINE'))['alu_gate']['max_configurations'])")

@@ -63,14 +63,37 @@ fn engine_and_zones_agree_on_overlapping_delays() {
 }
 
 #[test]
+fn intro_example_has_untimed_violations_but_verifies_with_timing() {
+    let timed = ipcmos::intro_example();
+    assert!(!timed.underlying().marked_reachable_states().is_empty());
+    let verdict = verify(
+        &timed,
+        &SafetyProperty::new("g before d").forbid_marked_states(),
+        &VerifyOptions::default(),
+    );
+    assert!(verdict.is_verified(), "intro example: {verdict}");
+    assert!(verdict.report().refinements >= 1);
+}
+
+#[test]
+fn intro_example_matches_zone_based_ground_truth() {
+    let timed = ipcmos::intro_example();
+    let report = explore_timed(&timed).report().cloned().unwrap();
+    assert!(report.violating_states.is_empty());
+}
+
+#[test]
 fn one_stage_pipeline_zone_exploration_needs_the_lu_abstraction() {
     // The *exact* zone-based exploration of the transistor-level stage
     // between its environments blows past a 3,000-configuration budget —
     // this is precisely the paper's motivation for relative timing and
     // abstraction. With the default LU-bounds extrapolation, active-clock
-    // reduction and aLU coverage the same model completes well under that
-    // budget with the same discrete verdict: no violating state (the timed
-    // semantics does reach one genuinely deadlocked discrete state).
+    // reduction and aLU coverage the same model completes at exactly 502
+    // configurations with the same discrete verdict: no violating state (the
+    // timed semantics does reach one genuinely deadlocked discrete state).
+    // The count is deterministic, so it is pinned exactly: a rise means the
+    // abstraction or the coverage relation got weaker; re-pin a fall
+    // deliberately, with its reason.
     let pipeline = ipcmos::flat_pipeline(1).expect("pipeline builds");
     let exact = explore_timed_with(
         &pipeline,
@@ -98,6 +121,7 @@ fn one_stage_pipeline_zone_exploration_needs_the_lu_abstraction() {
     );
     match abstracted {
         ZoneOutcome::Completed(report) => {
+            assert_eq!(report.configurations, 502);
             assert!(report.violating_states.is_empty());
             assert_eq!(report.deadlock_states.len(), 1);
             assert!(report.extrapolated_zones > 0);
