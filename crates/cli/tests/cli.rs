@@ -164,6 +164,49 @@ fn reach_finds_marking_paths_and_zones_find_symbolic_traces() {
     assert!(result.text.contains("clock of slow on entry"));
 }
 
+/// The `clock of X on entry` annotations read the stored zone of each
+/// witness step. `tick` fires twice in a row, so its clock is re-enabled in
+/// `one-tick` (restarted at zero) and disabled in `two-ticks`: by default
+/// the widened entry zone of `one-tick` has no upper bound on it and the
+/// disabled clock is pinned at zero, while the exact oracle keeps both its
+/// bounds and its age.
+#[test]
+fn zone_witness_pins_the_entry_clock_annotations() {
+    let model = Model::parse(
+        "tts ticks\n\
+         state s0 s0\nstate s1 one-tick\nstate s2 two-ticks\nstate s3 done\n\
+         initial s0\nviolation s2 \"ticked twice before slow\"\n\
+         trans s0 tick s1\ntrans s1 tick s2\n\
+         trans s0 slow s3\ntrans s1 slow s3\ntrans s2 slow s3\n\
+         delay tick [1,2]\ndelay slow [3,9]\nproperty forbid-marked\n",
+    )
+    .unwrap();
+    let trace = |exact: bool| {
+        let options = Options {
+            trace: true,
+            exact,
+            ..Options::default()
+        };
+        let text = cmd_zones(&model, &options).unwrap().text;
+        let start = text.find("symbolic timed trace").expect("a witness");
+        text[start..].to_owned()
+    };
+    assert_eq!(
+        trace(false),
+        "symbolic timed trace to the first violating state:\n  s0\n\
+         \x20   --tick @ [1, 2]--> one-tick  (clock of tick on entry: [0, inf))\n\
+         \x20   --tick @ [2, 4]--> two-ticks  (clock of tick on entry: [0, 0])\n\
+         \x20 end state: two-ticks\n"
+    );
+    assert_eq!(
+        trace(true),
+        "symbolic timed trace to the first violating state:\n  s0\n\
+         \x20   --tick @ [1, 2]--> one-tick  (clock of tick on entry: [0, 2])\n\
+         \x20   --tick @ [2, 4]--> two-ticks  (clock of tick on entry: [1, 8])\n\
+         \x20 end state: two-ticks\n"
+    );
+}
+
 #[test]
 fn zone_trace_is_identical_across_thread_counts_and_subsumption() {
     let model = load("ipcmos_1stage.stg");
@@ -306,7 +349,7 @@ fn json_documents_are_unchanged_golden() {
         zones,
         "{\"model\":\"race_overlap\",\"configurations\":4,\"subsumed\":0,\
          \"alu_subsumed\":0,\"reachable_states\":4,\"violating_states\":1,\"deadlock_states\":1,\
-         \"extrapolated_zones\":3,\"projected_clocks\":4,\
+         \"extrapolated_zones\":3,\
          \"arena\":{\"allocated\":4,\"reused\":0,\"recycled\":1},\
          \"completed\":true,\"trace\":{\"kind\":\"witness\",\"start\":\"s0\",\
          \"end\":\"slow-first\",\"steps\":[{\"event\":\"slow\",\"state\":\"slow-first\",\

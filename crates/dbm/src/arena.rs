@@ -34,7 +34,7 @@ pub struct ArenaStats {
     pub zone_bytes: usize,
 }
 
-/// A bounded free list of DBM entry buffers, all for one clock count.
+/// A bounded free list of DBM entry buffers.
 #[derive(Debug, Default)]
 pub struct DbmArena {
     free: Vec<Vec<Entry>>,
@@ -59,8 +59,8 @@ impl DbmArena {
                 Dbm::from_entries(src.clock_count(), buffer)
             }
             other => {
-                // A mismatched buffer (different model dimension) is useless
-                // here; drop it rather than hold the slot hostage.
+                // A buffer too small for this zone's clocks is useless here;
+                // drop it rather than hold the slot hostage.
                 drop(other);
                 self.stats.allocated += 1;
                 Dbm::from_entries(src.clock_count(), entries.to_vec())

@@ -11,12 +11,14 @@
 //!
 //! * [`Entry`] — DBM bound entries (`< c`, `≤ c`, `∞`).
 //! * [`Dbm`] — canonical difference bound matrices with the standard zone
-//!   operations (`up`, `reset`, `constrain`, inclusion, intersection).
+//!   operations (`up`, `reset`, `constrain`, `gather`, inclusion,
+//!   intersection).
 //! * [`explore_timed`] — symbolic reachability of a
-//!   [`tts::TimedTransitionSystem`] using one clock per event, abstracted by
-//!   default with LU-bounds extrapolation, active-clock reduction and aLU
-//!   coverage (exact with [`ExploreSpec::exact`]), and a buffer-reusing
-//!   [`DbmArena`] behind the zone interner.
+//!   [`tts::TimedTransitionSystem`] with one clock per event, each zone
+//!   stored over its state's live clocks only and abstracted by default
+//!   with per-state LU-bounds extrapolation and aLU coverage (every clock
+//!   kept and nothing abstracted with [`ExploreSpec::exact`]), and a
+//!   buffer-reusing [`DbmArena`] behind the zone interner.
 //!
 //! # Example
 //!

@@ -252,11 +252,27 @@ impl Dbm {
         !self.get(j, i).conflicts_with(bound)
     }
 
-    /// Returns `true` if the zone pins clock `x` to exactly 0 (both bounds
-    /// `≤ 0`). In canonical form the row and column of a pinned clock mirror
-    /// the reference row and column, so a pinned clock never needs resetting.
-    pub fn pins_to_zero(&self, x: usize) -> bool {
-        self.get(x, 0) == Entry::LE_ZERO && self.get(0, x) == Entry::LE_ZERO
+    /// The zone over the clocks `picks` selects from `self`: clock `k + 1`
+    /// of the result is clock `picks[k]` of `self`, and a pick of 0 (the
+    /// reference clock) starts the clock at zero. Every entry of the result
+    /// is an entry of `self`, so it is canonical whenever `self` is; the
+    /// gather costs O(m²) for `m` picks and needs no closure pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pick exceeds the dimension.
+    pub fn gather(&self, picks: &[usize]) -> Dbm {
+        let source = |k: usize| if k == 0 { 0 } else { picks[k - 1] };
+        let (dim, from) = (picks.len() + 1, self.dim());
+        let mut entries = Vec::with_capacity(dim * dim);
+        for i in 0..dim {
+            let row = &self.entries[source(i) * from..][..from];
+            entries.extend((0..dim).map(|j| row[source(j)]));
+        }
+        Dbm {
+            clocks: picks.len(),
+            entries,
+        }
     }
 
     /// Coarse LU-bounds extrapolation (`Extra_LU` of Behrmann, Bouyer,
@@ -341,21 +357,6 @@ impl Dbm {
     pub(crate) fn from_entries(clocks: usize, entries: Vec<Entry>) -> Dbm {
         debug_assert_eq!(entries.len(), (clocks + 1) * (clocks + 1));
         Dbm { clocks, entries }
-    }
-
-    /// Feeds a cheap, deterministic sample of the matrix into a hasher.
-    ///
-    /// Hashing every entry of a large canonical DBM costs more than a table
-    /// lookup saves, so interners hash the dimension plus a fixed stride of
-    /// entries. Equal zones always sample equally; unequal zones may collide
-    /// and must be separated by full equality.
-    pub fn sample_hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        use std::hash::Hash;
-        self.clocks.hash(state);
-        let stride = (self.entries.len() / 16).max(1);
-        for entry in self.entries.iter().step_by(stride) {
-            entry.hash(state);
-        }
     }
 }
 

@@ -18,58 +18,57 @@
 //! interned behind [`Arc`]s so the many configurations sharing a zone after
 //! clock resets share one canonical DBM allocation.
 //!
+//! # Zone kernel
+//!
+//! By default a zone of state `s` is a DBM over the clocks of `s`'s enabled
+//! events only, in event-index order (clock-activity reduction, Daws and
+//! Yovine 1996): the clock of a disabled event carries no information — it
+//! is reset the moment the event is re-enabled, and no guard or invariant of
+//! the state consults it. A successor via event `a` into state `t` guards
+//! the source zone with `x_a ≥ L(a)`, gathers `t`'s clocks from it (a clock
+//! fresh in `t` — `a`'s own, or one disabled in the source — copies the
+//! reference row and column, i.e. starts at zero), lets time elapse and
+//! applies `t`'s invariant. A submatrix of a closed DBM is closed, `up`
+//! keeps it closed and `constrain` re-closes incrementally, so no O(n³)
+//! closure pass runs per successor.
+//!
 //! # Zone abstraction
 //!
-//! By default the explorer applies the standard zone-abstraction toolkit,
-//! all *exact for discrete-state reachability* (the reachable / violating /
-//! deadlocked state sets are identical to the unabstracted exploration's):
+//! By default the explorer also applies, at interning time, **LU-bounds
+//! extrapolation** (`Extra_LU`, Behrmann et al. 2004: bounds above the
+//! per-clock delay constants are widened away, so cyclic systems with
+//! unbounded clock drift terminate) and skips configurations whose zone is
+//! included in the **aLU abstraction** (Herbreteau–Srivathsan–Walukiewicz)
+//! of an already-seen zone of the same state, including configurations
+//! already enqueued when the covering zone arrived (the pop-time check).
+//! Stored zones stay convex: the non-convex abstraction exists only inside
+//! the O(n²) check [`Dbm::included_in_alu`]. Both consult per-state L/U
+//! vectors: a live clock faces only its own event's delay window. All of it
+//! is *exact for discrete-state reachability*: the reachable / violating /
+//! deadlocked state sets equal the unabstracted exploration's.
 //!
-//! * **Active-clock reduction** — the clock of an event disabled in a state
-//!   carries no information (it is reset the moment the event is re-enabled,
-//!   and no guard or invariant of the state consults it), so successor
-//!   computation pins it to zero. Zones differing only in dead clock ages
-//!   collapse to one representative.
-//! * **LU-bounds extrapolation** (`Extra_LU`, Behrmann et al. 2004) — at
-//!   interning time, bounds above the per-clock lower/upper delay constants
-//!   of the model are widened away, so only finitely many zones exist per
-//!   state and cyclic systems with unbounded clock drift terminate.
-//! * **aLU coverage** (Herbreteau–Srivathsan–Walukiewicz) — a configuration
-//!   whose zone is included in the aLU abstraction of an already-seen zone
-//!   of the same state is skipped, including configurations that were
-//!   already enqueued when the covering zone arrived (the pop-time
-//!   subsumption check). Stored zones stay convex DBMs: the non-convex
-//!   abstraction exists only inside the O(n²) coverage check (see
-//!   [`Dbm::included_in_alu`]), never as a materialised zone.
-//!
-//! Extrapolation and the aLU check consult the model's global per-clock
-//! constants. Per-state bounds would gain nothing: in this
-//! one-clock-per-event semantics a clock faces only its own event's
-//! constants while the event is enabled, and nothing while it is disabled —
-//! when active-clock reduction already pins it to zero.
-//!
-//! With [`ExploreSpec::exact`] set the explorer is the unabstracted oracle
-//! instead: zones are stored exactly and deduplicated only against
-//! identical zones. It may not terminate on cyclic systems with unbounded
-//! clock drift.
+//! With [`ExploreSpec::exact`] set every zone keeps one clock per event and
+//! the explorer is the unabstracted oracle: zones are stored exactly and
+//! deduplicated only against identical zones. It may not terminate on cyclic
+//! systems with unbounded clock drift.
 //!
 //! The widened matrices are cloned through a [`DbmArena`] free list living
-//! inside the interner lock, so the hot path reuses retired entry buffers
-//! instead of churning the global allocator; extrapolation, projection and
-//! arena counters surface in [`ZoneReport`] and stay identical for every
-//! thread count (they are only touched from the driver's deterministic
-//! merge).
+//! inside the interner lock; extrapolation and arena counters surface in
+//! [`ZoneReport`] and stay identical for every thread count (they are only
+//! touched from the exploration's deterministic merge).
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashSet};
 use std::convert::Infallible;
-use std::sync::{Arc, Mutex};
+use std::hash::BuildHasherDefault;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use explore::{
     BudgetMeter, ExploreOptions, ExploreOutcome, ExploreSpec, SearchSpace, TraceOptions,
 };
-use tts::{Bound, EventId, StateId, Time, TimedTransitionSystem};
+use tts::{Bound, DelayInterval, EventId, StateId, Time, TimedTransitionSystem};
 
 use crate::arena::{ArenaStats, DbmArena};
-use crate::entry::Entry;
 use crate::matrix::Dbm;
 
 /// Configuration limit applied when [`ExploreSpec::limit`] is `None`.
@@ -114,10 +113,6 @@ pub struct ZoneReport {
     /// Stored configurations whose zone LU-bounds extrapolation actually
     /// widened (0 in exact mode).
     pub extrapolated_zones: usize,
-    /// Dead clock dimensions (clocks of disabled events, pinned to zero by
-    /// active-clock reduction) summed over stored configurations (0 in
-    /// exact mode).
-    pub projected_clocks: usize,
     /// Allocation counters of the interner's DBM arena.
     pub arena: ArenaStats,
 }
@@ -166,181 +161,200 @@ impl ZoneOutcome {
     }
 }
 
-/// Interner entry with a cheap sampled hash: hashing every entry of a large
-/// canonical DBM costs more than the lookup saves, so only a stride of the
-/// matrix feeds the hasher. Equality stays exact, so collisions merely cost
-/// a probe.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct InternedZone(Arc<Dbm>);
-
-impl std::hash::Hash for InternedZone {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.0.sample_hash(state);
-    }
-}
-
-/// Index of the clock measuring the time since `event`'s current enabling
-/// (clock 0 is the DBM reference clock).
-fn clock_of(event: EventId) -> usize {
-    event.index() + 1
-}
-
-/// The model's per-clock LU extrapolation vectors, indexed by clock (index 0
-/// is the reference clock and stays 0).
-///
-/// In this semantics every comparison a clock faces is known from the delay
-/// window of its event: guards are the lower bounds `x ≥ δl` and invariants
-/// the upper bounds `x ≤ δu`, so `L = δl` and `U = δu` — with `U = 0` for
-/// events without an upper delay bound, the coarsest sound choice since no
-/// upper comparison ever consults such a clock.
-struct LuBounds {
+/// The events enabled in one discrete state and the LU constants of their
+/// clocks in the state's compact zones (index 0, the reference clock, holds
+/// 0). A live clock faces only its own event's delay window — the guard
+/// `x ≥ δl` and the invariant `x ≤ δu` — so `L = δl` and `U = δu`, with
+/// `U = 0` for events without an upper delay bound.
+struct StateClocks {
+    /// The enabled events, in event-index order.
+    enabled: Vec<EventId>,
     lower: Vec<i64>,
     upper: Vec<i64>,
 }
 
-impl LuBounds {
-    fn of(timed: &TimedTransitionSystem) -> LuBounds {
-        let events = timed.underlying().alphabet().len();
-        let mut lower = vec![0; events + 1];
-        let mut upper = vec![0; events + 1];
-        for index in 0..events {
-            let delay = timed.delay(EventId::from_index(index));
-            lower[index + 1] = delay.lower().as_i64();
-            if let Bound::Finite(u) = delay.upper() {
-                upper[index + 1] = u.as_i64();
+/// The zone kernel: which clocks the zones of each discrete state keep, and
+/// the timed successor relation over them (see the module docs). By default
+/// compact clock `k + 1` measures the `k`-th enabled event of the state; in
+/// exact mode clock `e + 1` measures event `e` in every state, and clocks
+/// beyond the alphabet (the firing-window replay's absolute clock) are never
+/// reset or constrained.
+struct Kernel<'a> {
+    timed: &'a TimedTransitionSystem,
+    exact: bool,
+    /// Delay windows by event index.
+    delays: Vec<DelayInterval>,
+    /// Per-state clock data, derived on first use: most states of a large
+    /// model are never visited by a budgeted run.
+    states: Vec<OnceLock<Box<StateClocks>>>,
+}
+
+impl<'a> Kernel<'a> {
+    fn new(timed: &'a TimedTransitionSystem, exact: bool) -> Kernel<'a> {
+        let ts = timed.underlying();
+        Kernel {
+            timed,
+            exact,
+            delays: ts.alphabet().ids().map(|e| timed.delay(e)).collect(),
+            states: (0..ts.state_count()).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    fn state(&self, state: StateId) -> &StateClocks {
+        self.states[state.index()].get_or_init(|| {
+            let ts = self.timed.underlying();
+            let mut enabled: Vec<EventId> =
+                ts.transitions_from(state).iter().map(|&(e, _)| e).collect();
+            enabled.sort_unstable();
+            enabled.dedup();
+            let (mut lower, mut upper) = (vec![0], vec![0]);
+            for event in &enabled {
+                let delay = self.delays[event.index()];
+                lower.push(delay.lower().as_i64());
+                upper.push(delay.upper().finite().map_or(0, Time::as_i64));
+            }
+            Box::new(StateClocks {
+                enabled,
+                lower,
+                upper,
+            })
+        })
+    }
+
+    /// The clock measuring `event` in the zones of `state`; 0, the reference
+    /// clock, if they keep none.
+    fn clock(&self, state: &StateClocks, event: EventId) -> usize {
+        if self.exact {
+            return event.index() + 1;
+        }
+        state.enabled.binary_search(&event).map_or(0, |k| k + 1)
+    }
+
+    /// The entry zone of an initial state, unless empty.
+    fn initial(&self, state: StateId) -> Option<Dbm> {
+        let clocks = self.state(state);
+        let count = if self.exact {
+            self.delays.len()
+        } else {
+            clocks.enabled.len()
+        };
+        self.elapse(Dbm::zero(count), clocks)
+    }
+
+    /// Lets time elapse in `zone` under the invariant of `state` (the upper
+    /// delay bounds of its enabled events); `None` if that empties it.
+    fn elapse(&self, mut zone: Dbm, state: &StateClocks) -> Option<Dbm> {
+        zone.up();
+        for &event in &state.enabled {
+            if let Bound::Finite(upper) = self.delays[event.index()].upper() {
+                zone.constrain_upper(self.clock(state, event), upper.as_i64());
             }
         }
-        LuBounds { lower, upper }
+        (!zone.is_empty()).then_some(zone)
     }
-}
 
-/// Active-clock reduction: pins the clocks of events disabled in `state` to
-/// zero. Sound because a disabled clock is never consulted again before it
-/// is reset (guards only read the fired — hence enabled — event's clock and
-/// invariants only enabled events' clocks), and canonical-form preserving
-/// (DBM reset keeps canonicity), so projected zones need no
-/// re-canonicalisation. Pure per configuration, which lets it run in the
-/// parallel expansion phase.
-fn project_inactive(timed: &TimedTransitionSystem, zone: &mut Dbm, state: StateId) {
-    let ts = timed.underlying();
-    let enabled = ts.enabled(state);
-    for index in 0..ts.alphabet().len() {
-        let clock = index + 1;
-        if !enabled.contains(&EventId::from_index(index)) && !zone.pins_to_zero(clock) {
-            zone.reset(clock);
-        }
+    /// Applies the guard of `event`, enabled in `source`: its clock has
+    /// reached the event's lower delay bound. `false` if the zone empties.
+    fn guard(&self, zone: &mut Dbm, source: &StateClocks, event: EventId) -> bool {
+        debug_assert!(source.enabled.binary_search(&event).is_ok());
+        let lower = self.delays[event.index()].lower().as_i64();
+        zone.constrain_lower(self.clock(source, event), lower);
+        !zone.is_empty()
     }
-}
 
-/// Lets time elapse only as far as the upper delay bounds of the events
-/// enabled in `state` allow (the state's invariant). The zone may have more
-/// clocks than the alphabet (the witness replay adds an absolute-time clock);
-/// extra clocks are simply never constrained.
-fn apply_invariant(timed: &TimedTransitionSystem, zone: &mut Dbm, state: StateId) {
-    let ts = timed.underlying();
-    for &event in &ts.enabled(state) {
-        if let Bound::Finite(upper) = timed.delay(event).upper() {
-            zone.constrain_upper(clock_of(event), upper.as_i64());
-        }
+    /// Fires `event` on a guarded zone of `source` into `target`: gathers
+    /// the target's clocks — a freshly enabled one (`event`'s own, or one
+    /// disabled in `source`) starts at zero — then lets time elapse.
+    fn fire(
+        &self,
+        guarded: &Dbm,
+        source: &StateClocks,
+        event: EventId,
+        target: &StateClocks,
+    ) -> Option<Dbm> {
+        let enabled = |state: &StateClocks, e| state.enabled.binary_search(&e).is_ok();
+        let fresh = |e| enabled(target, e) && (e == event || !enabled(source, e));
+        let pick = |e| if fresh(e) { 0 } else { self.clock(source, e) };
+        let picks: Vec<usize> = if self.exact {
+            let extra = self.delays.len() + 1..=guarded.clock_count();
+            let events = self.timed.underlying().alphabet().ids();
+            events.map(pick).chain(extra).collect()
+        } else {
+            target.enabled.iter().map(|&e| pick(e)).collect()
+        };
+        self.elapse(guarded.gather(&picks), target)
     }
-}
 
-/// The zone reached by firing `event` from a state whose enabled events are
-/// `enabled_here` into `target`: guard on the fired clock, reset of freshly
-/// enabled clocks, time elapse and the target invariant. Returns `None` when
-/// the firing is not timed-feasible (the guard or the target invariant
-/// empties the zone). `enabled_here` is passed in so callers expanding
-/// several transitions of one configuration compute it once.
-///
-/// This single function defines the timed successor relation; the explorer
-/// and the witness replay both go through it, so a reconstructed trace
-/// replays to exactly the zones the search stored. Unless `exact`, the
-/// successor is additionally projected onto the clocks active in `target`
-/// (see [`project_inactive`]); the LU widening itself happens later, at
-/// interning time, because it must only apply to *stored* zones (it is a
-/// widening, so storing it keeps subsumption sound, whereas candidates must
-/// stay exact for the coverage checks).
-fn timed_successor(
-    timed: &TimedTransitionSystem,
-    zone: &Dbm,
-    enabled_here: &std::collections::BTreeSet<EventId>,
-    event: EventId,
-    target: StateId,
-    exact: bool,
-) -> Option<Dbm> {
-    let ts = timed.underlying();
-    // Guard: the event's clock has reached its lower bound.
-    let lower = timed.delay(event).lower().as_i64();
-    let mut next = zone.clone();
-    next.constrain(0, clock_of(event), Entry::le(-lower));
-    if next.is_empty() {
-        return None;
-    }
-    // Fire: reset the clocks of freshly enabled occurrences.
-    for &e in &ts.enabled(target) {
-        let freshly_enabled = e == event || !enabled_here.contains(&e);
-        if freshly_enabled {
-            next.reset(clock_of(e));
+    /// The zone reached by firing `event` from `zone` of `source` into
+    /// `target`, or `None` when the firing is not timed-feasible. The one
+    /// timed successor relation: the explorer and the witness replay both
+    /// go through it.
+    fn successor(
+        &self,
+        zone: &Dbm,
+        source: StateId,
+        event: EventId,
+        target: StateId,
+    ) -> Option<Dbm> {
+        let source = self.state(source);
+        let mut guarded = zone.clone();
+        if !self.guard(&mut guarded, source, event) {
+            return None;
         }
+        self.fire(&guarded, source, event, self.state(target))
     }
-    next.canonicalize();
-    // Let time elapse under the target invariant.
-    next.up();
-    apply_invariant(timed, &mut next, target);
-    next.canonicalize();
-    if next.is_empty() {
-        return None;
+
+    /// LU-extrapolates a zone of `state` and re-closes it, as the search
+    /// does to every zone it stores; `true` if anything widened (never in
+    /// exact mode).
+    fn extrapolate(&self, zone: &mut Dbm, state: StateId) -> bool {
+        let clocks = self.state(state);
+        let widened = !self.exact && zone.extrapolate_lu(&clocks.lower, &clocks.upper);
+        if widened {
+            zone.canonicalize();
+        }
+        widened
     }
-    if !exact {
-        project_inactive(timed, &mut next, target);
+
+    /// The zone with one clock per event, the clocks `state` does not keep
+    /// pinned at zero (a copy in exact mode).
+    fn lift(&self, zone: &Dbm, state: StateId) -> Dbm {
+        let clocks = self.state(state);
+        let events = self.timed.underlying().alphabet().ids();
+        let picks: Vec<usize> = events.map(|e| self.clock(clocks, e)).collect();
+        zone.gather(&picks)
     }
-    Some(next)
 }
 
 /// The interner's mutable state: the canonical-zone table, the DBM arena
 /// backing its clones, and the abstraction counters. One lock, only taken
 /// from the driver's single-threaded merge, so every field is deterministic
-/// for every thread count.
+/// for every thread count (the table's hasher is unkeyed, so even the order
+/// a sweep hands buffers to the arena is).
 struct InternerState {
     /// Canonical-DBM interning table: equal zones share one allocation, so
     /// bucket storage and queued clones are reference bumps.
-    zones: HashSet<InternedZone>,
+    zones: HashSet<Arc<Dbm>, BuildHasherDefault<DefaultHasher>>,
     /// Inserts since the last sweep of dead entries (zones no longer
     /// referenced by any bucket or queue, e.g. after subsumption pruning).
     inserts: usize,
+    /// Inserts that trigger the next sweep: at least
+    /// [`INTERNER_SWEEP_INTERVAL`] and at least the entries the last sweep
+    /// kept, so sweep work stays linear in the number of inserts.
+    sweep_at: usize,
     /// Free list of retired DBM buffers, reused by extrapolation clones.
     arena: DbmArena,
     /// Stored zones that LU extrapolation actually widened.
     extrapolated: usize,
-    /// Dead clock dimensions summed over stored configurations.
-    projected: usize,
     /// Pop-time skips not explained by convex inclusion (see
     /// [`ZoneReport::alu_subsumed`]).
     alu_subsumed: usize,
 }
 
-impl InternerState {
-    fn new() -> Mutex<InternerState> {
-        Mutex::new(InternerState {
-            zones: HashSet::new(),
-            inserts: 0,
-            arena: DbmArena::new(),
-            extrapolated: 0,
-            projected: 0,
-            alu_subsumed: 0,
-        })
-    }
-}
-
 /// The timed search space: configurations pair a discrete state with an
-/// interned clock zone.
+/// interned zone over the state's clocks.
 struct ZoneSpace<'a> {
-    timed: &'a TimedTransitionSystem,
-    /// The unabstracted oracle: exact zones, exact-duplicate deduplication.
-    exact: bool,
-    /// The LU bound vectors feeding extrapolation and the aLU check (unused
-    /// in exact mode).
-    bounds: LuBounds,
+    kernel: Kernel<'a>,
     /// Halt the search at the first committed configuration whose discrete
     /// state satisfies this goal (the witness search); `None` explores
     /// exhaustively.
@@ -360,12 +374,17 @@ impl<'a> ZoneSpace<'a> {
         goal: Option<WitnessGoal>,
     ) -> ZoneSpace<'a> {
         ZoneSpace {
-            timed,
-            exact: spec.exact,
-            bounds: LuBounds::of(timed),
+            kernel: Kernel::new(timed, spec.exact),
             goal,
             budget: spec.budget.clone(),
-            interner: InternerState::new(),
+            interner: Mutex::new(InternerState {
+                zones: HashSet::default(),
+                inserts: 0,
+                sweep_at: INTERNER_SWEEP_INTERVAL,
+                arena: DbmArena::new(),
+                extrapolated: 0,
+                alu_subsumed: 0,
+            }),
         }
     }
 
@@ -375,7 +394,6 @@ impl<'a> ZoneSpace<'a> {
         let state = self.interner.into_inner().expect("zone interner poisoned");
         AbstractionStats {
             extrapolated_zones: state.extrapolated,
-            projected_clocks: state.projected,
             alu_subsumed: state.alu_subsumed,
             arena: state.arena.stats(),
         }
@@ -386,12 +404,12 @@ impl<'a> ZoneSpace<'a> {
 /// [`aggregate_report`].
 struct AbstractionStats {
     extrapolated_zones: usize,
-    projected_clocks: usize,
     alu_subsumed: usize,
     arena: ArenaStats,
 }
 
-/// Inserts between sweeps of unreferenced interner entries.
+/// Minimum number of inserts between sweeps of unreferenced interner
+/// entries.
 const INTERNER_SWEEP_INTERVAL: usize = 4096;
 
 impl SearchSpace for ZoneSpace<'_> {
@@ -404,47 +422,31 @@ impl SearchSpace for ZoneSpace<'_> {
     type Error = Infallible;
 
     fn initial(&self) -> Result<Vec<Self::Config>, Infallible> {
-        let ts = self.timed.underlying();
-        let clock_count = ts.alphabet().len();
-        let mut initial = Vec::new();
-        for &s0 in ts.initial_states() {
-            let mut zone = Dbm::zero(clock_count);
-            zone.up();
-            apply_invariant(self.timed, &mut zone, s0);
-            zone.canonicalize();
-            if !zone.is_empty() {
-                if !self.exact {
-                    project_inactive(self.timed, &mut zone, s0);
-                }
-                initial.push((s0, Arc::new(zone)));
-            }
-        }
-        Ok(initial)
+        let ts = self.kernel.timed.underlying();
+        Ok(ts
+            .initial_states()
+            .iter()
+            .filter_map(|&s0| Some((s0, Arc::new(self.kernel.initial(s0)?))))
+            .collect())
     }
 
     fn key(&self, (state, zone): &Self::Config) -> Self::Key {
-        if self.exact {
-            (*state, Some(zone.clone()))
-        } else {
-            (*state, None)
-        }
+        (*state, self.kernel.exact.then(|| zone.clone()))
     }
 
     fn expand(
         &self,
         (state, zone): &Self::Config,
     ) -> Result<Vec<(EventId, Self::Config)>, Infallible> {
-        let ts = self.timed.underlying();
-        let enabled_here = ts.enabled(*state);
-        let mut successors = Vec::new();
-        for &(event, target) in ts.transitions_from(*state) {
-            if let Some(next) =
-                timed_successor(self.timed, zone, &enabled_here, event, target, self.exact)
-            {
-                successors.push((event, (target, Arc::new(next))));
-            }
-        }
-        Ok(successors)
+        let ts = self.kernel.timed.underlying();
+        Ok(ts
+            .transitions_from(*state)
+            .iter()
+            .filter_map(|&(event, target)| {
+                let next = self.kernel.successor(zone, *state, event, target)?;
+                Some((event, (target, Arc::new(next))))
+            })
+            .collect())
     }
 
     fn should_halt(
@@ -452,7 +454,7 @@ impl SearchSpace for ZoneSpace<'_> {
         &(state, _): &Self::Config,
         _successors: &[(EventId, Self::Config)],
     ) -> bool {
-        let ts = self.timed.underlying();
+        let ts = self.kernel.timed.underlying();
         match self.goal {
             None => false,
             Some(WitnessGoal::Violation) => !ts.violations(state).is_empty(),
@@ -462,14 +464,17 @@ impl SearchSpace for ZoneSpace<'_> {
 
     fn subsumes(&self, stored: &Self::Config, candidate: &Self::Config) -> bool {
         // In exact mode equal keys imply equal zones: exact deduplication.
-        self.exact
-            || candidate
-                .1
-                .included_in_alu(&stored.1, &self.bounds.lower, &self.bounds.upper)
+        if self.kernel.exact {
+            return true;
+        }
+        let clocks = self.kernel.state(candidate.0);
+        candidate
+            .1
+            .included_in_alu(&stored.1, &clocks.lower, &clocks.upper)
     }
 
     fn uses_subsumption(&self) -> bool {
-        !self.exact
+        !self.kernel.exact
     }
 
     fn note_pop_skip(&self, skipped: &Self::Config, stored: &[Self::Config]) {
@@ -493,14 +498,11 @@ impl SearchSpace for ZoneSpace<'_> {
         // widened zone subsumes the candidate, exactly what the intern
         // contract allows for subsumption spaces. The clone goes through the
         // arena so an unchanged zone costs only a recycled buffer.
-        let zone = if self.exact {
+        let zone = if self.kernel.exact {
             zone
         } else {
-            let ts = self.timed.underlying();
-            st.projected += ts.alphabet().len() - ts.enabled(state).len();
             let mut widened = st.arena.clone_dbm(&zone);
-            if widened.extrapolate_lu(&self.bounds.lower, &self.bounds.upper) {
-                widened.canonicalize();
+            if self.kernel.extrapolate(&mut widened, state) {
                 st.extrapolated += 1;
                 Arc::new(widened)
             } else {
@@ -508,13 +510,11 @@ impl SearchSpace for ZoneSpace<'_> {
                 zone
             }
         };
-        let probe = InternedZone(zone.clone());
-        if let Some(shared) = st.zones.get(&probe) {
-            let shared = shared.0.clone();
+        if let Some(shared) = st.zones.get(&*zone) {
+            let shared = shared.clone();
             // The candidate hit an existing entry; if its matrix is
             // otherwise unreferenced (a widened clone nothing else holds),
             // reclaim the buffer.
-            drop(probe);
             if let Ok(dead) = Arc::try_unwrap(zone) {
                 st.arena.recycle(dead);
             }
@@ -523,24 +523,24 @@ impl SearchSpace for ZoneSpace<'_> {
         // A genuinely new zone: account its entry storage. The arena keeps
         // the monotone byte census for the report; the meter lets a
         // `max_zone_bytes` budget abort the search deterministically.
-        self.budget
-            .charge_zone_bytes(st.arena.charge_zone(&probe.0));
-        st.zones.insert(probe);
+        self.budget.charge_zone_bytes(st.arena.charge_zone(&zone));
+        st.zones.insert(zone.clone());
         st.inserts += 1;
-        if st.inserts >= INTERNER_SWEEP_INTERVAL {
+        if st.inserts >= st.sweep_at {
             // Drop entries only the interner still references (their zones
             // were pruned from every bucket and queue), so peak memory
             // follows the live antichain rather than every zone ever seen —
             // and hand the reclaimed buffers back to the arena.
             let retired = std::mem::take(&mut st.zones);
             for entry in retired {
-                if Arc::strong_count(&entry.0) > 1 {
+                if Arc::strong_count(&entry) > 1 {
                     st.zones.insert(entry);
-                } else if let Ok(dead) = Arc::try_unwrap(entry.0) {
+                } else if let Ok(dead) = Arc::try_unwrap(entry) {
                     st.arena.recycle(dead);
                 }
             }
             st.inserts = 0;
+            st.sweep_at = st.zones.len().max(INTERNER_SWEEP_INTERVAL);
         }
         (state, zone)
     }
@@ -648,7 +648,6 @@ fn aggregate_report(
         subsumed_configurations: report.subsumption_skips,
         alu_subsumed: stats.alu_subsumed,
         extrapolated_zones: stats.extrapolated_zones,
-        projected_clocks: stats.projected_clocks,
         arena: stats.arena,
     }
 }
@@ -669,7 +668,9 @@ pub enum WitnessGoal {
 /// Produced by [`find_witness`]; the path is a genuine timed execution (every
 /// step was generated by the timed successor relation), replayable with
 /// [`replay`](Self::replay) and annotatable with absolute firing-time windows
-/// through [`firing_windows`](Self::firing_windows).
+/// through [`firing_windows`](Self::firing_windows). Its zones have one clock
+/// per event (clock `e + 1` for event `e`): the search's zones lifted from
+/// their state's clocks, every clock they do not keep pinned at zero.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SymbolicTrace {
     start: (StateId, Arc<Dbm>),
@@ -737,30 +738,27 @@ impl SymbolicTrace {
     }
 
     /// Replays the trace through the timed successor relation — under the
-    /// same abstraction the search used, so a recomputed zone must equal the
-    /// stored one exactly. Returns the end state on success, `None` if any
-    /// step is infeasible or drifts from the recorded zones (which would
-    /// indicate a reconstruction bug).
+    /// same abstraction the search used, so a recomputed zone, lifted like
+    /// the recorded ones, must equal the recorded one exactly. Returns the
+    /// end state on success, `None` if any step is infeasible or drifts from
+    /// the recorded zones (which would indicate a reconstruction bug).
     pub fn replay(&self, timed: &TimedTransitionSystem) -> Option<StateId> {
         let ts = timed.underlying();
-        let bounds = LuBounds::of(timed);
+        let kernel = Kernel::new(timed, self.exact);
+        // Recompute each zone as the search stored it (widened at interning
+        // time) and compare it, lifted, with the recorded one.
+        let stored = |mut zone: Dbm, state: StateId, recorded: &Dbm| {
+            kernel.extrapolate(&mut zone, state);
+            (kernel.lift(&zone, state) == *recorded).then_some(zone)
+        };
         let mut state = self.start.0;
-        let mut zone = self.start.1.clone();
+        let mut zone = stored(kernel.initial(state)?, state, &self.start.1)?;
         for (event, target, recorded) in &self.steps {
             if !ts.successors(state, *event).contains(target) {
                 return None;
             }
-            let enabled_here = ts.enabled(state);
-            let mut next =
-                timed_successor(timed, &zone, &enabled_here, *event, *target, self.exact)?;
-            // The search widens stored zones at interning time; mirror it.
-            if !self.exact && next.extrapolate_lu(&bounds.lower, &bounds.upper) {
-                next.canonicalize();
-            }
-            if next != **recorded {
-                return None;
-            }
-            zone = recorded.clone();
+            let next = kernel.successor(&zone, state, *event, *target)?;
+            zone = stored(next, *target, recorded)?;
             state = *target;
         }
         Some(state)
@@ -811,15 +809,11 @@ pub fn path_firing_windows(
     run: &[(EventId, StateId)],
 ) -> Option<Vec<FiringWindow>> {
     let ts = timed.underlying();
-    // One clock per event plus the absolute-time clock, which is never reset.
+    // The exact kernel over one clock per event plus the absolute-time
+    // clock, which is never reset.
+    let kernel = Kernel::new(timed, true);
     let absolute = ts.alphabet().len() + 1;
-    let mut zone = Dbm::zero(absolute);
-    zone.up();
-    apply_invariant(timed, &mut zone, start);
-    zone.canonicalize();
-    if zone.is_empty() {
-        return None;
-    }
+    let mut zone = kernel.elapse(Dbm::zero(absolute), kernel.state(start))?;
     let mut state = start;
     let mut windows = Vec::with_capacity(run.len());
     for &(event, target) in run {
@@ -827,9 +821,8 @@ pub fn path_firing_windows(
             return None;
         }
         // Constrain to the firing moment and read off the absolute clock.
-        let lower = timed.delay(event).lower().as_i64();
-        zone.constrain(0, clock_of(event), Entry::le(-lower));
-        if zone.is_empty() {
+        let source = kernel.state(state);
+        if !kernel.guard(&mut zone, source, event) {
             return None;
         }
         windows.push(FiringWindow {
@@ -839,20 +832,7 @@ pub fn path_firing_windows(
                 None => Bound::Infinite,
             },
         });
-        // Commit the firing exactly as the successor relation does.
-        let enabled_here = ts.enabled(state);
-        for &e in &ts.enabled(target) {
-            if e == event || !enabled_here.contains(&e) {
-                zone.reset(clock_of(e));
-            }
-        }
-        zone.canonicalize();
-        zone.up();
-        apply_invariant(timed, &mut zone, target);
-        zone.canonicalize();
-        if zone.is_empty() {
-            return None;
-        }
+        zone = kernel.fire(&zone, source, event, kernel.state(target))?;
         state = target;
     }
     Some(windows)
@@ -992,16 +972,19 @@ pub fn find_witness(
     let (root, steps) = report
         .path_to(goal_node)
         .expect("witness search records parents");
-    let start = report.nodes[root].config.clone();
+    let lifted = |node: usize| {
+        let (state, zone) = &report.nodes[node].config;
+        (*state, Arc::new(space.kernel.lift(zone, *state)))
+    };
     let steps = steps
         .into_iter()
         .map(|(event, node)| {
-            let (state, zone) = report.nodes[node].config.clone();
+            let (state, zone) = lifted(node);
             (event, state, zone)
         })
         .collect();
     WitnessOutcome::Found(SymbolicTrace {
-        start,
+        start: lifted(root),
         steps,
         exact: options.spec.exact,
     })
@@ -1372,11 +1355,18 @@ mod tests {
         assert!(matches!(outcome, ZoneOutcome::Cancelled { .. }));
         let breach = budget.breach().expect("breach recorded");
         assert_eq!(breach.resource, explore::BudgetResource::ZoneBytes);
-        assert!(breach.used > 1);
         assert_eq!(budget.zone_bytes(), breach.used);
+        // A distinct stored zone over k live clocks costs (k + 1)² entries:
+        // the initial zone keeps both racing clocks, `fast-first` only
+        // `slow`'s, and the terminal `both` none.
+        let entries = |k: usize| (k + 1) * (k + 1) * std::mem::size_of::<crate::Entry>();
+        assert_eq!(breach.used, entries(2));
         // An unbudgeted run of the same model reports the byte census.
         let report = explore_timed(&race()).report().unwrap().clone();
-        assert!(report.arena.zone_bytes >= breach.used);
+        assert_eq!(
+            report.arena.zone_bytes,
+            entries(2) + entries(1) + entries(0)
+        );
     }
 
     #[test]
@@ -1488,58 +1478,77 @@ mod tests {
 
     #[test]
     fn default_exploration_reports_abstraction_work() {
-        // The race's disabled clocks get projected and at least the
-        // unbounded-invariant-free zones widen.
-        let report = explore_timed(&race()).report().unwrap().clone();
-        assert!(report.projected_clocks > 0);
         // Arena counters are wired through: every intern clones via the
         // arena.
+        let report = explore_timed(&race()).report().unwrap().clone();
         assert!(report.arena.allocated + report.arena.reused > 0);
         // The exact oracle abstracts nothing.
         let exact = explore_timed_with(&race(), with_spec(exact_spec()));
         let exact = exact.report().unwrap();
-        assert_eq!(exact.projected_clocks, 0);
         assert_eq!(exact.extrapolated_zones, 0);
         assert_eq!(exact.arena.allocated + exact.arena.reused, 0);
     }
 
-    /// Why the abstraction uses the model's global LU constants: per-state
-    /// bounds (a clock's own event's constants while the event is enabled,
-    /// zero while it is disabled) would widen no successor differently,
-    /// because active-clock reduction has already pinned every disabled
-    /// clock to zero.
+    /// The compact kernel computes the full-dimension zones with the clocks
+    /// of disabled events pinned at zero: on every configuration the default
+    /// exploration expands, each successor lifted to one clock per event
+    /// equals the exact kernel's successor of the lifted zone with every
+    /// clock disabled in the target reset to zero.
+    fn assert_lifted_successors_match_the_exact_kernel(timed: &TimedTransitionSystem) {
+        let ts = timed.underlying();
+        let space = ZoneSpace::new(timed, &ExploreSpec::default(), None);
+        let exact = Kernel::new(timed, true);
+        let Ok(ExploreOutcome::Completed(report)) =
+            explore::explore(&space, &ExploreOptions::default())
+        else {
+            panic!("the default exploration of {} completes", ts.name());
+        };
+        let mut compared = 0;
+        for node in &report.nodes {
+            let (state, zone) = &node.config;
+            let lifted = space.kernel.lift(zone, *state);
+            for &(event, target) in ts.transitions_from(*state) {
+                let compact = space.kernel.successor(zone, *state, event, target);
+                let full = exact
+                    .successor(&lifted, *state, event, target)
+                    .map(|mut full| {
+                        for e in ts.alphabet().ids() {
+                            if !ts.is_enabled(target, e) {
+                                full.reset(e.index() + 1);
+                            }
+                        }
+                        full
+                    });
+                assert_eq!(
+                    compact.map(|zone| space.kernel.lift(&zone, target)),
+                    full,
+                    "{}: {} into {target:?}",
+                    ts.name(),
+                    ts.alphabet().name(event)
+                );
+                compared += 1;
+            }
+        }
+        assert!(compared > 0, "{}: no successor compared", ts.name());
+    }
+
     #[test]
-    fn per_state_bounds_widen_no_successor_differently() {
+    fn lifted_compact_successors_equal_exact_successors_with_dead_clocks_at_zero() {
         for timed in [
             race(),
             reconvergent(),
             overlapping_race(),
             unbounded_drift(),
         ] {
-            let space = ZoneSpace::new(&timed, &ExploreSpec::default(), None);
-            let Ok(ExploreOutcome::Completed(report)) =
-                explore::explore(&space, &ExploreOptions::default())
-            else {
-                panic!("the default exploration completes");
-            };
-            let ts = timed.underlying();
-            for node in &report.nodes {
-                for (_, (target, zone)) in space.expand(&node.config).unwrap() {
-                    let enabled = ts.enabled(target);
-                    let (mut lower, mut upper) =
-                        (space.bounds.lower.clone(), space.bounds.upper.clone());
-                    for index in 0..ts.alphabet().len() {
-                        if !enabled.contains(&EventId::from_index(index)) {
-                            lower[index + 1] = 0;
-                            upper[index + 1] = 0;
-                        }
-                    }
-                    let (mut global, mut local) = ((*zone).clone(), (*zone).clone());
-                    global.extrapolate_lu(&space.bounds.lower, &space.bounds.upper);
-                    local.extrapolate_lu(&lower, &upper);
-                    assert_eq!(global, local, "{}: {target:?}", ts.name());
-                }
-            }
+            assert_lifted_successors_match_the_exact_kernel(&timed);
         }
+        let models = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../models");
+        for file in ["race_overlap.tts", "intro_fig1.tts", "ipcmos_1stage.stg"] {
+            let text = std::fs::read_to_string(models.join(file)).expect("shipped model");
+            let model = transyt_session::format::Model::parse(&text).expect("model parses");
+            assert_lifted_successors_match_the_exact_kernel(&model.timed_system().unwrap());
+        }
+        let pipeline = ipcmos::flat_pipeline(1).expect("pipeline builds");
+        assert_lifted_successors_match_the_exact_kernel(&pipeline);
     }
 }

@@ -123,7 +123,6 @@ pub fn zones_document(model: &str, outcome: &ZoneOutcome, trace: Option<&Rendere
             .field("violating_states", report.violating_states.len())
             .field("deadlock_states", report.deadlock_states.len())
             .field("extrapolated_zones", report.extrapolated_zones)
-            .field("projected_clocks", report.projected_clocks)
             .field(
                 "arena",
                 Value::object()
@@ -218,12 +217,8 @@ fn summarise_zone_outcome(outcome: &ZoneOutcome, text: &mut String) {
                 report.deadlock_states.len()
             ));
             text.push_str(&format!(
-                "zone abstraction: {} zones extrapolated, {} clocks projected, \
-                 arena {} allocated / {} reused\n",
-                report.extrapolated_zones,
-                report.projected_clocks,
-                report.arena.allocated,
-                report.arena.reused
+                "zone abstraction: {} zones extrapolated, arena {} allocated / {} reused\n",
+                report.extrapolated_zones, report.arena.allocated, report.arena.reused
             ));
         }
         ZoneOutcome::LimitExceeded { explored, subsumed } => {

@@ -6,9 +6,9 @@
 # noisy wall-clock thresholds: if a count rises past its ceiling, an
 # abstraction or coverage relation regressed. The gates:
 #
-#   * `transyt zones` (default abstraction: LU extrapolation, active-clock
-#     reduction, aLU coverage) on the shipped 1-stage and 2-stage pipelines
-#     stays within the pinned configuration ceilings;
+#   * `transyt zones` (default abstraction: zones over live clocks, LU
+#     extrapolation, aLU coverage) on the shipped 1-stage and 2-stage
+#     pipelines stays within the pinned configuration ceilings;
 #   * the 3-stage pipeline COMPLETES under the defaults within the
 #     1,000,000-configuration budget — the headline aLU acceptance gate
 #     (skip with --skip-3stage for a quick local run);

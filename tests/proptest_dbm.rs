@@ -1,6 +1,6 @@
 //! Property-based tests for the DBM zone algebra.
 
-use dbm::Dbm;
+use dbm::{Dbm, Entry};
 use proptest::prelude::*;
 
 fn random_zone(ops: Vec<(u8, usize, i64)>) -> Dbm {
@@ -22,7 +22,67 @@ fn random_zone(ops: Vec<(u8, usize, i64)>) -> Dbm {
     zone
 }
 
+/// One zone operation of the successor kernel, decoded from random bytes:
+/// time elapse, a clock reset, or a strict or non-strict bound on a clock
+/// difference `x_i − x_j` (index 0 is the reference clock).
+fn apply((kind, a, b, value): (u8, u8, u8, i64), zone: &mut Dbm) {
+    let dim = zone.clock_count() + 1;
+    let (i, j) = (usize::from(a) % dim, usize::from(b) % dim);
+    let value = value - 25;
+    match kind % 4 {
+        0 => zone.up(),
+        1 if i > 0 => zone.reset(i),
+        2 if i != j => zone.constrain(i, j, Entry::le(value)),
+        3 if i != j => zone.constrain(i, j, Entry::lt(value)),
+        _ => {}
+    }
+}
+
+/// A canonical non-empty zone over `clocks` clocks, drawn by a random walk
+/// of [`apply`] steps from the delayed zero zone. Every step is re-closed by
+/// the full O(n³) closure (and dropped if it empties the zone), so the draw
+/// is canonical whatever the single operations do.
+fn canonical_zone(clocks: usize, walk: &[(u8, u8, u8, i64)]) -> Dbm {
+    let mut zone = Dbm::zero(clocks);
+    zone.up();
+    for &step in walk {
+        let mut next = zone.clone();
+        apply(step, &mut next);
+        next.canonicalize();
+        if !next.is_empty() {
+            zone = next;
+        }
+    }
+    zone
+}
+
 proptest! {
+    /// The invariant the successor kernel rests on: reset, up, constrain
+    /// (incrementally re-closed) and gather all map a canonical zone to a
+    /// canonical zone, so no O(n³) closure pass is needed per successor.
+    #[test]
+    fn kernel_operations_keep_canonical_zones_canonical(
+        clocks in 1usize..9,
+        walk in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), 0i64..50), 0..16),
+        step in (any::<u8>(), any::<u8>(), any::<u8>(), 0i64..50),
+        picks in proptest::collection::vec(any::<u8>(), 0..9),
+    ) {
+        let zone = canonical_zone(clocks, &walk);
+        let mut stepped = zone.clone();
+        apply(step, &mut stepped);
+        let picks: Vec<usize> = picks.iter().map(|&p| usize::from(p) % (clocks + 1)).collect();
+        let gathered = zone.gather(&picks);
+        prop_assert_eq!(gathered.clock_count(), picks.len());
+        for result in [stepped, gathered] {
+            if result.is_empty() {
+                continue;
+            }
+            let mut closed = result.clone();
+            closed.canonicalize();
+            prop_assert_eq!(closed, result);
+        }
+    }
+
     #[test]
     fn canonicalisation_is_idempotent(ops in proptest::collection::vec((any::<u8>(), 0usize..3, 0i64..50), 0..6)) {
         let zone = random_zone(ops);
