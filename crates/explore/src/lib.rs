@@ -4,10 +4,10 @@
 //! Every verification path in this workspace is, at its core, the same loop:
 //! keep a frontier of configurations, expand each configuration into
 //! successors, and deduplicate against everything seen so far. The zone-graph
-//! explorer (`dbm`), the STG reachability expansion (`stg`) and the untimed
-//! failure search of the relative-timing engine (`transyt`) were three
-//! hand-rolled copies of that loop. This crate unifies them behind one
-//! engine:
+//! explorer (`dbm`) and the untimed failure search of the relative-timing
+//! engine (`transyt`) run on this crate's engine. (The STG marking search in
+//! `stg` is a packed loop of its own over bit-vector markings; it takes the
+//! same [`ExploreSpec`] and honours its controls at the same points.)
 //!
 //! * [`SearchSpace`] — the problem description: initial configurations,
 //!   successor expansion, a dedup key, and (optionally) a *subsumption*
@@ -35,8 +35,8 @@
 //!   [`ExploreReport::path_to`] reconstructs the breadth-first discovery
 //!   path to any node. Parents are recorded by the deterministic merge, so
 //!   reconstructed traces are identical for every thread count; the
-//!   counterexample traces of the `transyt` engine, the marking paths of
-//!   `stg` and the symbolic timed traces of `dbm` are all built on this.
+//!   counterexample traces of the `transyt` engine and the symbolic timed
+//!   traces of `dbm` are built on this.
 //! * [`BudgetMeter`] — per-exploration resource budgets: configuration and
 //!   zone-memory ceilings checked by the driver at the same deterministic
 //!   merge point as its size limits, so a breached budget cancels the search

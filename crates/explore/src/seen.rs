@@ -17,8 +17,8 @@ use crate::space::SearchSpace;
 /// With the default exact-dedup relation any stored configuration with the
 /// same key *is* the candidate, so buckets are kept empty and the key's
 /// presence alone answers every query — spaces whose key is the whole
-/// configuration (e.g. the STG marking search) then store each
-/// configuration once instead of twice.
+/// configuration (e.g. the relative-timing engine's discrete states) then
+/// store each configuration once instead of twice.
 ///
 /// Sharding lets worker threads consult the map (read-only prefilter) while
 /// holding each shard only briefly; all *mutation* happens in the

@@ -16,7 +16,8 @@
 
 use std::fmt;
 
-use stg::{SignalRole, Stg, StgBuilder};
+use explore::{CancelToken, ExploreSpec};
+use stg::{ExpandError, ExpandOptions, SignalRole, Stg, StgBuilder};
 use transyt::SafetyProperty;
 use tts::{
     Bound, DelayInterval, EventRole, Time, TimedTransitionSystem, TransitionSystem, TsBuilder,
@@ -268,9 +269,27 @@ impl Model {
     ///
     /// Returns [`ModelError`] if the net cannot be expanded.
     pub fn timed_system(&self) -> Result<TimedTransitionSystem, ModelError> {
+        self.timed_system_with(&CancelToken::default())
+            .map_err(|e| self.expansion_error(e))
+    }
+
+    /// [`timed_system`](Self::timed_system) with `cancel` reaching the net
+    /// expansion, which stops once the token fires
+    /// ([`ExpandError::Cancelled`]).
+    pub(crate) fn timed_system_with(
+        &self,
+        cancel: &CancelToken,
+    ) -> Result<TimedTransitionSystem, ExpandError> {
         let ts = match &self.source {
-            ModelSource::Stg(net) => stg::expand(net)
-                .map_err(|e| ModelError::new(0, format!("expanding `{}`: {e}", self.name)))?,
+            ModelSource::Stg(net) => stg::expand_with(
+                net,
+                ExpandOptions {
+                    spec: ExploreSpec {
+                        cancel: cancel.clone(),
+                        ..ExploreSpec::default()
+                    },
+                },
+            )?,
             ModelSource::Tts(ts) => ts.clone(),
         };
         let mut timed = TimedTransitionSystem::new(ts);
@@ -283,6 +302,11 @@ impl Model {
             }
         }
         Ok(timed)
+    }
+
+    /// The model error reporting a failed expansion of this model's net.
+    pub(crate) fn expansion_error(&self, e: ExpandError) -> ModelError {
+        ModelError::new(0, format!("expanding `{}`: {e}", self.name))
     }
 
     /// The safety property the model's `property` directives describe.
@@ -512,10 +536,11 @@ fn print_stg(model: &Model, net: &Stg) -> String {
     }
     out.push('\n');
     out.push_str("# places: <id> <initial-tokens> <name>\n");
-    for (i, tokens) in net.initial_marking().iter().enumerate() {
+    for i in 0..net.place_count() {
         let p = stg::PlaceId::from_index(i);
         out.push_str(&format!(
-            "place p{i} {tokens} {}\n",
+            "place p{i} {} {}\n",
+            net.initial_tokens(p),
             quote(net.place_name(p))
         ));
     }
@@ -759,6 +784,25 @@ property persistent X+
         let printed = model.to_text();
         let reparsed = Model::parse(&printed).unwrap();
         assert_eq!(printed, reparsed.to_text());
+    }
+
+    #[test]
+    fn printer_keeps_a_declared_count_the_expansion_rejects() {
+        // Two tokens on one place: not 1-safe, so the expansion reports the
+        // place as unbounded, but the model still prints what it declares.
+        let text = "stg double\n\
+                    transition t0 X+ output\ntransition t1 X- output\n\
+                    place p0 2\nplace p1 0\n\
+                    arc p0 t0\narc t0 p1\narc p1 t1\narc t1 p0\n";
+        let model = Model::parse(text).unwrap();
+        let printed = model.to_text();
+        assert!(printed.contains("place p0 2 p0\n"), "{printed}");
+        assert_eq!(Model::parse(&printed).unwrap().to_text(), printed);
+        let err = model.timed_system().unwrap_err();
+        assert_eq!(
+            err.message,
+            "expanding `double`: place `p0` exceeds the token bound 1"
+        );
     }
 
     #[test]

@@ -10,8 +10,9 @@ use dbm::{
     find_witness, FiringWindow, WitnessGoal, WitnessOutcome, ZoneExplorationOptions, ZoneOutcome,
 };
 use explore::{BudgetMeter, CancelToken, ProgressSink};
-use stg::{ExpandOptions, Marking, Stg};
+use stg::{ExpandError, ExpandOptions, Marking, Stg};
 use transyt::VerifyOptions;
+use tts::TimedTransitionSystem;
 
 use crate::format::{Model, ModelSource};
 use crate::outcome::{
@@ -44,7 +45,7 @@ fn run_verify(
     progress: &ProgressSink,
     budget: &BudgetMeter,
 ) -> Result<Outcome, SessionError> {
-    let timed = model.timed_system()?;
+    let timed = timed_system(model, cancel)?;
     let property = model.property();
     let verify_options = VerifyOptions {
         spec: spec.explore_spec(cancel.clone(), progress.clone(), budget.clone()),
@@ -61,21 +62,22 @@ fn run_verify(
     }))
 }
 
+/// The model's timed system, with the run's cancel token reaching the net
+/// expansion: a deadline or a cancellation stops a long expansion instead
+/// of waiting for it. The expansion's marking limit stays the default one.
+fn timed_system(
+    model: &Model,
+    cancel: &CancelToken,
+) -> Result<TimedTransitionSystem, SessionError> {
+    model.timed_system_with(cancel).map_err(|e| match e {
+        ExpandError::Cancelled => SessionError::Cancelled,
+        e => model.expansion_error(e).into(),
+    })
+}
+
 fn marking_name(net: &Stg, marking: &Marking) -> String {
-    let tokens: Vec<String> = marking
-        .iter()
-        .enumerate()
-        .filter(|&(_, &t)| t > 0)
-        .map(|(i, &t)| {
-            let name = net.place_name(stg::PlaceId::from_index(i));
-            if t == 1 {
-                name.to_owned()
-            } else {
-                format!("{name}*{t}")
-            }
-        })
-        .collect();
-    format!("{{{}}}", tokens.join(", "))
+    let places: Vec<&str> = marking.marked_places().map(|p| net.place_name(p)).collect();
+    format!("{{{}}}", places.join(", "))
 }
 
 fn run_reach(
@@ -92,11 +94,10 @@ fn run_reach(
     };
     let expand_options = ExpandOptions {
         spec: spec.explore_spec(cancel.clone(), progress.clone(), budget.clone()),
-        ..ExpandOptions::default()
     };
     let cancelled_or = |context: String| {
-        move |e: stg::ExpandError| match e {
-            stg::ExpandError::Cancelled => SessionError::Cancelled,
+        move |e: ExpandError| match e {
+            ExpandError::Cancelled => SessionError::Cancelled,
             e => SessionError::Run(format!("{context}: {e}")),
         }
     };
@@ -167,7 +168,7 @@ fn run_zones(
     progress: &ProgressSink,
     budget: &BudgetMeter,
 ) -> Result<Outcome, SessionError> {
-    let timed = model.timed_system()?;
+    let timed = timed_system(model, cancel)?;
     let zone_options = ZoneExplorationOptions {
         spec: spec.explore_spec(cancel.clone(), progress.clone(), budget.clone()),
     };

@@ -814,4 +814,35 @@ mod tests {
         assert_eq!(store.saves.load(std::sync::atomic::Ordering::SeqCst), 0);
         assert!(store.results.lock().unwrap().is_empty());
     }
+
+    #[test]
+    fn a_fired_token_stops_verify_and_zones_in_the_net_expansion() {
+        // The run's token reaches the expansion of an `.stg` model: fired
+        // before the run starts, it stops the run there, so no partial
+        // exploration comes back (an expansion under an inert token would
+        // finish and hand the fired token to the exploration instead).
+        let session = Session::new();
+        let (cached, _) = session
+            .add_model(include_str!("../../../models/ipcmos_1stage.stg"))
+            .unwrap();
+        for spec in [
+            TaskSpec::verify(&cached.hash),
+            TaskSpec::zones(&cached.hash),
+        ] {
+            let control = RunControl {
+                cancel: CancelToken::new(),
+                ..RunControl::default()
+            };
+            control.cancel.cancel();
+            let Completion::Finished(result) = session.run_task(&spec, control) else {
+                panic!("the executing caller is never detached");
+            };
+            assert!(
+                matches!(result.outcome, Err(SessionError::Cancelled)),
+                "{:?}: {:?}",
+                spec.command,
+                result.outcome
+            );
+        }
+    }
 }

@@ -249,8 +249,65 @@ pub struct Stg {
     forbidden: Vec<Vec<PlaceId>>,
 }
 
-/// A marking: the number of tokens per place.
-pub type Marking = Vec<u32>;
+/// A 1-safe marking: the set of marked places, one bit per place packed into
+/// 64-bit words (place `i` is bit `i % 64` of word `i / 64`).
+///
+/// Every model of the paper is a safe net, so a place never carries more
+/// than one token; expansion rejects a net that would put a second token on
+/// a place ([`ExpandError::Unbounded`](crate::ExpandError::Unbounded)).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Marking {
+    words: Box<[u64]>,
+}
+
+impl Marking {
+    pub(crate) fn from_words(words: &[u64]) -> Self {
+        Marking {
+            words: words.into(),
+        }
+    }
+
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Returns `true` if `place` carries a token.
+    pub fn is_marked(&self, place: PlaceId) -> bool {
+        let i = place.index();
+        self.words
+            .get(i / 64)
+            .is_some_and(|word| word >> (i % 64) & 1 == 1)
+    }
+
+    /// The marked places, in increasing id order.
+    pub fn marked_places(&self) -> impl Iterator<Item = PlaceId> + '_ {
+        set_bits(&self.words).map(PlaceId::from_index)
+    }
+
+    fn mark(&mut self, place: PlaceId) {
+        let i = place.index();
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    fn unmark(&mut self, place: PlaceId) {
+        let i = place.index();
+        self.words[i / 64] &= !(1 << (i % 64));
+    }
+}
+
+/// The indices of the set bits of a packed bit vector, in increasing order.
+pub(crate) fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + bit
+            })
+        })
+    })
+}
 
 impl Stg {
     /// The net's name.
@@ -302,39 +359,76 @@ impl Stg {
         &self.transitions[t.index()].post
     }
 
-    /// The initial marking.
+    /// The number of tokens `place` carries initially, as declared.
+    pub fn initial_tokens(&self, place: PlaceId) -> u32 {
+        self.places[place.index()].initial_tokens
+    }
+
+    /// The marking with one token on each of `places` and none elsewhere.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a place does not belong to this net.
+    pub fn marking(&self, places: impl IntoIterator<Item = PlaceId>) -> Marking {
+        let mut marking = Marking {
+            words: vec![0; self.marking_words()].into(),
+        };
+        for p in places {
+            assert!(
+                p.index() < self.place_count(),
+                "{p} is not a place of this net"
+            );
+            marking.mark(p);
+        }
+        marking
+    }
+
+    /// The number of 64-bit words of a packed marking of this net.
+    pub(crate) fn marking_words(&self) -> usize {
+        self.place_count().div_ceil(64).max(1)
+    }
+
+    /// The initial marking: the places declared with at least one token. A
+    /// place declared with more than one token is marked once here; expansion
+    /// rejects such a net as not 1-safe.
     pub fn initial_marking(&self) -> Marking {
-        self.places.iter().map(|p| p.initial_tokens).collect()
+        self.marking(
+            (0..self.place_count())
+                .map(PlaceId::from_index)
+                .filter(|&p| self.initial_tokens(p) > 0),
+        )
+    }
+
+    /// Returns `true` if every input place of `t` is marked.
+    fn is_enabled(&self, marking: &Marking, t: TransitionId) -> bool {
+        self.preset(t).iter().all(|&p| marking.is_marked(p))
     }
 
     /// Transitions enabled in `marking`.
     pub fn enabled(&self, marking: &Marking) -> Vec<TransitionId> {
         self.transitions()
-            .filter(|&t| {
-                self.preset(t)
-                    .iter()
-                    .all(|p| marking.get(p.index()).copied().unwrap_or(0) > 0)
-            })
+            .filter(|&t| self.is_enabled(marking, t))
             .collect()
     }
 
     /// Fires `t` in `marking`, returning the successor marking.
     ///
-    /// Returns `None` if `t` is not enabled.
+    /// Returns `None` if `t` is not enabled, or if firing it would put a
+    /// second token on a place (an output place that is marked and is not an
+    /// input place of `t`).
     pub fn fire(&self, marking: &Marking, t: TransitionId) -> Option<Marking> {
-        if !self
-            .preset(t)
-            .iter()
-            .all(|p| marking.get(p.index()).copied().unwrap_or(0) > 0)
-        {
+        if !self.is_enabled(marking, t) {
             return None;
         }
         let mut next = marking.clone();
-        for p in self.preset(t) {
-            next[p.index()] -= 1;
+        for &p in self.preset(t) {
+            next.unmark(p);
         }
-        for p in self.postset(t) {
-            next[p.index()] += 1;
+        for &p in self.postset(t) {
+            if next.is_marked(p) {
+                return None;
+            }
+            next.mark(p);
         }
         Some(next)
     }
@@ -362,17 +456,21 @@ impl Stg {
     /// let net = b.build()?;
     /// // Only pa is marked initially: allowed.
     /// assert!(net.violation(&net.initial_marking()).is_none());
-    /// assert!(net.violation(&vec![1, 1]).is_some());
+    /// assert!(net.violation(&net.marking([pa, pb])).is_some());
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn violation(&self, marking: &Marking) -> Option<String> {
-        let covered = self.forbidden.iter().find(|conjunction| {
-            conjunction
-                .iter()
-                .all(|p| marking.get(p.index()).copied().unwrap_or(0) > 0)
-        })?;
-        let names: Vec<&str> = covered.iter().map(|&p| self.place_name(p)).collect();
-        Some(format!("forbidden marking: {{{}}}", names.join(", ")))
+        let covered = self
+            .forbidden
+            .iter()
+            .find(|conjunction| conjunction.iter().all(|&p| marking.is_marked(p)))?;
+        Some(self.violation_message(covered))
+    }
+
+    /// The violation message of a forbidden-marking conjunction.
+    pub(crate) fn violation_message(&self, conjunction: &[PlaceId]) -> String {
+        let names: Vec<&str> = conjunction.iter().map(|&p| self.place_name(p)).collect();
+        format!("forbidden marking: {{{}}}", names.join(", "))
     }
 
     /// Groups transitions by label (several transitions may carry the same
@@ -433,6 +531,30 @@ mod tests {
             m = net.fire(&m, t).unwrap();
         }
         assert_eq!(m, m0);
+    }
+
+    #[test]
+    fn packed_markings_and_safe_firing() {
+        // 66 places: p64 and p65 live in a marking's second word.
+        let mut b = StgBuilder::new("wide");
+        let t = b.add_transition("X+", SignalRole::Output);
+        let u = b.add_transition("X-", SignalRole::Output);
+        let places: Vec<_> = (0..66).map(|i| b.add_place(format!("q{i}"), 0)).collect();
+        b.arc_in(places[1], t);
+        b.arc_out(t, places[65]);
+        b.arc_in(places[65], u);
+        b.arc_out(u, places[1]);
+        let net = b.build().unwrap();
+        let m = net.marking([places[1], places[64]]);
+        assert!(m.is_marked(places[64]) && !m.is_marked(places[65]));
+        let next = net.fire(&m, t).unwrap();
+        assert_eq!(
+            next.marked_places().collect::<Vec<_>>(),
+            vec![places[64], places[65]]
+        );
+        // Firing t again once p1 is back would put a second token on p65.
+        assert!(net.fire(&net.marking([places[1], places[65]]), t).is_none());
+        assert_eq!(net.initial_marking().marked_places().count(), 0);
     }
 
     #[test]

@@ -3,34 +3,46 @@
 //!
 //! The verification engine works on explicit transition systems, so the STG
 //! models of environments and abstractions are expanded into their
-//! reachability graphs. The expansion also checks boundedness (the models in
-//! the paper are all safe nets) and *signal consistency*: along every
+//! reachability graphs. The expansion also checks safeness (the models in
+//! the paper are all 1-safe nets) and *signal consistency*: along every
 //! reachable path, rising and falling edges of each signal must alternate,
 //! otherwise the STG does not describe a realisable signal.
 //!
-//! The marking search itself runs on the generic [`explore`] engine:
-//! markings are the configurations, firings are the edges, and the recorded
-//! breadth-first nodes are replayed afterwards to assemble the transition
-//! system with exactly the state numbering the historical sequential
-//! expansion produced — whatever [`ExploreSpec::threads`] was used.
+//! The search is one breadth-first FIFO loop over packed markings (one bit
+//! per place, `ceil(places / 64)` words; see [`Marking`]). Each transition
+//! is a preset mask `pre` and a postset mask `post`: it is enabled in `m`
+//! when `pre ⊆ m`, firing it gives `(m & !pre) | post`, and a place in
+//! `post & m & !pre` would carry a second token, which is reported as
+//! [`ExpandError::Unbounded`]. Markings are stored once, in a flat arena
+//! indexed by an open-addressing table, and numbered in discovery order;
+//! that number *is* the state id, so the loop adds each state and each
+//! transition to the [`TransitionSystem`] as it finds them. Signal
+//! consistency is a following pass over the built system with per-state
+//! bit vectors. [`find_marking_path`] runs the same loop with parent links.
+//!
+//! The loop applies the [`ExploreSpec`] controls where the shared
+//! exploration driver does: the marking limit before each expansion, the
+//! configuration budget once per expansion, the cancel token once per 32
+//! expansions of a breadth-first level, and the same `Batch`, `Level` and
+//! `Cancelled` progress events. It runs on the calling thread:
+//! [`ExploreSpec::threads`] is accepted and changes nothing.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::BuildHasher;
 
-use explore::{ExploreOptions, ExploreOutcome, ExploreSpec, SearchSpace, TraceOptions};
-use tts::{SignalEdge, StateId, TransitionSystem, TsBuilder};
+use explore::{ExploreSpec, ProgressEvent};
+use tts::{EventId, SignalEdge, StateId, TransitionSystem, TsBuilder};
 
-use crate::net::{Marking, SignalRole, Stg, TransitionId};
+use crate::net::{set_bits, Marking, PlaceId, SignalRole, Stg, TransitionId};
 
 /// Errors produced while expanding an STG.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExpandError {
-    /// A place exceeded the token bound (the net is not bounded by `bound`).
+    /// A place would carry more than one token: the net is not 1-safe.
     Unbounded {
         /// Name of the offending place.
         place: String,
-        /// The bound that was exceeded.
-        bound: u32,
     },
     /// The reachability graph exceeded the state limit.
     TooManyMarkings {
@@ -54,8 +66,8 @@ pub enum ExpandError {
 impl fmt::Display for ExpandError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExpandError::Unbounded { place, bound } => {
-                write!(f, "place `{place}` exceeds the token bound {bound}")
+            ExpandError::Unbounded { place } => {
+                write!(f, "place `{place}` exceeds the token bound 1")
             }
             ExpandError::TooManyMarkings { limit } => {
                 write!(f, "reachability graph exceeds {limit} markings")
@@ -81,29 +93,15 @@ pub const DEFAULT_MARKING_LIMIT: usize = 1_000_000;
 
 /// Options for [`expand`].
 ///
-/// The shared exploration knobs (threads / limit / cancel / progress) live
-/// in the embedded [`ExploreSpec`]; the marking search uses exact
-/// deduplication, so the spec's `exact` field is carried inert. An unset
-/// [`ExploreSpec::limit`] resolves to
+/// The shared exploration knobs live in the embedded [`ExploreSpec`]: the
+/// marking search honours `limit`, `cancel`, `progress` and `budget`; it
+/// deduplicates exactly and runs sequentially, so `exact` and `threads` are
+/// carried inert. An unset [`ExploreSpec::limit`] resolves to
 /// [`DEFAULT_MARKING_LIMIT`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExpandOptions {
     /// The shared exploration knobs.
     pub spec: ExploreSpec,
-    /// Per-place token bound (the paper's models are all 1-safe).
-    pub token_bound: u32,
-    /// If `true`, verify rising/falling alternation of every signal.
-    pub check_signal_consistency: bool,
-}
-
-impl Default for ExpandOptions {
-    fn default() -> Self {
-        ExpandOptions {
-            spec: ExploreSpec::default(),
-            token_bound: 1,
-            check_signal_consistency: true,
-        }
-    }
 }
 
 impl ExpandOptions {
@@ -115,8 +113,7 @@ impl ExpandOptions {
 
 /// Statistics of a completed reachability expansion.
 ///
-/// State lists are sorted by state id on construction, so reports are
-/// order-stable however the exploration was scheduled.
+/// State lists are sorted by state id.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReachReport {
     /// States of the expanded reachability graph (sorted; state ids are
@@ -130,45 +127,339 @@ pub struct ReachReport {
     pub firings: usize,
 }
 
-/// The token-game search space over markings.
-struct MarkingSpace<'a> {
-    net: &'a Stg,
-    token_bound: u32,
+/// Expansions per cancel-token check within a breadth-first level, and the
+/// stride of `Batch` progress events: the shared driver's sequential merge
+/// batch.
+const BATCH: usize = 32;
+
+/// The net compiled for the packed token game.
+struct PackedNet {
+    /// `u64` words per marking.
+    words: usize,
+    /// Preset masks, `words` words per transition.
+    pre: Vec<u64>,
+    /// Postset masks, `words` words per transition.
+    post: Vec<u64>,
+    initial: Marking,
 }
 
-impl SearchSpace for MarkingSpace<'_> {
-    type Config = Marking;
-    type Key = Marking;
-    type Edge = TransitionId;
-    type Error = ExpandError;
-
-    fn initial(&self) -> Result<Vec<Marking>, ExpandError> {
-        Ok(vec![self.net.initial_marking()])
-    }
-
-    fn key(&self, config: &Marking) -> Marking {
-        config.clone()
-    }
-
-    fn expand(&self, marking: &Marking) -> Result<Vec<(TransitionId, Marking)>, ExpandError> {
-        let mut successors = Vec::new();
-        for t in self.net.enabled(marking) {
-            let next = self
-                .net
-                .fire(marking, t)
-                .expect("enabled transitions can fire");
-            if let Some(p) = next.iter().position(|&tokens| tokens > self.token_bound) {
-                return Err(ExpandError::Unbounded {
-                    place: self
-                        .net
-                        .place_name(crate::net::PlaceId(p as u32))
-                        .to_owned(),
-                    bound: self.token_bound,
-                });
-            }
-            successors.push((t, next));
+impl PackedNet {
+    /// Compiles `net`. A place declared with more than one initial token is
+    /// reported as [`ExpandError::Unbounded`] (the lowest such place).
+    fn new(net: &Stg) -> Result<Self, ExpandError> {
+        if let Some(p) =
+            (0..net.place_count()).find(|&i| net.initial_tokens(PlaceId::from_index(i)) > 1)
+        {
+            return Err(unbounded(net, p));
         }
-        Ok(successors)
+        let mask = |places: &[PlaceId]| net.marking(places.iter().copied());
+        let (mut pre, mut post) = (Vec::new(), Vec::new());
+        for t in net.transitions() {
+            pre.extend_from_slice(mask(net.preset(t)).words());
+            post.extend_from_slice(mask(net.postset(t)).words());
+        }
+        Ok(PackedNet {
+            words: net.marking_words(),
+            pre,
+            post,
+            initial: net.initial_marking(),
+        })
+    }
+
+    fn masks(&self, t: usize) -> (&[u64], &[u64]) {
+        let range = t * self.words..(t + 1) * self.words;
+        (&self.pre[range.clone()], &self.post[range])
+    }
+}
+
+fn unbounded(net: &Stg, place: usize) -> ExpandError {
+    ExpandError::Unbounded {
+        place: net.place_name(PlaceId::from_index(place)).to_owned(),
+    }
+}
+
+/// Returns `true` if every bit of `mask` is set in `words`.
+fn covers(words: &[u64], mask: &[u64]) -> bool {
+    mask.iter().zip(words).all(|(&m, &w)| m & !w == 0)
+}
+
+/// The discovered markings: stored once, back to back in a flat arena, and
+/// indexed by an open-addressing (linear probing) table of discovery
+/// indices.
+struct MarkingTable {
+    words: usize,
+    arena: Vec<u64>,
+    /// `0` is an empty slot, `id + 1` names marking `id`. The length is a
+    /// power of two, kept at least twice the number of markings.
+    slots: Vec<u32>,
+    /// Randomly keyed, like a `HashMap`'s, so no net can be built whose
+    /// markings all land in one probe run.
+    hasher: RandomState,
+}
+
+impl MarkingTable {
+    fn new(words: usize) -> Self {
+        MarkingTable {
+            words,
+            arena: Vec::new(),
+            slots: vec![0; 1024],
+            hasher: RandomState::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.arena.len() / self.words
+    }
+
+    fn marking(&self, id: usize) -> &[u64] {
+        &self.arena[id * self.words..(id + 1) * self.words]
+    }
+
+    fn home(&self, marking: &[u64]) -> usize {
+        self.hasher.hash_one(marking) as usize & (self.slots.len() - 1)
+    }
+
+    /// The id of `marking` if it is stored, otherwise the empty slot where
+    /// it belongs.
+    fn probe(&self, marking: &[u64]) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(marking);
+        loop {
+            match self.slots[slot] {
+                0 => return Err(slot),
+                stored if self.marking(stored as usize - 1) == marking => {
+                    return Ok(stored as usize - 1)
+                }
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Returns the id of `marking`, storing it under the next discovery
+    /// index if it is new, and whether it was new.
+    fn insert(&mut self, marking: &[u64]) -> (usize, bool) {
+        let slot = match self.probe(marking) {
+            Ok(id) => return (id, false),
+            Err(slot) => slot,
+        };
+        let id = self.len();
+        self.slots[slot] = u32::try_from(id + 1).expect("marking ids fit in u32");
+        self.arena.extend_from_slice(marking);
+        if 2 * (id + 1) > self.slots.len() {
+            self.grow();
+        }
+        (id, true)
+    }
+
+    /// Doubles the slot table and re-inserts every stored marking.
+    fn grow(&mut self) {
+        self.slots = vec![0; self.slots.len() * 2];
+        for id in 0..self.len() {
+            let slot = self
+                .probe(self.marking(id))
+                .expect_err("stored markings are distinct");
+            self.slots[slot] = id as u32 + 1;
+        }
+    }
+}
+
+/// What a marking search records as it goes.
+trait Visit {
+    /// Marking `id` (its discovery index) was first reached from marking
+    /// `via.0` by firing transition `via.1`; `via` is `None` for the initial
+    /// marking.
+    fn discovered(&mut self, id: usize, marking: &[u64], via: Option<(usize, usize)>);
+
+    /// Marking `from` fired transition `t` into marking `to`.
+    fn fired(&mut self, _from: usize, _t: usize, _to: usize) {}
+
+    /// Marking `id` was expanded (`deadlock`: it enables no transition).
+    /// Returning `true` stops the search there.
+    fn expanded(&mut self, id: usize, marking: &[u64], deadlock: bool) -> bool;
+}
+
+/// The breadth-first marking search behind [`expand_with_report`] and
+/// [`find_marking_path`]. Returns the discovered markings and the id of the
+/// marking [`Visit::expanded`] stopped at, if any.
+fn search(
+    net: &Stg,
+    options: &ExpandOptions,
+    visit: &mut impl Visit,
+) -> Result<(MarkingTable, Option<usize>), ExpandError> {
+    let packed = PackedNet::new(net)?;
+    let spec = &options.spec;
+    let limit = options.marking_limit();
+    let words = packed.words;
+    let mut seen = MarkingTable::new(words);
+    seen.insert(packed.initial.words());
+    visit.discovered(0, packed.initial.words(), None);
+
+    let batch = |expanded, discovered| {
+        spec.progress.emit(&ProgressEvent::Batch {
+            expanded,
+            discovered,
+            subsumption_skips: 0,
+        });
+    };
+    let mut current = vec![0u64; words];
+    let mut next = vec![0u64; words];
+    let mut expanded = 0usize;
+    let mut last_progress = 0usize;
+    let mut level = 0usize;
+    let mut level_start = 0usize;
+    while level_start < seen.len() {
+        let level_end = seen.len();
+        for id in level_start..level_end {
+            if (id - level_start).is_multiple_of(BATCH) && spec.cancel.is_cancelled() {
+                spec.progress.emit(&ProgressEvent::Cancelled { expanded });
+                return Err(ExpandError::Cancelled);
+            }
+            if seen.len() > limit {
+                return Err(ExpandError::TooManyMarkings { limit });
+            }
+            expanded += 1;
+            // A breached budget fires the cancel token, as in the driver,
+            // so sibling searches stop and the caller classifies the abort.
+            if spec.budget.check(expanded).is_some() {
+                spec.cancel.cancel();
+                spec.progress.emit(&ProgressEvent::Cancelled { expanded });
+                return Err(ExpandError::Cancelled);
+            }
+            current.copy_from_slice(seen.marking(id));
+            let mut deadlock = true;
+            for t in 0..net.transition_count() {
+                let (pre, post) = packed.masks(t);
+                if !covers(&current, pre) {
+                    continue;
+                }
+                for w in 0..words {
+                    let kept = current[w] & !pre[w];
+                    let doubled = kept & post[w];
+                    if doubled != 0 {
+                        return Err(unbounded(net, w * 64 + doubled.trailing_zeros() as usize));
+                    }
+                    next[w] = kept | post[w];
+                }
+                let (to, new) = seen.insert(&next);
+                if new {
+                    visit.discovered(to, &next, Some((id, t)));
+                }
+                visit.fired(id, t, to);
+                deadlock = false;
+            }
+            if visit.expanded(id, &current, deadlock) {
+                return Ok((seen, Some(id)));
+            }
+            if expanded.is_multiple_of(BATCH) {
+                last_progress = expanded;
+                batch(expanded, seen.len());
+            }
+        }
+        if expanded > last_progress {
+            last_progress = expanded;
+            batch(expanded, seen.len());
+        }
+        spec.progress.emit(&ProgressEvent::Level {
+            index: level,
+            frontier: seen.len() - level_end,
+        });
+        level += 1;
+        level_start = level_end;
+    }
+    Ok((seen, None))
+}
+
+/// Builds the reachability graph while the search runs: state ids are
+/// discovery indices, so each marking becomes a state the moment it is
+/// found.
+struct GraphBuilder {
+    builder: TsBuilder,
+    /// The event of each transition.
+    events: Vec<EventId>,
+    /// `p{i}`, the name piece of place `i` in a state name.
+    pieces: Vec<String>,
+    /// Forbidden-marking conjunctions as masks, with their messages.
+    forbidden: Vec<(Marking, String)>,
+    deadlocks: Vec<StateId>,
+    firings: usize,
+}
+
+impl GraphBuilder {
+    fn new(net: &Stg) -> Self {
+        let mut builder = TsBuilder::new(net.name());
+        // Interface roles, declared in transition order (which also fixes
+        // the event numbering).
+        let events = net
+            .transitions()
+            .map(|t| match net.role(t) {
+                SignalRole::Input => builder.declare_input(net.label(t)),
+                SignalRole::Output => builder.declare_output(net.label(t)),
+                SignalRole::Internal => builder.intern_event(net.label(t)),
+            })
+            .collect();
+        GraphBuilder {
+            builder,
+            events,
+            pieces: (0..net.place_count()).map(|i| format!("p{i}")).collect(),
+            forbidden: net
+                .forbidden_markings()
+                .iter()
+                .map(|c| (net.marking(c.iter().copied()), net.violation_message(c)))
+                .collect(),
+            deadlocks: Vec::new(),
+            firings: 0,
+        }
+    }
+
+    /// `{p0,p3,…}`: the marked places of `marking`.
+    fn state_name(&self, marking: &[u64]) -> String {
+        let marked: u32 = marking.iter().map(|word| word.count_ones()).sum();
+        let mut name = String::with_capacity(2 + 4 * marked as usize);
+        name.push('{');
+        for (k, place) in set_bits(marking).enumerate() {
+            if k > 0 {
+                name.push(',');
+            }
+            name.push_str(&self.pieces[place]);
+        }
+        name.push('}');
+        name
+    }
+}
+
+impl Visit for GraphBuilder {
+    fn discovered(&mut self, id: usize, marking: &[u64], via: Option<(usize, usize)>) {
+        let state = self.builder.add_state(self.state_name(marking));
+        debug_assert_eq!(state.index(), id);
+        if via.is_none() {
+            self.builder.set_initial(state);
+        }
+        // Forbidden-marking predicates become violation marks of the
+        // expanded system, so the marked-state machinery (engine, zone
+        // witness search) picks them up as-is.
+        if let Some((_, message)) = self
+            .forbidden
+            .iter()
+            .find(|(mask, _)| covers(marking, mask.words()))
+        {
+            self.builder.mark_violation(state, message.clone());
+        }
+    }
+
+    fn fired(&mut self, from: usize, t: usize, to: usize) {
+        self.firings += 1;
+        self.builder.add_transition_by_id(
+            StateId::from_index(from),
+            self.events[t],
+            StateId::from_index(to),
+        );
+    }
+
+    fn expanded(&mut self, id: usize, _: &[u64], deadlock: bool) -> bool {
+        if deadlock {
+            self.deadlocks.push(StateId::from_index(id));
+        }
+        false
     }
 }
 
@@ -180,7 +471,7 @@ impl SearchSpace for MarkingSpace<'_> {
 ///
 /// # Errors
 ///
-/// Returns [`ExpandError`] if the net is unbounded, too large, or signal
+/// Returns [`ExpandError`] if the net is not 1-safe, too large, or signal
 /// inconsistent.
 ///
 /// # Examples
@@ -215,7 +506,9 @@ pub fn expand_with(net: &Stg, options: ExpandOptions) -> Result<TransitionSystem
 ///
 /// # Errors
 ///
-/// See [`expand`].
+/// See [`expand`]. Search errors (not 1-safe, the marking limit,
+/// cancellation) come first, then an invalid system, then signal
+/// inconsistency.
 ///
 /// # Examples
 ///
@@ -237,105 +530,20 @@ pub fn expand_with_report(
     net: &Stg,
     options: ExpandOptions,
 ) -> Result<(TransitionSystem, ReachReport), ExpandError> {
-    let space = MarkingSpace {
-        net,
-        token_bound: options.token_bound,
-    };
-    let outcome = explore::explore(
-        &space,
-        &ExploreOptions {
-            threads: options.spec.threads,
-            discovered_limit: options.marking_limit(),
-            record_edges: true,
-            cancel: options.spec.cancel.clone(),
-            progress: options.spec.progress.clone(),
-            budget: options.spec.budget.clone(),
-            ..ExploreOptions::default()
-        },
-    )?;
-    let search = match outcome {
-        ExploreOutcome::Completed(report) => report,
-        ExploreOutcome::LimitExceeded { .. } => {
-            return Err(ExpandError::TooManyMarkings {
-                limit: options.marking_limit(),
-            })
-        }
-        ExploreOutcome::Cancelled { .. } => return Err(ExpandError::Cancelled),
-    };
-
-    // Replay the recorded breadth-first nodes to assemble the transition
-    // system: state ids follow discovery order (initial state first, then
-    // successors in firing order), which is exactly the numbering of the
-    // historical sequential expansion.
-    let mut builder = TsBuilder::new(net.name());
-    let mut ids: HashMap<Marking, StateId> = HashMap::new();
-
-    let initial = net.initial_marking();
-    let initial_id = builder.add_state(marking_name(&initial));
-    builder.set_initial(initial_id);
-    if let Some(message) = net.violation(&initial) {
-        builder.mark_violation(initial_id, message);
-    }
-    ids.insert(initial, initial_id);
-
-    // Interface roles (also fixes the event interning order).
-    for t in net.transitions() {
-        match net.role(t) {
-            SignalRole::Input => {
-                builder.declare_input(net.label(t));
-            }
-            SignalRole::Output => {
-                builder.declare_output(net.label(t));
-            }
-            SignalRole::Internal => {
-                builder.intern_event(net.label(t));
-            }
-        }
-    }
-
-    let mut firings = 0usize;
-    let mut deadlock_states = Vec::new();
-    for node in &search.nodes {
-        let from = ids[&node.config];
-        if node.successors.is_empty() {
-            deadlock_states.push(from);
-        }
-        for (t, next) in &node.successors {
-            firings += 1;
-            let to = match ids.get(next) {
-                Some(&id) => id,
-                None => {
-                    let id = builder.add_state(marking_name(next));
-                    // Forbidden-marking predicates become violation marks of
-                    // the expanded system, so the marked-state machinery
-                    // (engine, zone witness search) picks them up as-is.
-                    if let Some(message) = net.violation(next) {
-                        builder.mark_violation(id, message);
-                    }
-                    ids.insert(next.clone(), id);
-                    id
-                }
-            };
-            builder.add_transition(from, net.label(*t), to);
-        }
-    }
-
-    let ts = builder
+    let mut graph = GraphBuilder::new(net);
+    let (seen, _) = search(net, &options, &mut graph)?;
+    let markings = seen.len();
+    drop(seen);
+    let ts = graph
+        .builder
         .build()
         .map_err(|e| ExpandError::Build(e.to_string()))?;
-
-    if options.check_signal_consistency {
-        check_signal_consistency(&ts)?;
-    }
-
-    let mut reachable_states: Vec<StateId> = ids.values().copied().collect();
-    reachable_states.sort_unstable();
-    deadlock_states.sort_unstable();
+    check_signal_consistency(&ts)?;
     let report = ReachReport {
-        reachable_states,
-        deadlock_states,
-        markings: search.discovered,
-        firings,
+        reachable_states: ts.states().collect(),
+        deadlock_states: graph.deadlocks,
+        markings,
+        firings: graph.firings,
     };
     Ok((ts, report))
 }
@@ -389,32 +597,21 @@ impl MarkingPath {
     }
 }
 
-/// The marking space extended with a goal predicate that halts the search.
-struct GoalSpace<'a, G> {
-    inner: MarkingSpace<'a>,
+/// Records the breadth-first discovery tree and stops at the first expanded
+/// marking satisfying the goal.
+struct GoalSearch<G> {
     goal: G,
+    /// Per marking: the marking and transition it was first reached by.
+    parents: Vec<Option<(usize, usize)>>,
 }
 
-impl<G: Fn(&Marking) -> bool + Sync> SearchSpace for GoalSpace<'_, G> {
-    type Config = Marking;
-    type Key = Marking;
-    type Edge = TransitionId;
-    type Error = ExpandError;
-
-    fn initial(&self) -> Result<Vec<Marking>, ExpandError> {
-        self.inner.initial()
+impl<G: Fn(&Marking) -> bool> Visit for GoalSearch<G> {
+    fn discovered(&mut self, _: usize, _: &[u64], via: Option<(usize, usize)>) {
+        self.parents.push(via);
     }
 
-    fn key(&self, config: &Marking) -> Marking {
-        self.inner.key(config)
-    }
-
-    fn expand(&self, marking: &Marking) -> Result<Vec<(TransitionId, Marking)>, ExpandError> {
-        self.inner.expand(marking)
-    }
-
-    fn should_halt(&self, marking: &Marking, _: &[(TransitionId, Marking)]) -> bool {
-        (self.goal)(marking)
+    fn expanded(&mut self, _: usize, marking: &[u64], _: bool) -> bool {
+        (self.goal)(&Marking::from_words(marking))
     }
 }
 
@@ -422,13 +619,12 @@ impl<G: Fn(&Marking) -> bool + Sync> SearchSpace for GoalSpace<'_, G> {
 /// satisfying `goal` and returns the witness firing sequence leading to it,
 /// or `None` when no reachable marking satisfies the goal.
 ///
-/// The search runs on the shared exploration engine with parent tracking, so
-/// the returned path — not just its existence — is identical for every
-/// [`ExploreSpec::threads`] value.
+/// Markings are tested in breadth-first order as they are expanded, so the
+/// path is a shortest one, and the first in discovery order among those.
 ///
 /// # Errors
 ///
-/// Returns [`ExpandError`] if the net is unbounded or the marking limit is
+/// Returns [`ExpandError`] if the net is not 1-safe or the marking limit is
 /// exceeded before the goal is decided.
 ///
 /// # Examples
@@ -456,91 +652,85 @@ pub fn find_marking_path<G>(
     goal: G,
 ) -> Result<Option<MarkingPath>, ExpandError>
 where
-    G: Fn(&Marking) -> bool + Sync,
+    G: Fn(&Marking) -> bool,
 {
-    let space = GoalSpace {
-        inner: MarkingSpace {
-            net,
-            token_bound: options.token_bound,
-        },
+    let mut visit = GoalSearch {
         goal,
+        parents: Vec::new(),
     };
-    let outcome = explore::explore(
-        &space,
-        &ExploreOptions {
-            threads: options.spec.threads,
-            discovered_limit: options.marking_limit(),
-            trace: TraceOptions::parents(),
-            cancel: options.spec.cancel.clone(),
-            progress: options.spec.progress.clone(),
-            budget: options.spec.budget.clone(),
-            ..ExploreOptions::default()
-        },
-    )?;
-    let search = match outcome {
-        ExploreOutcome::Completed(report) => report,
-        ExploreOutcome::LimitExceeded { .. } => {
-            return Err(ExpandError::TooManyMarkings {
-                limit: options.marking_limit(),
-            })
-        }
-        ExploreOutcome::Cancelled { .. } => return Err(ExpandError::Cancelled),
-    };
-    if !search.halted {
+    let (seen, halted) = search(net, &options, &mut visit)?;
+    let Some(mut id) = halted else {
         return Ok(None);
+    };
+    let mut steps = Vec::new();
+    while let Some((parent, t)) = visit.parents[id] {
+        steps.push((
+            TransitionId::from_index(t),
+            Marking::from_words(seen.marking(id)),
+        ));
+        id = parent;
     }
-    let goal_node = search.nodes.len() - 1;
-    let (root, steps) = search
-        .path_to(goal_node)
-        .expect("goal search records parents");
-    let start = search.nodes[root].config.clone();
-    let steps = steps
-        .into_iter()
-        .map(|(transition, node)| (transition, search.nodes[node].config.clone()))
-        .collect();
-    Ok(Some(MarkingPath { start, steps }))
+    steps.reverse();
+    Ok(Some(MarkingPath {
+        start: Marking::from_words(seen.marking(0)),
+        steps,
+    }))
 }
 
 /// Verifies that along every reachable transition sequence, rising and
 /// falling edges of each signal alternate.
 ///
-/// The check assigns a value to each signal per reachable state (starting
-/// unknown) and reports an error if a state is reached with two different
-/// implied values or an edge repeats a direction.
+/// A signal's value in a state is known once an edge of that signal enters
+/// the state. An edge is inconsistent when it repeats the known value of its
+/// source, or when it enters a state whose known value it contradicts. The
+/// known/value flags are two bit vectors per state.
+///
+/// States are visited in id order. The expansion numbers states in
+/// breadth-first discovery order along the same edge order, so this is the
+/// breadth-first order from the initial state, and the first inconsistency
+/// found (the signal reported) is the one a breadth-first walk finds.
 fn check_signal_consistency(ts: &TransitionSystem) -> Result<(), ExpandError> {
-    // value per (state, signal): None = unknown.
-    let mut values: Vec<HashMap<String, bool>> = vec![HashMap::new(); ts.state_count()];
-    let mut queue: VecDeque<tts::StateId> = VecDeque::new();
-    let mut visited = vec![false; ts.state_count()];
-    for &s in ts.initial_states() {
-        visited[s.index()] = true;
-        queue.push_back(s);
-    }
-    while let Some(s) = queue.pop_front() {
+    let alphabet = ts.alphabet();
+    let mut signals: Vec<String> = Vec::new();
+    // Per event: its signal's index and the value its edge sets.
+    let edges: Vec<Option<(usize, bool)>> = alphabet
+        .ids()
+        .map(|event| {
+            let edge = alphabet.signal_edge(event)?;
+            let signal = match signals.iter().position(|s| s == edge.signal()) {
+                Some(i) => i,
+                None => {
+                    signals.push(edge.signal().to_owned());
+                    signals.len() - 1
+                }
+            };
+            Some((signal, edge.polarity().target_value()))
+        })
+        .collect();
+    let stride = signals.len().div_ceil(64);
+    let mut known = vec![0u64; ts.state_count() * stride];
+    let mut value = vec![0u64; ts.state_count() * stride];
+    let inconsistent = |signal: usize| ExpandError::InconsistentSignal {
+        signal: signals[signal].clone(),
+    };
+    for s in ts.states() {
         for &(event, to) in ts.transitions_from(s) {
-            if let Some(edge) = ts.alphabet().signal_edge(event) {
-                let before = values[s.index()].get(edge.signal()).copied();
-                let target_value = edge.polarity().target_value();
-                if before == Some(target_value) {
-                    return Err(ExpandError::InconsistentSignal {
-                        signal: edge.signal().to_owned(),
-                    });
-                }
-                let after_map = &mut values[to.index()];
-                match after_map.get(edge.signal()) {
-                    Some(&v) if v != target_value => {
-                        return Err(ExpandError::InconsistentSignal {
-                            signal: edge.signal().to_owned(),
-                        });
-                    }
-                    _ => {
-                        after_map.insert(edge.signal().to_owned(), target_value);
-                    }
-                }
+            let Some((signal, target)) = edges[event.index()] else {
+                continue;
+            };
+            let bit = 1u64 << (signal % 64);
+            let from = s.index() * stride + signal / 64;
+            if known[from] & bit != 0 && (value[from] & bit != 0) == target {
+                return Err(inconsistent(signal));
             }
-            if !visited[to.index()] {
-                visited[to.index()] = true;
-                queue.push_back(to);
+            let to = to.index() * stride + signal / 64;
+            if known[to] & bit == 0 {
+                known[to] |= bit;
+                if target {
+                    value[to] |= bit;
+                }
+            } else if (value[to] & bit != 0) != target {
+                return Err(inconsistent(signal));
             }
         }
     }
@@ -556,26 +746,6 @@ pub fn signals(net: &Stg) -> Vec<String> {
     out.sort();
     out.dedup();
     out
-}
-
-fn marking_name(marking: &Marking) -> String {
-    let tokens: Vec<String> = marking
-        .iter()
-        .enumerate()
-        .filter(|(_, &t)| t > 0)
-        .map(|(i, &t)| {
-            if t == 1 {
-                format!("p{i}")
-            } else {
-                format!("p{i}*{t}")
-            }
-        })
-        .collect();
-    if tokens.is_empty() {
-        "{}".to_owned()
-    } else {
-        format!("{{{}}}", tokens.join(","))
-    }
 }
 
 #[cfg(test)]
@@ -644,6 +814,122 @@ mod tests {
     }
 
     #[test]
+    fn the_lowest_doubled_place_is_named() {
+        // The second X+ puts a second token on both sinks at once.
+        let mut b = StgBuilder::new("two sinks");
+        let up = b.add_transition("X+", SignalRole::Output);
+        let down = b.add_transition("X-", SignalRole::Output);
+        b.connect(up, down, 0);
+        b.connect(down, up, 1);
+        let low = b.add_place("low", 0);
+        let high = b.add_place("high", 0);
+        b.arc_out(up, high);
+        b.arc_out(up, low);
+        let err = expand(&b.build().unwrap()).unwrap_err();
+        assert_eq!(
+            err,
+            ExpandError::Unbounded {
+                place: "low".to_owned()
+            }
+        );
+    }
+
+    #[test]
+    fn the_first_covered_conjunction_marks_a_state() {
+        let mut b = StgBuilder::new("mutex");
+        let a_up = b.add_transition("A+", SignalRole::Output);
+        let a_down = b.add_transition("A-", SignalRole::Output);
+        let b_up = b.add_transition("B+", SignalRole::Output);
+        let b_down = b.add_transition("B-", SignalRole::Output);
+        let a_high = b.connect(a_up, a_down, 0);
+        b.connect(a_down, a_up, 1);
+        let b_high = b.connect(b_up, b_down, 0);
+        b.connect(b_down, b_up, 1);
+        b.forbid_marking([a_high, b_high]);
+        b.forbid_marking([a_high]);
+        let ts = expand(&b.build().unwrap()).unwrap();
+        let mut messages: Vec<&str> = ts
+            .states()
+            .flat_map(|s| ts.violations(s))
+            .map(String::as_str)
+            .collect();
+        messages.sort_unstable();
+        // One mark per state: A alone high, then both high.
+        assert_eq!(
+            messages,
+            [
+                "forbidden marking: {A+->A-, B+->B-}",
+                "forbidden marking: {A+->A-}"
+            ]
+        );
+    }
+
+    #[test]
+    fn a_place_with_two_initial_tokens_is_unbounded() {
+        let mut b = StgBuilder::new("double");
+        let up = b.add_transition("X+", SignalRole::Output);
+        let down = b.add_transition("X-", SignalRole::Output);
+        b.connect(up, down, 0);
+        let back = b.connect(down, up, 2);
+        let net = b.build().unwrap();
+        assert_eq!(net.initial_tokens(back), 2);
+        let expected = ExpandError::Unbounded {
+            place: "X-->X+".to_owned(),
+        };
+        assert_eq!(expand(&net).unwrap_err(), expected);
+        assert_eq!(
+            find_marking_path(&net, ExpandOptions::default(), |_| true).unwrap_err(),
+            expected
+        );
+    }
+
+    #[test]
+    fn markings_span_several_words() {
+        // A token running round a ring of 70 places: markings take two
+        // words, and every place (p64 and up included) is marked once.
+        let mut b = StgBuilder::new("ring");
+        let ts: Vec<_> = (0..70)
+            .map(|i| b.add_transition(format!("t{i}"), SignalRole::Internal))
+            .collect();
+        for i in 0..70 {
+            b.connect(ts[i], ts[(i + 1) % 70], u32::from(i == 69));
+        }
+        let net = b.build().unwrap();
+        let (ts, report) = expand_with_report(&net, ExpandOptions::default()).unwrap();
+        assert_eq!(report.markings, 70);
+        assert_eq!(report.firings, 70);
+        assert_eq!(ts.state_name(StateId::from_index(0)), "{p69}");
+        assert_eq!(ts.state_name(StateId::from_index(1)), "{p0}");
+        assert_eq!(ts.state_name(StateId::from_index(69)), "{p68}");
+        let path = find_marking_path(&net, ExpandOptions::default(), |m| {
+            m.is_marked(PlaceId::from_index(66))
+        })
+        .unwrap()
+        .expect("the token reaches p66");
+        assert_eq!(path.len(), 67);
+        assert_eq!(path.replay(&net).as_ref(), Some(path.end()));
+
+        // A sink place in the second word, fed once per round, gets its
+        // second token in the second round and is reported.
+        let mut b = StgBuilder::new("ring2");
+        let ts: Vec<_> = (0..70)
+            .map(|i| b.add_transition(format!("t{i}"), SignalRole::Internal))
+            .collect();
+        for i in 0..70 {
+            b.connect(ts[i], ts[(i + 1) % 70], u32::from(i == 69));
+        }
+        let sink = b.add_place("sink", 0);
+        b.arc_out(ts[0], sink);
+        let err = expand(&b.build().unwrap()).unwrap_err();
+        assert_eq!(
+            err,
+            ExpandError::Unbounded {
+                place: "sink".to_owned()
+            }
+        );
+    }
+
+    #[test]
     fn inconsistent_signals_are_rejected() {
         // X+ followed by X+ again.
         let mut b = StgBuilder::new("bad");
@@ -669,7 +955,6 @@ mod tests {
                     limit: Some(0),
                     ..ExploreSpec::default()
                 },
-                ..ExpandOptions::default()
             },
         )
         .unwrap_err();
@@ -744,7 +1029,6 @@ mod tests {
                 &net,
                 ExpandOptions {
                     spec: ExploreSpec::threaded(threads),
-                    ..ExpandOptions::default()
                 },
                 goal,
             )
@@ -798,7 +1082,6 @@ mod tests {
                 cancel: token,
                 ..ExploreSpec::default()
             },
-            ..ExpandOptions::default()
         };
         let err = expand_with(&toggle(), options.clone()).unwrap_err();
         assert_eq!(err, ExpandError::Cancelled);
@@ -811,7 +1094,7 @@ mod tests {
     fn unreachable_goal_returns_none() {
         let net = toggle();
         let path = find_marking_path(&net, ExpandOptions::default(), |m| {
-            m.iter().all(|&t| t == 0)
+            m.marked_places().next().is_none()
         })
         .unwrap();
         assert!(path.is_none());
@@ -844,7 +1127,6 @@ mod tests {
                 &net,
                 ExpandOptions {
                     spec: ExploreSpec::threaded(threads),
-                    ..ExpandOptions::default()
                 },
             )
             .unwrap();

@@ -10,12 +10,14 @@
 #     extrapolation, aLU coverage) on the shipped 1-stage and 2-stage
 #     pipelines stays within the pinned configuration ceilings;
 #   * the 3-stage pipeline COMPLETES under the defaults within the
-#     1,000,000-configuration budget — the headline aLU acceptance gate
-#     (skip with --skip-3stage for a quick local run);
+#     1,000,000-configuration budget — the headline aLU acceptance gate,
+#     ~6 min at ~600 MiB peak RSS on a 2-core container (skip with
+#     --skip-3stage for a quick local run);
 #   * the 4-stage pipeline — too large for full zone closure in CI — runs a
 #     BUDGETED determinism gate: `--limit 50000` must abort at exactly the
 #     pinned configuration count and produce a byte-identical JSON document
-#     at --threads 1 and --threads 4 (skip with --skip-4stage).
+#     at --threads 1 and --threads 4, 3.6-5.2 s and ~300-320 MiB per run on the
+#     same container (skip with --skip-4stage).
 #
 # The flat (transistor-level) 1-stage count is pinned exactly by the tier-1
 # test `tests/engine_vs_zones.rs`, so this script needs only the binary.

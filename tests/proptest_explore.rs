@@ -1,49 +1,264 @@
 //! Property tests for the shared exploration core: on random small STGs and
 //! random small timed systems, the parallel driver (threads = 4) must return
 //! reports identical to the sequential driver, and report state lists must be
-//! sorted.
+//! sorted. The packed marking engine is also checked against a plain
+//! token-game reference on random nets and on the shipped models.
+
+use std::collections::{HashMap, VecDeque};
 
 use proptest::prelude::*;
-use stg::{expand_with_report, ExpandOptions, SignalRole, StgBuilder};
-use tts::{DelayInterval, StateId, Time, TimedTransitionSystem, TsBuilder};
+use stg::{
+    expand_with_report, ExpandError, ExpandOptions, PlaceId, ReachReport, SignalRole, Stg,
+    StgBuilder,
+};
+use transyt_session::format::{Model, ModelSource};
+use tts::{DelayInterval, StateId, Time, TimedTransitionSystem, TransitionSystem, TsBuilder};
 
 fn sorted(ids: &[StateId]) -> bool {
     ids.windows(2).all(|w| w[0] < w[1])
 }
 
-/// Builds a random safe-ish STG: `t` transitions labelled as alternating
-/// signal edges, connected into a cycle so the net is live, plus random
-/// cross arcs that may make it unbounded or inconsistent — both outcomes
-/// must simply agree across drivers.
-fn random_stg(transitions: usize, extra_arcs: &[(usize, usize)]) -> stg::Stg {
-    let count = transitions.max(2);
+/// Builds a random STG out of token rings: each entry of `rings` is a ring
+/// of that many transitions (at least two) carrying one token, labelled as
+/// alternating signal edges numbered across the whole net, so rings running
+/// concurrently interleave and may share a signal. Random cross arcs
+/// (anonymous places, initially empty) synchronise transitions and may
+/// make the net unbounded or inconsistent — every outcome must simply
+/// agree across drivers and with the reference.
+///
+/// `padding` unconnected places come first (every third one marked), so
+/// with enough of them the live places sit past the first 64-bit word of a
+/// packed marking. Each `forbidden` entry picks live places for a
+/// forbidden-marking conjunction; every other one also names the first
+/// (marked) padding place, so its mask can span two words.
+fn random_stg(
+    rings: &[usize],
+    extra_arcs: &[(usize, usize)],
+    padding: usize,
+    forbidden: &[Vec<usize>],
+) -> Stg {
     let mut b = StgBuilder::new("random");
-    let ids: Vec<_> = (0..count)
-        .map(|i| {
-            let signal = (b'A' + (i / 2 % 8) as u8) as char;
-            let polarity = if i % 2 == 0 { '+' } else { '-' };
-            b.add_transition(
-                format!("{signal}{polarity}"),
-                if i % 3 == 0 {
-                    SignalRole::Input
-                } else {
-                    SignalRole::Output
-                },
-            )
-        })
+    let pads: Vec<PlaceId> = (0..padding)
+        .map(|i| b.add_place(format!("pad{i}"), u32::from(i % 3 == 0)))
         .collect();
-    for (i, &t) in ids.iter().enumerate() {
-        let next = ids[(i + 1) % ids.len()];
-        b.connect(t, next, usize::from(i + 1 == ids.len()) as u32);
+    let mut ids = Vec::new();
+    let mut live = Vec::new();
+    for &size in rings {
+        let ring: Vec<_> = (0..size.max(2))
+            .map(|_| {
+                let i = ids.len();
+                let signal = (b'A' + (i / 2 % 8) as u8) as char;
+                let polarity = if i % 2 == 0 { '+' } else { '-' };
+                let t = b.add_transition(
+                    format!("{signal}{polarity}"),
+                    if i % 3 == 0 {
+                        SignalRole::Input
+                    } else {
+                        SignalRole::Output
+                    },
+                );
+                ids.push(t);
+                t
+            })
+            .collect();
+        for (i, &t) in ring.iter().enumerate() {
+            let next = ring[(i + 1) % ring.len()];
+            live.push(b.connect(t, next, u32::from(i + 1 == ring.len())));
+        }
     }
     for &(from, to) in extra_arcs {
         let f = ids[from % ids.len()];
         let t = ids[to % ids.len()];
         if f != t {
-            b.connect(f, t, 0);
+            live.push(b.connect(f, t, 0));
         }
     }
+    for (k, conjunction) in forbidden.iter().enumerate() {
+        let mut places: Vec<PlaceId> = conjunction.iter().map(|&p| live[p % live.len()]).collect();
+        if k % 2 == 1 {
+            places.extend(pads.first());
+        }
+        b.forbid_marking(places);
+    }
     b.build().unwrap()
+}
+
+/// The reference expansion: a plain breadth-first token game over markings
+/// as token counts (`Vec<u32>`), building the reachability graph as it is
+/// specified. States are numbered in discovery order and named by their
+/// marked places (`{p0,p3}`); the first forbidden conjunction a marking
+/// covers becomes its violation mark; a place holding two tokens initially,
+/// or after a firing, makes the net unbounded; more than `limit`
+/// discovered markings before an expansion is too many. Signal consistency
+/// is checked afterwards by a breadth-first walk with a map per state.
+fn reference_expand(
+    net: &Stg,
+    limit: usize,
+) -> Result<(TransitionSystem, ReachReport), ExpandError> {
+    let unbounded = |place: usize| ExpandError::Unbounded {
+        place: net.place_name(PlaceId::from_index(place)).to_owned(),
+    };
+    let initial: Vec<u32> = (0..net.place_count())
+        .map(|i| net.initial_tokens(PlaceId::from_index(i)))
+        .collect();
+    if let Some(p) = initial.iter().position(|&tokens| tokens > 1) {
+        return Err(unbounded(p));
+    }
+    let name = |marking: &[u32]| {
+        let marked: Vec<String> = (0..marking.len())
+            .filter(|&i| marking[i] > 0)
+            .map(|i| format!("p{i}"))
+            .collect();
+        format!("{{{}}}", marked.join(","))
+    };
+    let violation = |marking: &[u32]| {
+        let covered = net
+            .forbidden_markings()
+            .iter()
+            .find(|c| c.iter().all(|p| marking[p.index()] > 0))?;
+        let names: Vec<&str> = covered.iter().map(|&p| net.place_name(p)).collect();
+        Some(format!("forbidden marking: {{{}}}", names.join(", ")))
+    };
+
+    let mut b = TsBuilder::new(net.name());
+    let mut ids: HashMap<Vec<u32>, StateId> = HashMap::new();
+    let mut queue = VecDeque::new();
+    let s0 = b.add_state(name(&initial));
+    b.set_initial(s0);
+    if let Some(message) = violation(&initial) {
+        b.mark_violation(s0, message);
+    }
+    ids.insert(initial.clone(), s0);
+    queue.push_back(initial);
+    for t in net.transitions() {
+        match net.role(t) {
+            SignalRole::Input => b.declare_input(net.label(t)),
+            SignalRole::Output => b.declare_output(net.label(t)),
+            SignalRole::Internal => b.intern_event(net.label(t)),
+        };
+    }
+
+    let mut firings = 0;
+    let mut deadlocks = Vec::new();
+    while let Some(marking) = queue.pop_front() {
+        if ids.len() > limit {
+            return Err(ExpandError::TooManyMarkings { limit });
+        }
+        let from = ids[&marking];
+        let mut deadlock = true;
+        for t in net.transitions() {
+            if !net.preset(t).iter().all(|p| marking[p.index()] > 0) {
+                continue;
+            }
+            let mut next = marking.clone();
+            for p in net.preset(t) {
+                next[p.index()] -= 1;
+            }
+            for p in net.postset(t) {
+                next[p.index()] += 1;
+            }
+            if let Some(p) = next.iter().position(|&tokens| tokens > 1) {
+                return Err(unbounded(p));
+            }
+            deadlock = false;
+            firings += 1;
+            let to = match ids.get(&next) {
+                Some(&id) => id,
+                None => {
+                    let id = b.add_state(name(&next));
+                    if let Some(message) = violation(&next) {
+                        b.mark_violation(id, message);
+                    }
+                    ids.insert(next.clone(), id);
+                    queue.push_back(next);
+                    id
+                }
+            };
+            b.add_transition(from, net.label(t), to);
+        }
+        if deadlock {
+            deadlocks.push(from);
+        }
+    }
+    let ts = b.build().map_err(|e| ExpandError::Build(e.to_string()))?;
+
+    let mut values: Vec<HashMap<String, bool>> = vec![HashMap::new(); ts.state_count()];
+    let mut visited = vec![false; ts.state_count()];
+    let mut walk = VecDeque::from(ts.initial_states().to_vec());
+    for s in ts.initial_states() {
+        visited[s.index()] = true;
+    }
+    while let Some(s) = walk.pop_front() {
+        for &(event, to) in ts.transitions_from(s) {
+            if let Some(edge) = ts.alphabet().signal_edge(event) {
+                let target = edge.polarity().target_value();
+                let inconsistent = || ExpandError::InconsistentSignal {
+                    signal: edge.signal().to_owned(),
+                };
+                if values[s.index()].get(edge.signal()) == Some(&target) {
+                    return Err(inconsistent());
+                }
+                match values[to.index()].get(edge.signal()) {
+                    Some(&value) if value != target => return Err(inconsistent()),
+                    _ => {
+                        values[to.index()].insert(edge.signal().to_owned(), target);
+                    }
+                }
+            }
+            if !visited[to.index()] {
+                visited[to.index()] = true;
+                walk.push_back(to);
+            }
+        }
+    }
+
+    let mut reachable: Vec<StateId> = ids.into_values().collect();
+    reachable.sort_unstable();
+    let report = ReachReport {
+        reachable_states: reachable,
+        deadlock_states: deadlocks,
+        markings: ts.state_count(),
+        firings,
+    };
+    Ok((ts, report))
+}
+
+/// Every shipped `.stg` model up to three stages (the four-stage net's
+/// 960,000 markings are too many for a debug-build reference run) expands
+/// to exactly the reference's system and report.
+#[test]
+fn shipped_nets_expand_to_the_reference_system() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("models");
+    let mut checked = Vec::new();
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        let file = path.file_name().unwrap().to_string_lossy().into_owned();
+        if !file.ends_with(".stg") || file == "ipcmos_4stage.stg" {
+            continue;
+        }
+        let model = Model::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let ModelSource::Stg(net) = &model.source else {
+            panic!("{file} is not an stg model");
+        };
+        let packed = expand_with_report(net, ExpandOptions::default());
+        assert!(packed.is_ok(), "{file}: {packed:?}");
+        assert!(
+            packed == reference_expand(net, stg::DEFAULT_MARKING_LIMIT),
+            "{file}: the packed expansion differs from the reference"
+        );
+        checked.push(file);
+    }
+    checked.sort();
+    assert_eq!(
+        checked,
+        [
+            "c_element.stg",
+            "ipcmos_1stage.stg",
+            "ipcmos_2stage.stg",
+            "ipcmos_3stage.stg",
+            "ring_pipeline.stg"
+        ]
+    );
 }
 
 /// Builds a random timed transition system over a bounded state graph.
@@ -88,30 +303,36 @@ proptest! {
 
     #[test]
     fn parallel_stg_expansion_matches_sequential(
-        transitions in 2usize..10,
-        extra_arcs in proptest::collection::vec((0usize..10, 0usize..10), 0..4),
+        rings in proptest::collection::vec(2usize..6, 1..4),
+        extra_arcs in proptest::collection::vec((0usize..16, 0usize..16), 0..3),
+        padding in 0usize..80,
+        forbidden in proptest::collection::vec(
+            proptest::collection::vec(0usize..16, 1..3),
+            0..3,
+        ),
     ) {
-        let net = random_stg(transitions, &extra_arcs);
+        let net = random_stg(&rings, &extra_arcs, padding, &forbidden);
         let limited = ExpandOptions {
             spec: stg::ExploreSpec {
                 limit: Some(2_000),
                 ..stg::ExploreSpec::default()
             },
-            ..ExpandOptions::default()
-        };
-        let parallel_spec = stg::ExploreSpec {
-            threads: 4,
-            ..limited.spec.clone()
         };
         let sequential = expand_with_report(&net, limited.clone());
         let parallel = expand_with_report(
             &net,
             ExpandOptions {
-                spec: parallel_spec,
-                ..limited
+                spec: stg::ExploreSpec {
+                    threads: 4,
+                    ..limited.spec
+                },
             },
         );
         prop_assert_eq!(&sequential, &parallel);
+        // The packed engine gives exactly what the plain token game gives:
+        // the same system (names, ids, edge order, marks, roles), the same
+        // report, or the same error (variant, place, signal).
+        prop_assert_eq!(&sequential, &reference_expand(&net, 2_000));
         if let Ok((ts, report)) = sequential {
             prop_assert!(sorted(&report.reachable_states));
             prop_assert!(sorted(&report.deadlock_states));
