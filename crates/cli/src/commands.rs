@@ -23,11 +23,8 @@ use transyt_session::{CancelToken, ProgressSink};
 use crate::format::Model;
 
 /// Options shared by the subcommands (parsed from the command line).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Options {
-    /// Worker threads for every exploration (`--threads`, default 1; any
-    /// value produces identical output).
-    pub threads: usize,
     /// Explore the zone graph unabstracted, the exact oracle (`--exact`).
     pub exact: bool,
     /// Print a witness / counterexample trace (`--trace`).
@@ -52,28 +49,10 @@ pub struct Options {
     pub progress: ProgressSink,
 }
 
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            threads: 1,
-            exact: false,
-            trace: false,
-            limit: None,
-            to_label: None,
-            timeout: None,
-            max_configs: None,
-            max_zone_bytes: None,
-            cancel: CancelToken::default(),
-            progress: ProgressSink::default(),
-        }
-    }
-}
-
 impl Options {
     /// The options of `spec`, with inert cancellation and progress.
     pub fn from_spec(spec: &TaskSpec) -> Options {
         Options {
-            threads: spec.threads,
             exact: spec.exact,
             trace: spec.trace,
             limit: spec.limit,
@@ -92,7 +71,6 @@ impl Options {
         TaskSpec {
             model: hash.to_owned(),
             command,
-            threads: self.threads,
             exact: self.exact,
             trace: self.trace,
             limit: self.limit,
@@ -210,7 +188,6 @@ pub fn cmd_zones(model: &Model, options: &Options) -> Result<CommandResult, CliE
 pub fn cmd_table1(options: &Options) -> Result<CommandResult, CliError> {
     let verify_options = transyt::VerifyOptions {
         spec: transyt::ExploreSpec {
-            threads: options.threads,
             cancel: options.cancel.clone(),
             progress: options.progress.clone(),
             ..transyt::ExploreSpec::default()
@@ -227,12 +204,12 @@ pub fn cmd_table1(options: &Options) -> Result<CommandResult, CliError> {
     } else {
         text.push_str("WARNING: not all obligations verified\n");
     }
-    let json = table1_document(options.threads, &report);
+    let json = table1_document(&report);
     Ok(CommandResult { text, json })
 }
 
 /// The document of a `transyt table1` run.
-fn table1_document(threads: usize, report: &transyt::ProofReport) -> Value {
+fn table1_document(report: &transyt::ProofReport) -> Value {
     let experiments: Vec<Value> = report
         .steps()
         .iter()
@@ -249,7 +226,6 @@ fn table1_document(threads: usize, report: &transyt::ProofReport) -> Value {
         .collect();
     Value::object()
         .field("benchmark", "table1")
-        .field("threads", threads)
         .field("all_verified", report.all_verified())
         .field("total_refinements", report.total_refinements())
         .field("experiments", experiments)

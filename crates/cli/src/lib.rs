@@ -23,7 +23,7 @@
 //!
 //! Every trace the binary prints is replayable: integration tests walk the
 //! printed steps through the model, step by step, to the reported end
-//! state, at `--threads 1` and `--threads 4` alike.
+//! state.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

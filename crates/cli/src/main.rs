@@ -1,7 +1,7 @@
 //! The `transyt` binary: argument parsing and dispatch to
 //! [`transyt_cli::commands`].
 //!
-//! Task flags (`--threads`, `--trace`, …) are collected as `(name, value)`
+//! Task flags (`--trace`, `--limit`, …) are collected as `(name, value)`
 //! pairs and lowered through [`TaskSpec::parse`] — the same lowering the
 //! server applies to its query strings — so the two front ends share one
 //! set of option names, defaults and validity checks and can never drift.
@@ -23,12 +23,12 @@ const USAGE: &str = "\
 transyt — relative-timing verification of timed circuits (DATE 2002 reproduction)
 
 USAGE:
-    transyt verify FILE [--threads N] [--trace] [--timeout SECS] [--progress] [--json PATH]
-    transyt reach  FILE [--threads N] [--trace] [--to LABEL] [--limit N] [--timeout SECS]
+    transyt verify FILE [--trace] [--timeout SECS] [--progress] [--json PATH]
+    transyt reach  FILE [--trace] [--to LABEL] [--limit N] [--timeout SECS]
                         [--max-configs N] [--progress] [--json PATH]
-    transyt zones  FILE [--threads N] [--exact] [--trace] [--limit N] [--timeout SECS]
+    transyt zones  FILE [--exact] [--trace] [--limit N] [--timeout SECS]
                         [--max-configs N] [--max-zone-bytes N] [--progress] [--json PATH]
-    transyt table1      [--threads N] [--json PATH]
+    transyt table1      [--progress] [--json PATH]
     transyt export NAME [--out PATH]     # or: transyt export --list / --all --dir DIR
     transyt serve       [--addr HOST:PORT] [--workers N] [--queue-depth N]
                         [--keep-results N] [--result-ttl SECS] [--data-dir DIR]
@@ -36,7 +36,7 @@ USAGE:
     transyt store ls|gc --data-dir DIR [--keep-results N] [--result-ttl SECS]
     transyt submit FILE --server HOST:PORT [--command verify|reach|zones] [--wait]
                         [--watch] [--priority interactive|batch|background]
-                        [--threads N] [--exact] [--trace] [--limit N] [--to LABEL]
+                        [--exact] [--trace] [--limit N] [--to LABEL]
                         [--timeout SECS] [--max-configs N] [--max-zone-bytes N]
                         [--json PATH]
     transyt status [JOBID] --server HOST:PORT
@@ -44,11 +44,10 @@ USAGE:
 FILE is a textual model in the .stg or .tts format (see docs/FILE_FORMATS.md;
 shipped examples live in models/). `zones` abstracts the zone graph with LU
 extrapolation and aLU coverage; --exact runs it unabstracted instead (the
-oracle, which may not terminate). Every exploration accepts --threads N and
-produces identical output for every thread count; --timeout cancels the run at
-the deadline, --max-configs / --max-zone-bytes bound its resources (a breach
-ends the job as `budget_exceeded`), --progress streams exploration progress to
-stderr. `serve` runs the long-lived verification server (model cache +
+oracle, which may not terminate). --timeout cancels the run at the deadline,
+--max-configs / --max-zone-bytes bound its resources (a breach ends the job
+as `budget_exceeded`), --progress streams exploration progress to stderr.
+`serve` runs the long-lived verification server (model cache +
 deduplicated priority job queue with admission control and result eviction;
 docs/SERVER.md); with --data-dir it journals every job and stores
 models/results on disk, surviving even SIGKILL with full recovery, and
@@ -108,21 +107,12 @@ fn run(args: &[String]) -> Result<(), CliError> {
             if parsed.file.is_some() {
                 return Err(CliError::Usage("`table1` takes no model file".to_owned()));
             }
-            let mut options = Options::default();
-            for (name, value) in &parsed.pairs {
-                match name.as_str() {
-                    "threads" => {
-                        options.threads = value.parse().map_err(|_| {
-                            CliError::Usage(format!("bad `threads` value `{value}`"))
-                        })?;
-                    }
-                    other => {
-                        return Err(CliError::Usage(format!(
-                            "`table1` does not accept `--{other}` (allowed: --threads, --json)"
-                        )))
-                    }
-                }
+            if let Some((name, _)) = parsed.pairs.first() {
+                return Err(CliError::Usage(format!(
+                    "`table1` does not accept `--{name}` (allowed: --progress, --json)"
+                )));
             }
+            let mut options = Options::default();
             if parsed.progress {
                 options.progress = progress_printer();
             }
@@ -142,8 +132,8 @@ fn run(args: &[String]) -> Result<(), CliError> {
 }
 
 /// A `--progress` sink: level, refinement and cancellation milestones on
-/// stderr (batch events are deliberately skipped — they fire per merge
-/// batch, which is too chatty for a terminal).
+/// stderr (batch events are deliberately skipped — they fire every 32
+/// expansions, which is too chatty for a terminal).
 fn progress_printer() -> ProgressSink {
     ProgressSink::new(|event| match event {
         ProgressEvent::Level { index, frontier } => {
@@ -180,14 +170,7 @@ struct CollectedArgs {
 }
 
 /// Task flags that take a value (lowered as `(name, value)` pairs).
-const VALUE_FLAGS: &[&str] = &[
-    "threads",
-    "limit",
-    "to",
-    "timeout",
-    "max-configs",
-    "max-zone-bytes",
-];
+const VALUE_FLAGS: &[&str] = &["limit", "to", "timeout", "max-configs", "max-zone-bytes"];
 
 fn collect_args(args: &[String], command: &str) -> Result<CollectedArgs, CliError> {
     let mut collected = CollectedArgs {

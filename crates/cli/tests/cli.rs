@@ -1,7 +1,7 @@
 //! Integration tests of the `transyt` CLI: the shipped `models/` files stay
 //! in sync with the scenario builders, every printed trace replays
-//! step-by-step to its reported end state, and `--threads 1` and
-//! `--threads 4` produce identical output.
+//! step-by-step to its reported end state, and two runs produce identical
+//! output.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -44,15 +44,14 @@ fn shipped_models_match_their_scenario_builders() {
 
 /// The headline check: `transyt verify models/ipcmos_1stage.stg
 /// --trace` prints a timed witness trace that replays step-by-step to the
-/// reported end state, identically at `--threads 1` and `--threads 4`.
+/// reported end state, identically on two runs.
 #[test]
 fn ipcmos_1stage_trace_replays_identically_across_thread_counts() {
     let model = load("ipcmos_1stage.stg");
     let timed = model.timed_system().unwrap();
     let mut outputs = Vec::new();
-    for threads in [1, 4] {
+    for _run in 0..2 {
         let options = Options {
-            threads,
             trace: true,
             ..Options::default()
         };
@@ -66,10 +65,7 @@ fn ipcmos_1stage_trace_replays_identically_across_thread_counts() {
         let verdict = transyt::verify(
             &timed,
             &model.property(),
-            &transyt::VerifyOptions {
-                spec: transyt::ExploreSpec::threaded(threads),
-                ..transyt::VerifyOptions::default()
-            },
+            &transyt::VerifyOptions::default(),
         );
         let trace = trace_of_verdict(&verdict, &timed);
         assert!(!trace.steps.is_empty());
@@ -82,38 +78,32 @@ fn ipcmos_1stage_trace_replays_identically_across_thread_counts() {
         assert_eq!(end, trace.end, "replay reaches the reported end state");
         outputs.push((result.text, trace));
     }
-    assert_eq!(outputs[0], outputs[1], "threads 1 vs 4 output differs");
+    assert_eq!(outputs[0], outputs[1], "two runs print different output");
 }
 
 #[test]
 fn race_overlap_fails_with_a_replayable_timed_counterexample() {
     let model = load("race_overlap.tts");
     let timed = model.timed_system().unwrap();
-    for threads in [1, 4] {
-        let options = Options {
-            threads,
-            trace: true,
-            ..Options::default()
-        };
-        let result = cmd_verify(&model, &options).unwrap();
-        assert!(result.text.contains("FAILED"), "{}", result.text);
-        assert!(result.text.contains("counterexample trace:"));
-        let verdict = transyt::verify(
-            &timed,
-            &model.property(),
-            &transyt::VerifyOptions {
-                spec: transyt::ExploreSpec::threaded(threads),
-                ..transyt::VerifyOptions::default()
-            },
-        );
-        let trace = trace_of_verdict(&verdict, &timed);
-        assert_eq!(trace.kind, "counterexample");
-        assert_eq!(trace.end, "slow-first");
-        let end = replay_rendered(&trace, timed.underlying()).unwrap();
-        assert_eq!(end, "slow-first");
-        // The counterexample carries its timed firing window.
-        assert_eq!(trace.steps[0].window.unwrap().to_string(), "[2, 4]");
-    }
+    let options = Options {
+        trace: true,
+        ..Options::default()
+    };
+    let result = cmd_verify(&model, &options).unwrap();
+    assert!(result.text.contains("FAILED"), "{}", result.text);
+    assert!(result.text.contains("counterexample trace:"));
+    let verdict = transyt::verify(
+        &timed,
+        &model.property(),
+        &transyt::VerifyOptions::default(),
+    );
+    let trace = trace_of_verdict(&verdict, &timed);
+    assert_eq!(trace.kind, "counterexample");
+    assert_eq!(trace.end, "slow-first");
+    let end = replay_rendered(&trace, timed.underlying()).unwrap();
+    assert_eq!(end, "slow-first");
+    // The counterexample carries its timed firing window.
+    assert_eq!(trace.steps[0].window.unwrap().to_string(), "[2, 4]");
 }
 
 #[test]
@@ -211,22 +201,20 @@ fn zone_witness_pins_the_entry_clock_annotations() {
 fn zone_trace_is_identical_across_thread_counts_and_subsumption() {
     let model = load("ipcmos_1stage.stg");
     for exact in [false, true] {
-        let texts: Vec<String> = [1, 4]
-            .into_iter()
-            .map(|threads| {
+        let texts: Vec<String> = (0..2)
+            .map(|_run| {
                 let options = Options {
-                    threads,
                     exact,
                     trace: true,
                     ..Options::default()
                 };
                 // The pipeline has no violating or deadlocked state, so the
                 // trace search reports unreachability — but the exploration
-                // counters must agree between thread counts.
+                // counters must agree between runs.
                 cmd_zones(&model, &options).unwrap().text
             })
             .collect();
-        assert_eq!(texts[0], texts[1], "threads 1 vs 4 (exact={exact})");
+        assert_eq!(texts[0], texts[1], "two runs differ (exact={exact})");
     }
 }
 
@@ -235,13 +223,7 @@ fn the_binary_runs_end_to_end() {
     let binary = env!("CARGO_BIN_EXE_transyt");
     let model = models_dir().join("ipcmos_1stage.stg");
     let output = Command::new(binary)
-        .args([
-            "verify",
-            model.to_str().unwrap(),
-            "--trace",
-            "--threads",
-            "2",
-        ])
+        .args(["verify", model.to_str().unwrap(), "--trace"])
         .output()
         .expect("binary runs");
     assert!(output.status.success());
@@ -271,18 +253,29 @@ fn the_binary_runs_end_to_end() {
     assert!(!output.status.success());
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("unknown subcommand"), "{stderr}");
-    // The retired zone-abstraction flags are usage errors.
-    for flag in ["--subsumption", "--extrapolation", "--bounds"] {
-        let output = Command::new(binary)
-            .args(["zones", model.to_str().unwrap(), flag, "global"])
-            .output()
-            .unwrap();
-        assert!(!output.status.success());
+    // The retired zone-abstraction flags and thread count are usage errors,
+    // and the usage text that follows names what is accepted.
+    let file = model.to_str().unwrap();
+    let refused: [&[&str]; 8] = [
+        &["zones", file, "--subsumption", "global"],
+        &["zones", file, "--extrapolation", "global"],
+        &["zones", file, "--bounds", "global"],
+        &["verify", file, "--threads", "2"],
+        &["reach", file, "--threads", "2"],
+        &["zones", file, "--threads", "2"],
+        &["table1", "--threads", "2"],
+        &["submit", file, "--server", "127.0.0.1:9", "--threads", "2"],
+    ];
+    for args in refused {
+        let (command, flag) = (args[0], args[args.len() - 2]);
+        let output = Command::new(binary).args(args).output().unwrap();
+        assert!(!output.status.success(), "{args:?}");
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert!(
-            stderr.contains(&format!("`zones` does not accept `{flag}`")),
+            stderr.contains(&format!("error: `{command}` does not accept `{flag}`")),
             "{stderr}"
         );
+        assert!(stderr.contains("USAGE:"), "{stderr}");
     }
 }
 

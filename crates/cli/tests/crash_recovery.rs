@@ -203,7 +203,7 @@ fn sigkill_mid_queue_recovers_to_byte_identical_results() {
     let job2 = submit(&server.addr, &format!("model={fig1}&command=verify"));
     let job3 = submit(
         &server.addr,
-        &format!("model={pipeline}&command=zones&limit=500&threads=2"),
+        &format!("model={pipeline}&command=zones&limit=500"),
     );
     wait_for(&server.addr, job1, |s| s != "queued", "claimed");
     assert!(
@@ -260,7 +260,6 @@ fn sigkill_mid_queue_recovers_to_byte_identical_results() {
             "zones",
             Options {
                 limit: Some(500),
-                threads: 2,
                 ..Options::default()
             },
         ),

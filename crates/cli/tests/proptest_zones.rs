@@ -73,14 +73,13 @@ proptest! {
             // The exact oracle attributes no skip to aLU.
             prop_assert_eq!(exact.alu_subsumed, 0);
             // The full `transyt zones` rendering (text and JSON document) is
-            // byte-identical at 1 and 4 worker threads.
-            let render = |threads| {
-                let options = Options { threads, ..Options::default() };
-                let result = cmd_zones(&model, &options).expect("zones run succeeds");
+            // byte-identical on two runs.
+            let render = || {
+                let result = cmd_zones(&model, &Options::default()).expect("zones run succeeds");
                 (result.text, transyt_session::render::render_document(&result.json))
             };
-            let (one, four) = (render(1), render(4));
-            prop_assert!(one == four, "{file}: thread-count drift in rendered output");
+            let (first, second) = (render(), render());
+            prop_assert!(first == second, "{file}: rendered output differs between runs");
         }
     }
 }

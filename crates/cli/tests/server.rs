@@ -249,11 +249,16 @@ fn model_cache_and_api_errors() {
     .unwrap();
     assert_eq!(status, 400);
     assert!(body.contains("unknown command"), "{body}");
-    for param in ["subsumption=alu", "extrapolation=lu-active", "bounds=local"] {
+    for param in [
+        "subsumption=alu",
+        "extrapolation=lu-active",
+        "bounds=local",
+        "threads=2",
+    ] {
         let query = format!("/jobs?model={other}&command=zones&{param}");
         let (status, body) = client::request(&addr, "POST", &query, None).unwrap();
         assert_eq!(status, 400, "{body}");
-        assert!(body.contains("(allowed: threads, exact, trace"), "{body}");
+        assert!(body.contains("(allowed: exact, trace, limit"), "{body}");
     }
     let (status, _) = client::request(&addr, "GET", "/jobs/99", None).unwrap();
     assert_eq!(status, 404);
@@ -363,9 +368,9 @@ fn result_store_evicts_by_lru_cap() {
         ..ServerConfig::default()
     });
     let hash = upload(&addr, &model_text("race_overlap.tts"));
-    // Distinct keys (different thread counts) so both actually run.
+    // Distinct keys (a far-off timeout) so both actually run.
     let first = submit(&addr, &format!("model={hash}&command=verify"));
-    let second = submit(&addr, &format!("model={hash}&command=verify&threads=2"));
+    let second = submit(&addr, &format!("model={hash}&command=verify&timeout=3600"));
     assert_eq!(wait_for(&addr, first, terminal, "terminal"), "done");
     assert_eq!(wait_for(&addr, second, terminal, "terminal"), "done");
 
@@ -455,13 +460,14 @@ fn admission_gate_refuses_with_429_and_retry_after() {
     let running = submit(&addr, &format!("model={big}&command=zones&limit=100000000"));
     wait_for(&addr, running, |s| s == "running", "running");
 
-    // Four distinct verify tasks fill the queue exactly to its depth.
+    // Four distinct verify tasks (keyed apart by far-off timeouts) fill the
+    // queue exactly to its depth.
     let small = upload(&addr, &model_text("race_overlap.tts"));
-    let queued: Vec<u64> = (1..=4)
-        .map(|threads| {
+    let queued: Vec<u64> = (3601..=3604)
+        .map(|timeout| {
             submit(
                 &addr,
-                &format!("model={small}&command=verify&threads={threads}"),
+                &format!("model={small}&command=verify&timeout={timeout}"),
             )
         })
         .collect();
@@ -469,7 +475,7 @@ fn admission_gate_refuses_with_429_and_retry_after() {
     let (status, headers, body) = client::request_with_headers(
         &addr,
         "POST",
-        &format!("/jobs?model={small}&command=verify&threads=5"),
+        &format!("/jobs?model={small}&command=verify&timeout=3605"),
         None,
     )
     .unwrap();
@@ -489,24 +495,24 @@ fn admission_gate_refuses_with_429_and_retry_after() {
     for job in queued {
         assert_eq!(wait_for(&addr, job, terminal, "terminal"), "done");
     }
-    let reopened = submit(&addr, &format!("model={small}&command=verify&threads=5"));
+    let reopened = submit(&addr, &format!("model={small}&command=verify&timeout=3605"));
     assert_eq!(wait_for(&addr, reopened, terminal, "terminal"), "done");
     handle.shutdown().expect("graceful shutdown");
 }
 
-/// A `max-configs` budget breach is deterministic: the same budgeted zones
-/// task stops at the same configuration count whether explored with one
-/// thread or four, and surfaces as `budget_exceeded` plus a 409-with-reason
-/// on the result endpoint.
+/// A `max-configs` budget breach is deterministic: two runs of the same
+/// budgeted zones task (keyed apart by far-off timeouts, so both run) stop
+/// at the same configuration count, and surface as `budget_exceeded` plus a
+/// 409-with-reason on the result endpoint.
 #[test]
 fn budget_breaches_are_deterministic_across_thread_counts() {
     let (handle, addr) = start_server(2);
     let hash = upload(&addr, &model_text("ipcmos_2stage.stg"));
-    let breached_used = |threads: usize| {
+    let breached_used = |timeout: u64| {
         let job = submit(
             &addr,
             &format!(
-                "model={hash}&command=zones&limit=100000000&max-configs=5000&threads={threads}"
+                "model={hash}&command=zones&limit=100000000&max-configs=5000&timeout={timeout}"
             ),
         );
         assert_eq!(
@@ -532,13 +538,10 @@ fn budget_breaches_are_deterministic_across_thread_counts() {
         assert!(body.contains("exceeded its configs budget"), "{body}");
         client::json_uint_field(&document, "used").expect("breach carries `used`")
     };
-    let serial = breached_used(1);
-    let parallel = breached_used(4);
-    assert!(serial >= 5000, "the breach fires at or past the limit");
-    assert_eq!(
-        serial, parallel,
-        "budget enforcement must not depend on the thread count"
-    );
+    let first = breached_used(3600);
+    let second = breached_used(3601);
+    assert!(first >= 5000, "the breach fires at or past the limit");
+    assert_eq!(first, second, "budget enforcement must not vary by run");
     handle.shutdown().expect("graceful shutdown");
 }
 
@@ -556,13 +559,13 @@ fn interactive_jobs_overtake_a_queued_batch_job() {
     let small = upload(&addr, &model_text("race_overlap.tts"));
     let batch = submit(
         &addr,
-        &format!("model={small}&command=verify&threads=2&priority=batch"),
+        &format!("model={small}&command=verify&timeout=3602&priority=batch"),
     );
-    let interactive: Vec<u64> = (3..=6)
-        .map(|threads| {
+    let interactive: Vec<u64> = (3603..=3606)
+        .map(|timeout| {
             submit(
                 &addr,
-                &format!("model={small}&command=verify&threads={threads}&priority=interactive"),
+                &format!("model={small}&command=verify&timeout={timeout}&priority=interactive"),
             )
         })
         .collect();
@@ -752,17 +755,17 @@ fn aging_claims_a_background_job_under_an_interactive_stream() {
 }
 
 /// The `/jobs/{id}/events` stream replays a deterministic run lifecycle:
-/// the same zones task streams the identical event sequence at one and two
-/// exploration threads (queue-position frames aside), opening with
-/// `running` and closing with a terminal frame.
+/// two runs of the same zones task (keyed apart by far-off timeouts, so both
+/// run) stream the identical event sequence (queue-position frames aside),
+/// opening with `running` and closing with a terminal frame.
 #[test]
 fn event_streams_are_identical_across_thread_counts() {
     let (handle, addr) = start_server(2);
     let hash = upload(&addr, &model_text("ipcmos_2stage.stg"));
-    let lifecycle = |threads: usize| {
+    let lifecycle = |timeout: u64| {
         let job = submit(
             &addr,
-            &format!("model={hash}&command=zones&limit=3000&threads={threads}"),
+            &format!("model={hash}&command=zones&limit=3000&timeout={timeout}"),
         );
         let events = client::stream_events(&addr, job, |_| ()).expect("event stream");
         events
@@ -770,24 +773,21 @@ fn event_streams_are_identical_across_thread_counts() {
             .filter(|event| !event.contains("\"queued\""))
             .collect::<Vec<_>>()
     };
-    let serial = lifecycle(1);
-    let parallel = lifecycle(2);
+    let first = lifecycle(3600);
+    let second = lifecycle(3601);
     assert_eq!(
-        serial.first().map(String::as_str),
+        first.first().map(String::as_str),
         Some("{\"type\":\"running\"}")
     );
     assert_eq!(
-        serial.last().map(String::as_str),
+        first.last().map(String::as_str),
         Some("{\"type\":\"terminal\",\"status\":\"done\"}")
     );
     assert!(
-        serial.iter().any(|event| event.contains("\"batch\"")),
-        "{serial:?}"
+        first.iter().any(|event| event.contains("\"batch\"")),
+        "{first:?}"
     );
-    assert_eq!(
-        serial, parallel,
-        "the progress stream must not depend on the thread count"
-    );
+    assert_eq!(first, second, "the progress stream must not vary by run");
     handle.shutdown().expect("graceful shutdown");
 }
 

@@ -33,10 +33,10 @@ use crate::property::SafetyProperty;
 
 /// Options for [`verify`].
 ///
-/// The shared exploration knobs live in the embedded [`ExploreSpec`]:
-/// `threads` drives every exploration pass of the refinement loop; when the
-/// `cancel` token fires, the current pass stops at its next batch boundary
-/// and the verdict is [`Verdict::Inconclusive`] with reason
+/// The shared exploration knobs live in the embedded [`ExploreSpec`] and
+/// drive every exploration pass of the refinement loop: when the `cancel`
+/// token fires, the current pass stops at its next check and the verdict
+/// is [`Verdict::Inconclusive`] with reason
 /// `"verification cancelled"`; the `progress` sink receives a
 /// [`ProgressEvent::Refinement`] per pass plus the exploration's batch/level
 /// events. The untimed failure search deduplicates exactly, so the spec's
@@ -117,8 +117,8 @@ impl fmt::Display for Counterexample {
 /// the witness the engine reports alongside a [`Verdict::Failed`].
 ///
 /// The trace is reconstructed from the parent links the shared exploration
-/// engine records, so it is identical for every [`ExploreSpec::threads`]
-/// value and every step is a genuine transition of the verified system.
+/// engine records, so it is the breadth-first discovery path and every step
+/// is a genuine transition of the verified system.
 ///
 /// # Examples
 ///
@@ -492,7 +492,6 @@ pub fn verify(
         let search = match explore::explore(
             &space,
             &ExploreOptions {
-                threads: options.spec.threads,
                 record_edges: true,
                 trace: TraceOptions::parents(),
                 cancel: options.spec.cancel.clone(),
@@ -522,8 +521,7 @@ pub fn verify(
         let mut stuck_state: Option<StateId> = None;
 
         // Reconstruct the run to a node from the parent links the driver
-        // recorded: the breadth-first discovery tree, identical for every
-        // thread count.
+        // recorded: the breadth-first discovery tree.
         let reconstruct = |node: usize| {
             let (root, steps) = search
                 .path_to(node)
@@ -810,7 +808,9 @@ mod tests {
                     counterexample.kind,
                     FailureKind::MarkedState { .. }
                 ));
-                // The witness trace replays to the reported violating state.
+                // The witness trace replays to the reported violating state,
+                // one step per counterexample event.
+                assert_eq!(counterexample.trace.len(), counterexample.events.len());
                 let ts = timed.underlying();
                 let end = counterexample.trace.replay(ts).expect("valid trace");
                 assert_eq!(end, counterexample.trace.end_state());
@@ -823,27 +823,6 @@ mod tests {
             }
             other => panic!("expected failure, got {other}"),
         }
-    }
-
-    #[test]
-    fn counterexample_traces_are_identical_across_thread_counts() {
-        let timed = race(d(1, 4), d(2, 9));
-        let property = SafetyProperty::new("order").forbid_marked_states();
-        let sequential = verify(&timed, &property, &VerifyOptions::default());
-        let parallel = verify(
-            &timed,
-            &property,
-            &VerifyOptions {
-                spec: ExploreSpec::threaded(4),
-                ..VerifyOptions::default()
-            },
-        );
-        assert_eq!(sequential, parallel);
-        let Verdict::Failed { counterexample, .. } = sequential else {
-            panic!("expected failure");
-        };
-        assert!(!counterexample.trace.is_empty());
-        assert_eq!(counterexample.trace.len(), counterexample.events.len());
     }
 
     #[test]

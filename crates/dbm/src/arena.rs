@@ -7,9 +7,9 @@
 //! free list so those clones stop churning the global allocator.
 //!
 //! The arena is deliberately **not** thread-safe: it lives inside the
-//! interner's mutex and is only touched from the exploration driver's
-//! single-threaded deterministic merge, so its [`ArenaStats`] are identical
-//! for every thread count.
+//! interner's `RefCell` and is only touched as the exploration driver's
+//! sequential loop stores zones, so its [`ArenaStats`] are the same on
+//! every run.
 
 use crate::entry::Entry;
 use crate::matrix::Dbm;
@@ -29,8 +29,7 @@ pub struct ArenaStats {
     /// Bytes of distinct interned zones charged through
     /// [`DbmArena::charge_zone`] — a monotone count of the entry storage the
     /// interner has committed, independent of free-list reuse. Deterministic
-    /// for every thread count because charging happens only from the
-    /// driver's single-threaded merge.
+    /// because charging follows the driver's breadth-first order.
     pub zone_bytes: usize,
 }
 

@@ -53,15 +53,16 @@
 //! systems with unbounded clock drift.
 //!
 //! The widened matrices are cloned through a [`DbmArena`] free list living
-//! inside the interner lock; extrapolation and arena counters surface in
-//! [`ZoneReport`] and stay identical for every thread count (they are only
-//! touched from the exploration's deterministic merge).
+//! inside the interner; extrapolation and arena counters surface in
+//! [`ZoneReport`] and are the same on every run (they are only touched in
+//! the driver's breadth-first order).
 
+use std::cell::{OnceCell, RefCell};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashSet};
 use std::convert::Infallible;
 use std::hash::BuildHasherDefault;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use explore::{
     BudgetMeter, ExploreOptions, ExploreOutcome, ExploreSpec, SearchSpace, TraceOptions,
@@ -75,7 +76,7 @@ use crate::matrix::Dbm;
 pub const DEFAULT_CONFIGURATION_LIMIT: usize = 200_000;
 
 /// Options for the zone-graph exploration: the shared [`ExploreSpec`] core
-/// (threads / exact / limit / cancel / progress / budget).
+/// (exact / limit / cancel / progress / budget).
 ///
 /// An unset [`ExploreSpec::limit`] resolves to
 /// [`DEFAULT_CONFIGURATION_LIMIT`]. By default a `(state, zone)`
@@ -186,7 +187,7 @@ struct Kernel<'a> {
     delays: Vec<DelayInterval>,
     /// Per-state clock data, derived on first use: most states of a large
     /// model are never visited by a budgeted run.
-    states: Vec<OnceLock<Box<StateClocks>>>,
+    states: Vec<OnceCell<Box<StateClocks>>>,
 }
 
 impl<'a> Kernel<'a> {
@@ -196,7 +197,7 @@ impl<'a> Kernel<'a> {
             timed,
             exact,
             delays: ts.alphabet().ids().map(|e| timed.delay(e)).collect(),
-            states: (0..ts.state_count()).map(|_| OnceLock::new()).collect(),
+            states: (0..ts.state_count()).map(|_| OnceCell::new()).collect(),
         }
     }
 
@@ -327,10 +328,10 @@ impl<'a> Kernel<'a> {
 }
 
 /// The interner's mutable state: the canonical-zone table, the DBM arena
-/// backing its clones, and the abstraction counters. One lock, only taken
-/// from the driver's single-threaded merge, so every field is deterministic
-/// for every thread count (the table's hasher is unkeyed, so even the order
-/// a sweep hands buffers to the arena is).
+/// backing its clones, and the abstraction counters. Only touched in the
+/// driver's breadth-first order, so every field is deterministic (the
+/// table's hasher is unkeyed, so even the order a sweep hands buffers to
+/// the arena is).
 struct InternerState {
     /// Canonical-DBM interning table: equal zones share one allocation, so
     /// bucket storage and queued clones are reference bumps.
@@ -360,11 +361,11 @@ struct ZoneSpace<'a> {
     /// exhaustively.
     goal: Option<WitnessGoal>,
     /// The exploration's resource meter: [`intern`](SearchSpace::intern)
-    /// charges the bytes of every distinct stored zone into it (from the
-    /// driver's merge, so the running total is deterministic). Inert unless
-    /// the caller set a `max_zone_bytes` budget.
+    /// charges the bytes of every distinct stored zone into it (in the
+    /// driver's breadth-first order, so the running total is deterministic).
+    /// Inert unless the caller set a `max_zone_bytes` budget.
     budget: BudgetMeter,
-    interner: Mutex<InternerState>,
+    interner: RefCell<InternerState>,
 }
 
 impl<'a> ZoneSpace<'a> {
@@ -377,7 +378,7 @@ impl<'a> ZoneSpace<'a> {
             kernel: Kernel::new(timed, spec.exact),
             goal,
             budget: spec.budget.clone(),
-            interner: Mutex::new(InternerState {
+            interner: RefCell::new(InternerState {
                 zones: HashSet::default(),
                 inserts: 0,
                 sweep_at: INTERNER_SWEEP_INTERVAL,
@@ -391,7 +392,7 @@ impl<'a> ZoneSpace<'a> {
     /// The abstraction counters accumulated so far (consumed once the
     /// exploration is over).
     fn abstraction_stats(self) -> AbstractionStats {
-        let state = self.interner.into_inner().expect("zone interner poisoned");
+        let state = self.interner.into_inner();
         AbstractionStats {
             extrapolated_zones: state.extrapolated,
             alu_subsumed: state.alu_subsumed,
@@ -484,15 +485,12 @@ impl SearchSpace for ZoneSpace<'_> {
         // transitivity so does whatever zone pruned *it*, i.e. some zone in
         // the current bucket.
         if !stored.iter().any(|(_, zone)| zone.includes(&skipped.1)) {
-            self.interner
-                .lock()
-                .expect("zone interner poisoned")
-                .alu_subsumed += 1;
+            self.interner.borrow_mut().alu_subsumed += 1;
         }
     }
 
     fn intern(&self, (state, zone): Self::Config) -> Self::Config {
-        let mut guard = self.interner.lock().expect("zone interner poisoned");
+        let mut guard = self.interner.borrow_mut();
         let st = &mut *guard;
         // LU-bounds extrapolation: widen the zone about to be stored. The
         // widened zone subsumes the candidate, exactly what the intern
@@ -585,7 +583,6 @@ pub fn explore_timed_with(
     let outcome = match explore::explore(
         &space,
         &ExploreOptions {
-            threads: options.spec.threads,
             expanded_limit: options.spec.limit_or(DEFAULT_CONFIGURATION_LIMIT),
             cancel: options.spec.cancel.clone(),
             progress: options.spec.progress.clone(),
@@ -880,10 +877,9 @@ impl WitnessOutcome {
 /// breadth-first order and reconstructs the symbolic trace leading to it.
 ///
 /// The search runs on the shared exploration engine with parent tracking, so
-/// the returned trace — not just the verdict — is identical for every
-/// [`ExploreSpec::threads`](explore::ExploreSpec::threads) value, and subsumption only prunes
-/// configurations covered by already-found ones (the trace stays a genuine
-/// timed execution).
+/// the returned trace — not just the verdict — is the breadth-first one, and
+/// subsumption only prunes configurations covered by already-found ones (the
+/// trace stays a genuine timed execution).
 ///
 /// # Examples
 ///
@@ -926,7 +922,6 @@ pub fn find_witness(
     let outcome = match explore::explore(
         &space,
         &ExploreOptions {
-            threads: options.spec.threads,
             expanded_limit: options.spec.limit_or(DEFAULT_CONFIGURATION_LIMIT),
             trace: TraceOptions::parents(),
             cancel: options.spec.cancel.clone(),
@@ -1219,22 +1214,19 @@ mod tests {
             ZoneExplorationOptions::default(),
             WitnessGoal::Violation,
         );
-        for threads in [1, 2, 4] {
-            for exact in MODES {
-                let outcome = find_witness(
-                    &timed,
-                    with_spec(ExploreSpec {
-                        threads,
-                        exact,
-                        ..ExploreSpec::default()
-                    }),
-                    WitnessGoal::Violation,
-                );
-                let trace = outcome.trace().expect("violation reachable");
-                assert_eq!(trace.run(), base.trace().unwrap().run());
-                assert_eq!(trace.end_state(), base.trace().unwrap().end_state());
-                assert_eq!(trace.replay(&timed), Some(trace.end_state()));
-            }
+        for exact in MODES {
+            let outcome = find_witness(
+                &timed,
+                with_spec(ExploreSpec {
+                    exact,
+                    ..ExploreSpec::default()
+                }),
+                WitnessGoal::Violation,
+            );
+            let trace = outcome.trace().expect("violation reachable");
+            assert_eq!(trace.run(), base.trace().unwrap().run());
+            assert_eq!(trace.end_state(), base.trace().unwrap().end_state());
+            assert_eq!(trace.replay(&timed), Some(trace.end_state()));
         }
     }
 
@@ -1313,12 +1305,11 @@ mod tests {
     fn config_budget_cancels_at_the_same_count_for_every_thread_count() {
         use explore::BudgetMeter;
         let mut counts = Vec::new();
-        for threads in [1, 4] {
+        for _run in 0..2 {
             let budget = BudgetMeter::new(Some(2), None);
             let outcome = explore_timed_with(
                 &reconvergent(),
                 with_spec(ExploreSpec {
-                    threads,
                     cancel: CancelToken::new(),
                     budget: budget.clone(),
                     ..ExploreSpec::default()
@@ -1330,10 +1321,7 @@ mod tests {
             }
             assert!(budget.breach().is_some());
         }
-        assert_eq!(
-            counts[0], counts[1],
-            "budget abort count differs by threads"
-        );
+        assert_eq!(counts[0], counts[1], "budget abort count differs by run");
         assert_eq!(counts[0], 3, "aborts on the configuration over the budget");
     }
 
@@ -1367,33 +1355,6 @@ mod tests {
             report.arena.zone_bytes,
             entries(2) + entries(1) + entries(0)
         );
-    }
-
-    #[test]
-    fn parallel_exploration_matches_sequential_exactly() {
-        for timed in [race(), reconvergent()] {
-            for exact in MODES {
-                let base = ExploreSpec {
-                    exact,
-                    ..ExploreSpec::default()
-                };
-                let sequential = explore_timed_with(&timed, with_spec(base.clone()));
-                for threads in [2, 4] {
-                    let parallel = explore_timed_with(
-                        &timed,
-                        with_spec(ExploreSpec {
-                            threads,
-                            ..base.clone()
-                        }),
-                    );
-                    // `ZoneOutcome` equality covers the verdict sets, the
-                    // configuration counters *and* the abstraction / arena
-                    // counters, so this pins them all as thread-count
-                    // independent.
-                    assert_eq!(sequential, parallel, "threads={threads}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! A [`BudgetMeter`] carries the resource ceilings of one exploration — a
 //! configuration budget and a zone-memory budget — plus the running usage
 //! counters the consumers charge into it. The driver checks the meter at the
-//! same deterministic point of the single-threaded merge where it checks its
-//! size limits, so a breached budget aborts at the identical configuration
-//! count for every thread count. Like [`CancelToken`](crate::CancelToken),
+//! same point of its loop where it checks its size limits, so a breached
+//! budget aborts at the same configuration count on every run. Like
+//! [`CancelToken`](crate::CancelToken),
 //! the default meter is *inert*: it has no ceilings, costs nothing to check,
 //! and every charge into it is a no-op.
 
@@ -62,7 +62,7 @@ struct MeterState {
 ///
 /// Meters are cheap to clone (all clones share one state). Consumers charge
 /// usage in from wherever they account it — the DBM interner charges zone
-/// bytes from the driver's single-threaded merge — and the driver calls
+/// bytes as the driver stores each zone — and the driver calls
 /// [`check`](Self::check) once per expanded configuration, recording the
 /// first breach and aborting the search through its cancel path.
 ///
@@ -109,9 +109,9 @@ impl BudgetMeter {
 
     /// Adds `bytes` to the zone-memory usage. No-op on the inert meter.
     ///
-    /// The DBM interner calls this once per *distinct* interned zone, from
-    /// the driver's single-threaded merge, so the running total is identical
-    /// for every thread count.
+    /// The DBM interner calls this once per *distinct* interned zone, in the
+    /// driver's breadth-first order, so the running total is the same on
+    /// every run.
     pub fn charge_zone_bytes(&self, bytes: usize) {
         if let Some(state) = &self.0 {
             state.zone_bytes.fetch_add(bytes, Ordering::Relaxed);

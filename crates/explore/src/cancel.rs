@@ -7,8 +7,8 @@ use std::sync::Arc;
 /// A shared flag that asks an in-flight exploration to stop.
 ///
 /// Tokens are cheap to clone (all clones share one flag) and are checked by
-/// the driver once per merge batch, so a cancelled search stops within one
-/// batch of expansions rather than running to its limit. The default token is
+/// the driver once per 32 frontier entries, so a cancelled search stops
+/// within 32 expansions rather than running to its limit. The default token is
 /// *inert*: it can never be cancelled and costs nothing to check, so callers
 /// that do not need cancellation pay nothing.
 ///

@@ -1,9 +1,4 @@
-//! The exploration driver: sequential FIFO search and the deterministic
-//! level-synchronous parallel search.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::thread;
+//! The exploration driver: a sequential FIFO breadth-first search.
 
 use crate::budget::BudgetMeter;
 use crate::cancel::CancelToken;
@@ -11,51 +6,46 @@ use crate::progress::{ProgressEvent, ProgressSink};
 use crate::seen::SeenMap;
 use crate::space::SearchSpace;
 
+/// Frontier entries between two checks of the cancel token.
+const CANCEL_STRIDE: usize = 32;
+
+/// Expansions between two [`ProgressEvent::Batch`] events.
+const PROGRESS_STRIDE: usize = 32;
+
 /// Options for [`explore`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExploreOptions {
-    /// Number of worker threads. `1` (the default) is the plain sequential
-    /// breadth-first loop; higher values expand each breadth-first level in
-    /// parallel. The result is identical for every value.
-    pub threads: usize,
     /// Abort once more than this many configurations have been expanded.
     pub expanded_limit: usize,
-    /// Abort once more than this many configurations have been discovered
-    /// (stored in the seen set) at the moment another expansion starts.
-    pub discovered_limit: usize,
     /// Record each node's `(edge, successor)` list in the report (needed by
     /// callers that rebuild a graph or replay the search; costs memory).
     pub record_edges: bool,
     /// Witness-trace options (parent tracking). The default records nothing,
     /// so the no-trace path keeps its memory profile untouched.
     pub trace: TraceOptions,
-    /// Cooperative cancellation: the driver checks this token once per merge
-    /// batch and returns [`ExploreOutcome::Cancelled`] as soon as it fires.
-    /// The default token is inert and costs nothing.
+    /// Cooperative cancellation: the driver checks this token once per 32
+    /// frontier entries of a level and returns [`ExploreOutcome::Cancelled`]
+    /// as soon as it fires. The default token is inert and costs nothing.
     pub cancel: CancelToken,
     /// Progress reporting: the driver emits [`ProgressEvent::Batch`] every
-    /// 32 committed expansions and at each level end, [`ProgressEvent::Level`]
-    /// after every breadth-first level and [`ProgressEvent::Cancelled`] when
-    /// the cancel token stops the search. Emission points are counted in
-    /// committed merge order, so the stream is identical for every thread
-    /// count. The default sink is inert and costs nothing.
+    /// 32 expansions and at each level end, [`ProgressEvent::Level`] after
+    /// every breadth-first level and [`ProgressEvent::Cancelled`] when the
+    /// cancel token stops the search. The default sink is inert and costs
+    /// nothing.
     pub progress: ProgressSink,
     /// Per-exploration resource budgets: the driver checks the meter after
-    /// every expansion, at the same deterministic merge point as
+    /// every expansion, at the same point as
     /// [`expanded_limit`](Self::expanded_limit), and a breach fires the
     /// [`cancel`](Self::cancel) token and returns
-    /// [`ExploreOutcome::Cancelled`] — so a breached budget aborts at the
-    /// identical configuration count for every thread count. The default
-    /// meter is inert and costs nothing.
+    /// [`ExploreOutcome::Cancelled`]. The default meter is inert and costs
+    /// nothing.
     pub budget: BudgetMeter,
 }
 
 impl Default for ExploreOptions {
     fn default() -> Self {
         ExploreOptions {
-            threads: 1,
             expanded_limit: usize::MAX,
-            discovered_limit: usize::MAX,
             record_edges: false,
             trace: TraceOptions::default(),
             cancel: CancelToken::default(),
@@ -67,10 +57,8 @@ impl Default for ExploreOptions {
 
 /// Options controlling witness-trace bookkeeping during an exploration.
 ///
-/// Parent links are recorded by the single-threaded deterministic merge, so
-/// they are identical for every [`ExploreOptions::threads`] value; turning
-/// them on costs one `Option<(usize, Edge)>` per expanded node and per
-/// frontier entry, and nothing at all when left off.
+/// Turning parent tracking on costs one `Option<(usize, Edge)>` per expanded
+/// node and per frontier entry, and nothing at all when left off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceOptions {
     /// Record, for every expanded node, the node that first discovered it and
@@ -128,7 +116,7 @@ impl<C, E: Clone> ExploreReport<C, E> {
     /// returns the root node index and the `(edge, node index)` steps fired
     /// along the path. The path is a genuine path of the search space — every
     /// recorded parent actually produced its child through
-    /// [`SearchSpace::expand`] — and is identical for every thread count.
+    /// [`SearchSpace::expand`].
     ///
     /// Returns `None` if parent tracking was off or `node` is out of range.
     pub fn path_to(&self, node: usize) -> Option<(usize, Vec<(E, usize)>)> {
@@ -166,8 +154,8 @@ pub enum ExploreOutcome<C, E> {
         /// the search aborted.
         subsumption_skips: usize,
     },
-    /// The [`ExploreOptions::cancel`] token fired; the search stopped at the
-    /// next batch boundary without draining the frontier.
+    /// The [`ExploreOptions::cancel`] token fired; the search stopped at its
+    /// next check without draining the frontier.
     Cancelled {
         /// Configurations expanded when the search was cancelled.
         expanded: usize,
@@ -198,23 +186,14 @@ impl<C, E> ExploreOutcome<C, E> {
 /// subsuming arrival is skipped when its turn comes (the pop-time subsumption
 /// check — with exact deduplication neither ever triggers spuriously).
 ///
-/// With `threads > 1` each breadth-first level is expanded speculatively in
-/// parallel (workers claim chunks of the frozen frontier from an atomic
-/// cursor) and committed by a single-threaded merge that walks the level in
-/// order, so the outcome — including all counters — is identical to the
-/// sequential search.
-///
 /// # Errors
 ///
-/// Returns the first [`SearchSpace::Error`] in deterministic breadth-first
-/// order (errors of speculatively expanded configurations that the merge
-/// skips are discarded, exactly as if they had never been expanded).
+/// Returns the first [`SearchSpace::Error`] in breadth-first order.
 pub fn explore<S: SearchSpace>(
     space: &S,
     options: &ExploreOptions,
 ) -> Result<ExploreOutcome<S::Config, S::Edge>, S::Error> {
-    let threads = options.threads.max(1);
-    let seen: SeenMap<S> = SeenMap::new(if threads == 1 { 1 } else { threads * 4 });
+    let mut seen: SeenMap<S> = SeenMap::default();
     // With exact deduplication (the default `subsumes`) a stored
     // configuration is never pruned, so the pop-time staleness check can
     // never fire and is skipped entirely.
@@ -230,7 +209,7 @@ pub fn explore<S: SearchSpace>(
     let mut halted = false;
 
     let mut frontier: Vec<S::Config> = Vec::new();
-    // Aligned with `frontier` when tracing: the committed node that
+    // Aligned with `frontier` when tracing: the expanded node that
     // discovered each enqueued configuration, and through which edge.
     let mut frontier_parents: Vec<Option<(usize, S::Edge)>> = Vec::new();
     for config in space.initial()? {
@@ -243,29 +222,16 @@ pub fn explore<S: SearchSpace>(
         }
     }
 
-    // Cap on the number of configurations expanded speculatively before the
-    // merge commits them: bounds the memory held in in-flight successor
-    // lists and keeps the prefilter snapshot fresh, which shrinks the
-    // speculative waste under subsumption. Batch boundaries are a pure
-    // function of the frontier, so determinism is unaffected.
-    let batch_size = threads * 32;
-
-    // Progress cadence: `Batch` events fire when `expanded` crosses a
-    // multiple of this stride (plus once at each level end), NOT per merge
-    // batch — merge batches grow with the thread count, and the progress
-    // stream is promised to be identical for every thread count.
-    const PROGRESS_STRIDE: usize = 32;
     let mut last_progress = 0usize;
-
     let mut level = 0usize;
-    'search: while !frontier.is_empty() && !halted {
+    'search: while !frontier.is_empty() {
         let mut next: Vec<S::Config> = Vec::new();
         let mut next_parents: Vec<Option<(usize, S::Edge)>> = Vec::new();
-        for batch_start in (0..frontier.len()).step_by(batch_size.max(1)) {
-            // Cooperative cancellation, checked once per merge batch so a
-            // cancelled search stops within one batch of expansions. The
-            // counters describe the committed (deterministic) prefix.
-            if options.cancel.is_cancelled() {
+        for (i, config) in frontier.iter().enumerate() {
+            // Cooperative cancellation, checked once per stride of frontier
+            // entries so a cancelled search stops within one stride. The
+            // counters describe the explored prefix.
+            if i % CANCEL_STRIDE == 0 && options.cancel.is_cancelled() {
                 options
                     .progress
                     .emit(&ProgressEvent::Cancelled { expanded });
@@ -275,107 +241,73 @@ pub fn explore<S: SearchSpace>(
                     subsumption_skips,
                 });
             }
-            let batch = &frontier[batch_start..(batch_start + batch_size).min(frontier.len())];
-            // Expand the batch speculatively when it is wide enough to
-            // amortise thread startup; otherwise expand lazily during the
-            // merge (which also skips expansion work for pruned entries).
-            let mut expansions = if threads > 1 && batch.len() >= threads * 2 {
-                Some(expand_level(
-                    space,
-                    batch,
-                    threads,
-                    &seen,
-                    !options.record_edges,
-                ))
-            } else {
-                None
-            };
-
-            // Deterministic merge: walk the batch in order and perform
-            // exactly the operations of the sequential FIFO loop.
-            for (i, config) in batch.iter().enumerate() {
-                if stale_possible && !seen.contains(space, config) {
-                    seen.note_skip(space, config);
-                    subsumption_skips += 1;
-                    continue;
-                }
-                if discovered > options.discovered_limit {
-                    return Ok(ExploreOutcome::LimitExceeded {
-                        expanded,
-                        discovered,
-                        subsumption_skips,
-                    });
-                }
-                expanded += 1;
-                if expanded > options.expanded_limit {
-                    return Ok(ExploreOutcome::LimitExceeded {
-                        expanded,
-                        discovered,
-                        subsumption_skips,
-                    });
-                }
-                // Resource budgets, checked at the same deterministic merge
-                // point as the expanded limit. A breach cancels the search:
-                // the meter records what went over, the token stops any
-                // cooperating siblings (e.g. a witness search), and the
-                // caller classifies the cancelled outcome as a budget abort.
-                if options.budget.check(expanded).is_some() {
-                    options.cancel.cancel();
-                    options
-                        .progress
-                        .emit(&ProgressEvent::Cancelled { expanded });
-                    return Ok(ExploreOutcome::Cancelled {
-                        expanded,
-                        discovered,
-                        subsumption_skips,
-                    });
-                }
-                let (halt, successors) = match expansions.as_mut().and_then(|slots| slots[i].take())
-                {
-                    Some(result) => result?,
-                    None => {
-                        let successors = space.expand(config)?;
-                        let halt = space.should_halt(config, &successors);
-                        (halt, successors)
-                    }
-                };
-                let node_index = nodes.len();
-                if tracing {
-                    parents.push(frontier_parents[batch_start + i].clone());
-                }
-                if halt {
-                    nodes.push(ExploredNode {
-                        config: config.clone(),
-                        successors,
-                    });
-                    halted = true;
-                    break 'search;
-                }
-                for (edge, successor) in &successors {
-                    if let Some(stored) = seen.push(space, successor.clone()) {
-                        discovered += 1;
-                        next.push(stored);
-                        if tracing {
-                            next_parents.push(Some((node_index, edge.clone())));
-                        }
-                    }
-                }
+            if stale_possible && !seen.contains(space, config) {
+                seen.note_skip(space, config);
+                subsumption_skips += 1;
+                continue;
+            }
+            expanded += 1;
+            if expanded > options.expanded_limit {
+                return Ok(ExploreOutcome::LimitExceeded {
+                    expanded,
+                    discovered,
+                    subsumption_skips,
+                });
+            }
+            // Resource budgets, checked at the same point as the expanded
+            // limit. A breach cancels the search: the meter records what
+            // went over, the token stops any cooperating siblings (e.g. a
+            // witness search), and the caller classifies the cancelled
+            // outcome as a budget abort.
+            if options.budget.check(expanded).is_some() {
+                options.cancel.cancel();
+                options
+                    .progress
+                    .emit(&ProgressEvent::Cancelled { expanded });
+                return Ok(ExploreOutcome::Cancelled {
+                    expanded,
+                    discovered,
+                    subsumption_skips,
+                });
+            }
+            let successors = space.expand(config)?;
+            let halt = space.should_halt(config, &successors);
+            let node_index = nodes.len();
+            if tracing {
+                parents.push(frontier_parents[i].clone());
+            }
+            if halt {
                 nodes.push(ExploredNode {
                     config: config.clone(),
-                    successors: if options.record_edges {
-                        successors
-                    } else {
-                        Vec::new()
-                    },
+                    successors,
                 });
-                if expanded.is_multiple_of(PROGRESS_STRIDE) {
-                    last_progress = expanded;
-                    options.progress.emit(&ProgressEvent::Batch {
-                        expanded,
-                        discovered,
-                        subsumption_skips,
-                    });
+                halted = true;
+                break 'search;
+            }
+            for (edge, successor) in &successors {
+                if let Some(stored) = seen.push(space, successor.clone()) {
+                    discovered += 1;
+                    next.push(stored);
+                    if tracing {
+                        next_parents.push(Some((node_index, edge.clone())));
+                    }
                 }
+            }
+            nodes.push(ExploredNode {
+                config: config.clone(),
+                successors: if options.record_edges {
+                    successors
+                } else {
+                    Vec::new()
+                },
+            });
+            if expanded.is_multiple_of(PROGRESS_STRIDE) {
+                last_progress = expanded;
+                options.progress.emit(&ProgressEvent::Batch {
+                    expanded,
+                    discovered,
+                    subsumption_skips,
+                });
             }
         }
         if expanded > last_progress {
@@ -405,88 +337,10 @@ pub fn explore<S: SearchSpace>(
     }))
 }
 
-type Expansion<S> = Result<
-    (
-        bool,
-        Vec<(<S as SearchSpace>::Edge, <S as SearchSpace>::Config)>,
-    ),
-    <S as SearchSpace>::Error,
->;
-
-/// Expands every configuration of `frontier` on `threads` workers. Workers
-/// claim chunks through a shared atomic cursor (cheap work stealing over a
-/// frozen level) and never mutate the seen set, so the per-configuration
-/// results are independent of scheduling. [`SearchSpace::should_halt`] is
-/// evaluated on the **unfiltered** expansion (matching the sequential path)
-/// and its verdict is carried alongside the successors.
-///
-/// When `prefilter` is set (edge recording off), workers consult the seen
-/// shards to drop successors already subsumed by stored configurations and —
-/// under genuine subsumption — to skip expanding entries that have been
-/// pruned since they were enqueued. Both checks read the frozen pre-batch
-/// state of the map and can only discard work the merge would discard
-/// anyway; the successor list of a halting configuration is never filtered.
-fn expand_level<S: SearchSpace>(
-    space: &S,
-    frontier: &[S::Config],
-    threads: usize,
-    seen: &SeenMap<S>,
-    prefilter: bool,
-) -> Vec<Option<Expansion<S>>> {
-    let cursor = AtomicUsize::new(0);
-    let chunk = (frontier.len() / (threads * 4)).max(1);
-    let stale_possible = space.uses_subsumption();
-    let collected: Mutex<Vec<(usize, Expansion<S>)>> =
-        Mutex::new(Vec::with_capacity(frontier.len()));
-
-    thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut local: Vec<(usize, Expansion<S>)> = Vec::new();
-                loop {
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= frontier.len() {
-                        break;
-                    }
-                    let end = (start + chunk).min(frontier.len());
-                    for (i, config) in frontier.iter().enumerate().take(end).skip(start) {
-                        if prefilter && stale_possible && !seen.contains(space, config) {
-                            // Pruned since it was enqueued: the merge will
-                            // skip it, so its expansion is never read.
-                            local.push((i, Ok((false, Vec::new()))));
-                            continue;
-                        }
-                        let result = space.expand(config).map(|mut successors| {
-                            let halt = space.should_halt(config, &successors);
-                            if prefilter && !halt {
-                                successors.retain(|(_, c)| !seen.covers(space, c));
-                            }
-                            (halt, successors)
-                        });
-                        local.push((i, result));
-                    }
-                }
-                collected
-                    .lock()
-                    .expect("expansion collector poisoned")
-                    .extend(local);
-            });
-        }
-    });
-
-    let mut slots: Vec<Option<Expansion<S>>> = frontier.iter().map(|_| None).collect();
-    for (i, result) in collected
-        .into_inner()
-        .expect("expansion collector poisoned")
-    {
-        slots[i] = Some(result);
-    }
-    slots
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use std::convert::Infallible;
 
     /// Bounded grid walk: configs are `(x, y)`, moves increment one
@@ -592,104 +446,74 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_exactly() {
-        for side in [1u64, 2, 5, 9] {
-            let sequential = completed(
-                &Grid { side },
-                &ExploreOptions {
-                    record_edges: true,
-                    ..ExploreOptions::default()
-                },
-            );
-            for threads in [2, 4, 8] {
-                let parallel = completed(
-                    &Grid { side },
-                    &ExploreOptions {
-                        threads,
-                        record_edges: true,
-                        ..ExploreOptions::default()
-                    },
-                );
-                assert_eq!(sequential, parallel, "threads={threads} side={side}");
-            }
-        }
-    }
-
-    #[test]
     fn subsumption_prunes_enqueued_configs() {
-        let sequential = completed(&Widening, &ExploreOptions::default());
+        let report = completed(&Widening, &ExploreOptions::default());
         // The widening successor always subsumes the narrow one, so narrow
         // intervals enqueued earlier get pruned and skipped.
-        assert!(sequential.subsumption_skips > 0, "no pop-time skips");
-        assert!(sequential.expanded < sequential.discovered);
-        let parallel = completed(
+        assert!(report.subsumption_skips > 0, "no pop-time skips");
+        assert!(report.expanded < report.discovered);
+        // Parent links survive the pruning: one per expanded node.
+        let traced = completed(
             &Widening,
             &ExploreOptions {
-                threads: 4,
+                trace: TraceOptions::parents(),
                 ..ExploreOptions::default()
             },
         );
-        assert_eq!(sequential, parallel);
+        assert_eq!(traced.parents.len(), traced.nodes.len());
+        assert!(!traced.parents.is_empty());
+        assert_eq!(traced.nodes, report.nodes);
     }
 
     #[test]
     fn expanded_limit_aborts_deterministically() {
-        for threads in [1, 4] {
-            let outcome = explore(
-                &Grid { side: 10 },
-                &ExploreOptions {
-                    threads,
-                    expanded_limit: 7,
-                    ..ExploreOptions::default()
-                },
-            )
-            .expect("no error");
-            match outcome {
-                ExploreOutcome::LimitExceeded {
-                    expanded,
-                    discovered,
-                    subsumption_skips,
-                } => {
-                    assert_eq!(expanded, 8, "aborts on the config exceeding the limit");
-                    assert!(discovered >= expanded);
-                    assert_eq!(subsumption_skips, 0);
-                }
-                other => panic!("expected limit abort, got {other:?}"),
+        let outcome = explore(
+            &Grid { side: 10 },
+            &ExploreOptions {
+                expanded_limit: 7,
+                ..ExploreOptions::default()
+            },
+        )
+        .expect("no error");
+        match outcome {
+            ExploreOutcome::LimitExceeded {
+                expanded,
+                discovered,
+                subsumption_skips,
+            } => {
+                assert_eq!(expanded, 8, "aborts on the config exceeding the limit");
+                assert!(discovered >= expanded);
+                assert_eq!(subsumption_skips, 0);
             }
+            other => panic!("expected limit abort, got {other:?}"),
         }
     }
 
     #[test]
     fn config_budget_aborts_deterministically_and_fires_cancel() {
         use crate::budget::{BudgetMeter, BudgetResource};
-        for threads in [1, 4] {
-            let budget = BudgetMeter::new(Some(7), None);
-            let cancel = CancelToken::new();
-            let outcome = explore(
-                &Grid { side: 10 },
-                &ExploreOptions {
-                    threads,
-                    budget: budget.clone(),
-                    cancel: cancel.clone(),
-                    ..ExploreOptions::default()
-                },
-            )
-            .expect("no error");
-            match outcome {
-                ExploreOutcome::Cancelled { expanded, .. } => {
-                    assert_eq!(
-                        expanded, 8,
-                        "threads={threads}: aborts on the breaching config"
-                    );
-                }
-                other => panic!("expected budget cancellation, got {other:?}"),
+        let budget = BudgetMeter::new(Some(7), None);
+        let cancel = CancelToken::new();
+        let outcome = explore(
+            &Grid { side: 10 },
+            &ExploreOptions {
+                budget: budget.clone(),
+                cancel: cancel.clone(),
+                ..ExploreOptions::default()
+            },
+        )
+        .expect("no error");
+        match outcome {
+            ExploreOutcome::Cancelled { expanded, .. } => {
+                assert_eq!(expanded, 8, "aborts on the breaching config");
             }
-            let breach = budget.breach().expect("breach recorded");
-            assert_eq!(breach.resource, BudgetResource::Configs);
-            assert_eq!(breach.used, 8);
-            assert_eq!(breach.limit, 7);
-            assert!(cancel.is_cancelled(), "breach must fire the cancel token");
+            other => panic!("expected budget cancellation, got {other:?}"),
         }
+        let breach = budget.breach().expect("breach recorded");
+        assert_eq!(breach.resource, BudgetResource::Configs);
+        assert_eq!(breach.used, 8);
+        assert_eq!(breach.limit, 7);
+        assert!(cancel.is_cancelled(), "breach must fire the cancel token");
     }
 
     #[test]
@@ -736,7 +560,7 @@ mod tests {
         grid: Grid,
         token: CancelToken,
         after: usize,
-        calls: AtomicUsize,
+        calls: Cell<usize>,
     }
 
     impl SearchSpace for CancellingGrid {
@@ -754,7 +578,8 @@ mod tests {
         }
 
         fn expand(&self, config: &(u64, u64)) -> Result<Vec<(char, (u64, u64))>, Infallible> {
-            if self.calls.fetch_add(1, Ordering::Relaxed) + 1 == self.after {
+            self.calls.set(self.calls.get() + 1);
+            if self.calls.get() == self.after {
                 self.token.cancel();
             }
             self.grid.expand(config)
@@ -763,37 +588,34 @@ mod tests {
 
     #[test]
     fn cancellation_halts_early_and_reports_cancelled() {
-        for threads in [1, 4] {
-            let token = CancelToken::new();
-            let space = CancellingGrid {
-                grid: Grid { side: 32 },
-                token: token.clone(),
-                after: 10,
-                calls: AtomicUsize::new(0),
-            };
-            let outcome = explore(
-                &space,
-                &ExploreOptions {
-                    threads,
-                    cancel: token,
-                    ..ExploreOptions::default()
-                },
-            )
-            .expect("no error");
-            match outcome {
-                ExploreOutcome::Cancelled {
-                    expanded,
-                    discovered,
-                    ..
-                } => {
-                    // Far fewer than the 1024 grid configurations were
-                    // expanded: the search stopped at a batch boundary.
-                    assert!(expanded >= 10, "threads={threads}: expanded={expanded}");
-                    assert!(expanded < 1024, "threads={threads}: expanded={expanded}");
-                    assert!(discovered >= expanded);
-                }
-                other => panic!("expected cancellation, got {other:?}"),
+        let token = CancelToken::new();
+        let space = CancellingGrid {
+            grid: Grid { side: 32 },
+            token: token.clone(),
+            after: 10,
+            calls: Cell::new(0),
+        };
+        let outcome = explore(
+            &space,
+            &ExploreOptions {
+                cancel: token,
+                ..ExploreOptions::default()
+            },
+        )
+        .expect("no error");
+        match outcome {
+            ExploreOutcome::Cancelled {
+                expanded,
+                discovered,
+                ..
+            } => {
+                // Far fewer than the 1024 grid configurations were
+                // expanded: the search stopped at its next check.
+                assert!(expanded >= 10, "expanded={expanded}");
+                assert!(expanded < 1024, "expanded={expanded}");
+                assert!(discovered >= expanded);
             }
+            other => panic!("expected cancellation, got {other:?}"),
         }
     }
 
@@ -830,32 +652,14 @@ mod tests {
     }
 
     #[test]
-    fn discovered_limit_aborts_before_expanding() {
-        let outcome = explore(
-            &Grid { side: 10 },
-            &ExploreOptions {
-                discovered_limit: 0,
-                ..ExploreOptions::default()
-            },
-        )
-        .expect("no error");
-        assert!(matches!(
-            outcome,
-            ExploreOutcome::LimitExceeded { expanded: 0, .. }
-        ));
-        assert!(outcome.report().is_none());
-    }
-
-    #[test]
     fn progress_events_are_identical_across_thread_counts() {
         use crate::progress::{ProgressEvent, ProgressSink};
         use std::sync::{Arc, Mutex};
 
-        let run = |threads| {
+        let run = || {
             let events: Arc<Mutex<Vec<ProgressEvent>>> = Arc::default();
             let sink_events = Arc::clone(&events);
             let options = ExploreOptions {
-                threads,
                 progress: ProgressSink::new(move |event| {
                     sink_events.lock().unwrap().push(*event);
                 }),
@@ -865,11 +669,11 @@ mod tests {
             let collected = events.lock().unwrap().clone();
             collected
         };
-        let sequential = run(1);
-        assert!(!sequential.is_empty());
+        let events = run();
+        assert!(!events.is_empty());
         // Final batch counters match the completed report, and levels count
         // the grid's 2*side - 1 breadth-first diagonals.
-        let batches: Vec<_> = sequential
+        let batches: Vec<_> = events
             .iter()
             .filter(|e| matches!(e, ProgressEvent::Batch { .. }))
             .collect();
@@ -884,12 +688,12 @@ mod tests {
             ),
             "{batches:?}"
         );
-        let levels = sequential
+        let levels = events
             .iter()
             .filter(|e| matches!(e, ProgressEvent::Level { .. }))
             .count();
         assert_eq!(levels, 11);
-        assert_eq!(sequential, run(4), "threads 1 vs 4 event stream differs");
+        assert_eq!(events, run(), "two runs stream different events");
     }
 
     #[test]
@@ -950,67 +754,46 @@ mod tests {
 
     #[test]
     fn halting_stops_at_the_first_goal_in_bfs_order() {
-        for threads in [1, 4] {
-            let report = completed(
-                &GoalGrid {
-                    side: 6,
-                    goal: (2, 1),
-                },
-                &ExploreOptions {
-                    threads,
-                    ..ExploreOptions::default()
-                },
-            );
-            assert!(report.halted);
-            assert_eq!(report.nodes.last().unwrap().config, (2, 1));
-            // Only configs at distance <= 3 can have been expanded.
-            assert!(report.nodes.iter().all(|n| n.config.0 + n.config.1 <= 3));
-        }
+        let report = completed(
+            &GoalGrid {
+                side: 6,
+                goal: (2, 1),
+            },
+            &ExploreOptions::default(),
+        );
+        assert!(report.halted);
+        assert_eq!(report.nodes.last().unwrap().config, (2, 1));
+        // Only configs at distance <= 3 can have been expanded.
+        assert!(report.nodes.iter().all(|n| n.config.0 + n.config.1 <= 3));
     }
 
     #[test]
     fn parent_tracking_reconstructs_breadth_first_paths() {
-        for threads in [1, 4] {
-            let report = completed(
-                &Grid { side: 4 },
-                &ExploreOptions {
-                    threads,
-                    trace: TraceOptions::parents(),
-                    ..ExploreOptions::default()
-                },
-            );
-            assert_eq!(report.parents.len(), report.nodes.len());
-            // Every node's path replays through the grid moves back to the
-            // origin, and its length is the node's Manhattan distance.
-            for (i, node) in report.nodes.iter().enumerate() {
-                let (root, steps) = report.path_to(i).expect("parents recorded");
-                assert_eq!(report.nodes[root].config, (0, 0));
-                assert_eq!(steps.len() as u64, node.config.0 + node.config.1);
-                let mut at = (0u64, 0u64);
-                for (edge, target) in &steps {
-                    match edge {
-                        'x' => at.0 += 1,
-                        'y' => at.1 += 1,
-                        other => panic!("unexpected edge {other}"),
-                    }
-                    assert_eq!(report.nodes[*target].config, at);
+        let report = completed(
+            &Grid { side: 4 },
+            &ExploreOptions {
+                trace: TraceOptions::parents(),
+                ..ExploreOptions::default()
+            },
+        );
+        assert_eq!(report.parents.len(), report.nodes.len());
+        // Every node's path replays through the grid moves back to the
+        // origin, and its length is the node's Manhattan distance.
+        for (i, node) in report.nodes.iter().enumerate() {
+            let (root, steps) = report.path_to(i).expect("parents recorded");
+            assert_eq!(report.nodes[root].config, (0, 0));
+            assert_eq!(steps.len() as u64, node.config.0 + node.config.1);
+            let mut at = (0u64, 0u64);
+            for (edge, target) in &steps {
+                match edge {
+                    'x' => at.0 += 1,
+                    'y' => at.1 += 1,
+                    other => panic!("unexpected edge {other}"),
                 }
-                assert_eq!(at, node.config);
+                assert_eq!(report.nodes[*target].config, at);
             }
+            assert_eq!(at, node.config);
         }
-    }
-
-    #[test]
-    fn parent_tracking_is_identical_across_thread_counts() {
-        let options = |threads| ExploreOptions {
-            threads,
-            trace: TraceOptions::parents(),
-            ..ExploreOptions::default()
-        };
-        let sequential = completed(&Widening, &options(1));
-        let parallel = completed(&Widening, &options(4));
-        assert_eq!(sequential, parallel);
-        assert!(!sequential.parents.is_empty());
     }
 
     #[test]
@@ -1067,16 +850,7 @@ mod tests {
 
     #[test]
     fn errors_surface_at_the_deterministic_position() {
-        for threads in [1, 4] {
-            let err = explore(
-                &Failing,
-                &ExploreOptions {
-                    threads,
-                    ..ExploreOptions::default()
-                },
-            )
-            .unwrap_err();
-            assert_eq!(err, "boom at 5");
-        }
+        let err = explore(&Failing, &ExploreOptions::default()).unwrap_err();
+        assert_eq!(err, "boom at 5");
     }
 }

@@ -1,5 +1,4 @@
-//! Generic breadth-first exploration with deduplication, subsumption and
-//! parallel expansion.
+//! Generic breadth-first exploration with deduplication and subsumption.
 //!
 //! Every verification path in this workspace is, at its core, the same loop:
 //! keep a frontier of configurations, expand each configuration into
@@ -13,57 +12,43 @@
 //!   successor expansion, a dedup key, and (optionally) a *subsumption*
 //!   relation under which a configuration needs no exploration because an
 //!   already-stored one covers it (e.g. zone inclusion in the DBM explorer).
-//! * [`explore`] — the driver. With [`ExploreOptions::threads`]` == 1` it is
-//!   a plain FIFO breadth-first search, byte-for-byte equivalent to the
-//!   loops it replaced. With more threads each breadth-first level is
-//!   expanded speculatively in parallel and committed by a deterministic
-//!   ordered merge, so **any thread count produces the identical result**.
+//! * [`explore`] — the driver: a plain FIFO breadth-first search,
+//!   byte-for-byte equivalent to the loops it replaced.
 //! * [`CancelToken`] — cooperative cancellation: a shared flag the driver
-//!   checks once per merge batch, so a long-running exploration (e.g. a
-//!   server-side verification job) can be stopped from outside without
-//!   running to its limit. A cancelled search returns
-//!   [`ExploreOutcome::Cancelled`] with the counters of the committed
-//!   deterministic prefix.
+//!   checks once per 32 frontier entries, so a long-running exploration
+//!   (e.g. a server-side verification job) can be stopped from outside
+//!   without running to its limit. A cancelled search returns
+//!   [`ExploreOutcome::Cancelled`] with the counters of the explored
+//!   prefix.
 //! * [`ProgressSink`] — progress reporting: a callback the driver feeds with
-//!   [`ProgressEvent`]s (batch committed, level finished, search cancelled)
-//!   from the deterministic merge, so long-running explorations can stream
-//!   "configs explored" counters to a UI or a server job table without
-//!   perturbing the result. The default sink is inert and costs nothing.
+//!   [`ProgressEvent`]s (32 more expansions, level finished, search
+//!   cancelled), so long-running explorations can stream "configs explored"
+//!   counters to a UI or a server job table without perturbing the result.
+//!   The default sink is inert and costs nothing.
 //! * [`TraceOptions`] — optional witness bookkeeping: with parent tracking
 //!   on, the report records for every expanded configuration the node that
 //!   first discovered it and the edge it was discovered through, and
 //!   [`ExploreReport::path_to`] reconstructs the breadth-first discovery
-//!   path to any node. Parents are recorded by the deterministic merge, so
-//!   reconstructed traces are identical for every thread count; the
-//!   counterexample traces of the `transyt` engine and the symbolic timed
-//!   traces of `dbm` are built on this.
+//!   path to any node. The counterexample traces of the `transyt` engine and
+//!   the symbolic timed traces of `dbm` are built on this.
 //! * [`BudgetMeter`] — per-exploration resource budgets: configuration and
-//!   zone-memory ceilings checked by the driver at the same deterministic
-//!   merge point as its size limits, so a breached budget cancels the search
-//!   at the identical configuration count for every thread count. The
-//!   default meter is inert and costs nothing.
-//! * [`ExploreSpec`] — the shared options core (threads / exact / limit /
-//!   cancel / progress / budget) that the per-domain options structs
+//!   zone-memory ceilings checked by the driver at the same point as its
+//!   size limits, so a breached budget cancels the search at a fixed
+//!   configuration count. The default meter is inert and costs nothing.
+//! * [`ExploreSpec`] — the shared options core (exact / limit / cancel /
+//!   progress / budget) that the per-domain options structs
 //!   (`ZoneExplorationOptions`, `ExpandOptions`, `VerifyOptions`) embed
 //!   instead of re-declaring the same fields.
 //!
 //! # Determinism
 //!
 //! Expansion ([`SearchSpace::expand`]) must be a pure function of the
-//! configuration. The driver exploits this: worker threads only ever run
-//! `expand` on a frozen frontier (claiming chunks of it from a shared atomic
-//! cursor) while the `seen` map is read-only; all mutation — deduplication,
-//! subsumption pruning, configuration counting, limit checks — happens in a
-//! single-threaded merge that walks the level in frontier order. The merge
-//! performs exactly the operations the sequential FIFO loop performs, in the
-//! same order, so reports are identical for every `threads` value.
-//!
-//! Workers additionally *prefilter* successors against the seen map (sharded
-//! `Mutex<HashMap>` so shards can be consulted independently) when edge
-//! recording is off: a successor subsumed by a stored configuration can be
-//! dropped early. Subsumption is transitive, and stored configurations are
-//! only ever pruned by strictly larger ones, so a prefilter drop can never
-//! change a merge decision — it only saves allocation and interning work.
+//! configuration. The driver is one sequential loop: it walks each level in
+//! frontier order and performs deduplication, subsumption pruning,
+//! counting, limit and budget checks, parent links and progress events in
+//! that one order. The seen map is never iterated, so its hash order cannot
+//! leak into a report, and two runs of the same search return identical
+//! reports and stream identical events.
 //!
 //! # Example
 //!
@@ -105,13 +90,9 @@
 //!     _ => unreachable!(),
 //! };
 //! assert!(report.nodes.iter().any(|n| n.config == 64));
-//! // The parallel driver returns the identical result.
-//! let parallel = ExploreOptions {
-//!     threads: 4,
-//!     ..ExploreOptions::default()
-//! };
-//! let outcome2 = explore(&Collatz { cap: 64 }, &parallel).unwrap();
-//! assert!(matches!(outcome2, ExploreOutcome::Completed(r) if r.nodes.len() == report.nodes.len()));
+//! // A second run returns the identical report.
+//! let again = explore(&Collatz { cap: 64 }, &ExploreOptions::default()).unwrap();
+//! assert_eq!(again, ExploreOutcome::Completed(report));
 //! ```
 
 #![forbid(unsafe_code)]

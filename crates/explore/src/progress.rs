@@ -6,14 +6,14 @@ use std::sync::Arc;
 /// A milestone of an in-flight exploration, delivered through a
 /// [`ProgressSink`].
 ///
-/// Events are emitted by the single-threaded deterministic merge (and, for
+/// Events are emitted by the driver's sequential loop (and, for
 /// [`ProgressEvent::Refinement`], by the refinement loop of the `transyt`
-/// engine), so the sequence of events is identical for every thread count —
-/// only their wall-clock spacing differs.
+/// engine), so the sequence of events is identical on every run — only
+/// their wall-clock spacing differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProgressEvent {
-    /// A merge batch committed: the counters describe the deterministic
-    /// prefix explored so far.
+    /// Another 32 configurations were expanded, or a level ended: the
+    /// counters describe the prefix explored so far.
     Batch {
         /// Configurations expanded so far.
         expanded: usize,

@@ -5,29 +5,30 @@ use std::hash::Hash;
 
 /// A breadth-first exploration problem.
 ///
-/// Implementations must be cheap to query concurrently: [`expand`] is called
-/// from worker threads (hence the `Sync` supertrait) and must be a **pure
-/// function** of the configuration — the deterministic parallel driver relies
-/// on being able to expand speculatively and discard results.
+/// The driver calls every method from its one sequential loop, in
+/// breadth-first order, so implementations may keep interior-mutable
+/// tables and counters (e.g. a `RefCell` interner) and any counters they
+/// bump are deterministic. [`expand`] must be a **pure function** of the
+/// configuration.
 ///
 /// [`expand`]: SearchSpace::expand
-pub trait SearchSpace: Sync {
+pub trait SearchSpace {
     /// One exploration configuration (e.g. a state, a marking, or a
     /// `(state, zone)` pair).
-    type Config: Clone + PartialEq + Send + Sync;
+    type Config: Clone + PartialEq;
 
     /// Deduplication key. Configurations with *different* keys never
     /// interact; configurations with the same key are candidates for
     /// subsumption (see [`subsumes`](SearchSpace::subsumes)).
-    type Key: Clone + Eq + Hash + Send + Sync;
+    type Key: Clone + Eq + Hash;
 
     /// Label attached to a generated successor (e.g. the event that fired).
     /// Use `()` when callers do not need edges.
-    type Edge: Clone + Send;
+    type Edge: Clone;
 
     /// Error aborting the whole exploration (use
     /// [`std::convert::Infallible`] for total spaces).
-    type Error: Send;
+    type Error;
 
     /// The initial configurations, in deterministic order.
     ///
@@ -43,8 +44,8 @@ pub trait SearchSpace: Sync {
     ///
     /// # Errors
     ///
-    /// An error aborts the exploration at the deterministic point where the
-    /// sequential search would have expanded `config`.
+    /// An error aborts the exploration at the point where the search
+    /// expands `config`.
     #[allow(clippy::type_complexity)]
     fn expand(&self, config: &Self::Config)
         -> Result<Vec<(Self::Edge, Self::Config)>, Self::Error>;
@@ -77,9 +78,7 @@ pub trait SearchSpace: Sync {
     /// later, wider arrival pruned it from the seen set, together with the
     /// bucket of configurations currently stored under its key.
     ///
-    /// Called from the single-threaded merge (so any counters bumped here
-    /// are deterministic for every thread count), with the bucket's shard
-    /// lock held. Only fires for spaces with
+    /// Only fires for spaces with
     /// [`uses_subsumption`](SearchSpace::uses_subsumption); the default does
     /// nothing. Spaces use it to classify *why* the skip was sound — e.g.
     /// the zone explorer counts skips that no stored zone covers convexly,
@@ -90,10 +89,7 @@ pub trait SearchSpace: Sync {
 
     /// Canonicalises a configuration before it is stored and enqueued.
     ///
-    /// Called from the single-threaded merge, so implementations may use a
-    /// `Mutex` around shared interning tables without contention — and any
-    /// counters it bumps are deterministic for every thread count. The
-    /// returned configuration either equals the argument (with a possibly
+    /// The returned configuration either equals the argument (with a possibly
     /// shared representation, e.g. an interned `Arc`) or — for spaces with
     /// [`uses_subsumption`](SearchSpace::uses_subsumption) — *subsumes* it
     /// (a widening normalisation such as zone extrapolation). The driver
@@ -104,8 +100,8 @@ pub trait SearchSpace: Sync {
         config
     }
 
-    /// Inspects a configuration at the moment it is committed (in
-    /// deterministic breadth-first order) together with its expansion.
+    /// Inspects a configuration at the moment it is expanded (in
+    /// breadth-first order) together with its expansion.
     /// Returning `true` records the node and stops the search — used by goal
     /// searches that only need the first failure in breadth-first order.
     fn should_halt(

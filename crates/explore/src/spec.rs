@@ -2,8 +2,8 @@
 //!
 //! Every exploration-backed options struct in the workspace —
 //! `dbm::ZoneExplorationOptions`, `stg::ExpandOptions`,
-//! `transyt::VerifyOptions` — used to re-declare the same knobs (threads,
-//! limits, cancellation, progress). They now embed one [`ExploreSpec`], and
+//! `transyt::VerifyOptions` — used to re-declare the same knobs (limits,
+//! cancellation, progress). They now embed one [`ExploreSpec`], and
 //! the session layer's `TaskSpec` lowers to it in exactly one place, so
 //! adding the next knob is a one-struct change instead of a five-struct
 //! threading exercise.
@@ -25,17 +25,13 @@ use crate::progress::ProgressSink;
 /// use explore::ExploreSpec;
 ///
 /// let spec = ExploreSpec {
-///     threads: 4,
 ///     limit: Some(10_000),
 ///     ..ExploreSpec::default()
 /// };
 /// assert!(!spec.exact);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExploreSpec {
-    /// Number of worker threads (`1` = sequential; any value produces the
-    /// identical result).
-    pub threads: usize,
     /// Explore without abstraction (timed explorations only): exact zones
     /// and exact-duplicate deduplication instead of the default LU
     /// extrapolation and aLU coverage. The unabstracted oracle; it may not
@@ -44,39 +40,19 @@ pub struct ExploreSpec {
     /// Exploration size limit (configurations, markings, …); `None` lets
     /// each consumer apply its own default.
     pub limit: Option<usize>,
-    /// Cooperative cancellation: a search whose token fires stops at the
-    /// next batch boundary. The default token is inert.
+    /// Cooperative cancellation: a search whose token fires stops at its
+    /// next check. The default token is inert.
     pub cancel: CancelToken,
-    /// Progress reporting: fed with events from the deterministic merge.
-    /// The default sink is inert.
+    /// Progress reporting: fed with events from the search loop. The
+    /// default sink is inert.
     pub progress: ProgressSink,
     /// Per-exploration resource budgets (configurations, zone bytes),
-    /// checked deterministically by the driver. The default meter is inert.
+    /// checked by the driver after every expansion. The default meter is
+    /// inert.
     pub budget: BudgetMeter,
 }
 
-impl Default for ExploreSpec {
-    fn default() -> Self {
-        ExploreSpec {
-            threads: 1,
-            exact: false,
-            limit: None,
-            cancel: CancelToken::default(),
-            progress: ProgressSink::default(),
-            budget: BudgetMeter::default(),
-        }
-    }
-}
-
 impl ExploreSpec {
-    /// A default spec with `threads` workers — the most common override.
-    pub fn threaded(threads: usize) -> ExploreSpec {
-        ExploreSpec {
-            threads,
-            ..ExploreSpec::default()
-        }
-    }
-
     /// The size limit the consumer should enforce: the explicit limit, or
     /// `default` when none was set.
     pub fn limit_or(&self, default: usize) -> usize {
@@ -91,11 +67,9 @@ mod tests {
     #[test]
     fn spec_defaults_and_limit_resolution() {
         let spec = ExploreSpec::default();
-        assert_eq!(spec.threads, 1);
         assert!(!spec.exact);
         assert_eq!(spec.limit, None);
         assert_eq!(spec.limit_or(42), 42);
-        assert_eq!(ExploreSpec::threaded(8).threads, 8);
         let limited = ExploreSpec {
             limit: Some(7),
             ..ExploreSpec::default()

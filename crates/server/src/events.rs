@@ -8,10 +8,9 @@
 //! then long-poll for more — late subscribers see exactly the same
 //! sequence as early ones.
 //!
-//! Because the exploration driver emits its progress events from the
-//! single-threaded merge loop, the logged sequence is deterministic and
-//! thread-count-invariant: the same job streams the same events at
-//! `threads=1` and `threads=8`.
+//! Because the exploration driver emits its progress events from its one
+//! sequential loop, the logged sequence is deterministic: every run of the
+//! same job streams the same events.
 
 use explore::ProgressEvent;
 use std::sync::{Condvar, Mutex};

@@ -21,8 +21,8 @@
 //!   [`ServerConfig::result_ttl`]); `GET /jobs` reports evicted ids.
 //! * [`events`] — per-job progress event logs: `GET /jobs/{id}/events`
 //!   streams queue-position and exploration-progress events (a
-//!   deterministic, thread-count-invariant sequence) as server-sent
-//!   events until the job reaches a terminal state.
+//!   deterministic sequence) as server-sent events until the job reaches a
+//!   terminal state.
 //! * Resource budgets — `max-configs=` / `max-zone-bytes=` parameters bound
 //!   a job's exploration; a breach surfaces as status `budget_exceeded`
 //!   (with the `(resource, used, limit)` triple) and a 409-with-reason on

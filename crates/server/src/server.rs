@@ -20,9 +20,9 @@ pub struct ServerConfig {
     /// handy for tests).
     pub addr: String,
     /// Worker threads draining the job queue: at most this many jobs run
-    /// concurrently; further submissions queue FIFO. Keep `workers ×
-    /// per-job --threads` at or below the machine's cores so concurrent
-    /// verifications don't oversubscribe the explorer's own thread pool.
+    /// concurrently; further submissions queue FIFO. Each job explores on
+    /// its worker thread alone, so keep `workers` at or below the machine's
+    /// cores.
     pub workers: usize,
     /// Admission depth (`serve --queue-depth N`): at most this many jobs
     /// wait in the queue; further submissions are refused with `429 Too
@@ -290,7 +290,6 @@ fn job_document(view: &JobView) -> Value {
         .field("command", view.spec.command.name())
         .field("model", view.spec.model.as_str())
         .field("model_name", view.model_name.as_str())
-        .field("threads", view.spec.threads)
         .field("trace", view.spec.trace)
         .field("key", view.key.fingerprint())
         .field("explored", view.explored)

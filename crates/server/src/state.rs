@@ -338,7 +338,17 @@ impl ServerState {
         let mut queue = Gate::new(gate);
         for recovered in &recovery.jobs {
             let id = jobs.len();
-            let (spec, spec_error) = match TaskSpec::parse(&recovered.command, &recovered.params) {
+            // Journals written before the thread-count knob was retired carry
+            // a `threads=N` pair on every job (the old `to_params` always
+            // wrote it), and the knob never changed a result: drop it, so
+            // those jobs replay instead of failing as unrecoverable.
+            let params: Vec<(String, String)> = recovered
+                .params
+                .iter()
+                .filter(|(name, _)| name != "threads")
+                .cloned()
+                .collect();
+            let (spec, spec_error) = match TaskSpec::parse(&recovered.command, &params) {
                 Ok(spec) => (spec.for_model(&recovered.model), None),
                 // A journal from a future/older version: keep the job
                 // visible (ids stay dense) but terminal.
@@ -903,9 +913,8 @@ impl ServerState {
                 {
                     explored.store(*expanded, Ordering::Relaxed);
                 }
-                // The driver emits progress from its single-threaded merge
-                // loop, so the streamed sequence is deterministic and
-                // thread-count-invariant.
+                // The driver emits progress from its one sequential loop,
+                // so the streamed sequence is deterministic.
                 event_sink.push(render_progress(event));
             });
             // The session isolates panics and deduplicates: this either
@@ -1044,6 +1053,12 @@ mod tests {
         state.submit(spec, Priority::default())
     }
 
+    /// A `verify` spec whose key differs for every `n`: a far-off deadline
+    /// that never fires splits the keys without changing the document.
+    fn keyed(hash: &str, n: u64) -> TaskSpec {
+        TaskSpec::verify(hash).deadline(Duration::from_secs(3600 + n))
+    }
+
     fn drain(state: &ServerState) {
         std::thread::scope(|scope| {
             scope.spawn(|| state.worker_loop());
@@ -1085,10 +1100,7 @@ mod tests {
         assert_eq!(state.job(id).unwrap().status, JobStatus::Queued);
         let twin = submit(&state, TaskSpec::verify(&model.hash)).unwrap();
         let cancelled = state
-            .submit(
-                TaskSpec::verify(&model.hash).threads(2),
-                Priority::default(),
-            )
+            .submit(keyed(&model.hash, 2), Priority::default())
             .unwrap();
         state.cancel(cancelled);
         drain(&state);
@@ -1136,25 +1148,16 @@ mod tests {
             result_ttl: None,
         });
         let (model, _) = state.upload_model(RACE).unwrap();
-        // Three distinct jobs (different thread counts → different keys),
+        // Three distinct jobs (different deadlines → different keys),
         // drained by a single worker so they complete in submission order.
         let a = state
-            .submit(
-                TaskSpec::verify(&model.hash).threads(1),
-                Priority::default(),
-            )
+            .submit(keyed(&model.hash, 1), Priority::default())
             .unwrap();
         let b = state
-            .submit(
-                TaskSpec::verify(&model.hash).threads(2),
-                Priority::default(),
-            )
+            .submit(keyed(&model.hash, 2), Priority::default())
             .unwrap();
         let c = state
-            .submit(
-                TaskSpec::verify(&model.hash).threads(3),
-                Priority::default(),
-            )
+            .submit(keyed(&model.hash, 3), Priority::default())
             .unwrap();
         drain(&state);
         // Cap 2, three results stored in completion order: the oldest was
@@ -1238,16 +1241,10 @@ mod tests {
         assert!(recovered_done.recovered);
         assert_eq!(recovered_done.result.unwrap().document, first_doc);
         let queued_a = state
-            .submit(
-                TaskSpec::verify(&model.hash).threads(2),
-                Priority::default(),
-            )
+            .submit(keyed(&model.hash, 2), Priority::default())
             .unwrap();
         let queued_b = state
-            .submit(
-                TaskSpec::verify(&model.hash).threads(3),
-                Priority::default(),
-            )
+            .submit(keyed(&model.hash, 3), Priority::default())
             .unwrap();
         drop(state);
 
@@ -1261,12 +1258,10 @@ mod tests {
         drain(&state);
         let reference = Session::new();
         reference.add_model(RACE).unwrap();
-        for (id, threads) in [(queued_a, 2), (queued_b, 3)] {
+        for (id, n) in [(queued_a, 2), (queued_b, 3)] {
             let view = state.job(id).unwrap();
             assert_eq!(view.status, JobStatus::Done);
-            let fresh = reference
-                .run(&TaskSpec::verify(&model.hash).threads(threads))
-                .unwrap();
+            let fresh = reference.run(&keyed(&model.hash, n)).unwrap();
             assert_eq!(
                 view.result.unwrap().document,
                 transyt_session::render::render_document(&transyt_session::render::document(
@@ -1315,16 +1310,10 @@ mod tests {
         let state = durable_state(&dir, cap_one);
         let (model, _) = state.upload_model(RACE).unwrap();
         let a = state
-            .submit(
-                TaskSpec::verify(&model.hash).threads(1),
-                Priority::default(),
-            )
+            .submit(keyed(&model.hash, 1), Priority::default())
             .unwrap();
         let b = state
-            .submit(
-                TaskSpec::verify(&model.hash).threads(2),
-                Priority::default(),
-            )
+            .submit(keyed(&model.hash, 2), Priority::default())
             .unwrap();
         drain(&state);
         assert_eq!(state.evicted_jobs(), vec![a]);
@@ -1347,6 +1336,11 @@ mod tests {
     /// into `exact` carry `subsumption`, `extrapolation` and `bounds`
     /// params, which `TaskSpec::parse` now refuses. Replay keeps such a job
     /// visible but terminal, ids stay dense, and service goes on.
+    ///
+    /// Every job journaled before the thread-count knob was retired carries
+    /// `threads=1`: replay drops it, so a queued job re-runs, and a done
+    /// job, whose result file sits under the old key form, reads as evicted
+    /// while the startup sweep deletes that file.
     #[test]
     fn journaled_spec_with_retired_params_recovers_as_failed() {
         let dir = test_data_dir("retired");
@@ -1362,6 +1356,7 @@ mod tests {
         let journaled = [
             ("zones", vec![pair("threads", "1"), pair("bounds", "local")]),
             ("verify", vec![pair("threads", "1")]),
+            ("verify", vec![pair("threads", "1"), pair("trace", "true")]),
         ];
         for (id, (command, params)) in journaled.into_iter().enumerate() {
             persist
@@ -1374,9 +1369,30 @@ mod tests {
                 })
                 .unwrap();
         }
+        // Job 2 finished before the upgrade: its result file is addressed by
+        // the old key form, which spelled out `threads=1`.
+        let key = TaskSpec::verify(&model.hash).with_trace(true).key();
+        let old_key = key.canonical().replacen(" exact=", " threads=1 exact=", 1);
+        let old_result = content_hash(&old_key);
+        let old_file = dir.join("results").join(format!("{old_result}.res"));
+        std::fs::write(
+            &old_file,
+            format!("transyt-result v1\nkey {old_key}\ntext 0\ndocument 0\n\n"),
+        )
+        .unwrap();
+        persist
+            .append(&Record::Done {
+                id: 2,
+                result: old_result,
+            })
+            .unwrap();
         drop(persist);
 
         let state = durable_state(&dir, ResultStoreConfig::default());
+        let done = state.job(2).unwrap();
+        assert_eq!(done.status, JobStatus::Done);
+        assert!(done.evicted, "an old-form result reads as evicted");
+        assert!(!old_file.exists(), "the startup sweep removes the old file");
         let retired = state.job(0).unwrap();
         assert_eq!(retired.status, JobStatus::Failed);
         let error = retired.error.unwrap();
@@ -1388,7 +1404,7 @@ mod tests {
         // next dense id.
         assert_eq!(state.job(1).unwrap().status, JobStatus::Queued);
         let next = submit(&state, TaskSpec::zones(&model.hash)).unwrap();
-        assert_eq!(next, 2);
+        assert_eq!(next, 3);
         drain(&state);
         assert_eq!(state.job(1).unwrap().status, JobStatus::Done);
         assert_eq!(state.job(next).unwrap().status, JobStatus::Done);
@@ -1433,9 +1449,9 @@ mod tests {
         );
         let (model, _) = state.upload_model(RACE).unwrap();
         // No worker is draining, so both admitted jobs stay queued.
-        submit(&state, TaskSpec::verify(&model.hash).threads(1)).unwrap();
-        submit(&state, TaskSpec::verify(&model.hash).threads(2)).unwrap();
-        match submit(&state, TaskSpec::verify(&model.hash).threads(3)) {
+        submit(&state, keyed(&model.hash, 1)).unwrap();
+        submit(&state, keyed(&model.hash, 2)).unwrap();
+        match submit(&state, keyed(&model.hash, 3)) {
             Err(SubmitError::Busy {
                 retry_after,
                 queued,
@@ -1455,19 +1471,13 @@ mod tests {
         let state = state_with(ResultStoreConfig::default());
         let (model, _) = state.upload_model(RACE).unwrap();
         let batch = state
-            .submit(TaskSpec::verify(&model.hash).threads(1), Priority::Batch)
+            .submit(keyed(&model.hash, 1), Priority::Batch)
             .unwrap();
         let background = state
-            .submit(
-                TaskSpec::verify(&model.hash).threads(2),
-                Priority::Background,
-            )
+            .submit(keyed(&model.hash, 2), Priority::Background)
             .unwrap();
         let interactive = state
-            .submit(
-                TaskSpec::verify(&model.hash).threads(3),
-                Priority::Interactive,
-            )
+            .submit(keyed(&model.hash, 3), Priority::Interactive)
             .unwrap();
         // Dispatch order is by class, not arrival: the late interactive
         // submission is next up.

@@ -11,7 +11,7 @@
 //! * [`Session`] — owns parsed models, interned by content hash
 //!   ([`Session::add_model`]); runs [`TaskSpec`]s against them.
 //! * [`TaskSpec`] — a typed task description (`verify` / `reach` / `zones`
-//!   × threads / exact / trace / limit / deadline) with one textual
+//!   × exact / trace / limit / deadline) with one textual
 //!   lowering ([`TaskSpec::parse`]) shared by the CLI's flags and the
 //!   server's query strings, and a canonical [`TaskKey`] — the fingerprint
 //!   of model hash + normalized options that identical submissions share.
@@ -25,14 +25,14 @@
 //!   `transyt serve` serves. Documents are [`json::Value`] trees.
 //! * [`ProgressEvent`]s — configurations explored, levels, refinement
 //!   iterations, cancellation — stream through a [`ProgressSink`] callback
-//!   threaded down into the exploration driver's deterministic merge.
+//!   passed down into the exploration driver's loop.
 //! * Deadlines — [`TaskSpec::deadline`] arms a watchdog that trips the
 //!   run's [`CancelToken`] and surfaces the partial result as
 //!   [`Outcome::TimedOut`].
 //! * Resource budgets — [`TaskSpec::max_configs`] / `max_zone_bytes` arm a
-//!   [`BudgetMeter`] checked inside the exploration driver's merge loop; a
-//!   breach aborts at a deterministic, thread-count-invariant configuration
-//!   count and surfaces as [`Outcome::BudgetExceeded`].
+//!   [`BudgetMeter`] checked inside the exploration driver's loop; a
+//!   breach aborts at a deterministic configuration count and surfaces as
+//!   [`Outcome::BudgetExceeded`].
 //!
 //! See `docs/API.md` for a guided tour and `examples/embed_session.rs` for
 //! a complete embedding.

@@ -335,9 +335,8 @@ pub struct TimedOutOutcome {
 /// [`TaskSpec::max_zone_bytes`](crate::TaskSpec::max_zone_bytes)).
 ///
 /// Unlike a timeout, a budget abort is *deterministic*: the driver notices
-/// the breach at a fixed point of its single-threaded merge, so the partial
-/// outcome — configuration counts included — is identical for every thread
-/// count.
+/// the breach at a fixed point of its loop, so the partial outcome —
+/// configuration counts included — is identical on every run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BudgetExceededOutcome {
     /// The model's declared name.

@@ -542,7 +542,7 @@ impl Session {
         // `BudgetExceeded`; a run that finished before the breach was
         // observed keeps its full result. The breach is recorded by the
         // explore driver at a deterministic configuration count, so this
-        // classification is thread-count-invariant.
+        // classification is the same on every run.
         let classify_budget = |outcome: Result<Outcome, SessionError>| {
             let Some(breach) = budget.breach() else {
                 return outcome;

@@ -73,18 +73,16 @@ pub const ZONES_DEFAULT_LIMIT: usize = 50_000;
 /// use transyt_session::TaskSpec;
 ///
 /// let spec = TaskSpec::zones("0011223344556677")
-///     .threads(4)
 ///     .exact(true)
 ///     .with_trace(true)
 ///     .limit(80_000)
 ///     .deadline(Duration::from_secs(30));
 /// assert_eq!(spec.key().canonical(),
-///     "model=0011223344556677 command=zones threads=4 exact=yes trace=yes \
+///     "model=0011223344556677 command=zones exact=yes trace=yes \
 ///      limit=80000 to=- deadline=30000ms max-configs=- max-zone-bytes=-");
 ///
 /// // Identical submissions — however they were spelled — share a key.
 /// let parsed = TaskSpec::parse("zones", &[
-///     ("threads".into(), "4".into()),
 ///     ("exact".into(), "true".into()),
 ///     ("trace".into(), "true".into()),
 ///     ("limit".into(), "80000".into()),
@@ -98,9 +96,6 @@ pub struct TaskSpec {
     pub model: String,
     /// The command to run.
     pub command: TaskCommand,
-    /// Worker threads for every exploration (default 1; any value produces
-    /// identical output).
-    pub threads: usize,
     /// Explore the zone graph unabstracted — the exact oracle (`zones` only;
     /// default off: LU extrapolation and aLU coverage, see
     /// [`ExploreSpec::exact`]).
@@ -144,7 +139,6 @@ impl TaskSpec {
         TaskSpec {
             model: model_hash.into(),
             command,
-            threads: 1,
             exact: false,
             trace: false,
             limit: None,
@@ -168,13 +162,6 @@ impl TaskSpec {
     /// A `zones` spec with default options.
     pub fn zones(model_hash: impl Into<String>) -> TaskSpec {
         TaskSpec::new(TaskCommand::Zones, model_hash)
-    }
-
-    /// Sets the worker thread count.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> TaskSpec {
-        self.threads = threads;
-        self
     }
 
     /// Runs `zones` unabstracted (the exact oracle).
@@ -238,10 +225,9 @@ impl TaskSpec {
     /// query-string validation.
     pub fn allowed_params(command: TaskCommand) -> &'static [&'static str] {
         match command {
-            TaskCommand::Verify => &["threads", "trace", "timeout"],
-            TaskCommand::Reach => &["threads", "trace", "to", "limit", "timeout", "max-configs"],
+            TaskCommand::Verify => &["trace", "timeout"],
+            TaskCommand::Reach => &["trace", "to", "limit", "timeout", "max-configs"],
             TaskCommand::Zones => &[
-                "threads",
                 "exact",
                 "trace",
                 "limit",
@@ -280,11 +266,6 @@ impl TaskSpec {
                 )));
             }
             match name.as_str() {
-                "threads" => {
-                    spec.threads = value
-                        .parse()
-                        .map_err(|_| SpecError(format!("bad `threads` value `{value}`")))?;
-                }
                 "trace" | "exact" => {
                     let on = match value.as_str() {
                         "true" => true,
@@ -343,7 +324,7 @@ impl TaskSpec {
     /// in code is rounded down, minimum 1s).
     pub fn to_params(&self) -> Vec<(String, String)> {
         let allowed = TaskSpec::allowed_params(self.command);
-        let mut params = vec![("threads".to_owned(), self.threads.to_string())];
+        let mut params = Vec::new();
         if self.exact && allowed.contains(&"exact") {
             params.push(("exact".to_owned(), "true".to_owned()));
         }
@@ -415,7 +396,6 @@ impl TaskSpec {
         budget: BudgetMeter,
     ) -> ExploreSpec {
         ExploreSpec {
-            threads: self.threads,
             exact: self.exact,
             limit: self.effective_limit(),
             cancel,
@@ -455,12 +435,11 @@ impl TaskSpec {
         let max_zone_bytes = erased(max_zone_bytes);
         TaskKey {
             canonical: format!(
-                "model={} command={} threads={} exact={exact} trace={} limit={limit} \
+                "model={} command={} exact={exact} trace={} limit={limit} \
                  to={to} deadline={deadline} max-configs={max_configs} \
                  max-zone-bytes={max_zone_bytes}",
                 self.model,
                 self.command,
-                self.threads,
                 if self.trace { "yes" } else { "no" },
             ),
         }
@@ -560,7 +539,7 @@ mod tests {
     fn to_params_round_trips_through_parse() {
         let specs = [
             TaskSpec::verify("aa"),
-            TaskSpec::verify("aa").threads(3).with_trace(true),
+            TaskSpec::verify("aa").with_trace(true),
             TaskSpec::verify("aa").deadline(Duration::from_secs(7)),
             TaskSpec::reach("aa").to("C+").limit(42).max_configs(5_000),
             TaskSpec::zones("aa"),
@@ -591,21 +570,22 @@ mod tests {
     fn parse_checks_names_values_and_commands() {
         let pair = |name: &str, value: &str| (name.to_owned(), value.to_owned());
         assert!(TaskSpec::parse("table1", &[]).is_err());
-        assert!(TaskSpec::parse("zones", &[pair("threads", "x")]).is_err());
         assert!(TaskSpec::parse("zones", &[pair("trace", "maybe")]).is_err());
-        // The retired zone-abstraction knobs are unknown to every command,
-        // and the refusal names what is accepted.
+        // The retired zone-abstraction knobs and thread count are unknown to
+        // every command, and the refusal names what is accepted.
         for command in ["verify", "reach", "zones"] {
+            let allowed = TaskSpec::allowed_params(TaskCommand::parse(command).unwrap()).join(", ");
             for (name, value) in [
                 ("subsumption", "alu"),
                 ("extrapolation", "lu-active"),
                 ("bounds", "local"),
+                ("threads", "2"),
             ] {
                 let error = TaskSpec::parse(command, &[pair(name, value)]).unwrap_err();
                 assert!(
                     error
                         .0
-                        .contains(&format!("does not accept `{name}` (allowed: threads")),
+                        .contains(&format!("does not accept `{name}` (allowed: {allowed})")),
                     "{error}"
                 );
             }

@@ -24,8 +24,7 @@
 //! exploration driver does: the marking limit before each expansion, the
 //! configuration budget once per expansion, the cancel token once per 32
 //! expansions of a breadth-first level, and the same `Batch`, `Level` and
-//! `Cancelled` progress events. It runs on the calling thread:
-//! [`ExploreSpec::threads`] is accepted and changes nothing.
+//! `Cancelled` progress events.
 
 use std::collections::hash_map::RandomState;
 use std::fmt;
@@ -95,8 +94,8 @@ pub const DEFAULT_MARKING_LIMIT: usize = 1_000_000;
 ///
 /// The shared exploration knobs live in the embedded [`ExploreSpec`]: the
 /// marking search honours `limit`, `cancel`, `progress` and `budget`; it
-/// deduplicates exactly and runs sequentially, so `exact` and `threads` are
-/// carried inert. An unset [`ExploreSpec::limit`] resolves to
+/// deduplicates exactly, so `exact` is carried inert. An unset
+/// [`ExploreSpec::limit`] resolves to
 /// [`DEFAULT_MARKING_LIMIT`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExpandOptions {
@@ -128,8 +127,7 @@ pub struct ReachReport {
 }
 
 /// Expansions per cancel-token check within a breadth-first level, and the
-/// stride of `Batch` progress events: the shared driver's sequential merge
-/// batch.
+/// stride of `Batch` progress events, as in the shared driver.
 const BATCH: usize = 32;
 
 /// The net compiled for the packed token game.
@@ -796,6 +794,28 @@ mod tests {
         // Diamond of B+/C+ plus diamond of B-/C-.
         assert!(ts.state_count() >= 6);
         assert!(ts.deadlock_states().is_empty());
+
+        // Independent toggles interleave freely: four give 16 markings, and
+        // the shortest path to three signals high at once fires three `+`.
+        let toggles = |names: &[&str]| {
+            let mut b = StgBuilder::new("wide");
+            for name in names {
+                let up = b.add_transition(format!("{name}+"), SignalRole::Output);
+                let down = b.add_transition(format!("{name}-"), SignalRole::Output);
+                b.connect(up, down, 0);
+                b.connect(down, up, 1);
+            }
+            b.build().unwrap()
+        };
+        let (_, report) =
+            expand_with_report(&toggles(&["A", "B", "C", "D"]), ExpandOptions::default()).unwrap();
+        assert_eq!(report.markings, 16);
+        let net = toggles(&["A", "B", "C"]);
+        let all_high = |m: &Marking| net.enabled(m).iter().all(|&t| net.label(t).ends_with('-'));
+        let path = find_marking_path(&net, ExpandOptions::default(), all_high)
+            .unwrap()
+            .expect("reachable");
+        assert_eq!(path.len(), 3);
     }
 
     #[test]
@@ -1010,36 +1030,6 @@ mod tests {
     }
 
     #[test]
-    fn marking_path_is_identical_across_thread_counts() {
-        let mut b = StgBuilder::new("wide");
-        for name in ["A", "B", "C"] {
-            let up = b.add_transition(format!("{name}+"), SignalRole::Output);
-            let down = b.add_transition(format!("{name}-"), SignalRole::Output);
-            b.connect(up, down, 0);
-            b.connect(down, up, 1);
-        }
-        let net = b.build().unwrap();
-        // Goal: all three signals high at once.
-        let goal = |m: &Marking| net.enabled(m).iter().all(|&t| net.label(t).ends_with('-'));
-        let sequential = find_marking_path(&net, ExpandOptions::default(), goal)
-            .unwrap()
-            .expect("reachable");
-        for threads in [2, 4] {
-            let parallel = find_marking_path(
-                &net,
-                ExpandOptions {
-                    spec: ExploreSpec::threaded(threads),
-                },
-                goal,
-            )
-            .unwrap()
-            .expect("reachable");
-            assert_eq!(sequential, parallel, "threads={threads}");
-        }
-        assert_eq!(sequential.len(), 3);
-    }
-
-    #[test]
     fn forbidden_markings_become_violation_marks() {
         // Two independent toggles; both signals high at once is forbidden.
         let mut b = StgBuilder::new("mutex");
@@ -1108,30 +1098,5 @@ mod tests {
             .expect("initial marking satisfies the goal");
         assert!(path.is_empty());
         assert_eq!(path.end(), &net.initial_marking());
-    }
-
-    #[test]
-    fn parallel_expansion_matches_sequential_exactly() {
-        let mut b = StgBuilder::new("wide");
-        // Four concurrent toggles: 16 interleaved markings.
-        for name in ["A", "B", "C", "D"] {
-            let up = b.add_transition(format!("{name}+"), SignalRole::Output);
-            let down = b.add_transition(format!("{name}-"), SignalRole::Output);
-            b.connect(up, down, 0);
-            b.connect(down, up, 1);
-        }
-        let net = b.build().unwrap();
-        let sequential = expand_with_report(&net, ExpandOptions::default()).unwrap();
-        for threads in [2, 4] {
-            let parallel = expand_with_report(
-                &net,
-                ExpandOptions {
-                    spec: ExploreSpec::threaded(threads),
-                },
-            )
-            .unwrap();
-            assert_eq!(sequential, parallel, "threads={threads}");
-        }
-        assert!(sequential.1.markings >= 16);
     }
 }

@@ -20,8 +20,8 @@
 //!   disk with zero new runs — the on-disk store is keyed by the same
 //!   normalized [`TaskKey`] the in-memory memo uses.
 //!
-//! Because the whole stack is deterministic (byte-identical documents at
-//! any thread count), recovery is testable to the byte: a stored document
+//! Because the whole stack is deterministic (byte-identical documents on
+//! every run), recovery is testable to the byte: a stored document
 //! equals the pre-crash one exactly, and a re-run of an interrupted job
 //! reproduces it exactly.
 //!
@@ -863,8 +863,14 @@ mod tests {
     fn gc_applies_cap_ttl_and_orphan_sweep() {
         let dir = test_dir("store-gc");
         let (store, _) = Store::open(&dir, false).unwrap();
-        let keys: Vec<TaskKey> = (1..=3)
-            .map(|threads| TaskSpec::verify("feed").threads(threads).key())
+        // Three distinct keys, split by far-off deadlines.
+        let timeout = |id: usize| 3601 + id as u64;
+        let keys: Vec<TaskKey> = (0..3)
+            .map(|id| {
+                TaskSpec::verify("feed")
+                    .deadline(Duration::from_secs(timeout(id)))
+                    .key()
+            })
             .collect();
         let mut jobs = Vec::new();
         for (id, key) in keys.iter().enumerate() {
@@ -876,7 +882,7 @@ mod tests {
                     id,
                     command: "verify".to_owned(),
                     model: "feed".to_owned(),
-                    params: vec![("threads".to_owned(), (id + 1).to_string())],
+                    params: vec![("timeout".to_owned(), timeout(id).to_string())],
                     prio: "batch".to_owned(),
                 })
                 .unwrap();

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Perf gate: assert the pinned scaling ceilings of ci/scaling-baseline.json.
 #
-# Zone-exploration configuration counts are deterministic (the driver's
-# merge is canonical at every thread count), so these are exact gates, not
-# noisy wall-clock thresholds: if a count rises past its ceiling, an
-# abstraction or coverage relation regressed. The gates:
+# Zone-exploration configuration counts are deterministic (the driver is one
+# sequential breadth-first loop), so these are exact gates, not noisy
+# wall-clock thresholds: if a count rises past its ceiling, an abstraction or
+# coverage relation regressed. The gates:
 #
 #   * `transyt zones` (default abstraction: zones over live clocks, LU
 #     extrapolation, aLU coverage) on the shipped 1-stage and 2-stage
@@ -15,8 +15,10 @@
 #     --skip-3stage for a quick local run);
 #   * the 4-stage pipeline — too large for full zone closure in CI — runs a
 #     BUDGETED determinism gate: `--limit 50000` must abort at exactly the
-#     pinned configuration count and produce a byte-identical JSON document
-#     at --threads 1 and --threads 4, 3.6-5.2 s and ~300-320 MiB per run on the
+#     pinned configuration count, and two runs of the same binary must write
+#     byte-identical JSON documents (the marking table is keyed with a
+#     per-process random hasher, so hash order leaking into the document
+#     shows up as a difference), 3.6-5.2 s and ~300-320 MiB per run on the
 #     same container (skip with --skip-4stage).
 #
 # The flat (transistor-level) 1-stage count is pinned exactly by the tier-1
@@ -95,22 +97,21 @@ fi
 if [ "$RUN_4STAGE" = 1 ]; then
   limit=$(python3 -c "import json; print(json.load(open('$BASELINE'))['four_stage_gate']['limit'])")
   expected=$(python3 -c "import json; print(json.load(open('$BASELINE'))['four_stage_gate']['expected_configurations'])")
-  for threads in 1 4; do
-    "$BINARY" zones models/ipcmos_4stage.stg \
-      --limit "$limit" --threads "$threads" \
-      --json "$workdir/ipcmos_4stage_t$threads.json" > /dev/null
+  for run in 1 2; do
+    "$BINARY" zones models/ipcmos_4stage.stg --limit "$limit" \
+      --json "$workdir/ipcmos_4stage_run$run.json" > /dev/null
   done
-  if ! cmp -s "$workdir/ipcmos_4stage_t1.json" "$workdir/ipcmos_4stage_t4.json"; then
-    echo "perf-gate FAIL: ipcmos_4stage budgeted documents differ between --threads 1 and --threads 4" >&2
+  if ! cmp -s "$workdir/ipcmos_4stage_run1.json" "$workdir/ipcmos_4stage_run2.json"; then
+    echo "perf-gate FAIL: ipcmos_4stage budgeted documents differ between two runs" >&2
     fail=1
-  elif [ "$(json_field "$workdir/ipcmos_4stage_t1.json" completed)" = "True" ]; then
+  elif [ "$(json_field "$workdir/ipcmos_4stage_run1.json" completed)" = "True" ]; then
     # The budget is sized to be exceeded today; completing within it would
     # be an improvement worth pinning, not a regression.
     echo "perf-gate OK:   ipcmos_4stage COMPLETED within the $limit budget — tighten the four_stage_gate baseline"
   else
-    measured=$(json_field "$workdir/ipcmos_4stage_t1.json" configurations)
+    measured=$(json_field "$workdir/ipcmos_4stage_run1.json" configurations)
     if [ "$measured" = "$expected" ]; then
-      echo "perf-gate OK:   ipcmos_4stage budgeted run aborts deterministically at $measured configurations, byte-identical across thread counts"
+      echo "perf-gate OK:   ipcmos_4stage budgeted run aborts deterministically at $measured configurations, byte-identical across two runs"
     else
       echo "perf-gate FAIL: ipcmos_4stage budgeted run stopped at $measured configurations (pinned $expected)" >&2
       fail=1

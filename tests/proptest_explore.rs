@@ -1,8 +1,8 @@
 //! Property tests for the shared exploration core: on random small STGs and
-//! random small timed systems, the parallel driver (threads = 4) must return
-//! reports identical to the sequential driver, and report state lists must be
-//! sorted. The packed marking engine is also checked against a plain
-//! token-game reference on random nets and on the shipped models.
+//! random small timed systems, report state lists must be sorted and the
+//! zone abstraction must keep every verdict-bearing state set. The packed
+//! marking engine is also checked against a plain token-game reference on
+//! random nets and on the shipped models.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -24,7 +24,7 @@ fn sorted(ids: &[StateId]) -> bool {
 /// concurrently interleave and may share a signal. Random cross arcs
 /// (anonymous places, initially empty) synchronise transitions and may
 /// make the net unbounded or inconsistent — every outcome must simply
-/// agree across drivers and with the reference.
+/// agree with the reference.
 ///
 /// `padding` unconnected places come first (every third one marked), so
 /// with enough of them the live places sit past the first 64-bit word of a
@@ -318,60 +318,15 @@ proptest! {
                 ..stg::ExploreSpec::default()
             },
         };
-        let sequential = expand_with_report(&net, limited.clone());
-        let parallel = expand_with_report(
-            &net,
-            ExpandOptions {
-                spec: stg::ExploreSpec {
-                    threads: 4,
-                    ..limited.spec
-                },
-            },
-        );
-        prop_assert_eq!(&sequential, &parallel);
+        let expanded = expand_with_report(&net, limited);
         // The packed engine gives exactly what the plain token game gives:
         // the same system (names, ids, edge order, marks, roles), the same
         // report, or the same error (variant, place, signal).
-        prop_assert_eq!(&sequential, &reference_expand(&net, 2_000));
-        if let Ok((ts, report)) = sequential {
+        prop_assert_eq!(&expanded, &reference_expand(&net, 2_000));
+        if let Ok((ts, report)) = expanded {
             prop_assert!(sorted(&report.reachable_states));
             prop_assert!(sorted(&report.deadlock_states));
             prop_assert_eq!(report.reachable_states.len(), ts.state_count());
-        }
-    }
-
-    #[test]
-    fn parallel_zone_exploration_matches_sequential(
-        states in 2usize..6,
-        transitions in proptest::collection::vec((0usize..6, 0usize..5, 0usize..6), 0..8),
-        delays in proptest::collection::vec((0i64..6, 0i64..6), 5),
-    ) {
-        let timed = random_timed(states, &transitions, &delays);
-        for exact in [false, true] {
-            let base = dbm::ZoneExplorationOptions {
-                spec: dbm::ExploreSpec {
-                    threads: 1,
-                    exact,
-                    limit: Some(600),
-                    ..dbm::ExploreSpec::default()
-                },
-            };
-            let sequential = dbm::explore_timed_with(&timed, base.clone());
-            let parallel = dbm::explore_timed_with(
-                &timed,
-                dbm::ZoneExplorationOptions {
-                    spec: dbm::ExploreSpec {
-                        threads: 4,
-                        ..base.spec
-                    },
-                },
-            );
-            prop_assert_eq!(&sequential, &parallel);
-            if let dbm::ZoneOutcome::Completed(report) = &sequential {
-                prop_assert!(sorted(&report.reachable_states));
-                prop_assert!(sorted(&report.violating_states));
-                prop_assert!(sorted(&report.deadlock_states));
-            }
         }
     }
 
@@ -387,7 +342,6 @@ proptest! {
                 &timed,
                 dbm::ZoneExplorationOptions {
                     spec: dbm::ExploreSpec {
-                        threads: 1,
                         exact,
                         limit: Some(1_500),
                         ..dbm::ExploreSpec::default()
@@ -395,8 +349,16 @@ proptest! {
                 },
             )
         };
+        let (abstracted, exact) = (run(false), run(true));
+        for outcome in [&abstracted, &exact] {
+            if let dbm::ZoneOutcome::Completed(report) = outcome {
+                prop_assert!(sorted(&report.reachable_states));
+                prop_assert!(sorted(&report.violating_states));
+                prop_assert!(sorted(&report.deadlock_states));
+            }
+        }
         if let (dbm::ZoneOutcome::Completed(abstracted), dbm::ZoneOutcome::Completed(exact)) =
-            (run(false), run(true))
+            (abstracted, exact)
         {
             // The abstraction may only shrink the configuration count and
             // must not change any verdict-bearing state set.
@@ -405,25 +367,5 @@ proptest! {
             prop_assert_eq!(&abstracted.violating_states, &exact.violating_states);
             prop_assert_eq!(&abstracted.deadlock_states, &exact.deadlock_states);
         }
-    }
-
-    #[test]
-    fn parallel_verification_matches_sequential(
-        states in 2usize..6,
-        transitions in proptest::collection::vec((0usize..6, 0usize..5, 0usize..6), 0..8),
-        delays in proptest::collection::vec((0i64..6, 0i64..6), 5),
-    ) {
-        let timed = random_timed(states, &transitions, &delays);
-        let property = transyt::SafetyProperty::new("marked").forbid_marked_states();
-        let sequential = transyt::verify(&timed, &property, &transyt::VerifyOptions::default());
-        let parallel = transyt::verify(
-            &timed,
-            &property,
-            &transyt::VerifyOptions {
-                spec: transyt::ExploreSpec::threaded(4),
-                ..transyt::VerifyOptions::default()
-            },
-        );
-        prop_assert_eq!(sequential, parallel);
     }
 }
