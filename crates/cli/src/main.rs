@@ -32,11 +32,10 @@ USAGE:
     transyt export NAME [--out PATH]     # or: transyt export --list / --all --dir DIR
     transyt serve       [--addr HOST:PORT] [--workers N] [--queue-depth N]
                         [--keep-results N] [--result-ttl SECS] [--data-dir DIR]
-                        [--no-persist] [--fsync on|off]
+                        [--fsync on|off]
     transyt store ls|gc --data-dir DIR [--keep-results N] [--result-ttl SECS]
     transyt submit FILE --server HOST:PORT [--command verify|reach|zones] [--wait]
-                        [--watch] [--priority interactive|batch|background]
-                        [--exact] [--trace] [--limit N] [--to LABEL]
+                        [--watch] [--exact] [--trace] [--limit N] [--to LABEL]
                         [--timeout SECS] [--max-configs N] [--max-zone-bytes N]
                         [--json PATH]
     transyt status [JOBID] --server HOST:PORT
@@ -48,7 +47,7 @@ oracle, which may not terminate). --timeout cancels the run at the deadline,
 --max-configs / --max-zone-bytes bound its resources (a breach ends the job
 as `budget_exceeded`), --progress streams exploration progress to stderr.
 `serve` runs the long-lived verification server (model cache +
-deduplicated priority job queue with admission control and result eviction;
+deduplicated FIFO job queue with admission control and result eviction;
 docs/SERVER.md); with --data-dir it journals every job and stores
 models/results on disk, surviving even SIGKILL with full recovery, and
 `store ls` / `store gc` inspect or collect such a data dir offline. `submit`
@@ -266,7 +265,6 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
                         .clone(),
                 );
             }
-            "--no-persist" => config.data_dir = None,
             "--fsync" => {
                 config.fsync = match iter.next().map(String::as_str) {
                     Some("on") => true,
@@ -278,7 +276,7 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
                 return Err(CliError::Usage(format!(
                     "`serve` does not accept `{other}` \
                      (allowed: --addr, --workers, --queue-depth, --keep-results, \
-                     --result-ttl, --data-dir, --no-persist, --fsync)"
+                     --result-ttl, --data-dir, --fsync)"
                 )))
             }
         }
@@ -351,7 +349,6 @@ fn run_submit(args: &[String]) -> Result<(), CliError> {
     let mut command = "verify".to_owned();
     let mut wait = false;
     let mut watch = false;
-    let mut priority = None;
     let mut json_path = None;
     let mut pairs: Vec<(String, String)> = Vec::new();
     let mut iter = args.iter();
@@ -364,15 +361,6 @@ fn run_submit(args: &[String]) -> Result<(), CliError> {
             }
             "--wait" => wait = true,
             "--watch" => watch = true,
-            "--priority" => {
-                let value = iter.next().ok_or_else(|| missing("--priority"))?.clone();
-                if !matches!(value.as_str(), "interactive" | "batch" | "background") {
-                    return Err(CliError::Usage(format!(
-                        "--priority must be interactive, batch or background, got `{value}`"
-                    )));
-                }
-                priority = Some(value);
-            }
             "--json" => {
                 json_path = Some(iter.next().ok_or_else(|| missing("--json"))?.clone());
             }
@@ -411,7 +399,6 @@ fn run_submit(args: &[String]) -> Result<(), CliError> {
             .ok_or_else(|| CliError::Usage("`submit` needs --server HOST:PORT".to_owned()))?,
         file: file.ok_or_else(|| CliError::Usage("`submit` needs a model file".to_owned()))?,
         spec,
-        priority,
         wait,
         watch,
         json_path,

@@ -140,9 +140,6 @@ pub struct SubmitArgs {
     /// upload). Cancellation of remote jobs goes through
     /// `POST /jobs/<id>/cancel`.
     pub spec: TaskSpec,
-    /// Scheduling class (`interactive` / `batch` / `background`); `None`
-    /// submits in the server's default class (batch).
-    pub priority: Option<String>,
     /// Poll until the job finishes and print its text output.
     pub wait: bool,
     /// Follow the job's live event stream (`GET /jobs/<id>/events`) while
@@ -184,14 +181,10 @@ pub fn cmd_submit(args: &SubmitArgs) -> Result<(), CliError> {
     for (name, value) in args.spec.to_params() {
         path.push_str(&format!("&{name}={}", percent_encode(&value)));
     }
-    if let Some(priority) = &args.priority {
-        path.push_str(&format!("&priority={priority}"));
-    }
     let body = submit_with_backoff(&args.server, &path)?;
     let job = client::json_uint_field(&body, "job")
         .ok_or_else(|| CliError::Run(format!("submission response carried no job id: {body}")))?;
-    let priority = client::json_str_field(&body, "priority").unwrap_or_default();
-    println!("submitted job {job} ({command} {name} @ {hash}, {priority})");
+    println!("submitted job {job} ({command} {name} @ {hash})");
     if let Some(position) = client::json_uint_field(&body, "position") {
         println!("queue position {position}");
     }

@@ -253,10 +253,11 @@ fn the_binary_runs_end_to_end() {
     assert!(!output.status.success());
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("unknown subcommand"), "{stderr}");
-    // The retired zone-abstraction flags and thread count are usage errors,
-    // and the usage text that follows names what is accepted.
+    // The retired zone-abstraction flags, thread count and scheduling class
+    // are usage errors, and the usage text that follows names what is
+    // accepted.
     let file = model.to_str().unwrap();
-    let refused: [&[&str]; 8] = [
+    let refused: [&[&str]; 9] = [
         &["zones", file, "--subsumption", "global"],
         &["zones", file, "--extrapolation", "global"],
         &["zones", file, "--bounds", "global"],
@@ -265,6 +266,14 @@ fn the_binary_runs_end_to_end() {
         &["zones", file, "--threads", "2"],
         &["table1", "--threads", "2"],
         &["submit", file, "--server", "127.0.0.1:9", "--threads", "2"],
+        &[
+            "submit",
+            file,
+            "--server",
+            "127.0.0.1:9",
+            "--priority",
+            "interactive",
+        ],
     ];
     for args in refused {
         let (command, flag) = (args[0], args[args.len() - 2]);
@@ -277,6 +286,21 @@ fn the_binary_runs_end_to_end() {
         );
         assert!(stderr.contains("USAGE:"), "{stderr}");
     }
+    // `serve --no-persist` is retired too; the refusal lists the flags.
+    let output = Command::new(binary)
+        .args(["serve", "--no-persist"])
+        .output()
+        .unwrap();
+    assert!(!output.status.success());
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains(
+            "error: `serve` does not accept `--no-persist` (allowed: --addr, --workers, \
+             --queue-depth, --keep-results, --result-ttl, --data-dir, --fsync)"
+        ),
+        "{stderr}"
+    );
+    assert!(stderr.contains("USAGE:"), "{stderr}");
 }
 
 /// The `--json` documents are a wire format (CI artifacts diff them, the

@@ -254,6 +254,7 @@ fn model_cache_and_api_errors() {
         "extrapolation=lu-active",
         "bounds=local",
         "threads=2",
+        "priority=interactive",
     ] {
         let query = format!("/jobs?model={other}&command=zones&{param}");
         let (status, body) = client::request(&addr, "POST", &query, None).unwrap();
@@ -545,49 +546,56 @@ fn budget_breaches_are_deterministic_across_thread_counts() {
     handle.shutdown().expect("graceful shutdown");
 }
 
-/// Strict priority over a real socket: with a single worker busy, four
-/// `interactive` submissions all overtake an earlier `batch` submission —
-/// the batch job leaves the queue only after every interactive job reached
-/// a terminal state.
+/// Arrival order over a real socket: with a single worker busy, five jobs
+/// queue up. Once the worker is released it claims them first come, first
+/// served. The jobs are too quick to catch running, so the order is read
+/// from the journal, where the one worker records each claim before it
+/// runs the job.
 #[test]
-fn interactive_jobs_overtake_a_queued_batch_job() {
-    let (handle, addr) = start_server(1);
+fn queued_jobs_are_claimed_in_arrival_order() {
+    let dir = std::env::temp_dir().join(format!("transyt-fifo-test-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (handle, addr) = start_server_with(ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        workers: 1,
+        data_dir: Some(dir.to_str().unwrap().to_owned()),
+        ..ServerConfig::default()
+    });
     let big = upload(&addr, &model_text("ipcmos_2stage.stg"));
     let occupant = submit(&addr, &format!("model={big}&command=zones&limit=100000000"));
     wait_for(&addr, occupant, |s| s == "running", "running");
 
     let small = upload(&addr, &model_text("race_overlap.tts"));
-    let batch = submit(
-        &addr,
-        &format!("model={small}&command=verify&timeout=3602&priority=batch"),
-    );
-    let interactive: Vec<u64> = (3603..=3606)
+    let queued: Vec<u64> = (3602..=3606)
         .map(|timeout| {
             submit(
                 &addr,
-                &format!("model={small}&command=verify&timeout={timeout}&priority=interactive"),
+                &format!("model={small}&command=verify&timeout={timeout}"),
             )
         })
         .collect();
 
-    // Release the worker; it must drain every interactive job before the
-    // batch job is even claimed.
     let (status, _) =
         client::request(&addr, "POST", &format!("/jobs/{occupant}/cancel"), None).unwrap();
     assert_eq!(status, 200);
-    let deadline = Instant::now() + Duration::from_secs(300);
-    while job_status(&addr, batch) == "queued" {
-        assert!(Instant::now() < deadline, "batch job never left the queue");
-        std::thread::sleep(Duration::from_millis(10));
+    for &job in &queued {
+        assert_eq!(wait_for(&addr, job, terminal, "terminal"), "done");
     }
-    for job in &interactive {
-        assert!(
-            terminal(&job_status(&addr, *job)),
-            "interactive job {job} had not finished when the batch job was claimed"
-        );
-    }
-    assert_eq!(wait_for(&addr, batch, terminal, "terminal"), "done");
+    let journal = std::fs::read_to_string(dir.join("journal.log")).expect("journal");
+    let claimed: Vec<u64> = journal
+        .lines()
+        .filter_map(|line| {
+            line.strip_prefix("v1 run ")?
+                .split(' ')
+                .next()?
+                .parse()
+                .ok()
+        })
+        .filter(|&id| id != occupant)
+        .collect();
+    assert_eq!(claimed, queued, "{journal}");
     handle.shutdown().expect("graceful shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// One atomic snapshot of the job table (`GET /jobs`): `(id, status)` pairs
@@ -609,18 +617,15 @@ fn job_table(addr: &str) -> Vec<(u64, String)> {
         .collect()
 }
 
-/// Aging over a real socket: with one worker and queue depth 4, a queued
-/// `background` job is claimed within the gate's aging window even though
-/// two clients keep the queue full of `interactive` work, retrying through
-/// 429s. Every job the stream got admitted, and the background job, ends
-/// `done`.
+/// No starvation over a real socket: with one worker and queue depth 4, a
+/// job queued first is claimed before any later submission, even though two
+/// clients keep the queue full, retrying through 429s. Every job the stream
+/// got admitted, and the early job, ends `done`.
 #[test]
-fn aging_claims_a_background_job_under_an_interactive_stream() {
+fn an_early_job_is_claimed_first_under_a_retrying_stream() {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Mutex;
-    use transyt_server::GateConfig;
 
-    let aging_threshold = GateConfig::default().aging_threshold;
     let (handle, addr) = start_server_with(ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
         workers: 1,
@@ -635,10 +640,7 @@ fn aging_claims_a_background_job_under_an_interactive_stream() {
     wait_for(&addr, occupant, |s| s == "running", "running");
     // Long enough that the job table is sampled while it runs, which
     // freezes the claim count: the single worker claims nothing else.
-    let background = submit(
-        &addr,
-        &format!("model={hash}&command=zones&limit=1000&priority=background"),
-    );
+    let early = submit(&addr, &format!("model={hash}&command=zones&limit=1000"));
 
     let next = AtomicUsize::new(0);
     let rejects = AtomicUsize::new(0);
@@ -650,7 +652,7 @@ fn aging_claims_a_background_job_under_an_interactive_stream() {
             // no run is deduplicated; all stay above the net's 2,400
             // markings, so every reach completes.
             let path = format!(
-                "/jobs?model={hash}&command=reach&limit={}&priority=interactive",
+                "/jobs?model={hash}&command=reach&limit={}",
                 10_000 + next.fetch_add(1, Ordering::Relaxed)
             );
             loop {
@@ -691,7 +693,7 @@ fn aging_claims_a_background_job_under_an_interactive_stream() {
         scope.spawn(stream);
         let _stop_stream = StopOnDrop(&stop);
 
-        // The queue is full (background + three interactive jobs) once a
+        // The queue is full (the early job + three of the stream's) once a
         // submission bounced; only then does the worker start claiming.
         let deadline = Instant::now() + Duration::from_secs(60);
         while rejects.load(Ordering::Relaxed) == 0 {
@@ -714,37 +716,34 @@ fn aging_claims_a_background_job_under_an_interactive_stream() {
         };
         let table = loop {
             let table = job_table(&addr);
-            if status_of(&table, background) != "queued" {
+            if status_of(&table, early) != "queued" {
                 break table;
             }
-            assert!(Instant::now() < deadline, "background job starved");
+            assert!(Instant::now() < deadline, "the early job starved");
             std::thread::sleep(Duration::from_millis(5));
         };
         stop.store(true, Ordering::Relaxed);
         assert_eq!(
-            status_of(&table, background),
+            status_of(&table, early),
             "running",
-            "the background job must be sampled while it runs: {table:?}"
+            "the early job must be sampled while it runs: {table:?}"
         );
-        // Jobs after the background one are the stream's. One worker runs
-        // jobs in claim order, so those that left the queue were claimed
-        // ahead of the background job. While each reach outlasts a retry
-        // (as in a debug build) interactive work waits throughout, the
-        // count equals the threshold, and the promotion served the job.
+        // Jobs after the early one are the stream's. One worker runs jobs
+        // in claim order, so any that left the queue was claimed ahead of
+        // the early job.
         let claimed_ahead = table
             .iter()
-            .filter(|(id, status)| *id > background && status != "queued")
+            .filter(|(id, status)| *id > early && status != "queued")
             .count();
-        assert!(
-            claimed_ahead <= aging_threshold,
-            "{claimed_ahead} interactive claims ahead of the background job \
-             (aging threshold {aging_threshold}): {table:?}"
+        assert_eq!(
+            claimed_ahead, 0,
+            "later submissions claimed ahead of the early job: {table:?}"
         );
     });
 
     assert_eq!(wait_for(&addr, occupant, terminal, "terminal"), "cancelled");
     let admitted = admitted.into_inner().unwrap();
-    for job in admitted.iter().copied().chain([background]) {
+    for job in admitted.iter().copied().chain([early]) {
         assert_eq!(
             wait_for(&addr, job, terminal, "terminal"),
             "done",

@@ -13,11 +13,11 @@
 //!
 //! * [`http`] — a hand-rolled, dependency-free HTTP/1.1 layer over
 //!   [`std::net::TcpListener`]: one request per connection, JSON in and out.
-//! * [`ServerState`] — the job table, an admission-controlled multi-class
-//!   queue (the [`transyt_gate`] crate: bounded depth with 429 +
-//!   `Retry-After` overflow, strict priority with aging) drained by a
-//!   bounded pool of [`ServerConfig::workers`] threads, and the result
-//!   store with LRU + TTL eviction ([`ServerConfig::keep_results`] /
+//! * [`ServerState`] — the job table, a bounded FIFO queue (at most
+//!   [`ServerConfig::queue_depth`] jobs wait; a further submission gets 429
+//!   with a load-derived `Retry-After`) drained in arrival order by a pool
+//!   of [`ServerConfig::workers`] threads, and the result store with LRU +
+//!   TTL eviction ([`ServerConfig::keep_results`] /
 //!   [`ServerConfig::result_ttl`]); `GET /jobs` reports evicted ids.
 //! * [`events`] — per-job progress event logs: `GET /jobs/{id}/events`
 //!   streams queue-position and exploration-progress events (a
@@ -62,4 +62,3 @@ pub use state::{
     content_hash, CachedModel, GateStats, JobStatus, JobView, PersistenceInfo, ResultStoreConfig,
     ServerState, SubmitError,
 };
-pub use transyt_gate::{GateConfig, Priority};

@@ -6,7 +6,6 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use transyt_gate::{GateConfig, Priority};
 use transyt_session::json::Value;
 use transyt_session::{Session, TaskSpec};
 
@@ -20,9 +19,9 @@ pub struct ServerConfig {
     /// handy for tests).
     pub addr: String,
     /// Worker threads draining the job queue: at most this many jobs run
-    /// concurrently; further submissions queue FIFO. Each job explores on
-    /// its worker thread alone, so keep `workers` at or below the machine's
-    /// cores.
+    /// concurrently; further submissions wait and are claimed in arrival
+    /// order. Each job explores on its worker thread alone, so keep
+    /// `workers` at or below the machine's cores.
     pub workers: usize,
     /// Admission depth (`serve --queue-depth N`): at most this many jobs
     /// wait in the queue; further submissions are refused with `429 Too
@@ -51,7 +50,7 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:7171".to_owned(),
             workers: 4,
-            queue_depth: GateConfig::default().depth,
+            queue_depth: 64,
             keep_results: store.keep_results,
             result_ttl: store.result_ttl,
             data_dir: None,
@@ -116,16 +115,12 @@ impl Server {
             keep_results: config.keep_results,
             result_ttl: config.result_ttl,
         };
-        let gate = GateConfig {
-            depth: config.queue_depth,
-            ..GateConfig::default()
-        };
-        let workers = config.workers.max(1);
+        let (depth, workers) = (config.queue_depth, config.workers.max(1));
         let state = match &config.data_dir {
-            None => ServerState::new(session, store, gate, workers),
+            None => ServerState::new(session, store, depth, workers),
             Some(dir) => {
                 let (persist, recovery) = transyt_store::Store::open(dir, config.fsync)?;
-                ServerState::recovered(session, store, gate, workers, Arc::new(persist), &recovery)
+                ServerState::recovered(session, store, depth, workers, Arc::new(persist), &recovery)
             }
         };
         Ok(Server {
@@ -294,7 +289,6 @@ fn job_document(view: &JobView) -> Value {
         .field("key", view.key.fingerprint())
         .field("explored", view.explored)
         .field("evicted", view.evicted)
-        .field("priority", view.priority.name())
         .field("done", view.status.is_terminal());
     // Only on durable servers, so ephemeral documents stay byte-identical
     // to the pre-persistence wire format.
@@ -331,9 +325,6 @@ fn route(state: &ServerState, request: &Request) -> Response {
                     Value::object()
                         .field("depth", gate.depth)
                         .field("waiting", gate.queued)
-                        .field("interactive", gate.interactive)
-                        .field("batch", gate.batch)
-                        .field("background", gate.background)
                         .field(
                             "avg_run_ms",
                             gate.avg_run.map_or(0, |avg| avg.as_millis() as usize),
@@ -407,30 +398,13 @@ fn route(state: &ServerState, request: &Request) -> Response {
             Response::json(200, Value::object().field("models", models).render() + "\n")
         }
         ("POST", ["jobs"]) => {
-            let priority = match request.query_param("priority") {
-                None => Priority::default(),
-                Some(name) => match Priority::parse(name) {
-                    Some(priority) => priority,
-                    None => {
-                        return error_response(
-                            400,
-                            &format!(
-                                "unknown priority `{name}` (interactive, batch or background)"
-                            ),
-                        )
-                    }
-                },
-            };
             let spec = match parse_job_request(request) {
                 Ok(spec) => spec,
                 Err(message) => return error_response(400, &message),
             };
-            match state.submit(spec, priority) {
+            match state.submit(spec) {
                 Ok(id) => {
-                    let mut doc = Value::object()
-                        .field("job", id)
-                        .field("status", "queued")
-                        .field("priority", priority.name());
+                    let mut doc = Value::object().field("job", id).field("status", "queued");
                     if let Some(position) = state.queue_position(id) {
                         doc = doc.field("position", position);
                     }
@@ -582,9 +556,7 @@ fn parse_job_request(request: &Request) -> Result<TaskSpec, String> {
     let params: Vec<(String, String)> = request
         .query
         .iter()
-        // `priority` addresses the scheduler, not the task: it must not
-        // reach `TaskSpec::parse` (and must not change the task key).
-        .filter(|(name, _)| name != "command" && name != "model" && name != "priority")
+        .filter(|(name, _)| name != "command" && name != "model")
         .cloned()
         .collect();
     let spec = TaskSpec::parse(&command, &params).map_err(|e| e.to_string())?;

@@ -1,19 +1,19 @@
-//! The server's shared state: the job table, the admission-controlled
-//! multi-class queue ([`transyt_gate::Gate`]) the worker pool drains, and
-//! the result store with LRU + TTL eviction.
+//! The server's shared state: the job table, the bounded FIFO queue the
+//! worker pool drains (a submission beyond its depth is refused with a
+//! load-derived `Retry-After` estimate), and the result store with LRU + TTL
+//! eviction.
 //!
 //! Models and runs themselves live in the embedded
 //! [`transyt_session::Session`]: the server schedules [`TaskSpec`]s by
 //! their canonical [`TaskKey`], so queued duplicate jobs attach to the
 //! in-flight run (or hit the session's memo) and share one result document.
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use transyt_gate::{retry_after, Gate, GateConfig, LatencyRing, Priority};
 use transyt_session::{
     CancelToken, Completion, Outcome, ProgressEvent, ProgressSink, RestoredOutcome, RunControl,
     Session, StoreHook, TaskKey, TaskResult, TaskSpec,
@@ -96,8 +96,6 @@ pub struct JobView {
     /// a restart (completed jobs answer from the on-disk store; interrupted
     /// ones were re-enqueued).
     pub recovered: bool,
-    /// The job's scheduling class.
-    pub priority: Priority,
     /// `(resource, used, limit)` of a budget breach, once `status` is
     /// `BudgetExceeded`.
     pub breach: Option<(String, usize, usize)>,
@@ -115,13 +113,12 @@ struct Job {
     explored: Arc<AtomicUsize>,
     completed_at: Option<Instant>,
     recovered: bool,
-    priority: Priority,
     breach: Option<(String, usize, usize)>,
     events: Arc<EventLog>,
 }
 
 impl Job {
-    fn new(spec: TaskSpec, model_name: String, priority: Priority) -> Job {
+    fn new(spec: TaskSpec, model_name: String) -> Job {
         Job {
             key: spec.key(),
             spec,
@@ -134,7 +131,6 @@ impl Job {
             explored: Arc::new(AtomicUsize::new(0)),
             completed_at: None,
             recovered: false,
-            priority,
             breach: None,
             events: Arc::new(EventLog::new()),
         }
@@ -152,7 +148,6 @@ impl Job {
             evicted: self.evicted,
             explored: self.explored.load(Ordering::Relaxed),
             recovered: self.recovered,
-            priority: self.priority,
             breach: self.breach.clone(),
         }
     }
@@ -169,7 +164,8 @@ impl Job {
 
 struct Inner {
     jobs: Vec<Job>,
-    queue: Gate,
+    /// Ids of the waiting jobs, in arrival order.
+    queue: VecDeque<usize>,
     /// Recently observed run durations, feeding `Retry-After` estimates.
     recent: LatencyRing,
     /// Job ids holding a result, least recently accessed first.
@@ -211,7 +207,7 @@ pub struct PersistenceInfo {
 /// Why [`ServerState::submit`] refused a job.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The admission gate is at depth; retry after the estimate.
+    /// The queue is at depth; retry after the estimate.
     Busy {
         /// The load-derived `Retry-After` estimate.
         retry_after: Duration,
@@ -243,25 +239,80 @@ impl fmt::Display for SubmitError {
 pub struct GateStats {
     /// Admission depth (max waiting jobs).
     pub depth: usize,
-    /// Jobs waiting, total and per class (interactive, batch, background).
+    /// Jobs waiting.
     pub queued: usize,
-    /// Waiting interactive jobs.
-    pub interactive: usize,
-    /// Waiting batch jobs.
-    pub batch: usize,
-    /// Waiting background jobs.
-    pub background: usize,
     /// Mean of the recently observed run durations, if any finished yet.
     pub avg_run: Option<Duration>,
     /// Run-duration samples held.
     pub samples: usize,
 }
 
+/// A fixed-size ring of recently observed job durations, feeding the
+/// [`retry_after`] estimate.
+#[derive(Debug, Clone)]
+struct LatencyRing {
+    samples: VecDeque<Duration>,
+    cap: usize,
+}
+
+impl Default for LatencyRing {
+    fn default() -> Self {
+        LatencyRing::new(32)
+    }
+}
+
+impl LatencyRing {
+    /// A ring keeping the `cap` most recent samples.
+    fn new(cap: usize) -> LatencyRing {
+        LatencyRing {
+            samples: VecDeque::new(),
+            cap: cap.max(1),
+        }
+    }
+
+    /// Records one finished job's duration, evicting the oldest sample at
+    /// capacity.
+    fn record(&mut self, duration: Duration) {
+        if self.samples.len() == self.cap {
+            self.samples.pop_front();
+        }
+        self.samples.push_back(duration);
+    }
+
+    /// Samples currently held.
+    fn len(&self) -> usize {
+        self.samples.len()
+    }
+
+    /// Mean of the held samples; `None` before the first record.
+    fn average(&self) -> Option<Duration> {
+        if self.samples.is_empty() {
+            return None;
+        }
+        let total: Duration = self.samples.iter().sum();
+        Some(total / self.samples.len() as u32)
+    }
+}
+
+/// The `Retry-After` estimate handed to a rejected client:
+/// `ceil(average duration × (queued + running) / workers)`, clamped to at
+/// least one second. With no samples yet the average defaults to one
+/// second — a fresh server suggests a short retry rather than none.
+fn retry_after(recent: &LatencyRing, queued: usize, running: usize, workers: usize) -> Duration {
+    let avg = recent.average().unwrap_or(Duration::from_secs(1));
+    let backlog = (queued + running) as u32;
+    let estimate = avg * backlog / workers.max(1) as u32;
+    let ceil_secs = estimate
+        .as_secs()
+        .saturating_add(u64::from(estimate.subsec_nanos() > 0));
+    Duration::from_secs(ceil_secs.max(1))
+}
+
 /// The shared state behind the HTTP front end and the worker pool.
 pub struct ServerState {
     session: Arc<Session>,
     store: ResultStoreConfig,
-    gate: GateConfig,
+    queue_depth: usize,
     workers: usize,
     persist: Option<Arc<Store>>,
     inner: Mutex<Inner>,
@@ -269,24 +320,24 @@ pub struct ServerState {
 }
 
 impl ServerState {
-    /// Creates empty state around a session. `workers` is the size of the
-    /// pool that will drain the queue (it scales the `Retry-After`
-    /// estimates handed to rejected clients).
+    /// Creates empty state around a session. At most `queue_depth` jobs
+    /// wait; `workers` is the size of the pool that will drain the queue (it
+    /// scales the `Retry-After` estimates handed to rejected clients).
     pub fn new(
         session: Arc<Session>,
         store: ResultStoreConfig,
-        gate: GateConfig,
+        queue_depth: usize,
         workers: usize,
     ) -> ServerState {
         ServerState {
             session,
             store,
-            gate,
+            queue_depth: queue_depth.max(1),
             workers: workers.max(1),
             persist: None,
             inner: Mutex::new(Inner {
                 jobs: Vec::new(),
-                queue: Gate::new(gate),
+                queue: VecDeque::new(),
                 recent: LatencyRing::default(),
                 access: Vec::new(),
                 shutdown: false,
@@ -304,8 +355,8 @@ impl ServerState {
     /// * completed jobs reload their documents from the store —
     ///   byte-identical to what was served before the crash;
     /// * jobs that were queued or running at the kill are **re-enqueued**
-    ///   (the stack is deterministic, so the re-run reproduces the same
-    ///   document);
+    ///   in id order (the stack is deterministic, so the re-run reproduces
+    ///   the same document);
     /// * failed / cancelled / timed-out jobs keep their terminal status.
     ///
     /// Ends with the startup GC (the in-memory TTL + LRU rules applied to
@@ -314,7 +365,7 @@ impl ServerState {
     pub fn recovered(
         session: Arc<Session>,
         store: ResultStoreConfig,
-        gate: GateConfig,
+        queue_depth: usize,
         workers: usize,
         persist: Arc<Store>,
         recovery: &Recovery,
@@ -335,7 +386,7 @@ impl ServerState {
 
         let now = Instant::now();
         let mut jobs: Vec<Job> = Vec::with_capacity(recovery.jobs.len());
-        let mut queue = Gate::new(gate);
+        let mut queue = VecDeque::new();
         for recovered in &recovery.jobs {
             let id = jobs.len();
             // Journals written before the thread-count knob was retired carry
@@ -358,13 +409,10 @@ impl ServerState {
                 .model(&recovered.model)
                 .map(|m| m.name)
                 .unwrap_or_else(|| recovered.model.clone());
-            // A pre-priority journal has no class recorded: the default
-            // applies, exactly as an unprioritized submission would get.
-            let priority = Priority::parse(&recovered.prio).unwrap_or_default();
             let mut job = Job {
                 evicted: recovered.evicted,
                 recovered: true,
-                ..Job::new(spec, model_name, priority)
+                ..Job::new(spec, model_name)
             };
             match (&recovered.status, spec_error) {
                 (_, Some(error)) => {
@@ -372,9 +420,9 @@ impl ServerState {
                     job.error = Some(format!("unrecoverable journaled spec: {error}"));
                 }
                 (RecoveredStatus::Queued | RecoveredStatus::Running, None) => {
-                    // Re-admitted in its journaled class, bypassing the
-                    // depth check: the job was admitted before the restart.
-                    queue.enqueue_unchecked(id, priority);
+                    // Re-admitted without the depth check: the job was
+                    // admitted before the restart.
+                    queue.push_back(id);
                 }
                 (RecoveredStatus::Done { result }, None) => {
                     job.status = JobStatus::Done;
@@ -436,7 +484,7 @@ impl ServerState {
         let state = ServerState {
             session,
             store,
-            gate,
+            queue_depth: queue_depth.max(1),
             workers: workers.max(1),
             persist: Some(persist),
             inner: Mutex::new(Inner {
@@ -511,7 +559,6 @@ impl ServerState {
                 command: job.spec.command.name().to_owned(),
                 model: job.spec.model.clone(),
                 params: job.spec.to_params(),
-                prio: job.priority.name().to_owned(),
                 status: match job.status {
                     JobStatus::Queued => RecoveredStatus::Queued,
                     JobStatus::Running => RecoveredStatus::Running,
@@ -586,15 +633,15 @@ impl ServerState {
         self.session.model(hash)
     }
 
-    /// Enqueues a job in `priority`'s class. Returns its id, or a
+    /// Enqueues a job at the back of the queue. Returns its id, or a
     /// [`SubmitError`]: `Busy` (with a `Retry-After` estimate) when the
-    /// admission gate is at depth, `Refused` when the model hash is
-    /// unknown or the server is shutting down.
+    /// queue is at depth, `Refused` when the model hash is unknown or the
+    /// server is shutting down.
     ///
     /// # Errors
     ///
     /// Nothing is enqueued or journaled on any error.
-    pub fn submit(&self, spec: TaskSpec, priority: Priority) -> Result<usize, SubmitError> {
+    pub fn submit(&self, spec: TaskSpec) -> Result<usize, SubmitError> {
         let model_name = self
             .session
             .model(&spec.model)
@@ -608,7 +655,7 @@ impl ServerState {
         // submission costs the server one queue-length comparison and the
         // client gets told when capacity is likely to be back.
         let queued = inner.queue.len();
-        if queued >= self.gate.depth.max(1) {
+        if queued >= self.queue_depth {
             let running = inner
                 .jobs
                 .iter()
@@ -629,21 +676,19 @@ impl ServerState {
             command: spec.command.name().to_owned(),
             model: spec.model.clone(),
             params: spec.to_params(),
-            prio: priority.name().to_owned(),
         });
-        inner.jobs.push(Job::new(spec, model_name, priority));
-        let admitted = inner.queue.enqueue(id, priority);
-        debug_assert!(admitted, "depth was checked above");
+        inner.jobs.push(Job::new(spec, model_name));
+        inner.queue.push_back(id);
         drop(inner);
         self.work.notify_one();
         self.maybe_compact();
         Ok(id)
     }
 
-    /// How many dispatches happen before `id`'s (0 = next up). `None` once
+    /// How many waiting jobs arrived before `id` (0 = next up). `None` once
     /// the job is no longer waiting.
     pub fn queue_position(&self, id: usize) -> Option<usize> {
-        self.lock().queue.position(id)
+        self.lock().queue.iter().position(|&queued| queued == id)
     }
 
     /// The live event stream of a job, if the id exists.
@@ -655,11 +700,8 @@ impl ServerState {
     pub fn gate_stats(&self) -> GateStats {
         let inner = self.lock();
         GateStats {
-            depth: self.gate.depth,
+            depth: self.queue_depth,
             queued: inner.queue.len(),
-            interactive: inner.queue.class_len(Priority::Interactive),
-            batch: inner.queue.class_len(Priority::Batch),
-            background: inner.queue.class_len(Priority::Background),
             avg_run: inner.recent.average(),
             samples: inner.recent.len(),
         }
@@ -728,7 +770,7 @@ impl ServerState {
                 job.status = JobStatus::Cancelled;
                 job.cancel.cancel();
                 job.close_events();
-                inner.queue.remove(id);
+                inner.queue.retain(|&queued| queued != id);
                 // A queued job's cancellation is its terminal record (a
                 // running one's is written by the worker when the run
                 // returns).
@@ -750,7 +792,7 @@ impl ServerState {
     pub fn shutdown(&self) {
         let mut inner = self.lock();
         inner.shutdown = true;
-        for id in inner.queue.drain() {
+        for id in std::mem::take(&mut inner.queue) {
             let job = &mut inner.jobs[id];
             if job.status == JobStatus::Queued {
                 job.status = JobStatus::Cancelled;
@@ -882,8 +924,8 @@ impl ServerState {
                         return;
                     }
                     // Skip ids whose job was cancelled while queued.
-                    match inner.queue.pop() {
-                        Some((id, _)) if inner.jobs[id].status == JobStatus::Queued => {
+                    match inner.queue.pop_front() {
+                        Some(id) if inner.jobs[id].status == JobStatus::Queued => {
                             inner.jobs[id].status = JobStatus::Running;
                             let job = &inner.jobs[id];
                             break (
@@ -1045,12 +1087,7 @@ mod tests {
         property forbid-marked\n";
 
     fn state_with(store: ResultStoreConfig) -> ServerState {
-        ServerState::new(Arc::new(Session::new()), store, GateConfig::default(), 1)
-    }
-
-    /// Submits in the default (batch) class.
-    fn submit(state: &ServerState, spec: TaskSpec) -> Result<usize, SubmitError> {
-        state.submit(spec, Priority::default())
+        ServerState::new(Arc::new(Session::new()), store, 64, 1)
     }
 
     /// A `verify` spec whose key differs for every `n`: a far-off deadline
@@ -1095,13 +1132,11 @@ mod tests {
     fn jobs_flow_queued_running_done_and_duplicates_share_a_run() {
         let state = state_with(ResultStoreConfig::default());
         let (model, _) = state.upload_model(RACE).unwrap();
-        assert!(submit(&state, TaskSpec::verify("missing")).is_err());
-        let id = submit(&state, TaskSpec::verify(&model.hash)).unwrap();
+        assert!(state.submit(TaskSpec::verify("missing")).is_err());
+        let id = state.submit(TaskSpec::verify(&model.hash)).unwrap();
         assert_eq!(state.job(id).unwrap().status, JobStatus::Queued);
-        let twin = submit(&state, TaskSpec::verify(&model.hash)).unwrap();
-        let cancelled = state
-            .submit(keyed(&model.hash, 2), Priority::default())
-            .unwrap();
+        let twin = state.submit(TaskSpec::verify(&model.hash)).unwrap();
+        let cancelled = state.submit(keyed(&model.hash, 2)).unwrap();
         state.cancel(cancelled);
         drain(&state);
 
@@ -1131,12 +1166,12 @@ mod tests {
     fn shutdown_cancels_queued_jobs_and_stops_workers() {
         let state = state_with(ResultStoreConfig::default());
         let (model, _) = state.upload_model(RACE).unwrap();
-        let id = submit(&state, TaskSpec::verify(&model.hash)).unwrap();
+        let id = state.submit(TaskSpec::verify(&model.hash)).unwrap();
         state.shutdown();
         assert!(state.is_shutdown());
         assert_eq!(state.job(id).unwrap().status, JobStatus::Cancelled);
         // Submissions after shutdown are refused.
-        assert!(submit(&state, TaskSpec::verify(&model.hash)).is_err());
+        assert!(state.submit(TaskSpec::verify(&model.hash)).is_err());
         // A worker started after shutdown returns immediately.
         state.worker_loop();
     }
@@ -1150,15 +1185,9 @@ mod tests {
         let (model, _) = state.upload_model(RACE).unwrap();
         // Three distinct jobs (different deadlines → different keys),
         // drained by a single worker so they complete in submission order.
-        let a = state
-            .submit(keyed(&model.hash, 1), Priority::default())
-            .unwrap();
-        let b = state
-            .submit(keyed(&model.hash, 2), Priority::default())
-            .unwrap();
-        let c = state
-            .submit(keyed(&model.hash, 3), Priority::default())
-            .unwrap();
+        let a = state.submit(keyed(&model.hash, 1)).unwrap();
+        let b = state.submit(keyed(&model.hash, 2)).unwrap();
+        let c = state.submit(keyed(&model.hash, 3)).unwrap();
         drain(&state);
         // Cap 2, three results stored in completion order: the oldest was
         // evicted when the third arrived.
@@ -1179,7 +1208,7 @@ mod tests {
             result_ttl: Some(Duration::from_millis(30)),
         });
         let (model, _) = state.upload_model(RACE).unwrap();
-        let id = submit(&state, TaskSpec::verify(&model.hash)).unwrap();
+        let id = state.submit(TaskSpec::verify(&model.hash)).unwrap();
         drain(&state);
         assert!(state.fetch_result(id).unwrap().1.is_some());
         std::thread::sleep(Duration::from_millis(40));
@@ -1208,7 +1237,7 @@ mod tests {
         ServerState::recovered(
             Arc::new(Session::new()),
             store,
-            GateConfig::default(),
+            64,
             1,
             Arc::new(persist),
             &recovery,
@@ -1223,10 +1252,7 @@ mod tests {
         let state = durable_state(&dir, ResultStoreConfig::default());
         let (model, _) = state.upload_model(RACE).unwrap();
         let done = state
-            .submit(
-                TaskSpec::verify(&model.hash).with_trace(true),
-                Priority::default(),
-            )
+            .submit(TaskSpec::verify(&model.hash).with_trace(true))
             .unwrap();
         drain(&state);
         let first_doc = state.job(done).unwrap().result.unwrap().document.clone();
@@ -1240,12 +1266,8 @@ mod tests {
         assert_eq!(recovered_done.status, JobStatus::Done);
         assert!(recovered_done.recovered);
         assert_eq!(recovered_done.result.unwrap().document, first_doc);
-        let queued_a = state
-            .submit(keyed(&model.hash, 2), Priority::default())
-            .unwrap();
-        let queued_b = state
-            .submit(keyed(&model.hash, 3), Priority::default())
-            .unwrap();
+        let queued_a = state.submit(keyed(&model.hash, 2)).unwrap();
+        let queued_b = state.submit(keyed(&model.hash, 3)).unwrap();
         drop(state);
 
         // Second restart: the interrupted jobs are re-enqueued and re-run
@@ -1277,10 +1299,7 @@ mod tests {
         let runs_before = state.session().stats().runs_executed;
         assert_eq!(runs_before, 0);
         let duplicate = state
-            .submit(
-                TaskSpec::verify(&model.hash).with_trace(true),
-                Priority::default(),
-            )
+            .submit(TaskSpec::verify(&model.hash).with_trace(true))
             .unwrap();
         // A single worker pass serves the duplicate from the store.
         std::thread::scope(|scope| {
@@ -1309,12 +1328,8 @@ mod tests {
         };
         let state = durable_state(&dir, cap_one);
         let (model, _) = state.upload_model(RACE).unwrap();
-        let a = state
-            .submit(keyed(&model.hash, 1), Priority::default())
-            .unwrap();
-        let b = state
-            .submit(keyed(&model.hash, 2), Priority::default())
-            .unwrap();
+        let a = state.submit(keyed(&model.hash, 1)).unwrap();
+        let b = state.submit(keyed(&model.hash, 2)).unwrap();
         drain(&state);
         assert_eq!(state.evicted_jobs(), vec![a]);
         // The evicted job's file is gone from disk too.
@@ -1365,7 +1380,6 @@ mod tests {
                     command: command.to_owned(),
                     model: model.hash.clone(),
                     params,
-                    prio: "batch".to_owned(),
                 })
                 .unwrap();
         }
@@ -1403,11 +1417,82 @@ mod tests {
         // The job after it replays normally, and a new submission takes the
         // next dense id.
         assert_eq!(state.job(1).unwrap().status, JobStatus::Queued);
-        let next = submit(&state, TaskSpec::zones(&model.hash)).unwrap();
+        let next = state.submit(TaskSpec::zones(&model.hash)).unwrap();
         assert_eq!(next, 3);
         drain(&state);
         assert_eq!(state.job(1).unwrap().status, JobStatus::Done);
         assert_eq!(state.job(next).unwrap().status, JobStatus::Done);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every `job` line journaled while scheduling classes existed ends in a
+    /// class token. Replay ignores it: queued jobs re-run in id order
+    /// whatever their old class, and since the class was never part of the
+    /// task key, a done job still serves its stored document.
+    #[test]
+    fn journaled_prio_tokens_replay_in_id_order() {
+        let dir = test_data_dir("prio");
+        let (model, _) = Session::new().add_model(RACE).unwrap();
+        let (persist, _) = Store::open(&dir, false).unwrap();
+        persist.save_model_text(&model.hash, RACE).unwrap();
+        persist
+            .append(&Record::Model {
+                hash: model.hash.clone(),
+            })
+            .unwrap();
+        let key = TaskSpec::verify(&model.hash).with_trace(true).key();
+        let stored = "{\"stored\":true}\n";
+        let result = persist
+            .save_result_if_absent(&key, "stored text\n", stored)
+            .unwrap();
+        drop(persist);
+        let hash = &model.hash;
+        let lines: String = [
+            format!("v1 job 0 verify {hash} trace=true batch"),
+            format!("v1 done 0 {result}"),
+            format!("v1 job 1 verify {hash} timeout=3601 background"),
+            format!("v1 job 2 verify {hash} timeout=3602 interactive"),
+        ]
+        .iter()
+        .map(|body| format!("{body} {}\n", content_hash(body)))
+        .collect();
+        let journal = dir.join(transyt_store::JOURNAL_FILE);
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&journal)
+            .unwrap();
+        std::io::Write::write_all(&mut file, lines.as_bytes()).unwrap();
+        drop(file);
+
+        let state = durable_state(&dir, ResultStoreConfig::default());
+        assert!(state
+            .jobs()
+            .iter()
+            .all(|job| job.status != JobStatus::Failed));
+        let (done, document) = state.fetch_result(0).unwrap();
+        assert_eq!(done.status, JobStatus::Done);
+        assert!(!done.evicted);
+        assert_eq!(document.unwrap().document, stored);
+        // The background job arrived first, so it leaves the queue first.
+        assert_eq!(state.queue_position(1), Some(0));
+        assert_eq!(state.queue_position(2), Some(1));
+        // The startup compaction rewrote every `job` line without the token.
+        let compacted = std::fs::read_to_string(&journal).unwrap();
+        let job_lines: Vec<&str> = compacted
+            .lines()
+            .filter(|line| line.starts_with("v1 job "))
+            .collect();
+        assert_eq!(job_lines.len(), 3, "{compacted}");
+        for line in job_lines {
+            assert_eq!(line.split(' ').count(), 7, "{line}");
+        }
+        drain(&state);
+        for id in [1, 2] {
+            assert_eq!(state.job(id).unwrap().status, JobStatus::Done);
+        }
+        let replayed = std::fs::read_to_string(&journal).unwrap();
+        let claimed = |id: usize| replayed.find(&format!("v1 run {id} ")).unwrap();
+        assert!(claimed(1) < claimed(2), "{replayed}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1424,7 +1509,7 @@ mod tests {
         let spec = TaskSpec::zones(&model.hash)
             .limit(100_000_000)
             .deadline(Duration::from_millis(1));
-        let id = state.submit(spec, Priority::default()).unwrap();
+        let id = state.submit(spec).unwrap();
         drain(&state);
         let view = state.job(id).unwrap();
         assert_eq!(view.status, JobStatus::TimedOut);
@@ -1438,20 +1523,12 @@ mod tests {
 
     #[test]
     fn admission_gate_refuses_beyond_depth_with_retry_after() {
-        let state = ServerState::new(
-            Arc::new(Session::new()),
-            ResultStoreConfig::default(),
-            GateConfig {
-                depth: 2,
-                aging_threshold: 4,
-            },
-            1,
-        );
+        let state = ServerState::new(Arc::new(Session::new()), ResultStoreConfig::default(), 2, 1);
         let (model, _) = state.upload_model(RACE).unwrap();
         // No worker is draining, so both admitted jobs stay queued.
-        submit(&state, keyed(&model.hash, 1)).unwrap();
-        submit(&state, keyed(&model.hash, 2)).unwrap();
-        match submit(&state, keyed(&model.hash, 3)) {
+        let first = state.submit(keyed(&model.hash, 1)).unwrap();
+        state.submit(keyed(&model.hash, 2)).unwrap();
+        match state.submit(keyed(&model.hash, 3)) {
             Err(SubmitError::Busy {
                 retry_after,
                 queued,
@@ -1463,34 +1540,69 @@ mod tests {
         }
         // The refused submission left no trace in the job table.
         assert_eq!(state.jobs().len(), 2);
+        // Cancelling a queued job frees its slot.
+        assert_eq!(state.cancel(first), Some(JobStatus::Cancelled));
+        let admitted = state.submit(keyed(&model.hash, 3)).unwrap();
+        assert_eq!(state.queue_position(admitted), Some(1));
+        assert!(matches!(
+            state.submit(keyed(&model.hash, 4)),
+            Err(SubmitError::Busy { queued: 2, .. })
+        ));
         state.shutdown();
     }
 
     #[test]
-    fn priority_classes_order_the_queue() {
+    fn queue_positions_follow_arrival_order() {
         let state = state_with(ResultStoreConfig::default());
         let (model, _) = state.upload_model(RACE).unwrap();
-        let batch = state
-            .submit(keyed(&model.hash, 1), Priority::Batch)
-            .unwrap();
-        let background = state
-            .submit(keyed(&model.hash, 2), Priority::Background)
-            .unwrap();
-        let interactive = state
-            .submit(keyed(&model.hash, 3), Priority::Interactive)
-            .unwrap();
-        // Dispatch order is by class, not arrival: the late interactive
-        // submission is next up.
-        assert_eq!(state.queue_position(interactive), Some(0));
-        assert_eq!(state.queue_position(batch), Some(1));
-        assert_eq!(state.queue_position(background), Some(2));
-        assert_eq!(
-            state.job(interactive).unwrap().priority,
-            Priority::Interactive
-        );
+        let ids: Vec<usize> = (1..=4)
+            .map(|n| state.submit(keyed(&model.hash, n)).unwrap())
+            .collect();
+        for (at, &id) in ids.iter().enumerate() {
+            assert_eq!(state.queue_position(id), Some(at));
+        }
+        assert_eq!(state.queue_position(99), None);
+        // Cancelling the head moves every other job up by one.
+        state.cancel(ids[0]);
+        assert_eq!(state.queue_position(ids[0]), None);
+        for (at, &id) in ids[1..].iter().enumerate() {
+            assert_eq!(state.queue_position(id), Some(at));
+        }
         drain(&state);
-        assert_eq!(state.queue_position(interactive), None);
-        assert!(state.jobs().iter().all(|j| j.status == JobStatus::Done));
+        for &id in &ids[1..] {
+            assert_eq!(state.queue_position(id), None);
+            assert_eq!(state.job(id).unwrap().status, JobStatus::Done);
+        }
+    }
+
+    #[test]
+    fn retry_after_scales_with_backlog_and_floors_at_one_second() {
+        let mut ring = LatencyRing::new(4);
+        assert_eq!(ring.average(), None);
+        // No samples: the 1s default average still produces an estimate.
+        assert_eq!(retry_after(&ring, 0, 0, 2), Duration::from_secs(1));
+        for millis in [2_000, 4_000] {
+            ring.record(Duration::from_millis(millis));
+        }
+        assert_eq!(ring.average(), Some(Duration::from_secs(3)));
+        // avg 3s × backlog 4 / 2 workers = 6s.
+        assert_eq!(retry_after(&ring, 3, 1, 2), Duration::from_secs(6));
+        // Fractional estimates round up.
+        assert_eq!(retry_after(&ring, 1, 0, 2), Duration::from_secs(2));
+        // The floor holds even for tiny jobs.
+        let mut fast = LatencyRing::new(4);
+        fast.record(Duration::from_millis(1));
+        assert_eq!(retry_after(&fast, 1, 0, 8), Duration::from_secs(1));
+    }
+
+    #[test]
+    fn ring_keeps_only_the_most_recent_samples() {
+        let mut ring = LatencyRing::new(2);
+        ring.record(Duration::from_secs(100));
+        ring.record(Duration::from_secs(2));
+        ring.record(Duration::from_secs(4));
+        assert_eq!(ring.len(), 2);
+        assert_eq!(ring.average(), Some(Duration::from_secs(3)));
     }
 
     #[test]
@@ -1505,7 +1617,7 @@ mod tests {
         let spec = TaskSpec::zones(&model.hash)
             .limit(100_000_000)
             .max_configs(50);
-        let id = submit(&state, spec).unwrap();
+        let id = state.submit(spec).unwrap();
         drain(&state);
         let view = state.job(id).unwrap();
         assert_eq!(view.status, JobStatus::BudgetExceeded);

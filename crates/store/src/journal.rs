@@ -47,10 +47,6 @@ pub enum Record {
         model: String,
         /// Textual task parameters.
         params: Vec<(String, String)>,
-        /// The scheduling class name (`interactive` / `batch` /
-        /// `background`); empty when the submission predates priorities
-        /// (the server then applies its default class).
-        prio: String,
     },
     /// A worker claimed the job.
     Run {
@@ -151,12 +147,7 @@ impl Record {
                 command,
                 model,
                 params,
-                prio,
-            } => format!(
-                "v1 job {id} {command} {model} {} {}",
-                encode_params(params),
-                encode_text(prio)
-            ),
+            } => format!("v1 job {id} {command} {model} {}", encode_params(params)),
             Record::Run { id } => format!("v1 run {id}"),
             Record::Done { id, result } => format!("v1 done {id} {result}"),
             Record::Fail { id, error } => format!("v1 fail {id} {}", encode_text(error)),
@@ -193,15 +184,21 @@ impl Record {
             "model" => Record::Model {
                 hash: tokens.next()?.to_owned(),
             },
-            "job" => Record::Job {
-                id: id(&mut tokens)?,
-                command: tokens.next()?.to_owned(),
-                model: tokens.next()?.to_owned(),
-                params: decode_params(tokens.next()?),
-                // Absent in pre-priority journals: decode to "unspecified"
-                // so old data dirs replay cleanly.
-                prio: tokens.next().map(decode_text).unwrap_or_default(),
-            },
+            "job" => {
+                let record = Record::Job {
+                    id: id(&mut tokens)?,
+                    command: tokens.next()?.to_owned(),
+                    model: tokens.next()?.to_owned(),
+                    params: decode_params(tokens.next()?),
+                };
+                // Lines journaled while the server had scheduling classes
+                // end in the job's class name (`batch` by default), and the
+                // checksum above covers that token too. The queue is FIFO
+                // now, so the token is read past and ignored: old data dirs
+                // replay, and the next compaction drops it.
+                tokens.next();
+                record
+            }
             "run" => Record::Run {
                 id: id(&mut tokens)?,
             },
@@ -417,7 +414,6 @@ mod tests {
                     ("threads".to_owned(), "2".to_owned()),
                     ("trace".to_owned(), "true".to_owned()),
                 ],
-                prio: "interactive".to_owned(),
             },
             Record::Run { id: 0 },
             Record::Done {
@@ -429,7 +425,6 @@ mod tests {
                 command: "verify".to_owned(),
                 model: "00ff00ff00ff00ff".to_owned(),
                 params: Vec::new(),
-                prio: String::new(),
             },
             Record::Fail {
                 id: 1,
@@ -449,18 +444,29 @@ mod tests {
 
     #[test]
     fn pre_priority_job_lines_still_decode() {
-        // The PR-9 wire shape, without the trailing prio token.
-        let body = "v1 job 3 verify 00ff00ff00ff00ff threads=2";
-        let line = format!("{body} {}", content_hash(body));
+        let expected = Record::Job {
+            id: 3,
+            command: "verify".to_owned(),
+            model: "00ff00ff00ff00ff".to_owned(),
+            params: vec![("threads".to_owned(), "2".to_owned())],
+        };
+        // The first wire shape has no class token; lines journaled while
+        // scheduling classes existed end in one. All decode alike.
+        for body in [
+            "v1 job 3 verify 00ff00ff00ff00ff threads=2",
+            "v1 job 3 verify 00ff00ff00ff00ff threads=2 batch",
+            "v1 job 3 verify 00ff00ff00ff00ff threads=2 interactive",
+        ] {
+            let line = format!("{body} {}", content_hash(body));
+            assert_eq!(Record::decode(&line), Some(expected.clone()), "{body}");
+        }
+        // Encoding writes the token-free shape.
         assert_eq!(
-            Record::decode(&line),
-            Some(Record::Job {
-                id: 3,
-                command: "verify".to_owned(),
-                model: "00ff00ff00ff00ff".to_owned(),
-                params: vec![("threads".to_owned(), "2".to_owned())],
-                prio: String::new(),
-            })
+            expected.encode(),
+            format!(
+                "v1 job 3 verify 00ff00ff00ff00ff threads=2 {}\n",
+                content_hash("v1 job 3 verify 00ff00ff00ff00ff threads=2")
+            )
         );
     }
 

@@ -124,9 +124,6 @@ pub struct RecoveredJob {
     /// The textual task parameters, ready for
     /// [`TaskSpec::parse`](transyt_session::TaskSpec::parse).
     pub params: Vec<(String, String)>,
-    /// The journaled scheduling class name (empty when the submission
-    /// predates priorities; the server applies its default class then).
-    pub prio: String,
     /// The last journaled lifecycle state.
     pub status: RecoveredStatus,
     /// The journaled error message of a failed job.
@@ -243,7 +240,6 @@ fn fold(records: &[Record]) -> (Vec<String>, Vec<RecoveredJob>) {
                 command,
                 model,
                 params,
-                prio,
             } => {
                 if *id == jobs.len() {
                     jobs.push(RecoveredJob {
@@ -251,7 +247,6 @@ fn fold(records: &[Record]) -> (Vec<String>, Vec<RecoveredJob>) {
                         command: command.clone(),
                         model: model.clone(),
                         params: params.clone(),
-                        prio: prio.clone(),
                         status: RecoveredStatus::Queued,
                         error: None,
                         evicted: false,
@@ -562,7 +557,6 @@ impl Store {
                 command: job.command.clone(),
                 model: job.model.clone(),
                 params: job.params.clone(),
-                prio: job.prio.clone(),
             });
             match &job.status {
                 RecoveredStatus::Queued => {}
@@ -761,7 +755,6 @@ mod tests {
             command: command.to_owned(),
             model: "00ff00ff00ff00ff".to_owned(),
             params: vec![("threads".to_owned(), "1".to_owned())],
-            prio: "batch".to_owned(),
         }
     }
 
@@ -796,7 +789,6 @@ mod tests {
         ]);
         assert_eq!(models, vec!["aa"]);
         assert_eq!(jobs.len(), 3);
-        assert_eq!(jobs[2].prio, "batch");
         assert_eq!(
             jobs[2].status,
             RecoveredStatus::BudgetExceeded {
@@ -883,7 +875,6 @@ mod tests {
                     command: "verify".to_owned(),
                     model: "feed".to_owned(),
                     params: vec![("timeout".to_owned(), timeout(id).to_string())],
-                    prio: "batch".to_owned(),
                 })
                 .unwrap();
             store.append(&Record::Done { id, result: fp }).unwrap();

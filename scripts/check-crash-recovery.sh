@@ -98,9 +98,10 @@ echo "phase 1: server $SERVER_PID on $ADDR, data dir $DATA_DIR"
 # Job 0 completes before the crash; capture its served bytes as the oracle.
 submit_job models/intro_fig1.tts --wait --json "$REPORT_DIR/pre-crash-intro_fig1.json"
 
-# Job 1 hogs the single worker (the 2-stage zone exploration runs for a
-# while); jobs 2..5 pile up queued behind it.
-submit_job models/ipcmos_2stage.stg --command zones --limit 3000
+# Job 1 hogs the single worker (the 3-stage zone exploration, capped at
+# 50,000 configurations, runs for seconds); jobs 2..5 pile up queued behind
+# it.
+submit_job models/ipcmos_3stage.stg --command zones --limit 50000
 submit_job models/ipcmos_1stage.stg
 submit_job models/c_element.stg
 submit_job models/race_overlap.tts
@@ -175,15 +176,15 @@ for model in $VERIFY_MODELS; do
     gate 1 "resubmitted $model differs from the one-shot CLI"
   fi
 done
-"$BINARY" zones models/ipcmos_2stage.stg --limit 3000 \
-  --json "$REPORT_DIR/oneshot-zones-2stage.json" > /dev/null
-submit_job models/ipcmos_2stage.stg --command zones --limit 3000 \
-  --wait --json "$REPORT_DIR/resubmit-zones-2stage.json"
-if cmp -s "$REPORT_DIR/oneshot-zones-2stage.json" "$REPORT_DIR/resubmit-zones-2stage.json"; then
+"$BINARY" zones models/ipcmos_3stage.stg --limit 50000 \
+  --json "$REPORT_DIR/oneshot-zones-3stage.json" > /dev/null
+submit_job models/ipcmos_3stage.stg --command zones --limit 50000 \
+  --wait --json "$REPORT_DIR/resubmit-zones-3stage.json"
+if cmp -s "$REPORT_DIR/oneshot-zones-3stage.json" "$REPORT_DIR/resubmit-zones-3stage.json"; then
   gate 0 "resubmitted zones job matches the one-shot CLI byte-for-byte"
 else
-  diff "$REPORT_DIR/oneshot-zones-2stage.json" "$REPORT_DIR/resubmit-zones-2stage.json" \
-    > "$REPORT_DIR/diff-zones-2stage.txt" || true
+  diff "$REPORT_DIR/oneshot-zones-3stage.json" "$REPORT_DIR/resubmit-zones-3stage.json" \
+    > "$REPORT_DIR/diff-zones-3stage.txt" || true
   gate 1 "resubmitted zones job differs from the one-shot CLI"
 fi
 
