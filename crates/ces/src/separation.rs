@@ -18,6 +18,11 @@
 //! `t(b)`, lowering one off `π` can only decrease `t(b)`), so the optimum is
 //! attained at one of those box vertices. Infinite upper bounds are handled by
 //! evaluating the bound at two large finite caps and detecting growth.
+//!
+//! A [`SeparationAnalysis`] sorts its structure topologically once and
+//! shares the order with every query. A query enumerates the paths to `a`
+//! once and evaluates both caps over them; past the path limit it falls
+//! back, at both caps, to a conservative bound that needs no paths.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -104,6 +109,11 @@ pub struct SeparationAnalysis<'a> {
     options: SeparationOptions,
     /// Sum of all finite upper bounds plus slack, used to cap infinite bounds.
     base_cap: i64,
+    /// The structure's topological order, shared by every arrival-time
+    /// evaluation.
+    order: Vec<NodeId>,
+    /// Every node's lower delay bound, indexed by node.
+    lower: Vec<i64>,
     cache: std::cell::RefCell<HashMap<(NodeId, NodeId), Separation>>,
 }
 
@@ -127,6 +137,10 @@ impl<'a> SeparationAnalysis<'a> {
             ces,
             options,
             base_cap: base_cap.max(16),
+            order: ces
+                .topological_order()
+                .expect("event structures are acyclic by construction"),
+            lower: ces.nodes().map(|v| ces.delay(v).lower().as_i64()).collect(),
             cache: std::cell::RefCell::new(HashMap::new()),
         }
     }
@@ -149,11 +163,25 @@ impl<'a> SeparationAnalysis<'a> {
         self.max_separation(a, b).is_negative()
     }
 
+    /// Evaluates the separation at two caps for infinite upper bounds: if
+    /// the larger cap gives a larger value, the separation is unbounded.
     fn compute(&self, a: NodeId, b: NodeId) -> Separation {
-        let cap1 = self.base_cap;
-        let cap2 = self.base_cap.saturating_mul(2).saturating_add(7);
-        let v1 = self.max_sep_with_cap(a, b, cap1);
-        let v2 = self.max_sep_with_cap(a, b, cap2);
+        let paths = self.paths_to(a);
+        let at_cap = |cap| match &paths {
+            Some(paths) => self.max_over_paths(paths, b, cap),
+            // Conservative over-approximation: latest arrival of `a` minus the
+            // earliest guaranteed arrival of `b`.
+            None => {
+                let upper: Vec<i64> = self
+                    .ces
+                    .nodes()
+                    .map(|v| self.upper_capped(v, cap))
+                    .collect();
+                self.arrival(&upper, a) - self.arrival(&self.lower, b)
+            }
+        };
+        let v1 = at_cap(self.base_cap);
+        let v2 = at_cap(self.base_cap.saturating_mul(2).saturating_add(7));
         if v2 > v1 {
             Separation::Unbounded
         } else {
@@ -168,21 +196,11 @@ impl<'a> SeparationAnalysis<'a> {
         }
     }
 
-    fn lower(&self, node: NodeId) -> i64 {
-        self.ces.delay(node).lower().as_i64()
-    }
-
     /// Longest (max-plus) arrival time of `target` under the node weights
-    /// `weight`.
+    /// `weights`: one pass over the topological order, stopping at `target`.
     fn arrival(&self, weights: &[i64], target: NodeId) -> i64 {
-        // Memoised recursion over the DAG (iterative, reverse topological
-        // order restricted to ancestors of target).
-        let order = self
-            .ces
-            .topological_order()
-            .expect("event structures are acyclic by construction");
         let mut dist = vec![i64::MIN; self.ces.node_count()];
-        for &node in &order {
+        for &node in &self.order {
             let preds = self.ces.predecessors(node);
             let enab = if preds.is_empty() {
                 0
@@ -202,13 +220,12 @@ impl<'a> SeparationAnalysis<'a> {
         dist[target.index()]
     }
 
-    /// Exact maximum separation with infinite bounds replaced by `cap`.
-    fn max_sep_with_cap(&self, a: NodeId, b: NodeId, cap: i64) -> i64 {
-        let n = self.ces.node_count();
-        // Enumerate all source-to-`a` paths (over causal predecessors).
+    /// Every source-to-`a` path (over causal predecessors), each listed from
+    /// `a` back to its source, or `None` once more than the path limit are
+    /// pending or found.
+    fn paths_to(&self, a: NodeId) -> Option<Vec<Vec<NodeId>>> {
         let mut paths: Vec<Vec<NodeId>> = Vec::new();
         let mut stack: Vec<Vec<NodeId>> = vec![vec![a]];
-        let mut truncated = false;
         while let Some(path) = stack.pop() {
             let head = *path.last().expect("paths are non-empty");
             let preds = self.ces.predecessors(head);
@@ -222,24 +239,18 @@ impl<'a> SeparationAnalysis<'a> {
                 }
             }
             if paths.len() + stack.len() > self.options.path_limit {
-                truncated = true;
-                break;
+                return None;
             }
         }
-        if truncated {
-            // Conservative over-approximation: latest arrival of `a` minus the
-            // earliest guaranteed arrival of `b`.
-            let upper_weights: Vec<i64> = (0..n)
-                .map(|i| self.upper_capped(NodeId::from_index(i), cap))
-                .collect();
-            let lower_weights: Vec<i64> =
-                (0..n).map(|i| self.lower(NodeId::from_index(i))).collect();
-            return self.arrival(&upper_weights, a) - self.arrival(&lower_weights, b);
-        }
+        Some(paths)
+    }
 
+    /// Exact maximum separation over the given source-to-`a` paths, with
+    /// infinite bounds replaced by `cap`.
+    fn max_over_paths(&self, paths: &[Vec<NodeId>], b: NodeId, cap: i64) -> i64 {
+        let mut weights = self.lower.clone();
         let mut best = i64::MIN;
-        let mut weights: Vec<i64> = (0..n).map(|i| self.lower(NodeId::from_index(i))).collect();
-        for path in &paths {
+        for path in paths {
             // Weight vector: upper bound on the path, lower bound elsewhere.
             for &v in path {
                 weights[v.index()] = self.upper_capped(v, cap);
@@ -248,7 +259,7 @@ impl<'a> SeparationAnalysis<'a> {
             let t_b = self.arrival(&weights, b);
             best = best.max(t_a - t_b);
             for &v in path {
-                weights[v.index()] = self.lower(v);
+                weights[v.index()] = self.lower[v.index()];
             }
         }
         best

@@ -18,8 +18,12 @@
 //! therefore "correct under the reported constraints", which is exactly the
 //! deliverable of the paper's methodology. The zone-based explorer of the
 //! `dbm` crate provides an independent exact check on small models.
+//!
+//! Each refinement pass is one breadth-first search that stores no edges
+//! and is never replayed: the verdict reads the driver's report (discovered
+//! count, halting state, parent links) and what the space noted on the way.
 
-use std::collections::BTreeSet;
+use std::cell::Cell;
 use std::convert::Infallible;
 use std::fmt;
 
@@ -333,46 +337,92 @@ struct Failure {
 /// firing is not blocked by an active relative-timing constraint (the lazy
 /// semantics: enabling is untouched, only the firing is delayed). The space
 /// halts the shared exploration engine at the first failure in breadth-first
-/// order.
+/// order, and records during the search what the verdict needs besides the
+/// driver's report: which states were discovered, and the first state the
+/// constraints leave stuck. No edge is stored and no pass replays the search.
 struct PrunedSpace<'a> {
     ts: &'a TransitionSystem,
     property: &'a SafetyProperty,
-    resolved: Vec<(EventId, EventId)>,
+    /// `persistent[e]`: the property requires event `e` to be persistent.
+    persistent: &'a [bool],
+    /// `blockers[e]`: the `before` events of the active constraints whose
+    /// `after` is `e` (other than `e` itself). While one of them is enabled,
+    /// `e` may not fire.
+    blockers: Vec<Vec<EventId>>,
+    /// `discovered[s]`: state `s` has been stored by the search.
+    discovered: Vec<Cell<bool>>,
+    /// The first expanded state, in breadth-first order, that has
+    /// transitions but no unblocked one.
+    stuck: Cell<Option<StateId>>,
 }
 
-impl PrunedSpace<'_> {
+impl<'a> PrunedSpace<'a> {
+    fn new(
+        ts: &'a TransitionSystem,
+        property: &'a SafetyProperty,
+        persistent: &'a [bool],
+        constraints: &[RelativeTimingConstraint],
+    ) -> Self {
+        let alphabet = ts.alphabet();
+        let mut blockers = vec![Vec::new(); alphabet.len()];
+        // Constraints naming events unknown to this system are kept for
+        // reporting but cannot prune.
+        for c in constraints {
+            if let (Some(before), Some(after)) = (
+                alphabet.lookup(c.before_name()),
+                alphabet.lookup(c.after_name()),
+            ) {
+                if before != after {
+                    blockers[after.index()].push(before);
+                }
+            }
+        }
+        PrunedSpace {
+            ts,
+            property,
+            persistent,
+            blockers,
+            discovered: vec![Cell::new(false); ts.state_count()],
+            stuck: Cell::new(None),
+        }
+    }
+
     fn blocked(&self, state: StateId, event: EventId) -> bool {
-        self.resolved.iter().any(|&(before, after)| {
-            after == event && before != event && self.ts.is_enabled(state, before)
-        })
+        self.blockers[event.index()]
+            .iter()
+            .any(|&before| self.ts.is_enabled(state, before))
     }
 
     /// The first persistency violation triggered by the allowed firings from
     /// `state`, if any: the pending event disabled and the index of the
-    /// violating successor.
+    /// violating successor. The pending persistent events are listed once,
+    /// in ascending id order, and checked against each successor in turn.
     fn persistency_violation(
         &self,
         state: StateId,
         successors: &[(EventId, StateId)],
     ) -> Option<(EventId, usize)> {
-        if self.property.persistent_events().is_empty() {
+        let mut pending: Vec<EventId> = self
+            .ts
+            .transitions_from(state)
+            .iter()
+            .map(|&(event, _)| event)
+            .filter(|event| self.persistent[event.index()])
+            .collect();
+        if pending.is_empty() {
             return None;
         }
-        let alphabet = self.ts.alphabet();
-        for (k, &(event, target)) in successors.iter().enumerate() {
-            for &pending in &self.ts.enabled(state) {
-                if pending == event || !self.ts.is_enabled(state, pending) {
-                    continue;
-                }
-                let name = alphabet.name(pending);
-                if self.property.persistent_events().contains(name)
-                    && !self.ts.is_enabled(target, pending)
-                {
-                    return Some((pending, k));
-                }
-            }
-        }
-        None
+        pending.sort_unstable();
+        pending.dedup();
+        successors
+            .iter()
+            .enumerate()
+            .find_map(|(k, &(event, target))| {
+                pending
+                    .iter()
+                    .find(|&&p| p != event && !self.ts.is_enabled(target, p))
+                    .map(|&p| (p, k))
+            })
     }
 }
 
@@ -390,14 +440,22 @@ impl SearchSpace for PrunedSpace<'_> {
         *config
     }
 
+    fn intern(&self, state: StateId) -> StateId {
+        self.discovered[state.index()].set(true);
+        state
+    }
+
     fn expand(&self, &state: &StateId) -> Result<Vec<(EventId, StateId)>, Infallible> {
-        Ok(self
-            .ts
-            .transitions_from(state)
+        let transitions = self.ts.transitions_from(state);
+        let successors: Vec<(EventId, StateId)> = transitions
             .iter()
             .copied()
             .filter(|&(event, _)| !self.blocked(state, event))
-            .collect())
+            .collect();
+        if successors.is_empty() && !transitions.is_empty() && self.stuck.get().is_none() {
+            self.stuck.set(Some(state));
+        }
+        Ok(successors)
     }
 
     fn should_halt(&self, &state: &StateId, successors: &[(EventId, StateId)]) -> bool {
@@ -450,19 +508,15 @@ pub fn verify(
     let ts = timed.underlying();
     let alphabet = ts.alphabet();
 
-    // Active constraints, resolved to event ids of this system (constraints
-    // naming unknown events are kept for reporting but cannot prune).
     let mut constraints: Vec<RelativeTimingConstraint> = options.assumed_constraints.clone();
-    let resolve = |constraints: &[RelativeTimingConstraint]| -> Vec<(EventId, EventId)> {
-        constraints
-            .iter()
-            .filter_map(|c| {
-                let before = alphabet.lookup(c.before_name())?;
-                let after = alphabet.lookup(c.after_name())?;
-                Some((before, after))
-            })
-            .collect()
-    };
+    let mut persistent = vec![false; alphabet.len()];
+    for event in property
+        .persistent_events()
+        .iter()
+        .filter_map(|name| alphabet.lookup(name))
+    {
+        persistent[event.index()] = true;
+    }
 
     let make_report = |refinements: usize,
                        constraints: &[RelativeTimingConstraint],
@@ -477,22 +531,15 @@ pub fn verify(
 
     loop {
         // Breadth-first exploration of the pruned (lazy) state space on the
-        // shared exploration engine. The engine halts at the first failure in
-        // breadth-first order; the recorded nodes are then replayed to
-        // rebuild predecessor links and classify the failure exactly as the
-        // historical in-line search did.
-        let space = PrunedSpace {
-            ts,
-            property,
-            resolved: resolve(&constraints),
-        };
+        // shared exploration engine, which halts at the first failure in
+        // breadth-first order.
+        let space = PrunedSpace::new(ts, property, &persistent, &constraints);
         options.spec.progress.emit(&ProgressEvent::Refinement {
             iteration: refinements,
         });
         let search = match explore::explore(
             &space,
             &ExploreOptions {
-                record_edges: true,
                 trace: TraceOptions::parents(),
                 cancel: options.spec.cancel.clone(),
                 progress: options.spec.progress.clone(),
@@ -512,94 +559,58 @@ pub fn verify(
             }
             Err(infallible) => match infallible {},
         };
+        let mut explored_states = search.discovered;
 
-        let mut visited: BTreeSet<StateId> = BTreeSet::new();
-        for &s in ts.initial_states() {
-            visited.insert(s);
-        }
-        let mut failure: Option<Failure> = None;
-        let mut stuck_state: Option<StateId> = None;
-
-        // Reconstruct the run to a node from the parent links the driver
-        // recorded: the breadth-first discovery tree.
-        let reconstruct = |node: usize| {
+        // The halting node is the last one the driver recorded. The failure
+        // is classified with the predicates of the space's halt condition,
+        // and the run to it follows the recorded parent links: the
+        // breadth-first discovery tree.
+        let failure = search.halted.then(|| {
+            let node = search.nodes.len() - 1;
+            let state = search.nodes[node];
             let (root, steps) = search
                 .path_to(node)
                 .expect("the engine search records parents");
-            let run: Vec<(EventId, StateId)> = steps
+            let mut run: Vec<(EventId, StateId)> = steps
                 .into_iter()
-                .map(|(event, target)| (event, search.nodes[target].config))
+                .map(|(event, target)| (event, search.nodes[target]))
                 .collect();
-            (search.nodes[root].config, run)
-        };
-
-        // The driver halts at the *first* node whose halt condition fires,
-        // so when `search.halted` is set the failure is exactly the last
-        // recorded node; every earlier node only contributes state counts.
-        // The failure is classified with the same predicates the search
-        // space's halt condition uses, so halt and replay cannot drift
-        // apart.
-        for (index, node) in search.nodes.iter().enumerate() {
-            let state = node.config;
-            let is_failure_node = search.halted && index + 1 == search.nodes.len();
-            if is_failure_node {
-                if property.checks_marked_states() && !ts.violations(state).is_empty() {
-                    let (start, run) = reconstruct(index);
-                    failure = Some(Failure {
-                        kind: FailureKind::MarkedState {
-                            message: ts.violations(state)[0].clone(),
-                        },
-                        run,
-                        start,
-                    });
-                } else if ts.transitions_from(state).is_empty() {
-                    let (start, run) = reconstruct(index);
-                    failure = Some(Failure {
-                        kind: FailureKind::Deadlock,
-                        run,
-                        start,
-                    });
-                } else if let Some((pending, k)) =
-                    space.persistency_violation(state, &node.successors)
-                {
-                    // Targets of the firings preceding the violating one
-                    // were discovered before the search broke off.
-                    for &(_, target) in &node.successors[..k] {
-                        visited.insert(target);
-                    }
-                    let (event, target) = node.successors[k];
-                    let (start, mut run) = reconstruct(index);
-                    run.push((event, target));
-                    failure = Some(Failure {
-                        kind: FailureKind::PersistencyViolation {
-                            disabled: alphabet.name(pending).to_owned(),
-                            by: alphabet.name(event).to_owned(),
-                        },
-                        run,
-                        start,
-                    });
+            let kind = if property.checks_marked_states() && !ts.violations(state).is_empty() {
+                FailureKind::MarkedState {
+                    message: ts.violations(state)[0].clone(),
                 }
-                debug_assert!(failure.is_some(), "halted search without a failure node");
-                break;
+            } else if ts.transitions_from(state).is_empty() {
+                FailureKind::Deadlock
+            } else {
+                let Ok(successors) = space.expand(&state);
+                let (pending, k) = space
+                    .persistency_violation(state, &successors)
+                    .expect("the search halted on a persistency violation");
+                // Targets of the firings preceding the violating one were
+                // discovered before the search broke off.
+                explored_states += successors[..k]
+                    .iter()
+                    .filter(|&&(_, target)| !space.discovered[target.index()].replace(true))
+                    .count();
+                let (event, target) = successors[k];
+                run.push((event, target));
+                FailureKind::PersistencyViolation {
+                    disabled: alphabet.name(pending).to_owned(),
+                    by: alphabet.name(event).to_owned(),
+                }
+            };
+            Failure {
+                kind,
+                run,
+                start: search.nodes[root],
             }
-            for &(_, target) in &node.successors {
-                visited.insert(target);
-            }
-            if node.successors.is_empty()
-                && !ts.transitions_from(state).is_empty()
-                && stuck_state.is_none()
-            {
-                stuck_state = Some(state);
-            }
-        }
-
-        let explored_states = visited.len();
+        });
 
         let Some(failure) = failure else {
             // A state whose enabled events are all blocked by constraints is
             // an over-constraining artefact: behaviours beyond it would be
             // hidden, so refuse to claim success.
-            if let Some(state) = stuck_state {
+            if let Some(state) = space.stuck.get() {
                 return Verdict::Inconclusive {
                     reason: format!(
                         "the relative-timing constraints block every enabled event in state {} \
@@ -646,15 +657,13 @@ pub fn verify(
             // disabled occurrence appears as a pending node.
             let truncated_run = &failure.run[..failure.run.len() - 1];
             if let Ok(truncated) = EnablingTrace::from_run(ts, failure.start, truncated_run) {
-                let extra = derive_constraints(&truncated, timed, &constraints);
-                for c in extra {
+                for c in derive_constraints(&truncated, timed, &constraints) {
                     if !duplicate(&new_constraints, &c) {
                         new_constraints.push(c);
                     }
                 }
             }
         }
-        new_constraints.retain(|c| !duplicate(&constraints, c));
         if new_constraints.is_empty() {
             return Verdict::Inconclusive {
                 reason: format!(
@@ -882,26 +891,30 @@ mod tests {
         }
     }
 
-    #[test]
-    fn persistency_violation_is_found_and_pruned_by_timing() {
-        // `victim` is enabled together with `killer`; firing `killer` disables
-        // `victim`. With delays killer [5,9] and victim [1,2] the victim
-        // always fires first, so the circuit is persistent under timing.
+    /// `victim` is enabled together with `killer` in `s0`; firing `killer`
+    /// leads to `s2`, where `victim` is no longer enabled.
+    fn victim_and_killer(victim: DelayInterval, killer: DelayInterval) -> TimedTransitionSystem {
         let mut b = TsBuilder::new("persistency");
         let s0 = b.add_state("s0");
         let s1 = b.add_state("s1");
         let s2 = b.add_state("s2");
         let s3 = b.add_state("s3");
-        let victim = b.add_transition(s0, "victim", s1);
-        let killer = b.add_transition(s0, "killer", s2);
-        b.add_transition_by_id(s1, killer, s3);
-        // In s2 the victim is no longer enabled: persistency violation.
+        b.add_transition(s0, "victim", s1);
+        let killer_event = b.add_transition(s0, "killer", s2);
+        b.add_transition_by_id(s1, killer_event, s3);
         b.set_initial(s0);
-        let _ = victim;
         let mut timed = TimedTransitionSystem::new(b.build().unwrap());
-        timed.set_delay_by_name("victim", d(1, 2));
-        timed.set_delay_by_name("killer", d(5, 9));
+        timed.set_delay_by_name("victim", victim);
+        timed.set_delay_by_name("killer", killer);
+        timed
+    }
+
+    #[test]
+    fn persistency_violation_is_found_and_pruned_by_timing() {
+        // With delays killer [5,9] and victim [1,2] the victim always fires
+        // first, so the system is persistent under timing.
         let property = SafetyProperty::new("persistent").require_persistency(["victim"]);
+        let timed = victim_and_killer(d(1, 2), d(5, 9));
         let verdict = verify(&timed, &property, &VerifyOptions::default());
         match &verdict {
             Verdict::Verified(report) => {
@@ -913,8 +926,89 @@ mod tests {
             other => panic!("expected verified, got {other}"),
         }
         // With comparable delays the violation is real.
-        let mut timed = race(d(1, 4), d(2, 9));
-        let _ = &mut timed;
+        let timed = victim_and_killer(d(1, 4), d(2, 9));
+        let ts = timed.underlying();
+        let verdict = verify(&timed, &property, &VerifyOptions::default());
+        let Verdict::Failed {
+            counterexample,
+            report,
+        } = verdict
+        else {
+            panic!("expected a persistency failure, got {verdict}");
+        };
+        assert_eq!(
+            counterexample.kind,
+            FailureKind::PersistencyViolation {
+                disabled: "victim".to_owned(),
+                by: "killer".to_owned(),
+            }
+        );
+        let end = counterexample.trace.replay(ts).expect("valid trace");
+        assert_eq!(ts.state_name(end), "s2");
+        // `s0` and the `victim` successor discovered before the violating
+        // `killer` firing; `s2` itself is not counted.
+        assert_eq!(report.explored_states, 2);
+    }
+
+    #[test]
+    fn a_firing_that_disables_two_pending_events_reports_the_lowest_id() {
+        // `killer` is the first successor of `s0` and disables both pending
+        // persistent events; `first` was interned before `second`.
+        let mut b = TsBuilder::new("two pending");
+        let first = b.intern_event("first");
+        let second = b.intern_event("second");
+        let s0 = b.add_state("s0");
+        let s1 = b.add_state("s1");
+        b.add_transition(s0, "killer", s1);
+        b.add_transition_by_id(s0, second, s1);
+        b.add_transition_by_id(s0, first, s1);
+        b.set_initial(s0);
+        let timed = TimedTransitionSystem::new(b.build().unwrap());
+        let property = SafetyProperty::new("persistent").require_persistency(["second", "first"]);
+        let Verdict::Failed { counterexample, .. } =
+            verify(&timed, &property, &VerifyOptions::default())
+        else {
+            panic!("expected a persistency failure");
+        };
+        assert_eq!(
+            counterexample.kind,
+            FailureKind::PersistencyViolation {
+                disabled: "first".to_owned(),
+                by: "killer".to_owned(),
+            }
+        );
+    }
+
+    #[test]
+    fn the_first_over_constrained_state_in_breadth_first_order_is_reported() {
+        // `p` and `q` are each assumed to precede the other, so both are
+        // blocked wherever both are enabled: in `s1` and in `s2`.
+        let mut b = TsBuilder::new("stuck twice");
+        let s0 = b.add_state("s0");
+        let s1 = b.add_state("s1");
+        let s2 = b.add_state("s2");
+        let s3 = b.add_state("s3");
+        b.add_transition(s0, "x", s1);
+        b.add_transition(s0, "y", s2);
+        let p = b.add_transition(s1, "p", s3);
+        let q = b.add_transition(s1, "q", s3);
+        b.add_transition_by_id(s2, p, s3);
+        b.add_transition_by_id(s2, q, s3);
+        b.set_initial(s0);
+        let timed = TimedTransitionSystem::new(b.build().unwrap());
+        let options = VerifyOptions {
+            assumed_constraints: vec![
+                RelativeTimingConstraint::assumed(p, "p", q, "q"),
+                RelativeTimingConstraint::assumed(q, "q", p, "p"),
+            ],
+            ..VerifyOptions::default()
+        };
+        let verdict = verify(&timed, &SafetyProperty::new("nothing"), &options);
+        let Verdict::Inconclusive { reason, report } = verdict else {
+            panic!("expected an over-constrained refinement, got {verdict}");
+        };
+        assert!(reason.contains("in state s1 (over-constrained"), "{reason}");
+        assert_eq!(report.explored_states, 3);
     }
 
     #[test]

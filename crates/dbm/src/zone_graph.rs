@@ -626,7 +626,7 @@ fn aggregate_report(
     stats: AbstractionStats,
 ) -> ZoneReport {
     let ts = timed.underlying();
-    let reachable: BTreeSet<StateId> = report.nodes.iter().map(|node| node.config.0).collect();
+    let reachable: BTreeSet<StateId> = report.nodes.iter().map(|&(state, _)| state).collect();
     let violating_states = reachable
         .iter()
         .copied()
@@ -641,7 +641,7 @@ fn aggregate_report(
         reachable_states: reachable.iter().copied().collect(),
         violating_states,
         deadlock_states,
-        configurations: report.expanded,
+        configurations: report.nodes.len(),
         subsumed_configurations: report.subsumption_skips,
         alu_subsumed: stats.alu_subsumed,
         extrapolated_zones: stats.extrapolated_zones,
@@ -927,7 +927,6 @@ pub fn find_witness(
             cancel: options.spec.cancel.clone(),
             progress: options.spec.progress.clone(),
             budget: options.spec.budget.clone(),
-            ..ExploreOptions::default()
         },
     ) {
         Ok(outcome) => outcome,
@@ -968,7 +967,7 @@ pub fn find_witness(
         .path_to(goal_node)
         .expect("witness search records parents");
     let lifted = |node: usize| {
-        let (state, zone) = &report.nodes[node].config;
+        let (state, zone) = &report.nodes[node];
         (*state, Arc::new(space.kernel.lift(zone, *state)))
     };
     let steps = steps
@@ -1465,8 +1464,7 @@ mod tests {
             panic!("the default exploration of {} completes", ts.name());
         };
         let mut compared = 0;
-        for node in &report.nodes {
-            let (state, zone) = &node.config;
+        for (state, zone) in &report.nodes {
             let lifted = space.kernel.lift(zone, *state);
             for &(event, target) in ts.transitions_from(*state) {
                 let compact = space.kernel.successor(zone, *state, event, target);

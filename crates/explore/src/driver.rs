@@ -17,9 +17,6 @@ const PROGRESS_STRIDE: usize = 32;
 pub struct ExploreOptions {
     /// Abort once more than this many configurations have been expanded.
     pub expanded_limit: usize,
-    /// Record each node's `(edge, successor)` list in the report (needed by
-    /// callers that rebuild a graph or replay the search; costs memory).
-    pub record_edges: bool,
     /// Witness-trace options (parent tracking). The default records nothing,
     /// so the no-trace path keeps its memory profile untouched.
     pub trace: TraceOptions,
@@ -46,7 +43,6 @@ impl Default for ExploreOptions {
     fn default() -> Self {
         ExploreOptions {
             expanded_limit: usize::MAX,
-            record_edges: false,
             trace: TraceOptions::default(),
             cancel: CancelToken::default(),
             progress: ProgressSink::default(),
@@ -76,23 +72,13 @@ impl TraceOptions {
     }
 }
 
-/// One expanded configuration and (if recorded) its successor edges.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExploredNode<C, E> {
-    /// The configuration, as stored (interned).
-    pub config: C,
-    /// Its `(edge, successor)` expansion, in [`SearchSpace::expand`] order.
-    /// Empty unless [`ExploreOptions::record_edges`] is set.
-    pub successors: Vec<(E, C)>,
-}
-
 /// Result of a completed exploration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExploreReport<C, E> {
-    /// Expanded configurations, in deterministic breadth-first order.
-    pub nodes: Vec<ExploredNode<C, E>>,
-    /// Number of configurations expanded (`nodes.len()`).
-    pub expanded: usize,
+    /// Expanded configurations, as stored (interned), in deterministic
+    /// breadth-first order. When the search [`halted`](Self::halted), the
+    /// halting configuration is the last one.
+    pub nodes: Vec<C>,
     /// Number of configurations ever stored in the seen set (monotone count;
     /// under subsumption, later arrivals may prune earlier ones).
     pub discovered: usize,
@@ -100,8 +86,8 @@ pub struct ExploreReport<C, E> {
     /// configuration arrived after they were enqueued.
     pub subsumption_skips: usize,
     /// `true` if [`SearchSpace::should_halt`] stopped the search; the last
-    /// node is then the halting configuration (with its successors recorded
-    /// even when `record_edges` is off).
+    /// node is then the halting configuration. Its successors were not
+    /// stored and do not count as discovered.
     pub halted: bool,
     /// Parent links, aligned with [`nodes`](Self::nodes): entry `i` names the
     /// node that first discovered `nodes[i]` and the edge it was discovered
@@ -201,7 +187,7 @@ pub fn explore<S: SearchSpace>(
 
     let tracing = options.trace.record_parents;
 
-    let mut nodes: Vec<ExploredNode<S::Config, S::Edge>> = Vec::new();
+    let mut nodes: Vec<S::Config> = Vec::new();
     let mut parents: Vec<Option<(usize, S::Edge)>> = Vec::new();
     let mut expanded = 0usize;
     let mut discovered = 0usize;
@@ -271,36 +257,24 @@ pub fn explore<S: SearchSpace>(
                 });
             }
             let successors = space.expand(config)?;
-            let halt = space.should_halt(config, &successors);
             let node_index = nodes.len();
+            nodes.push(config.clone());
             if tracing {
                 parents.push(frontier_parents[i].clone());
             }
-            if halt {
-                nodes.push(ExploredNode {
-                    config: config.clone(),
-                    successors,
-                });
+            if space.should_halt(config, &successors) {
                 halted = true;
                 break 'search;
             }
-            for (edge, successor) in &successors {
-                if let Some(stored) = seen.push(space, successor.clone()) {
+            for (edge, successor) in successors {
+                if let Some(stored) = seen.push(space, successor) {
                     discovered += 1;
                     next.push(stored);
                     if tracing {
-                        next_parents.push(Some((node_index, edge.clone())));
+                        next_parents.push(Some((node_index, edge)));
                     }
                 }
             }
-            nodes.push(ExploredNode {
-                config: config.clone(),
-                successors: if options.record_edges {
-                    successors
-                } else {
-                    Vec::new()
-                },
-            });
             if expanded.is_multiple_of(PROGRESS_STRIDE) {
                 last_progress = expanded;
                 options.progress.emit(&ProgressEvent::Batch {
@@ -329,7 +303,6 @@ pub fn explore<S: SearchSpace>(
 
     Ok(ExploreOutcome::Completed(ExploreReport {
         nodes,
-        expanded,
         discovered,
         subsumption_skips,
         halted,
@@ -425,23 +398,13 @@ mod tests {
 
     #[test]
     fn sequential_bfs_visits_each_config_once_in_level_order() {
-        let report = completed(
-            &Grid { side: 4 },
-            &ExploreOptions {
-                record_edges: true,
-                ..ExploreOptions::default()
-            },
-        );
-        assert_eq!(report.expanded, 16);
+        let report = completed(&Grid { side: 4 }, &ExploreOptions::default());
+        assert_eq!(report.nodes.len(), 16);
         assert_eq!(report.discovered, 16);
         assert_eq!(report.subsumption_skips, 0);
         assert!(!report.halted);
         // Breadth-first: Manhattan distance never decreases.
-        let distances: Vec<u64> = report
-            .nodes
-            .iter()
-            .map(|n| n.config.0 + n.config.1)
-            .collect();
+        let distances: Vec<u64> = report.nodes.iter().map(|&(x, y)| x + y).collect();
         assert!(distances.windows(2).all(|w| w[0] <= w[1]));
     }
 
@@ -451,7 +414,7 @@ mod tests {
         // The widening successor always subsumes the narrow one, so narrow
         // intervals enqueued earlier get pruned and skipped.
         assert!(report.subsumption_skips > 0, "no pop-time skips");
-        assert!(report.expanded < report.discovered);
+        assert!(report.nodes.len() < report.discovered);
         // Parent links survive the pruning: one per expanded node.
         let traced = completed(
             &Widening,
@@ -762,9 +725,9 @@ mod tests {
             &ExploreOptions::default(),
         );
         assert!(report.halted);
-        assert_eq!(report.nodes.last().unwrap().config, (2, 1));
+        assert_eq!(report.nodes.last(), Some(&(2, 1)));
         // Only configs at distance <= 3 can have been expanded.
-        assert!(report.nodes.iter().all(|n| n.config.0 + n.config.1 <= 3));
+        assert!(report.nodes.iter().all(|&(x, y)| x + y <= 3));
     }
 
     #[test]
@@ -779,10 +742,10 @@ mod tests {
         assert_eq!(report.parents.len(), report.nodes.len());
         // Every node's path replays through the grid moves back to the
         // origin, and its length is the node's Manhattan distance.
-        for (i, node) in report.nodes.iter().enumerate() {
+        for (i, &(x, y)) in report.nodes.iter().enumerate() {
             let (root, steps) = report.path_to(i).expect("parents recorded");
-            assert_eq!(report.nodes[root].config, (0, 0));
-            assert_eq!(steps.len() as u64, node.config.0 + node.config.1);
+            assert_eq!(report.nodes[root], (0, 0));
+            assert_eq!(steps.len() as u64, x + y);
             let mut at = (0u64, 0u64);
             for (edge, target) in &steps {
                 match edge {
@@ -790,9 +753,9 @@ mod tests {
                     'y' => at.1 += 1,
                     other => panic!("unexpected edge {other}"),
                 }
-                assert_eq!(report.nodes[*target].config, at);
+                assert_eq!(report.nodes[*target], at);
             }
-            assert_eq!(at, node.config);
+            assert_eq!(at, (x, y));
         }
     }
 
@@ -818,9 +781,9 @@ mod tests {
         assert!(report.halted);
         let last = report.nodes.len() - 1;
         let (root, steps) = report.path_to(last).expect("parents recorded");
-        assert_eq!(report.nodes[root].config, (0, 0));
+        assert_eq!(report.nodes[root], (0, 0));
         assert_eq!(steps.len(), 3);
-        assert_eq!(report.nodes[steps.last().unwrap().1].config, (2, 1));
+        assert_eq!(report.nodes[steps.last().unwrap().1], (2, 1));
     }
 
     /// A space whose expansion fails on one configuration.

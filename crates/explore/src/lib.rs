@@ -13,7 +13,11 @@
 //!   relation under which a configuration needs no exploration because an
 //!   already-stored one covers it (e.g. zone inclusion in the DBM explorer).
 //! * [`explore`] — the driver: a plain FIFO breadth-first search,
-//!   byte-for-byte equivalent to the loops it replaced.
+//!   byte-for-byte equivalent to the loops it replaced. Its
+//!   [`ExploreReport`] lists the expanded configurations in breadth-first
+//!   order, the halting one last when [`SearchSpace::should_halt`] stopped
+//!   the search. It stores no edges: a space that needs more than the
+//!   configurations and their parent links records it in its own hooks.
 //! * [`CancelToken`] — cooperative cancellation: a shared flag the driver
 //!   checks once per 32 frontier entries, so a long-running exploration
 //!   (e.g. a server-side verification job) can be stopped from outside
@@ -89,7 +93,7 @@
 //!     ExploreOutcome::Completed(report) => report,
 //!     _ => unreachable!(),
 //! };
-//! assert!(report.nodes.iter().any(|n| n.config == 64));
+//! assert!(report.nodes.contains(&64));
 //! // A second run returns the identical report.
 //! let again = explore(&Collatz { cap: 64 }, &ExploreOptions::default()).unwrap();
 //! assert_eq!(again, ExploreOutcome::Completed(report));
@@ -108,9 +112,7 @@ mod spec;
 
 pub use budget::{BudgetBreach, BudgetMeter, BudgetResource};
 pub use cancel::CancelToken;
-pub use driver::{
-    explore, ExploreOptions, ExploreOutcome, ExploreReport, ExploredNode, TraceOptions,
-};
+pub use driver::{explore, ExploreOptions, ExploreOutcome, ExploreReport, TraceOptions};
 pub use progress::{ProgressEvent, ProgressSink};
 pub use space::SearchSpace;
 pub use spec::ExploreSpec;

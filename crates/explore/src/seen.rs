@@ -1,8 +1,8 @@
-//! The seen-set: a `HashMap` from dedup key to the stored configurations of
-//! that key (maximal modulo subsumption).
+//! The seen-set: the keys seen under exact deduplication, or a `HashMap`
+//! from dedup key to the stored configurations of that key (maximal modulo
+//! subsumption).
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::space::SearchSpace;
 
@@ -13,17 +13,19 @@ use crate::space::SearchSpace;
 /// every stored configuration it subsumes.
 ///
 /// With the default exact-dedup relation any stored configuration with the
-/// same key *is* the candidate, so buckets are kept empty and the key's
+/// same key *is* the candidate, so only the keys are kept and the key's
 /// presence alone answers every query — spaces whose key is the whole
 /// configuration (e.g. the relative-timing engine's discrete states) then
 /// store each configuration once instead of twice.
 pub(crate) struct SeenMap<S: SearchSpace> {
+    keys: HashSet<S::Key>,
     buckets: HashMap<S::Key, Vec<S::Config>>,
 }
 
 impl<S: SearchSpace> Default for SeenMap<S> {
     fn default() -> Self {
         SeenMap {
+            keys: HashSet::new(),
             buckets: HashMap::new(),
         }
     }
@@ -36,15 +38,8 @@ impl<S: SearchSpace> SeenMap<S> {
     pub(crate) fn push(&mut self, space: &S, config: S::Config) -> Option<S::Config> {
         let key = space.key(&config);
         if !space.uses_subsumption() {
-            // Exact deduplication: the key's presence is the whole answer,
-            // so nothing needs to live in the bucket.
-            return match self.buckets.entry(key) {
-                Entry::Occupied(_) => None,
-                Entry::Vacant(slot) => {
-                    slot.insert(Vec::new());
-                    Some(space.intern(config))
-                }
-            };
+            // Exact deduplication: the key's presence is the whole answer.
+            return self.keys.insert(key).then(|| space.intern(config));
         }
         let bucket = self.buckets.entry(key).or_default();
         if bucket.iter().any(|stored| space.subsumes(stored, &config)) {
@@ -64,7 +59,7 @@ impl<S: SearchSpace> SeenMap<S> {
     pub(crate) fn contains(&self, space: &S, config: &S::Config) -> bool {
         let key = space.key(config);
         if !space.uses_subsumption() {
-            return self.buckets.contains_key(&key);
+            return self.keys.contains(&key);
         }
         self.buckets
             .get(&key)

@@ -87,7 +87,9 @@ pub trait SearchSpace {
         let _ = (skipped, stored);
     }
 
-    /// Canonicalises a configuration before it is stored and enqueued.
+    /// Canonicalises a configuration before it is stored and enqueued. The
+    /// driver calls it once per stored configuration, so a space may also
+    /// use it to note what the search has discovered.
     ///
     /// The returned configuration either equals the argument (with a possibly
     /// shared representation, e.g. an interned `Arc`) or — for spaces with

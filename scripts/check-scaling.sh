@@ -19,7 +19,11 @@
 #     byte-identical JSON documents (the marking table is keyed with a
 #     per-process random hasher, so hash order leaking into the document
 #     shows up as a difference), 3.6-5.2 s and ~300-320 MiB per run on the
-#     same container (skip with --skip-4stage).
+#     same container (skip with --skip-4stage);
+#   * `transyt verify` on the 4-stage pipeline ends with the pinned verdict,
+#     refinement and constraint counts and explored states (the relative-
+#     timing engine's one untimed search over all 960,000 states), ~3 s
+#     and ~280 MiB (also skipped by --skip-4stage).
 #
 # The flat (transistor-level) 1-stage count is pinned exactly by the tier-1
 # test `tests/engine_vs_zones.rs`, so this script needs only the binary.
@@ -117,8 +121,23 @@ if [ "$RUN_4STAGE" = 1 ]; then
       fail=1
     fi
   fi
+  model=$(python3 -c "import json; print(json.load(open('$BASELINE'))['verify_gate']['model'])")
+  "$BINARY" verify "models/$model.stg" --json "$workdir/${model}_verify.json" > /dev/null
+  mismatch=$(python3 -c "
+import json
+gate = json.load(open('$BASELINE'))['verify_gate']
+doc = json.load(open('$workdir/${model}_verify.json'))
+got = dict(doc, constraints=len(doc['constraints']))
+keys = ['verdict', 'refinements', 'constraints', 'explored_states']
+print(', '.join(f'{k} {got[k]} (pinned {gate[k]})' for k in keys if got[k] != gate[k]))")
+  if [ -z "$mismatch" ]; then
+    echo "perf-gate OK:   verify $model matches the pinned verdict, refinements, constraints and explored states"
+  else
+    echo "perf-gate FAIL: verify $model: $mismatch" >&2
+    fail=1
+  fi
 else
-  echo "perf-gate SKIP: ipcmos_4stage budgeted determinism gate (--skip-4stage)"
+  echo "perf-gate SKIP: ipcmos_4stage budgeted determinism and verify gates (--skip-4stage)"
 fi
 
 exit "$fail"
