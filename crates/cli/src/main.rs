@@ -7,7 +7,6 @@
 //! set of option names, defaults and validity checks and can never drift.
 
 use std::process::ExitCode;
-use std::time::Duration;
 
 use transyt_cli::commands::{
     cmd_reach, cmd_table1, cmd_verify, cmd_zones, CliError, CommandResult, Options,
@@ -31,9 +30,8 @@ USAGE:
     transyt table1      [--progress] [--json PATH]
     transyt export NAME [--out PATH]     # or: transyt export --list / --all --dir DIR
     transyt serve       [--addr HOST:PORT] [--workers N] [--queue-depth N]
-                        [--keep-results N] [--result-ttl SECS] [--data-dir DIR]
-                        [--fsync on|off]
-    transyt store ls|gc --data-dir DIR [--keep-results N] [--result-ttl SECS]
+                        [--keep-results N] [--data-dir DIR]
+    transyt store ls    --data-dir DIR
     transyt submit FILE --server HOST:PORT [--command verify|reach|zones] [--wait]
                         [--watch] [--exact] [--trace] [--limit N] [--to LABEL]
                         [--timeout SECS] [--max-configs N] [--max-zone-bytes N]
@@ -47,15 +45,16 @@ oracle, which may not terminate). --timeout cancels the run at the deadline,
 --max-configs / --max-zone-bytes bound its resources (a breach ends the job
 as `budget_exceeded`), --progress streams exploration progress to stderr.
 `serve` runs the long-lived verification server (model cache +
-deduplicated FIFO job queue with admission control and result eviction;
+deduplicated FIFO job queue with admission control and LRU result eviction;
 docs/SERVER.md); with --data-dir it journals every job and stores
-models/results on disk, surviving even SIGKILL with full recovery, and
-`store ls` / `store gc` inspect or collect such a data dir offline. `submit`
-and `status` are thin clients for the server: `submit` backs off and retries
-when the queue is full (429 + Retry-After), `--watch` streams the job's live
-progress events, and `submit --wait --json PATH` writes a document
-byte-identical to the one-shot command's --json output. The embeddable
-library API behind all of this is `transyt-session` (docs/API.md).
+models/results on disk, surviving even SIGKILL with full recovery (a restart
+applies --keep-results to the stored results), and `store ls` inspects such
+a data dir offline. `submit` and `status` are thin clients for the server:
+`submit` backs off and retries when the queue is full (429 + Retry-After),
+`--watch` streams the job's live progress events, and `submit --wait --json
+PATH` writes a document byte-identical to the one-shot command's --json
+output. The embeddable library API behind all of this is `transyt-session`
+(docs/API.md).
 ";
 
 fn main() -> ExitCode {
@@ -246,18 +245,6 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
                         CliError::Usage("--keep-results needs a positive number".to_owned())
                     })?;
             }
-            "--result-ttl" => {
-                let seconds: u64 = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&s| s > 0)
-                    .ok_or_else(|| {
-                        CliError::Usage(
-                            "--result-ttl needs a positive number of seconds".to_owned(),
-                        )
-                    })?;
-                config.result_ttl = Some(Duration::from_secs(seconds));
-            }
             "--data-dir" => {
                 config.data_dir = Some(
                     iter.next()
@@ -265,18 +252,10 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
                         .clone(),
                 );
             }
-            "--fsync" => {
-                config.fsync = match iter.next().map(String::as_str) {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => return Err(CliError::Usage("--fsync needs `on` or `off`".to_owned())),
-                };
-            }
             other => {
                 return Err(CliError::Usage(format!(
                     "`serve` does not accept `{other}` \
-                     (allowed: --addr, --workers, --queue-depth, --keep-results, \
-                     --result-ttl, --data-dir, --fsync)"
+                     (allowed: --addr, --workers, --queue-depth, --keep-results, --data-dir)"
                 )))
             }
         }
@@ -285,18 +264,16 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
 }
 
 fn run_store(args: &[String]) -> Result<(), CliError> {
-    let action = match args.first().map(String::as_str) {
-        Some(action @ ("ls" | "gc")) => action,
-        _ => {
-            return Err(CliError::Usage(
-                "use `store ls` or `store gc` with --data-dir DIR".to_owned(),
-            ))
+    match args.first().map(String::as_str) {
+        Some("ls") => {}
+        Some(other) => {
+            return Err(CliError::Usage(format!(
+                "`store` does not accept `{other}` (use `store ls --data-dir DIR`)"
+            )))
         }
-    };
+        None => return Err(CliError::Usage("use `store ls --data-dir DIR`".to_owned())),
+    }
     let mut data_dir = None;
-    // The same default cap the server applies (`ResultStoreConfig`).
-    let mut keep_results: usize = 256;
-    let mut result_ttl = None;
     let mut iter = args[1..].iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -307,40 +284,16 @@ fn run_store(args: &[String]) -> Result<(), CliError> {
                         .clone(),
                 );
             }
-            "--keep-results" if action == "gc" => {
-                keep_results = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| {
-                        CliError::Usage("--keep-results needs a positive number".to_owned())
-                    })?;
-            }
-            "--result-ttl" if action == "gc" => {
-                let seconds: u64 = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&s| s > 0)
-                    .ok_or_else(|| {
-                        CliError::Usage(
-                            "--result-ttl needs a positive number of seconds".to_owned(),
-                        )
-                    })?;
-                result_ttl = Some(Duration::from_secs(seconds));
-            }
             other => {
                 return Err(CliError::Usage(format!(
-                    "`store {action}` does not accept `{other}`"
+                    "`store ls` does not accept `{other}`"
                 )))
             }
         }
     }
     let data_dir =
         data_dir.ok_or_else(|| CliError::Usage("`store` needs --data-dir DIR".to_owned()))?;
-    match action {
-        "ls" => transyt_cli::store_admin::cmd_ls(&data_dir),
-        _ => transyt_cli::store_admin::cmd_gc(&data_dir, keep_results, result_ttl),
-    }
+    transyt_cli::store_admin::cmd_ls(&data_dir)
 }
 
 fn run_submit(args: &[String]) -> Result<(), CliError> {

@@ -253,11 +253,11 @@ fn the_binary_runs_end_to_end() {
     assert!(!output.status.success());
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("unknown subcommand"), "{stderr}");
-    // The retired zone-abstraction flags, thread count and scheduling class
-    // are usage errors, and the usage text that follows names what is
-    // accepted.
+    // The retired zone-abstraction flags, thread count, scheduling class,
+    // result TTL and fsync switch are usage errors, and the usage text that
+    // follows names what is accepted.
     let file = model.to_str().unwrap();
-    let refused: [&[&str]; 9] = [
+    let refused: [&[&str]; 11] = [
         &["zones", file, "--subsumption", "global"],
         &["zones", file, "--extrapolation", "global"],
         &["zones", file, "--bounds", "global"],
@@ -274,6 +274,8 @@ fn the_binary_runs_end_to_end() {
             "--priority",
             "interactive",
         ],
+        &["serve", "--result-ttl", "60"],
+        &["serve", "--fsync", "off"],
     ];
     for args in refused {
         let (command, flag) = (args[0], args[args.len() - 2]);
@@ -296,8 +298,20 @@ fn the_binary_runs_end_to_end() {
     assert!(
         stderr.contains(
             "error: `serve` does not accept `--no-persist` (allowed: --addr, --workers, \
-             --queue-depth, --keep-results, --result-ttl, --data-dir, --fsync)"
+             --queue-depth, --keep-results, --data-dir)"
         ),
+        "{stderr}"
+    );
+    assert!(stderr.contains("USAGE:"), "{stderr}");
+    // So is the offline `store gc`: a restart with `--keep-results` collects.
+    let output = Command::new(binary)
+        .args(["store", "gc", "--data-dir", "D"])
+        .output()
+        .unwrap();
+    assert!(!output.status.success());
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("error: `store` does not accept `gc` (use `store ls --data-dir DIR`)"),
         "{stderr}"
     );
     assert!(stderr.contains("USAGE:"), "{stderr}");

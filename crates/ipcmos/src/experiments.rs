@@ -80,7 +80,7 @@ pub fn experiment_1() -> Result<Verdict, ExperimentError> {
 }
 
 /// [`experiment_1`] with explicit verification options (e.g. a
-/// parallel exploration thread count).
+/// cancel token or a progress sink in [`VerifyOptions::spec`]).
 ///
 /// # Errors
 ///
@@ -122,7 +122,7 @@ pub fn experiment_2() -> Result<Verdict, ExperimentError> {
 }
 
 /// [`experiment_2`] with explicit verification options (e.g. a
-/// parallel exploration thread count).
+/// cancel token or a progress sink in [`VerifyOptions::spec`]).
 ///
 /// # Errors
 ///
@@ -153,7 +153,7 @@ pub fn experiment_3() -> Result<Verdict, ExperimentError> {
 }
 
 /// [`experiment_3`] with explicit verification options (e.g. a
-/// parallel exploration thread count).
+/// cancel token or a progress sink in [`VerifyOptions::spec`]).
 ///
 /// # Errors
 ///
@@ -184,7 +184,7 @@ pub fn experiment_4() -> Result<Verdict, ExperimentError> {
 }
 
 /// [`experiment_4`] with explicit verification options (e.g. a
-/// parallel exploration thread count).
+/// cancel token or a progress sink in [`VerifyOptions::spec`]).
 ///
 /// # Errors
 ///
@@ -216,7 +216,7 @@ pub fn experiment_5() -> Result<Verdict, ExperimentError> {
 }
 
 /// [`experiment_5`] with explicit verification options (e.g. a
-/// parallel exploration thread count).
+/// cancel token or a progress sink in [`VerifyOptions::spec`]).
 ///
 /// # Errors
 ///
@@ -243,7 +243,8 @@ pub fn table_1() -> Result<ProofReport, ExperimentError> {
 }
 
 /// [`table_1`] with explicit verification options shared by all five
-/// obligations (e.g. a parallel exploration thread count).
+/// obligations (e.g. a cancel token or a progress sink in
+/// [`VerifyOptions::spec`]).
 ///
 /// # Errors
 ///

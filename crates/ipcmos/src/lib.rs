@@ -15,7 +15,7 @@
 //!   proof of §4.2 plus the transistor-level verification of §5,
 //! * [`flat_pipeline`] and [`simulate`] — flat (abstraction-free) pipelines
 //!   for the scaling comparison and the pulse-level simulator behind the
-//!   Fig. 7 waveform,
+//!   Fig. 7 waveform, whose [`asap_run`] is also the verifier's witness run,
 //! * [`intro_example`] — the introductory example of Fig. 1/2.
 //!
 //! # Example
@@ -46,5 +46,5 @@ pub use experiments::{
 };
 pub use export::{pipeline_stg, StgPipelineModel};
 pub use intro::intro_example;
-pub use sim::{simulate, SimEvent, SimTrace};
+pub use sim::{asap_run, simulate, SimEvent, SimTrace};
 pub use stage::{stage_circuit, stage_model, transistor_count, StageSignals};

@@ -3,8 +3,8 @@
 //! A small discrete-event simulator that executes the timed transition system
 //! of a closed pipeline with an as-soon-as-possible policy (every enabled
 //! event fires at its lower delay bound, earliest deadline first). It is used
-//! to regenerate the two-stage waveform of Fig. 7 of the paper and by the
-//! `waveform` example.
+//! to regenerate the two-stage waveform of Fig. 7 of the paper, by the
+//! `waveform` example, and as the witness run `verify --trace` prints.
 
 use std::collections::HashMap;
 
@@ -77,54 +77,60 @@ impl SimTrace {
     }
 }
 
-/// Simulates `timed` for at most `max_events` firings using an ASAP policy.
-///
-/// Every enabled event is scheduled at `enabling time + lower bound`; the
-/// earliest scheduled event fires (ties broken by event id for determinism).
-pub fn simulate(timed: &TimedTransitionSystem, max_events: usize) -> SimTrace {
+/// A deterministic as-soon-as-possible run of `timed`: every enabled event
+/// is scheduled at its enabling time plus its lower delay bound, the
+/// earliest scheduled event fires (ties broken by the lower event id), and
+/// the run stops after `max_events` firings or at a deadlock. Returns each
+/// fired event with the state it reached and its firing time.
+pub fn asap_run(timed: &TimedTransitionSystem, max_events: usize) -> Vec<(EventId, StateId, Time)> {
     let ts = timed.underlying();
-    let mut state: StateId = ts.initial_states()[0];
+    let mut state = ts.initial_states()[0];
     let mut now = Time::ZERO;
-    // Enabling time per currently enabled event.
-    let mut enabled_since: HashMap<EventId, Time> = HashMap::new();
-    for &e in &ts.enabled(state) {
-        enabled_since.insert(e, now);
-    }
-    let mut events = Vec::new();
+    let mut enabled_since: Vec<(EventId, Time)> =
+        ts.enabled(state).into_iter().map(|e| (e, now)).collect();
+    let mut steps = Vec::new();
     for _ in 0..max_events {
-        // Pick the enabled event with the earliest possible firing time.
-        let mut best: Option<(Time, EventId)> = None;
-        for (&event, &since) in &enabled_since {
-            let ready = since + timed.delay(event).lower();
-            let candidate = (ready, event);
-            if best.is_none_or(|b| candidate < b) {
-                best = Some(candidate);
-            }
-        }
-        let Some((fire_time, event)) = best else {
+        let Some((fire_time, event)) = enabled_since
+            .iter()
+            .map(|&(event, since)| (since + timed.delay(event).lower(), event))
+            .min()
+        else {
             break;
         };
         now = now.max(fire_time);
         let Some(&target) = ts.successors(state, event).first() else {
             break;
         };
-        events.push(SimEvent {
-            time: now,
-            event: ts.alphabet().name(event).to_owned(),
-        });
-        // Update the enabled set.
+        steps.push((event, target, now));
         let previously_enabled = ts.enabled(state);
         state = target;
         let now_enabled = ts.enabled(state);
-        enabled_since.retain(|e, _| now_enabled.contains(e));
+        enabled_since.retain(|&(e, _)| now_enabled.contains(&e));
         for &e in &now_enabled {
-            if e == event || !previously_enabled.contains(&e) {
-                enabled_since.insert(e, now);
-            } else {
-                enabled_since.entry(e).or_insert(now);
+            let fresh = e == event || !previously_enabled.contains(&e);
+            if fresh {
+                enabled_since.retain(|&(other, _)| other != e);
+                enabled_since.push((e, now));
+            } else if !enabled_since.iter().any(|&(other, _)| other == e) {
+                enabled_since.push((e, now));
             }
         }
+        enabled_since.sort_by_key(|&(e, _)| e);
     }
+    steps
+}
+
+/// Simulates `timed` for at most `max_events` firings: the [`asap_run`],
+/// with each fired event named.
+pub fn simulate(timed: &TimedTransitionSystem, max_events: usize) -> SimTrace {
+    let alphabet = timed.underlying().alphabet();
+    let events = asap_run(timed, max_events)
+        .into_iter()
+        .map(|(event, _, time)| SimEvent {
+            time,
+            event: alphabet.name(event).to_owned(),
+        })
+        .collect();
     SimTrace { events }
 }
 

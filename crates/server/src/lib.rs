@@ -16,9 +16,9 @@
 //! * [`ServerState`] — the job table, a bounded FIFO queue (at most
 //!   [`ServerConfig::queue_depth`] jobs wait; a further submission gets 429
 //!   with a load-derived `Retry-After`) drained in arrival order by a pool
-//!   of [`ServerConfig::workers`] threads, and the result store with LRU +
-//!   TTL eviction ([`ServerConfig::keep_results`] /
-//!   [`ServerConfig::result_ttl`]); `GET /jobs` reports evicted ids.
+//!   of [`ServerConfig::workers`] threads, and the result store with LRU
+//!   eviction past [`ServerConfig::keep_results`] documents; `GET /jobs`
+//!   reports evicted ids.
 //! * [`events`] — per-job progress event logs: `GET /jobs/{id}/events`
 //!   streams queue-position and exploration-progress events (a
 //!   deterministic sequence) as server-sent events until the job reaches a
@@ -59,6 +59,6 @@ mod sys;
 pub use explore::CancelToken;
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use state::{
-    content_hash, CachedModel, GateStats, JobStatus, JobView, PersistenceInfo, ResultStoreConfig,
-    ServerState, SubmitError,
+    content_hash, CachedModel, GateStats, JobStatus, JobView, PersistenceInfo, ServerState,
+    SubmitError,
 };

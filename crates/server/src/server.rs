@@ -10,7 +10,7 @@ use transyt_session::json::Value;
 use transyt_session::{Session, TaskSpec};
 
 use crate::http::{Request, Response};
-use crate::state::{JobStatus, JobView, ResultStoreConfig, ServerState, SubmitError};
+use crate::state::{JobStatus, JobView, ServerState, SubmitError};
 
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
@@ -27,34 +27,27 @@ pub struct ServerConfig {
     /// wait in the queue; further submissions are refused with `429 Too
     /// Many Requests` and a load-derived `Retry-After` header.
     pub queue_depth: usize,
-    /// Result-store cap: keep at most this many result documents, evicting
-    /// the least recently fetched (`serve --keep-results N`).
+    /// Result-store cap, the server's one retention rule: keep at most
+    /// this many result documents, evicting the least recently fetched
+    /// (`serve --keep-results N`). On a durable server a restart applies
+    /// it to the stored results too.
     pub keep_results: usize,
-    /// Result TTL: evict documents this long after completion
-    /// (`serve --result-ttl SECS`; `None` = keep until the cap evicts).
-    pub result_ttl: Option<Duration>,
     /// Data dir for durable serving (`serve --data-dir DIR`): models,
-    /// result documents and the write-ahead job journal live here and the
-    /// server recovers its full job table from it on startup. `None` (the
-    /// default) serves ephemerally, exactly as before.
+    /// result documents and the write-ahead job journal live here, every
+    /// write is fsync'd before it is reported durable, and the server
+    /// recovers its full job table from it on startup. `None` (the
+    /// default) serves ephemerally.
     pub data_dir: Option<String>,
-    /// Whether journal appends and store writes are fsync'd before being
-    /// reported durable (`serve --fsync on|off`; default on). Only
-    /// meaningful with `data_dir`.
-    pub fsync: bool,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        let store = ResultStoreConfig::default();
         ServerConfig {
             addr: "127.0.0.1:7171".to_owned(),
             workers: 4,
             queue_depth: 64,
-            keep_results: store.keep_results,
-            result_ttl: store.result_ttl,
+            keep_results: 256,
             data_dir: None,
-            fsync: true,
         }
     }
 }
@@ -94,33 +87,22 @@ impl ServerHandle {
 
 impl Server {
     /// Binds the listening socket and prepares the shared state around a
-    /// fresh embedded [`Session`].
+    /// fresh embedded [`Session`]; with a data dir, opens its store (fsync
+    /// on) and recovers the job table from it.
     ///
     /// # Errors
     ///
-    /// Propagates socket errors (address in use, permission, …).
+    /// Propagates socket errors (address in use, permission, …) and the
+    /// data dir's open errors (locked by a live process, filesystem).
     pub fn bind(config: &ServerConfig) -> io::Result<Server> {
-        Server::bind_with_session(config, Arc::new(Session::new()))
-    }
-
-    /// Binds around an existing session (embedders that pre-load models).
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors (address in use, permission, …).
-    pub fn bind_with_session(config: &ServerConfig, session: Arc<Session>) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let store = ResultStoreConfig {
-            keep_results: config.keep_results,
-            result_ttl: config.result_ttl,
-        };
-        let (depth, workers) = (config.queue_depth, config.workers.max(1));
+        let session = Arc::new(Session::new());
         let state = match &config.data_dir {
-            None => ServerState::new(session, store, depth, workers),
+            None => ServerState::new(session, config),
             Some(dir) => {
-                let (persist, recovery) = transyt_store::Store::open(dir, config.fsync)?;
-                ServerState::recovered(session, store, depth, workers, Arc::new(persist), &recovery)
+                let (persist, recovery) = transyt_store::Store::open(dir, true)?;
+                ServerState::recovered(session, config, Arc::new(persist), &recovery)
             }
         };
         Ok(Server {
@@ -462,7 +444,7 @@ fn route(state: &ServerState, request: &Request) -> Response {
                         JobStatus::Done if view.evicted => {
                             return error_response(
                                 410,
-                                &format!("job {} result evicted (LRU/TTL)", view.id),
+                                &format!("job {} result evicted (LRU cap)", view.id),
                             )
                         }
                         JobStatus::TimedOut => format!(

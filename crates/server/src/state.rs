@@ -1,6 +1,6 @@
 //! The server's shared state: the job table, the bounded FIFO queue the
 //! worker pool drains (a submission beyond its depth is refused with a
-//! load-derived `Retry-After` estimate), and the result store with LRU + TTL
+//! load-derived `Retry-After` estimate), and the result store with LRU
 //! eviction.
 //!
 //! Models and runs themselves live in the embedded
@@ -23,6 +23,7 @@ use transyt_store::{
 };
 
 use crate::events::{render_progress, EventLog};
+use crate::server::ServerConfig;
 
 pub use transyt_session::CachedModel;
 
@@ -87,8 +88,7 @@ pub struct JobView {
     pub result: Option<Arc<TaskResult>>,
     /// The error message, once `status` is `Failed`.
     pub error: Option<String>,
-    /// `true` once the result store evicted this job's document (LRU cap or
-    /// TTL).
+    /// `true` once the result store evicted this job's document (LRU cap).
     pub evicted: bool,
     /// Configurations explored so far (live progress for running jobs).
     pub explored: usize,
@@ -111,7 +111,6 @@ struct Job {
     evicted: bool,
     cancel: CancelToken,
     explored: Arc<AtomicUsize>,
-    completed_at: Option<Instant>,
     recovered: bool,
     breach: Option<(String, usize, usize)>,
     events: Arc<EventLog>,
@@ -129,7 +128,6 @@ impl Job {
             evicted: false,
             cancel: CancelToken::new(),
             explored: Arc::new(AtomicUsize::new(0)),
-            completed_at: None,
             recovered: false,
             breach: None,
             events: Arc::new(EventLog::new()),
@@ -171,26 +169,6 @@ struct Inner {
     /// Job ids holding a result, least recently accessed first.
     access: Vec<usize>,
     shutdown: bool,
-}
-
-/// Eviction policy of the result store.
-#[derive(Debug, Clone, Copy)]
-pub struct ResultStoreConfig {
-    /// Keep at most this many result documents; beyond it the least
-    /// recently fetched is evicted (`serve --keep-results N`).
-    pub keep_results: usize,
-    /// Evict results older than this, regardless of the cap
-    /// (`serve --result-ttl SECS`; `None` = no TTL).
-    pub result_ttl: Option<Duration>,
-}
-
-impl Default for ResultStoreConfig {
-    fn default() -> Self {
-        ResultStoreConfig {
-            keep_results: 256,
-            result_ttl: None,
-        }
-    }
 }
 
 /// Persistence counters of a durable server, served through `/healthz`.
@@ -311,7 +289,7 @@ fn retry_after(recent: &LatencyRing, queued: usize, running: usize, workers: usi
 /// The shared state behind the HTTP front end and the worker pool.
 pub struct ServerState {
     session: Arc<Session>,
-    store: ResultStoreConfig,
+    keep_results: usize,
     queue_depth: usize,
     workers: usize,
     persist: Option<Arc<Store>>,
@@ -320,20 +298,18 @@ pub struct ServerState {
 }
 
 impl ServerState {
-    /// Creates empty state around a session. At most `queue_depth` jobs
-    /// wait; `workers` is the size of the pool that will drain the queue (it
-    /// scales the `Retry-After` estimates handed to rejected clients).
-    pub fn new(
-        session: Arc<Session>,
-        store: ResultStoreConfig,
-        queue_depth: usize,
-        workers: usize,
-    ) -> ServerState {
+    /// Creates empty state around a session, sized by `config`: at most
+    /// [`queue_depth`](ServerConfig::queue_depth) jobs wait,
+    /// [`workers`](ServerConfig::workers) is the size of the pool that will
+    /// drain the queue (it scales the `Retry-After` estimates handed to
+    /// rejected clients), and at most
+    /// [`keep_results`](ServerConfig::keep_results) documents are kept.
+    pub fn new(session: Arc<Session>, config: &ServerConfig) -> ServerState {
         ServerState {
             session,
-            store,
-            queue_depth: queue_depth.max(1),
-            workers: workers.max(1),
+            keep_results: config.keep_results.max(1),
+            queue_depth: config.queue_depth.max(1),
+            workers: config.workers.max(1),
             persist: None,
             inner: Mutex::new(Inner {
                 jobs: Vec::new(),
@@ -359,14 +335,12 @@ impl ServerState {
     ///   the same document);
     /// * failed / cancelled / timed-out jobs keep their terminal status.
     ///
-    /// Ends with the startup GC (the in-memory TTL + LRU rules applied to
-    /// the recovered result set, plus an orphan-file sweep) and a journal
-    /// compaction.
+    /// Ends with the startup GC: the LRU cap applied to the recovered
+    /// results (which enter the LRU in job-id order), an orphan-file sweep
+    /// and a journal compaction.
     pub fn recovered(
         session: Arc<Session>,
-        store: ResultStoreConfig,
-        queue_depth: usize,
-        workers: usize,
+        config: &ServerConfig,
         persist: Arc<Store>,
         recovery: &Recovery,
     ) -> ServerState {
@@ -384,7 +358,6 @@ impl ServerState {
         // not re-journal them.
         session.set_store_hook(Arc::clone(&persist) as Arc<dyn StoreHook>);
 
-        let now = Instant::now();
         let mut jobs: Vec<Job> = Vec::with_capacity(recovery.jobs.len());
         let mut queue = VecDeque::new();
         for recovered in &recovery.jobs {
@@ -424,15 +397,11 @@ impl ServerState {
                     // admitted before the restart.
                     queue.push_back(id);
                 }
-                (RecoveredStatus::Done { result }, None) => {
+                (RecoveredStatus::Done { .. }, None) => {
                     job.status = JobStatus::Done;
                     if !job.evicted {
                         match persist.result(&job.key) {
                             Some(doc) => {
-                                // Age the entry by the result file's mtime so
-                                // the TTL keeps counting across the restart.
-                                let age = persist.result_age(result).unwrap_or_default();
-                                job.completed_at = Some(now.checked_sub(age).unwrap_or(now));
                                 job.result = Some(Arc::new(TaskResult {
                                     outcome: Ok(Outcome::Restored(RestoredOutcome {
                                         model: job.model_name.clone(),
@@ -472,20 +441,15 @@ impl ServerState {
             jobs.push(job);
         }
 
-        // LRU order of the recovered results: oldest completion first.
-        let mut access: Vec<usize> = jobs
+        // LRU order of the recovered results: lowest job id first.
+        let access: Vec<usize> = jobs
             .iter()
             .enumerate()
             .filter(|(_, job)| job.result.is_some())
             .map(|(id, _)| id)
             .collect();
-        access.sort_by_key(|&id| jobs[id].completed_at.unwrap_or(now));
 
         let state = ServerState {
-            session,
-            store,
-            queue_depth: queue_depth.max(1),
-            workers: workers.max(1),
             persist: Some(persist),
             inner: Mutex::new(Inner {
                 jobs,
@@ -494,16 +458,15 @@ impl ServerState {
                 access,
                 shutdown: false,
             }),
-            work: Condvar::new(),
+            ..ServerState::new(session, config)
         };
 
-        // Startup GC: the same TTL + LRU rules the live server applies,
-        // now also dropping the disk copies; then sweep result files no
-        // job references and compact the replayed journal.
+        // Startup GC: the LRU cap the live server applies, now also
+        // dropping the disk copies; then sweep result files no job
+        // references and compact the replayed journal.
         {
             let mut inner = state.lock();
-            state.evict_expired(&mut inner);
-            while inner.access.len() > state.store.keep_results.max(1) {
+            while inner.access.len() > state.keep_results {
                 let oldest = inner.access[0];
                 state.evict_one(&mut inner, oldest);
             }
@@ -710,16 +673,12 @@ impl ServerState {
     /// The externally visible state of one job. Counts as a result-store
     /// access only through [`fetch_result`](Self::fetch_result).
     pub fn job(&self, id: usize) -> Option<JobView> {
-        let mut inner = self.lock();
-        self.evict_expired(&mut inner);
-        inner.jobs.get(id).map(|job| job.view(id))
+        self.lock().jobs.get(id).map(|job| job.view(id))
     }
 
     /// All jobs, in submission order.
     pub fn jobs(&self) -> Vec<JobView> {
-        let mut inner = self.lock();
-        self.evict_expired(&mut inner);
-        inner
+        self.lock()
             .jobs
             .iter()
             .enumerate()
@@ -729,9 +688,7 @@ impl ServerState {
 
     /// Ids of jobs whose result document has been evicted.
     pub fn evicted_jobs(&self) -> Vec<usize> {
-        let mut inner = self.lock();
-        self.evict_expired(&mut inner);
-        inner
+        self.lock()
             .jobs
             .iter()
             .enumerate()
@@ -746,7 +703,6 @@ impl ServerState {
     /// timed out, or evicted).
     pub fn fetch_result(&self, id: usize) -> Option<(JobView, Option<Arc<TaskResult>>)> {
         let mut inner = self.lock();
-        self.evict_expired(&mut inner);
         let job = inner.jobs.get(id)?;
         let view = job.view(id);
         let servable = job.status == JobStatus::Done && !job.evicted;
@@ -825,28 +781,6 @@ impl ServerState {
         (queued, running)
     }
 
-    /// TTL sweep: drops result documents older than the configured TTL.
-    /// Called under the lock from every read path.
-    fn evict_expired(&self, inner: &mut Inner) {
-        let Some(ttl) = self.store.result_ttl else {
-            return;
-        };
-        let now = Instant::now();
-        let expired: Vec<usize> = inner
-            .access
-            .iter()
-            .copied()
-            .filter(|&id| {
-                inner.jobs[id]
-                    .completed_at
-                    .is_some_and(|at| now.duration_since(at) >= ttl)
-            })
-            .collect();
-        for id in expired {
-            self.evict_one(inner, id);
-        }
-    }
-
     /// Drops one job's result from memory — and, on a durable server, from
     /// disk: the stored file goes too (unless another live `done` job
     /// shares the same key) and an `evict` record makes the eviction
@@ -897,14 +831,13 @@ impl ServerState {
             }
         }
         job.result = result;
-        job.completed_at = Some(Instant::now());
         job.close_events();
         // Every stored result — including the partial documents of failed,
         // cancelled and timed-out jobs — enters the store, so the LRU cap
-        // and the TTL bound *all* retained memory, not just `done` jobs.
+        // bounds *all* retained documents, not just those of `done` jobs.
         if job.result.is_some() {
             inner.access.push(id);
-            while inner.access.len() > self.store.keep_results.max(1) {
+            while inner.access.len() > self.keep_results {
                 let oldest = inner.access[0];
                 self.evict_one(&mut inner, oldest);
             }
@@ -1086,8 +1019,20 @@ mod tests {
         delay slow [5,9]\n\
         property forbid-marked\n";
 
-    fn state_with(store: ResultStoreConfig) -> ServerState {
-        ServerState::new(Arc::new(Session::new()), store, 64, 1)
+    /// A result cap no test reaches.
+    const KEEP_ALL: usize = 256;
+
+    /// A one-worker config keeping at most `keep_results` documents.
+    fn config(keep_results: usize) -> ServerConfig {
+        ServerConfig {
+            workers: 1,
+            keep_results,
+            ..ServerConfig::default()
+        }
+    }
+
+    fn state_with(keep_results: usize) -> ServerState {
+        ServerState::new(Arc::new(Session::new()), &config(keep_results))
     }
 
     /// A `verify` spec whose key differs for every `n`: a far-off deadline
@@ -1116,7 +1061,7 @@ mod tests {
 
     #[test]
     fn upload_deduplicates_by_content() {
-        let state = state_with(ResultStoreConfig::default());
+        let state = state_with(KEEP_ALL);
         let (first, cached) = state.upload_model(RACE).unwrap();
         assert!(!cached);
         let (second, cached) = state.upload_model(RACE).unwrap();
@@ -1130,7 +1075,7 @@ mod tests {
 
     #[test]
     fn jobs_flow_queued_running_done_and_duplicates_share_a_run() {
-        let state = state_with(ResultStoreConfig::default());
+        let state = state_with(KEEP_ALL);
         let (model, _) = state.upload_model(RACE).unwrap();
         assert!(state.submit(TaskSpec::verify("missing")).is_err());
         let id = state.submit(TaskSpec::verify(&model.hash)).unwrap();
@@ -1164,7 +1109,7 @@ mod tests {
 
     #[test]
     fn shutdown_cancels_queued_jobs_and_stops_workers() {
-        let state = state_with(ResultStoreConfig::default());
+        let state = state_with(KEEP_ALL);
         let (model, _) = state.upload_model(RACE).unwrap();
         let id = state.submit(TaskSpec::verify(&model.hash)).unwrap();
         state.shutdown();
@@ -1178,10 +1123,7 @@ mod tests {
 
     #[test]
     fn lru_cap_evicts_the_oldest_result() {
-        let state = state_with(ResultStoreConfig {
-            keep_results: 2,
-            result_ttl: None,
-        });
+        let state = state_with(2);
         let (model, _) = state.upload_model(RACE).unwrap();
         // Three distinct jobs (different deadlines → different keys),
         // drained by a single worker so they complete in submission order.
@@ -1201,25 +1143,6 @@ mod tests {
         assert!(state.fetch_result(c).unwrap().1.is_some());
     }
 
-    #[test]
-    fn ttl_evicts_results_after_expiry() {
-        let state = state_with(ResultStoreConfig {
-            keep_results: 16,
-            result_ttl: Some(Duration::from_millis(30)),
-        });
-        let (model, _) = state.upload_model(RACE).unwrap();
-        let id = state.submit(TaskSpec::verify(&model.hash)).unwrap();
-        drain(&state);
-        assert!(state.fetch_result(id).unwrap().1.is_some());
-        std::thread::sleep(Duration::from_millis(40));
-        let (view, result) = state.fetch_result(id).unwrap();
-        assert!(view.evicted);
-        assert!(result.is_none());
-        assert_eq!(state.evicted_jobs(), vec![id]);
-        // Status survives eviction; only the document is gone.
-        assert_eq!(state.job(id).unwrap().status, JobStatus::Done);
-    }
-
     /// Unique scratch data dir per test.
     fn test_data_dir(tag: &str) -> std::path::PathBuf {
         static SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -1232,13 +1155,11 @@ mod tests {
         dir
     }
 
-    fn durable_state(dir: &std::path::Path, store: ResultStoreConfig) -> ServerState {
+    fn durable_state(dir: &std::path::Path, keep_results: usize) -> ServerState {
         let (persist, recovery) = Store::open(dir, false).unwrap();
         ServerState::recovered(
             Arc::new(Session::new()),
-            store,
-            64,
-            1,
+            &config(keep_results),
             Arc::new(persist),
             &recovery,
         )
@@ -1249,7 +1170,7 @@ mod tests {
         let dir = test_data_dir("recover");
 
         // Run one job to completion, then "crash" (drop without cleanup).
-        let state = durable_state(&dir, ResultStoreConfig::default());
+        let state = durable_state(&dir, KEEP_ALL);
         let (model, _) = state.upload_model(RACE).unwrap();
         let done = state
             .submit(TaskSpec::verify(&model.hash).with_trace(true))
@@ -1261,7 +1182,7 @@ mod tests {
 
         // Restart: enqueue two more jobs and die with them still queued
         // (no worker ran, no shutdown — the SIGKILL shape of the journal).
-        let state = durable_state(&dir, ResultStoreConfig::default());
+        let state = durable_state(&dir, KEEP_ALL);
         let recovered_done = state.job(done).unwrap();
         assert_eq!(recovered_done.status, JobStatus::Done);
         assert!(recovered_done.recovered);
@@ -1274,7 +1195,7 @@ mod tests {
         // to byte-identical documents; the completed one still serves the
         // original bytes; a duplicate of it is answered from the store
         // with zero new runs.
-        let state = durable_state(&dir, ResultStoreConfig::default());
+        let state = durable_state(&dir, KEEP_ALL);
         assert_eq!(state.job(queued_a).unwrap().status, JobStatus::Queued);
         assert!(state.job(queued_b).unwrap().recovered);
         drain(&state);
@@ -1295,7 +1216,7 @@ mod tests {
 
         // Final restart: a duplicate of the long-completed job is answered
         // from the on-disk store — zero runs executed in this process.
-        let state = durable_state(&dir, ResultStoreConfig::default());
+        let state = durable_state(&dir, KEEP_ALL);
         let runs_before = state.session().stats().runs_executed;
         assert_eq!(runs_before, 0);
         let duplicate = state
@@ -1322,11 +1243,7 @@ mod tests {
     #[test]
     fn disk_evictions_survive_restart() {
         let dir = test_data_dir("evict");
-        let cap_one = ResultStoreConfig {
-            keep_results: 1,
-            result_ttl: None,
-        };
-        let state = durable_state(&dir, cap_one);
+        let state = durable_state(&dir, 1);
         let (model, _) = state.upload_model(RACE).unwrap();
         let a = state.submit(keyed(&model.hash, 1)).unwrap();
         let b = state.submit(keyed(&model.hash, 2)).unwrap();
@@ -1336,7 +1253,7 @@ mod tests {
         assert_eq!(state.persistence().unwrap().disk.results, 1);
         drop(state);
 
-        let state = durable_state(&dir, cap_one);
+        let state = durable_state(&dir, 1);
         let evicted = state.job(a).unwrap();
         assert_eq!(evicted.status, JobStatus::Done);
         assert!(evicted.evicted, "eviction must survive the restart");
@@ -1344,6 +1261,67 @@ mod tests {
         let kept = state.job(b).unwrap();
         assert_eq!(kept.status, JobStatus::Done);
         assert!(kept.result.is_some());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The startup GC is the only collection of a data dir: a restart with
+    /// a lower cap evicts recovered results in job-id order, sweeps result
+    /// files no job references, and compacts the journal so that the next
+    /// restart replays the same state.
+    #[test]
+    fn startup_gc_caps_recovered_results_and_sweeps_orphans() {
+        let dir = test_data_dir("startup-gc");
+        let state = durable_state(&dir, KEEP_ALL);
+        let (model, _) = state.upload_model(RACE).unwrap();
+        let ids: Vec<usize> = (1..=3)
+            .map(|n| state.submit(keyed(&model.hash, n)).unwrap())
+            .collect();
+        drain(&state);
+        assert_eq!(state.persistence().unwrap().disk.results, 3);
+        drop(state);
+
+        let result_file = |key: &TaskKey| {
+            dir.join("results")
+                .join(format!("{}.res", key.fingerprint()))
+        };
+        let files: Vec<std::path::PathBuf> = (1..=3)
+            .map(|n| result_file(&keyed(&model.hash, n).key()))
+            .collect();
+        // The lowest id's file is the most recently written on disk, so a
+        // cap applied by file age would evict job 1 instead.
+        std::fs::File::options()
+            .write(true)
+            .open(&files[0])
+            .unwrap()
+            .set_modified(std::time::SystemTime::now() + Duration::from_secs(3600))
+            .unwrap();
+        // A result file no job references.
+        let orphan = TaskSpec::zones(&model.hash).key();
+        let (persist, _) = Store::open(&dir, false).unwrap();
+        persist
+            .save_result_if_absent(&orphan, "o\n", "{}\n")
+            .unwrap();
+        drop(persist);
+        assert!(result_file(&orphan).exists());
+
+        for restart in 0..2 {
+            let state = durable_state(&dir, 2);
+            let evicted = state.job(ids[0]).unwrap();
+            assert_eq!(evicted.status, JobStatus::Done, "restart {restart}");
+            assert!(evicted.evicted, "restart {restart}");
+            assert!(state.fetch_result(ids[0]).unwrap().1.is_none());
+            assert!(!files[0].exists(), "restart {restart}");
+            for &id in &ids[1..] {
+                assert!(
+                    state.fetch_result(id).unwrap().1.is_some(),
+                    "restart {restart}"
+                );
+                assert!(files[id].exists(), "restart {restart}");
+            }
+            assert!(!result_file(&orphan).exists(), "restart {restart}");
+            assert_eq!(state.evicted_jobs(), vec![ids[0]], "restart {restart}");
+            assert_eq!(state.persistence().unwrap().disk.results, 2);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1402,7 +1380,7 @@ mod tests {
             .unwrap();
         drop(persist);
 
-        let state = durable_state(&dir, ResultStoreConfig::default());
+        let state = durable_state(&dir, KEEP_ALL);
         let done = state.job(2).unwrap();
         assert_eq!(done.status, JobStatus::Done);
         assert!(done.evicted, "an old-form result reads as evicted");
@@ -1464,7 +1442,7 @@ mod tests {
         std::io::Write::write_all(&mut file, lines.as_bytes()).unwrap();
         drop(file);
 
-        let state = durable_state(&dir, ResultStoreConfig::default());
+        let state = durable_state(&dir, KEEP_ALL);
         assert!(state
             .jobs()
             .iter()
@@ -1498,7 +1476,7 @@ mod tests {
 
     #[test]
     fn deadline_marks_jobs_timed_out() {
-        let state = state_with(ResultStoreConfig::default());
+        let state = state_with(KEEP_ALL);
         // The 2-stage pipeline zone graph runs far beyond 1ms.
         let text = std::fs::read_to_string(concat!(
             env!("CARGO_MANIFEST_DIR"),
@@ -1523,7 +1501,13 @@ mod tests {
 
     #[test]
     fn admission_gate_refuses_beyond_depth_with_retry_after() {
-        let state = ServerState::new(Arc::new(Session::new()), ResultStoreConfig::default(), 2, 1);
+        let state = ServerState::new(
+            Arc::new(Session::new()),
+            &ServerConfig {
+                queue_depth: 2,
+                ..config(KEEP_ALL)
+            },
+        );
         let (model, _) = state.upload_model(RACE).unwrap();
         // No worker is draining, so both admitted jobs stay queued.
         let first = state.submit(keyed(&model.hash, 1)).unwrap();
@@ -1553,7 +1537,7 @@ mod tests {
 
     #[test]
     fn queue_positions_follow_arrival_order() {
-        let state = state_with(ResultStoreConfig::default());
+        let state = state_with(KEEP_ALL);
         let (model, _) = state.upload_model(RACE).unwrap();
         let ids: Vec<usize> = (1..=4)
             .map(|n| state.submit(keyed(&model.hash, n)).unwrap())
@@ -1607,7 +1591,7 @@ mod tests {
 
     #[test]
     fn budget_breach_is_terminal_and_streams_its_lifecycle() {
-        let state = state_with(ResultStoreConfig::default());
+        let state = state_with(KEEP_ALL);
         let text = std::fs::read_to_string(concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../../models/ipcmos_2stage.stg"

@@ -54,14 +54,14 @@ pub use explore::{
     ProgressSink,
 };
 pub use outcome::{
-    asap_run, replay_rendered, trace_of_verdict, BudgetExceededOutcome, Outcome, ReachGoalOutcome,
+    replay_rendered, trace_of_verdict, BudgetExceededOutcome, Outcome, ReachGoalOutcome,
     ReachOutcome, ReachPath, RenderedTrace, RestoredOutcome, TimedOutOutcome, TraceStep,
     VerifyOutcome, ZoneWitness, ZonesOutcome,
 };
 pub use persist::{StoreHook, StoredResult};
 pub use session::{
     content_hash, CachedModel, Completion, RunControl, Session, SessionError, SessionStats,
-    TaskHandle, TaskResult,
+    TaskResult,
 };
 pub use task::{
     SpecError, TaskCommand, TaskKey, TaskSpec, REACH_DEFAULT_LIMIT, ZONES_DEFAULT_LIMIT,

@@ -9,10 +9,10 @@
 use std::time::Duration;
 
 use dbm::{path_firing_windows, FiringWindow, ZoneOutcome};
-use ipcmos::{SimEvent, SimTrace};
+use ipcmos::{asap_run, SimEvent, SimTrace};
 use stg::ReachReport;
 use transyt::Verdict;
-use tts::{Bound, EventId, SignalEdge, StateId, Time, TimedTransitionSystem, TransitionSystem};
+use tts::{Bound, SignalEdge, TimedTransitionSystem, TransitionSystem};
 
 use crate::task::TaskCommand;
 
@@ -85,49 +85,6 @@ impl RenderedTrace {
         let names: Vec<&str> = signals.iter().map(String::as_str).collect();
         Some(trace.waveform(&names, &Default::default()))
     }
-}
-
-/// A deterministic as-soon-as-possible run of the timed system: every
-/// enabled event is scheduled at its lower delay bound, the earliest
-/// scheduled event fires (ties broken by event id), and the run stops after
-/// `max_events` firings or at a deadlock. The witness `verify --trace`
-/// prints for systems that pass verification.
-pub fn asap_run(timed: &TimedTransitionSystem, max_events: usize) -> Vec<(EventId, StateId, Time)> {
-    let ts = timed.underlying();
-    let mut state = ts.initial_states()[0];
-    let mut now = Time::ZERO;
-    let mut enabled_since: Vec<(EventId, Time)> =
-        ts.enabled(state).into_iter().map(|e| (e, now)).collect();
-    let mut steps = Vec::new();
-    for _ in 0..max_events {
-        let Some((fire_time, event)) = enabled_since
-            .iter()
-            .map(|&(event, since)| (since + timed.delay(event).lower(), event))
-            .min()
-        else {
-            break;
-        };
-        now = now.max(fire_time);
-        let Some(&target) = ts.successors(state, event).first() else {
-            break;
-        };
-        steps.push((event, target, now));
-        let previously_enabled = ts.enabled(state);
-        state = target;
-        let now_enabled = ts.enabled(state);
-        enabled_since.retain(|&(e, _)| now_enabled.contains(&e));
-        for &e in &now_enabled {
-            let fresh = e == event || !previously_enabled.contains(&e);
-            if fresh {
-                enabled_since.retain(|&(other, _)| other != e);
-                enabled_since.push((e, now));
-            } else if !enabled_since.iter().any(|&(other, _)| other == e) {
-                enabled_since.push((e, now));
-            }
-        }
-        enabled_since.sort_by_key(|&(e, _)| e);
-    }
-    steps
 }
 
 /// The trace `verify --trace` prints: the engine's counterexample when

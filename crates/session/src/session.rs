@@ -162,8 +162,7 @@ struct Inner {
 /// * [`add_model`](Session::add_model) / [`insert_model`](Session::insert_model)
 ///   intern a model once; every task names it by hash.
 /// * [`run`](Session::run) is the simple blocking entry point;
-///   [`run_task`](Session::run_task) adds cancellation and progress events;
-///   [`spawn`](Session::spawn) runs in the background.
+///   [`run_task`](Session::run_task) adds cancellation and progress events.
 /// * Two calls whose specs share a [`TaskKey`] are served by a single run:
 ///   the second **attaches** to the first (sharing its progress stream and,
 ///   on completion, the very same [`TaskResult`]), or hits the bounded memo
@@ -487,21 +486,6 @@ impl Session {
         Completion::Finished(result)
     }
 
-    /// Runs a task on a new thread; the returned [`TaskHandle`] can cancel
-    /// it and join for the result.
-    pub fn spawn(self: &Arc<Self>, spec: &TaskSpec, control: RunControl) -> TaskHandle {
-        let key = spec.key();
-        let cancel = control.cancel.clone();
-        let session = Arc::clone(self);
-        let spec = spec.clone();
-        let thread = thread::spawn(move || session.run_task(&spec, control));
-        TaskHandle {
-            key,
-            cancel,
-            thread,
-        }
-    }
-
     fn wait_attached(&self, shared: &RunShared, cancel: &CancelToken) -> Completion {
         let mut done = shared.done.lock().expect("run result poisoned");
         loop {
@@ -628,31 +612,6 @@ impl Session {
             Err(SessionError::Cancelled) => timed_out(None),
             other => other,
         }
-    }
-}
-
-/// Handle on a task started with [`Session::spawn`].
-pub struct TaskHandle {
-    key: TaskKey,
-    cancel: CancelToken,
-    thread: thread::JoinHandle<Completion>,
-}
-
-impl TaskHandle {
-    /// The task's canonical key.
-    pub fn key(&self) -> &TaskKey {
-        &self.key
-    }
-
-    /// Fires the task's cancel token (see [`Session::run_task`] for what
-    /// that means for executing vs. attached tasks).
-    pub fn cancel(&self) {
-        self.cancel.cancel();
-    }
-
-    /// Waits for the task and returns its completion.
-    pub fn join(self) -> Completion {
-        self.thread.join().expect("session task panicked")
     }
 }
 

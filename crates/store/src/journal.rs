@@ -88,8 +88,8 @@ pub enum Record {
         /// The configured budget.
         limit: usize,
     },
-    /// The job's stored result document was garbage-collected (LRU cap or
-    /// TTL); fetches answer `410 Gone` after replay, like before the
+    /// The job's stored result document was garbage-collected (the LRU
+    /// cap); fetches answer `410 Gone` after replay, like before the
     /// restart.
     Evict {
         /// The job id.

@@ -189,17 +189,6 @@ pub struct DiskStats {
     pub result_bytes: u64,
 }
 
-/// What an offline [`Store::gc`] pass did.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct GcReport {
-    /// Result fingerprints whose files were removed.
-    pub removed: Vec<String>,
-    /// Result files kept.
-    pub kept: usize,
-    /// Journal bytes after the closing compaction.
-    pub journal_bytes: u64,
-}
-
 /// Read-only snapshot of a data dir (`transyt store ls`): never writes,
 /// never truncates, safe next to a live server.
 #[derive(Debug, Clone, Default)]
@@ -356,7 +345,8 @@ impl Store {
     /// exclusive [`LOCK_FILE`], replays the journal — truncating a torn
     /// tail — and returns the store plus the recovered state. `fsync`
     /// controls whether journal appends and content writes are flushed to
-    /// disk before being reported durable.
+    /// disk before being reported durable: the server always passes `true`;
+    /// tests pass `false` for throwaway dirs.
     ///
     /// # Errors
     ///
@@ -481,16 +471,6 @@ impl Store {
         fs::remove_file(self.result_path(fingerprint)).is_ok()
     }
 
-    /// Age of a stored result file (time since last write).
-    pub fn result_age(&self, fingerprint: &str) -> Option<Duration> {
-        fs::metadata(self.result_path(fingerprint))
-            .ok()?
-            .modified()
-            .ok()?
-            .elapsed()
-            .ok()
-    }
-
     /// Appends one journal record (fsync'd per the open mode).
     ///
     /// # Errors
@@ -587,82 +567,6 @@ impl Store {
             }
         }
         records
-    }
-
-    /// Offline garbage collection (`transyt store gc`): applies the same
-    /// LRU-by-age + TTL rules the server applies in memory to the stored
-    /// result files, marks the affected jobs evicted, sweeps orphans and
-    /// compacts the journal. `recovery` must be this store's own
-    /// [`Store::open`] result; it is updated in place.
-    ///
-    /// # Errors
-    ///
-    /// Filesystem errors from the closing compaction.
-    pub fn gc(
-        &self,
-        recovery: &mut Recovery,
-        keep_results: usize,
-        result_ttl: Option<Duration>,
-    ) -> io::Result<GcReport> {
-        // Live = result files referenced by a non-evicted done job.
-        let mut live: Vec<(String, Duration)> = Vec::new();
-        for job in &recovery.jobs {
-            if job.evicted {
-                continue;
-            }
-            if let RecoveredStatus::Done { result } = &job.status {
-                if !live.iter().any(|(fp, _)| fp == result) {
-                    // A missing file (None) is already gone; it is handled as
-                    // evicted below.
-                    if let Some(age) = self.result_age(result) {
-                        live.push((result.clone(), age));
-                    }
-                }
-            }
-        }
-        // TTL, then the LRU cap (file age stands in for recency: the server
-        // refreshes neither on disk, so age-of-write is the disk-side LRU).
-        let mut drop: HashSet<String> = HashSet::new();
-        if let Some(ttl) = result_ttl {
-            for (fp, age) in &live {
-                if *age >= ttl {
-                    drop.insert(fp.clone());
-                }
-            }
-        }
-        let mut survivors: Vec<&(String, Duration)> =
-            live.iter().filter(|(fp, _)| !drop.contains(fp)).collect();
-        survivors.sort_by_key(|(_, age)| *age);
-        for (fp, _) in survivors.iter().skip(keep_results.max(1)) {
-            drop.insert(fp.clone());
-        }
-        let mut removed: Vec<String> = Vec::new();
-        for fp in &drop {
-            if self.remove_result(fp) {
-                removed.push(fp.clone());
-            }
-        }
-        removed.sort();
-        // Reflect the deletions (and any already-missing files) in the job
-        // table, then compact so the next open agrees.
-        let mut referenced: HashSet<String> = HashSet::new();
-        for job in &mut recovery.jobs {
-            if let RecoveredStatus::Done { result } = &job.status {
-                if !job.evicted && self.result_age(result).is_none() {
-                    job.evicted = true;
-                }
-                if !job.evicted {
-                    referenced.insert(result.clone());
-                }
-            }
-        }
-        self.remove_unreferenced(&referenced);
-        self.compact(&Store::compaction_records(&recovery.models, &recovery.jobs))?;
-        Ok(GcReport {
-            removed,
-            kept: referenced.len(),
-            journal_bytes: self.journal_stats().bytes,
-        })
     }
 
     /// Read-only snapshot of the data dir at `root` — no truncation, no
@@ -848,66 +752,6 @@ mod tests {
         let (store, recovery) = Store::open(&dir, false).unwrap();
         assert_eq!(recovery.models, vec![hash.clone()]);
         assert_eq!(store.model_text(&hash).as_deref(), Some(text));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn gc_applies_cap_ttl_and_orphan_sweep() {
-        let dir = test_dir("store-gc");
-        let (store, _) = Store::open(&dir, false).unwrap();
-        // Three distinct keys, split by far-off deadlines.
-        let timeout = |id: usize| 3601 + id as u64;
-        let keys: Vec<TaskKey> = (0..3)
-            .map(|id| {
-                TaskSpec::verify("feed")
-                    .deadline(Duration::from_secs(timeout(id)))
-                    .key()
-            })
-            .collect();
-        let mut jobs = Vec::new();
-        for (id, key) in keys.iter().enumerate() {
-            let fp = store
-                .save_result_if_absent(key, "text\n", "{\"id\":0}\n")
-                .unwrap();
-            store
-                .append(&Record::Job {
-                    id,
-                    command: "verify".to_owned(),
-                    model: "feed".to_owned(),
-                    params: vec![("timeout".to_owned(), timeout(id).to_string())],
-                })
-                .unwrap();
-            store.append(&Record::Done { id, result: fp }).unwrap();
-            jobs.push(id);
-        }
-        // An orphan file no job references.
-        let orphan = TaskSpec::zones("feed").key();
-        store.save_result_if_absent(&orphan, "o\n", "{}\n").unwrap();
-        drop(store);
-
-        let (store, mut recovery) = Store::open(&dir, false).unwrap();
-        assert_eq!(recovery.jobs.len(), 3);
-        let report = store.gc(&mut recovery, 2, None).unwrap();
-        // Cap 2: one referenced file dropped, the orphan swept, two kept.
-        assert_eq!(report.removed.len(), 1);
-        assert_eq!(report.kept, 2);
-        assert_eq!(store.disk_stats().results, 2);
-        assert_eq!(
-            recovery.jobs.iter().filter(|j| j.evicted).count(),
-            1,
-            "{:?}",
-            recovery.jobs
-        );
-        // TTL 0 evicts everything that is left.
-        let report = store
-            .gc(&mut recovery, 16, Some(Duration::from_secs(0)))
-            .unwrap();
-        assert_eq!(report.kept, 0);
-        assert_eq!(store.disk_stats().results, 0);
-        // The compacted journal replays to the same evicted state.
-        drop(store);
-        let (_, replayed) = Store::open(&dir, false).unwrap();
-        assert!(replayed.jobs.iter().all(|j| j.evicted));
         let _ = fs::remove_dir_all(&dir);
     }
 
