@@ -54,11 +54,6 @@ impl ExtractedCes {
         &self.ces
     }
 
-    /// Consumes the extraction and returns the structure.
-    pub fn into_ces(self) -> Ces {
-        self.ces
-    }
-
     /// Node corresponding to the occurrence fired at trace step `k`.
     pub fn fired_node(&self, step: usize) -> Option<NodeId> {
         self.fired.get(step).copied()

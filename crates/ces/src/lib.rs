@@ -4,9 +4,8 @@
 //! This crate implements the timing side of the relative-timing verification
 //! methodology used in the IPCMOS case study (Peña et al., DATE 2002):
 //!
-//! * [`Ces`] — (lazy) causal event structures: acyclic AND-causality graphs
-//!   over event occurrences with per-occurrence delay intervals and optional
-//!   timing arcs.
+//! * [`Ces`] — causal event structures: acyclic AND-causality graphs over
+//!   event occurrences with per-occurrence delay intervals.
 //! * [`extract_ces`] — extraction of a CES from a failure trace with enabling
 //!   information (§2.1 of the paper), including the occurrences still pending
 //!   at the failure point.

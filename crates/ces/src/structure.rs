@@ -1,15 +1,12 @@
-//! Causal event structures (CES) and lazy event structures (LzCES).
+//! Causal event structures (CES).
 //!
 //! A CES is an acyclic graph whose nodes are *event occurrences* (an event
 //! name plus an occurrence index) related by AND-causality: an occurrence can
 //! fire only after all of its direct predecessors have fired, and its firing
 //! time lies within a delay interval of its enabling time (the latest
-//! predecessor firing time). A *lazy* event structure additionally carries
-//! timing arcs — relative-timing constraints that delay the firing of an
-//! occurrence until another occurrence has fired, without changing its
-//! enabling time (§2.1 of the paper).
+//! predecessor firing time).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 
 use tts::{DelayInterval, EventId};
@@ -98,7 +95,6 @@ impl std::error::Error for BuildCesError {}
 pub struct CesBuilder {
     nodes: Vec<NodeData>,
     causal: Vec<(NodeId, NodeId)>,
-    timing: Vec<(NodeId, NodeId)>,
 }
 
 impl CesBuilder {
@@ -131,23 +127,15 @@ impl CesBuilder {
         }
     }
 
-    /// Adds a timing arc (relative-timing constraint): `to` must not fire
-    /// before `from` has fired, but its enabling time is unchanged.
-    pub fn add_timing_arc(&mut self, from: NodeId, to: NodeId) {
-        if !self.timing.contains(&(from, to)) {
-            self.timing.push((from, to));
-        }
-    }
-
     /// Finalises the structure.
     ///
     /// # Errors
     ///
     /// Returns [`BuildCesError`] if an arc references an unknown node or the
-    /// combined (causal + timing) graph has a cycle.
+    /// causal graph has a cycle.
     pub fn build(self) -> Result<Ces, BuildCesError> {
         let n = self.nodes.len();
-        for &(a, b) in self.causal.iter().chain(self.timing.iter()) {
+        for &(a, b) in &self.causal {
             if a.index() >= n || b.index() >= n {
                 return Err(BuildCesError::UnknownNode(if a.index() >= n {
                     a
@@ -164,17 +152,10 @@ impl CesBuilder {
                 succs[a.index()].push(b);
             }
         }
-        let mut timing_preds = vec![Vec::new(); n];
-        for &(a, b) in &self.timing {
-            if !timing_preds[b.index()].contains(&a) {
-                timing_preds[b.index()].push(a);
-            }
-        }
         let ces = Ces {
             nodes: self.nodes,
             preds,
             succs,
-            timing_preds,
         };
         match ces.topological_order() {
             Some(_) => Ok(ces),
@@ -191,7 +172,7 @@ impl CesBuilder {
     }
 }
 
-/// A (lazy) causal event structure.
+/// A causal event structure.
 ///
 /// # Examples
 ///
@@ -215,7 +196,6 @@ pub struct Ces {
     nodes: Vec<NodeData>,
     preds: Vec<Vec<NodeId>>,
     succs: Vec<Vec<NodeId>>,
-    timing_preds: Vec<Vec<NodeId>>,
 }
 
 impl Ces {
@@ -263,81 +243,25 @@ impl Ces {
         &self.succs[node.index()]
     }
 
-    /// Timing-arc predecessors of a node (relative-timing constraints
-    /// targeting it).
-    pub fn timing_predecessors(&self, node: NodeId) -> &[NodeId] {
-        &self.timing_preds[node.index()]
-    }
-
-    /// All timing arcs as `(before, after)` pairs.
-    pub fn timing_arcs(&self) -> Vec<(NodeId, NodeId)> {
-        self.timing_preds
-            .iter()
-            .enumerate()
-            .flat_map(|(to, froms)| froms.iter().map(move |&f| (f, NodeId(to as u32))))
-            .collect()
-    }
-
-    /// Number of timing arcs.
-    pub fn timing_arc_count(&self) -> usize {
-        self.timing_preds.iter().map(Vec::len).sum()
-    }
-
-    /// Finds the node carrying a given occurrence.
-    pub fn node_of(&self, occurrence: Occurrence) -> Option<NodeId> {
-        self.nodes
-            .iter()
-            .position(|d| d.occurrence == occurrence)
-            .map(NodeId::from_index)
-    }
-
-    /// Returns a copy of the structure with an extra timing arc.
-    #[must_use]
-    pub fn with_timing_arc(&self, from: NodeId, to: NodeId) -> Ces {
-        let mut copy = self.clone();
-        if !copy.timing_preds[to.index()].contains(&from) {
-            copy.timing_preds[to.index()].push(from);
-        }
-        copy
-    }
-
-    /// A topological order of the combined causal + timing graph, or `None`
-    /// if it has a cycle.
+    /// A topological order of the causal graph, or `None` if it has a
+    /// cycle.
     pub fn topological_order(&self) -> Option<Vec<NodeId>> {
-        let n = self.nodes.len();
-        let mut indegree = vec![0usize; n];
-        for (to, froms) in self.preds.iter().enumerate() {
-            indegree[to] += froms.len();
-            indegree[to] += self.timing_preds[to].len();
-        }
-        let mut stack: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        // Successor map that includes timing arcs.
-        let mut all_succs = vec![Vec::new(); n];
-        for (to, froms) in self.preds.iter().enumerate() {
-            for f in froms {
-                all_succs[f.index()].push(to);
-            }
-        }
-        for (to, froms) in self.timing_preds.iter().enumerate() {
-            for f in froms {
-                all_succs[f.index()].push(to);
-            }
-        }
-        while let Some(i) = stack.pop() {
-            order.push(NodeId(i as u32));
-            for &s in &all_succs[i] {
-                indegree[s] -= 1;
-                if indegree[s] == 0 {
+        let mut indegree: Vec<usize> = self.preds.iter().map(Vec::len).collect();
+        let mut stack: Vec<NodeId> = self
+            .nodes()
+            .filter(|node| indegree[node.index()] == 0)
+            .collect();
+        let mut order = Vec::with_capacity(self.nodes.len());
+        while let Some(node) = stack.pop() {
+            order.push(node);
+            for &s in &self.succs[node.index()] {
+                indegree[s.index()] -= 1;
+                if indegree[s.index()] == 0 {
                     stack.push(s);
                 }
             }
         }
-        if order.len() == n {
-            Some(order)
-        } else {
-            None
-        }
+        (order.len() == self.nodes.len()).then_some(order)
     }
 
     /// The set of causal ancestors of `node` (not including `node`).
@@ -369,29 +293,14 @@ impl Ces {
                 .iter()
                 .map(|&p| self.label(p))
                 .collect();
-            let timing: Vec<&str> = self
-                .timing_predecessors(node)
-                .iter()
-                .map(|&p| self.label(p))
-                .collect();
             out.push_str(&format!(
-                "{} {}  <- causal {:?}  <- timing {:?}\n",
+                "{} {}  <- causal {:?}\n",
                 self.label(node),
                 self.delay(node),
-                preds,
-                timing
+                preds
             ));
         }
         out
-    }
-
-    /// Builds a map from occurrence to node id.
-    pub fn occurrence_index(&self) -> HashMap<Occurrence, NodeId> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (d.occurrence, NodeId(i as u32)))
-            .collect()
     }
 }
 
@@ -437,47 +346,10 @@ mod tests {
     }
 
     #[test]
-    fn timing_arcs_count_towards_cycles() {
-        let mut b = CesBuilder::new();
-        let a = b.add_node(Occurrence::first(ev(0)), "a", delay(1, 1));
-        let c = b.add_node(Occurrence::first(ev(1)), "c", delay(1, 1));
-        b.add_causal_arc(a, c);
-        b.add_timing_arc(c, a);
-        assert!(b.build().is_err());
-    }
-
-    #[test]
     fn unknown_node_is_rejected() {
         let mut b = CesBuilder::new();
         let a = b.add_node(Occurrence::first(ev(0)), "a", delay(1, 1));
         b.add_causal_arc(a, NodeId::from_index(7));
         assert!(matches!(b.build(), Err(BuildCesError::UnknownNode(_))));
-    }
-
-    #[test]
-    fn with_timing_arc_is_nondestructive() {
-        let mut b = CesBuilder::new();
-        let a = b.add_node(Occurrence::first(ev(0)), "a", delay(1, 1));
-        let c = b.add_node(Occurrence::first(ev(1)), "c", delay(1, 1));
-        b.add_causal_arc(a, c);
-        let ces = b.build().unwrap();
-        assert_eq!(ces.timing_arc_count(), 0);
-        let lazy = ces.with_timing_arc(a, c);
-        assert_eq!(lazy.timing_arc_count(), 1);
-        assert_eq!(ces.timing_arc_count(), 0);
-        assert_eq!(lazy.timing_arcs(), vec![(a, c)]);
-        assert_eq!(lazy.timing_predecessors(c), &[a]);
-    }
-
-    #[test]
-    fn occurrence_lookup() {
-        let mut b = CesBuilder::new();
-        let a0 = b.add_node(Occurrence::new(ev(0), 0), "a", delay(1, 1));
-        let a1 = b.add_node(Occurrence::new(ev(0), 1), "a", delay(1, 1));
-        b.add_causal_arc(a0, a1);
-        let ces = b.build().unwrap();
-        assert_eq!(ces.node_of(Occurrence::new(ev(0), 1)), Some(a1));
-        assert_eq!(ces.node_of(Occurrence::new(ev(3), 0)), None);
-        assert_eq!(ces.occurrence_index().len(), 2);
     }
 }

@@ -6,81 +6,19 @@
 //! user passes `--json PATH`, uploaded as a CI artifact). The actual
 //! execution — and the canonical renderings — live in `transyt-session`, so
 //! the one-shot CLI, the server and embedders all run through exactly one
-//! implementation; these functions only intern the model, lower [`Options`]
-//! into a [`TaskSpec`] and unpack the shared [`TaskResult`].
+//! implementation; these functions only intern the model, bind the
+//! [`TaskSpec`] to it and unpack the shared [`TaskResult`].
 //!
 //! [`TaskResult`]: transyt_session::TaskResult
 
 use std::fmt;
-use std::time::Duration;
 
 use transyt_session::json::Value;
 use transyt_session::{
-    render, Completion, RunControl, Session, SessionError, TaskCommand, TaskSpec,
+    render, Completion, ProgressSink, RunControl, Session, SessionError, TaskSpec,
 };
-use transyt_session::{CancelToken, ProgressSink};
 
 use crate::format::Model;
-
-/// Options shared by the subcommands (parsed from the command line).
-#[derive(Debug, Clone, Default)]
-pub struct Options {
-    /// Explore the zone graph unabstracted, the exact oracle (`--exact`).
-    pub exact: bool,
-    /// Print a witness / counterexample trace (`--trace`).
-    pub trace: bool,
-    /// Exploration size limit (`--limit`, default per command).
-    pub limit: Option<usize>,
-    /// Target label for `reach --to LABEL`.
-    pub to_label: Option<String>,
-    /// Wall-clock deadline (`--timeout SECS`): when it expires the run is
-    /// cancelled and reported as timed out.
-    pub timeout: Option<Duration>,
-    /// Configuration budget (`--max-configs N`): the run is cancelled
-    /// deterministically once it expands more than `N` configurations.
-    pub max_configs: Option<usize>,
-    /// Zone-memory budget in arena bytes (`--max-zone-bytes N`).
-    pub max_zone_bytes: Option<usize>,
-    /// Cooperative cancellation of the command's explorations (the one-shot
-    /// CLI leaves the inert default).
-    pub cancel: CancelToken,
-    /// Progress events of the command's explorations (`--progress` wires a
-    /// stderr printer; default inert).
-    pub progress: ProgressSink,
-}
-
-impl Options {
-    /// The options of `spec`, with inert cancellation and progress.
-    pub fn from_spec(spec: &TaskSpec) -> Options {
-        Options {
-            exact: spec.exact,
-            trace: spec.trace,
-            limit: spec.limit,
-            to_label: spec.to_label.clone(),
-            timeout: spec.deadline,
-            max_configs: spec.max_configs,
-            max_zone_bytes: spec.max_zone_bytes,
-            cancel: CancelToken::default(),
-            progress: ProgressSink::default(),
-        }
-    }
-
-    /// Lowers these options into a [`TaskSpec`] for `command` against the
-    /// interned model `hash`.
-    pub fn to_spec(&self, command: TaskCommand, hash: &str) -> TaskSpec {
-        TaskSpec {
-            model: hash.to_owned(),
-            command,
-            exact: self.exact,
-            trace: self.trace,
-            limit: self.limit,
-            to_label: self.to_label.clone(),
-            deadline: self.timeout,
-            max_configs: self.max_configs,
-            max_zone_bytes: self.max_zone_bytes,
-        }
-    }
-}
 
 /// What a subcommand produced: the text for stdout and the JSON document for
 /// `--json`.
@@ -135,20 +73,21 @@ impl From<SessionError> for CliError {
     }
 }
 
-/// Runs one session task against `model` and unpacks the result into the
-/// CLI's shape.
-fn run_command(
+/// `transyt verify|reach|zones FILE`: interns `model` into a fresh session,
+/// binds `spec` to its hash and runs it under `control` (the one-shot CLI
+/// passes inert cancellation and, with `--progress`, a stderr printer).
+/// `verify` runs the relative-timing engine on the model's property, `reach`
+/// expands the net's reachability graph and `zones` runs the zone-based
+/// timed exploration; with `--trace` each prints its witness or
+/// counterexample.
+pub fn cmd_task(
     model: &Model,
-    command: TaskCommand,
-    options: &Options,
+    spec: TaskSpec,
+    control: RunControl,
 ) -> Result<CommandResult, CliError> {
     let session = Session::new();
     let cached = session.insert_model(model.clone());
-    let spec = options.to_spec(command, &cached.hash);
-    let control = RunControl {
-        cancel: options.cancel.clone(),
-        progress: options.progress.clone(),
-    };
+    let spec = spec.for_model(cached.hash);
     let Completion::Finished(result) = session.run_task(&spec, control) else {
         unreachable!("a one-shot command executes its own run and never detaches");
     };
@@ -161,35 +100,14 @@ fn run_command(
     }
 }
 
-/// `transyt verify FILE`: run the relative-timing engine on the model's
-/// property and (with `--trace`) print a timed counterexample or witness.
-pub fn cmd_verify(model: &Model, options: &Options) -> Result<CommandResult, CliError> {
-    run_command(model, TaskCommand::Verify, options)
-}
-
-/// `transyt reach FILE`: expand the net's reachability graph; with `--to
-/// LABEL` print a witness firing sequence to the first marking enabling the
-/// label, with `--trace` a path to the first deadlock.
-pub fn cmd_reach(model: &Model, options: &Options) -> Result<CommandResult, CliError> {
-    run_command(model, TaskCommand::Reach, options)
-}
-
-/// `transyt zones FILE`: the conventional zone-based timed exploration, with
-/// `--trace` a symbolic timed witness to the first violating (or, lacking
-/// marked states, deadlocked) state.
-pub fn cmd_zones(model: &Model, options: &Options) -> Result<CommandResult, CliError> {
-    run_command(model, TaskCommand::Zones, options)
-}
-
 /// `transyt table1`: the five Table 1 obligations of the paper (hard-wired
 /// IPCMOS models), with per-experiment verdicts, refinement counts and
 /// wall-clock times. Not a session task — it runs the `ipcmos` experiment
 /// suite, not a model file.
-pub fn cmd_table1(options: &Options) -> Result<CommandResult, CliError> {
+pub fn cmd_table1(progress: ProgressSink) -> Result<CommandResult, CliError> {
     let verify_options = transyt::VerifyOptions {
         spec: transyt::ExploreSpec {
-            cancel: options.cancel.clone(),
-            progress: options.progress.clone(),
+            progress,
             ..transyt::ExploreSpec::default()
         },
         ..transyt::VerifyOptions::default()

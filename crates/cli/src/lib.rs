@@ -12,11 +12,13 @@
 //! * [`commands`] — the subcommands of the `transyt` binary, a thin
 //!   rendering layer over [`transyt_session::Session`]: `verify`
 //!   (relative-timing engine with counterexample/witness traces), `reach`
-//!   (STG reachability with marking-path witnesses), `zones` (the
-//!   conventional zone-based exploration with symbolic timed traces),
-//!   `table1` (the paper's Table 1 reproduction) and `export` (the shipped
-//!   scenario library). Flags lower into a `TaskSpec` through the same
-//!   `TaskSpec::parse` the server's query strings lower through.
+//!   (STG reachability with marking-path witnesses) and `zones` (the
+//!   conventional zone-based exploration with symbolic timed traces) all run
+//!   through [`cmd_task`](commands::cmd_task), which takes the model, a `TaskSpec` and a
+//!   `RunControl`; `table1` (the paper's Table 1 reproduction) and `export`
+//!   (the shipped scenario library) complete the set. Flags lower into the
+//!   `TaskSpec` through the same `TaskSpec::parse` the server's query
+//!   strings lower through.
 //! * [`scenarios`] — the builders behind the `models/` directory: the 1–3
 //!   stage IPCMOS pipelines at pulse level, a C-element handshake, a ring
 //!   pipeline, the Fig. 1 introductory example and a failing race.

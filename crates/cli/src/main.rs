@@ -8,15 +8,13 @@
 
 use std::process::ExitCode;
 
-use transyt_cli::commands::{
-    cmd_reach, cmd_table1, cmd_verify, cmd_zones, CliError, CommandResult, Options,
-};
+use transyt_cli::commands::{cmd_table1, cmd_task, CliError, CommandResult};
 use transyt_cli::format::Model;
 use transyt_cli::remote::{self, SubmitArgs};
 use transyt_cli::scenarios;
 use transyt_server::ServerConfig;
 use transyt_session::render::render_document;
-use transyt_session::{ProgressEvent, ProgressSink, TaskSpec};
+use transyt_session::{ProgressEvent, ProgressSink, RunControl, TaskSpec};
 
 const USAGE: &str = "\
 transyt — relative-timing verification of timed circuits (DATE 2002 reproduction)
@@ -89,16 +87,11 @@ fn run(args: &[String]) -> Result<(), CliError> {
             let text = std::fs::read_to_string(&file)
                 .map_err(|e| CliError::Run(format!("reading {file}: {e}")))?;
             let model = Model::parse(&text)?;
-            let mut options = Options::from_spec(&spec);
-            if parsed.progress {
-                options.progress = progress_printer();
-            }
-            let result = match command.as_str() {
-                "verify" => cmd_verify(&model, &options)?,
-                "reach" => cmd_reach(&model, &options)?,
-                _ => cmd_zones(&model, &options)?,
+            let control = RunControl {
+                progress: parsed.progress.then(progress_printer).unwrap_or_default(),
+                ..RunControl::default()
             };
-            emit(result, parsed.json_path)
+            emit(cmd_task(&model, spec, control)?, parsed.json_path)
         }
         "table1" => {
             let parsed = collect_args(&args[1..], command)?;
@@ -110,11 +103,8 @@ fn run(args: &[String]) -> Result<(), CliError> {
                     "`table1` does not accept `--{name}` (allowed: --progress, --json)"
                 )));
             }
-            let mut options = Options::default();
-            if parsed.progress {
-                options.progress = progress_printer();
-            }
-            emit(cmd_table1(&options)?, parsed.json_path)
+            let progress = parsed.progress.then(progress_printer).unwrap_or_default();
+            emit(cmd_table1(progress)?, parsed.json_path)
         }
         "export" => run_export(&args[1..]),
         "serve" => run_serve(&args[1..]),

@@ -6,27 +6,9 @@
 //! live server owning the same directory. Collection is the server's own
 //! startup GC: a restart applies `--keep-results` to the stored results.
 
-use transyt_store::{RecoveredJob, RecoveredStatus, Store};
+use transyt_store::{JobStatus, Store};
 
 use crate::commands::CliError;
-
-fn status_word(job: &RecoveredJob) -> &'static str {
-    match job.status {
-        RecoveredStatus::Queued => "queued",
-        RecoveredStatus::Running => "running",
-        RecoveredStatus::Done { .. } => {
-            if job.evicted {
-                "done (evicted)"
-            } else {
-                "done"
-            }
-        }
-        RecoveredStatus::Failed => "failed",
-        RecoveredStatus::Cancelled => "cancelled",
-        RecoveredStatus::TimedOut => "timed_out",
-        RecoveredStatus::BudgetExceeded { .. } => "budget_exceeded",
-    }
-}
 
 /// `transyt store ls`: a read-only listing of a data dir — stored models,
 /// stored results, the replayed job table and the journal's health.
@@ -67,10 +49,13 @@ pub fn cmd_ls(data_dir: &str) -> Result<(), CliError> {
     }
     println!("jobs ({}):", inspection.jobs.len());
     for job in &inspection.jobs {
+        // Only a `done` job loses a stored document to eviction.
+        let evicted = job.evicted && matches!(job.status, JobStatus::Done { .. });
         println!(
-            "  #{} {} {} @ {}",
+            "  #{} {}{} {} @ {}",
             job.id,
-            status_word(job),
+            job.status,
+            if evicted { " (evicted)" } else { "" },
             job.command,
             job.model
         );

@@ -6,13 +6,18 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use transyt_cli::commands::{cmd_reach, cmd_verify, cmd_zones, Options};
+use transyt_cli::commands::{cmd_task, CommandResult};
 use transyt_cli::format::Model;
 use transyt_cli::scenarios;
-use transyt_session::{replay_rendered, trace_of_verdict};
+use transyt_session::{replay_rendered, trace_of_verdict, RunControl, TaskSpec};
 
 fn models_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../models")
+}
+
+/// Runs a one-shot `transyt` command against `model`.
+fn run(model: &Model, spec: TaskSpec) -> CommandResult {
+    cmd_task(model, spec, RunControl::default()).unwrap()
 }
 
 fn load(file: &str) -> Model {
@@ -51,11 +56,7 @@ fn ipcmos_1stage_trace_replays_identically_across_thread_counts() {
     let timed = model.timed_system().unwrap();
     let mut outputs = Vec::new();
     for _run in 0..2 {
-        let options = Options {
-            trace: true,
-            ..Options::default()
-        };
-        let result = cmd_verify(&model, &options).unwrap();
+        let result = run(&model, TaskSpec::verify("").with_trace(true));
         assert!(result.text.contains("VERIFIED"), "{}", result.text);
         assert!(result.text.contains("witness trace:"));
         assert!(result.text.contains("end state:"));
@@ -85,11 +86,7 @@ fn ipcmos_1stage_trace_replays_identically_across_thread_counts() {
 fn race_overlap_fails_with_a_replayable_timed_counterexample() {
     let model = load("race_overlap.tts");
     let timed = model.timed_system().unwrap();
-    let options = Options {
-        trace: true,
-        ..Options::default()
-    };
-    let result = cmd_verify(&model, &options).unwrap();
+    let result = run(&model, TaskSpec::verify("").with_trace(true));
     assert!(result.text.contains("FAILED"), "{}", result.text);
     assert!(result.text.contains("counterexample trace:"));
     let verdict = transyt::verify(
@@ -117,7 +114,7 @@ fn every_shipped_model_verifies_to_its_documented_verdict() {
         ("race_overlap.tts", false),
     ] {
         let model = load(file);
-        let result = cmd_verify(&model, &Options::default()).unwrap();
+        let result = run(&model, TaskSpec::verify(""));
         let verified = result.text.contains("VERIFIED");
         assert_eq!(verified, expect_verified, "{file}: {}", result.text);
     }
@@ -126,7 +123,7 @@ fn every_shipped_model_verifies_to_its_documented_verdict() {
 #[test]
 fn intro_example_needs_a_refinement_and_reports_constraints() {
     let model = load("intro_fig1.tts");
-    let result = cmd_verify(&model, &Options::default()).unwrap();
+    let result = run(&model, TaskSpec::verify(""));
     assert!(result.text.contains("VERIFIED (1 refinements"));
     assert!(result.text.contains("g < d"), "{}", result.text);
 }
@@ -134,21 +131,13 @@ fn intro_example_needs_a_refinement_and_reports_constraints() {
 #[test]
 fn reach_finds_marking_paths_and_zones_find_symbolic_traces() {
     let model = load("c_element.stg");
-    let options = Options {
-        to_label: Some("C+".to_owned()),
-        ..Options::default()
-    };
-    let result = cmd_reach(&model, &options).unwrap();
+    let result = run(&model, TaskSpec::reach("").to("C+"));
     assert!(result.text.contains("path to first marking enabling `C+`"));
     assert!(result.text.contains("--A+-->"));
     assert!(result.text.contains("--B+-->"));
 
     let model = load("race_overlap.tts");
-    let options = Options {
-        trace: true,
-        ..Options::default()
-    };
-    let result = cmd_zones(&model, &options).unwrap();
+    let result = run(&model, TaskSpec::zones("").with_trace(true));
     assert!(result.text.contains("symbolic timed trace"));
     assert!(result.text.contains("end state: slow-first"));
     assert!(result.text.contains("clock of slow on entry"));
@@ -172,12 +161,7 @@ fn zone_witness_pins_the_entry_clock_annotations() {
     )
     .unwrap();
     let trace = |exact: bool| {
-        let options = Options {
-            trace: true,
-            exact,
-            ..Options::default()
-        };
-        let text = cmd_zones(&model, &options).unwrap().text;
+        let text = run(&model, TaskSpec::zones("").exact(exact).with_trace(true)).text;
         let start = text.find("symbolic timed trace").expect("a witness");
         text[start..].to_owned()
     };
@@ -203,15 +187,10 @@ fn zone_trace_is_identical_across_thread_counts_and_subsumption() {
     for exact in [false, true] {
         let texts: Vec<String> = (0..2)
             .map(|_run| {
-                let options = Options {
-                    exact,
-                    trace: true,
-                    ..Options::default()
-                };
                 // The pipeline has no violating or deadlocked state, so the
                 // trace search reports unreachability — but the exploration
                 // counters must agree between runs.
-                cmd_zones(&model, &options).unwrap().text
+                run(&model, TaskSpec::zones("").exact(exact).with_trace(true)).text
             })
             .collect();
         assert_eq!(texts[0], texts[1], "two runs differ (exact={exact})");
@@ -327,11 +306,7 @@ fn json_documents_are_unchanged_golden() {
 
     let verify = |file: &str| {
         let model = load(file);
-        let options = Options {
-            trace: true,
-            ..Options::default()
-        };
-        render_document(&cmd_verify(&model, &options).unwrap().json)
+        render_document(&run(&model, TaskSpec::verify("").with_trace(true)).json)
     };
     assert_eq!(
         verify("race_overlap.tts"),
@@ -356,11 +331,7 @@ fn json_documents_are_unchanged_golden() {
 
     let reach = {
         let model = load("c_element.stg");
-        let options = Options {
-            to_label: Some("C+".to_owned()),
-            ..Options::default()
-        };
-        render_document(&cmd_reach(&model, &options).unwrap().json)
+        render_document(&run(&model, TaskSpec::reach("").to("C+")).json)
     };
     assert_eq!(
         reach,
@@ -370,11 +341,7 @@ fn json_documents_are_unchanged_golden() {
 
     let zones = {
         let model = load("race_overlap.tts");
-        let options = Options {
-            trace: true,
-            ..Options::default()
-        };
-        render_document(&cmd_zones(&model, &options).unwrap().json)
+        render_document(&run(&model, TaskSpec::zones("").with_trace(true)).json)
     };
     assert_eq!(
         zones,

@@ -16,10 +16,11 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use transyt_cli::commands::{cmd_verify, cmd_zones, Options};
+use transyt_cli::commands::cmd_task;
 use transyt_cli::format::Model;
 use transyt_server::client;
 use transyt_session::render::render_document;
+use transyt_session::{RunControl, TaskSpec};
 
 fn models_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../models")
@@ -148,14 +149,10 @@ fn healthz_stat(addr: &str, field: &str) -> u64 {
         .unwrap_or_else(|| panic!("healthz carries `{field}`: {body}"))
 }
 
-/// The document the one-shot CLI writes for the given command + options.
-fn one_shot_document(file: &str, command: &str, options: &Options) -> String {
+/// The document the one-shot CLI writes for the given task.
+fn one_shot_document(file: &str, spec: TaskSpec) -> String {
     let model = Model::parse(&model_text(file)).expect("model parses");
-    let result = match command {
-        "verify" => cmd_verify(&model, options).expect("cli verify runs"),
-        "zones" => cmd_zones(&model, options).expect("cli zones runs"),
-        other => panic!("unexpected command {other}"),
-    };
+    let result = cmd_task(&model, spec, RunControl::default()).expect("cli command runs");
     render_document(&result.json)
 }
 
@@ -183,14 +180,7 @@ fn sigkill_mid_queue_recovers_to_byte_identical_results() {
     let job0_doc = result_document(&server.addr, job0);
     assert_eq!(
         job0_doc,
-        one_shot_document(
-            "intro_fig1.tts",
-            "verify",
-            &Options {
-                trace: true,
-                ..Options::default()
-            }
-        )
+        one_shot_document("intro_fig1.tts", TaskSpec::verify("").with_trace(true))
     );
 
     // Job 1 is running at the kill (the 2-stage zone exploration is slow
@@ -243,26 +233,10 @@ fn sigkill_mid_queue_recovers_to_byte_identical_results() {
     assert_eq!(result_document(&server.addr, job0), job0_doc);
     // Interrupted jobs (one running, two queued at the kill) were
     // re-enqueued and re-run to byte-identical documents.
-    for (job, file, command, options) in [
-        (
-            job1,
-            "ipcmos_2stage.stg",
-            "zones",
-            Options {
-                limit: Some(3000),
-                ..Options::default()
-            },
-        ),
-        (job2, "intro_fig1.tts", "verify", Options::default()),
-        (
-            job3,
-            "ipcmos_2stage.stg",
-            "zones",
-            Options {
-                limit: Some(500),
-                ..Options::default()
-            },
-        ),
+    for (job, file, spec) in [
+        (job1, "ipcmos_2stage.stg", TaskSpec::zones("").limit(3000)),
+        (job2, "intro_fig1.tts", TaskSpec::verify("")),
+        (job3, "ipcmos_2stage.stg", TaskSpec::zones("").limit(500)),
     ] {
         assert_eq!(
             wait_for(&server.addr, job, |s| s == "done", "done"),
@@ -273,7 +247,7 @@ fn sigkill_mid_queue_recovers_to_byte_identical_results() {
         assert!(body.contains("\"recovered\":true"), "{body}");
         assert_eq!(
             result_document(&server.addr, job),
-            one_shot_document(file, command, &options),
+            one_shot_document(file, spec),
             "{file}: recovered document differs from one-shot CLI output"
         );
     }

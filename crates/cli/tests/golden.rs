@@ -7,11 +7,11 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use transyt_cli::commands::{cmd_reach, cmd_verify, cmd_zones, Options};
+use transyt_cli::commands::cmd_task;
 use transyt_cli::format::Model;
 use transyt_server::{client, Server, ServerConfig};
 use transyt_session::render::render_document;
-use transyt_session::{render, Session, TaskSpec};
+use transyt_session::{render, RunControl, Session, TaskSpec};
 
 fn repo_path(relative: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -46,17 +46,18 @@ fn golden_name(prefix: &str, file: &str) -> String {
     format!("{prefix}_{}.json", file.replace('.', "_"))
 }
 
+/// The `--json` document of a one-shot `transyt` command.
+fn one_shot(model: &Model, spec: TaskSpec) -> String {
+    render_document(&cmd_task(model, spec, RunControl::default()).unwrap().json)
+}
+
 /// Every shipped model's `verify --trace --json` document through the thin
 /// CLI command layer matches the pre-redesign bytes.
 #[test]
 fn cli_verify_documents_match_the_pre_redesign_goldens() {
     for file in MODELS {
         let model = Model::parse(&model_text(file)).expect("model parses");
-        let options = Options {
-            trace: true,
-            ..Options::default()
-        };
-        let document = render_document(&cmd_verify(&model, &options).unwrap().json);
+        let document = one_shot(&model, TaskSpec::verify("").with_trace(true));
         assert_eq!(
             document,
             golden(&golden_name("verify", file)),
@@ -69,27 +70,19 @@ fn cli_verify_documents_match_the_pre_redesign_goldens() {
 #[test]
 fn cli_reach_and_zones_documents_match_the_pre_redesign_goldens() {
     let model = Model::parse(&model_text("ipcmos_1stage.stg")).unwrap();
-    let document = render_document(&cmd_zones(&model, &Options::default()).unwrap().json);
+    let document = one_shot(&model, TaskSpec::zones(""));
     assert_eq!(document, golden("zones_ipcmos_1stage_stg.json"));
 
     let model = Model::parse(&model_text("race_overlap.tts")).unwrap();
-    let options = Options {
-        trace: true,
-        ..Options::default()
-    };
-    let document = render_document(&cmd_zones(&model, &options).unwrap().json);
+    let document = one_shot(&model, TaskSpec::zones("").with_trace(true));
     assert_eq!(document, golden("zones_race_overlap_tts.json"));
 
     let model = Model::parse(&model_text("c_element.stg")).unwrap();
-    let options = Options {
-        to_label: Some("C+".to_owned()),
-        ..Options::default()
-    };
-    let document = render_document(&cmd_reach(&model, &options).unwrap().json);
+    let document = one_shot(&model, TaskSpec::reach("").to("C+"));
     assert_eq!(document, golden("reach_c_element_stg.json"));
 
     let model = Model::parse(&model_text("ring_pipeline.stg")).unwrap();
-    let document = render_document(&cmd_reach(&model, &Options::default()).unwrap().json);
+    let document = one_shot(&model, TaskSpec::reach(""));
     assert_eq!(document, golden("reach_ring_pipeline_stg.json"));
 }
 
@@ -104,42 +97,30 @@ fn every_committed_golden_matches_current_rendering() {
     let mut documents: BTreeMap<String, String> = BTreeMap::new();
     for file in MODELS {
         let model = Model::parse(&model_text(file)).expect("model parses");
-        let options = Options {
-            trace: true,
-            ..Options::default()
-        };
         documents.insert(
             golden_name("verify", file),
-            render_document(&cmd_verify(&model, &options).unwrap().json),
+            one_shot(&model, TaskSpec::verify("").with_trace(true)),
         );
     }
     let model = Model::parse(&model_text("ipcmos_1stage.stg")).unwrap();
     documents.insert(
         golden_name("zones", "ipcmos_1stage.stg"),
-        render_document(&cmd_zones(&model, &Options::default()).unwrap().json),
+        one_shot(&model, TaskSpec::zones("")),
     );
     let model = Model::parse(&model_text("race_overlap.tts")).unwrap();
-    let options = Options {
-        trace: true,
-        ..Options::default()
-    };
     documents.insert(
         golden_name("zones", "race_overlap.tts"),
-        render_document(&cmd_zones(&model, &options).unwrap().json),
+        one_shot(&model, TaskSpec::zones("").with_trace(true)),
     );
     let model = Model::parse(&model_text("c_element.stg")).unwrap();
-    let options = Options {
-        to_label: Some("C+".to_owned()),
-        ..Options::default()
-    };
     documents.insert(
         golden_name("reach", "c_element.stg"),
-        render_document(&cmd_reach(&model, &options).unwrap().json),
+        one_shot(&model, TaskSpec::reach("").to("C+")),
     );
     let model = Model::parse(&model_text("ring_pipeline.stg")).unwrap();
     documents.insert(
         golden_name("reach", "ring_pipeline.stg"),
-        render_document(&cmd_reach(&model, &Options::default()).unwrap().json),
+        one_shot(&model, TaskSpec::reach("")),
     );
 
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");

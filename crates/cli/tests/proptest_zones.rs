@@ -8,8 +8,9 @@ use std::path::PathBuf;
 
 use dbm::{explore_timed_with, ExploreSpec, ZoneExplorationOptions, ZoneOutcome};
 use proptest::prelude::*;
-use transyt_cli::commands::{cmd_zones, Options};
+use transyt_cli::commands::cmd_task;
 use transyt_cli::format::Model;
+use transyt_session::{RunControl, TaskSpec};
 use tts::{DelayInterval, Time};
 
 /// Small shipped models (the larger pipelines would dominate the proptest
@@ -75,7 +76,8 @@ proptest! {
             // The full `transyt zones` rendering (text and JSON document) is
             // byte-identical on two runs.
             let render = || {
-                let result = cmd_zones(&model, &Options::default()).expect("zones run succeeds");
+                let result = cmd_task(&model, TaskSpec::zones(""), RunControl::default())
+                    .expect("zones run succeeds");
                 (result.text, transyt_session::render::render_document(&result.json))
             };
             let (first, second) = (render(), render());

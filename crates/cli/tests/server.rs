@@ -6,10 +6,11 @@ use std::path::PathBuf;
 use std::process::Command;
 use std::time::{Duration, Instant};
 
-use transyt_cli::commands::{cmd_verify, Options};
+use transyt_cli::commands::cmd_task;
 use transyt_cli::format::Model;
 use transyt_server::{client, JobStatus, Server, ServerConfig, ServerHandle};
 use transyt_session::render::render_document;
+use transyt_session::{RunControl, TaskSpec};
 
 fn models_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../models")
@@ -81,11 +82,8 @@ fn terminal(status: &str) -> bool {
 /// The document the one-shot CLI writes for `verify FILE --trace --json`.
 fn cli_verify_document(file: &str) -> String {
     let model = Model::parse(&model_text(file)).expect("model parses");
-    let options = Options {
-        trace: true,
-        ..Options::default()
-    };
-    let result = cmd_verify(&model, &options).expect("cli verify runs");
+    let spec = TaskSpec::verify("").with_trace(true);
+    let result = cmd_task(&model, spec, RunControl::default()).expect("cli verify runs");
     render_document(&result.json)
 }
 

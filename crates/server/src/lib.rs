@@ -18,7 +18,10 @@
 //!   with a load-derived `Retry-After`) drained in arrival order by a pool
 //!   of [`ServerConfig::workers`] threads, and the result store with LRU
 //!   eviction past [`ServerConfig::keep_results`] documents; `GET /jobs`
-//!   reports evicted ids.
+//!   reports evicted ids. A job's state is a [`JobStatus`], the lifecycle
+//!   `transyt-store` defines beside its journal: the job table, journal
+//!   replay and compaction, and the worker's terminal record all hold that
+//!   one value.
 //! * [`events`] — per-job progress event logs: `GET /jobs/{id}/events`
 //!   streams queue-position and exploration-progress events (a
 //!   deterministic sequence) as server-sent events until the job reaches a

@@ -277,7 +277,12 @@ fn job_document(view: &JobView) -> Value {
     if view.recovered {
         doc = doc.field("recovered", true);
     }
-    if let Some((resource, used, limit)) = &view.breach {
+    if let JobStatus::BudgetExceeded {
+        resource,
+        used,
+        limit,
+    } = &view.status
+    {
         doc = doc.field(
             "breach",
             Value::object()
@@ -440,8 +445,8 @@ fn route(state: &ServerState, request: &Request) -> Response {
                 // The raw document, byte-identical to the CLI's --json file.
                 Some((_, Some(result))) => Response::json(200, result.document.clone()),
                 Some((view, None)) => {
-                    let reason = match view.status {
-                        JobStatus::Done if view.evicted => {
+                    let reason = match &view.status {
+                        JobStatus::Done { .. } if view.evicted => {
                             return error_response(
                                 410,
                                 &format!("job {} result evicted (LRU cap)", view.id),
@@ -452,14 +457,14 @@ fn route(state: &ServerState, request: &Request) -> Response {
                             view.id,
                             view.spec.deadline.unwrap_or_default()
                         ),
-                        JobStatus::BudgetExceeded => {
-                            let (resource, used, limit) =
-                                view.breach.clone().unwrap_or(("configs".to_owned(), 0, 0));
-                            format!(
-                                "job {} exceeded its {resource} budget (used {used}, limit {limit})",
-                                view.id
-                            )
-                        }
+                        JobStatus::BudgetExceeded {
+                            resource,
+                            used,
+                            limit,
+                        } => format!(
+                            "job {} exceeded its {resource} budget (used {used}, limit {limit})",
+                            view.id
+                        ),
                         status if status.is_terminal() => {
                             format!("job {} produced no document (status {status})", view.id)
                         }

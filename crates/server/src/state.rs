@@ -18,56 +18,13 @@ use transyt_session::{
     CancelToken, Completion, Outcome, ProgressEvent, ProgressSink, RestoredOutcome, RunControl,
     Session, StoreHook, TaskKey, TaskResult, TaskSpec,
 };
-use transyt_store::{
-    DiskStats, JournalStats, Record, RecoveredJob, RecoveredStatus, Recovery, Store,
-};
+use transyt_store::{DiskStats, JournalStats, Record, Recovery, Store};
 
 use crate::events::{render_progress, EventLog};
 use crate::server::ServerConfig;
 
 pub use transyt_session::CachedModel;
-
-/// Lifecycle of a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobStatus {
-    /// Waiting in the FIFO queue.
-    Queued,
-    /// Claimed by a worker.
-    Running,
-    /// Finished with a document.
-    Done,
-    /// Finished with an error message.
-    Failed,
-    /// Cancelled before or while running.
-    Cancelled,
-    /// The job's deadline expired before the run finished.
-    TimedOut,
-    /// The job's resource budget (`max-configs` / `max-zone-bytes`) was
-    /// breached and the run aborted deterministically.
-    BudgetExceeded,
-}
-
-impl JobStatus {
-    /// Returns `true` once the job can no longer change state.
-    pub fn is_terminal(self) -> bool {
-        !matches!(self, JobStatus::Queued | JobStatus::Running)
-    }
-}
-
-impl fmt::Display for JobStatus {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            JobStatus::Queued => "queued",
-            JobStatus::Running => "running",
-            JobStatus::Done => "done",
-            JobStatus::Failed => "failed",
-            JobStatus::Cancelled => "cancelled",
-            JobStatus::TimedOut => "timed_out",
-            JobStatus::BudgetExceeded => "budget_exceeded",
-        };
-        write!(f, "{name}")
-    }
-}
+pub use transyt_store::JobStatus;
 
 /// A job's externally visible state.
 #[derive(Debug, Clone)]
@@ -80,13 +37,16 @@ pub struct JobView {
     pub key: TaskKey,
     /// The name of the model the job runs against.
     pub model_name: String,
-    /// Current lifecycle state.
+    /// Current lifecycle state, with the payload of its journal line (the
+    /// result fingerprint, the error message, the budget breach).
     pub status: JobStatus,
     /// The shared result, once the job finished (also present for
     /// `Cancelled` / `TimedOut` jobs that produced a partial document —
-    /// fetchable through `/text`, but not served as `/result`).
+    /// fetchable through `/text`, but not served as `/result`). Eviction
+    /// keeps an error outcome, which holds no document.
     pub result: Option<Arc<TaskResult>>,
-    /// The error message, once `status` is `Failed`.
+    /// The error message of a `Failed` job, or of a run that ended in an
+    /// error outcome anyway (one cancelled during net expansion).
     pub error: Option<String>,
     /// `true` once the result store evicted this job's document (LRU cap).
     pub evicted: bool,
@@ -96,9 +56,6 @@ pub struct JobView {
     /// a restart (completed jobs answer from the on-disk store; interrupted
     /// ones were re-enqueued).
     pub recovered: bool,
-    /// `(resource, used, limit)` of a budget breach, once `status` is
-    /// `BudgetExceeded`.
-    pub breach: Option<(String, usize, usize)>,
 }
 
 struct Job {
@@ -107,12 +64,10 @@ struct Job {
     model_name: String,
     status: JobStatus,
     result: Option<Arc<TaskResult>>,
-    error: Option<String>,
     evicted: bool,
     cancel: CancelToken,
     explored: Arc<AtomicUsize>,
     recovered: bool,
-    breach: Option<(String, usize, usize)>,
     events: Arc<EventLog>,
 }
 
@@ -124,12 +79,10 @@ impl Job {
             model_name,
             status: JobStatus::Queued,
             result: None,
-            error: None,
             evicted: false,
             cancel: CancelToken::new(),
             explored: Arc::new(AtomicUsize::new(0)),
             recovered: false,
-            breach: None,
             events: Arc::new(EventLog::new()),
         }
     }
@@ -140,13 +93,29 @@ impl Job {
             spec: self.spec.clone(),
             key: self.key.clone(),
             model_name: self.model_name.clone(),
-            status: self.status,
+            status: self.status.clone(),
             result: self.result.clone(),
-            error: self.error.clone(),
+            error: match &self.status {
+                JobStatus::Failed { error } => Some(error.clone()),
+                _ => self
+                    .result
+                    .as_ref()
+                    .and_then(|result| result.outcome.as_ref().err())
+                    .map(ToString::to_string),
+            },
             evicted: self.evicted,
             explored: self.explored.load(Ordering::Relaxed),
             recovered: self.recovered,
-            breach: self.breach.clone(),
+        }
+    }
+
+    /// The journal record of the job's submission.
+    fn job_record(&self, id: usize) -> Record {
+        Record::Job {
+            id,
+            command: self.spec.command.name().to_owned(),
+            model: self.spec.model.clone(),
+            params: self.spec.to_params(),
         }
     }
 
@@ -387,19 +356,18 @@ impl ServerState {
                 recovered: true,
                 ..Job::new(spec, model_name)
             };
-            match (&recovered.status, spec_error) {
-                (_, Some(error)) => {
-                    job.status = JobStatus::Failed;
-                    job.error = Some(format!("unrecoverable journaled spec: {error}"));
+            match spec_error {
+                Some(error) => {
+                    job.status = JobStatus::Failed {
+                        error: format!("unrecoverable journaled spec: {error}"),
+                    };
                 }
-                (RecoveredStatus::Queued | RecoveredStatus::Running, None) => {
-                    // Re-admitted without the depth check: the job was
-                    // admitted before the restart.
-                    queue.push_back(id);
-                }
-                (RecoveredStatus::Done { .. }, None) => {
-                    job.status = JobStatus::Done;
-                    if !job.evicted {
+                // Queued or running at the kill. Re-admitted without the
+                // depth check: the job was admitted before the restart.
+                None if !recovered.status.is_terminal() => queue.push_back(id),
+                None => {
+                    job.status = recovered.status.clone();
+                    if matches!(job.status, JobStatus::Done { .. }) && !job.evicted {
                         match persist.result(&job.key) {
                             Some(doc) => {
                                 job.result = Some(Arc::new(TaskResult {
@@ -414,23 +382,6 @@ impl ServerState {
                             None => job.evicted = true,
                         }
                     }
-                }
-                (RecoveredStatus::Failed, None) => {
-                    job.status = JobStatus::Failed;
-                    job.error = recovered.error.clone();
-                }
-                (RecoveredStatus::Cancelled, None) => job.status = JobStatus::Cancelled,
-                (RecoveredStatus::TimedOut, None) => job.status = JobStatus::TimedOut,
-                (
-                    RecoveredStatus::BudgetExceeded {
-                        resource,
-                        used,
-                        limit,
-                    },
-                    None,
-                ) => {
-                    job.status = JobStatus::BudgetExceeded;
-                    job.breach = Some((resource.clone(), *used, *limit));
                 }
             }
             if job.status.is_terminal() {
@@ -474,7 +425,7 @@ impl ServerState {
                 let referenced: HashSet<String> = inner
                     .jobs
                     .iter()
-                    .filter(|job| job.status == JobStatus::Done && !job.evicted)
+                    .filter(|job| matches!(job.status, JobStatus::Done { .. }) && !job.evicted)
                     .map(|job| job.key.fingerprint())
                     .collect();
                 persist.remove_unreferenced(&referenced);
@@ -505,47 +456,29 @@ impl ServerState {
         }
     }
 
-    /// The compacted journal image of the current state.
+    /// The compacted journal image of the current state: the model
+    /// records, then per job its `job` record, the status it has reached
+    /// and its eviction.
     fn snapshot(&self, inner: &Inner) -> Vec<Record> {
-        let models: Vec<String> = self
+        let mut records: Vec<Record> = self
             .session
             .models()
-            .iter()
-            .map(|m| m.hash.clone())
+            .into_iter()
+            .map(|model| Record::Model { hash: model.hash })
             .collect();
-        let jobs: Vec<RecoveredJob> = inner
-            .jobs
-            .iter()
-            .enumerate()
-            .map(|(id, job)| RecoveredJob {
-                id,
-                command: job.spec.command.name().to_owned(),
-                model: job.spec.model.clone(),
-                params: job.spec.to_params(),
-                status: match job.status {
-                    JobStatus::Queued => RecoveredStatus::Queued,
-                    JobStatus::Running => RecoveredStatus::Running,
-                    JobStatus::Done => RecoveredStatus::Done {
-                        result: job.key.fingerprint(),
-                    },
-                    JobStatus::Failed => RecoveredStatus::Failed,
-                    JobStatus::Cancelled => RecoveredStatus::Cancelled,
-                    JobStatus::TimedOut => RecoveredStatus::TimedOut,
-                    JobStatus::BudgetExceeded => {
-                        let (resource, used, limit) =
-                            job.breach.clone().unwrap_or(("configs".to_owned(), 0, 0));
-                        RecoveredStatus::BudgetExceeded {
-                            resource,
-                            used,
-                            limit,
-                        }
-                    }
-                },
-                error: job.error.clone(),
-                evicted: job.evicted,
-            })
-            .collect();
-        Store::compaction_records(&models, &jobs)
+        for (id, job) in inner.jobs.iter().enumerate() {
+            records.push(job.job_record(id));
+            if job.status != JobStatus::Queued {
+                records.push(Record::Status {
+                    id,
+                    status: job.status.clone(),
+                });
+            }
+            if job.evicted {
+                records.push(Record::Evict { id });
+            }
+        }
+        records
     }
 
     /// Rewrites the journal to the compacted image once its size trigger
@@ -634,13 +567,9 @@ impl ServerState {
         // `job` records in dense id order, so two racing submissions must
         // not interleave their appends. The record is also durable before
         // the id is revealed to the client.
-        self.journal(&Record::Job {
-            id,
-            command: spec.command.name().to_owned(),
-            model: spec.model.clone(),
-            params: spec.to_params(),
-        });
-        inner.jobs.push(Job::new(spec, model_name));
+        let job = Job::new(spec, model_name);
+        self.journal(&job.job_record(id));
+        inner.jobs.push(job);
         inner.queue.push_back(id);
         drop(inner);
         self.work.notify_one();
@@ -705,7 +634,7 @@ impl ServerState {
         let mut inner = self.lock();
         let job = inner.jobs.get(id)?;
         let view = job.view(id);
-        let servable = job.status == JobStatus::Done && !job.evicted;
+        let servable = matches!(job.status, JobStatus::Done { .. }) && !job.evicted;
         let result = servable.then(|| job.result.clone()).flatten();
         if result.is_some() {
             inner.access.retain(|&j| j != id);
@@ -730,7 +659,10 @@ impl ServerState {
                 // A queued job's cancellation is its terminal record (a
                 // running one's is written by the worker when the run
                 // returns).
-                self.journal(&Record::Cancel { id });
+                self.journal(&Record::Status {
+                    id,
+                    status: JobStatus::Cancelled,
+                });
             }
             JobStatus::Running => {
                 // The worker observes the fired token when the run returns
@@ -739,7 +671,7 @@ impl ServerState {
             }
             _ => {}
         }
-        Some(inner.jobs[id].status)
+        Some(inner.jobs[id].status.clone())
     }
 
     /// Asks the worker pool (and the accept loop polling
@@ -753,7 +685,10 @@ impl ServerState {
             if job.status == JobStatus::Queued {
                 job.status = JobStatus::Cancelled;
                 job.close_events();
-                self.journal(&Record::Cancel { id });
+                self.journal(&Record::Status {
+                    id,
+                    status: JobStatus::Cancelled,
+                });
             }
         }
         drop(inner);
@@ -785,13 +720,19 @@ impl ServerState {
     /// disk: the stored file goes too (unless another live `done` job
     /// shares the same key) and an `evict` record makes the eviction
     /// survive a restart, so the job answers 410 afterwards instead of
-    /// resurrecting.
+    /// resurrecting. The job's progress log goes too: from now on its
+    /// `/events` stream is the terminal frame alone, as a recovered job's
+    /// is (a connection already streaming reads the old log to its end).
     fn evict_one(&self, inner: &mut Inner, id: usize) {
-        let was_done = inner.jobs[id].status == JobStatus::Done;
-        let key = inner.jobs[id].key.clone();
         let job = &mut inner.jobs[id];
-        job.result = None;
+        // An error outcome holds no text or document, only the message the
+        // job document reports, so it stays.
+        job.result.take_if(|result| result.outcome.is_ok());
         job.evicted = true;
+        job.events = Arc::new(EventLog::new());
+        job.close_events();
+        let was_done = matches!(job.status, JobStatus::Done { .. });
+        let key = job.key.clone();
         inner.access.retain(|&j| j != id);
         if !was_done {
             // Partial documents of failed / cancelled / timed-out jobs are
@@ -800,7 +741,10 @@ impl ServerState {
         }
         if let Some(store) = &self.persist {
             let shared = inner.jobs.iter().enumerate().any(|(other, job)| {
-                other != id && job.status == JobStatus::Done && !job.evicted && job.key == key
+                other != id
+                    && matches!(job.status, JobStatus::Done { .. })
+                    && !job.evicted
+                    && job.key == key
             });
             if !shared {
                 store.remove_result(&key.fingerprint());
@@ -809,27 +753,20 @@ impl ServerState {
         }
     }
 
-    /// Records a finished run (status, result, budget breach, duration for
-    /// the `Retry-After` estimator), seals the event stream, and enforces
-    /// the LRU cap.
+    /// Records a finished run (status, result, duration for the
+    /// `Retry-After` estimator), seals the event stream, and enforces the
+    /// LRU cap.
     fn finish(
         &self,
         id: usize,
         status: JobStatus,
         result: Option<Arc<TaskResult>>,
-        breach: Option<(String, usize, usize)>,
         elapsed: Duration,
     ) {
         let mut inner = self.lock();
         inner.recent.record(elapsed);
         let job = &mut inner.jobs[id];
         job.status = status;
-        job.breach = breach;
-        if let Some(result) = &result {
-            if let Err(error) = &result.outcome {
-                job.error = Some(error.to_string());
-            }
-        }
         job.result = result;
         job.close_events();
         // Every stored result — including the partial documents of failed,
@@ -877,7 +814,10 @@ impl ServerState {
             // A `run` record turns "queued at the crash" into "running at
             // the crash" — recovery re-enqueues both, but operators see
             // which jobs actually lost work.
-            self.journal(&Record::Run { id });
+            self.journal(&Record::Status {
+                id,
+                status: JobStatus::Running,
+            });
             events.push("{\"type\":\"running\"}".to_owned());
             let started = Instant::now();
 
@@ -902,95 +842,64 @@ impl ServerState {
                 },
             );
 
-            let (status, breach, result) = match completion {
+            let (status, result) = match completion {
                 // Attached to a shared run and cancelled out of it.
-                Completion::Detached => (JobStatus::Cancelled, None, None),
-                Completion::Finished(result) => match &result.outcome {
-                    // The deadline watchdog fires the job's own token, so
-                    // the timeout classification must precede the cancel
-                    // check.
-                    Ok(Outcome::TimedOut(_)) => (JobStatus::TimedOut, None, Some(result)),
-                    // The budget watchdog fires the token too, and must
-                    // also win the cancel check: a breached budget is a
-                    // distinct, reportable terminal state.
-                    Ok(Outcome::BudgetExceeded(exceeded)) => {
-                        let breach = exceeded.breach;
-                        (
-                            JobStatus::BudgetExceeded,
-                            Some((breach.resource.name().to_owned(), breach.used, breach.limit)),
-                            Some(result),
-                        )
-                    }
-                    _ if cancel.is_cancelled() => {
+                Completion::Detached => (JobStatus::Cancelled, None),
+                Completion::Finished(result) => {
+                    let status = match &result.outcome {
+                        // The deadline watchdog fires the job's own token,
+                        // so the timeout classification must precede the
+                        // cancel check.
+                        Ok(Outcome::TimedOut(_)) => JobStatus::TimedOut,
+                        // The budget watchdog fires the token too, and must
+                        // also win the cancel check: a breached budget is a
+                        // distinct, reportable terminal state.
+                        Ok(Outcome::BudgetExceeded(exceeded)) => JobStatus::BudgetExceeded {
+                            resource: exceeded.breach.resource.name().to_owned(),
+                            used: exceeded.breach.used,
+                            limit: exceeded.breach.limit,
+                        },
                         // Cancel wins any race with completion: a fired
                         // token means the client asked for the job to stop,
                         // and an interrupted run returns a *partial*
                         // document that must not be served as the job's
                         // result. Whatever output exists stays fetchable
                         // through the /text endpoint.
-                        (JobStatus::Cancelled, None, Some(result))
-                    }
-                    Ok(outcome) if outcome.was_cancelled() => {
+                        _ if cancel.is_cancelled() => JobStatus::Cancelled,
                         // A shared run another job cancelled: duplicates
                         // share its fate.
-                        (JobStatus::Cancelled, None, Some(result))
-                    }
-                    Ok(_) => (JobStatus::Done, None, Some(result)),
-                    // Same sharing for cancellations that surface as errors
-                    // (e.g. a cancelled `reach` expansion).
-                    Err(transyt_session::SessionError::Cancelled) => {
-                        (JobStatus::Cancelled, None, Some(result))
-                    }
-                    Err(_) => (JobStatus::Failed, None, Some(result)),
-                },
+                        Ok(outcome) if outcome.was_cancelled() => JobStatus::Cancelled,
+                        Ok(_) => JobStatus::Done {
+                            result: spec.key().fingerprint(),
+                        },
+                        // Same sharing for cancellations that surface as
+                        // errors (e.g. a cancelled `reach` expansion).
+                        Err(transyt_session::SessionError::Cancelled) => JobStatus::Cancelled,
+                        Err(error) => JobStatus::Failed {
+                            error: error.to_string(),
+                        },
+                    };
+                    (status, Some(result))
+                }
             };
             if let Some(store) = &self.persist {
-                let record = match status {
-                    JobStatus::Done => {
-                        // The session's hook already persisted the document
-                        // before publishing the result; this re-save is the
-                        // heal path for a file lost between then and now
-                        // (e.g. a re-run after a disk-side eviction).
-                        let key = spec.key();
-                        if let Some(result) = &result {
-                            if let Err(e) =
-                                store.save_result_if_absent(&key, &result.text, &result.document)
-                            {
-                                eprintln!("transyt-server: persisting result of job {id}: {e}");
-                            }
-                        }
-                        Some(Record::Done {
-                            id,
-                            result: key.fingerprint(),
-                        })
+                if let (JobStatus::Done { .. }, Some(result)) = (&status, &result) {
+                    // The session's hook already persisted the document
+                    // before publishing the result; this re-save is the
+                    // heal path for a file lost between then and now (e.g.
+                    // a re-run after a disk-side eviction).
+                    if let Err(e) =
+                        store.save_result_if_absent(&spec.key(), &result.text, &result.document)
+                    {
+                        eprintln!("transyt-server: persisting result of job {id}: {e}");
                     }
-                    JobStatus::Failed => Some(Record::Fail {
-                        id,
-                        error: result
-                            .as_ref()
-                            .and_then(|r| r.outcome.as_ref().err())
-                            .map(|e| e.to_string())
-                            .unwrap_or_default(),
-                    }),
-                    JobStatus::Cancelled => Some(Record::Cancel { id }),
-                    JobStatus::TimedOut => Some(Record::Timeout { id }),
-                    JobStatus::BudgetExceeded => {
-                        let (resource, used, limit) =
-                            breach.clone().unwrap_or(("configs".to_owned(), 0, 0));
-                        Some(Record::Budget {
-                            id,
-                            resource,
-                            used,
-                            limit,
-                        })
-                    }
-                    JobStatus::Queued | JobStatus::Running => None,
-                };
-                if let Some(record) = record {
-                    self.journal(&record);
                 }
+                self.journal(&Record::Status {
+                    id,
+                    status: status.clone(),
+                });
             }
-            self.finish(id, status, result, breach, started.elapsed());
+            self.finish(id, status, result, started.elapsed());
             self.maybe_compact();
         }
     }
@@ -1086,9 +995,9 @@ mod tests {
         drain(&state);
 
         let done = state.job(id).unwrap();
-        assert_eq!(done.status, JobStatus::Done);
+        assert_eq!(done.status.word(), "done");
         let twin_view = state.job(twin).unwrap();
-        assert_eq!(twin_view.status, JobStatus::Done);
+        assert_eq!(twin_view.status.word(), "done");
         // The duplicate shares the very same result allocation.
         assert!(Arc::ptr_eq(
             done.result.as_ref().unwrap(),
@@ -1130,6 +1039,8 @@ mod tests {
         let a = state.submit(keyed(&model.hash, 1)).unwrap();
         let b = state.submit(keyed(&model.hash, 2)).unwrap();
         let c = state.submit(keyed(&model.hash, 3)).unwrap();
+        // A subscriber that attached before the eviction.
+        let streaming = state.job_events(a).unwrap();
         drain(&state);
         // Cap 2, three results stored in completion order: the oldest was
         // evicted when the third arrived.
@@ -1137,10 +1048,33 @@ mod tests {
         let (view, result) = state.fetch_result(a).unwrap();
         assert!(view.evicted);
         assert!(result.is_none());
-        assert_eq!(state.job(a).unwrap().status, JobStatus::Done);
+        assert_eq!(state.job(a).unwrap().status.word(), "done");
         // The other two still serve.
         assert!(state.fetch_result(b).unwrap().1.is_some());
         assert!(state.fetch_result(c).unwrap().1.is_some());
+
+        // The evicted job's progress log went with its result: it now
+        // streams its terminal frame alone. The early subscriber still
+        // reads the whole old log, which the retained jobs' logs match.
+        let lines = |log: &EventLog| {
+            let (lines, closed) = log.wait(0, Duration::from_millis(1));
+            assert!(closed);
+            lines
+        };
+        assert_eq!(
+            lines(&state.job_events(a).unwrap()),
+            vec!["{\"type\":\"terminal\",\"status\":\"done\"}"]
+        );
+        let full = lines(&streaming);
+        assert_eq!(full.first().unwrap(), "{\"type\":\"running\"}");
+        assert_eq!(
+            full.last().unwrap(),
+            "{\"type\":\"terminal\",\"status\":\"done\"}"
+        );
+        assert!(full.len() > 2, "{full:?}");
+        for retained in [b, c] {
+            assert_eq!(lines(&state.job_events(retained).unwrap()), full);
+        }
     }
 
     /// Unique scratch data dir per test.
@@ -1184,7 +1118,7 @@ mod tests {
         // (no worker ran, no shutdown — the SIGKILL shape of the journal).
         let state = durable_state(&dir, KEEP_ALL);
         let recovered_done = state.job(done).unwrap();
-        assert_eq!(recovered_done.status, JobStatus::Done);
+        assert_eq!(recovered_done.status.word(), "done");
         assert!(recovered_done.recovered);
         assert_eq!(recovered_done.result.unwrap().document, first_doc);
         let queued_a = state.submit(keyed(&model.hash, 2)).unwrap();
@@ -1203,7 +1137,7 @@ mod tests {
         reference.add_model(RACE).unwrap();
         for (id, n) in [(queued_a, 2), (queued_b, 3)] {
             let view = state.job(id).unwrap();
-            assert_eq!(view.status, JobStatus::Done);
+            assert_eq!(view.status.word(), "done");
             let fresh = reference.run(&keyed(&model.hash, n)).unwrap();
             assert_eq!(
                 view.result.unwrap().document,
@@ -1231,7 +1165,7 @@ mod tests {
             state.shutdown();
         });
         let view = state.job(duplicate).unwrap();
-        assert_eq!(view.status, JobStatus::Done);
+        assert_eq!(view.status.word(), "done");
         assert_eq!(view.result.unwrap().document, first_doc);
         let stats = state.session().stats();
         assert_eq!(stats.runs_executed, runs_before, "{stats:?}");
@@ -1255,12 +1189,111 @@ mod tests {
 
         let state = durable_state(&dir, 1);
         let evicted = state.job(a).unwrap();
-        assert_eq!(evicted.status, JobStatus::Done);
+        assert_eq!(evicted.status.word(), "done");
         assert!(evicted.evicted, "eviction must survive the restart");
         assert!(evicted.result.is_none());
         let kept = state.job(b).unwrap();
-        assert_eq!(kept.status, JobStatus::Done);
+        assert_eq!(kept.status.word(), "done");
         assert!(kept.result.is_some());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A data dir holding one job in each terminal state, an evicted `done`
+    /// job and a queued one, as a previous server journaled them. A restart
+    /// restores each job's status with its payload, its error and its
+    /// evicted flag, and runs the queued job; a second restart over the
+    /// compacted journal gives the same table.
+    #[test]
+    fn every_lifecycle_state_survives_restarts() {
+        let dir = test_data_dir("lifecycle");
+        let (model, _) = Session::new().add_model(RACE).unwrap();
+        let hash = &model.hash;
+        let specs = [
+            TaskSpec::verify(hash).with_trace(true),
+            keyed(hash, 1),
+            keyed(hash, 2),
+            TaskSpec::zones(hash).deadline(Duration::from_millis(1)),
+            TaskSpec::zones(hash).max_configs(50),
+            keyed(hash, 5),
+            keyed(hash, 6),
+        ];
+        let done = |spec: &TaskSpec| JobStatus::Done {
+            result: spec.key().fingerprint(),
+        };
+        let error = "model error: no `property` line & 100% spaces";
+        let journaled = [
+            done(&specs[0]),
+            JobStatus::Failed {
+                error: error.to_owned(),
+            },
+            JobStatus::Cancelled,
+            JobStatus::TimedOut,
+            JobStatus::BudgetExceeded {
+                resource: "configs".to_owned(),
+                used: 51,
+                limit: 50,
+            },
+            done(&specs[5]),
+            JobStatus::Queued,
+        ];
+        let (persist, _) = Store::open(&dir, false).unwrap();
+        persist.save_model_text(hash, RACE).unwrap();
+        let stored = "{\"stored\":true}\n";
+        persist
+            .save_result_if_absent(&specs[0].key(), "stored text\n", stored)
+            .unwrap();
+        for (id, (spec, status)) in specs.iter().zip(&journaled).enumerate() {
+            persist
+                .append(&Job::new(spec.clone(), String::new()).job_record(id))
+                .unwrap();
+            if status.is_terminal() {
+                for status in [JobStatus::Running, status.clone()] {
+                    persist.append(&Record::Status { id, status }).unwrap();
+                }
+            }
+        }
+        // Job 5's result was evicted, file and all.
+        persist.append(&Record::Evict { id: 5 }).unwrap();
+        drop(persist);
+
+        let table = |state: &ServerState| -> Vec<(JobStatus, Option<String>, bool)> {
+            state
+                .jobs()
+                .into_iter()
+                .map(|job| (job.status, job.error, job.evicted))
+                .collect()
+        };
+        let state = durable_state(&dir, KEEP_ALL);
+        let expected: Vec<(JobStatus, Option<String>, bool)> = journaled
+            .iter()
+            .enumerate()
+            .map(|(id, status)| (status.clone(), (id == 1).then(|| error.to_owned()), id == 5))
+            .collect();
+        assert_eq!(table(&state), expected);
+        assert!(state.jobs().iter().all(|job| job.recovered));
+        assert_eq!(state.fetch_result(0).unwrap().1.unwrap().document, stored);
+        assert!(state.fetch_result(5).unwrap().1.is_none());
+        for (id, status) in journaled[..6].iter().enumerate() {
+            let (lines, closed) = state
+                .job_events(id)
+                .unwrap()
+                .wait(0, Duration::from_millis(1));
+            assert!(closed);
+            assert_eq!(
+                lines,
+                vec![format!("{{\"type\":\"terminal\",\"status\":\"{status}\"}}")]
+            );
+        }
+        assert_eq!(state.queue_position(6), Some(0));
+        drain(&state);
+        let mut expected = expected;
+        expected[6].0 = done(&specs[6]);
+        assert_eq!(table(&state), expected);
+        drop(state);
+
+        let state = durable_state(&dir, KEEP_ALL);
+        assert_eq!(table(&state), expected);
+        assert_eq!(state.fetch_result(0).unwrap().1.unwrap().document, stored);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1307,7 +1340,7 @@ mod tests {
         for restart in 0..2 {
             let state = durable_state(&dir, 2);
             let evicted = state.job(ids[0]).unwrap();
-            assert_eq!(evicted.status, JobStatus::Done, "restart {restart}");
+            assert_eq!(evicted.status.word(), "done", "restart {restart}");
             assert!(evicted.evicted, "restart {restart}");
             assert!(state.fetch_result(ids[0]).unwrap().1.is_none());
             assert!(!files[0].exists(), "restart {restart}");
@@ -1373,20 +1406,20 @@ mod tests {
         )
         .unwrap();
         persist
-            .append(&Record::Done {
+            .append(&Record::Status {
                 id: 2,
-                result: old_result,
+                status: JobStatus::Done { result: old_result },
             })
             .unwrap();
         drop(persist);
 
         let state = durable_state(&dir, KEEP_ALL);
         let done = state.job(2).unwrap();
-        assert_eq!(done.status, JobStatus::Done);
+        assert_eq!(done.status.word(), "done");
         assert!(done.evicted, "an old-form result reads as evicted");
         assert!(!old_file.exists(), "the startup sweep removes the old file");
         let retired = state.job(0).unwrap();
-        assert_eq!(retired.status, JobStatus::Failed);
+        assert_eq!(retired.status.word(), "failed");
         let error = retired.error.unwrap();
         assert!(
             error.starts_with("unrecoverable journaled spec: `zones` does not accept `bounds`"),
@@ -1398,8 +1431,8 @@ mod tests {
         let next = state.submit(TaskSpec::zones(&model.hash)).unwrap();
         assert_eq!(next, 3);
         drain(&state);
-        assert_eq!(state.job(1).unwrap().status, JobStatus::Done);
-        assert_eq!(state.job(next).unwrap().status, JobStatus::Done);
+        assert_eq!(state.job(1).unwrap().status.word(), "done");
+        assert_eq!(state.job(next).unwrap().status.word(), "done");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1443,12 +1476,9 @@ mod tests {
         drop(file);
 
         let state = durable_state(&dir, KEEP_ALL);
-        assert!(state
-            .jobs()
-            .iter()
-            .all(|job| job.status != JobStatus::Failed));
+        assert!(state.jobs().iter().all(|job| job.status.word() != "failed"));
         let (done, document) = state.fetch_result(0).unwrap();
-        assert_eq!(done.status, JobStatus::Done);
+        assert_eq!(done.status.word(), "done");
         assert!(!done.evicted);
         assert_eq!(document.unwrap().document, stored);
         // The background job arrived first, so it leaves the queue first.
@@ -1466,7 +1496,7 @@ mod tests {
         }
         drain(&state);
         for id in [1, 2] {
-            assert_eq!(state.job(id).unwrap().status, JobStatus::Done);
+            assert_eq!(state.job(id).unwrap().status.word(), "done");
         }
         let replayed = std::fs::read_to_string(&journal).unwrap();
         let claimed = |id: usize| replayed.find(&format!("v1 run {id} ")).unwrap();
@@ -1555,7 +1585,7 @@ mod tests {
         drain(&state);
         for &id in &ids[1..] {
             assert_eq!(state.queue_position(id), None);
-            assert_eq!(state.job(id).unwrap().status, JobStatus::Done);
+            assert_eq!(state.job(id).unwrap().status.word(), "done");
         }
     }
 
@@ -1604,8 +1634,14 @@ mod tests {
         let id = state.submit(spec).unwrap();
         drain(&state);
         let view = state.job(id).unwrap();
-        assert_eq!(view.status, JobStatus::BudgetExceeded);
-        let (resource, used, limit) = view.breach.clone().unwrap();
+        let JobStatus::BudgetExceeded {
+            resource,
+            used,
+            limit,
+        } = view.status
+        else {
+            panic!("expected a budget breach, got {:?}", view.status);
+        };
         assert_eq!(resource, "configs");
         assert_eq!(limit, 50);
         assert!(used >= limit, "breach reports usage at the check: {used}");

@@ -14,6 +14,7 @@
 //! record a SIGKILL or power loss can leave) is dropped and truncated away,
 //! and every record before it is kept.
 
+use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -23,8 +24,72 @@ use transyt_session::content_hash;
 
 use crate::codec::{escape, unescape};
 
-/// One journal record: a model interning or a job state transition. The
-/// grammar is documented in `docs/SERVER.md` ("Persistence & recovery").
+/// The lifecycle of a job, defined once: the server's job table holds it,
+/// the journal's status lines record it, and `transyt store ls` prints it.
+/// Each variant carries exactly what its journal line carries.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JobStatus {
+    /// Waiting in the FIFO queue. Has no journal line of its own: the `job`
+    /// record is that state.
+    Queued,
+    /// Claimed by a worker.
+    Running,
+    /// Finished with a document, stored at `results/<result>.res`.
+    Done {
+        /// The task-key fingerprint addressing the stored result.
+        result: String,
+    },
+    /// Finished with an error message.
+    Failed {
+        /// The error message.
+        error: String,
+    },
+    /// Cancelled before or while running.
+    Cancelled,
+    /// The job's deadline expired before the run finished.
+    TimedOut,
+    /// The job's resource budget (`max-configs` / `max-zone-bytes`) was
+    /// breached and the run aborted deterministically.
+    BudgetExceeded {
+        /// The breached resource (`configs` / `zone-bytes`).
+        resource: String,
+        /// Usage observed at the breach.
+        used: usize,
+        /// The configured budget.
+        limit: usize,
+    },
+}
+
+impl JobStatus {
+    /// The status word of the server's job documents, event streams and
+    /// `store ls` (`queued` … `budget_exceeded`).
+    pub fn word(&self) -> &'static str {
+        match self {
+            JobStatus::Queued => "queued",
+            JobStatus::Running => "running",
+            JobStatus::Done { .. } => "done",
+            JobStatus::Failed { .. } => "failed",
+            JobStatus::Cancelled => "cancelled",
+            JobStatus::TimedOut => "timed_out",
+            JobStatus::BudgetExceeded { .. } => "budget_exceeded",
+        }
+    }
+
+    /// Returns `true` once the job can no longer change state.
+    pub fn is_terminal(&self) -> bool {
+        !matches!(self, JobStatus::Queued | JobStatus::Running)
+    }
+}
+
+impl fmt::Display for JobStatus {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.word())
+    }
+}
+
+/// One journal record: a model interning, a submission, a job state
+/// transition or an eviction. The grammar is documented in
+/// `docs/SERVER.md` ("Persistence & recovery").
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Record {
     /// A model was interned; its text lives at `models/<hash>.model`.
@@ -48,45 +113,14 @@ pub enum Record {
         /// Textual task parameters.
         params: Vec<(String, String)>,
     },
-    /// A worker claimed the job.
-    Run {
+    /// The job entered `status`: a `run`, `done`, `fail`, `cancel`,
+    /// `timeout` or `budget` line. Never [`JobStatus::Queued`], whose line
+    /// is the `job` record; encoding one panics.
+    Status {
         /// The job id.
         id: usize,
-    },
-    /// The job completed; its document lives at `results/<result>.res`.
-    Done {
-        /// The job id.
-        id: usize,
-        /// The task-key fingerprint addressing the stored result.
-        result: String,
-    },
-    /// The job failed with an error message.
-    Fail {
-        /// The job id.
-        id: usize,
-        /// The error message.
-        error: String,
-    },
-    /// The job was cancelled.
-    Cancel {
-        /// The job id.
-        id: usize,
-    },
-    /// The job's deadline expired.
-    Timeout {
-        /// The job id.
-        id: usize,
-    },
-    /// The job's resource budget was breached and the run aborted.
-    Budget {
-        /// The job id.
-        id: usize,
-        /// The breached resource (`configs` / `zone-bytes`).
-        resource: String,
-        /// Usage observed at the breach.
-        used: usize,
-        /// The configured budget.
-        limit: usize,
+        /// The state entered.
+        status: JobStatus,
     },
     /// The job's stored result document was garbage-collected (the LRU
     /// cap); fetches answer `410 Gone` after replay, like before the
@@ -148,17 +182,19 @@ impl Record {
                 model,
                 params,
             } => format!("v1 job {id} {command} {model} {}", encode_params(params)),
-            Record::Run { id } => format!("v1 run {id}"),
-            Record::Done { id, result } => format!("v1 done {id} {result}"),
-            Record::Fail { id, error } => format!("v1 fail {id} {}", encode_text(error)),
-            Record::Cancel { id } => format!("v1 cancel {id}"),
-            Record::Timeout { id } => format!("v1 timeout {id}"),
-            Record::Budget {
-                id,
-                resource,
-                used,
-                limit,
-            } => format!("v1 budget {id} {} {used} {limit}", encode_text(resource)),
+            Record::Status { id, status } => match status {
+                JobStatus::Queued => unreachable!("a queued job's line is its `job` record"),
+                JobStatus::Running => format!("v1 run {id}"),
+                JobStatus::Done { result } => format!("v1 done {id} {result}"),
+                JobStatus::Failed { error } => format!("v1 fail {id} {}", encode_text(error)),
+                JobStatus::Cancelled => format!("v1 cancel {id}"),
+                JobStatus::TimedOut => format!("v1 timeout {id}"),
+                JobStatus::BudgetExceeded {
+                    resource,
+                    used,
+                    limit,
+                } => format!("v1 budget {id} {} {used} {limit}", encode_text(resource)),
+            },
             Record::Evict { id } => format!("v1 evict {id}"),
         };
         let crc = content_hash(&body);
@@ -199,33 +235,30 @@ impl Record {
                 tokens.next();
                 record
             }
-            "run" => Record::Run {
-                id: id(&mut tokens)?,
-            },
-            "done" => Record::Done {
-                id: id(&mut tokens)?,
-                result: tokens.next()?.to_owned(),
-            },
-            "fail" => Record::Fail {
-                id: id(&mut tokens)?,
-                error: decode_text(tokens.next()?),
-            },
-            "cancel" => Record::Cancel {
-                id: id(&mut tokens)?,
-            },
-            "timeout" => Record::Timeout {
-                id: id(&mut tokens)?,
-            },
-            "budget" => Record::Budget {
-                id: id(&mut tokens)?,
-                resource: decode_text(tokens.next()?),
-                used: id(&mut tokens)?,
-                limit: id(&mut tokens)?,
-            },
             "evict" => Record::Evict {
                 id: id(&mut tokens)?,
             },
-            _ => return None,
+            status => {
+                let id = id(&mut tokens)?;
+                let status = match status {
+                    "run" => JobStatus::Running,
+                    "done" => JobStatus::Done {
+                        result: tokens.next()?.to_owned(),
+                    },
+                    "fail" => JobStatus::Failed {
+                        error: decode_text(tokens.next()?),
+                    },
+                    "cancel" => JobStatus::Cancelled,
+                    "timeout" => JobStatus::TimedOut,
+                    "budget" => JobStatus::BudgetExceeded {
+                        resource: decode_text(tokens.next()?),
+                        used: tokens.next()?.parse().ok()?,
+                        limit: tokens.next()?.parse().ok()?,
+                    },
+                    _ => return None,
+                };
+                Record::Status { id, status }
+            }
         };
         tokens.next().is_none().then_some(record)
     }
@@ -401,45 +434,91 @@ impl Journal {
 mod tests {
     use super::*;
 
-    fn sample_records() -> Vec<Record> {
+    fn status(id: usize, status: JobStatus) -> Record {
+        Record::Status { id, status }
+    }
+
+    /// One record of each kind, with the line the journal has always
+    /// written for it: `job` with and without params, and a `fail` message
+    /// that needs escaping.
+    fn sample_lines() -> Vec<(Record, &'static str)> {
         vec![
-            Record::Model {
-                hash: "00ff00ff00ff00ff".to_owned(),
-            },
-            Record::Job {
-                id: 0,
-                command: "zones".to_owned(),
-                model: "00ff00ff00ff00ff".to_owned(),
-                params: vec![
-                    ("threads".to_owned(), "2".to_owned()),
-                    ("trace".to_owned(), "true".to_owned()),
-                ],
-            },
-            Record::Run { id: 0 },
-            Record::Done {
-                id: 0,
-                result: "a1b2c3d4e5f60718".to_owned(),
-            },
-            Record::Job {
-                id: 1,
-                command: "verify".to_owned(),
-                model: "00ff00ff00ff00ff".to_owned(),
-                params: Vec::new(),
-            },
-            Record::Fail {
-                id: 1,
-                error: "model error: no `property` line & spaces".to_owned(),
-            },
-            Record::Cancel { id: 2 },
-            Record::Timeout { id: 3 },
-            Record::Budget {
-                id: 4,
-                resource: "zone-bytes".to_owned(),
-                used: 1_048_640,
-                limit: 1_048_576,
-            },
-            Record::Evict { id: 0 },
+            (
+                Record::Model {
+                    hash: "00ff00ff00ff00ff".to_owned(),
+                },
+                "v1 model 00ff00ff00ff00ff a25555776497957f\n",
+            ),
+            (
+                Record::Job {
+                    id: 0,
+                    command: "reach".to_owned(),
+                    model: "00ff00ff00ff00ff".to_owned(),
+                    params: vec![
+                        ("to".to_owned(), "C+".to_owned()),
+                        ("trace".to_owned(), "true".to_owned()),
+                    ],
+                },
+                "v1 job 0 reach 00ff00ff00ff00ff to=C%2B&trace=true 6afc29e3fa54d252\n",
+            ),
+            (
+                Record::Job {
+                    id: 1,
+                    command: "verify".to_owned(),
+                    model: "00ff00ff00ff00ff".to_owned(),
+                    params: Vec::new(),
+                },
+                "v1 job 1 verify 00ff00ff00ff00ff - 7d3c285a7c7b8f68\n",
+            ),
+            (status(0, JobStatus::Running), "v1 run 0 741c4ff7206a71a5\n"),
+            (
+                status(
+                    0,
+                    JobStatus::Done {
+                        result: "a1b2c3d4e5f60718".to_owned(),
+                    },
+                ),
+                "v1 done 0 a1b2c3d4e5f60718 68d7dbfe0360ab5a\n",
+            ),
+            (
+                status(
+                    1,
+                    JobStatus::Failed {
+                        error: "model error: no `property` line & 100% spaces\nsecond line"
+                            .to_owned(),
+                    },
+                ),
+                "v1 fail 1 model%20error%3A%20no%20%60property%60%20line%20%26%20100%25%20\
+                 spaces%0Asecond%20line 603480a3f977b4cc\n",
+            ),
+            (
+                status(2, JobStatus::Cancelled),
+                "v1 cancel 2 d9e5ad1b59ce360c\n",
+            ),
+            (
+                status(3, JobStatus::TimedOut),
+                "v1 timeout 3 c6789d90d9eb5a46\n",
+            ),
+            (
+                status(
+                    4,
+                    JobStatus::BudgetExceeded {
+                        resource: "zone-bytes".to_owned(),
+                        used: 1_048_640,
+                        limit: 1_048_576,
+                    },
+                ),
+                "v1 budget 4 zone-bytes 1048640 1048576 2ed374a386797a83\n",
+            ),
+            (Record::Evict { id: 0 }, "v1 evict 0 133e81025fcc3301\n"),
         ]
+    }
+
+    fn sample_records() -> Vec<Record> {
+        sample_lines()
+            .into_iter()
+            .map(|(record, _)| record)
+            .collect()
     }
 
     #[test]
@@ -472,15 +551,13 @@ mod tests {
 
     #[test]
     fn records_encode_to_checksummed_lines_and_round_trip() {
-        for record in sample_records() {
-            let line = record.encode();
-            assert!(line.ends_with('\n'));
-            assert_eq!(line.matches('\n').count(), 1, "{line}");
-            let decoded = Record::decode(line.trim_end_matches('\n')).unwrap();
-            assert_eq!(decoded, record);
+        // Word for word the lines the journal has always written.
+        for (record, line) in sample_lines() {
+            assert_eq!(record.encode(), line);
+            assert_eq!(Record::decode(line.trim_end_matches('\n')), Some(record));
         }
         // A flipped byte fails the checksum.
-        let line = Record::Run { id: 7 }.encode();
+        let line = status(7, JobStatus::Running).encode();
         let tampered = line.replace("run 7", "run 8");
         assert_eq!(Record::decode(tampered.trim_end_matches('\n')), None);
         assert_eq!(Record::decode(""), None);
@@ -510,7 +587,7 @@ mod tests {
         assert_eq!(stats.torn_bytes_dropped, 14);
         assert_eq!(stats.bytes as usize, intact);
         // The torn tail is physically gone: appends after recovery decode.
-        journal.append(&Record::Run { id: 4 }).unwrap();
+        journal.append(&status(4, JobStatus::Running)).unwrap();
         drop(journal);
         let (reopened, replayed) = Journal::open(&path, false).unwrap();
         assert_eq!(replayed.len(), sample_records().len() + 1);
@@ -522,12 +599,12 @@ mod tests {
     fn a_corrupt_line_drops_that_line_and_everything_after() {
         let dir = crate::test_dir("journal-corrupt");
         let path = dir.join("journal.log");
-        let good = Record::Run { id: 1 }.encode();
+        let good = status(1, JobStatus::Running).encode();
         let bad = "v1 run 2 0000000000000000\n"; // wrong checksum
-        let after = Record::Run { id: 3 }.encode();
+        let after = status(3, JobStatus::Running).encode();
         fs::write(&path, format!("{good}{bad}{after}")).unwrap();
         let (journal, replayed) = Journal::open(&path, false).unwrap();
-        assert_eq!(replayed, vec![Record::Run { id: 1 }]);
+        assert_eq!(replayed, vec![status(1, JobStatus::Running)]);
         assert_eq!(
             journal.stats().torn_bytes_dropped as usize,
             bad.len() + after.len()
@@ -540,27 +617,32 @@ mod tests {
         let dir = crate::test_dir("journal-compact");
         let path = dir.join("journal.log");
         let (journal, _) = Journal::open(&path, false).unwrap();
-        let filler = Record::Fail {
-            id: 0,
-            error: "x".repeat(200),
-        };
+        let filler = status(
+            0,
+            JobStatus::Failed {
+                error: "x".repeat(200),
+            },
+        );
         while !journal.should_compact() {
             journal.append(&filler).unwrap();
         }
         assert!(journal.stats().bytes > COMPACT_MIN_BYTES);
-        journal.rewrite(&[Record::Run { id: 0 }]).unwrap();
+        journal.rewrite(&[status(0, JobStatus::Running)]).unwrap();
         assert!(!journal.should_compact());
         let stats = journal.stats();
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.compacted_bytes, stats.bytes);
         // The rewritten file replays to exactly the compacted records, and
         // post-compaction appends land after them.
-        journal.append(&Record::Cancel { id: 0 }).unwrap();
+        journal.append(&status(0, JobStatus::Cancelled)).unwrap();
         drop(journal);
         let (_, replayed) = Journal::open(&path, false).unwrap();
         assert_eq!(
             replayed,
-            vec![Record::Run { id: 0 }, Record::Cancel { id: 0 }]
+            vec![
+                status(0, JobStatus::Running),
+                status(0, JobStatus::Cancelled)
+            ]
         );
         let _ = fs::remove_dir_all(&dir);
     }

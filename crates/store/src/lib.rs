@@ -8,11 +8,14 @@
 //!   [`TaskKey`] fingerprint). Every file is written via temp-file +
 //!   atomic rename, so a SIGKILL mid-write leaves the old state, never a
 //!   torn file.
+//! * The **job lifecycle**, [`JobStatus`]: the one value the server's job
+//!   table, the journal's status lines and `transyt store ls` share.
 //! * A **write-ahead job [`Journal`]**: one checksummed, fsync'd record per
-//!   job state transition (`job` → `run` → `done`/`fail`/`cancel`/
-//!   `timeout`, plus `model` internings and `evict`ions). Recovery replays
-//!   the journal front to back, dropping only a torn tail; a startup
-//!   compaction and a size-triggered [`Journal::rewrite`] keep it bounded.
+//!   submission (`job`), per state a job enters (one [`JobStatus`]:
+//!   `run` → `done`/`fail`/`cancel`/`timeout`/`budget`), per `model`
+//!   interning and per `evict`ion. Recovery replays the journal front to
+//!   back, dropping only a torn tail; a startup compaction and a
+//!   size-triggered [`Journal::rewrite`] keep it bounded.
 //! * The session's persistence seam: [`Store`] implements
 //!   [`transyt_session::StoreHook`], so a [`Session`] wired to a store
 //!   persists every freshly interned model and every cacheable finished
@@ -45,7 +48,7 @@ use std::time::Duration;
 use transyt_session::{content_hash, StoreHook, StoredResult, TaskKey, TaskResult, TaskSpec};
 
 pub use content::ResultDoc;
-pub use journal::{Journal, JournalStats, Record, COMPACT_MIN_BYTES};
+pub use journal::{JobStatus, Journal, JournalStats, Record, COMPACT_MIN_BYTES};
 
 /// The journal's file name inside the data dir.
 pub const JOURNAL_FILE: &str = "journal.log";
@@ -124,43 +127,12 @@ pub struct RecoveredJob {
     /// The textual task parameters, ready for
     /// [`TaskSpec::parse`](transyt_session::TaskSpec::parse).
     pub params: Vec<(String, String)>,
-    /// The last journaled lifecycle state.
-    pub status: RecoveredStatus,
-    /// The journaled error message of a failed job.
-    pub error: Option<String>,
+    /// The last journaled lifecycle state. `Queued` and `Running` jobs were
+    /// interrupted by the crash; the server re-enqueues both (determinism
+    /// makes the re-run produce the same document).
+    pub status: JobStatus,
     /// `true` when the job's stored result was garbage-collected.
     pub evicted: bool,
-}
-
-/// The last journaled lifecycle state of a [`RecoveredJob`]. `Queued` and
-/// `Running` jobs were interrupted by the crash; the server re-enqueues
-/// both (determinism makes the re-run produce the same document).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RecoveredStatus {
-    /// Submitted, never claimed.
-    Queued,
-    /// Claimed by a worker when the process died.
-    Running,
-    /// Completed; the document lives at `results/<result>.res`.
-    Done {
-        /// The task-key fingerprint addressing the stored result.
-        result: String,
-    },
-    /// Failed with [`RecoveredJob::error`].
-    Failed,
-    /// Cancelled.
-    Cancelled,
-    /// The deadline expired.
-    TimedOut,
-    /// The resource budget was breached.
-    BudgetExceeded {
-        /// The breached resource (`configs` / `zone-bytes`).
-        resource: String,
-        /// Usage observed at the breach.
-        used: usize,
-        /// The configured budget.
-        limit: usize,
-    },
 }
 
 /// Everything [`Store::open`] replayed from the data dir.
@@ -209,14 +181,12 @@ pub struct Inspection {
 }
 
 /// Replays journal records into the model list and the dense job table.
-/// Transitions are applied defensively: out-of-order ids and transitions on
-/// already-terminal jobs are ignored rather than trusted.
+/// Records are applied defensively: a `job` record whose id is not the next
+/// dense one, a transition out of a terminal state and any record naming an
+/// unknown id are ignored rather than trusted.
 fn fold(records: &[Record]) -> (Vec<String>, Vec<RecoveredJob>) {
     let mut models: Vec<String> = Vec::new();
     let mut jobs: Vec<RecoveredJob> = Vec::new();
-    let terminal = |status: &RecoveredStatus| {
-        !matches!(status, RecoveredStatus::Queued | RecoveredStatus::Running)
-    };
     for record in records {
         match record {
             Record::Model { hash } => {
@@ -236,63 +206,15 @@ fn fold(records: &[Record]) -> (Vec<String>, Vec<RecoveredJob>) {
                         command: command.clone(),
                         model: model.clone(),
                         params: params.clone(),
-                        status: RecoveredStatus::Queued,
-                        error: None,
+                        status: JobStatus::Queued,
                         evicted: false,
                     });
                 }
             }
-            Record::Run { id } => {
+            Record::Status { id, status } => {
                 if let Some(job) = jobs.get_mut(*id) {
-                    if !terminal(&job.status) {
-                        job.status = RecoveredStatus::Running;
-                    }
-                }
-            }
-            Record::Done { id, result } => {
-                if let Some(job) = jobs.get_mut(*id) {
-                    if !terminal(&job.status) {
-                        job.status = RecoveredStatus::Done {
-                            result: result.clone(),
-                        };
-                    }
-                }
-            }
-            Record::Fail { id, error } => {
-                if let Some(job) = jobs.get_mut(*id) {
-                    if !terminal(&job.status) {
-                        job.status = RecoveredStatus::Failed;
-                        job.error = Some(error.clone());
-                    }
-                }
-            }
-            Record::Cancel { id } => {
-                if let Some(job) = jobs.get_mut(*id) {
-                    if !terminal(&job.status) {
-                        job.status = RecoveredStatus::Cancelled;
-                    }
-                }
-            }
-            Record::Timeout { id } => {
-                if let Some(job) = jobs.get_mut(*id) {
-                    if !terminal(&job.status) {
-                        job.status = RecoveredStatus::TimedOut;
-                    }
-                }
-            }
-            Record::Budget {
-                id,
-                resource,
-                used,
-                limit,
-            } => {
-                if let Some(job) = jobs.get_mut(*id) {
-                    if !terminal(&job.status) {
-                        job.status = RecoveredStatus::BudgetExceeded {
-                            resource: resource.clone(),
-                            used: *used,
-                            limit: *limit,
-                        };
+                    if !job.status.is_terminal() {
+                        job.status = status.clone();
                     }
                 }
             }
@@ -523,52 +445,6 @@ impl Store {
         removed
     }
 
-    /// Builds the compacted journal representation of a recovered state:
-    /// model records, then per job its `job` record plus the terminal /
-    /// `evict` records that reproduce its status on replay.
-    pub fn compaction_records(models: &[String], jobs: &[RecoveredJob]) -> Vec<Record> {
-        let mut records: Vec<Record> = models
-            .iter()
-            .map(|hash| Record::Model { hash: hash.clone() })
-            .collect();
-        for job in jobs {
-            records.push(Record::Job {
-                id: job.id,
-                command: job.command.clone(),
-                model: job.model.clone(),
-                params: job.params.clone(),
-            });
-            match &job.status {
-                RecoveredStatus::Queued => {}
-                RecoveredStatus::Running => records.push(Record::Run { id: job.id }),
-                RecoveredStatus::Done { result } => records.push(Record::Done {
-                    id: job.id,
-                    result: result.clone(),
-                }),
-                RecoveredStatus::Failed => records.push(Record::Fail {
-                    id: job.id,
-                    error: job.error.clone().unwrap_or_default(),
-                }),
-                RecoveredStatus::Cancelled => records.push(Record::Cancel { id: job.id }),
-                RecoveredStatus::TimedOut => records.push(Record::Timeout { id: job.id }),
-                RecoveredStatus::BudgetExceeded {
-                    resource,
-                    used,
-                    limit,
-                } => records.push(Record::Budget {
-                    id: job.id,
-                    resource: resource.clone(),
-                    used: *used,
-                    limit: *limit,
-                }),
-            }
-            if job.evicted {
-                records.push(Record::Evict { id: job.id });
-            }
-        }
-        records
-    }
-
     /// Read-only snapshot of the data dir at `root` — no truncation, no
     /// lock, safe to run while a server owns the dir.
     ///
@@ -662,8 +538,23 @@ mod tests {
         }
     }
 
+    fn status(id: usize, status: JobStatus) -> Record {
+        Record::Status { id, status }
+    }
+
     #[test]
     fn fold_replays_lifecycles_defensively() {
+        let done = JobStatus::Done {
+            result: "fp0".to_owned(),
+        };
+        let breach = JobStatus::BudgetExceeded {
+            resource: "configs".to_owned(),
+            used: 5_001,
+            limit: 5_000,
+        };
+        let failed = JobStatus::Failed {
+            error: "model error: no `property` line".to_owned(),
+        };
         let (models, jobs) = fold(&[
             Record::Model {
                 hash: "aa".to_owned(),
@@ -674,42 +565,35 @@ mod tests {
             job_record(0, "verify"),
             job_record(1, "zones"),
             job_record(5, "zones"), // out-of-order id: ignored
-            Record::Run { id: 0 },
-            Record::Done {
-                id: 0,
-                result: "fp0".to_owned(),
-            },
-            Record::Cancel { id: 0 }, // transition on a terminal job: ignored
-            Record::Run { id: 1 },
+            status(0, JobStatus::Running),
+            status(0, done.clone()),
+            status(0, JobStatus::Cancelled), // transition on a terminal job: ignored
+            status(1, JobStatus::Running),
             Record::Evict { id: 0 },
-            Record::Run { id: 99 }, // unknown id: ignored
+            status(99, JobStatus::Running), // unknown id: ignored
+            Record::Evict { id: 99 },       // unknown id: ignored
             job_record(2, "zones"),
-            Record::Budget {
-                id: 2,
-                resource: "configs".to_owned(),
-                used: 5_001,
-                limit: 5_000,
-            },
+            status(2, breach.clone()),
+            job_record(3, "verify"),
+            status(3, failed.clone()),
+            status(3, JobStatus::Running), // no way back out of a terminal state
+            status(4, JobStatus::Cancelled), // before its `job` record: ignored
+            job_record(4, "verify"),
         ]);
         assert_eq!(models, vec!["aa"]);
-        assert_eq!(jobs.len(), 3);
+        let statuses: Vec<&JobStatus> = jobs.iter().map(|job| &job.status).collect();
         assert_eq!(
-            jobs[2].status,
-            RecoveredStatus::BudgetExceeded {
-                resource: "configs".to_owned(),
-                used: 5_001,
-                limit: 5_000,
-            }
+            statuses,
+            vec![
+                &done,
+                &JobStatus::Running,
+                &breach,
+                &failed,
+                &JobStatus::Queued
+            ]
         );
-        assert_eq!(
-            jobs[0].status,
-            RecoveredStatus::Done {
-                result: "fp0".to_owned()
-            }
-        );
-        assert!(jobs[0].evicted);
-        assert_eq!(jobs[1].status, RecoveredStatus::Running);
-        assert!(!jobs[1].evicted);
+        let evicted: Vec<bool> = jobs.iter().map(|job| job.evicted).collect();
+        assert_eq!(evicted, vec![true, false, false, false, false]);
     }
 
     #[test]
