@@ -277,3 +277,58 @@ fn sigkill_mid_queue_recovers_to_byte_identical_results() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(&data_dir);
 }
+
+fn cancel(addr: &str, job: u64) {
+    let (status, body) =
+        client::request(addr, "POST", &format!("/jobs/{job}/cancel"), None).expect("cancel");
+    assert_eq!(status, 200, "{body}");
+}
+
+fn jobs_body(addr: &str) -> String {
+    let (status, body) = client::request(addr, "GET", "/jobs", None).expect("jobs");
+    assert_eq!(status, 200, "{body}");
+    body
+}
+
+#[test]
+fn job_documents_read_the_same_after_a_restart() {
+    let data_dir =
+        std::env::temp_dir().join(format!("transyt-job-documents-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&data_dir);
+    let data_dir = data_dir.to_str().expect("utf-8 temp dir").to_owned();
+
+    let server = ServeProc::start(&data_dir);
+    let two = upload(&server.addr, &model_text("ipcmos_2stage.stg"));
+    let four = upload(&server.addr, &model_text("ipcmos_4stage.stg"));
+    let over_budget = submit(
+        &server.addr,
+        &format!("model={two}&command=zones&max-configs=3000"),
+    );
+    wait_for(
+        &server.addr,
+        over_budget,
+        |s| s != "queued" && s != "running",
+        "finished",
+    );
+    // Cancelled as soon as it is claimed: during the net expansion of the
+    // 960,000-marking model.
+    let cancelled = submit(&server.addr, &format!("model={four}&command=verify"));
+    wait_for(&server.addr, cancelled, |s| s != "queued", "claimed");
+    cancel(&server.addr, cancelled);
+    wait_for(&server.addr, cancelled, |s| s == "cancelled", "cancelled");
+    let before = jobs_body(&server.addr);
+    assert!(
+        before.contains("\"status\":\"budget_exceeded\""),
+        "{before}"
+    );
+    server.shutdown();
+
+    let server = ServeProc::start(&data_dir);
+    let after = jobs_body(&server.addr);
+    assert!(after.contains("\"recovered\":true"), "{after}");
+    // A restart adds the documented `recovered` flag and changes nothing
+    // else.
+    assert_eq!(after.replace(",\"recovered\":true", ""), before);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&data_dir);
+}

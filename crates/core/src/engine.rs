@@ -28,9 +28,7 @@ use std::convert::Infallible;
 use std::fmt;
 
 use ces::{check_consistency, extract_ces, RelativeTimingConstraint, SeparationAnalysis};
-use explore::{
-    ExploreOptions, ExploreOutcome, ExploreSpec, ProgressEvent, SearchSpace, TraceOptions,
-};
+use explore::{ExploreOutcome, ExploreSpec, ProgressEvent, SearchSpace};
 use tts::{EnablingTrace, EventId, StateId, TimedTransitionSystem, TransitionSystem};
 
 use crate::property::SafetyProperty;
@@ -43,28 +41,22 @@ use crate::property::SafetyProperty;
 /// is [`Verdict::Inconclusive`] with reason
 /// `"verification cancelled"`; the `progress` sink receives a
 /// [`ProgressEvent::Refinement`] per pass plus the exploration's batch/level
-/// events. The untimed failure search deduplicates exactly, so the spec's
-/// `exact` and `limit` fields are carried inert.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// events. The untimed failure search deduplicates exactly and explores
+/// every state it reaches, so the spec's `exact` and `limit` fields are
+/// carried inert. The loop gives up, inconclusive, after 200 refinement
+/// iterations.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VerifyOptions {
     /// The shared exploration knobs.
     pub spec: ExploreSpec,
-    /// Maximum number of refinement iterations before giving up.
-    pub max_refinements: usize,
     /// Relative-timing constraints assumed up front (e.g. documented
     /// environment requirements).
     pub assumed_constraints: Vec<RelativeTimingConstraint>,
 }
 
-impl Default for VerifyOptions {
-    fn default() -> Self {
-        VerifyOptions {
-            spec: ExploreSpec::default(),
-            max_refinements: 200,
-            assumed_constraints: Vec::new(),
-        }
-    }
-}
+/// Refinement iterations after which [`verify`] gives up with an
+/// inconclusive verdict.
+const MAX_REFINEMENTS: usize = 200;
 
 /// Why a failure trace is a failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -440,6 +432,11 @@ impl SearchSpace for PrunedSpace<'_> {
         *config
     }
 
+    /// The failure run follows the breadth-first discovery tree.
+    fn records_parents(&self) -> bool {
+        true
+    }
+
     fn intern(&self, state: StateId) -> StateId {
         self.discovered[state.index()].set(true);
         state
@@ -527,6 +524,11 @@ pub fn verify(
         explored_states,
     };
 
+    // Every pass explores all it reaches: the spec's limit is not applied.
+    let spec = ExploreSpec {
+        limit: None,
+        ..options.spec.clone()
+    };
     let mut refinements = 0usize;
 
     loop {
@@ -537,16 +539,7 @@ pub fn verify(
         options.spec.progress.emit(&ProgressEvent::Refinement {
             iteration: refinements,
         });
-        let search = match explore::explore(
-            &space,
-            &ExploreOptions {
-                trace: TraceOptions::parents(),
-                cancel: options.spec.cancel.clone(),
-                progress: options.spec.progress.clone(),
-                budget: options.spec.budget.clone(),
-                ..ExploreOptions::default()
-            },
-        ) {
+        let search = match explore::explore(&space, &spec) {
             Ok(ExploreOutcome::Completed(report)) => report,
             Ok(ExploreOutcome::LimitExceeded { .. }) => {
                 unreachable!("the pruned search configures no limits")
@@ -677,12 +670,9 @@ pub fn verify(
         }
         constraints.extend(new_constraints);
         refinements += 1;
-        if refinements >= options.max_refinements {
+        if refinements >= MAX_REFINEMENTS {
             return Verdict::Inconclusive {
-                reason: format!(
-                    "refinement limit of {} iterations reached",
-                    options.max_refinements
-                ),
+                reason: format!("refinement limit of {MAX_REFINEMENTS} iterations reached"),
                 report: make_report(refinements, &constraints, explored_states),
             };
         }

@@ -74,7 +74,8 @@ pub use property::SafetyProperty;
 // Re-export the constraint type users receive in reports.
 pub use ces::{Justification, RelativeTimingConstraint};
 
-// Re-export the cancellation token [`VerifyOptions`] (and the sibling option
-// structs of `dbm` and `stg`) embed, so front ends can cancel long-running
-// verifications without depending on the `explore` crate directly.
+// Re-export the exploration spec [`VerifyOptions`] embeds (as do `dbm`'s
+// options, and `stg`'s expansion functions take) and its cancellation
+// token, so front ends can cancel long-running verifications without
+// depending on the `explore` crate directly.
 pub use explore::{CancelToken, ExploreSpec};

@@ -64,9 +64,7 @@ use std::convert::Infallible;
 use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
-use explore::{
-    BudgetMeter, ExploreOptions, ExploreOutcome, ExploreSpec, SearchSpace, TraceOptions,
-};
+use explore::{BudgetMeter, ExploreOutcome, ExploreSpec, SearchSpace};
 use tts::{Bound, DelayInterval, EventId, StateId, Time, TimedTransitionSystem};
 
 use crate::arena::{ArenaStats, DbmArena};
@@ -478,6 +476,11 @@ impl SearchSpace for ZoneSpace<'_> {
         !self.kernel.exact
     }
 
+    /// Only the witness search rebuilds a path.
+    fn records_parents(&self) -> bool {
+        self.goal.is_some()
+    }
+
     fn note_pop_skip(&self, skipped: &Self::Config, stored: &[Self::Config]) {
         // Attribute the skip to the non-convex relation when no stored zone
         // of the state contains the skipped zone convexly — sound because
@@ -544,6 +547,14 @@ impl SearchSpace for ZoneSpace<'_> {
     }
 }
 
+/// `spec` with an unset limit resolved to [`DEFAULT_CONFIGURATION_LIMIT`].
+fn with_default_limit(spec: ExploreSpec) -> ExploreSpec {
+    ExploreSpec {
+        limit: Some(spec.limit_or(DEFAULT_CONFIGURATION_LIMIT)),
+        ..spec
+    }
+}
+
 /// Explores the timed state space of `timed` with default options.
 ///
 /// # Examples
@@ -580,16 +591,7 @@ pub fn explore_timed_with(
     options: ZoneExplorationOptions,
 ) -> ZoneOutcome {
     let space = ZoneSpace::new(timed, &options.spec, None);
-    let outcome = match explore::explore(
-        &space,
-        &ExploreOptions {
-            expanded_limit: options.spec.limit_or(DEFAULT_CONFIGURATION_LIMIT),
-            cancel: options.spec.cancel.clone(),
-            progress: options.spec.progress.clone(),
-            budget: options.spec.budget.clone(),
-            ..ExploreOptions::default()
-        },
-    ) {
+    let outcome = match explore::explore(&space, &with_default_limit(options.spec)) {
         Ok(outcome) => outcome,
         Err(infallible) => match infallible {},
     };
@@ -919,16 +921,8 @@ pub fn find_witness(
     goal: WitnessGoal,
 ) -> WitnessOutcome {
     let space = ZoneSpace::new(timed, &options.spec, Some(goal));
-    let outcome = match explore::explore(
-        &space,
-        &ExploreOptions {
-            expanded_limit: options.spec.limit_or(DEFAULT_CONFIGURATION_LIMIT),
-            trace: TraceOptions::parents(),
-            cancel: options.spec.cancel.clone(),
-            progress: options.spec.progress.clone(),
-            budget: options.spec.budget.clone(),
-        },
-    ) {
+    let exact = options.spec.exact;
+    let outcome = match explore::explore(&space, &with_default_limit(options.spec)) {
         Ok(outcome) => outcome,
         Err(infallible) => match infallible {},
     };
@@ -980,14 +974,14 @@ pub fn find_witness(
     WitnessOutcome::Found(SymbolicTrace {
         start: lifted(root),
         steps,
-        exact: options.spec.exact,
+        exact,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use explore::CancelToken;
+    use explore::{CancelToken, StopReason};
     use tts::{DelayInterval, TsBuilder};
 
     fn d(l: i64, u: i64) -> DelayInterval {
@@ -1305,12 +1299,12 @@ mod tests {
         use explore::BudgetMeter;
         let mut counts = Vec::new();
         for _run in 0..2 {
-            let budget = BudgetMeter::new(Some(2), None);
+            let cancel = CancelToken::new();
             let outcome = explore_timed_with(
                 &reconvergent(),
                 with_spec(ExploreSpec {
-                    cancel: CancelToken::new(),
-                    budget: budget.clone(),
+                    cancel: cancel.clone(),
+                    budget: BudgetMeter::new(Some(2), None),
                     ..ExploreSpec::default()
                 }),
             );
@@ -1318,7 +1312,7 @@ mod tests {
                 ZoneOutcome::Cancelled { explored, .. } => counts.push(explored),
                 other => panic!("expected budget cancellation, got {other:?}"),
             }
-            assert!(budget.breach().is_some());
+            assert!(matches!(cancel.reason(), Some(StopReason::Budget(_))));
         }
         assert_eq!(counts[0], counts[1], "budget abort count differs by run");
         assert_eq!(counts[0], 3, "aborts on the configuration over the budget");
@@ -1331,16 +1325,19 @@ mod tests {
         // budget must trip almost immediately — and the arena census must
         // have counted at least the breaching bytes.
         let budget = BudgetMeter::new(None, Some(1));
+        let cancel = CancelToken::new();
         let outcome = explore_timed_with(
             &race(),
             with_spec(ExploreSpec {
-                cancel: CancelToken::new(),
+                cancel: cancel.clone(),
                 budget: budget.clone(),
                 ..ExploreSpec::default()
             }),
         );
         assert!(matches!(outcome, ZoneOutcome::Cancelled { .. }));
-        let breach = budget.breach().expect("breach recorded");
+        let Some(StopReason::Budget(breach)) = cancel.reason() else {
+            panic!("breach recorded on the token: {:?}", cancel.reason());
+        };
         assert_eq!(breach.resource, explore::BudgetResource::ZoneBytes);
         assert_eq!(budget.zone_bytes(), breach.used);
         // A distinct stored zone over k live clocks costs (k + 1)² entries:
@@ -1459,7 +1456,7 @@ mod tests {
         let space = ZoneSpace::new(timed, &ExploreSpec::default(), None);
         let exact = Kernel::new(timed, true);
         let Ok(ExploreOutcome::Completed(report)) =
-            explore::explore(&space, &ExploreOptions::default())
+            explore::explore(&space, &ExploreSpec::default())
         else {
             panic!("the default exploration of {} completes", ts.name());
         };

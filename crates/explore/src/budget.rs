@@ -4,14 +4,14 @@
 //! configuration budget and a zone-memory budget — plus the running usage
 //! counters the consumers charge into it. The driver checks the meter at the
 //! same point of its loop where it checks its size limits, so a breached
-//! budget aborts at the same configuration count on every run. Like
-//! [`CancelToken`](crate::CancelToken),
-//! the default meter is *inert*: it has no ceilings, costs nothing to check,
-//! and every charge into it is a no-op.
+//! budget aborts at the same configuration count on every run, and records
+//! the breach on the run's [`CancelToken`](crate::CancelToken). Like the
+//! token, the default meter is *inert*: it has no ceilings, costs nothing
+//! to check, and every charge into it is a no-op.
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The resource whose budget was exhausted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,7 +55,6 @@ struct MeterState {
     max_configs: Option<usize>,
     max_zone_bytes: Option<usize>,
     zone_bytes: AtomicUsize,
-    breach: Mutex<Option<BudgetBreach>>,
 }
 
 /// Resource ceilings plus running usage for one exploration.
@@ -63,8 +62,9 @@ struct MeterState {
 /// Meters are cheap to clone (all clones share one state). Consumers charge
 /// usage in from wherever they account it — the DBM interner charges zone
 /// bytes as the driver stores each zone — and the driver calls
-/// [`check`](Self::check) once per expanded configuration, recording the
-/// first breach and aborting the search through its cancel path.
+/// [`check`](Self::check) once per expanded configuration; on a breach it
+/// records [`StopReason::Budget`](crate::StopReason::Budget) on the run's
+/// cancel token and stops.
 ///
 /// # Examples
 ///
@@ -75,7 +75,7 @@ struct MeterState {
 /// assert!(meter.check(10).is_none());
 /// let breach = meter.check(11).expect("over budget");
 /// assert_eq!(breach.resource, BudgetResource::Configs);
-/// assert_eq!(meter.breach(), Some(breach));
+/// assert_eq!(breach.used, 11);
 ///
 /// // The inert meter admits everything and records nothing.
 /// let inert = BudgetMeter::default();
@@ -97,12 +97,11 @@ impl BudgetMeter {
             max_configs,
             max_zone_bytes,
             zone_bytes: AtomicUsize::new(0),
-            breach: Mutex::new(None),
         })))
     }
 
-    /// Returns `true` for the inert meter, which has no ceilings and can
-    /// never record a breach.
+    /// Returns `true` for the inert meter, which has no ceilings and never
+    /// reports a breach.
     pub fn is_inert(&self) -> bool {
         self.0.is_none()
     }
@@ -126,41 +125,26 @@ impl BudgetMeter {
     }
 
     /// Checks `expanded` configurations and the charged zone bytes against
-    /// the ceilings. On the first breach, records it (later checks keep
-    /// returning the recorded breach) and returns it; `None` while within
-    /// budget and always on the inert meter.
+    /// the ceilings: the breach, configurations first, or `None` while
+    /// within budget and always on the inert meter.
     pub fn check(&self, expanded: usize) -> Option<BudgetBreach> {
         let state = self.0.as_ref()?;
-        let mut recorded = state.breach.lock().expect("budget breach lock poisoned");
-        if recorded.is_some() {
-            return *recorded;
-        }
-        let breach = match state.max_configs {
-            Some(limit) if expanded > limit => Some(BudgetBreach {
-                resource: BudgetResource::Configs,
-                used: expanded,
-                limit,
-            }),
-            _ => match state.max_zone_bytes {
-                Some(limit) if state.zone_bytes.load(Ordering::Relaxed) > limit => {
-                    Some(BudgetBreach {
-                        resource: BudgetResource::ZoneBytes,
-                        used: state.zone_bytes.load(Ordering::Relaxed),
-                        limit,
-                    })
-                }
-                _ => None,
-            },
+        let over = |resource, used, limit: Option<usize>| {
+            limit
+                .filter(|&limit| used > limit)
+                .map(|limit| BudgetBreach {
+                    resource,
+                    used,
+                    limit,
+                })
         };
-        *recorded = breach;
-        breach
-    }
-
-    /// The recorded breach, if [`check`](Self::check) ever found one.
-    pub fn breach(&self) -> Option<BudgetBreach> {
-        self.0
-            .as_ref()
-            .and_then(|state| *state.breach.lock().expect("budget breach lock poisoned"))
+        over(BudgetResource::Configs, expanded, state.max_configs).or_else(|| {
+            over(
+                BudgetResource::ZoneBytes,
+                state.zone_bytes.load(Ordering::Relaxed),
+                state.max_zone_bytes,
+            )
+        })
     }
 }
 
@@ -170,10 +154,10 @@ impl fmt::Debug for BudgetMeter {
             None => write!(f, "BudgetMeter(inert)"),
             Some(state) => write!(
                 f,
-                "BudgetMeter(max_configs: {:?}, max_zone_bytes: {:?}, breach: {:?})",
+                "BudgetMeter(max_configs: {:?}, max_zone_bytes: {:?}, zone_bytes: {})",
                 state.max_configs,
                 state.max_zone_bytes,
-                self.breach()
+                self.zone_bytes()
             ),
         }
     }
@@ -204,7 +188,6 @@ mod tests {
         assert!(meter.is_inert());
         assert_eq!(meter, BudgetMeter::default());
         assert!(meter.check(usize::MAX).is_none());
-        assert!(meter.breach().is_none());
     }
 
     #[test]
@@ -237,23 +220,13 @@ mod tests {
     }
 
     #[test]
-    fn first_breach_sticks() {
-        let meter = BudgetMeter::new(Some(3), Some(10));
-        let first = meter.check(4).expect("breach");
-        meter.charge_zone_bytes(1_000);
-        // Later checks keep reporting the recorded first breach.
-        assert_eq!(meter.check(100), Some(first));
-        assert_eq!(meter.breach(), Some(first));
-        assert_eq!(first.resource, BudgetResource::Configs);
-    }
-
-    #[test]
     fn clones_share_one_state() {
-        let meter = BudgetMeter::new(Some(2), None);
+        let meter = BudgetMeter::new(None, Some(2));
         let clone = meter.clone();
         assert_eq!(meter, clone);
-        assert!(clone.check(3).is_some());
-        assert!(meter.breach().is_some());
+        clone.charge_zone_bytes(3);
+        assert_eq!(meter.zone_bytes(), 3);
+        assert!(meter.check(0).is_some());
         assert_ne!(
             BudgetMeter::new(Some(2), None),
             BudgetMeter::new(Some(2), None)

@@ -1,64 +1,125 @@
-//! Cooperative cancellation of in-flight explorations.
+//! Cooperative cancellation of in-flight explorations, and the record of
+//! why a run stopped.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
-/// A shared flag that asks an in-flight exploration to stop.
+use crate::budget::BudgetBreach;
+
+/// Why a run stopped: the first reason its [`CancelToken`] recorded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StopReason {
+    /// [`CancelToken::cancel`] was called, on the token or on the token it
+    /// was derived from.
+    Cancelled,
+    /// The token's deadline passed.
+    Deadline,
+    /// A search found a resource budget breached.
+    Budget(BudgetBreach),
+}
+
+struct TokenState {
+    reason: OnceLock<StopReason>,
+    deadline: Option<Instant>,
+    /// Inert for a root token.
+    parent: CancelToken,
+}
+
+/// A shared token that asks an in-flight exploration to stop, and records
+/// why it stopped.
 ///
-/// Tokens are cheap to clone (all clones share one flag) and are checked by
-/// the driver once per 32 frontier entries, so a cancelled search stops
-/// within 32 expansions rather than running to its limit. The default token is
-/// *inert*: it can never be cancelled and costs nothing to check, so callers
-/// that do not need cancellation pay nothing.
+/// Tokens are cheap to clone (all clones share one state) and are checked
+/// by the searches once per 32 frontier entries, so a stopped search ends
+/// within 32 expansions rather than running to its limit. The first
+/// [`StopReason`] sticks: [`cancel`](Self::cancel), a deadline seen passed
+/// by a check, or a budget breach a search records with
+/// [`stop`](Self::stop). The default token is *inert*: it never stops and
+/// costs one branch to check.
 ///
 /// # Examples
 ///
 /// ```
-/// use explore::CancelToken;
+/// use std::time::Duration;
+/// use explore::{CancelToken, StopReason};
 ///
 /// let token = CancelToken::new();
 /// let watcher = token.clone();
-/// assert!(!watcher.is_cancelled());
 /// token.cancel();
-/// assert!(watcher.is_cancelled());
+/// assert_eq!(watcher.reason(), Some(StopReason::Cancelled));
 ///
-/// // The inert token can never fire.
+/// // A run token whose deadline has passed stops at its first check; the
+/// // caller's token is left alone.
+/// let caller = CancelToken::new();
+/// let run = caller.child(Some(Duration::ZERO));
+/// assert!(run.is_cancelled());
+/// assert_eq!(run.reason(), Some(StopReason::Deadline));
+/// assert!(!caller.is_cancelled());
+///
 /// let inert = CancelToken::default();
 /// inert.cancel();
 /// assert!(!inert.is_cancelled());
 /// ```
 #[derive(Clone, Default)]
-pub struct CancelToken(Option<Arc<AtomicBool>>);
+pub struct CancelToken(Option<Arc<TokenState>>);
 
 impl CancelToken {
     /// Creates a live token that [`cancel`](Self::cancel) can fire.
     pub fn new() -> Self {
-        CancelToken(Some(Arc::new(AtomicBool::new(false))))
+        CancelToken::default().child(None)
     }
 
-    /// Asks every exploration holding a clone of this token to stop. No-op
-    /// on the inert default token.
+    /// Derives a live token for one run: it also stops (as
+    /// [`StopReason::Cancelled`]) when this token fires, and once `deadline`
+    /// has elapsed from now. Nothing recorded on it reaches this token.
+    pub fn child(&self, deadline: Option<Duration>) -> Self {
+        CancelToken(Some(Arc::new(TokenState {
+            reason: OnceLock::new(),
+            deadline: deadline.and_then(|d| Instant::now().checked_add(d)),
+            parent: self.clone(),
+        })))
+    }
+
+    /// Stops the token as [`StopReason::Cancelled`].
     pub fn cancel(&self) {
-        if let Some(flag) = &self.0 {
-            flag.store(true, Ordering::SeqCst);
+        self.stop(StopReason::Cancelled);
+    }
+
+    /// Stops the token for `reason` unless it already stopped. No-op on the
+    /// inert token.
+    pub fn stop(&self, reason: StopReason) {
+        if let Some(state) = &self.0 {
+            let _ = state.reason.set(reason);
         }
     }
 
-    /// Returns `true` once [`cancel`](Self::cancel) has been called on any
-    /// clone of this token.
+    /// Returns `true` once the token has stopped; records the reason when
+    /// this check is the one that finds the parent fired or the deadline
+    /// passed.
     pub fn is_cancelled(&self) -> bool {
-        self.0
-            .as_ref()
-            .is_some_and(|flag| flag.load(Ordering::Relaxed))
+        let Some(state) = &self.0 else {
+            return false;
+        };
+        if state.reason.get().is_some() {
+            return true;
+        }
+        if state.parent.is_cancelled() {
+            self.stop(StopReason::Cancelled);
+            return true;
+        }
+        if state.deadline.is_some_and(|at| Instant::now() >= at) {
+            self.stop(StopReason::Deadline);
+            return true;
+        }
+        false
     }
 
-    /// Returns `true` for the inert default token, which
-    /// [`cancel`](Self::cancel) cannot fire. Callers that need a token that
-    /// *can* fire (e.g. a deadline watchdog) must replace an inert one with
-    /// [`CancelToken::new`].
-    pub fn is_inert(&self) -> bool {
-        self.0.is_none()
+    /// The first reason recorded, if any (a deadline or parent no check
+    /// has seen yet is none).
+    pub fn reason(&self) -> Option<StopReason> {
+        self.0
+            .as_ref()
+            .and_then(|state| state.reason.get().copied())
     }
 }
 
@@ -66,15 +127,15 @@ impl fmt::Debug for CancelToken {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.0 {
             None => write!(f, "CancelToken(inert)"),
-            Some(_) => write!(f, "CancelToken(cancelled: {})", self.is_cancelled()),
+            Some(_) => write!(f, "CancelToken(stopped: {:?})", self.reason()),
         }
     }
 }
 
 /// Tokens compare by identity: two tokens are equal when cancelling one
-/// observably cancels the other (same shared flag, or both inert). This keeps
-/// option structs embedding a token comparable without pretending distinct
-/// flags with equal states are interchangeable.
+/// observably cancels the other (same shared state, or both inert). This
+/// keeps option structs embedding a token comparable without pretending
+/// distinct tokens with equal states are interchangeable.
 impl PartialEq for CancelToken {
     fn eq(&self, other: &Self) -> bool {
         match (&self.0, &other.0) {
@@ -90,6 +151,7 @@ impl Eq for CancelToken {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::BudgetResource;
 
     #[test]
     fn clones_share_one_flag() {
@@ -107,5 +169,44 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(CancelToken::default(), CancelToken::default());
         assert_ne!(a, CancelToken::default());
+    }
+
+    #[test]
+    fn first_reason_sticks() {
+        let token = CancelToken::new();
+        let breach = BudgetBreach {
+            resource: BudgetResource::Configs,
+            used: 4,
+            limit: 3,
+        };
+        token.stop(StopReason::Budget(breach));
+        token.cancel();
+        token.stop(StopReason::Deadline);
+        assert!(token.is_cancelled());
+        assert_eq!(token.reason(), Some(StopReason::Budget(breach)));
+    }
+
+    #[test]
+    fn a_child_stops_with_its_parent_but_never_fires_it() {
+        let parent = CancelToken::new();
+        let child = parent.child(None);
+        assert_ne!(parent, child);
+        assert!(!child.is_cancelled());
+        child.stop(StopReason::Deadline);
+        assert!(!parent.is_cancelled(), "a child's stop reached its parent");
+
+        let child = parent.child(Some(Duration::from_secs(3600)));
+        assert!(!child.is_cancelled());
+        parent.cancel();
+        // The fired parent is a reason only once a check has seen it.
+        assert_eq!(child.reason(), None);
+        assert!(child.is_cancelled());
+        assert_eq!(child.reason(), Some(StopReason::Cancelled));
+
+        // An inert parent is fine, and an unrepresentable deadline never
+        // passes.
+        let far = CancelToken::default().child(Some(Duration::MAX));
+        assert!(!far.is_cancelled());
+        assert_eq!(far.reason(), None);
     }
 }

@@ -1,76 +1,16 @@
 //! The exploration driver: a sequential FIFO breadth-first search.
 
-use crate::budget::BudgetMeter;
-use crate::cancel::CancelToken;
-use crate::progress::{ProgressEvent, ProgressSink};
+use crate::cancel::StopReason;
+use crate::progress::ProgressEvent;
 use crate::seen::SeenMap;
 use crate::space::SearchSpace;
+use crate::spec::ExploreSpec;
 
 /// Frontier entries between two checks of the cancel token.
 const CANCEL_STRIDE: usize = 32;
 
 /// Expansions between two [`ProgressEvent::Batch`] events.
 const PROGRESS_STRIDE: usize = 32;
-
-/// Options for [`explore`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExploreOptions {
-    /// Abort once more than this many configurations have been expanded.
-    pub expanded_limit: usize,
-    /// Witness-trace options (parent tracking). The default records nothing,
-    /// so the no-trace path keeps its memory profile untouched.
-    pub trace: TraceOptions,
-    /// Cooperative cancellation: the driver checks this token once per 32
-    /// frontier entries of a level and returns [`ExploreOutcome::Cancelled`]
-    /// as soon as it fires. The default token is inert and costs nothing.
-    pub cancel: CancelToken,
-    /// Progress reporting: the driver emits [`ProgressEvent::Batch`] every
-    /// 32 expansions and at each level end, [`ProgressEvent::Level`] after
-    /// every breadth-first level and [`ProgressEvent::Cancelled`] when the
-    /// cancel token stops the search. The default sink is inert and costs
-    /// nothing.
-    pub progress: ProgressSink,
-    /// Per-exploration resource budgets: the driver checks the meter after
-    /// every expansion, at the same point as
-    /// [`expanded_limit`](Self::expanded_limit), and a breach fires the
-    /// [`cancel`](Self::cancel) token and returns
-    /// [`ExploreOutcome::Cancelled`]. The default meter is inert and costs
-    /// nothing.
-    pub budget: BudgetMeter,
-}
-
-impl Default for ExploreOptions {
-    fn default() -> Self {
-        ExploreOptions {
-            expanded_limit: usize::MAX,
-            trace: TraceOptions::default(),
-            cancel: CancelToken::default(),
-            progress: ProgressSink::default(),
-            budget: BudgetMeter::default(),
-        }
-    }
-}
-
-/// Options controlling witness-trace bookkeeping during an exploration.
-///
-/// Turning parent tracking on costs one `Option<(usize, Edge)>` per expanded
-/// node and per frontier entry, and nothing at all when left off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TraceOptions {
-    /// Record, for every expanded node, the node that first discovered it and
-    /// the edge it was discovered through (see [`ExploreReport::parents`] and
-    /// [`ExploreReport::path_to`]).
-    pub record_parents: bool,
-}
-
-impl TraceOptions {
-    /// Options with parent tracking switched on.
-    pub fn parents() -> Self {
-        TraceOptions {
-            record_parents: true,
-        }
-    }
-}
 
 /// Result of a completed exploration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,8 +31,8 @@ pub struct ExploreReport<C, E> {
     pub halted: bool,
     /// Parent links, aligned with [`nodes`](Self::nodes): entry `i` names the
     /// node that first discovered `nodes[i]` and the edge it was discovered
-    /// through (`None` for initial configurations). Empty unless
-    /// [`TraceOptions::record_parents`] was set.
+    /// through (`None` for initial configurations). Empty unless the space
+    /// [records parents](SearchSpace::records_parents).
     pub parents: Vec<Option<(usize, E)>>,
 }
 
@@ -130,7 +70,7 @@ impl<C, E: Clone> ExploreReport<C, E> {
 pub enum ExploreOutcome<C, E> {
     /// The frontier drained (or the space halted the search).
     Completed(ExploreReport<C, E>),
-    /// A limit of [`ExploreOptions`] was exceeded.
+    /// More configurations than [`ExploreSpec::limit`] were expanded.
     LimitExceeded {
         /// Configurations expanded when the search aborted.
         expanded: usize,
@@ -140,8 +80,9 @@ pub enum ExploreOutcome<C, E> {
         /// the search aborted.
         subsumption_skips: usize,
     },
-    /// The [`ExploreOptions::cancel`] token fired; the search stopped at its
-    /// next check without draining the frontier.
+    /// The [`ExploreSpec::cancel`] token stopped the search at a check
+    /// (cancelled, past its deadline, or a budget breach this search
+    /// recorded on it) without draining the frontier.
     Cancelled {
         /// Configurations expanded when the search was cancelled.
         expanded: usize,
@@ -166,6 +107,12 @@ impl<C, E> ExploreOutcome<C, E> {
 /// Explores `space` breadth-first and returns the expanded configurations in
 /// deterministic order.
 ///
+/// `spec.limit` (`None`: no limit) and `spec.budget` are checked after
+/// every expansion, a breach being recorded on `spec.cancel`, which is
+/// checked once per 32 frontier entries. `spec.progress` gets a `Batch`
+/// event every 32 expansions and at each level end, a `Level` event after
+/// every level and a `Cancelled` event when the search stops early.
+///
 /// The search keeps, per dedup key, the stored configurations maximal under
 /// [`SearchSpace::subsumes`]; a successor subsumed by a stored configuration
 /// is dropped, and an enqueued configuration that has been pruned by a later,
@@ -177,7 +124,7 @@ impl<C, E> ExploreOutcome<C, E> {
 /// Returns the first [`SearchSpace::Error`] in breadth-first order.
 pub fn explore<S: SearchSpace>(
     space: &S,
-    options: &ExploreOptions,
+    spec: &ExploreSpec,
 ) -> Result<ExploreOutcome<S::Config, S::Edge>, S::Error> {
     let mut seen: SeenMap<S> = SeenMap::default();
     // With exact deduplication (the default `subsumes`) a stored
@@ -185,7 +132,8 @@ pub fn explore<S: SearchSpace>(
     // never fire and is skipped entirely.
     let stale_possible = space.uses_subsumption();
 
-    let tracing = options.trace.record_parents;
+    let limit = spec.limit.unwrap_or(usize::MAX);
+    let tracing = space.records_parents();
 
     let mut nodes: Vec<S::Config> = Vec::new();
     let mut parents: Vec<Option<(usize, S::Edge)>> = Vec::new();
@@ -215,12 +163,10 @@ pub fn explore<S: SearchSpace>(
         let mut next_parents: Vec<Option<(usize, S::Edge)>> = Vec::new();
         for (i, config) in frontier.iter().enumerate() {
             // Cooperative cancellation, checked once per stride of frontier
-            // entries so a cancelled search stops within one stride. The
+            // entries so a stopped search ends within one stride. The
             // counters describe the explored prefix.
-            if i % CANCEL_STRIDE == 0 && options.cancel.is_cancelled() {
-                options
-                    .progress
-                    .emit(&ProgressEvent::Cancelled { expanded });
+            if i % CANCEL_STRIDE == 0 && spec.cancel.is_cancelled() {
+                spec.progress.emit(&ProgressEvent::Cancelled { expanded });
                 return Ok(ExploreOutcome::Cancelled {
                     expanded,
                     discovered,
@@ -233,23 +179,19 @@ pub fn explore<S: SearchSpace>(
                 continue;
             }
             expanded += 1;
-            if expanded > options.expanded_limit {
+            if expanded > limit {
                 return Ok(ExploreOutcome::LimitExceeded {
                     expanded,
                     discovered,
                     subsumption_skips,
                 });
             }
-            // Resource budgets, checked at the same point as the expanded
-            // limit. A breach cancels the search: the meter records what
-            // went over, the token stops any cooperating siblings (e.g. a
-            // witness search), and the caller classifies the cancelled
-            // outcome as a budget abort.
-            if options.budget.check(expanded).is_some() {
-                options.cancel.cancel();
-                options
-                    .progress
-                    .emit(&ProgressEvent::Cancelled { expanded });
+            // Resource budgets, checked at the same point as the limit. A
+            // breach stops the run's token with the breach as its reason,
+            // which is how the caller tells a budget abort apart.
+            if let Some(breach) = spec.budget.check(expanded) {
+                spec.cancel.stop(StopReason::Budget(breach));
+                spec.progress.emit(&ProgressEvent::Cancelled { expanded });
                 return Ok(ExploreOutcome::Cancelled {
                     expanded,
                     discovered,
@@ -277,7 +219,7 @@ pub fn explore<S: SearchSpace>(
             }
             if expanded.is_multiple_of(PROGRESS_STRIDE) {
                 last_progress = expanded;
-                options.progress.emit(&ProgressEvent::Batch {
+                spec.progress.emit(&ProgressEvent::Batch {
                     expanded,
                     discovered,
                     subsumption_skips,
@@ -286,13 +228,13 @@ pub fn explore<S: SearchSpace>(
         }
         if expanded > last_progress {
             last_progress = expanded;
-            options.progress.emit(&ProgressEvent::Batch {
+            spec.progress.emit(&ProgressEvent::Batch {
                 expanded,
                 discovered,
                 subsumption_skips,
             });
         }
-        options.progress.emit(&ProgressEvent::Level {
+        spec.progress.emit(&ProgressEvent::Level {
             index: level,
             frontier: next.len(),
         });
@@ -313,6 +255,7 @@ pub fn explore<S: SearchSpace>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::CancelToken;
     use std::cell::Cell;
     use std::convert::Infallible;
 
@@ -383,14 +326,49 @@ mod tests {
         }
     }
 
-    fn completed<S: SearchSpace>(
-        space: &S,
-        options: &ExploreOptions,
-    ) -> ExploreReport<S::Config, S::Edge>
+    /// Wraps a space and turns parent tracking on.
+    struct Traced<S>(S);
+
+    impl<S: SearchSpace> SearchSpace for Traced<S> {
+        type Config = S::Config;
+        type Key = S::Key;
+        type Edge = S::Edge;
+        type Error = S::Error;
+
+        fn initial(&self) -> Result<Vec<S::Config>, S::Error> {
+            self.0.initial()
+        }
+
+        fn key(&self, config: &S::Config) -> S::Key {
+            self.0.key(config)
+        }
+
+        fn expand(&self, config: &S::Config) -> Result<Vec<(S::Edge, S::Config)>, S::Error> {
+            self.0.expand(config)
+        }
+
+        fn subsumes(&self, stored: &S::Config, candidate: &S::Config) -> bool {
+            self.0.subsumes(stored, candidate)
+        }
+
+        fn uses_subsumption(&self) -> bool {
+            self.0.uses_subsumption()
+        }
+
+        fn records_parents(&self) -> bool {
+            true
+        }
+
+        fn should_halt(&self, config: &S::Config, successors: &[(S::Edge, S::Config)]) -> bool {
+            self.0.should_halt(config, successors)
+        }
+    }
+
+    fn completed<S: SearchSpace>(space: &S, spec: &ExploreSpec) -> ExploreReport<S::Config, S::Edge>
     where
         S::Error: std::fmt::Debug,
     {
-        match explore(space, options).expect("no error") {
+        match explore(space, spec).expect("no error") {
             ExploreOutcome::Completed(report) => report,
             _ => panic!("expected completion"),
         }
@@ -398,7 +376,7 @@ mod tests {
 
     #[test]
     fn sequential_bfs_visits_each_config_once_in_level_order() {
-        let report = completed(&Grid { side: 4 }, &ExploreOptions::default());
+        let report = completed(&Grid { side: 4 }, &ExploreSpec::default());
         assert_eq!(report.nodes.len(), 16);
         assert_eq!(report.discovered, 16);
         assert_eq!(report.subsumption_skips, 0);
@@ -410,19 +388,13 @@ mod tests {
 
     #[test]
     fn subsumption_prunes_enqueued_configs() {
-        let report = completed(&Widening, &ExploreOptions::default());
+        let report = completed(&Widening, &ExploreSpec::default());
         // The widening successor always subsumes the narrow one, so narrow
         // intervals enqueued earlier get pruned and skipped.
         assert!(report.subsumption_skips > 0, "no pop-time skips");
         assert!(report.nodes.len() < report.discovered);
         // Parent links survive the pruning: one per expanded node.
-        let traced = completed(
-            &Widening,
-            &ExploreOptions {
-                trace: TraceOptions::parents(),
-                ..ExploreOptions::default()
-            },
-        );
+        let traced = completed(&Traced(Widening), &ExploreSpec::default());
         assert_eq!(traced.parents.len(), traced.nodes.len());
         assert!(!traced.parents.is_empty());
         assert_eq!(traced.nodes, report.nodes);
@@ -432,9 +404,9 @@ mod tests {
     fn expanded_limit_aborts_deterministically() {
         let outcome = explore(
             &Grid { side: 10 },
-            &ExploreOptions {
-                expanded_limit: 7,
-                ..ExploreOptions::default()
+            &ExploreSpec {
+                limit: Some(7),
+                ..ExploreSpec::default()
             },
         )
         .expect("no error");
@@ -459,10 +431,10 @@ mod tests {
         let cancel = CancelToken::new();
         let outcome = explore(
             &Grid { side: 10 },
-            &ExploreOptions {
+            &ExploreSpec {
                 budget: budget.clone(),
                 cancel: cancel.clone(),
-                ..ExploreOptions::default()
+                ..ExploreSpec::default()
             },
         )
         .expect("no error");
@@ -472,7 +444,9 @@ mod tests {
             }
             other => panic!("expected budget cancellation, got {other:?}"),
         }
-        let breach = budget.breach().expect("breach recorded");
+        let Some(StopReason::Budget(breach)) = cancel.reason() else {
+            panic!("breach recorded on the token: {:?}", cancel.reason());
+        };
         assert_eq!(breach.resource, BudgetResource::Configs);
         assert_eq!(breach.used, 8);
         assert_eq!(breach.limit, 7);
@@ -484,12 +458,13 @@ mod tests {
         use crate::budget::{BudgetMeter, BudgetResource};
         let budget = BudgetMeter::new(None, Some(10));
         budget.charge_zone_bytes(11);
+        let cancel = CancelToken::new();
         let outcome = explore(
             &Grid { side: 4 },
-            &ExploreOptions {
+            &ExploreSpec {
                 budget: budget.clone(),
-                cancel: CancelToken::new(),
-                ..ExploreOptions::default()
+                cancel: cancel.clone(),
+                ..ExploreSpec::default()
             },
         )
         .expect("no error");
@@ -498,7 +473,10 @@ mod tests {
             ExploreOutcome::Cancelled { expanded: 1, .. }
         ));
         assert_eq!(
-            budget.breach().map(|b| b.resource),
+            match cancel.reason() {
+                Some(StopReason::Budget(breach)) => Some(breach.resource),
+                _ => None,
+            },
             Some(BudgetResource::ZoneBytes)
         );
     }
@@ -506,12 +484,12 @@ mod tests {
     #[test]
     fn inert_budget_changes_nothing() {
         use crate::budget::BudgetMeter;
-        let plain = completed(&Grid { side: 5 }, &ExploreOptions::default());
+        let plain = completed(&Grid { side: 5 }, &ExploreSpec::default());
         let with_meter = completed(
             &Grid { side: 5 },
-            &ExploreOptions {
+            &ExploreSpec {
                 budget: BudgetMeter::default(),
-                ..ExploreOptions::default()
+                ..ExploreSpec::default()
             },
         );
         assert_eq!(plain, with_meter);
@@ -560,9 +538,9 @@ mod tests {
         };
         let outcome = explore(
             &space,
-            &ExploreOptions {
+            &ExploreSpec {
                 cancel: token,
-                ..ExploreOptions::default()
+                ..ExploreSpec::default()
             },
         )
         .expect("no error");
@@ -588,9 +566,9 @@ mod tests {
         token.cancel();
         let outcome = explore(
             &Grid { side: 4 },
-            &ExploreOptions {
+            &ExploreSpec {
                 cancel: token,
-                ..ExploreOptions::default()
+                ..ExploreSpec::default()
             },
         )
         .expect("no error");
@@ -603,12 +581,12 @@ mod tests {
 
     #[test]
     fn inert_token_changes_nothing() {
-        let plain = completed(&Grid { side: 5 }, &ExploreOptions::default());
+        let plain = completed(&Grid { side: 5 }, &ExploreSpec::default());
         let with_token = completed(
             &Grid { side: 5 },
-            &ExploreOptions {
+            &ExploreSpec {
                 cancel: CancelToken::default(),
-                ..ExploreOptions::default()
+                ..ExploreSpec::default()
             },
         );
         assert_eq!(plain, with_token);
@@ -622,11 +600,11 @@ mod tests {
         let run = || {
             let events: Arc<Mutex<Vec<ProgressEvent>>> = Arc::default();
             let sink_events = Arc::clone(&events);
-            let options = ExploreOptions {
+            let options = ExploreSpec {
                 progress: ProgressSink::new(move |event| {
                     sink_events.lock().unwrap().push(*event);
                 }),
-                ..ExploreOptions::default()
+                ..ExploreSpec::default()
             };
             completed(&Grid { side: 6 }, &options);
             let collected = events.lock().unwrap().clone();
@@ -670,12 +648,12 @@ mod tests {
         let sink_events = Arc::clone(&events);
         let outcome = explore(
             &Grid { side: 4 },
-            &ExploreOptions {
+            &ExploreSpec {
                 cancel: token,
                 progress: ProgressSink::new(move |event| {
                     sink_events.lock().unwrap().push(*event);
                 }),
-                ..ExploreOptions::default()
+                ..ExploreSpec::default()
             },
         )
         .expect("no error");
@@ -722,7 +700,7 @@ mod tests {
                 side: 6,
                 goal: (2, 1),
             },
-            &ExploreOptions::default(),
+            &ExploreSpec::default(),
         );
         assert!(report.halted);
         assert_eq!(report.nodes.last(), Some(&(2, 1)));
@@ -732,13 +710,7 @@ mod tests {
 
     #[test]
     fn parent_tracking_reconstructs_breadth_first_paths() {
-        let report = completed(
-            &Grid { side: 4 },
-            &ExploreOptions {
-                trace: TraceOptions::parents(),
-                ..ExploreOptions::default()
-            },
-        );
+        let report = completed(&Traced(Grid { side: 4 }), &ExploreSpec::default());
         assert_eq!(report.parents.len(), report.nodes.len());
         // Every node's path replays through the grid moves back to the
         // origin, and its length is the node's Manhattan distance.
@@ -761,7 +733,7 @@ mod tests {
 
     #[test]
     fn path_to_without_tracking_returns_none() {
-        let report = completed(&Grid { side: 3 }, &ExploreOptions::default());
+        let report = completed(&Grid { side: 3 }, &ExploreSpec::default());
         assert!(report.parents.is_empty());
         assert!(report.path_to(0).is_none());
     }
@@ -769,14 +741,11 @@ mod tests {
     #[test]
     fn halting_node_has_a_path() {
         let report = completed(
-            &GoalGrid {
+            &Traced(GoalGrid {
                 side: 6,
                 goal: (2, 1),
-            },
-            &ExploreOptions {
-                trace: TraceOptions::parents(),
-                ..ExploreOptions::default()
-            },
+            }),
+            &ExploreSpec::default(),
         );
         assert!(report.halted);
         let last = report.nodes.len() - 1;
@@ -813,7 +782,7 @@ mod tests {
 
     #[test]
     fn errors_surface_at_the_deterministic_position() {
-        let err = explore(&Failing, &ExploreOptions::default()).unwrap_err();
+        let err = explore(&Failing, &ExploreSpec::default()).unwrap_err();
         assert_eq!(err, "boom at 5");
     }
 }

@@ -12,37 +12,35 @@
 //!   successor expansion, a dedup key, and (optionally) a *subsumption*
 //!   relation under which a configuration needs no exploration because an
 //!   already-stored one covers it (e.g. zone inclusion in the DBM explorer).
-//! * [`explore`] — the driver: a plain FIFO breadth-first search,
-//!   byte-for-byte equivalent to the loops it replaced. Its
-//!   [`ExploreReport`] lists the expanded configurations in breadth-first
-//!   order, the halting one last when [`SearchSpace::should_halt`] stopped
-//!   the search. It stores no edges: a space that needs more than the
-//!   configurations and their parent links records it in its own hooks.
-//! * [`CancelToken`] — cooperative cancellation: a shared flag the driver
-//!   checks once per 32 frontier entries, so a long-running exploration
-//!   (e.g. a server-side verification job) can be stopped from outside
-//!   without running to its limit. A cancelled search returns
-//!   [`ExploreOutcome::Cancelled`] with the counters of the explored
-//!   prefix.
+//! * [`explore`] — the driver: a plain FIFO breadth-first search run under
+//!   an [`ExploreSpec`]. Its [`ExploreReport`] lists the expanded
+//!   configurations in breadth-first order, the halting one last when
+//!   [`SearchSpace::should_halt`] stopped the search. It stores no edges,
+//!   only, for a space that [records parents](SearchSpace::records_parents),
+//!   the link that discovered each node, from which
+//!   [`ExploreReport::path_to`] rebuilds breadth-first witness paths.
+//! * [`CancelToken`] — cooperative cancellation and the one record of why
+//!   a run stopped: the driver checks it once per 32 frontier entries, so
+//!   a long-running exploration stops without running to its limit. It
+//!   stops on [`cancel`](CancelToken::cancel), at an optional deadline, or
+//!   on a budget breach, and keeps the first [`StopReason`]. A stopped
+//!   search returns [`ExploreOutcome::Cancelled`] with the counters of the
+//!   explored prefix.
 //! * [`ProgressSink`] — progress reporting: a callback the driver feeds with
 //!   [`ProgressEvent`]s (32 more expansions, level finished, search
 //!   cancelled), so long-running explorations can stream "configs explored"
 //!   counters to a UI or a server job table without perturbing the result.
 //!   The default sink is inert and costs nothing.
-//! * [`TraceOptions`] — optional witness bookkeeping: with parent tracking
-//!   on, the report records for every expanded configuration the node that
-//!   first discovered it and the edge it was discovered through, and
-//!   [`ExploreReport::path_to`] reconstructs the breadth-first discovery
-//!   path to any node. The counterexample traces of the `transyt` engine and
-//!   the symbolic timed traces of `dbm` are built on this.
 //! * [`BudgetMeter`] — per-exploration resource budgets: configuration and
 //!   zone-memory ceilings checked by the driver at the same point as its
-//!   size limits, so a breached budget cancels the search at a fixed
-//!   configuration count. The default meter is inert and costs nothing.
-//! * [`ExploreSpec`] — the shared options core (exact / limit / cancel /
-//!   progress / budget) that the per-domain options structs
-//!   (`ZoneExplorationOptions`, `ExpandOptions`, `VerifyOptions`) embed
-//!   instead of re-declaring the same fields.
+//!   size limits, so a breached budget stops the search at a fixed
+//!   configuration count, with [`StopReason::Budget`] on its token. The
+//!   default meter is inert and costs nothing.
+//! * [`ExploreSpec`] — the options of every search (exact / limit /
+//!   cancel / progress / budget): [`explore`] and the `stg` marking search
+//!   take it, and the per-domain options structs
+//!   (`ZoneExplorationOptions`, `VerifyOptions`) embed it instead of
+//!   re-declaring the same fields.
 //!
 //! # Determinism
 //!
@@ -57,7 +55,7 @@
 //! # Example
 //!
 //! ```
-//! use explore::{explore, ExploreOptions, ExploreOutcome, SearchSpace};
+//! use explore::{explore, ExploreOutcome, ExploreSpec, SearchSpace};
 //!
 //! /// Collatz-style reachability over `u64` values below a cap.
 //! struct Collatz {
@@ -88,14 +86,14 @@
 //!     }
 //! }
 //!
-//! let outcome = explore(&Collatz { cap: 64 }, &ExploreOptions::default()).unwrap();
+//! let outcome = explore(&Collatz { cap: 64 }, &ExploreSpec::default()).unwrap();
 //! let report = match outcome {
 //!     ExploreOutcome::Completed(report) => report,
 //!     _ => unreachable!(),
 //! };
 //! assert!(report.nodes.contains(&64));
 //! // A second run returns the identical report.
-//! let again = explore(&Collatz { cap: 64 }, &ExploreOptions::default()).unwrap();
+//! let again = explore(&Collatz { cap: 64 }, &ExploreSpec::default()).unwrap();
 //! assert_eq!(again, ExploreOutcome::Completed(report));
 //! ```
 
@@ -111,8 +109,8 @@ mod space;
 mod spec;
 
 pub use budget::{BudgetBreach, BudgetMeter, BudgetResource};
-pub use cancel::CancelToken;
-pub use driver::{explore, ExploreOptions, ExploreOutcome, ExploreReport, TraceOptions};
+pub use cancel::{CancelToken, StopReason};
+pub use driver::{explore, ExploreOutcome, ExploreReport};
 pub use progress::{ProgressEvent, ProgressSink};
 pub use space::SearchSpace;
 pub use spec::ExploreSpec;

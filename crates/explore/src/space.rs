@@ -74,6 +74,13 @@ pub trait SearchSpace {
         false
     }
 
+    /// Returns `true` if the driver should record the parent links
+    /// ([`ExploreReport::parents`](crate::ExploreReport::parents)) that
+    /// witness paths are rebuilt from; the default records nothing.
+    fn records_parents(&self) -> bool {
+        false
+    }
+
     /// Observes a configuration the driver skipped at pop time because a
     /// later, wider arrival pruned it from the seen set, together with the
     /// bucket of configurations currently stored under its key.

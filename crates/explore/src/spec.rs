@@ -1,12 +1,10 @@
-//! The shared exploration options core.
+//! The options of every search.
 //!
-//! Every exploration-backed options struct in the workspace —
-//! `dbm::ZoneExplorationOptions`, `stg::ExpandOptions`,
-//! `transyt::VerifyOptions` — used to re-declare the same knobs (limits,
-//! cancellation, progress). They now embed one [`ExploreSpec`], and
-//! the session layer's `TaskSpec` lowers to it in exactly one place, so
-//! adding the next knob is a one-struct change instead of a five-struct
-//! threading exercise.
+//! The driver ([`explore`](crate::explore)) and the `stg` marking search
+//! take an [`ExploreSpec`]; the options structs that add domain fields —
+//! `dbm::ZoneExplorationOptions`, `transyt::VerifyOptions` — embed one.
+//! The session layer's `TaskSpec` lowers to it in exactly one place, so
+//! adding the next knob is a one-struct change.
 
 use crate::budget::BudgetMeter;
 use crate::cancel::CancelToken;
@@ -14,10 +12,11 @@ use crate::progress::ProgressSink;
 
 /// The exploration knobs shared by every search in the workspace.
 ///
-/// Embedded by `dbm::ZoneExplorationOptions`, `stg::ExpandOptions` and
-/// `transyt::VerifyOptions` (each of which only adds its domain-specific
-/// fields on top), lowered from the session layer's `TaskSpec` in one place,
-/// and parsed from CLI flags and server query strings through one table.
+/// Taken by [`explore`](crate::explore) and the `stg` expansion functions,
+/// embedded by `dbm::ZoneExplorationOptions` and `transyt::VerifyOptions`
+/// (each of which only adds its domain-specific fields on top), lowered
+/// from the session layer's `TaskSpec` in one place, and parsed from CLI
+/// flags and server query strings through one table.
 ///
 /// # Examples
 ///
@@ -38,16 +37,18 @@ pub struct ExploreSpec {
     /// terminate on cyclic systems with unbounded clock drift.
     pub exact: bool,
     /// Exploration size limit (configurations, markings, …); `None` lets
-    /// each consumer apply its own default.
+    /// each consumer apply its own default (the driver's is no limit).
     pub limit: Option<usize>,
-    /// Cooperative cancellation: a search whose token fires stops at its
-    /// next check. The default token is inert.
+    /// Cooperative cancellation and the record of why the run stopped: a
+    /// search whose token has stopped ends at its next check, and a search
+    /// that finds a budget breached records it here. The default token is
+    /// inert.
     pub cancel: CancelToken,
     /// Progress reporting: fed with events from the search loop. The
     /// default sink is inert.
     pub progress: ProgressSink,
     /// Per-exploration resource budgets (configurations, zone bytes),
-    /// checked by the driver after every expansion. The default meter is
+    /// checked by the searches after every expansion. The default meter is
     /// inert.
     pub budget: BudgetMeter,
 }

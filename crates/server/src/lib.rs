@@ -38,9 +38,9 @@
 //!   a duplicate of an in-flight job attaches to that run and both jobs
 //!   end up holding the *same* result document.
 //! * Cancellation and deadlines — `POST /jobs/{id}/cancel` fires the job's
-//!   [`CancelToken`]; a `timeout=SECS` parameter arms a deadline whose
-//!   expiry surfaces as status `timed_out` and a 409-with-reason on the
-//!   result endpoint.
+//!   [`CancelToken`], and nothing else does; a `timeout=SECS` parameter
+//!   gives the run's own token a deadline, whose expiry surfaces as status
+//!   `timed_out` and a 409-with-reason on the result endpoint.
 //! * [`Server`] — the accept loop and graceful shutdown: SIGTERM / ctrl-c
 //!   (or `POST /shutdown`) stop the listener, cancel queued jobs, let
 //!   running jobs finish and join the pool.

@@ -269,7 +269,6 @@ fn job_document(view: &JobView) -> Value {
         .field("model_name", view.model_name.as_str())
         .field("trace", view.spec.trace)
         .field("key", view.key.fingerprint())
-        .field("explored", view.explored)
         .field("evicted", view.evicted)
         .field("done", view.status.is_terminal());
     // Only on durable servers, so ephemeral documents stay byte-identical

@@ -10,7 +10,6 @@
 
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -42,16 +41,13 @@ pub struct JobView {
     pub status: JobStatus,
     /// The shared result, once the job finished (also present for
     /// `Cancelled` / `TimedOut` jobs that produced a partial document —
-    /// fetchable through `/text`, but not served as `/result`). Eviction
-    /// keeps an error outcome, which holds no document.
+    /// fetchable through `/text`, but not served as `/result`).
     pub result: Option<Arc<TaskResult>>,
-    /// The error message of a `Failed` job, or of a run that ended in an
-    /// error outcome anyway (one cancelled during net expansion).
+    /// The error message of a `Failed` job (the payload of its journal
+    /// line, so it reads the same after a restart).
     pub error: Option<String>,
     /// `true` once the result store evicted this job's document (LRU cap).
     pub evicted: bool,
-    /// Configurations explored so far (live progress for running jobs).
-    pub explored: usize,
     /// `true` when the job was replayed from the write-ahead journal after
     /// a restart (completed jobs answer from the on-disk store; interrupted
     /// ones were re-enqueued).
@@ -66,7 +62,6 @@ struct Job {
     result: Option<Arc<TaskResult>>,
     evicted: bool,
     cancel: CancelToken,
-    explored: Arc<AtomicUsize>,
     recovered: bool,
     events: Arc<EventLog>,
 }
@@ -81,7 +76,6 @@ impl Job {
             result: None,
             evicted: false,
             cancel: CancelToken::new(),
-            explored: Arc::new(AtomicUsize::new(0)),
             recovered: false,
             events: Arc::new(EventLog::new()),
         }
@@ -97,14 +91,9 @@ impl Job {
             result: self.result.clone(),
             error: match &self.status {
                 JobStatus::Failed { error } => Some(error.clone()),
-                _ => self
-                    .result
-                    .as_ref()
-                    .and_then(|result| result.outcome.as_ref().err())
-                    .map(ToString::to_string),
+                _ => None,
             },
             evicted: self.evicted,
-            explored: self.explored.load(Ordering::Relaxed),
             recovered: self.recovered,
         }
     }
@@ -725,9 +714,7 @@ impl ServerState {
     /// is (a connection already streaming reads the old log to its end).
     fn evict_one(&self, inner: &mut Inner, id: usize) {
         let job = &mut inner.jobs[id];
-        // An error outcome holds no text or document, only the message the
-        // job document reports, so it stays.
-        job.result.take_if(|result| result.outcome.is_ok());
+        job.result = None;
         job.evicted = true;
         job.events = Arc::new(EventLog::new());
         job.close_events();
@@ -787,7 +774,7 @@ impl ServerState {
     /// an in-flight job attaches to that run instead of starting another.
     pub fn worker_loop(&self) {
         loop {
-            let (id, spec, cancel, explored, events) = {
+            let (id, spec, cancel, events) = {
                 let mut inner = self.lock();
                 loop {
                     if inner.shutdown {
@@ -802,7 +789,6 @@ impl ServerState {
                                 id,
                                 job.spec.clone(),
                                 job.cancel.clone(),
-                                Arc::clone(&job.explored),
                                 Arc::clone(&job.events),
                             );
                         }
@@ -822,14 +808,9 @@ impl ServerState {
             let started = Instant::now();
 
             let event_sink = Arc::clone(&events);
+            // The driver emits progress from its one sequential loop, so the
+            // streamed sequence is deterministic.
             let progress = ProgressSink::new(move |event: &ProgressEvent| {
-                if let ProgressEvent::Batch { expanded, .. }
-                | ProgressEvent::Cancelled { expanded } = event
-                {
-                    explored.store(*expanded, Ordering::Relaxed);
-                }
-                // The driver emits progress from its one sequential loop,
-                // so the streamed sequence is deterministic.
                 event_sink.push(render_progress(event));
             });
             // The session isolates panics and deduplicates: this either
@@ -847,25 +828,19 @@ impl ServerState {
                 Completion::Detached => (JobStatus::Cancelled, None),
                 Completion::Finished(result) => {
                     let status = match &result.outcome {
-                        // The deadline watchdog fires the job's own token,
-                        // so the timeout classification must precede the
-                        // cancel check.
+                        // The job's own token fires only on a cancel
+                        // request, which wins any race with completion: an
+                        // interrupted run returns a *partial* document that
+                        // must not be served as the job's result. Whatever
+                        // output exists stays fetchable through the /text
+                        // endpoint.
+                        _ if cancel.is_cancelled() => JobStatus::Cancelled,
                         Ok(Outcome::TimedOut(_)) => JobStatus::TimedOut,
-                        // The budget watchdog fires the token too, and must
-                        // also win the cancel check: a breached budget is a
-                        // distinct, reportable terminal state.
                         Ok(Outcome::BudgetExceeded(exceeded)) => JobStatus::BudgetExceeded {
                             resource: exceeded.breach.resource.name().to_owned(),
                             used: exceeded.breach.used,
                             limit: exceeded.breach.limit,
                         },
-                        // Cancel wins any race with completion: a fired
-                        // token means the client asked for the job to stop,
-                        // and an interrupted run returns a *partial*
-                        // document that must not be served as the job's
-                        // result. Whatever output exists stays fetchable
-                        // through the /text endpoint.
-                        _ if cancel.is_cancelled() => JobStatus::Cancelled,
                         // A shared run another job cancelled: duplicates
                         // share its fate.
                         Ok(outcome) if outcome.was_cancelled() => JobStatus::Cancelled,
@@ -884,10 +859,9 @@ impl ServerState {
             };
             if let Some(store) = &self.persist {
                 if let (JobStatus::Done { .. }, Some(result)) = (&status, &result) {
-                    // The session's hook already persisted the document
-                    // before publishing the result; this re-save is the
-                    // heal path for a file lost between then and now (e.g.
-                    // a re-run after a disk-side eviction).
+                    // The document is on disk before its `done` line is
+                    // journaled (a duplicate whose key already has a file
+                    // keeps that file).
                     if let Err(e) =
                         store.save_result_if_absent(&spec.key(), &result.text, &result.document)
                     {
@@ -1079,6 +1053,7 @@ mod tests {
 
     /// Unique scratch data dir per test.
     fn test_data_dir(tag: &str) -> std::path::PathBuf {
+        use std::sync::atomic::{AtomicUsize, Ordering};
         static SEQ: AtomicUsize = AtomicUsize::new(0);
         let dir = std::env::temp_dir().join(format!(
             "transyt-server-test-{tag}-{}-{}",
@@ -1657,5 +1632,41 @@ mod tests {
             "{\"type\":\"terminal\",\"status\":\"budget_exceeded\"}"
         );
         assert!(lines.iter().any(|l| l.starts_with("{\"type\":\"batch\"")));
+    }
+
+    #[test]
+    fn partial_results_are_never_persisted() {
+        let dir = test_data_dir("partial");
+        let state = durable_state(&dir, KEEP_ALL);
+        let text = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../models/ipcmos_2stage.stg"
+        ))
+        .unwrap();
+        let (model, _) = state.upload_model(&text).unwrap();
+        let timed_out = state
+            .submit(TaskSpec::zones(&model.hash).deadline(Duration::from_nanos(1)))
+            .unwrap();
+        let over_budget = state
+            .submit(TaskSpec::zones(&model.hash).max_configs(50))
+            .unwrap();
+        drain(&state);
+        assert_eq!(state.job(timed_out).unwrap().status, JobStatus::TimedOut);
+        assert_eq!(
+            state.job(over_budget).unwrap().status.word(),
+            "budget_exceeded"
+        );
+        // Neither a deadline nor a budget breach fires a job's own token:
+        // that token fires only on a cancel request.
+        for id in [timed_out, over_budget] {
+            assert!(!state.lock().jobs[id].cancel.is_cancelled(), "job {id}");
+        }
+        // Partial results leave no file and no `done` line.
+        let results = std::fs::read_dir(dir.join("results")).unwrap().count();
+        assert_eq!(results, 0);
+        let journal = std::fs::read_to_string(dir.join("journal.log")).unwrap();
+        assert!(!journal.contains(" done "), "{journal}");
+        drop(state);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

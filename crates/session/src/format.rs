@@ -17,7 +17,7 @@
 use std::fmt;
 
 use explore::{CancelToken, ExploreSpec};
-use stg::{ExpandError, ExpandOptions, SignalRole, Stg, StgBuilder};
+use stg::{ExpandError, SignalRole, Stg, StgBuilder};
 use transyt::SafetyProperty;
 use tts::{
     Bound, DelayInterval, EventRole, Time, TimedTransitionSystem, TransitionSystem, TsBuilder,
@@ -283,11 +283,9 @@ impl Model {
         let ts = match &self.source {
             ModelSource::Stg(net) => stg::expand_with(
                 net,
-                ExpandOptions {
-                    spec: ExploreSpec {
-                        cancel: cancel.clone(),
-                        ..ExploreSpec::default()
-                    },
+                &ExploreSpec {
+                    cancel: cancel.clone(),
+                    ..ExploreSpec::default()
                 },
             )?,
             ModelSource::Tts(ts) => ts.clone(),

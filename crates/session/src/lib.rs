@@ -26,13 +26,17 @@
 //! * [`ProgressEvent`]s — configurations explored, levels, refinement
 //!   iterations, cancellation — stream through a [`ProgressSink`] callback
 //!   passed down into the exploration driver's loop.
-//! * Deadlines — [`TaskSpec::deadline`] arms a watchdog that trips the
-//!   run's [`CancelToken`] and surfaces the partial result as
-//!   [`Outcome::TimedOut`].
+//! * Deadlines — [`TaskSpec::deadline`] is carried by the run's
+//!   [`CancelToken`], derived from the caller's token: the first check of
+//!   the token after the deadline stops the run, records
+//!   [`StopReason::Deadline`] and surfaces the partial result as
+//!   [`Outcome::TimedOut`]. No thread is spawned for it.
 //! * Resource budgets — [`TaskSpec::max_configs`] / `max_zone_bytes` arm a
 //!   [`BudgetMeter`] checked inside the exploration driver's loop; a
-//!   breach aborts at a deterministic configuration count and surfaces as
-//!   [`Outcome::BudgetExceeded`].
+//!   breach aborts at a deterministic configuration count, is recorded on
+//!   the run's token as [`StopReason::Budget`] and surfaces as
+//!   [`Outcome::BudgetExceeded`]. Neither a deadline nor a breach fires
+//!   the caller's own token.
 //!
 //! See `docs/API.md` for a guided tour and `examples/embed_session.rs` for
 //! a complete embedding.
@@ -51,7 +55,7 @@ mod task;
 
 pub use explore::{
     BudgetBreach, BudgetMeter, BudgetResource, CancelToken, ExploreSpec, ProgressEvent,
-    ProgressSink,
+    ProgressSink, StopReason,
 };
 pub use outcome::{
     replay_rendered, trace_of_verdict, BudgetExceededOutcome, Outcome, ReachGoalOutcome,

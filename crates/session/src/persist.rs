@@ -1,15 +1,16 @@
 //! The persistence seam of a [`Session`](crate::Session): an embedder-owned
-//! hook that sees every freshly interned model and every cacheable finished
-//! result, and is consulted — after the in-memory memo misses — before a
-//! task is executed.
+//! hook that sees every freshly interned model, and is consulted — after
+//! the in-memory memo misses — before a task is executed.
 //!
 //! The session does not know about files; `transyt-store` implements this
 //! trait over its content-addressed data dir, which is what makes duplicate
 //! submissions dedupe **across server restarts**: the on-disk results are
-//! keyed by the same normalized [`TaskKey`] as the memo.
+//! keyed by the same normalized [`TaskKey`] as the memo. The session writes
+//! no results itself: the embedder saves the finished results it wants
+//! served again (the server saves each `done` job's document before
+//! journaling it).
 
-use crate::session::TaskResult;
-use crate::task::{TaskKey, TaskSpec};
+use crate::task::TaskKey;
 
 /// A result loaded back from a [`StoreHook`]: the two canonical renderings,
 /// byte-identical to the [`TaskResult`](crate::TaskResult) fields they were
@@ -29,24 +30,19 @@ pub struct StoredResult {
 ///
 /// Contract:
 ///
-/// * `load_result` must only return results previously handed to
-///   `save_result` for the **same** key — the session trusts the bytes and
-///   serves them as a completed task.
-/// * `save_result` is invoked for cacheable results only (completed runs;
-///   never cancelled or timed-out partials, which are also never memoized).
+/// * `load_result` must only return the renderings of a completed run of
+///   the **same** key (never a cancelled, timed-out or over-budget partial)
+///   — the session trusts the bytes and serves them as a completed task.
 /// * Implementations must not call back into the session: the session lock
 ///   is held around `load_result` (see
-///   [`Session::run_task`](crate::Session::run_task)), and `save_result` /
-///   `save_model` run on the executing thread's hot path.
+///   [`Session::run_task`](crate::Session::run_task)), and `save_model`
+///   runs on the interning thread's hot path.
 /// * Failures must be swallowed (log and return): persistence is best
 ///   effort and must never fail a verification run.
 pub trait StoreHook: Send + Sync {
     /// Looks up a previously saved result for `key`. Called after the
     /// in-memory memo misses and before a run is scheduled.
     fn load_result(&self, key: &TaskKey) -> Option<StoredResult>;
-
-    /// Persists a cacheable finished result under its key.
-    fn save_result(&self, spec: &TaskSpec, key: &TaskKey, result: &TaskResult);
 
     /// Persists a freshly interned model text under its content hash.
     fn save_model(&self, hash: &str, text: &str);

@@ -9,8 +9,8 @@
 use dbm::{
     find_witness, FiringWindow, WitnessGoal, WitnessOutcome, ZoneExplorationOptions, ZoneOutcome,
 };
-use explore::{BudgetMeter, CancelToken, ProgressSink};
-use stg::{ExpandError, ExpandOptions, Marking, Stg};
+use explore::{CancelToken, ExploreSpec};
+use stg::{ExpandError, Marking, Stg};
 use transyt::VerifyOptions;
 use tts::TimedTransitionSystem;
 
@@ -23,32 +23,29 @@ use crate::session::SessionError;
 use crate::task::{TaskCommand, TaskSpec};
 
 /// Runs `spec` against the parsed model (the model must be the one the
-/// spec's hash names; the session guarantees that).
+/// spec's hash names; the session guarantees that) under `explore`, the
+/// spec lowered with the run's token, progress sink and budget meter.
 pub(crate) fn execute(
     model: &Model,
     spec: &TaskSpec,
-    cancel: &CancelToken,
-    progress: &ProgressSink,
-    budget: &BudgetMeter,
+    explore: &ExploreSpec,
 ) -> Result<Outcome, SessionError> {
     match spec.command {
-        TaskCommand::Verify => run_verify(model, spec, cancel, progress, budget),
-        TaskCommand::Reach => run_reach(model, spec, cancel, progress, budget),
-        TaskCommand::Zones => run_zones(model, spec, cancel, progress, budget),
+        TaskCommand::Verify => run_verify(model, spec, explore),
+        TaskCommand::Reach => run_reach(model, spec, explore),
+        TaskCommand::Zones => run_zones(model, spec, explore),
     }
 }
 
 fn run_verify(
     model: &Model,
     spec: &TaskSpec,
-    cancel: &CancelToken,
-    progress: &ProgressSink,
-    budget: &BudgetMeter,
+    explore: &ExploreSpec,
 ) -> Result<Outcome, SessionError> {
-    let timed = timed_system(model, cancel)?;
+    let timed = timed_system(model, &explore.cancel)?;
     let property = model.property();
     let verify_options = VerifyOptions {
-        spec: spec.explore_spec(cancel.clone(), progress.clone(), budget.clone()),
+        spec: explore.clone(),
         ..VerifyOptions::default()
     };
     let verdict = transyt::verify(&timed, &property, &verify_options);
@@ -83,17 +80,12 @@ fn marking_name(net: &Stg, marking: &Marking) -> String {
 fn run_reach(
     model: &Model,
     spec: &TaskSpec,
-    cancel: &CancelToken,
-    progress: &ProgressSink,
-    budget: &BudgetMeter,
+    explore: &ExploreSpec,
 ) -> Result<Outcome, SessionError> {
     let ModelSource::Stg(net) = &model.source else {
         return Err(SessionError::Spec(
             "`reach` needs an .stg model (a .tts file already is a state graph)".to_owned(),
         ));
-    };
-    let expand_options = ExpandOptions {
-        spec: spec.explore_spec(cancel.clone(), progress.clone(), budget.clone()),
     };
     let cancelled_or = |context: String| {
         move |e: ExpandError| match e {
@@ -101,7 +93,7 @@ fn run_reach(
             e => SessionError::Run(format!("{context}: {e}")),
         }
     };
-    let (ts, report) = stg::expand_with_report(net, expand_options.clone())
+    let (ts, report) = stg::expand_with_report(net, explore)
         .map_err(cancelled_or(format!("expanding `{}`", model.name)))?;
     let states = ts.state_count();
 
@@ -118,14 +110,12 @@ fn run_reach(
             )));
         }
         goal_description = format!("first marking enabling `{label}`");
-        stg::find_marking_path(net, expand_options, |marking| {
+        stg::find_marking_path(net, explore, |marking| {
             net.enabled(marking).iter().any(|&t| net.label(t) == label)
         })
     } else if spec.trace {
         goal_description = "first deadlock marking".to_owned();
-        stg::find_marking_path(net, expand_options, |marking| {
-            net.enabled(marking).is_empty()
-        })
+        stg::find_marking_path(net, explore, |marking| net.enabled(marking).is_empty())
     } else {
         return Ok(Outcome::Reach(ReachOutcome {
             model: model.name.clone(),
@@ -164,13 +154,11 @@ fn run_reach(
 fn run_zones(
     model: &Model,
     spec: &TaskSpec,
-    cancel: &CancelToken,
-    progress: &ProgressSink,
-    budget: &BudgetMeter,
+    explore: &ExploreSpec,
 ) -> Result<Outcome, SessionError> {
-    let timed = timed_system(model, cancel)?;
+    let timed = timed_system(model, &explore.cancel)?;
     let zone_options = ZoneExplorationOptions {
-        spec: spec.explore_spec(cancel.clone(), progress.clone(), budget.clone()),
+        spec: explore.clone(),
     };
     let ts = timed.underlying();
     let model_name = model.name.clone();

@@ -5,10 +5,9 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread;
 use std::time::Duration;
 
-use explore::{CancelToken, ProgressEvent, ProgressSink};
+use explore::{CancelToken, ProgressEvent, ProgressSink, StopReason};
 
 use crate::format::{Model, ModelError, ModelSource};
 use crate::outcome::{BudgetExceededOutcome, Outcome, RestoredOutcome, TimedOutOutcome};
@@ -117,9 +116,10 @@ pub enum Completion {
 #[derive(Debug, Clone, Default)]
 pub struct RunControl {
     /// Cancels this caller's interest in the task. For the caller that ends
-    /// up *executing* the run this is the run's cancel token; for callers
-    /// attached to an in-flight duplicate it detaches them (the run
-    /// continues for the executor).
+    /// up *executing* the run, the run's own token is derived from it, so
+    /// firing it stops the run; for callers attached to an in-flight
+    /// duplicate it detaches them (the run continues for the executor).
+    /// Nothing the run records (a deadline, a budget breach) fires it.
     pub cancel: CancelToken,
     /// Receives this caller's progress events. Attached callers start
     /// receiving events from the moment they attach.
@@ -141,7 +141,6 @@ pub struct SessionStats {
 }
 
 struct RunShared {
-    cancel: CancelToken,
     sinks: Arc<Mutex<Vec<ProgressSink>>>,
     done: Mutex<Option<Arc<TaskResult>>>,
     finished: Condvar,
@@ -234,9 +233,9 @@ impl Session {
     }
 
     /// Installs the persistence hook (see [`StoreHook`]): freshly interned
-    /// models and cacheable finished results are pushed into it, and task
-    /// submissions consult it — after the in-memory memo misses — before a
-    /// run is scheduled, so duplicates dedupe across process restarts.
+    /// models are pushed into it, and task submissions consult it — after
+    /// the in-memory memo misses — before a run is scheduled, so duplicates
+    /// dedupe across process restarts.
     pub fn set_store_hook(&self, hook: Arc<dyn StoreHook>) {
         self.lock().store = Some(hook);
     }
@@ -334,11 +333,13 @@ impl Session {
     ///   stopping the run.
     /// * If an identical run **recently completed**, the memoized
     ///   [`TaskResult`] is returned immediately.
-    /// * Otherwise this call **executes** the run on the calling thread;
-    ///   `control.cancel` is then the run's own token and cancelling it
-    ///   stops the exploration (every attached caller sees the partial
-    ///   result). A [`TaskSpec::deadline`] arms a watchdog that fires the
-    ///   token and wraps the result in [`Outcome::TimedOut`].
+    /// * Otherwise this call **executes** the run on the calling thread,
+    ///   under a run token derived from `control.cancel` and the spec's
+    ///   [`TaskSpec::deadline`]. Cancelling `control.cancel` stops the
+    ///   exploration (every attached caller sees the partial result). A
+    ///   search that stops records why on the run token: a passed deadline
+    ///   wraps the result in [`Outcome::TimedOut`], a budget breach in
+    ///   [`Outcome::BudgetExceeded`].
     ///
     /// Errors (unknown hash, usage errors, panics) are delivered through the
     /// shared [`TaskResult::outcome`], so duplicates of a failing run share
@@ -365,7 +366,7 @@ impl Session {
                         .push(control.progress.clone());
                 }
                 drop(inner);
-                return self.wait_attached(&shared, &control.cancel);
+                return wait_attached(&shared, &control.cancel);
             }
             // Memo and inflight both missed: ask the persistent store before
             // committing to a run. The lookup deliberately happens under the
@@ -398,20 +399,7 @@ impl Session {
                 }
             }
             inner.stats.runs_executed += 1;
-            // A deadline or a resource budget needs a token that can
-            // actually fire (the watchdog fires it on expiry, the driver on
-            // a budget breach): the inert default is upgraded to a live one
-            // (nothing is lost — an inert token could never have cancelled
-            // the run anyway).
-            let needs_live_token =
-                spec.deadline.is_some() || spec.effective_budgets() != (None, None);
-            let run_cancel = if needs_live_token && control.cancel.is_inert() {
-                CancelToken::new()
-            } else {
-                control.cancel.clone()
-            };
             let shared = Arc::new(RunShared {
-                cancel: run_cancel,
                 sinks: Arc::new(Mutex::new(if control.progress.is_inert() {
                     Vec::new()
                 } else {
@@ -435,7 +423,7 @@ impl Session {
                 }
             })
         };
-        let outcome = self.execute_guarded(spec, &shared.cancel, &fan_out);
+        let outcome = self.execute_guarded(spec, &control.cancel.child(spec.deadline), &fan_out);
         // Rendering runs over model-derived data too: guard it like the run
         // itself, so a panic still publishes a result and attached
         // duplicates never hang on an inflight entry that would otherwise
@@ -463,49 +451,24 @@ impl Session {
         let mut inner = self.lock();
         inner.inflight.remove(&key);
         let cacheable = matches!(&result.outcome, Ok(outcome) if !outcome.was_cancelled());
-        let persist = if cacheable {
-            inner.store.as_ref().map(Arc::clone)
-        } else {
-            None
-        };
         if cacheable && self.memo_capacity > 0 {
             if inner.memo.len() >= self.memo_capacity {
                 inner.memo.pop_front();
             }
-            inner.memo.push_back((key.clone(), Arc::clone(&result)));
+            inner.memo.push_back((key, Arc::clone(&result)));
         }
         drop(inner);
-        // Persist before publishing: by the time any caller observes the
-        // result, the stored copy exists (a journaling embedder can record
-        // "done" knowing the result file is already on disk).
-        if let Some(hook) = persist {
-            hook.save_result(spec, &key, &result);
-        }
         *shared.done.lock().expect("run result poisoned") = Some(Arc::clone(&result));
         shared.finished.notify_all();
         Completion::Finished(result)
     }
 
-    fn wait_attached(&self, shared: &RunShared, cancel: &CancelToken) -> Completion {
-        let mut done = shared.done.lock().expect("run result poisoned");
-        loop {
-            if let Some(result) = done.as_ref() {
-                return Completion::Finished(Arc::clone(result));
-            }
-            if cancel.is_cancelled() && cancel != &shared.cancel {
-                // This caller loses interest; the run continues for the
-                // executor (and any other attached duplicates).
-                return Completion::Detached;
-            }
-            let (guard, _timeout) = shared
-                .finished
-                .wait_timeout(done, Duration::from_millis(25))
-                .expect("run result poisoned");
-            done = guard;
-        }
-    }
-
-    /// Executes with panic isolation and the optional deadline watchdog.
+    /// Runs the task once, with panic isolation, under the run token
+    /// `cancel`. A search that stopped early recorded why on the token, at
+    /// the check that stopped it: a deadline becomes [`Outcome::TimedOut`]
+    /// and a budget breach [`Outcome::BudgetExceeded`], each keeping the
+    /// partial outcome (`None` when the run stopped before it had one). A
+    /// run whose token recorded no reason keeps its full result.
     fn execute_guarded(
         &self,
         spec: &TaskSpec,
@@ -515,103 +478,56 @@ impl Session {
         let Some(cached) = self.model(&spec.model) else {
             return Err(SessionError::UnknownModel(spec.model.clone()));
         };
-        let budget = spec.budget_meter();
-        let run = || {
-            catch_unwind(AssertUnwindSafe(|| {
-                crate::run::execute(&cached.model, spec, cancel, progress, &budget)
-            }))
-            .unwrap_or(Err(SessionError::Panicked))
+        let explore = spec.explore_spec(cancel.clone(), progress.clone(), spec.budget_meter());
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            crate::run::execute(&cached.model, spec, &explore)
+        }))
+        .unwrap_or(Err(SessionError::Panicked));
+        let partial = match outcome {
+            Ok(outcome) if outcome.was_cancelled() => Some(Box::new(outcome)),
+            Err(SessionError::Cancelled) => None,
+            finished => return finished,
         };
-        // Calls the budget meter actually interrupted become
-        // `BudgetExceeded`; a run that finished before the breach was
-        // observed keeps its full result. The breach is recorded by the
-        // explore driver at a deterministic configuration count, so this
-        // classification is the same on every run.
-        let classify_budget = |outcome: Result<Outcome, SessionError>| {
-            let Some(breach) = budget.breach() else {
-                return outcome;
-            };
-            let exceeded = |partial: Option<Box<Outcome>>| {
+        let (model, command) = (cached.name, spec.command);
+        match (cancel.reason(), spec.deadline) {
+            (Some(StopReason::Deadline), Some(deadline)) => {
+                Ok(Outcome::TimedOut(TimedOutOutcome {
+                    model,
+                    command,
+                    deadline,
+                    partial,
+                }))
+            }
+            (Some(StopReason::Budget(breach)), _) => {
                 Ok(Outcome::BudgetExceeded(BudgetExceededOutcome {
-                    model: cached.name.clone(),
-                    command: spec.command,
+                    model,
+                    command,
                     breach,
                     partial,
                 }))
-            };
-            match outcome {
-                Ok(outcome) if outcome.was_cancelled() => exceeded(Some(Box::new(outcome))),
-                Err(SessionError::Cancelled) => exceeded(None),
-                other => other,
             }
-        };
-
-        let Some(deadline) = spec.deadline else {
-            return classify_budget(run());
-        };
-
-        // Watchdog: a scoped thread that sleeps until the deadline (or until
-        // the run finishes) and then fires the run's cancel token. The run's
-        // explorations observe the token at their next batch boundary and
-        // return partial outcomes, which are wrapped as `TimedOut` below.
-        let gate: Mutex<bool> = Mutex::new(false);
-        let finished = Condvar::new();
-        let expired = std::sync::atomic::AtomicBool::new(false);
-        let outcome = thread::scope(|scope| {
-            scope.spawn(|| {
-                let mut done = gate.lock().expect("deadline gate poisoned");
-                let mut remaining = deadline;
-                loop {
-                    if *done {
-                        return;
-                    }
-                    let start = std::time::Instant::now();
-                    let (guard, timeout) = finished
-                        .wait_timeout(done, remaining)
-                        .expect("deadline gate poisoned");
-                    done = guard;
-                    if *done {
-                        return;
-                    }
-                    if timeout.timed_out() {
-                        expired.store(true, std::sync::atomic::Ordering::SeqCst);
-                        cancel.cancel();
-                        return;
-                    }
-                    // Spurious wakeup: keep waiting out the remainder.
-                    remaining = remaining.saturating_sub(start.elapsed());
-                }
-            });
-            let outcome = run();
-            *gate.lock().expect("deadline gate poisoned") = true;
-            finished.notify_all();
-            outcome
-        });
-
-        // A recorded breach takes precedence over the deadline: the driver
-        // aborted at the budget boundary (deterministically), even if the
-        // watchdog happened to expire in the same instant.
-        if budget.breach().is_some() {
-            return classify_budget(outcome);
+            // Cancelled by the caller: the interrupted run as it stopped.
+            _ => partial.map_or(Err(SessionError::Cancelled), |outcome| Ok(*outcome)),
         }
-        if !expired.load(std::sync::atomic::Ordering::SeqCst) {
-            return outcome;
+    }
+}
+
+/// Blocks an attached caller until the shared result exists, or detaches it
+/// once its own token fires (the run continues for the others).
+fn wait_attached(shared: &RunShared, cancel: &CancelToken) -> Completion {
+    let mut done = shared.done.lock().expect("run result poisoned");
+    loop {
+        if let Some(result) = done.as_ref() {
+            return Completion::Finished(Arc::clone(result));
         }
-        // Only calls the deadline actually interrupted become `TimedOut`; a
-        // run that completed in the same instant keeps its full result.
-        let timed_out = |partial: Option<Box<Outcome>>| {
-            Ok(Outcome::TimedOut(TimedOutOutcome {
-                model: cached.name.clone(),
-                command: spec.command,
-                deadline,
-                partial,
-            }))
-        };
-        match outcome {
-            Ok(outcome) if outcome.was_cancelled() => timed_out(Some(Box::new(outcome))),
-            Err(SessionError::Cancelled) => timed_out(None),
-            other => other,
+        if cancel.is_cancelled() {
+            return Completion::Detached;
         }
+        let (guard, _timeout) = shared
+            .finished
+            .wait_timeout(done, Duration::from_millis(25))
+            .expect("run result poisoned");
+        done = guard;
     }
 }
 
@@ -682,23 +598,11 @@ mod tests {
     struct MapStore {
         results: Mutex<HashMap<String, crate::persist::StoredResult>>,
         models: Mutex<Vec<String>>,
-        saves: std::sync::atomic::AtomicUsize,
     }
 
     impl crate::persist::StoreHook for MapStore {
         fn load_result(&self, key: &TaskKey) -> Option<crate::persist::StoredResult> {
             self.results.lock().unwrap().get(key.canonical()).cloned()
-        }
-
-        fn save_result(&self, _spec: &TaskSpec, key: &TaskKey, result: &TaskResult) {
-            self.saves.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            self.results.lock().unwrap().insert(
-                key.canonical().to_owned(),
-                crate::persist::StoredResult {
-                    text: result.text.clone(),
-                    document: result.document.clone(),
-                },
-            );
         }
 
         fn save_model(&self, hash: &str, _text: &str) {
@@ -722,14 +626,22 @@ mod tests {
             Completion::Finished(result) => result,
             Completion::Detached => unreachable!(),
         };
-        assert_eq!(store.saves.load(std::sync::atomic::Ordering::SeqCst), 1);
         // A duplicate in the same session hits the memo, not the store.
         session.run(&spec).unwrap();
         assert_eq!(session.stats().memo_hits, 1);
         assert_eq!(session.stats().store_hits, 0);
 
-        // A fresh session with the same store: the duplicate is answered
-        // from the store, byte-identical, with zero runs executed.
+        // A fresh session over a store holding the result (saved by the
+        // embedder, as the server saves a `done` job's document): the
+        // duplicate is answered from the store, byte-identical, with zero
+        // runs executed.
+        store.results.lock().unwrap().insert(
+            spec.key().canonical().to_owned(),
+            crate::persist::StoredResult {
+                text: first.text.clone(),
+                document: first.document.clone(),
+            },
+        );
         let restarted = Session::new();
         restarted.set_store_hook(Arc::clone(&store) as Arc<dyn crate::persist::StoreHook>);
         restarted.add_model(RACE).unwrap();
@@ -753,25 +665,108 @@ mod tests {
     }
 
     #[test]
-    fn partial_results_are_never_persisted() {
-        let store = Arc::new(MapStore::default());
+    fn an_attached_duplicate_detaches_when_its_own_token_fires() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Barrier;
+
         let session = Session::new();
-        session.set_store_hook(Arc::clone(&store) as Arc<dyn crate::persist::StoreHook>);
-        // A model whose zone graph cannot complete within the deadline (the
-        // tiny RACE model can finish before the fired token is even
-        // observed, which would make this test race its own cancellation).
+        let (cached, _) = session.add_model(RACE).unwrap();
+        let spec = TaskSpec::verify(&cached.hash);
+        // The executor's first progress event meets the test thread twice:
+        // once to say the run is in flight, once to let it go on. The
+        // duplicate attaches, and is cancelled, in between.
+        let gate = Arc::new(Barrier::new(2));
+        let held = AtomicBool::new(false);
+        let progress = {
+            let gate = Arc::clone(&gate);
+            ProgressSink::new(move |_| {
+                if !held.swap(true, Ordering::SeqCst) {
+                    gate.wait();
+                    gate.wait();
+                }
+            })
+        };
+        let own = CancelToken::new();
+        std::thread::scope(|scope| {
+            let executor = scope.spawn(|| {
+                session.run_task(
+                    &spec,
+                    RunControl {
+                        progress,
+                        ..RunControl::default()
+                    },
+                )
+            });
+            gate.wait();
+            let duplicate = scope.spawn(|| {
+                session.run_task(
+                    &spec,
+                    RunControl {
+                        cancel: own.clone(),
+                        ..RunControl::default()
+                    },
+                )
+            });
+            while session.stats().runs_attached == 0 {
+                std::thread::yield_now();
+            }
+            own.cancel();
+            assert!(matches!(duplicate.join().unwrap(), Completion::Detached));
+            gate.wait();
+            let Completion::Finished(result) = executor.join().unwrap() else {
+                panic!("the executing caller is never detached");
+            };
+            let Ok(Outcome::Verify(verify)) = &result.outcome else {
+                panic!("expected a verify outcome, got {:?}", result.outcome);
+            };
+            assert!(verify.verdict.is_verified(), "{:?}", verify.verdict);
+            // The full result is memoized: the next duplicate is a memo hit
+            // sharing the very same result.
+            let Completion::Finished(again) = session.run_task(&spec, RunControl::default()) else {
+                panic!("a memo hit is never detached");
+            };
+            assert!(Arc::ptr_eq(&result, &again));
+        });
+        assert_eq!(
+            session.stats(),
+            SessionStats {
+                runs_executed: 1,
+                runs_attached: 1,
+                memo_hits: 1,
+                store_hits: 0,
+            }
+        );
+    }
+
+    #[test]
+    fn a_deadline_already_passed_stops_verify_and_zones_in_the_net_expansion() {
+        // The run token carries the deadline, so the expansion's first check
+        // of the token sees it passed: the same outcome on every run, with
+        // no exploration to keep as a partial result.
+        let session = Session::new();
         let (cached, _) = session
-            .add_model(include_str!("../../../models/ipcmos_2stage.stg"))
+            .add_model(include_str!("../../../models/ipcmos_1stage.stg"))
             .unwrap();
-        // A pre-fired cancel token makes the run come back cancelled
-        // (timed out here, via a microscopic deadline): not cacheable, not
-        // persisted.
-        let spec = TaskSpec::zones(&cached.hash).deadline(Duration::from_nanos(1));
-        let control = RunControl::default();
-        control.cancel.cancel();
-        let _ = session.run_task(&spec, control);
-        assert_eq!(store.saves.load(std::sync::atomic::Ordering::SeqCst), 0);
-        assert!(store.results.lock().unwrap().is_empty());
+        for spec in [
+            TaskSpec::verify(&cached.hash),
+            TaskSpec::zones(&cached.hash),
+        ] {
+            let spec = spec.deadline(Duration::from_nanos(1));
+            for run in 0..20 {
+                let outcome = session.run(&spec);
+                assert!(
+                    matches!(
+                        &outcome,
+                        Ok(Outcome::TimedOut(TimedOutOutcome { partial: None, .. }))
+                    ),
+                    "{:?} run {run}: {outcome:?}",
+                    spec.command
+                );
+            }
+        }
+        // Timed-out results are never memoized.
+        assert_eq!(session.stats().runs_executed, 40);
+        assert_eq!(session.stats().memo_hits, 0);
     }
 
     #[test]

@@ -106,8 +106,9 @@ pub struct TaskSpec {
     pub limit: Option<usize>,
     /// Target label for `reach --to LABEL`.
     pub to_label: Option<String>,
-    /// Wall-clock deadline: when it expires the run's cancel token fires and
-    /// the outcome is [`Outcome::TimedOut`](crate::Outcome::TimedOut).
+    /// Wall-clock deadline, measured from the start of the run: the first
+    /// check of the run's cancel token after it has passed stops the run,
+    /// and the outcome is [`Outcome::TimedOut`](crate::Outcome::TimedOut).
     pub deadline: Option<Duration>,
     /// Configuration budget (`reach` and `zones`): the exploration is
     /// cancelled deterministically once it expands more configurations than
@@ -375,8 +376,8 @@ impl TaskSpec {
 
     /// A live [`BudgetMeter`] armed with the spec's
     /// [`effective_budgets`](Self::effective_budgets) — inert when the spec
-    /// sets none. The executing session keeps a clone to classify a
-    /// cancelled run as a budget abort.
+    /// sets none. A search that finds it breached records the breach on the
+    /// run's cancel token.
     pub fn budget_meter(&self) -> BudgetMeter {
         let (max_configs, max_zone_bytes) = self.effective_budgets();
         BudgetMeter::new(max_configs, max_zone_bytes)
@@ -387,8 +388,9 @@ impl TaskSpec {
     /// engine options. The limit is the command's
     /// [`effective_limit`](Self::effective_limit); the run's cancel token,
     /// progress sink and budget meter are supplied by the executing session
-    /// (the meter via [`budget_meter`](Self::budget_meter), so the session
-    /// can observe a recorded breach afterwards).
+    /// (the token derived with the spec's deadline, the meter from
+    /// [`budget_meter`](Self::budget_meter)); the token records why the run
+    /// stopped, if it did.
     pub fn explore_spec(
         &self,
         cancel: CancelToken,

@@ -39,10 +39,10 @@ mod reach;
 
 pub use net::{BuildStgError, Marking, PlaceId, SignalRole, Stg, StgBuilder, TransitionId};
 pub use reach::{
-    expand, expand_with, expand_with_report, find_marking_path, signals, ExpandError,
-    ExpandOptions, MarkingPath, ReachReport, DEFAULT_MARKING_LIMIT,
+    expand, expand_with, expand_with_report, find_marking_path, signals, ExpandError, MarkingPath,
+    ReachReport, DEFAULT_MARKING_LIMIT,
 };
 
-// Re-export the exploration options type [`ExpandOptions`] embeds, so
-// callers can configure expansions without naming the `explore` crate.
+// Re-export the options the expansion functions take, so callers can
+// configure expansions without naming the `explore` crate.
 pub use explore::{CancelToken, ExploreSpec};

@@ -21,16 +21,18 @@
 //! bit vectors. [`find_marking_path`] runs the same loop with parent links.
 //!
 //! The loop applies the [`ExploreSpec`] controls where the shared
-//! exploration driver does: the marking limit before each expansion, the
-//! configuration budget once per expansion, the cancel token once per 32
-//! expansions of a breadth-first level, and the same `Batch`, `Level` and
-//! `Cancelled` progress events.
+//! exploration driver does: the marking limit before each expansion (an
+//! unset limit is [`DEFAULT_MARKING_LIMIT`]), the configuration budget once
+//! per expansion, the cancel token once per 32 expansions of a
+//! breadth-first level, and the same `Batch`, `Level` and `Cancelled`
+//! progress events. Markings are deduplicated exactly, so `exact` is
+//! ignored.
 
 use std::collections::hash_map::RandomState;
 use std::fmt;
 use std::hash::BuildHasher;
 
-use explore::{ExploreSpec, ProgressEvent};
+use explore::{ExploreSpec, ProgressEvent, StopReason};
 use tts::{EventId, SignalEdge, StateId, TransitionSystem, TsBuilder};
 
 use crate::net::{set_bits, Marking, PlaceId, SignalRole, Stg, TransitionId};
@@ -57,8 +59,8 @@ pub enum ExpandError {
     /// The expansion produced an invalid transition system (e.g. no
     /// transitions at all).
     Build(String),
-    /// The [`ExploreSpec::cancel`] token fired before the expansion
-    /// finished.
+    /// The [`ExploreSpec::cancel`] token stopped (cancelled, past its
+    /// deadline, or on a budget breach) before the expansion finished.
     Cancelled,
 }
 
@@ -89,26 +91,6 @@ impl std::error::Error for ExpandError {}
 /// [`ExploreSpec::limit`] still caps the search wherever a caller wants a
 /// tighter budget.
 pub const DEFAULT_MARKING_LIMIT: usize = 1_000_000;
-
-/// Options for [`expand`].
-///
-/// The shared exploration knobs live in the embedded [`ExploreSpec`]: the
-/// marking search honours `limit`, `cancel`, `progress` and `budget`; it
-/// deduplicates exactly, so `exact` is carried inert. An unset
-/// [`ExploreSpec::limit`] resolves to
-/// [`DEFAULT_MARKING_LIMIT`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ExpandOptions {
-    /// The shared exploration knobs.
-    pub spec: ExploreSpec,
-}
-
-impl ExpandOptions {
-    /// The marking limit the expansion enforces.
-    fn marking_limit(&self) -> usize {
-        self.spec.limit_or(DEFAULT_MARKING_LIMIT)
-    }
-}
 
 /// Statistics of a completed reachability expansion.
 ///
@@ -281,12 +263,11 @@ trait Visit {
 /// marking [`Visit::expanded`] stopped at, if any.
 fn search(
     net: &Stg,
-    options: &ExpandOptions,
+    spec: &ExploreSpec,
     visit: &mut impl Visit,
 ) -> Result<(MarkingTable, Option<usize>), ExpandError> {
     let packed = PackedNet::new(net)?;
-    let spec = &options.spec;
-    let limit = options.marking_limit();
+    let limit = spec.limit_or(DEFAULT_MARKING_LIMIT);
     let words = packed.words;
     let mut seen = MarkingTable::new(words);
     seen.insert(packed.initial.words());
@@ -316,10 +297,10 @@ fn search(
                 return Err(ExpandError::TooManyMarkings { limit });
             }
             expanded += 1;
-            // A breached budget fires the cancel token, as in the driver,
-            // so sibling searches stop and the caller classifies the abort.
-            if spec.budget.check(expanded).is_some() {
-                spec.cancel.cancel();
+            // A breached budget stops the token with the breach as its
+            // reason, as in the driver.
+            if let Some(breach) = spec.budget.check(expanded) {
+                spec.cancel.stop(StopReason::Budget(breach));
                 spec.progress.emit(&ProgressEvent::Cancelled { expanded });
                 return Err(ExpandError::Cancelled);
             }
@@ -487,16 +468,17 @@ impl Visit for GraphBuilder {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn expand(net: &Stg) -> Result<TransitionSystem, ExpandError> {
-    expand_with(net, ExpandOptions::default())
+    expand_with(net, &ExploreSpec::default())
 }
 
-/// Expands an STG into its reachability graph with explicit options.
+/// Expands an STG into its reachability graph under `spec` (limit,
+/// cancellation, progress, budget).
 ///
 /// # Errors
 ///
 /// See [`expand`].
-pub fn expand_with(net: &Stg, options: ExpandOptions) -> Result<TransitionSystem, ExpandError> {
-    expand_with_report(net, options).map(|(ts, _)| ts)
+pub fn expand_with(net: &Stg, spec: &ExploreSpec) -> Result<TransitionSystem, ExpandError> {
+    expand_with_report(net, spec).map(|(ts, _)| ts)
 }
 
 /// Expands an STG and additionally returns the [`ReachReport`] of the
@@ -511,13 +493,13 @@ pub fn expand_with(net: &Stg, options: ExpandOptions) -> Result<TransitionSystem
 /// # Examples
 ///
 /// ```
-/// use stg::{expand_with_report, ExpandOptions, SignalRole, StgBuilder};
+/// use stg::{expand_with_report, ExploreSpec, SignalRole, StgBuilder};
 /// let mut b = StgBuilder::new("toggle");
 /// let up = b.add_transition("X+", SignalRole::Output);
 /// let down = b.add_transition("X-", SignalRole::Output);
 /// b.connect(up, down, 0);
 /// b.connect(down, up, 1);
-/// let (ts, report) = expand_with_report(&b.build()?, ExpandOptions::default())?;
+/// let (ts, report) = expand_with_report(&b.build()?, &ExploreSpec::default())?;
 /// assert_eq!(report.markings, 2);
 /// assert_eq!(report.firings, 2);
 /// assert_eq!(report.reachable_states.len(), ts.state_count());
@@ -526,10 +508,10 @@ pub fn expand_with(net: &Stg, options: ExpandOptions) -> Result<TransitionSystem
 /// ```
 pub fn expand_with_report(
     net: &Stg,
-    options: ExpandOptions,
+    spec: &ExploreSpec,
 ) -> Result<(TransitionSystem, ReachReport), ExpandError> {
     let mut graph = GraphBuilder::new(net);
-    let (seen, _) = search(net, &options, &mut graph)?;
+    let (seen, _) = search(net, spec, &mut graph)?;
     let markings = seen.len();
     drop(seen);
     let ts = graph
@@ -628,7 +610,7 @@ impl<G: Fn(&Marking) -> bool> Visit for GoalSearch<G> {
 /// # Examples
 ///
 /// ```
-/// use stg::{find_marking_path, ExpandOptions, SignalRole, StgBuilder};
+/// use stg::{find_marking_path, ExploreSpec, SignalRole, StgBuilder};
 /// let mut b = StgBuilder::new("toggle");
 /// let up = b.add_transition("X+", SignalRole::Output);
 /// let down = b.add_transition("X-", SignalRole::Output);
@@ -636,7 +618,7 @@ impl<G: Fn(&Marking) -> bool> Visit for GoalSearch<G> {
 /// b.connect(down, up, 1);
 /// let net = b.build()?;
 /// // Path to the first marking that enables X-.
-/// let path = find_marking_path(&net, ExpandOptions::default(), |m| {
+/// let path = find_marking_path(&net, &ExploreSpec::default(), |m| {
 ///     net.enabled(m).iter().any(|&t| net.label(t) == "X-")
 /// })?
 /// .expect("X- becomes enabled");
@@ -646,7 +628,7 @@ impl<G: Fn(&Marking) -> bool> Visit for GoalSearch<G> {
 /// ```
 pub fn find_marking_path<G>(
     net: &Stg,
-    options: ExpandOptions,
+    spec: &ExploreSpec,
     goal: G,
 ) -> Result<Option<MarkingPath>, ExpandError>
 where
@@ -656,7 +638,7 @@ where
         goal,
         parents: Vec::new(),
     };
-    let (seen, halted) = search(net, &options, &mut visit)?;
+    let (seen, halted) = search(net, spec, &mut visit)?;
     let Some(mut id) = halted else {
         return Ok(None);
     };
@@ -808,11 +790,11 @@ mod tests {
             b.build().unwrap()
         };
         let (_, report) =
-            expand_with_report(&toggles(&["A", "B", "C", "D"]), ExpandOptions::default()).unwrap();
+            expand_with_report(&toggles(&["A", "B", "C", "D"]), &ExploreSpec::default()).unwrap();
         assert_eq!(report.markings, 16);
         let net = toggles(&["A", "B", "C"]);
         let all_high = |m: &Marking| net.enabled(m).iter().all(|&t| net.label(t).ends_with('-'));
-        let path = find_marking_path(&net, ExpandOptions::default(), all_high)
+        let path = find_marking_path(&net, &ExploreSpec::default(), all_high)
             .unwrap()
             .expect("reachable");
         assert_eq!(path.len(), 3);
@@ -898,7 +880,7 @@ mod tests {
         };
         assert_eq!(expand(&net).unwrap_err(), expected);
         assert_eq!(
-            find_marking_path(&net, ExpandOptions::default(), |_| true).unwrap_err(),
+            find_marking_path(&net, &ExploreSpec::default(), |_| true).unwrap_err(),
             expected
         );
     }
@@ -915,13 +897,13 @@ mod tests {
             b.connect(ts[i], ts[(i + 1) % 70], u32::from(i == 69));
         }
         let net = b.build().unwrap();
-        let (ts, report) = expand_with_report(&net, ExpandOptions::default()).unwrap();
+        let (ts, report) = expand_with_report(&net, &ExploreSpec::default()).unwrap();
         assert_eq!(report.markings, 70);
         assert_eq!(report.firings, 70);
         assert_eq!(ts.state_name(StateId::from_index(0)), "{p69}");
         assert_eq!(ts.state_name(StateId::from_index(1)), "{p0}");
         assert_eq!(ts.state_name(StateId::from_index(69)), "{p68}");
-        let path = find_marking_path(&net, ExpandOptions::default(), |m| {
+        let path = find_marking_path(&net, &ExploreSpec::default(), |m| {
             m.is_marked(PlaceId::from_index(66))
         })
         .unwrap()
@@ -970,11 +952,9 @@ mod tests {
     fn marking_limit_is_enforced() {
         let err = expand_with(
             &toggle(),
-            ExpandOptions {
-                spec: ExploreSpec {
-                    limit: Some(0),
-                    ..ExploreSpec::default()
-                },
+            &ExploreSpec {
+                limit: Some(0),
+                ..ExploreSpec::default()
             },
         )
         .unwrap_err();
@@ -1000,7 +980,7 @@ mod tests {
 
     #[test]
     fn report_counts_markings_and_firings() {
-        let (ts, report) = expand_with_report(&toggle(), ExpandOptions::default()).unwrap();
+        let (ts, report) = expand_with_report(&toggle(), &ExploreSpec::default()).unwrap();
         assert_eq!(report.markings, 2);
         assert_eq!(report.firings, 2);
         assert_eq!(report.reachable_states.len(), ts.state_count());
@@ -1018,11 +998,9 @@ mod tests {
         let start = b.add_place("start", 1);
         b.arc_in(start, up);
         let net = b.build().unwrap();
-        let path = find_marking_path(&net, ExpandOptions::default(), |m| {
-            net.enabled(m).is_empty()
-        })
-        .unwrap()
-        .expect("deadlock reachable");
+        let path = find_marking_path(&net, &ExploreSpec::default(), |m| net.enabled(m).is_empty())
+            .unwrap()
+            .expect("deadlock reachable");
         assert_eq!(path.labels(&net), vec!["X+", "X-"]);
         let end = path.replay(&net).unwrap();
         assert_eq!(&end, path.end());
@@ -1054,7 +1032,7 @@ mod tests {
         assert!(ts.violations(marked[0])[0].contains("forbidden marking"));
 
         // The marking-path machinery reaches the forbidden marking.
-        let path = find_marking_path(&net, ExpandOptions::default(), |m| {
+        let path = find_marking_path(&net, &ExploreSpec::default(), |m| {
             net.violation(m).is_some()
         })
         .unwrap()
@@ -1067,15 +1045,13 @@ mod tests {
     fn cancelled_expansion_reports_cancelled() {
         let token = explore::CancelToken::new();
         token.cancel();
-        let options = ExpandOptions {
-            spec: ExploreSpec {
-                cancel: token,
-                ..ExploreSpec::default()
-            },
+        let spec = ExploreSpec {
+            cancel: token,
+            ..ExploreSpec::default()
         };
-        let err = expand_with(&toggle(), options.clone()).unwrap_err();
+        let err = expand_with(&toggle(), &spec).unwrap_err();
         assert_eq!(err, ExpandError::Cancelled);
-        let err = find_marking_path(&toggle(), options, |_| false).unwrap_err();
+        let err = find_marking_path(&toggle(), &spec, |_| false).unwrap_err();
         assert_eq!(err, ExpandError::Cancelled);
         assert_eq!(err.to_string(), "expansion cancelled");
     }
@@ -1083,7 +1059,7 @@ mod tests {
     #[test]
     fn unreachable_goal_returns_none() {
         let net = toggle();
-        let path = find_marking_path(&net, ExpandOptions::default(), |m| {
+        let path = find_marking_path(&net, &ExploreSpec::default(), |m| {
             m.marked_places().next().is_none()
         })
         .unwrap();
@@ -1093,7 +1069,7 @@ mod tests {
     #[test]
     fn goal_holding_initially_yields_the_empty_path() {
         let net = toggle();
-        let path = find_marking_path(&net, ExpandOptions::default(), |_| true)
+        let path = find_marking_path(&net, &ExploreSpec::default(), |_| true)
             .unwrap()
             .expect("initial marking satisfies the goal");
         assert!(path.is_empty());

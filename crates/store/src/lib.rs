@@ -18,10 +18,12 @@
 //!   size-triggered [`Journal::rewrite`] keep it bounded.
 //! * The session's persistence seam: [`Store`] implements
 //!   [`transyt_session::StoreHook`], so a [`Session`] wired to a store
-//!   persists every freshly interned model and every cacheable finished
-//!   result, and answers duplicate submissions **across restarts** from
-//!   disk with zero new runs — the on-disk store is keyed by the same
-//!   normalized [`TaskKey`] the in-memory memo uses.
+//!   persists every freshly interned model, and answers duplicate
+//!   submissions **across restarts** from the results on disk (the server
+//!   saves each `done` job's document with
+//!   [`Store::save_result_if_absent`]) with zero new runs — the on-disk
+//!   store is keyed by the same normalized [`TaskKey`] the in-memory memo
+//!   uses.
 //!
 //! Because the whole stack is deterministic (byte-identical documents on
 //! every run), recovery is testable to the byte: a stored document
@@ -45,7 +47,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use transyt_session::{content_hash, StoreHook, StoredResult, TaskKey, TaskResult, TaskSpec};
+use transyt_session::{content_hash, StoreHook, StoredResult, TaskKey};
 
 pub use content::ResultDoc;
 pub use journal::{JobStatus, Journal, JournalStats, Record, COMPACT_MIN_BYTES};
@@ -479,8 +481,8 @@ impl Store {
 }
 
 /// The persistence seam: a [`Session`](transyt_session::Session) wired to a
-/// store (via [`Session::set_store_hook`]) persists models and cacheable
-/// results as they appear and serves duplicate submissions from disk across
+/// store (via [`Session::set_store_hook`]) persists models as they are
+/// interned and serves duplicate submissions from the stored results across
 /// restarts. Hook failures are reported on stderr and never fail the run —
 /// persistence degrades, verification does not.
 ///
@@ -491,15 +493,6 @@ impl StoreHook for Store {
             text: doc.text,
             document: doc.document,
         })
-    }
-
-    fn save_result(&self, _spec: &TaskSpec, key: &TaskKey, result: &TaskResult) {
-        if let Err(e) = self.save_result_if_absent(key, &result.text, &result.document) {
-            eprintln!(
-                "transyt-store: persisting result {}: {e}",
-                key.fingerprint()
-            );
-        }
     }
 
     fn save_model(&self, hash: &str, text: &str) {

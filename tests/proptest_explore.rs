@@ -8,8 +8,7 @@ use std::collections::{HashMap, VecDeque};
 
 use proptest::prelude::*;
 use stg::{
-    expand_with_report, ExpandError, ExpandOptions, PlaceId, ReachReport, SignalRole, Stg,
-    StgBuilder,
+    expand_with_report, ExpandError, ExploreSpec, PlaceId, ReachReport, SignalRole, Stg, StgBuilder,
 };
 use transyt_session::format::{Model, ModelSource};
 use tts::{DelayInterval, StateId, Time, TimedTransitionSystem, TransitionSystem, TsBuilder};
@@ -240,7 +239,7 @@ fn shipped_nets_expand_to_the_reference_system() {
         let ModelSource::Stg(net) = &model.source else {
             panic!("{file} is not an stg model");
         };
-        let packed = expand_with_report(net, ExpandOptions::default());
+        let packed = expand_with_report(net, &ExploreSpec::default());
         assert!(packed.is_ok(), "{file}: {packed:?}");
         assert!(
             packed == reference_expand(net, stg::DEFAULT_MARKING_LIMIT),
@@ -312,13 +311,11 @@ proptest! {
         ),
     ) {
         let net = random_stg(&rings, &extra_arcs, padding, &forbidden);
-        let limited = ExpandOptions {
-            spec: stg::ExploreSpec {
-                limit: Some(2_000),
-                ..stg::ExploreSpec::default()
-            },
+        let limited = ExploreSpec {
+            limit: Some(2_000),
+            ..ExploreSpec::default()
         };
-        let expanded = expand_with_report(&net, limited);
+        let expanded = expand_with_report(&net, &limited);
         // The packed engine gives exactly what the plain token game gives:
         // the same system (names, ids, edge order, marks, roles), the same
         // report, or the same error (variant, place, signal).
