@@ -10,15 +10,20 @@
 //!   store with **zero** new runs;
 //! * a torn journal tail (garbage appended after the kill) is dropped, not
 //!   trusted.
+//!
+//! The same child-process harness checks what only a whole process shows:
+//! that `POST /shutdown` and SIGTERM end its blocked accept loop, and how
+//! many threads an idle-connection flood leaves it with.
 
 use std::io::{BufRead, BufReader};
+use std::net::TcpStream;
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
 use transyt_cli::commands::cmd_task;
 use transyt_cli::format::Model;
-use transyt_server::client;
+use transyt_server::{client, MAX_CONNECTIONS};
 use transyt_session::render::render_document;
 use transyt_session::{RunControl, TaskSpec};
 
@@ -329,6 +334,100 @@ fn job_documents_read_the_same_after_a_restart() {
     // A restart adds the documented `recovered` flag and changes nothing
     // else.
     assert_eq!(after.replace(",\"recovered\":true", ""), before);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&data_dir);
+}
+
+/// A fresh, empty data dir path for one test.
+fn fresh_data_dir(tag: &str) -> String {
+    let dir = std::env::temp_dir().join(format!("transyt-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir.to_str().expect("utf-8 temp dir").to_owned()
+}
+
+/// The exit status of `child` if it exits within `limit`.
+fn exit_within(child: &mut Child, limit: Duration) -> Option<ExitStatus> {
+    let deadline = Instant::now() + limit;
+    loop {
+        if let Some(status) = child.try_wait().expect("poll serve") {
+            return Some(status);
+        }
+        if Instant::now() >= deadline {
+            return None;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// The accept loop blocks with nothing pending, and both ways of stopping
+/// the server still end it: `POST /shutdown`, answered before the process
+/// goes, and SIGTERM, for which a blocked `accept` does not wake by itself.
+#[test]
+fn post_shutdown_and_sigterm_end_a_blocked_accept() {
+    let data_dir = fresh_data_dir("shutdown");
+    for by_signal in [false, true] {
+        let mut server = ServeProc::start(&data_dir);
+        // Served, so the loop is past startup and back in `accept`.
+        healthz_stat(&server.addr, "queued");
+        if by_signal {
+            let pid = server.child.id().to_string();
+            let kill = Command::new("kill").args(["-TERM", &pid]).status();
+            assert!(kill.expect("kill runs").success());
+        } else {
+            let (status, body) =
+                client::request(&server.addr, "POST", "/shutdown", None).expect("shutdown");
+            assert_eq!(status, 200, "{body}");
+        }
+        let exited = exit_within(&mut server.child, Duration::from_secs(5));
+        assert!(
+            exited.is_some_and(|status| status.success()),
+            "signal {by_signal}: {exited:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&data_dir);
+}
+
+/// Connections past `MAX_CONNECTIONS` get a `503` from the accept thread
+/// instead of a thread each: an idle flood leaves the process at most the
+/// cap plus its worker, its accept thread and its shutdown watcher (and one
+/// spare), `/healthz` is answered at once, and with `200` again once the
+/// flood is gone.
+#[test]
+fn an_idle_connection_flood_is_capped() {
+    let data_dir = fresh_data_dir("flood");
+    let server = ServeProc::start(&data_dir);
+    let flood: Vec<TcpStream> = (0..MAX_CONNECTIONS + 16)
+        .map(|_| TcpStream::connect(&server.addr).expect("connect"))
+        .collect();
+    let asked = Instant::now();
+    let (status, body) =
+        client::request(&server.addr, "GET", "/healthz", None).expect("healthz during flood");
+    assert!(
+        asked.elapsed() < Duration::from_secs(1),
+        "{:?}",
+        asked.elapsed()
+    );
+    assert!(status == 200 || status == 503, "{status}: {body}");
+    let threads = std::fs::read_dir(format!("/proc/{}/task", server.child.id()))
+        .expect("the server's task list")
+        .count();
+    let workers = 1;
+    assert!(
+        threads <= MAX_CONNECTIONS + workers + 3,
+        "{threads} threads"
+    );
+
+    drop(flood);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (status, _) =
+            client::request(&server.addr, "GET", "/healthz", None).expect("healthz after flood");
+        if status == 200 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "healthz still answers {status}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
     server.shutdown();
     let _ = std::fs::remove_dir_all(&data_dir);
 }

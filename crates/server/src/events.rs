@@ -1,12 +1,13 @@
 //! Per-job progress event logs behind `GET /jobs/{id}/events`.
 //!
 //! Every job owns an [`EventLog`]: an append-only sequence of rendered
-//! server-sent-event data lines. The worker running the job appends one
-//! line per [`explore::ProgressEvent`] (plus lifecycle
+//! server-sent-event data lines, kept in one string. The worker running the
+//! job appends one line per [`explore::ProgressEvent`] (plus lifecycle
 //! markers) and closes the log when the job reaches a terminal state;
 //! any number of `/events` connections replay the log from the start and
 //! then long-poll for more — late subscribers see exactly the same
-//! sequence as early ones.
+//! sequence as early ones. A finished job whose stream is its terminal
+//! frame alone (it never ran, or its result was evicted) keeps no log.
 //!
 //! Because the exploration driver emits its progress events from its one
 //! sequential loop, the logged sequence is deterministic: every run of the
@@ -41,8 +42,20 @@ pub fn render_progress(event: &ProgressEvent) -> String {
 }
 
 struct LogInner {
-    lines: Vec<String>,
+    /// Every line appended so far, back to back.
+    text: String,
+    /// The end offset in `text` of each line.
+    ends: Vec<usize>,
     closed: bool,
+}
+
+impl LogInner {
+    fn line(&self, index: usize) -> &str {
+        let start = index
+            .checked_sub(1)
+            .map_or(0, |previous| self.ends[previous]);
+        &self.text[start..self.ends[index]]
+    }
 }
 
 /// An append-only, waitable event sequence. Writers [`push`](EventLog::push)
@@ -64,7 +77,8 @@ impl EventLog {
     pub fn new() -> EventLog {
         EventLog {
             inner: Mutex::new(LogInner {
-                lines: Vec::new(),
+                text: String::new(),
+                ends: Vec::new(),
                 closed: false,
             }),
             grew: Condvar::new(),
@@ -82,14 +96,21 @@ impl EventLog {
         if inner.closed {
             return;
         }
-        inner.lines.push(line);
+        inner.text.push_str(&line);
+        let end = inner.text.len();
+        inner.ends.push(end);
         drop(inner);
         self.grew.notify_all();
     }
 
-    /// Marks the sequence complete and wakes waiting readers.
+    /// Marks the sequence complete, releases its spare capacity (a closed
+    /// log never grows again) and wakes waiting readers.
     pub fn close(&self) {
-        self.lock().closed = true;
+        let mut inner = self.lock();
+        inner.closed = true;
+        inner.text.shrink_to_fit();
+        inner.ends.shrink_to_fit();
+        drop(inner);
         self.grew.notify_all();
     }
 
@@ -100,12 +121,12 @@ impl EventLog {
 
     /// Lines appended so far.
     pub fn len(&self) -> usize {
-        self.lock().lines.len()
+        self.lock().ends.len()
     }
 
     /// `true` while no event has been appended.
     pub fn is_empty(&self) -> bool {
-        self.lock().lines.is_empty()
+        self.lock().ends.is_empty()
     }
 
     /// Returns the lines from index `from` on, blocking up to `timeout`
@@ -114,15 +135,17 @@ impl EventLog {
     /// been returned.
     pub fn wait(&self, from: usize, timeout: std::time::Duration) -> (Vec<String>, bool) {
         let mut inner = self.lock();
-        if inner.lines.len() <= from && !inner.closed {
+        if inner.ends.len() <= from && !inner.closed {
             let (guard, _) = self
                 .grew
                 .wait_timeout(inner, timeout)
                 .expect("event log poisoned");
             inner = guard;
         }
-        let fresh = inner.lines.get(from..).unwrap_or_default().to_vec();
-        let done = inner.closed && from + fresh.len() == inner.lines.len();
+        let fresh: Vec<String> = (from..inner.ends.len())
+            .map(|index| inner.line(index).to_owned())
+            .collect();
+        let done = inner.closed && from + fresh.len() == inner.ends.len();
         (fresh, done)
     }
 }

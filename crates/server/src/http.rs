@@ -204,6 +204,7 @@ pub fn reason_phrase(status: u16) -> &'static str {
         409 => "Conflict",
         410 => "Gone",
         429 => "Too Many Requests",
+        503 => "Service Unavailable",
         _ => "Internal Server Error",
     }
 }
@@ -236,28 +237,29 @@ impl Response {
         self
     }
 
-    /// Writes the response (status line, headers, body) to `stream`.
+    /// Writes the response (status line, headers, body) to `stream` in one
+    /// write, so it leaves as one segment rather than a dozen small ones.
     ///
     /// # Errors
     ///
     /// Propagates transport errors.
     pub fn write_to(&self, stream: &mut impl Write) -> io::Result<()> {
-        write!(
-            stream,
+        let mut head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\n",
             self.status,
             reason_phrase(self.status),
             self.content_type,
-        )?;
+        );
         for (name, value) in &self.headers {
-            write!(stream, "{name}: {value}\r\n")?;
+            head.push_str(&format!("{name}: {value}\r\n"));
         }
-        write!(
-            stream,
+        head.push_str(&format!(
             "Content-Length: {}\r\nConnection: close\r\n\r\n",
             self.body.len()
-        )?;
-        stream.write_all(&self.body)?;
+        ));
+        let mut bytes = head.into_bytes();
+        bytes.extend_from_slice(&self.body);
+        stream.write_all(&bytes)?;
         stream.flush()
     }
 }
@@ -310,6 +312,32 @@ mod tests {
         assert!(text.ends_with("\r\n\r\n{}"));
     }
 
+    /// Records the length of every `write` call made on it.
+    #[derive(Default)]
+    struct Writes(Vec<usize>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_leaves_in_one_write() {
+        let response =
+            Response::json(429, "{}".to_owned()).with_header("Retry-After", "1".to_owned());
+        let mut writes = Writes::default();
+        response.write_to(&mut writes).unwrap();
+        let mut bytes = Vec::new();
+        response.write_to(&mut bytes).unwrap();
+        assert_eq!(writes.0, vec![bytes.len()]);
+    }
+
     #[test]
     fn extra_headers_and_reason_phrases_are_emitted() {
         let mut out = Vec::new();
@@ -321,5 +349,6 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
         assert!(text.contains("Retry-After: 7\r\n"));
         assert_eq!(reason_phrase(410), "Gone");
+        assert_eq!(reason_phrase(503), "Service Unavailable");
     }
 }

@@ -41,9 +41,11 @@
 //!   [`CancelToken`], and nothing else does; a `timeout=SECS` parameter
 //!   gives the run's own token a deadline, whose expiry surfaces as status
 //!   `timed_out` and a 409-with-reason on the result endpoint.
-//! * [`Server`] — the accept loop and graceful shutdown: SIGTERM / ctrl-c
-//!   (or `POST /shutdown`) stop the listener, cancel queued jobs, let
-//!   running jobs finish and join the pool.
+//! * [`Server`] — the blocking accept loop, serving at most
+//!   [`MAX_CONNECTIONS`] connections at once (`503` past that), and
+//!   graceful shutdown: SIGTERM / ctrl-c (or `POST /shutdown`) stop the
+//!   listener, cancel queued jobs, let running jobs finish and join the
+//!   pool.
 //! * [`client`] — a tiny blocking HTTP client for the `transyt submit` /
 //!   `transyt status` modes and the integration tests.
 //!
@@ -60,8 +62,8 @@ mod state;
 mod sys;
 
 pub use explore::CancelToken;
-pub use server::{Server, ServerConfig, ServerHandle};
+pub use server::{Server, ServerConfig, ServerHandle, MAX_CONNECTIONS};
 pub use state::{
-    content_hash, CachedModel, GateStats, JobStatus, JobView, PersistenceInfo, ServerState,
-    SubmitError,
+    content_hash, CachedModel, GateStats, JobStatus, JobView, ModelInfo, PersistenceInfo,
+    ServerState, SubmitError,
 };

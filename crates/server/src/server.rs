@@ -1,16 +1,33 @@
 //! The HTTP front end: socket handling, routing and the worker pool.
 
-use std::io::{self, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use transyt_session::json::Value;
 use transyt_session::{Session, TaskSpec};
 
 use crate::http::{Request, Response};
 use crate::state::{JobStatus, JobView, ServerState, SubmitError};
+
+/// Connections served at once, each on a thread of its own. The accept
+/// thread answers a connection past this cap itself, with `503` and
+/// `Retry-After: 1`, and closes it: a flood of idle clients cannot grow the
+/// server's threads without bound. A count rather than a fixed pool,
+/// because an `/events` stream holds its connection for its job's lifetime.
+pub const MAX_CONNECTIONS: usize = 64;
+
+/// How long a connection may take to send its request.
+const READ_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// How long the accept thread waits for a connection it refused to close.
+const REFUSE_LINGER: Duration = Duration::from_millis(10);
+
+/// How often the shutdown watcher looks for SIGTERM / SIGINT.
+const SIGNAL_POLL: Duration = Duration::from_millis(10);
 
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
@@ -122,7 +139,8 @@ impl Server {
     /// SIGINT (ctrl-c) trigger the same graceful shutdown as `POST
     /// /shutdown`: the listener stops accepting, queued jobs are cancelled,
     /// running jobs finish (or observe their fired cancel token), the worker
-    /// pool drains and `run` returns.
+    /// pool drains and `run` returns. Connections still being served are
+    /// not waited for.
     ///
     /// # Errors
     ///
@@ -151,80 +169,166 @@ impl Server {
             let state = Arc::clone(&self.state);
             workers.push(thread::spawn(move || state.worker_loop()));
         }
+        let watcher = {
+            let state = Arc::clone(&self.state);
+            let wake = loopback(self.addr);
+            thread::spawn(move || wake_on_shutdown(&state, wake, watch_signals))
+        };
 
-        // Non-blocking accept so the loop can observe shutdown (from a
-        // signal or `POST /shutdown`) without another connection arriving.
-        self.listener.set_nonblocking(true)?;
-        loop {
-            if self.state.is_shutdown() || (watch_signals && crate::sys::signal_received()) {
-                break;
+        // `accept` blocks; a shutdown wakes it with a connection of its own.
+        let live = Arc::new(AtomicUsize::new(0));
+        let served = loop {
+            let stream = match self.listener.accept() {
+                Ok((stream, _)) => stream,
+                // The peer gave up between its handshake and this accept.
+                Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => continue,
+                Err(e) => break Err(e),
+            };
+            if self.state.is_shutdown() {
+                break Ok(());
             }
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let state = Arc::clone(&self.state);
-                    thread::spawn(move || handle_connection(&state, stream));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) => return Err(e),
+            if live.fetch_add(1, Ordering::SeqCst) >= MAX_CONNECTIONS {
+                live.fetch_sub(1, Ordering::SeqCst);
+                refuse(stream);
+                continue;
             }
-        }
+            let slot = Slot(Arc::clone(&live));
+            let state = Arc::clone(&self.state);
+            // A connection no thread could be started for closes unanswered;
+            // its slot goes with the dropped closure.
+            let _ = thread::Builder::new().spawn(move || {
+                let _slot = slot;
+                handle_connection(&state, stream);
+            });
+        };
 
-        // Idempotent: cancels queued jobs and wakes idle workers.
+        // Idempotent: cancels queued jobs and wakes idle workers and the
+        // watcher.
         self.state.shutdown();
+        watcher.join().expect("shutdown watcher panicked");
         for worker in workers {
             worker.join().expect("worker thread panicked");
         }
-        Ok(())
+        served
     }
 }
 
-fn handle_connection(state: &ServerState, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
+/// One live connection of the [`MAX_CONNECTIONS`] count, released when its
+/// thread ends, however it ends.
+struct Slot(Arc<AtomicUsize>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// The address that reaches a listener bound to `addr`: the loopback
+/// address of its family when it is bound to all interfaces.
+fn loopback(addr: SocketAddr) -> SocketAddr {
+    let mut wake = addr;
+    if addr.ip().is_unspecified() {
+        wake.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    wake
+}
+
+/// Wakes the accept loop once the server is shutting down, by connecting
+/// to it: the loop then sees [`ServerState::is_shutdown`]. No signal wakes
+/// a blocked `accept` (the handlers restart interrupted calls, and std
+/// retries `EINTR`), so with `watch_signals` this thread also turns SIGTERM
+/// and SIGINT into the shutdown.
+fn wake_on_shutdown(state: &ServerState, wake: SocketAddr, watch_signals: bool) {
+    let poll = if watch_signals {
+        SIGNAL_POLL
+    } else {
+        Duration::from_secs(3600)
+    };
+    while !state.wait_shutdown(poll) {
+        if watch_signals && crate::sys::signal_received() {
+            state.shutdown();
+        }
+    }
+    // Bounded: with a full backlog the loop wakes for another connection
+    // anyway, and it joins this thread before it returns.
+    let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+}
+
+/// Answers a connection past [`MAX_CONNECTIONS`] with `503` on the accept
+/// thread, then reads what the client sends until it closes, for at most
+/// [`REFUSE_LINGER`]: a socket closed with unread input is reset, and the
+/// reset could overtake the answer.
+fn refuse(mut stream: TcpStream) {
+    let _ = error_response(503, "too many connections")
+        .with_header("Retry-After", "1".to_owned())
+        .write_to(&mut stream);
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(REFUSE_LINGER));
+    let deadline = Instant::now() + REFUSE_LINGER;
+    let mut sink = [0; 1024];
+    while Instant::now() < deadline && matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
+}
+
+fn handle_connection(state: &ServerState, mut stream: TcpStream) {
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(clone) => clone,
         Err(_) => return,
     });
-    let mut stream = stream;
-    let response = match Request::read_from(&mut reader) {
-        Ok(Some(request)) => {
-            // The events route is the one streaming endpoint: it writes the
-            // response incrementally itself instead of returning one.
-            let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
-            if let ("GET", ["jobs", id, "events"]) = (request.method.as_str(), segments.as_slice())
-            {
-                let _ = match parse_id(id) {
-                    Ok(id) => stream_events(state, &mut stream, id),
-                    Err(response) => response.write_to(&mut stream),
-                };
-                return;
-            }
-            route(state, &request)
-        }
+    let request = match Request::read_from(&mut reader) {
+        Ok(Some(request)) => request,
         Ok(None) => return,
-        Err(e) => error_response(400, &format!("bad request: {e}")),
+        Err(e) => {
+            let _ = error_response(400, &format!("bad request: {e}")).write_to(&mut stream);
+            return;
+        }
     };
-    let _ = response.write_to(&mut stream);
+    let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
+    match (request.method.as_str(), segments.as_slice()) {
+        // The one streaming endpoint: it writes its response incrementally.
+        ("GET", ["jobs", id, "events"]) => {
+            let _ = match parse_id(id) {
+                Ok(id) => stream_events(state, &mut stream, id),
+                Err(response) => response.write_to(&mut stream),
+            };
+        }
+        // Answered before the shutdown starts: from then on the process may
+        // exit at any moment.
+        ("POST", ["shutdown"]) => {
+            let _ = Response::json(
+                200,
+                Value::object().field("status", "shutting down").render() + "\n",
+            )
+            .write_to(&mut stream);
+            state.shutdown();
+        }
+        _ => {
+            let _ = route(state, &request, &segments).write_to(&mut stream);
+        }
+    }
 }
 
 /// Streams a job's event log as server-sent events (`data: <json>\n\n`
 /// frames): a replay of everything logged so far, then live follow until
 /// the terminal event. While the job still waits in the queue the stream
 /// interleaves synthesized `{"type":"queued","position":N}` frames every
-/// time its position improves.
+/// time its position improves. Each frame, and each batch of logged frames,
+/// leaves in one write.
 fn stream_events(state: &ServerState, stream: &mut TcpStream, id: usize) -> io::Result<()> {
     let Some(log) = state.job_events(id) else {
         return error_response(404, &format!("no job {id}")).write_to(stream);
     };
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-    write!(
-        stream,
-        "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\n\
-         Cache-Control: no-cache\r\nConnection: close\r\n\r\n"
+    stream.write_all(
+        b"HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\n\
+          Cache-Control: no-cache\r\nConnection: close\r\n\r\n",
     )?;
     let mut last_position = None;
     let mut from = 0;
+    let mut frames = String::new();
     loop {
         // Queue-position frames are synthesized per connection (they depend
         // on when the subscriber attached); the log itself holds only the
@@ -232,21 +336,20 @@ fn stream_events(state: &ServerState, stream: &mut TcpStream, id: usize) -> io::
         let position = state.queue_position(id);
         if position.is_some() && position != last_position {
             let at = position.unwrap_or_default();
-            write!(
-                stream,
-                "data: {{\"type\":\"queued\",\"position\":{at}}}\n\n"
+            stream.write_all(
+                format!("data: {{\"type\":\"queued\",\"position\":{at}}}\n\n").as_bytes(),
             )?;
-            stream.flush()?;
             last_position = position;
         }
         let (lines, done) = log.wait(from, Duration::from_millis(100));
         from += lines.len();
+        frames.clear();
         for line in &lines {
-            write!(stream, "data: {line}\n\n")?;
+            frames.push_str("data: ");
+            frames.push_str(line);
+            frames.push_str("\n\n");
         }
-        if !lines.is_empty() || done {
-            stream.flush()?;
-        }
+        stream.write_all(frames.as_bytes())?;
         if done {
             return Ok(());
         }
@@ -296,9 +399,8 @@ fn job_document(view: &JobView) -> Value {
     doc
 }
 
-fn route(state: &ServerState, request: &Request) -> Response {
-    let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
-    match (request.method.as_str(), segments.as_slice()) {
+fn route(state: &ServerState, request: &Request, segments: &[&str]) -> Response {
+    match (request.method.as_str(), segments) {
         ("GET", ["healthz"]) => {
             let (queued, running) = state.load();
             let gate = state.gate_stats();
@@ -361,7 +463,7 @@ fn route(state: &ServerState, request: &Request) -> Response {
                     Value::object()
                         .field("hash", model.hash.as_str())
                         .field("name", model.name.as_str())
-                        .field("kind", model.kind.as_str())
+                        .field("kind", model.kind)
                         .field("cached", cached)
                         .render()
                         + "\n",
@@ -376,9 +478,9 @@ fn route(state: &ServerState, request: &Request) -> Response {
                 .map(|m| {
                     Value::object()
                         .field("hash", m.hash.as_str())
-                        .field("name", m.name.as_str())
-                        .field("kind", m.kind.as_str())
-                        .field("bytes", m.text.len())
+                        .field("name", &*m.name)
+                        .field("kind", m.kind)
+                        .field("bytes", m.bytes)
                 })
                 .collect();
             Response::json(200, Value::object().field("models", models).render() + "\n")
@@ -500,13 +602,6 @@ fn route(state: &ServerState, request: &Request) -> Response {
                 ),
                 None => error_response(404, &format!("no job {id}")),
             }
-        }
-        ("POST", ["shutdown"]) => {
-            state.shutdown();
-            Response::json(
-                200,
-                Value::object().field("status", "shutting down").render() + "\n",
-            )
         }
         (_, ["healthz" | "models" | "jobs" | "shutdown", ..]) => {
             error_response(405, "method not allowed")

@@ -17,12 +17,12 @@ use transyt_session::{
     CancelToken, Completion, Outcome, ProgressEvent, ProgressSink, RestoredOutcome, RunControl,
     Session, StoreHook, TaskKey, TaskResult, TaskSpec,
 };
-use transyt_store::{DiskStats, JournalStats, Record, Recovery, Store};
+use transyt_store::{DiskStats, JournalStats, Lsn, Record, Recovery, Store};
 
 use crate::events::{render_progress, EventLog};
 use crate::server::ServerConfig;
 
-pub use transyt_session::CachedModel;
+pub use transyt_session::{CachedModel, ModelInfo};
 pub use transyt_store::JobStatus;
 
 /// A job's externally visible state.
@@ -54,22 +54,34 @@ pub struct JobView {
     pub recovered: bool,
 }
 
+/// One row of the job table. A finished job keeps nothing of its run but
+/// its result while the store holds it: its key is recomputed from the
+/// spec, its cancel token is the inert default, and its progress log goes
+/// once only its terminal frame is left to stream.
 struct Job {
     spec: TaskSpec,
-    key: TaskKey,
-    model_name: String,
+    /// Shared with the session's listing of the model.
+    model_name: Arc<str>,
     status: JobStatus,
     result: Option<Arc<TaskResult>>,
     evicted: bool,
+    /// Fired by a cancel request while the job is queued or running.
     cancel: CancelToken,
     recovered: bool,
-    events: Arc<EventLog>,
+    /// The progress log, while the job can still append to it or holds a
+    /// result with it; `None` once its stream is the terminal frame alone,
+    /// which [`ServerState::job_events`] renders on demand.
+    events: Option<Arc<EventLog>>,
+}
+
+/// The last frame of every event stream.
+fn terminal_frame(status: &JobStatus) -> String {
+    format!("{{\"type\":\"terminal\",\"status\":\"{status}\"}}")
 }
 
 impl Job {
-    fn new(spec: TaskSpec, model_name: String) -> Job {
+    fn new(spec: TaskSpec, model_name: Arc<str>) -> Job {
         Job {
-            key: spec.key(),
             spec,
             model_name,
             status: JobStatus::Queued,
@@ -77,7 +89,7 @@ impl Job {
             evicted: false,
             cancel: CancelToken::new(),
             recovered: false,
-            events: Arc::new(EventLog::new()),
+            events: Some(Arc::new(EventLog::new())),
         }
     }
 
@@ -85,8 +97,8 @@ impl Job {
         JobView {
             id,
             spec: self.spec.clone(),
-            key: self.key.clone(),
-            model_name: self.model_name.clone(),
+            key: self.spec.key(),
+            model_name: self.model_name.to_string(),
             status: self.status.clone(),
             result: self.result.clone(),
             error: match &self.status {
@@ -108,13 +120,19 @@ impl Job {
         }
     }
 
-    /// Appends the terminal marker and seals the job's event stream.
-    fn close_events(&self) {
-        self.events.push(format!(
-            "{{\"type\":\"terminal\",\"status\":\"{}\"}}",
-            self.status
-        ));
-        self.events.close();
+    /// Moves the job to a terminal `status`: its token goes inert, and its
+    /// event stream gets the terminal marker and is sealed. A log holding
+    /// nothing else is dropped (subscribers keep theirs).
+    fn end(&mut self, status: JobStatus) {
+        self.status = status;
+        self.cancel = CancelToken::default();
+        if let Some(log) = self.events.take() {
+            log.push(terminal_frame(&self.status));
+            log.close();
+            if log.len() > 1 {
+                self.events = Some(log);
+            }
+        }
     }
 }
 
@@ -126,6 +144,8 @@ struct Inner {
     recent: LatencyRing,
     /// Job ids holding a result, least recently accessed first.
     access: Vec<usize>,
+    /// Jobs a worker is running.
+    running: usize,
     shutdown: bool,
 }
 
@@ -253,6 +273,8 @@ pub struct ServerState {
     persist: Option<Arc<Store>>,
     inner: Mutex<Inner>,
     work: Condvar,
+    /// Signalled once by [`shutdown`](ServerState::shutdown).
+    stopped: Condvar,
 }
 
 impl ServerState {
@@ -274,9 +296,11 @@ impl ServerState {
                 queue: VecDeque::new(),
                 recent: LatencyRing::default(),
                 access: Vec::new(),
+                running: 0,
                 shutdown: false,
             }),
             work: Condvar::new(),
+            stopped: Condvar::new(),
         }
     }
 
@@ -337,31 +361,31 @@ impl ServerState {
                 Err(e) => (TaskSpec::verify(&recovered.model), Some(e.to_string())),
             };
             let model_name = session
-                .model(&recovered.model)
+                .model_info(&recovered.model)
                 .map(|m| m.name)
-                .unwrap_or_else(|| recovered.model.clone());
+                .unwrap_or_else(|| Arc::from(recovered.model.as_str()));
             let mut job = Job {
                 evicted: recovered.evicted,
                 recovered: true,
                 ..Job::new(spec, model_name)
             };
             match spec_error {
-                Some(error) => {
-                    job.status = JobStatus::Failed {
-                        error: format!("unrecoverable journaled spec: {error}"),
-                    };
-                }
+                Some(error) => job.end(JobStatus::Failed {
+                    error: format!("unrecoverable journaled spec: {error}"),
+                }),
                 // Queued or running at the kill. Re-admitted without the
                 // depth check: the job was admitted before the restart.
                 None if !recovered.status.is_terminal() => queue.push_back(id),
                 None => {
-                    job.status = recovered.status.clone();
+                    // A terminal recovered job's event stream is already
+                    // over: subscribers get the terminal marker at once.
+                    job.end(recovered.status.clone());
                     if matches!(job.status, JobStatus::Done { .. }) && !job.evicted {
-                        match persist.result(&job.key) {
+                        match persist.result(&job.spec.key()) {
                             Some(doc) => {
                                 job.result = Some(Arc::new(TaskResult {
                                     outcome: Ok(Outcome::Restored(RestoredOutcome {
-                                        model: job.model_name.clone(),
+                                        model: job.model_name.to_string(),
                                         command: job.spec.command,
                                     })),
                                     text: doc.text,
@@ -372,11 +396,6 @@ impl ServerState {
                         }
                     }
                 }
-            }
-            if job.status.is_terminal() {
-                // A terminal recovered job's event stream is already over:
-                // subscribers get the terminal marker immediately.
-                job.close_events();
             }
             jobs.push(job);
         }
@@ -396,6 +415,7 @@ impl ServerState {
                 queue,
                 recent: LatencyRing::default(),
                 access,
+                running: 0,
                 shutdown: false,
             }),
             ..ServerState::new(session, config)
@@ -415,10 +435,10 @@ impl ServerState {
                     .jobs
                     .iter()
                     .filter(|job| matches!(job.status, JobStatus::Done { .. }) && !job.evicted)
-                    .map(|job| job.key.fingerprint())
+                    .map(|job| job.spec.key().fingerprint())
                     .collect();
                 persist.remove_unreferenced(&referenced);
-                if let Err(e) = persist.compact(&state.snapshot(&inner)) {
+                if let Err(e) = persist.compact(state.snapshot(&inner)) {
                     eprintln!("transyt-server: journal compaction failed: {e}");
                 }
             }
@@ -435,39 +455,47 @@ impl ServerState {
         })
     }
 
-    /// Appends one journal record, best effort: a full disk degrades
-    /// durability, never availability.
-    fn journal(&self, record: &Record) {
+    /// Writes one journal record, best effort: a full disk degrades
+    /// durability, never availability. The record is durable once a
+    /// [`commit`](Self::commit) to its place returns; writing does not
+    /// wait for the disk, so it may happen under the state lock.
+    fn journal(&self, record: &Record) -> Lsn {
+        let Some(store) = &self.persist else {
+            return Lsn::default();
+        };
+        store.write(record).unwrap_or_else(|e| {
+            eprintln!("transyt-server: journal write failed: {e}");
+            Lsn::default()
+        })
+    }
+
+    /// Waits until the journal is durable up to `lsn` (the next commit
+    /// tick). Never called under the state lock.
+    fn commit(&self, lsn: Lsn) {
         if let Some(store) = &self.persist {
-            if let Err(e) = store.append(record) {
-                eprintln!("transyt-server: journal write failed: {e}");
+            if let Err(e) = store.commit(lsn) {
+                eprintln!("transyt-server: journal sync failed: {e}");
             }
         }
     }
 
-    /// The compacted journal image of the current state: the model
-    /// records, then per job its `job` record, the status it has reached
-    /// and its eviction.
-    fn snapshot(&self, inner: &Inner) -> Vec<Record> {
-        let mut records: Vec<Record> = self
-            .session
-            .models()
-            .into_iter()
+    /// The compacted journal image of the current state, drawn record by
+    /// record: the model records, then per job its `job` record, the status
+    /// it has reached and its eviction.
+    fn snapshot<'a>(&self, inner: &'a Inner) -> impl Iterator<Item = Record> + 'a {
+        let models = self.session.models().into_iter();
+        let jobs = inner.jobs.iter().enumerate().flat_map(|(id, job)| {
+            let status = (job.status != JobStatus::Queued).then(|| Record::Status {
+                id,
+                status: job.status.clone(),
+            });
+            std::iter::once(job.job_record(id))
+                .chain(status)
+                .chain(job.evicted.then_some(Record::Evict { id }))
+        });
+        models
             .map(|model| Record::Model { hash: model.hash })
-            .collect();
-        for (id, job) in inner.jobs.iter().enumerate() {
-            records.push(job.job_record(id));
-            if job.status != JobStatus::Queued {
-                records.push(Record::Status {
-                    id,
-                    status: job.status.clone(),
-                });
-            }
-            if job.evicted {
-                records.push(Record::Evict { id });
-            }
-        }
-        records
+            .chain(jobs)
     }
 
     /// Rewrites the journal to the compacted image once its size trigger
@@ -483,7 +511,7 @@ impl ServerState {
             return;
         }
         let inner = self.lock();
-        if let Err(e) = store.compact(&self.snapshot(&inner)) {
+        if let Err(e) = store.compact(self.snapshot(&inner)) {
             eprintln!("transyt-server: journal compaction failed: {e}");
         }
     }
@@ -509,13 +537,13 @@ impl ServerState {
     }
 
     /// The interned models, oldest first.
-    pub fn models(&self) -> Vec<CachedModel> {
+    pub fn models(&self) -> Vec<ModelInfo> {
         self.session.models()
     }
 
     /// Looks an interned model up by content hash.
-    pub fn model(&self, hash: &str) -> Option<CachedModel> {
-        self.session.model(hash)
+    pub fn model(&self, hash: &str) -> Option<ModelInfo> {
+        self.session.model_info(hash)
     }
 
     /// Enqueues a job at the back of the queue. Returns its id, or a
@@ -529,7 +557,7 @@ impl ServerState {
     pub fn submit(&self, spec: TaskSpec) -> Result<usize, SubmitError> {
         let model_name = self
             .session
-            .model(&spec.model)
+            .model_info(&spec.model)
             .map(|m| m.name)
             .ok_or_else(|| SubmitError::Refused(format!("unknown model hash `{}`", spec.model)))?;
         let mut inner = self.lock();
@@ -541,27 +569,24 @@ impl ServerState {
         // client gets told when capacity is likely to be back.
         let queued = inner.queue.len();
         if queued >= self.queue_depth {
-            let running = inner
-                .jobs
-                .iter()
-                .filter(|j| j.status == JobStatus::Running)
-                .count();
             return Err(SubmitError::Busy {
-                retry_after: retry_after(&inner.recent, queued, running, self.workers),
+                retry_after: retry_after(&inner.recent, queued, inner.running, self.workers),
                 queued,
             });
         }
         let id = inner.jobs.len();
         // Journaled under the lock that assigned the id: replay requires
         // `job` records in dense id order, so two racing submissions must
-        // not interleave their appends. The record is also durable before
-        // the id is revealed to the client.
+        // not interleave their appends. The record is durable before the id
+        // is revealed to the client; a worker may start meanwhile, and its
+        // own records land after this one.
         let job = Job::new(spec, model_name);
-        self.journal(&job.job_record(id));
+        let lsn = self.journal(&job.job_record(id));
         inner.jobs.push(job);
         inner.queue.push_back(id);
         drop(inner);
         self.work.notify_one();
+        self.commit(lsn);
         self.maybe_compact();
         Ok(id)
     }
@@ -572,9 +597,17 @@ impl ServerState {
         self.lock().queue.iter().position(|&queued| queued == id)
     }
 
-    /// The live event stream of a job, if the id exists.
+    /// The live event stream of a job, if the id exists. A finished job
+    /// that kept no log gets a closed one holding its terminal frame.
     pub fn job_events(&self, id: usize) -> Option<Arc<EventLog>> {
-        self.lock().jobs.get(id).map(|job| Arc::clone(&job.events))
+        let inner = self.lock();
+        let job = inner.jobs.get(id)?;
+        Some(job.events.clone().unwrap_or_else(|| {
+            let log = EventLog::new();
+            log.push(terminal_frame(&job.status));
+            log.close();
+            Arc::new(log)
+        }))
     }
 
     /// Queue and latency counters for `/healthz`.
@@ -639,16 +672,15 @@ impl ServerState {
     pub fn cancel(&self, id: usize) -> Option<JobStatus> {
         let mut inner = self.lock();
         let job = inner.jobs.get_mut(id)?;
+        let mut lsn = Lsn::default();
         match job.status {
             JobStatus::Queued => {
-                job.status = JobStatus::Cancelled;
-                job.cancel.cancel();
-                job.close_events();
+                job.end(JobStatus::Cancelled);
                 inner.queue.retain(|&queued| queued != id);
                 // A queued job's cancellation is its terminal record (a
                 // running one's is written by the worker when the run
                 // returns).
-                self.journal(&Record::Status {
+                lsn = self.journal(&Record::Status {
                     id,
                     status: JobStatus::Cancelled,
                 });
@@ -660,28 +692,33 @@ impl ServerState {
             }
             _ => {}
         }
-        Some(inner.jobs[id].status.clone())
+        let status = inner.jobs[id].status.clone();
+        drop(inner);
+        self.commit(lsn);
+        Some(status)
     }
 
-    /// Asks the worker pool (and the accept loop polling
-    /// [`is_shutdown`](Self::is_shutdown)) to stop. Running jobs finish
+    /// Asks the worker pool (and the accept loop, woken by a watcher of
+    /// [`wait_shutdown`](Self::wait_shutdown)) to stop. Running jobs finish
     /// (or observe their cancel token); queued jobs are cancelled.
     pub fn shutdown(&self) {
         let mut inner = self.lock();
         inner.shutdown = true;
+        let mut lsn = Lsn::default();
         for id in std::mem::take(&mut inner.queue) {
             let job = &mut inner.jobs[id];
             if job.status == JobStatus::Queued {
-                job.status = JobStatus::Cancelled;
-                job.close_events();
-                self.journal(&Record::Status {
+                job.end(JobStatus::Cancelled);
+                lsn = self.journal(&Record::Status {
                     id,
                     status: JobStatus::Cancelled,
                 });
             }
         }
         drop(inner);
+        self.commit(lsn);
         self.work.notify_all();
+        self.stopped.notify_all();
     }
 
     /// Returns `true` once [`shutdown`](Self::shutdown) has been called.
@@ -689,37 +726,36 @@ impl ServerState {
         self.lock().shutdown
     }
 
+    /// Blocks until [`shutdown`](Self::shutdown) has been called or
+    /// `timeout` has passed; returns whether it has been called.
+    pub fn wait_shutdown(&self, timeout: Duration) -> bool {
+        let inner = self.lock();
+        let (inner, _) = self
+            .stopped
+            .wait_timeout_while(inner, timeout, |inner| !inner.shutdown)
+            .expect("server state poisoned");
+        inner.shutdown
+    }
+
     /// Counts of (queued, running) jobs.
     pub fn load(&self) -> (usize, usize) {
         let inner = self.lock();
-        let queued = inner
-            .jobs
-            .iter()
-            .filter(|j| j.status == JobStatus::Queued)
-            .count();
-        let running = inner
-            .jobs
-            .iter()
-            .filter(|j| j.status == JobStatus::Running)
-            .count();
-        (queued, running)
+        (inner.queue.len(), inner.running)
     }
 
     /// Drops one job's result from memory — and, on a durable server, from
     /// disk: the stored file goes too (unless another live `done` job
-    /// shares the same key) and an `evict` record makes the eviction
-    /// survive a restart, so the job answers 410 afterwards instead of
-    /// resurrecting. The job's progress log goes too: from now on its
-    /// `/events` stream is the terminal frame alone, as a recovered job's
-    /// is (a connection already streaming reads the old log to its end).
+    /// shares it) and an `evict` record makes the eviction survive a
+    /// restart, so the job answers 410 afterwards instead of resurrecting.
+    /// The job's progress log goes too: from now on its `/events` stream is
+    /// the terminal frame alone, as a recovered job's is (a connection
+    /// already streaming reads the old log to its end).
     fn evict_one(&self, inner: &mut Inner, id: usize) {
         let job = &mut inner.jobs[id];
         job.result = None;
         job.evicted = true;
-        job.events = Arc::new(EventLog::new());
-        job.close_events();
+        job.events = None;
         let was_done = matches!(job.status, JobStatus::Done { .. });
-        let key = job.key.clone();
         inner.access.retain(|&j| j != id);
         if !was_done {
             // Partial documents of failed / cancelled / timed-out jobs are
@@ -727,15 +763,17 @@ impl ServerState {
             return;
         }
         if let Some(store) = &self.persist {
-            let shared = inner.jobs.iter().enumerate().any(|(other, job)| {
-                other != id
-                    && matches!(job.status, JobStatus::Done { .. })
-                    && !job.evicted
-                    && job.key == key
+            let fingerprint = inner.jobs[id].spec.key().fingerprint();
+            // A job is `done` and unevicted exactly when it holds a result
+            // in `access`, so the result store is all there is to scan.
+            let shared = inner.access.iter().any(|&other| {
+                matches!(&inner.jobs[other].status, JobStatus::Done { result } if *result == fingerprint)
             });
             if !shared {
-                store.remove_result(&key.fingerprint());
+                store.remove_result(&fingerprint);
             }
+            // Not waited for: a restart that misses this record finds the
+            // file gone and marks the job evicted all the same.
             self.journal(&Record::Evict { id });
         }
     }
@@ -752,10 +790,10 @@ impl ServerState {
     ) {
         let mut inner = self.lock();
         inner.recent.record(elapsed);
+        inner.running -= 1;
         let job = &mut inner.jobs[id];
-        job.status = status;
         job.result = result;
-        job.close_events();
+        job.end(status);
         // Every stored result — including the partial documents of failed,
         // cancelled and timed-out jobs — enters the store, so the LRU cap
         // bounds *all* retained documents, not just those of `done` jobs.
@@ -783,14 +821,11 @@ impl ServerState {
                     // Skip ids whose job was cancelled while queued.
                     match inner.queue.pop_front() {
                         Some(id) if inner.jobs[id].status == JobStatus::Queued => {
-                            inner.jobs[id].status = JobStatus::Running;
-                            let job = &inner.jobs[id];
-                            break (
-                                id,
-                                job.spec.clone(),
-                                job.cancel.clone(),
-                                Arc::clone(&job.events),
-                            );
+                            inner.running += 1;
+                            let job = &mut inner.jobs[id];
+                            job.status = JobStatus::Running;
+                            let events = job.events.clone().expect("a queued job has a log");
+                            break (id, job.spec.clone(), job.cancel.clone(), events);
                         }
                         Some(_) => continue,
                         None => inner = self.work.wait(inner).expect("server state poisoned"),
@@ -799,7 +834,8 @@ impl ServerState {
             };
             // A `run` record turns "queued at the crash" into "running at
             // the crash" — recovery re-enqueues both, but operators see
-            // which jobs actually lost work.
+            // which jobs actually lost work. Not waited for: the terminal
+            // record's commit covers it.
             self.journal(&Record::Status {
                 id,
                 status: JobStatus::Running,
@@ -868,10 +904,11 @@ impl ServerState {
                         eprintln!("transyt-server: persisting result of job {id}: {e}");
                     }
                 }
-                self.journal(&Record::Status {
+                let lsn = self.journal(&Record::Status {
                     id,
                     status: status.clone(),
                 });
+                self.commit(lsn);
             }
             self.finish(id, status, result, started.elapsed());
             self.maybe_compact();
@@ -1173,6 +1210,40 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Two `done` duplicates share one stored file. At a cap of one the
+    /// second's result evicts the first, and the file stays: the second
+    /// still holds it, and serves it again after a restart.
+    #[test]
+    fn evicting_one_of_two_duplicates_keeps_their_file() {
+        let dir = test_data_dir("duplicates");
+        let state = durable_state(&dir, 1);
+        let (model, _) = state.upload_model(RACE).unwrap();
+        let spec = TaskSpec::verify(&model.hash).with_trace(true);
+        let first = state.submit(spec.clone()).unwrap();
+        let second = state.submit(spec.clone()).unwrap();
+        drain(&state);
+        assert_eq!(state.evicted_jobs(), vec![first]);
+        let file = dir
+            .join("results")
+            .join(format!("{}.res", spec.key().fingerprint()));
+        assert!(file.exists(), "evicting a duplicate took its twin's file");
+        let document = state
+            .fetch_result(second)
+            .unwrap()
+            .1
+            .unwrap()
+            .document
+            .clone();
+        drop(state);
+
+        let state = durable_state(&dir, 1);
+        assert!(state.job(first).unwrap().evicted);
+        let (view, result) = state.fetch_result(second).unwrap();
+        assert!(!view.evicted);
+        assert_eq!(result.unwrap().document, document);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// A data dir holding one job in each terminal state, an evicted `done`
     /// job and a queued one, as a previous server journaled them. A restart
     /// restores each job's status with its payload, its error and its
@@ -1219,7 +1290,7 @@ mod tests {
             .unwrap();
         for (id, (spec, status)) in specs.iter().zip(&journaled).enumerate() {
             persist
-                .append(&Job::new(spec.clone(), String::new()).job_record(id))
+                .append(&Job::new(spec.clone(), Arc::from("")).job_record(id))
                 .unwrap();
             if status.is_terminal() {
                 for status in [JobStatus::Running, status.clone()] {
@@ -1656,11 +1727,9 @@ mod tests {
             state.job(over_budget).unwrap().status.word(),
             "budget_exceeded"
         );
-        // Neither a deadline nor a budget breach fires a job's own token:
-        // that token fires only on a cancel request.
-        for id in [timed_out, over_budget] {
-            assert!(!state.lock().jobs[id].cancel.is_cancelled(), "job {id}");
-        }
+        // Neither a deadline nor a budget breach fires a job's own token
+        // (that token fires only on a cancel request): a fired one would
+        // have made both statuses above `cancelled`.
         // Partial results leave no file and no `done` line.
         let results = std::fs::read_dir(dir.join("results")).unwrap().count();
         assert_eq!(results, 0);

@@ -8,8 +8,9 @@
 //!
 //! * [`format`](mod@format) — the `.stg` / `.tts` textual model formats
 //!   (parser and canonical printer; grammar in `docs/FILE_FORMATS.md`).
-//! * [`Session`] — owns parsed models, interned by content hash
-//!   ([`Session::add_model`]); runs [`TaskSpec`]s against them.
+//! * [`Session`] — interns model texts by content hash
+//!   ([`Session::add_model`]), keeps the [`MODEL_CACHE`] most recently used
+//!   parsed, and runs [`TaskSpec`]s against them.
 //! * [`TaskSpec`] — a typed task description (`verify` / `reach` / `zones`
 //!   × exact / trace / limit / deadline) with one textual
 //!   lowering ([`TaskSpec::parse`]) shared by the CLI's flags and the
@@ -64,8 +65,8 @@ pub use outcome::{
 };
 pub use persist::{StoreHook, StoredResult};
 pub use session::{
-    content_hash, CachedModel, Completion, RunControl, Session, SessionError, SessionStats,
-    TaskResult,
+    content_hash, CachedModel, Completion, ModelInfo, RunControl, Session, SessionError,
+    SessionStats, TaskResult, MODEL_CACHE,
 };
 pub use task::{
     SpecError, TaskCommand, TaskKey, TaskSpec, REACH_DEFAULT_LIMIT, ZONES_DEFAULT_LIMIT,

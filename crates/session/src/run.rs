@@ -179,6 +179,8 @@ fn run_zones(
     // unreachable it has already explored the whole space and carries the
     // exact report, so the summary comes for free; only a found witness
     // (which halts the search early) needs the separate full exploration.
+    // That one charges a meter of its own, so it meets the budget an
+    // untraced run meets and the witness search's zone bytes count once.
     let goal = if ts.has_marked_states() {
         WitnessGoal::Violation
     } else {
@@ -188,9 +190,13 @@ fn run_zones(
         WitnessGoal::Violation => "violating state",
         WitnessGoal::Deadlock => "deadlock state",
     };
-    let (outcome, witness) = match find_witness(&timed, zone_options.clone(), goal) {
+    let (outcome, witness) = match find_witness(&timed, zone_options, goal) {
         WitnessOutcome::Found(trace) => {
-            let outcome = dbm::explore_timed_with(&timed, zone_options);
+            let full = ExploreSpec {
+                budget: spec.budget_meter(),
+                ..explore.clone()
+            };
+            let outcome = dbm::explore_timed_with(&timed, ZoneExplorationOptions { spec: full });
             let windows = trace.firing_windows(&timed).unwrap_or_default();
             let (start, _) = trace.start();
             let mut steps = Vec::new();

@@ -26,9 +26,14 @@ pub fn content_hash(text: &str) -> String {
     format!("{hash:016x}")
 }
 
-/// A model interned in a [`Session`]: the raw text, validation metadata and
-/// the parsed form, addressed by the FNV-1a hash of the text so re-uploads
-/// are free and tasks can name models without re-sending them.
+/// Parsed models a [`Session`] keeps resident, like its memo of results:
+/// the most recently used ones. Every interned text stays; a model that
+/// fell out of this cache is parsed again from it when a run needs it.
+pub const MODEL_CACHE: usize = 64;
+
+/// A model interned in a [`Session`] with its parsed form, addressed by the
+/// FNV-1a hash of its text so re-uploads are free and tasks can name models
+/// without re-sending them.
 #[derive(Debug, Clone)]
 pub struct CachedModel {
     /// Content hash (16 hex digits).
@@ -36,11 +41,24 @@ pub struct CachedModel {
     /// The model's declared name.
     pub name: String,
     /// The model kind: `"stg"` or `"tts"`.
-    pub kind: String,
-    /// The raw model text as interned.
-    pub text: String,
-    /// The parsed model (parsed once, shared by every run against it).
+    pub kind: &'static str,
+    /// The parsed model, shared by every run against it while it stays in
+    /// the session's cache of [`MODEL_CACHE`] parsed models.
     pub model: Arc<Model>,
+}
+
+/// What a [`Session`] keeps of every model it interned, without the parsed
+/// form: what a listing shows.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ModelInfo {
+    /// Content hash (16 hex digits).
+    pub hash: String,
+    /// The model's declared name, shared by every copy of this listing.
+    pub name: Arc<str>,
+    /// The model kind: `"stg"` or `"tts"`.
+    pub kind: &'static str,
+    /// Length of the interned text in bytes.
+    pub bytes: usize,
 }
 
 /// Why a task could not produce an [`Outcome`].
@@ -146,20 +164,74 @@ struct RunShared {
     finished: Condvar,
 }
 
+/// One interned model: its listing and the text it is parsed from.
+struct Interned {
+    info: ModelInfo,
+    text: Arc<str>,
+}
+
 struct Inner {
-    models: Vec<CachedModel>,
+    /// Every interned model, oldest first.
+    models: Vec<Interned>,
+    /// Parsed forms of at most [`MODEL_CACHE`] of them, by index into
+    /// `models`, least recently used first.
+    parsed: VecDeque<(usize, Arc<Model>)>,
     inflight: HashMap<TaskKey, Arc<RunShared>>,
     memo: VecDeque<(TaskKey, Arc<TaskResult>)>,
     stats: SessionStats,
     store: Option<Arc<dyn StoreHook>>,
 }
 
+impl Inner {
+    fn position(&self, hash: &str) -> Option<usize> {
+        self.models.iter().position(|m| m.info.hash == hash)
+    }
+
+    /// The cached parsed form of model `index`, now the most recently used.
+    fn cached(&mut self, index: usize) -> Option<Arc<Model>> {
+        let at = self
+            .parsed
+            .iter()
+            .position(|(cached, _)| *cached == index)?;
+        let entry = self.parsed.remove(at).expect("position in range");
+        let model = Arc::clone(&entry.1);
+        self.parsed.push_back(entry);
+        Some(model)
+    }
+
+    /// Caches `model` as the parsed form of model `index`, evicting the
+    /// least recently used one at [`MODEL_CACHE`]. A form another thread
+    /// cached first wins, so every caller shares one.
+    fn remember(&mut self, index: usize, model: Arc<Model>) -> Arc<Model> {
+        if let Some(cached) = self.cached(index) {
+            return cached;
+        }
+        if self.parsed.len() >= MODEL_CACHE {
+            self.parsed.pop_front();
+        }
+        self.parsed.push_back((index, Arc::clone(&model)));
+        model
+    }
+
+    fn entry(&self, index: usize, model: Arc<Model>) -> CachedModel {
+        let info = &self.models[index].info;
+        CachedModel {
+            hash: info.hash.clone(),
+            name: info.name.to_string(),
+            kind: info.kind,
+            model,
+        }
+    }
+}
+
 /// An embedding-friendly handle on the verification stack: a `Session` owns
-/// parsed models (interned by content hash) and runs [`TaskSpec`]s against
-/// them, deduplicating identical submissions into one underlying run.
+/// models (interned by content hash) and runs [`TaskSpec`]s against them,
+/// deduplicating identical submissions into one underlying run.
 ///
 /// * [`add_model`](Session::add_model) / [`insert_model`](Session::insert_model)
-///   intern a model once; every task names it by hash.
+///   intern a model once; every task names it by hash. Its text stays for
+///   the session's lifetime, its parsed form while it is among the
+///   [`MODEL_CACHE`] most recently used.
 /// * [`run`](Session::run) is the simple blocking entry point;
 ///   [`run_task`](Session::run_task) adds cancellation and progress events.
 /// * Two calls whose specs share a [`TaskKey`] are served by a single run:
@@ -223,6 +295,7 @@ impl Session {
         Session {
             inner: Mutex::new(Inner {
                 models: Vec::new(),
+                parsed: VecDeque::new(),
                 inflight: HashMap::new(),
                 memo: VecDeque::new(),
                 stats: SessionStats::default(),
@@ -256,7 +329,7 @@ impl Session {
             return Ok((existing, true));
         }
         let model = Model::parse(text)?;
-        Ok(self.intern(hash, text.to_owned(), model))
+        Ok(self.intern(hash, text, model))
     }
 
     /// Interns an already-parsed model under the hash of its canonical text
@@ -264,41 +337,70 @@ impl Session {
     pub fn insert_model(&self, model: Model) -> CachedModel {
         let text = model.to_text();
         let hash = content_hash(&text);
-        self.intern(hash, text, model).0
+        self.intern(hash, &text, model).0
     }
 
     /// Double-checked interning under the session lock. Returns the entry
     /// and `true` when the hash was already interned (possibly by another
     /// thread racing this call).
-    fn intern(&self, hash: String, text: String, model: Model) -> (CachedModel, bool) {
-        let entry = CachedModel {
-            hash: hash.clone(),
-            name: model.name.clone(),
-            kind: kind_of(&model).to_owned(),
-            text,
-            model: Arc::new(model),
+    fn intern(&self, hash: String, text: &str, model: Model) -> (CachedModel, bool) {
+        let info = ModelInfo {
+            hash,
+            name: Arc::from(model.name.as_str()),
+            kind: kind_of(&model),
+            bytes: text.len(),
         };
+        let model = Arc::new(model);
         let mut inner = self.lock();
-        if let Some(existing) = inner.models.iter().find(|m| m.hash == hash) {
-            return (existing.clone(), true);
+        if let Some(index) = inner.position(&info.hash) {
+            let model = inner.remember(index, model);
+            return (inner.entry(index, model), true);
         }
-        inner.models.push(entry.clone());
+        inner.models.push(Interned {
+            info,
+            text: Arc::from(text),
+        });
+        let index = inner.models.len() - 1;
+        let model = inner.remember(index, model);
+        let entry = inner.entry(index, model);
         let hook = inner.store.as_ref().map(Arc::clone);
         drop(inner);
         if let Some(hook) = hook {
-            hook.save_model(&entry.hash, &entry.text);
+            hook.save_model(&entry.hash, text);
         }
         (entry, false)
     }
 
     /// The interned models, oldest first.
-    pub fn models(&self) -> Vec<CachedModel> {
-        self.lock().models.clone()
+    pub fn models(&self) -> Vec<ModelInfo> {
+        self.lock().models.iter().map(|m| m.info.clone()).collect()
     }
 
-    /// Looks an interned model up by content hash.
+    /// Looks an interned model up by content hash, without parsing it.
+    pub fn model_info(&self, hash: &str) -> Option<ModelInfo> {
+        let inner = self.lock();
+        let index = inner.position(hash)?;
+        Some(inner.models[index].info.clone())
+    }
+
+    /// Looks an interned model up by content hash, with its parsed form:
+    /// from the cache of [`MODEL_CACHE`] parsed models, or parsed again
+    /// from the interned text (outside the session lock) and cached.
     pub fn model(&self, hash: &str) -> Option<CachedModel> {
-        self.lock().models.iter().find(|m| m.hash == hash).cloned()
+        let mut inner = self.lock();
+        let index = inner.position(hash)?;
+        if let Some(model) = inner.cached(index) {
+            return Some(inner.entry(index, model));
+        }
+        let text = Arc::clone(&inner.models[index].text);
+        drop(inner);
+        // Parsing is deterministic and the text parsed when it was
+        // interned (a model inserted in code through its printed text,
+        // which the format's round-trip properties pin).
+        let model = Arc::new(Model::parse(&text).ok()?);
+        let mut inner = self.lock();
+        let model = inner.remember(index, model);
+        Some(inner.entry(index, model))
     }
 
     /// The session's deduplication counters.
@@ -376,10 +478,8 @@ impl Session {
                 if let Some(stored) = hook.load_result(&key) {
                     inner.stats.store_hits += 1;
                     let model = inner
-                        .models
-                        .iter()
-                        .find(|m| m.hash == spec.model)
-                        .map(|m| m.name.clone())
+                        .position(&spec.model)
+                        .map(|index| inner.models[index].info.name.to_string())
                         .unwrap_or_else(|| spec.model.clone());
                     let result = Arc::new(TaskResult {
                         outcome: Ok(Outcome::Restored(RestoredOutcome {
@@ -541,6 +641,7 @@ fn kind_of(model: &Model) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::outcome::ZoneWitness;
 
     const RACE: &str = "tts race\n\
          state s0 s0\n\
@@ -736,6 +837,73 @@ mod tests {
                 store_hits: 0,
             }
         );
+    }
+
+    #[test]
+    fn at_most_model_cache_parsed_models_stay_resident() {
+        let session = Session::new();
+        let texts: Vec<String> = (0..100)
+            .map(|n| RACE.replace("delay slow [5,9]", &format!("delay slow [5,{}]", 9 + n)))
+            .collect();
+        let parsed: Vec<std::sync::Weak<Model>> = texts
+            .iter()
+            .map(|text| {
+                let (cached, interned) = session.add_model(text).unwrap();
+                assert!(!interned);
+                Arc::downgrade(&cached.model)
+            })
+            .collect();
+        assert_eq!(session.models().len(), 100);
+        // Only the most recently used parsed forms are still alive.
+        let resident: Vec<bool> = parsed.iter().map(|m| m.strong_count() > 0).collect();
+        assert_eq!(resident.iter().filter(|&&alive| alive).count(), MODEL_CACHE);
+        assert!(resident[100 - MODEL_CACHE..].iter().all(|&alive| alive));
+
+        // A job on the first model parses it again from its interned text,
+        // to the document a session that never dropped it gives.
+        let spec = TaskSpec::verify(content_hash(&texts[0])).with_trace(true);
+        let document = |session: &Session| match session.run_task(&spec, RunControl::default()) {
+            Completion::Finished(result) => result.document.clone(),
+            Completion::Detached => unreachable!("the inert token never detaches"),
+        };
+        let fresh = Session::new();
+        fresh.add_model(&texts[0]).unwrap();
+        assert_eq!(document(&session), document(&fresh));
+        assert_eq!(
+            session.model_info(&spec.model).unwrap().bytes,
+            texts[0].len()
+        );
+    }
+
+    #[test]
+    fn a_traced_zones_run_meets_the_budget_an_untraced_run_meets() {
+        // The witness search and the full exploration after it charge zone
+        // bytes to meters of their own. Sharing one, the traced run ended
+        // over a 150-byte budget that the untraced run completes within.
+        let session = Session::new();
+        let (cached, _) = session
+            .add_model(include_str!("../../../models/race_overlap.tts"))
+            .unwrap();
+        for budget in [100, 150, 250] {
+            let run = |trace: bool| {
+                let spec = TaskSpec::zones(&cached.hash)
+                    .max_zone_bytes(budget)
+                    .with_trace(trace);
+                session.run(&spec).unwrap()
+            };
+            match (run(false), run(true)) {
+                (Outcome::BudgetExceeded(untraced), Outcome::BudgetExceeded(traced))
+                    if budget == 100 =>
+                {
+                    assert_eq!(traced.breach, untraced.breach);
+                }
+                (Outcome::Zones(untraced), Outcome::Zones(traced)) if budget > 100 => {
+                    assert_eq!(traced.outcome, untraced.outcome);
+                    assert!(matches!(traced.witness, Some(ZoneWitness::Found { .. })));
+                }
+                other => panic!("budget {budget}: {other:?}"),
+            }
+        }
     }
 
     #[test]

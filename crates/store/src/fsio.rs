@@ -1,7 +1,7 @@
 //! Crash-safe filesystem primitives: temp-file + atomic-rename writes.
 
 use std::fs::{self, File};
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -36,10 +36,21 @@ pub(crate) fn sync_parent_dir(path: &Path) {
 /// content — never a torn prefix. With `fsync` the file data is flushed
 /// before the rename and the directory entry after it.
 pub(crate) fn write_atomic(path: &Path, bytes: &[u8], fsync: bool) -> io::Result<()> {
+    write_atomic_with(path, fsync, |file| file.write_all(bytes))
+}
+
+/// [`write_atomic`] with the content streamed by `fill` through a buffered
+/// writer, so a large file is never assembled in memory first.
+pub(crate) fn write_atomic_with(
+    path: &Path,
+    fsync: bool,
+    fill: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> io::Result<()> {
     let tmp = sibling_tmp(path);
     let write = (|| {
-        let mut file = File::create(&tmp)?;
-        file.write_all(bytes)?;
+        let mut file = BufWriter::new(File::create(&tmp)?);
+        fill(&mut file)?;
+        let file = file.into_inner().map_err(io::IntoInnerError::into_error)?;
         if fsync {
             file.sync_all()?;
         }

@@ -8,17 +8,20 @@
 //!
 //! Fields that may contain arbitrary text (job parameters, error messages)
 //! are `%XX`-escaped so a record never spans lines and tokens never contain
-//! spaces. Appends are fsync'd (configurable), so a record that made it to
-//! disk is complete or absent. Recovery scans the file front to back and
-//! stops at the first line that fails to decode — a torn tail (the partial
-//! record a SIGKILL or power loss can leave) is dropped and truncated away,
-//! and every record before it is kept.
+//! spaces. Appends are fsync'd (configurable) by group commit on a fixed
+//! [`COMMIT_INTERVAL`], so a record that made it to disk is complete or
+//! absent. Recovery scans the file front to back and stops at the first
+//! line that fails to decode — a torn tail (the partial record a SIGKILL or
+//! power loss can leave) is dropped and truncated away, and every record
+//! before it is kept.
 
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
+use std::thread;
+use std::time::{Duration, Instant};
 
 use transyt_session::content_hash;
 
@@ -284,18 +287,51 @@ pub struct JournalStats {
 /// not worth rewriting).
 pub const COMPACT_MIN_BYTES: u64 = 64 * 1024;
 
+/// How often an fsync'd journal flushes: one `fdatasync` on each tick of
+/// this clock covers every record written since the one before (group
+/// commit), and a caller waiting for its record to be durable waits for
+/// the next tick. A tick an order of magnitude longer than a flush on a
+/// busy disk (0.1 ms typical, a few ms at worst) almost never overruns, so
+/// durable writes keep the journal's pace rather than the disk's, which
+/// varies from one moment to the next, and concurrent writers share one
+/// flush.
+pub const COMMIT_INTERVAL: Duration = Duration::from_millis(10);
+
+/// A record's place in its [`Journal`], counted from the open: what
+/// [`Journal::commit`] waits to see durable.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Lsn(u64);
+
 struct JournalInner {
     file: File,
     stats: JournalStats,
+    /// The last record written.
+    written: Lsn,
+}
+
+/// Group-commit progress of a [`Journal`].
+struct Flushed {
+    /// Every record up to this one is on disk.
+    durable: Lsn,
+    /// A caller is flushing the file.
+    flushing: bool,
+    /// Flushes since the open.
+    flushes: u64,
 }
 
 /// The open write-ahead journal: replay happens at [`Journal::open`];
-/// afterwards records are appended one fsync'd line at a time and
-/// [`Journal::rewrite`] compacts the file in place (atomic rename).
+/// afterwards records are written one line at a time, made durable by
+/// group commit ([`Journal::commit`]), and [`Journal::rewrite`] compacts
+/// the file in place (atomic rename).
 pub struct Journal {
     path: PathBuf,
     fsync: bool,
     inner: Mutex<JournalInner>,
+    flushed: Mutex<Flushed>,
+    /// Signalled when a flush ends.
+    flush_done: Condvar,
+    /// Commit ticks fall on whole [`COMMIT_INTERVAL`]s after this.
+    epoch: Instant,
 }
 
 /// Scans raw journal bytes: the decoded records of the longest valid prefix,
@@ -348,7 +384,18 @@ impl Journal {
             Journal {
                 path: path.to_path_buf(),
                 fsync,
-                inner: Mutex::new(JournalInner { file, stats }),
+                inner: Mutex::new(JournalInner {
+                    file,
+                    stats,
+                    written: Lsn::default(),
+                }),
+                flushed: Mutex::new(Flushed {
+                    durable: Lsn::default(),
+                    flushing: false,
+                    flushes: 0,
+                }),
+                flush_done: Condvar::new(),
+                epoch: Instant::now(),
             },
             records,
         ))
@@ -377,42 +424,112 @@ impl Journal {
         self.inner.lock().expect("journal poisoned")
     }
 
-    /// Appends one record (fsync'd when the journal was opened with fsync).
+    fn flushed(&self) -> std::sync::MutexGuard<'_, Flushed> {
+        self.flushed.lock().expect("journal poisoned")
+    }
+
+    /// Appends one record and waits until it is durable: [`write`](Self::write)
+    /// then [`commit`](Self::commit).
     ///
     /// # Errors
     ///
     /// Filesystem errors writing or syncing.
     pub fn append(&self, record: &Record) -> io::Result<()> {
+        let lsn = self.write(record)?;
+        self.commit(lsn)
+    }
+
+    /// Writes one record to the file, where a reader sees it at once, and
+    /// returns its place; it is durable after a [`commit`](Self::commit)
+    /// to that place or to a later one. Cheap enough to call under a lock.
+    ///
+    /// # Errors
+    ///
+    /// Filesystem errors writing.
+    pub fn write(&self, record: &Record) -> io::Result<Lsn> {
         let line = record.encode();
         let mut inner = self.lock();
         inner.file.write_all(line.as_bytes())?;
-        if self.fsync {
-            inner.file.sync_data()?;
-        }
         inner.stats.entries += 1;
         inner.stats.bytes += line.len() as u64;
+        inner.written.0 += 1;
+        Ok(inner.written)
+    }
+
+    /// Waits until every record up to `lsn` is on disk (at once for a
+    /// journal opened without fsync). Unless a flush already covered it,
+    /// that is the next tick of the [`COMMIT_INTERVAL`] clock, where the
+    /// first caller to arrive flushes the file for everyone waiting.
+    ///
+    /// # Errors
+    ///
+    /// Filesystem errors syncing.
+    pub fn commit(&self, lsn: Lsn) -> io::Result<()> {
+        if !self.fsync || self.flushed().durable >= lsn {
+            return Ok(());
+        }
+        let now = Instant::now();
+        let tick = COMMIT_INTERVAL.as_nanos();
+        let ticks = now.duration_since(self.epoch).as_nanos() / tick + 1;
+        let next = self.epoch + Duration::from_nanos((ticks * tick) as u64);
+        thread::sleep(next - now);
+        let mut flushed = self.flushed();
+        while flushed.durable < lsn {
+            if flushed.flushing {
+                flushed = self.flush_done.wait(flushed).expect("journal poisoned");
+                continue;
+            }
+            flushed.flushing = true;
+            drop(flushed);
+            // A second handle flushes outside the write lock, so writers go
+            // on appending (for the next tick) meanwhile.
+            let flush = {
+                let inner = self.lock();
+                inner.file.try_clone().map(|file| (file, inner.written))
+            };
+            let flush = flush.and_then(|(file, upto)| file.sync_data().map(|()| upto));
+            flushed = self.flushed();
+            flushed.flushing = false;
+            self.flush_done.notify_all();
+            let upto = flush?;
+            flushed.durable = flushed.durable.max(upto);
+            flushed.flushes += 1;
+        }
         Ok(())
     }
 
     /// Compacts the journal to exactly `records` via an atomic temp-file +
     /// rename rewrite, resetting the size baseline the next
-    /// [`should_compact`](Self::should_compact) compares against.
+    /// [`should_compact`](Self::should_compact) compares against. Each
+    /// record's line streams into the temp file as it is drawn, so the
+    /// whole image never sits in memory; appends wait for the rewrite and
+    /// land in the new file. The rewritten file is durable (with fsync), so
+    /// everything written before it counts as committed.
     ///
     /// # Errors
     ///
     /// Filesystem errors writing the replacement file.
-    pub fn rewrite(&self, records: &[Record]) -> io::Result<()> {
-        let mut content = String::new();
-        for record in records {
-            content.push_str(&record.encode());
-        }
+    pub fn rewrite(&self, records: impl IntoIterator<Item = Record>) -> io::Result<()> {
         let mut inner = self.lock();
-        crate::fsio::write_atomic(&self.path, content.as_bytes(), self.fsync)?;
+        let (mut entries, mut bytes) = (0, 0);
+        crate::fsio::write_atomic_with(&self.path, self.fsync, |file| {
+            for record in records {
+                let line = record.encode();
+                file.write_all(line.as_bytes())?;
+                entries += 1;
+                bytes += line.len() as u64;
+            }
+            Ok(())
+        })?;
         inner.file = OpenOptions::new().append(true).open(&self.path)?;
-        inner.stats.entries = records.len() as u64;
-        inner.stats.bytes = content.len() as u64;
-        inner.stats.compacted_entries = inner.stats.entries;
-        inner.stats.compacted_bytes = inner.stats.bytes;
+        let mut flushed = self.flushed();
+        flushed.durable = flushed.durable.max(inner.written);
+        drop(flushed);
+        self.flush_done.notify_all();
+        inner.stats.entries = entries;
+        inner.stats.bytes = bytes;
+        inner.stats.compacted_entries = entries;
+        inner.stats.compacted_bytes = bytes;
         Ok(())
     }
 
@@ -422,6 +539,11 @@ impl Journal {
     pub fn should_compact(&self) -> bool {
         let stats = self.lock().stats;
         stats.bytes > COMPACT_MIN_BYTES && stats.bytes > 4 * stats.compacted_bytes.max(1)
+    }
+
+    /// How many flushes [`commit`](Self::commit) has made since the open.
+    pub fn flushes(&self) -> u64 {
+        self.flushed().flushes
     }
 
     /// Current size counters.
@@ -613,6 +735,63 @@ mod tests {
     }
 
     #[test]
+    fn a_commit_flushes_every_record_written_before_it_once() {
+        let dir = crate::test_dir("journal-commit");
+        let path = dir.join("journal.log");
+        let (journal, _) = Journal::open(&path, true).unwrap();
+        let records = sample_records();
+        let lsns: Vec<Lsn> = records.iter().map(|r| journal.write(r).unwrap()).collect();
+        assert!(lsns.windows(2).all(|pair| pair[0] < pair[1]));
+        // Written records are in the file before any commit.
+        assert_eq!(Journal::replay(&path).unwrap().0, records);
+        assert_eq!(journal.flushes(), 0);
+        // One flush on the tick covers the last place and every earlier one.
+        journal.commit(lsns[lsns.len() - 1]).unwrap();
+        journal.commit(lsns[0]).unwrap();
+        assert_eq!(journal.flushes(), 1);
+        // A rewrite is durable itself: what it covers needs no flush.
+        let lsn = journal.write(&status(7, JobStatus::Running)).unwrap();
+        journal.rewrite(sample_records()).unwrap();
+        journal.commit(lsn).unwrap();
+        assert_eq!(journal.flushes(), 1);
+
+        // Concurrent appenders all return with their records on file, in
+        // each one's order.
+        let (journal, _) = Journal::open(&dir.join("concurrent.log"), true).unwrap();
+        std::thread::scope(|scope| {
+            for writer in 0..4 {
+                let journal = &journal;
+                scope.spawn(move || {
+                    for step in 0..5 {
+                        journal
+                            .append(&status(writer * 100 + step, JobStatus::Running))
+                            .unwrap();
+                    }
+                });
+            }
+        });
+        let (replayed, torn) = Journal::replay(&dir.join("concurrent.log")).unwrap();
+        assert_eq!((replayed.len(), torn), (20, 0));
+        for writer in 0..4 {
+            let ids: Vec<usize> = replayed
+                .iter()
+                .filter_map(|record| match record {
+                    Record::Status { id, .. } if id / 100 == writer => Some(id % 100),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(ids, (0..5).collect::<Vec<_>>());
+        }
+        assert!(journal.flushes() <= 20);
+
+        // Without fsync nothing waits and nothing flushes.
+        let (journal, _) = Journal::open(&dir.join("volatile.log"), false).unwrap();
+        journal.append(&status(0, JobStatus::Running)).unwrap();
+        assert_eq!(journal.flushes(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn rewrite_compacts_and_resets_the_size_trigger() {
         let dir = crate::test_dir("journal-compact");
         let path = dir.join("journal.log");
@@ -627,7 +806,14 @@ mod tests {
             journal.append(&filler).unwrap();
         }
         assert!(journal.stats().bytes > COMPACT_MIN_BYTES);
-        journal.rewrite(&[status(0, JobStatus::Running)]).unwrap();
+        journal.rewrite(sample_records()).unwrap();
+        // The streamed image is the records' lines back to back.
+        let image: String = sample_lines().into_iter().map(|(_, line)| line).collect();
+        assert_eq!(fs::read_to_string(&path).unwrap(), image);
+        let stats = journal.stats();
+        assert_eq!(stats.entries, sample_records().len() as u64);
+        assert_eq!(stats.bytes, image.len() as u64);
+        journal.rewrite([status(0, JobStatus::Running)]).unwrap();
         assert!(!journal.should_compact());
         let stats = journal.stats();
         assert_eq!(stats.entries, 1);

@@ -10,10 +10,11 @@
 //!   torn file.
 //! * The **job lifecycle**, [`JobStatus`]: the one value the server's job
 //!   table, the journal's status lines and `transyt store ls` share.
-//! * A **write-ahead job [`Journal`]**: one checksummed, fsync'd record per
+//! * A **write-ahead job [`Journal`]**: one checksummed record per
 //!   submission (`job`), per state a job enters (one [`JobStatus`]:
 //!   `run` → `done`/`fail`/`cancel`/`timeout`/`budget`), per `model`
-//!   interning and per `evict`ion. Recovery replays the journal front to
+//!   interning and per `evict`ion, fsync'd by group commit on a fixed
+//!   [`COMMIT_INTERVAL`]. Recovery replays the journal front to
 //!   back, dropping only a torn tail; a startup compaction and a
 //!   size-triggered [`Journal::rewrite`] keep it bounded.
 //! * The session's persistence seam: [`Store`] implements
@@ -50,7 +51,9 @@ use std::time::Duration;
 use transyt_session::{content_hash, StoreHook, StoredResult, TaskKey};
 
 pub use content::ResultDoc;
-pub use journal::{JobStatus, Journal, JournalStats, Record, COMPACT_MIN_BYTES};
+pub use journal::{
+    JobStatus, Journal, JournalStats, Lsn, Record, COMMIT_INTERVAL, COMPACT_MIN_BYTES,
+};
 
 /// The journal's file name inside the data dir.
 pub const JOURNAL_FILE: &str = "journal.log";
@@ -343,7 +346,9 @@ impl Store {
             return Ok(false);
         }
         fsio::write_atomic(&path, text.as_bytes(), self.fsync)?;
-        self.journal.append(&Record::Model {
+        // The file is durable on its own, and a restart adopts a model file
+        // the journal missed: the record need not wait for a commit.
+        self.journal.write(&Record::Model {
             hash: hash.to_owned(),
         })?;
         Ok(true)
@@ -395,7 +400,8 @@ impl Store {
         fs::remove_file(self.result_path(fingerprint)).is_ok()
     }
 
-    /// Appends one journal record (fsync'd per the open mode).
+    /// Appends one journal record and waits until it is durable (with
+    /// fsync): [`Journal::append`].
     ///
     /// # Errors
     ///
@@ -404,12 +410,32 @@ impl Store {
         self.journal.append(record)
     }
 
-    /// Compacts the journal to exactly `records` (atomic rewrite).
+    /// Writes one journal record without waiting for it to be durable:
+    /// [`Journal::write`].
+    ///
+    /// # Errors
+    ///
+    /// Filesystem errors writing the journal.
+    pub fn write(&self, record: &Record) -> io::Result<Lsn> {
+        self.journal.write(record)
+    }
+
+    /// Waits until the journal is durable up to `lsn`: [`Journal::commit`].
+    ///
+    /// # Errors
+    ///
+    /// Filesystem errors syncing the journal.
+    pub fn commit(&self, lsn: Lsn) -> io::Result<()> {
+        self.journal.commit(lsn)
+    }
+
+    /// Compacts the journal to exactly `records`, streamed in order (atomic
+    /// rewrite).
     ///
     /// # Errors
     ///
     /// Filesystem errors writing the replacement journal.
-    pub fn compact(&self, records: &[Record]) -> io::Result<()> {
+    pub fn compact(&self, records: impl IntoIterator<Item = Record>) -> io::Result<()> {
         self.journal.rewrite(records)
     }
 
