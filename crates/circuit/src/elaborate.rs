@@ -8,13 +8,20 @@
 //! timing is supplied by the environment model they are composed with).
 //! States in which a declared (or derived) invariant holds are marked as
 //! violations, which is what the verification engine searches for.
+//!
+//! The exploration works on ids. A valuation is packed into 64-bit words
+//! (as many as the circuit needs, so there is no cap on its node count) and
+//! keys the state index; every driver and invariant becomes a pair of
+//! care/value masks once, before the search, so an enabling test is a few
+//! word comparisons. Each `NODE±` event is interned when it first fires,
+//! which keeps the alphabet in first-firing order, and transitions are
+//! added by id.
 
-use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
-use tts::{DelayInterval, Polarity, TimedTransitionSystem, TsBuilder};
+use tts::{DelayInterval, EventId, IdMap, Polarity, StateId, TimedTransitionSystem, TsBuilder};
 
-use crate::netlist::{Circuit, Invariant, NodeId};
+use crate::netlist::{Circuit, Invariant, Literal, NodeId};
 
 /// Options controlling elaboration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -144,128 +151,122 @@ pub fn elaborate(
         }
     }
 
-    // Event delay envelopes per (node, polarity).
-    let mut delays: HashMap<(NodeId, Polarity), DelayInterval> = HashMap::new();
-    let mut note_delay = |node: NodeId, polarity: Polarity, delay: DelayInterval| {
-        delays
-            .entry((node, polarity))
-            .and_modify(|existing| {
-                let lower = existing.lower().min(delay.lower());
-                let upper = existing.upper().max(delay.upper());
-                *existing = DelayInterval::with_bound(lower, upper)
-                    .expect("envelope of valid intervals is valid");
-            })
-            .or_insert(delay);
-    };
+    // Per node and polarity: the delay envelope of its drivers and each
+    // driver's conduction condition as masks over packed valuations. A pass
+    // transistor drives towards its source's value: up while gate and source
+    // are high, down while the gate conducts and the source is low. A driver
+    // whose conditions contradict each other never conducts and gets no
+    // cube. An input toggles freely: it gets one always-conducting (empty)
+    // cube each way and, having no drivers, no delay.
+    let node_count = circuit.node_count();
+    let mut delays: Vec<[Option<DelayInterval>; 2]> = vec![[None; 2]; node_count];
+    let mut drivers: Vec<[Vec<Cube>; 2]> =
+        (0..node_count).map(|_| [Vec::new(), Vec::new()]).collect();
+    let mut add_driver =
+        |node: NodeId, polarity: Polarity, gates: &[Literal], delay: DelayInterval| {
+            let p = polarity_index(polarity);
+            let slot = &mut delays[node.index()][p];
+            *slot = Some(match *slot {
+                Some(existing) => {
+                    let lower = existing.lower().min(delay.lower());
+                    let upper = existing.upper().max(delay.upper());
+                    DelayInterval::with_bound(lower, upper)
+                        .expect("envelope of valid intervals is valid")
+                }
+                None => delay,
+            });
+            drivers[node.index()][p].extend(Cube::new(gates));
+        };
     for stack in circuit.stacks() {
         let polarity = if stack.drives_to {
             Polarity::Rise
         } else {
             Polarity::Fall
         };
-        note_delay(stack.target, polarity, stack.delay);
+        add_driver(stack.target, polarity, &stack.gates, stack.delay);
     }
     for pass in circuit.passes() {
-        note_delay(pass.target, Polarity::Rise, pass.delay);
-        note_delay(pass.target, Polarity::Fall, pass.delay);
+        let (high, low) = (Literal::high(pass.source), Literal::low(pass.source));
+        add_driver(pass.target, Polarity::Rise, &[pass.gate, high], pass.delay);
+        add_driver(pass.target, Polarity::Fall, &[pass.gate, low], pass.delay);
     }
+    for node in circuit.inputs() {
+        drivers[node.index()] = [vec![Cube(Vec::new())], vec![Cube(Vec::new())]];
+    }
+    let invariants: Vec<(Cube, &str)> = invariants
+        .iter()
+        .filter_map(|i| Cube::new(&i.literals).map(|cube| (cube, i.name.as_str())))
+        .collect();
 
-    let event_name = |node: NodeId, polarity: Polarity| -> String {
-        format!("{}{}", circuit.node_name(node), polarity.suffix())
-    };
-
-    // Enabled edges of a valuation: (node, polarity target value).
-    let enabled_edges = |values: &[bool]| -> Vec<(NodeId, Polarity)> {
-        let mut out = Vec::new();
-        for node in circuit.nodes() {
-            let current = values[node.index()];
-            if circuit.is_input(node) {
-                out.push((
-                    node,
-                    if current {
-                        Polarity::Fall
-                    } else {
-                        Polarity::Rise
-                    },
-                ));
-                continue;
-            }
-            let mut can_rise = false;
-            let mut can_fall = false;
-            for stack in circuit.stacks().iter().filter(|s| s.target == node) {
-                let conducting = stack
-                    .gates
-                    .iter()
-                    .all(|&g| circuit.literal_holds(g, values));
-                if conducting {
-                    if stack.drives_to {
-                        can_rise = true;
-                    } else {
-                        can_fall = true;
-                    }
-                }
-            }
-            for pass in circuit.passes().iter().filter(|p| p.target == node) {
-                if circuit.literal_holds(pass.gate, values) {
-                    if values[pass.source.index()] {
-                        can_rise = true;
-                    } else {
-                        can_fall = true;
-                    }
-                }
-            }
-            if !current && can_rise {
-                out.push((node, Polarity::Rise));
-            }
-            if current && can_fall {
-                out.push((node, Polarity::Fall));
-            }
-        }
-        out
-    };
-
-    // Breadth-first exploration of the valuation space.
+    // Breadth-first exploration of the valuation space. States get ids in
+    // discovery order, so the queue is the id range and a state's valuation
+    // sits at `valuations[id * words..]`.
+    let words = node_count.div_ceil(64);
     let mut builder = TsBuilder::new(circuit.name());
-    let mut ids: HashMap<Vec<bool>, tts::StateId> = HashMap::new();
-    let mut queue: VecDeque<Vec<bool>> = VecDeque::new();
-
-    let add_state = |values: Vec<bool>,
-                     builder: &mut TsBuilder,
-                     ids: &mut HashMap<Vec<bool>, tts::StateId>,
-                     queue: &mut VecDeque<Vec<bool>>|
-     -> tts::StateId {
-        if let Some(&id) = ids.get(&values) {
+    let mut ids: IdMap<Vec<u64>, StateId> = IdMap::default();
+    let mut valuations: Vec<u64> = Vec::new();
+    let mut add_state = |builder: &mut TsBuilder, valuations: &mut Vec<u64>, packed: &[u64]| {
+        if let Some(&id) = ids.get(packed) {
             return id;
         }
-        let name: String = values.iter().map(|&v| if v { '1' } else { '0' }).collect();
+        let name: String = (0..node_count)
+            .map(|n| if bit(packed, n) { '1' } else { '0' })
+            .collect();
         let id = builder.add_state(name);
-        for invariant in &invariants {
-            if circuit.invariant_violated(invariant, &values) {
-                builder.mark_violation(id, invariant.name.clone());
+        for (cube, name) in &invariants {
+            if cube.holds(packed) {
+                builder.mark_violation(id, *name);
             }
         }
-        ids.insert(values.clone(), id);
-        queue.push_back(values);
+        ids.insert(packed.to_vec(), id);
+        valuations.extend_from_slice(packed);
         id
     };
 
-    let initial = circuit.initial_state();
-    let initial_id = add_state(initial, &mut builder, &mut ids, &mut queue);
+    let mut packed = vec![0u64; words];
+    for node in circuit.nodes() {
+        if circuit.initial_value(node) {
+            packed[node.index() / 64] |= 1 << (node.index() % 64);
+        }
+    }
+    let initial_id = add_state(&mut builder, &mut valuations, &packed);
     builder.set_initial(initial_id);
 
-    while let Some(values) = queue.pop_front() {
-        if ids.len() > options.state_limit {
+    // The `NODE±` event of each node and polarity, interned on its first
+    // firing.
+    let mut events: Vec<[Option<EventId>; 2]> = vec![[None; 2]; node_count];
+    let event_name = |node: NodeId, polarity: Polarity| -> String {
+        format!("{}{}", circuit.node_name(node), polarity.suffix())
+    };
+    let mut current = vec![0u64; words];
+    let mut from = 0;
+    while from < builder.state_count() {
+        if builder.state_count() > options.state_limit {
             return Err(ElaborateError::TooManyStates {
                 limit: options.state_limit,
             });
         }
-        let from = ids[&values];
-        for (node, polarity) in enabled_edges(&values) {
-            let mut next = values.clone();
-            next[node.index()] = polarity.target_value();
-            let to = add_state(next, &mut builder, &mut ids, &mut queue);
-            builder.add_transition(from, event_name(node, polarity), to);
+        current.copy_from_slice(&valuations[from * words..(from + 1) * words]);
+        for node in circuit.nodes() {
+            // A node moves towards the value a conducting driver pulls it to.
+            let n = node.index();
+            let polarity = if bit(&current, n) {
+                Polarity::Fall
+            } else {
+                Polarity::Rise
+            };
+            let p = polarity_index(polarity);
+            if !drivers[n][p].iter().any(|c| c.holds(&current)) {
+                continue;
+            }
+            packed.copy_from_slice(&current);
+            packed[n / 64] ^= 1 << (n % 64);
+            let to = add_state(&mut builder, &mut valuations, &packed);
+            let e = *events[n][p]
+                .get_or_insert_with(|| builder.intern_event(event_name(node, polarity)));
+            builder.add_transition_by_id(StateId::from_index(from), e, to);
         }
+        from += 1;
     }
 
     // Interface roles and persistency set.
@@ -273,17 +274,18 @@ pub fn elaborate(
     for node in circuit.nodes() {
         for polarity in [Polarity::Rise, Polarity::Fall] {
             let name = event_name(node, polarity);
+            let slot = &mut events[node.index()][polarity_index(polarity)];
             if circuit.is_input(node) {
-                builder.declare_input(&name);
+                *slot = Some(builder.declare_input(&name));
             } else {
-                persistent_events.push(name.clone());
                 if options
                     .output_nodes
                     .iter()
                     .any(|o| o == circuit.node_name(node))
                 {
-                    builder.declare_output(&name);
+                    *slot = Some(builder.declare_output(&name));
                 }
+                persistent_events.push(name);
             }
         }
     }
@@ -292,16 +294,66 @@ pub fn elaborate(
         .build()
         .map_err(|e| ElaborateError::Build(e.to_string()))?;
     let mut timed = TimedTransitionSystem::new(ts);
-    for ((node, polarity), delay) in &delays {
-        let name = event_name(*node, *polarity);
-        if timed.underlying().alphabet().lookup(&name).is_some() {
-            timed.set_delay_by_name(&name, *delay);
+    for (node_delays, node_events) in delays.iter().zip(&events) {
+        for (delay, event) in node_delays.iter().zip(node_events) {
+            if let (Some(delay), Some(event)) = (delay, event) {
+                timed.set_delay(*event, *delay);
+            }
         }
     }
     Ok(CircuitModel {
         timed,
         persistent_events,
     })
+}
+
+/// Index of a polarity in the per-node `[rise, fall]` tables.
+fn polarity_index(polarity: Polarity) -> usize {
+    match polarity {
+        Polarity::Rise => 0,
+        Polarity::Fall => 1,
+    }
+}
+
+/// The value of `node` in a packed valuation.
+fn bit(packed: &[u64], node: usize) -> bool {
+    packed[node / 64] >> (node % 64) & 1 == 1
+}
+
+/// A conjunction of literals as `(word, care, value)` masks over packed
+/// valuations: it holds when every word masked with `care` equals `value`.
+struct Cube(Vec<(usize, u64, u64)>);
+
+impl Cube {
+    /// The cube of `literals`, or `None` if they contradict each other.
+    fn new(literals: &[Literal]) -> Option<Cube> {
+        let mut masks: Vec<(usize, u64, u64)> = Vec::new();
+        for literal in literals {
+            let node = literal.node.index();
+            let (word, bit) = (node / 64, 1u64 << (node % 64));
+            let value = if literal.value { bit } else { 0 };
+            let i = match masks.iter().position(|&(w, _, _)| w == word) {
+                Some(i) => i,
+                None => {
+                    masks.push((word, 0, 0));
+                    masks.len() - 1
+                }
+            };
+            let (_, care, v) = &mut masks[i];
+            if *care & bit != 0 && *v & bit != value {
+                return None;
+            }
+            *care |= bit;
+            *v |= value;
+        }
+        Some(Cube(masks))
+    }
+
+    fn holds(&self, packed: &[u64]) -> bool {
+        self.0
+            .iter()
+            .all(|&(word, care, value)| packed[word] & care == value)
+    }
 }
 
 #[cfg(test)]

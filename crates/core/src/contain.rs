@@ -11,9 +11,7 @@
 //! output produced by the implementation can also be produced by the
 //! abstraction under the same stimuli.
 
-use std::collections::{HashMap, VecDeque};
-
-use tts::{StateId, TimedTransitionSystem, TransitionSystem, TsBuilder};
+use tts::{EventId, IdMap, StateId, TimedTransitionSystem, TransitionSystem, TsBuilder};
 
 use crate::engine::{verify, Verdict, VerifyOptions};
 use crate::property::SafetyProperty;
@@ -58,6 +56,12 @@ pub struct RefinementObligation<'a> {
 /// observer, with marked violation states for watched events the observer
 /// cannot accept.
 ///
+/// Like [`tts::compose`] the product works on ids: each implementation event
+/// is mapped to its observer event once, states are indexed by their packed
+/// `(implementation, observer)` pair, and a monitor event is interned when it
+/// first fires. The single trap state records each refused event's message
+/// once, in the order the refusals are found.
+///
 /// # Errors
 ///
 /// Returns [`ContainError`] if a watched event is unknown to the abstraction
@@ -73,36 +77,51 @@ pub fn build_containment_monitor(
         }
     }
 
-    let abs_names: HashMap<&str, tts::EventId> =
-        abs.alphabet().iter().map(|(id, n)| (n, id)).collect();
-    let impl_names: HashMap<&str, tts::EventId> =
-        impl_ts.alphabet().iter().map(|(id, n)| (n, id)).collect();
+    // Per implementation event: its observer event, whether it is watched,
+    // its monitor event (interned on first firing) and whether the trap
+    // already records its refusal.
+    let partners: Vec<Option<EventId>> = impl_ts
+        .alphabet()
+        .iter()
+        .map(|(_, name)| abs.alphabet().lookup(name))
+        .collect();
+    let events = impl_ts.alphabet().len();
+    let mut watched = vec![false; events];
+    for w in &obligation.watched {
+        if let Some(e) = impl_ts.alphabet().lookup(w) {
+            watched[e.index()] = true;
+        }
+    }
+    let mut monitor_events: Vec<Option<EventId>> = vec![None; events];
+    let mut refused = vec![false; events];
 
     let mut builder = TsBuilder::new(format!("{} |> {}", impl_ts.name(), abs.name()));
-    let mut ids: HashMap<(StateId, StateId), tts::StateId> = HashMap::new();
-    let mut queue: VecDeque<(StateId, StateId)> = VecDeque::new();
-
-    let add_state = |builder: &mut TsBuilder,
-                     ids: &mut HashMap<(StateId, StateId), tts::StateId>,
-                     queue: &mut VecDeque<(StateId, StateId)>,
+    let mut index: IdMap<u64, StateId> = IdMap::default();
+    // Discovered `(implementation, observer, monitor)` states in
+    // breadth-first order.
+    let mut queue: Vec<(StateId, StateId, StateId)> = Vec::new();
+    let mut state = |builder: &mut TsBuilder,
+                     queue: &mut Vec<(StateId, StateId, StateId)>,
                      l: StateId,
                      r: StateId|
-     -> tts::StateId {
-        if let Some(&id) = ids.get(&(l, r)) {
-            return id;
-        }
-        let id = builder.add_state(format!("{}|{}", impl_ts.state_name(l), abs.state_name(r)));
-        for v in impl_ts.violations(l) {
-            builder.mark_violation(id, v.clone());
-        }
-        ids.insert((l, r), id);
-        queue.push_back((l, r));
-        id
+     -> StateId {
+        let key = ((l.index() as u64) << 32) | r.index() as u64;
+        *index.entry(key).or_insert_with(|| {
+            let id = builder.add_state([impl_ts.state_name(l), "|", abs.state_name(r)].concat());
+            for v in impl_ts.violations(l) {
+                builder.mark_violation(id, v.clone());
+            }
+            queue.push((l, r, id));
+            id
+        })
+    };
+    let event = |builder: &mut TsBuilder, slot: &mut Option<EventId>, e: EventId| -> EventId {
+        *slot.get_or_insert_with(|| builder.intern_event(impl_ts.alphabet().name(e)))
     };
 
     for &l in impl_ts.initial_states() {
         for &r in abs.initial_states() {
-            let id = add_state(&mut builder, &mut ids, &mut queue, l, r);
+            let id = state(&mut builder, &mut queue, l, r);
             builder.set_initial(id);
         }
     }
@@ -110,51 +129,59 @@ pub fn build_containment_monitor(
     // A single trap state for containment violations.
     let trap = builder.add_state("containment-violation");
 
-    while let Some((l, r)) = queue.pop_front() {
-        let from = ids[&(l, r)];
-        for &(event, l_to) in impl_ts.transitions_from(l) {
-            let name = impl_ts.alphabet().name(event);
-            let watched = obligation.watched.iter().any(|w| w == name);
-            match abs_names.get(name) {
-                Some(&abs_event) => {
-                    let abs_targets = abs.successors(r, abs_event);
-                    if abs_targets.is_empty() {
-                        if watched {
-                            // The implementation produces an event the
-                            // abstraction cannot accept here.
-                            builder.add_transition(from, name, trap);
+    let mut next = 0;
+    while let Some(&(l, r, from)) = queue.get(next) {
+        next += 1;
+        for &(e, l_to) in impl_ts.transitions_from(l) {
+            let i = e.index();
+            match partners[i] {
+                Some(abs_event) => {
+                    let mut accepted = false;
+                    for &(ae, r_to) in abs.transitions_from(r) {
+                        if ae == abs_event {
+                            accepted = true;
+                            let to = state(&mut builder, &mut queue, l_to, r_to);
+                            let me = event(&mut builder, &mut monitor_events[i], e);
+                            builder.add_transition_by_id(from, me, to);
+                        }
+                    }
+                    if !accepted && watched[i] {
+                        // The implementation produces an event the
+                        // abstraction cannot accept here.
+                        let me = event(&mut builder, &mut monitor_events[i], e);
+                        builder.add_transition_by_id(from, me, trap);
+                        if !refused[i] {
+                            refused[i] = true;
                             builder.mark_violation(
                                 trap,
-                                format!("abstraction cannot accept `{name}`"),
+                                format!(
+                                    "abstraction cannot accept `{}`",
+                                    impl_ts.alphabet().name(e)
+                                ),
                             );
                         }
-                        // Unwatched shared events that the observer cannot
-                        // follow are simply not tracked further on that path.
-                        continue;
                     }
-                    for r_to in abs_targets {
-                        let to = add_state(&mut builder, &mut ids, &mut queue, l_to, r_to);
-                        builder.add_transition(from, name, to);
-                    }
+                    // Unwatched shared events that the observer cannot
+                    // follow are simply not tracked further on that path.
                 }
                 None => {
                     // Private implementation event: interleave.
-                    let to = add_state(&mut builder, &mut ids, &mut queue, l_to, r);
-                    builder.add_transition(from, name, to);
+                    let to = state(&mut builder, &mut queue, l_to, r);
+                    let me = event(&mut builder, &mut monitor_events[i], e);
+                    builder.add_transition_by_id(from, me, to);
                 }
             }
         }
     }
 
-    // Interface roles follow the implementation.
-    for (name, id) in impl_names {
-        match impl_ts.role(id) {
-            tts::EventRole::Input => {
-                builder.declare_input(name);
-            }
-            tts::EventRole::Output => {
-                builder.declare_output(name);
-            }
+    // Interface roles follow the implementation, declared in its alphabet
+    // order so that an event that never fires has the same place on every
+    // call.
+    for (e, name) in impl_ts.alphabet().iter() {
+        let slot = &mut monitor_events[e.index()];
+        match impl_ts.role(e) {
+            tts::EventRole::Input => *slot = Some(builder.declare_input(name)),
+            tts::EventRole::Output => *slot = Some(builder.declare_output(name)),
             tts::EventRole::Internal => {}
         }
     }
@@ -163,10 +190,9 @@ pub fn build_containment_monitor(
         .build()
         .map_err(|e| ContainError::Build(e.to_string()))?;
     let mut timed = TimedTransitionSystem::new(ts);
-    for (event, delay) in obligation.implementation.delays() {
-        let name = impl_ts.alphabet().name(event);
-        if timed.underlying().alphabet().lookup(name).is_some() {
-            timed.set_delay_by_name(name, delay);
+    for (e, delay) in obligation.implementation.delays() {
+        if let Some(me) = monitor_events[e.index()] {
+            timed.set_delay(me, delay);
         }
     }
     Ok(timed)

@@ -5,11 +5,27 @@
 //! to close a circuit with its environment (`IN ∥ I ∥ OUT`), to put a stage
 //! between abstractions (`A_in ∥ I ∥ A_out`) and to build the systems of the
 //! guarantee proofs of §4.2.
+//!
+//! The product works on ids. Each call maps every component event to its
+//! partner in the other alphabet once, by name; the search then reads the
+//! components' transition rows in place, indexes product states by the packed
+//! `(left, right)` state pair, and interns a product event when it first
+//! fires, so the product alphabet lists events in first-firing order followed
+//! by the declared interface events that never fire (left alphabet first).
+//! Timed products intersect delays event by event.
+//!
+//! A list of systems is folded pairwise, left to right. The fold is part of
+//! the semantics, not an implementation detail: a later component
+//! synchronises on an event only if the prefix product's alphabet holds it,
+//! and that alphabet drops an internal event that never fires in the prefix.
+//! An n-ary product in one pass would synchronise such an event instead and
+//! build a different system.
 
-use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 use crate::event::EventId;
+use crate::hash::IdMap;
+use crate::time::DelayInterval;
 use crate::timed::{IncompatibleDelaysError, TimedTransitionSystem};
 use crate::ts::{BuildTsError, EventRole, StateId, TransitionSystem, TsBuilder};
 
@@ -131,109 +147,169 @@ pub fn compose_with(
     right: &TransitionSystem,
     options: ComposeOptions,
 ) -> Result<TransitionSystem, ComposeError> {
+    Ok(product(left, right, options)?.ts)
+}
+
+/// A product system with the map from component events to product events.
+struct Product {
+    ts: TransitionSystem,
+    /// The product event of each left event, if it is in the product alphabet.
+    left_events: Vec<Option<EventId>>,
+    /// The product event of each right event, if it is in the product alphabet.
+    right_events: Vec<Option<EventId>>,
+    /// The left event of the same name as each right event.
+    right_partners: Vec<Option<EventId>>,
+}
+
+/// The product event of a component event, interned on its first firing.
+fn product_event(
+    slot: &mut Option<EventId>,
+    builder: &mut TsBuilder,
+    component: &TransitionSystem,
+    event: EventId,
+) -> EventId {
+    *slot.get_or_insert_with(|| builder.intern_event(component.alphabet().name(event)))
+}
+
+fn product(
+    left: &TransitionSystem,
+    right: &TransitionSystem,
+    options: ComposeOptions,
+) -> Result<Product, ComposeError> {
     let mut builder = TsBuilder::new(format!("{} || {}", left.name(), right.name()));
+    let left_partners: Vec<Option<EventId>> = left
+        .alphabet()
+        .iter()
+        .map(|(_, name)| right.alphabet().lookup(name))
+        .collect();
+    let mut right_partners = vec![None; right.alphabet().len()];
+    for (le, re) in left_partners.iter().enumerate() {
+        if let Some(re) = re {
+            right_partners[re.index()] = Some(EventId::from_index(le));
+        }
+    }
+    let mut left_events = vec![None; left.alphabet().len()];
+    let mut right_events = vec![None; right.alphabet().len()];
 
-    // Precompute which event names are shared.
-    let left_names: HashMap<&str, EventId> =
-        left.alphabet().iter().map(|(id, n)| (n, id)).collect();
-    let right_names: HashMap<&str, EventId> =
-        right.alphabet().iter().map(|(id, n)| (n, id)).collect();
-
-    let mut product_states: HashMap<(StateId, StateId), StateId> = HashMap::new();
-    let mut queue: VecDeque<(StateId, StateId)> = VecDeque::new();
-
-    let add_state = |builder: &mut TsBuilder,
-                     queue: &mut VecDeque<(StateId, StateId)>,
-                     product_states: &mut HashMap<(StateId, StateId), StateId>,
+    // Product states, indexed by their packed `(left, right)` pair. A
+    // state's id is its position in `pairs`, which is also the
+    // breadth-first order in which the states are expanded.
+    let mut index: IdMap<u64, StateId> = IdMap::default();
+    let mut pairs: Vec<(StateId, StateId)> = Vec::new();
+    let mut state = |builder: &mut TsBuilder,
+                     pairs: &mut Vec<(StateId, StateId)>,
                      l: StateId,
                      r: StateId|
      -> StateId {
-        if let Some(&id) = product_states.get(&(l, r)) {
-            return id;
-        }
-        let id = builder.add_state(format!("{}|{}", left.state_name(l), right.state_name(r)));
-        for v in left.violations(l) {
-            builder.mark_violation(id, format!("{}: {}", left.name(), v));
-        }
-        for v in right.violations(r) {
-            builder.mark_violation(id, format!("{}: {}", right.name(), v));
-        }
-        product_states.insert((l, r), id);
-        queue.push_back((l, r));
-        id
+        let key = ((l.index() as u64) << 32) | r.index() as u64;
+        *index.entry(key).or_insert_with(|| {
+            let id = builder.add_state([left.state_name(l), "|", right.state_name(r)].concat());
+            for v in left.violations(l) {
+                builder.mark_violation(id, [left.name(), ": ", v].concat());
+            }
+            for v in right.violations(r) {
+                builder.mark_violation(id, [right.name(), ": ", v].concat());
+            }
+            pairs.push((l, r));
+            id
+        })
     };
 
     for &l in left.initial_states() {
         for &r in right.initial_states() {
-            let id = add_state(&mut builder, &mut queue, &mut product_states, l, r);
+            let id = state(&mut builder, &mut pairs, l, r);
             builder.set_initial(id);
         }
     }
 
-    while let Some((l, r)) = queue.pop_front() {
+    let mut next = 0;
+    while let Some(&(l, r)) = pairs.get(next) {
         if builder.state_count() > options.state_limit {
             return Err(ComposeError::StateLimitExceeded {
                 limit: options.state_limit,
             });
         }
-        let from = product_states[&(l, r)];
+        let from = StateId::from_index(next);
+        next += 1;
         // Left moves (synchronising when the event is shared).
         for &(le, lto) in left.transitions_from(l) {
-            let name = left.alphabet().name(le);
-            match right_names.get(name) {
-                Some(&re) => {
-                    for rto in right.successors(r, re) {
-                        let to = add_state(&mut builder, &mut queue, &mut product_states, lto, rto);
-                        builder.add_transition(from, name, to);
+            match left_partners[le.index()] {
+                Some(re) => {
+                    for &(e, rto) in right.transitions_from(r) {
+                        if e == re {
+                            let to = state(&mut builder, &mut pairs, lto, rto);
+                            let pe =
+                                product_event(&mut left_events[le.index()], &mut builder, left, le);
+                            builder.add_transition_by_id(from, pe, to);
+                        }
                     }
                 }
                 None => {
-                    let to = add_state(&mut builder, &mut queue, &mut product_states, lto, r);
-                    builder.add_transition(from, name, to);
+                    let to = state(&mut builder, &mut pairs, lto, r);
+                    let pe = product_event(&mut left_events[le.index()], &mut builder, left, le);
+                    builder.add_transition_by_id(from, pe, to);
                 }
             }
         }
         // Right-only moves (shared events were handled above).
         for &(re, rto) in right.transitions_from(r) {
-            let name = right.alphabet().name(re);
-            if left_names.contains_key(name) {
+            if right_partners[re.index()].is_some() {
                 continue;
             }
-            let to = add_state(&mut builder, &mut queue, &mut product_states, l, rto);
-            builder.add_transition(from, name, to);
+            let to = state(&mut builder, &mut pairs, l, rto);
+            let pe = product_event(&mut right_events[re.index()], &mut builder, right, re);
+            builder.add_transition_by_id(from, pe, to);
         }
     }
 
-    // Interface roles.
-    for (name, role) in interface_union(left, right) {
-        match role {
-            EventRole::Output => {
-                builder.declare_output(&name);
-            }
-            EventRole::Input => {
-                builder.declare_input(&name);
-            }
-            EventRole::Internal => {}
+    // Interface roles, declared in alphabet order (left component first) so
+    // that a declared event that never fires has the same place on every
+    // call.
+    for (le, name) in left.alphabet().iter() {
+        let role = match left_partners[le.index()] {
+            Some(re) => role_union(left.role(le), right.role(re)),
+            None => left.role(le),
+        };
+        declare(&mut builder, &mut left_events[le.index()], name, role);
+    }
+    for (re, name) in right.alphabet().iter() {
+        match right_partners[re.index()] {
+            Some(le) => right_events[re.index()] = left_events[le.index()],
+            None => declare(
+                &mut builder,
+                &mut right_events[re.index()],
+                name,
+                right.role(re),
+            ),
         }
     }
 
-    Ok(builder.build()?)
+    Ok(Product {
+        ts: builder.build()?,
+        left_events,
+        right_events,
+        right_partners,
+    })
 }
 
-fn interface_union(left: &TransitionSystem, right: &TransitionSystem) -> Vec<(String, EventRole)> {
-    let mut roles: HashMap<String, EventRole> = HashMap::new();
-    for ts in [left, right] {
-        for (id, name) in ts.alphabet().iter() {
-            let role = ts.role(id);
-            let entry = roles.entry(name.to_owned()).or_insert(EventRole::Internal);
-            *entry = match (*entry, role) {
-                (EventRole::Output, _) | (_, EventRole::Output) => EventRole::Output,
-                (EventRole::Input, _) | (_, EventRole::Input) => EventRole::Input,
-                _ => EventRole::Internal,
-            };
-        }
+/// Declares `name` with `role` and records its product event in `slot`
+/// (internal events are not declared).
+fn declare(builder: &mut TsBuilder, slot: &mut Option<EventId>, name: &str, role: EventRole) {
+    match role {
+        EventRole::Output => *slot = Some(builder.declare_output(name)),
+        EventRole::Input => *slot = Some(builder.declare_input(name)),
+        EventRole::Internal => {}
     }
-    roles.into_iter().collect()
+}
+
+/// The role of a shared event: an output of either side is an output, else
+/// an input of either side is an input.
+fn role_union(a: EventRole, b: EventRole) -> EventRole {
+    match (a, b) {
+        (EventRole::Output, _) | (_, EventRole::Output) => EventRole::Output,
+        (EventRole::Input, _) | (_, EventRole::Input) => EventRole::Input,
+        _ => EventRole::Internal,
+    }
 }
 
 /// Composes a non-empty list of transition systems left to right.
@@ -250,11 +326,11 @@ pub fn compose_all(systems: &[&TransitionSystem]) -> Result<TransitionSystem, Co
         !systems.is_empty(),
         "compose_all requires at least one system"
     );
-    let mut acc = systems[0].clone();
+    let mut acc: Option<TransitionSystem> = None;
     for ts in &systems[1..] {
-        acc = compose(&acc, ts)?;
+        acc = Some(compose(acc.as_ref().unwrap_or(systems[0]), ts)?);
     }
-    Ok(acc)
+    Ok(acc.unwrap_or_else(|| systems[0].clone()))
 }
 
 /// Composes two timed transition systems.
@@ -266,35 +342,47 @@ pub fn compose_all(systems: &[&TransitionSystem]) -> Result<TransitionSystem, Co
 /// # Errors
 ///
 /// Returns [`ComposeError::IncompatibleDelays`] if both components constrain
-/// the same event with disjoint intervals, or any error of [`compose`].
+/// the same event with disjoint intervals (the first such event in the right
+/// component's alphabet order), or any error of [`compose`].
 pub fn compose_timed(
     left: &TimedTransitionSystem,
     right: &TimedTransitionSystem,
 ) -> Result<TimedTransitionSystem, ComposeError> {
-    let ts = compose(left.underlying(), right.underlying())?;
-    let mut timed = TimedTransitionSystem::new(ts);
-    let mut set = |name: &str, interval| {
-        if let Some(id) = timed.underlying().alphabet().lookup(name) {
-            timed.set_delay(id, interval);
-        }
-    };
-    // Start from the left delays, then merge the right ones.
-    let mut merged: HashMap<String, crate::time::DelayInterval> = HashMap::new();
-    for (e, d) in left.delays() {
-        merged.insert(left.underlying().alphabet().name(e).to_owned(), d);
-    }
-    for (e, d) in right.delays() {
-        let name = right.underlying().alphabet().name(e).to_owned();
-        let entry = merged.entry(name.clone()).or_insert(d);
-        match entry.intersect(&d) {
-            Some(i) => *entry = i,
-            None => {
-                return Err(IncompatibleDelaysError::new(name, *entry, d).into());
-            }
+    let product = product(
+        left.underlying(),
+        right.underlying(),
+        ComposeOptions::default(),
+    )?;
+    let mut delays: Vec<Option<DelayInterval>> = vec![None; product.ts.alphabet().len()];
+    let mut left_delays = vec![None; left.underlying().alphabet().len()];
+    for (le, d) in left.delays() {
+        left_delays[le.index()] = Some(d);
+        if let Some(pe) = product.left_events[le.index()] {
+            delays[pe.index()] = Some(d);
         }
     }
-    for (name, interval) in merged {
-        set(&name, interval);
+    // Conflicts are checked in the right component's alphabet order, so a
+    // composition with several reports the same one on every call.
+    let mut right_delays: Vec<(EventId, DelayInterval)> = right.delays().collect();
+    right_delays.sort_unstable_by_key(|&(re, _)| re);
+    for (re, d) in right_delays {
+        let left_delay = product.right_partners[re.index()].and_then(|le| left_delays[le.index()]);
+        let merged = match left_delay {
+            Some(l) => l.intersect(&d).ok_or_else(|| {
+                let name = right.underlying().alphabet().name(re).to_owned();
+                IncompatibleDelaysError::new(name, l, d)
+            })?,
+            None => d,
+        };
+        if let Some(pe) = product.right_events[re.index()] {
+            delays[pe.index()] = Some(merged);
+        }
+    }
+    let mut timed = TimedTransitionSystem::new(product.ts);
+    for (pe, d) in delays.into_iter().enumerate() {
+        if let Some(d) = d {
+            timed.set_delay(EventId::from_index(pe), d);
+        }
     }
     Ok(timed)
 }
@@ -315,11 +403,11 @@ pub fn compose_timed_all(
         !systems.is_empty(),
         "compose_timed_all requires at least one system"
     );
-    let mut acc = systems[0].clone();
+    let mut acc: Option<TimedTransitionSystem> = None;
     for ts in &systems[1..] {
-        acc = compose_timed(&acc, ts)?;
+        acc = Some(compose_timed(acc.as_ref().unwrap_or(systems[0]), ts)?);
     }
-    Ok(acc)
+    Ok(acc.unwrap_or_else(|| systems[0].clone()))
 }
 
 #[cfg(test)]
@@ -413,6 +501,40 @@ mod tests {
         assert_eq!(p.state_count(), 1);
         assert_eq!(p.transition_count(), 0);
         assert_eq!(p.deadlock_states().len(), 1);
+    }
+
+    /// A one-state system ticking on `tick`, declaring six interface events
+    /// `{prefix}0..5` that label no transition.
+    fn idle_interface(name: &str, prefix: &str, output: bool) -> TransitionSystem {
+        let mut b = TsBuilder::new(name);
+        let s0 = b.add_state("s0");
+        b.add_transition(s0, "tick", s0);
+        b.set_initial(s0);
+        for i in 0..6 {
+            let event = format!("{prefix}{i}");
+            if output {
+                b.declare_output(&event);
+            } else {
+                b.declare_input(&event);
+            }
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn declared_events_that_never_fire_keep_their_place() {
+        let left = idle_interface("l", "x", true);
+        let right = idle_interface("r", "y", false);
+        let first = compose(&left, &right).unwrap();
+        for _ in 0..10 {
+            assert_eq!(compose(&left, &right).unwrap(), first);
+        }
+        // Fired events first, then the declared ones, left component first.
+        let names: Vec<&str> = first.alphabet().iter().map(|(_, n)| n).collect();
+        let mut expected = vec!["tick".to_owned()];
+        expected.extend((0..6).map(|i| format!("x{i}")));
+        expected.extend((0..6).map(|i| format!("y{i}")));
+        assert_eq!(names, expected);
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //!   the raw material for causal-event-structure extraction.
 //! * [`compose`]/[`compose_timed`] — CSP-style parallel composition used to
 //!   close circuits with their environments and abstractions.
+//! * [`IdMap`] — a hash map for the integer keys the model builders
+//!   generate themselves (packed state pairs, packed valuations).
 //!
 //! The relative-timing verification engine itself lives in the `transyt`
 //! crate; the max-separation timing analysis in `ces`; circuit- and
@@ -50,6 +52,7 @@
 
 mod compose;
 mod event;
+mod hash;
 mod time;
 mod timed;
 mod trace;
@@ -60,6 +63,7 @@ pub use compose::{
     ComposeOptions,
 };
 pub use event::{Alphabet, EventId, Polarity, SignalEdge};
+pub use hash::{IdHasher, IdMap};
 pub use time::{Bound, DelayInterval, InvalidIntervalError, Time};
 pub use timed::{IncompatibleDelaysError, TimedTransitionSystem};
 pub use trace::{EnablingTrace, InvalidRunError, TraceDisplay, TraceStep};

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Determinism gate for the property-test suites: the randomized zone and
-# exploration proptests must draw their cases from one pinned RNG seed and
-# must draw the SAME cases regardless of test-harness threading.
+# Determinism gate for the property-test suites: the randomized zone,
+# exploration and model-builder proptests must draw their cases from one
+# pinned RNG seed and must draw the SAME cases regardless of test-harness
+# threading.
 #
 # The vendored proptest crate seeds every `proptest!` block from the
 # `PROPTEST_RNG_SEED` environment variable (logging the seed it used), so
@@ -21,7 +22,8 @@ cd "$(dirname "$0")/.."
 export PROPTEST_RNG_SEED=${1:-2002060342}
 echo "pinned PROPTEST_RNG_SEED=$PROPTEST_RNG_SEED"
 
-SUITES=(-p transyt-cli --test proptest_zones -p ipcmos-repro --test proptest_explore)
+SUITES=(-p transyt-cli --test proptest_zones -p ipcmos-repro --test proptest_explore
+  --test proptest_builders)
 
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
