@@ -12,12 +12,14 @@
 //! * [`SeparationAnalysis`] — exact maximum-separation analysis
 //!   (`max(t(a) − t(b))`) in the style of McMillan & Dill, used to discover
 //!   event orderings implied by the absolute delay bounds.
-//! * [`check_consistency`] — timing-consistency check of a trace against the
-//!   delay intervals (difference-constraint feasibility), used to distinguish
-//!   real counterexamples from timing-inconsistent interleavings.
 //! * [`RelativeTimingConstraint`] — the constraints derived from negative
 //!   separations; these are both the pruning rules of the refinement loop and
 //!   the back-annotation reported to the designer.
+//!
+//! Whether a failure trace is timing consistent in the first place is not
+//! decided here: the `transyt` engine replays the trace through the zone
+//! kernel of the `dbm` crate (`dbm::path_firing_windows`), and only an
+//! inconsistent trace reaches this crate's analyses.
 //!
 //! # Example
 //!
@@ -63,13 +65,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod consistency;
 mod constraint;
 mod extract;
 mod separation;
 mod structure;
 
-pub use consistency::{check_consistency, Consistency};
 pub use constraint::{Justification, RelativeTimingConstraint};
 pub use extract::{extract_ces, ExtractedCes};
 pub use separation::{

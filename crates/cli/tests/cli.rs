@@ -51,7 +51,7 @@ fn shipped_models_match_their_scenario_builders() {
 /// --trace` prints a timed witness trace that replays step-by-step to the
 /// reported end state, identically on two runs.
 #[test]
-fn ipcmos_1stage_trace_replays_identically_across_thread_counts() {
+fn ipcmos_1stage_trace_replays_identically_across_runs() {
     let model = load("ipcmos_1stage.stg");
     let timed = model.timed_system().unwrap();
     let mut outputs = Vec::new();
@@ -182,7 +182,7 @@ fn zone_witness_pins_the_entry_clock_annotations() {
 }
 
 #[test]
-fn zone_trace_is_identical_across_thread_counts_and_subsumption() {
+fn zone_trace_is_identical_across_runs_by_default_and_exact() {
     let model = load("ipcmos_1stage.stg");
     for exact in [false, true] {
         let texts: Vec<String> = (0..2)

@@ -1,11 +1,14 @@
 //! Property tests for the textual model formats and the witness traces:
 //! printing then parsing a random model is the identity, and the failure
-//! trace a verification reports replays to the reported violating state.
+//! trace a verification reports replays, with a firing window per step, to
+//! the reported violating state, which the zone exploration confirms.
 
+use dbm::{explore_timed_with, ExploreSpec, ZoneExplorationOptions, ZoneOutcome, ZoneReport};
 use proptest::prelude::*;
 use stg::{SignalRole, StgBuilder};
 use transyt::{FailureKind, Verdict, VerifyOptions};
 use transyt_cli::format::{Model, ModelSource, PropertySpec};
+use transyt_session::trace_of_verdict;
 use tts::{DelayInterval, Time, TimedTransitionSystem, TsBuilder};
 
 /// Builds a random live STG: alternating signal-edge transitions connected
@@ -84,6 +87,28 @@ fn random_timed(
         }
     }
     timed
+}
+
+/// The timed reachability report of `timed`: the `exact` zone exploration,
+/// unless a clock of an event the system stops enabling drifts past the
+/// configuration limit (exact zones never widen it away); the default
+/// abstraction, exact for discrete reachability, decides those.
+fn timed_reachability(timed: &TimedTransitionSystem) -> ZoneReport {
+    let explore = |exact: bool| {
+        let spec = ExploreSpec {
+            exact,
+            limit: Some(5_000),
+            ..ExploreSpec::default()
+        };
+        explore_timed_with(timed, ZoneExplorationOptions { spec })
+    };
+    match explore(true) {
+        ZoneOutcome::Completed(report) => report,
+        _ => explore(false)
+            .report()
+            .expect("the default abstraction terminates")
+            .clone(),
+    }
 }
 
 proptest! {
@@ -172,7 +197,7 @@ proptest! {
     }
 
     #[test]
-    fn failure_traces_replay_to_the_violating_state_at_any_thread_count(
+    fn failure_traces_replay_with_firing_windows_to_the_violating_state(
         states in 2usize..6,
         transitions in proptest::collection::vec((0usize..6, 0usize..5, 0usize..6), 0..8),
         delays in proptest::collection::vec((0i64..6, 0i64..6), 5),
@@ -182,14 +207,24 @@ proptest! {
         let verdict = transyt::verify(&timed, &property, &VerifyOptions::default());
         if let Verdict::Failed { counterexample, .. } = &verdict {
             let ts = timed.underlying();
-            let end = counterexample.trace.replay(ts);
-            prop_assert_eq!(end, Some(counterexample.trace.end_state()));
+            let end = counterexample.trace.end_state();
+            prop_assert_eq!(counterexample.trace.replay(ts), Some(end));
+            // The engine called the trace consistent by replaying it through
+            // the zone kernel, so every rendered step has its firing window.
+            let rendered = trace_of_verdict(&verdict, &timed);
+            prop_assert_eq!(rendered.steps.len(), counterexample.trace.len());
+            prop_assert!(rendered.steps.iter().all(|step| step.window.is_some()));
+            // An oracle independent of the replay: the zone exploration
+            // reaches the end state in the timed semantics.
+            let report = timed_reachability(&timed);
+            prop_assert!(report.reachable_states.contains(&end));
             match &counterexample.kind {
                 FailureKind::MarkedState { .. } => {
-                    prop_assert!(!ts.violations(counterexample.trace.end_state()).is_empty());
+                    prop_assert!(!ts.violations(end).is_empty());
+                    prop_assert!(report.violating_states.contains(&end));
                 }
                 FailureKind::Deadlock => {
-                    prop_assert!(ts.transitions_from(counterexample.trace.end_state()).is_empty());
+                    prop_assert!(ts.transitions_from(end).is_empty());
                 }
                 FailureKind::PersistencyViolation { .. } => {}
             }

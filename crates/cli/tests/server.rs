@@ -504,7 +504,7 @@ fn admission_gate_refuses_with_429_and_retry_after() {
 /// at the same configuration count, and surface as `budget_exceeded` plus a
 /// 409-with-reason on the result endpoint.
 #[test]
-fn budget_breaches_are_deterministic_across_thread_counts() {
+fn budget_breaches_are_deterministic_across_runs() {
     let (handle, addr) = start_server(2);
     let hash = upload(&addr, &model_text("ipcmos_2stage.stg"));
     let breached_used = |timeout: u64| {
@@ -756,7 +756,7 @@ fn an_early_job_is_claimed_first_under_a_retrying_stream() {
 /// run) stream the identical event sequence (queue-position frames aside),
 /// opening with `running` and closing with a terminal frame.
 #[test]
-fn event_streams_are_identical_across_thread_counts() {
+fn event_streams_are_identical_across_runs() {
     let (handle, addr) = start_server(2);
     let hash = upload(&addr, &model_text("ipcmos_2stage.stg"));
     let lifecycle = |timeout: u64| {

@@ -16,8 +16,10 @@
 //! event does not fire first. Each constraint carries the separation that
 //! justifies it in the context it was discovered in; the final verdict is
 //! therefore "correct under the reported constraints", which is exactly the
-//! deliverable of the paper's methodology. The zone-based explorer of the
-//! `dbm` crate provides an independent exact check on small models.
+//! deliverable of the paper's methodology. Timing consistency is decided by
+//! the `dbm` zone kernel's replay of the trace ([`dbm::path_firing_windows`]),
+//! the same call that renders a counterexample's firing windows; the kernel's
+//! zone-based explorer provides an independent exact check on small models.
 //!
 //! Each refinement pass is one breadth-first search that stores no edges
 //! and is never replayed: the verdict reads the driver's report (discovered
@@ -27,8 +29,8 @@ use std::cell::Cell;
 use std::convert::Infallible;
 use std::fmt;
 
-use ces::{check_consistency, extract_ces, RelativeTimingConstraint, SeparationAnalysis};
-use explore::{ExploreOutcome, ExploreSpec, ProgressEvent, SearchSpace};
+use ces::{extract_ces, RelativeTimingConstraint, SeparationAnalysis};
+use explore::{ExploreSpec, ProgressEvent, SearchSpace, Stop};
 use tts::{EnablingTrace, EventId, StateId, TimedTransitionSystem, TransitionSystem};
 
 use crate::property::SafetyProperty;
@@ -540,25 +542,26 @@ pub fn verify(
             iteration: refinements,
         });
         let search = match explore::explore(&space, &spec) {
-            Ok(ExploreOutcome::Completed(report)) => report,
-            Ok(ExploreOutcome::LimitExceeded { .. }) => {
-                unreachable!("the pruned search configures no limits")
-            }
-            Ok(ExploreOutcome::Cancelled { expanded, .. }) => {
-                return Verdict::Inconclusive {
-                    reason: "verification cancelled".to_owned(),
-                    report: make_report(refinements, &constraints, expanded),
-                }
-            }
+            Ok(report) => report,
             Err(infallible) => match infallible {},
         };
+        match search.stopped {
+            None | Some(Stop::Halted) => {}
+            Some(Stop::LimitExceeded) => unreachable!("the pruned search configures no limits"),
+            Some(Stop::Cancelled) => {
+                return Verdict::Inconclusive {
+                    reason: "verification cancelled".to_owned(),
+                    report: make_report(refinements, &constraints, search.expanded),
+                }
+            }
+        }
         let mut explored_states = search.discovered;
 
         // The halting node is the last one the driver recorded. The failure
         // is classified with the predicates of the space's halt condition,
         // and the run to it follows the recorded parent links: the
         // breadth-first discovery tree.
-        let failure = search.halted.then(|| {
+        let failure = (search.stopped == Some(Stop::Halted)).then(|| {
             let node = search.nodes.len() - 1;
             let state = search.nodes[node];
             let (root, steps) = search
@@ -616,8 +619,8 @@ pub fn verify(
             return Verdict::Verified(make_report(refinements, &constraints, explored_states));
         };
 
-        // Build the enabling trace of the failure and test timing
-        // consistency.
+        // Build the enabling trace of the failure and test timing consistency
+        // by replaying the run through the zone kernel.
         let trace = match EnablingTrace::from_run(ts, failure.start, &failure.run) {
             Ok(trace) => trace,
             Err(e) => {
@@ -632,7 +635,7 @@ pub fn verify(
             .iter()
             .map(|&e| alphabet.name(e).to_owned())
             .collect();
-        if check_consistency(&trace, timed).is_consistent() {
+        if dbm::path_firing_windows(timed, failure.start, &failure.run).is_some() {
             return Verdict::Failed {
                 counterexample: Counterexample {
                     kind: failure.kind,

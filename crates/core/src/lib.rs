@@ -7,9 +7,11 @@
 //! 1. **Relative-timing verification** ([`verify`]): iterative refinement of
 //!    the untimed state space with relative-timing constraints derived by
 //!    max-separation analysis on causal event structures extracted from
-//!    failure traces. The result is either a timing-consistent
-//!    counterexample or a proof together with the back-annotated constraints
-//!    (the delay slacks under which the circuit stays correct).
+//!    failure traces. Whether a failure trace is timing consistent is
+//!    decided by replaying it through the zone kernel of the `dbm` crate.
+//!    The result is either a timing-consistent counterexample or a proof
+//!    together with the back-annotated constraints (the delay slacks under
+//!    which the circuit stays correct).
 //! 2. **Assume–guarantee reasoning with abstractions**
 //!    ([`check_refinement`], [`ProofReport`]): language-containment checks of
 //!    implementations against untimed abstractions (the `⋄` observer of the

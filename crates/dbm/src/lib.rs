@@ -19,6 +19,12 @@
 //!   with per-state LU-bounds extrapolation and aLU coverage (every clock
 //!   kept and nothing abstracted with [`ExploreSpec::exact`]), and a
 //!   buffer-reusing [`DbmArena`] behind the zone interner.
+//! * [`find_witness`] — the same exploration with parent links recorded,
+//!   from which the symbolic trace to the first goal state is read.
+//! * [`path_firing_windows`] — the kernel's replay of one discrete run with
+//!   a never-reset absolute clock: `None` when the run is not timed-feasible
+//!   (the relative-timing engine's consistency test), otherwise the window
+//!   in which each step can fire (what every rendered trace prints).
 //!
 //! # Example
 //!
@@ -49,6 +55,6 @@ pub use explore::ExploreSpec;
 pub use matrix::Dbm;
 pub use zone_graph::{
     explore_timed, explore_timed_with, find_witness, path_firing_windows, FiringWindow,
-    SymbolicTrace, WitnessGoal, WitnessOutcome, ZoneExplorationOptions, ZoneOutcome, ZoneReport,
+    SymbolicTrace, WitnessGoal, ZoneExplorationOptions, ZoneOutcome, ZoneReport,
     DEFAULT_CONFIGURATION_LIMIT,
 };

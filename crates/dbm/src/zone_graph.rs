@@ -64,7 +64,7 @@ use std::convert::Infallible;
 use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
-use explore::{BudgetMeter, ExploreOutcome, ExploreSpec, SearchSpace};
+use explore::{BudgetMeter, ExploreReport, ExploreSpec, SearchSpace, Stop};
 use tts::{Bound, DelayInterval, EventId, StateId, Time, TimedTransitionSystem};
 
 use crate::arena::{ArenaStats, DbmArena};
@@ -174,10 +174,10 @@ struct StateClocks {
 
 /// The zone kernel: which clocks the zones of each discrete state keep, and
 /// the timed successor relation over them (see the module docs). By default
-/// compact clock `k + 1` measures the `k`-th enabled event of the state; in
-/// exact mode clock `e + 1` measures event `e` in every state, and clocks
-/// beyond the alphabet (the firing-window replay's absolute clock) are never
-/// reset or constrained.
+/// compact clock `k + 1` measures the `k`-th enabled event of the state, and
+/// clocks trailing the state's own (the firing-window replay's absolute
+/// clock) carry over every firing, never reset or constrained; in exact mode
+/// clock `e + 1` measures event `e` in every state.
 struct Kernel<'a> {
     timed: &'a TimedTransitionSystem,
     exact: bool,
@@ -263,7 +263,8 @@ impl<'a> Kernel<'a> {
 
     /// Fires `event` on a guarded zone of `source` into `target`: gathers
     /// the target's clocks — a freshly enabled one (`event`'s own, or one
-    /// disabled in `source`) starts at zero — then lets time elapse.
+    /// disabled in `source`) starts at zero, and trailing clocks follow
+    /// unchanged — then lets time elapse.
     fn fire(
         &self,
         guarded: &Dbm,
@@ -275,11 +276,11 @@ impl<'a> Kernel<'a> {
         let fresh = |e| enabled(target, e) && (e == event || !enabled(source, e));
         let pick = |e| if fresh(e) { 0 } else { self.clock(source, e) };
         let picks: Vec<usize> = if self.exact {
-            let extra = self.delays.len() + 1..=guarded.clock_count();
-            let events = self.timed.underlying().alphabet().ids();
-            events.map(pick).chain(extra).collect()
+            self.timed.underlying().alphabet().ids().map(pick).collect()
         } else {
-            target.enabled.iter().map(|&e| pick(e)).collect()
+            let live = target.enabled.iter().map(|&e| pick(e));
+            let trailing = source.enabled.len() + 1..=guarded.clock_count();
+            live.chain(trailing).collect()
         };
         self.elapse(guarded.gather(&picks), target)
     }
@@ -287,7 +288,7 @@ impl<'a> Kernel<'a> {
     /// The zone reached by firing `event` from `zone` of `source` into
     /// `target`, or `None` when the firing is not timed-feasible. The one
     /// timed successor relation: the explorer and the witness replay both
-    /// go through it.
+    /// go through it, the firing-window replay through its two halves.
     fn successor(
         &self,
         zone: &Dbm,
@@ -354,10 +355,8 @@ struct InternerState {
 /// interned zone over the state's clocks.
 struct ZoneSpace<'a> {
     kernel: Kernel<'a>,
-    /// Halt the search at the first committed configuration whose discrete
-    /// state satisfies this goal (the witness search); `None` explores
-    /// exhaustively.
-    goal: Option<WitnessGoal>,
+    /// Record the parent links a witness path is rebuilt from.
+    parents: bool,
     /// The exploration's resource meter: [`intern`](SearchSpace::intern)
     /// charges the bytes of every distinct stored zone into it (in the
     /// driver's breadth-first order, so the running total is deterministic).
@@ -367,14 +366,10 @@ struct ZoneSpace<'a> {
 }
 
 impl<'a> ZoneSpace<'a> {
-    fn new(
-        timed: &'a TimedTransitionSystem,
-        spec: &ExploreSpec,
-        goal: Option<WitnessGoal>,
-    ) -> ZoneSpace<'a> {
+    fn new(timed: &'a TimedTransitionSystem, spec: &ExploreSpec, parents: bool) -> ZoneSpace<'a> {
         ZoneSpace {
             kernel: Kernel::new(timed, spec.exact),
-            goal,
+            parents,
             budget: spec.budget.clone(),
             interner: RefCell::new(InternerState {
                 zones: HashSet::default(),
@@ -387,25 +382,57 @@ impl<'a> ZoneSpace<'a> {
         }
     }
 
-    /// The abstraction counters accumulated so far (consumed once the
-    /// exploration is over).
-    fn abstraction_stats(self) -> AbstractionStats {
-        let state = self.interner.into_inner();
-        AbstractionStats {
-            extrapolated_zones: state.extrapolated,
-            alu_subsumed: state.alu_subsumed,
-            arena: state.arena.stats(),
+    /// Runs the exploration under `spec`, its unset limit resolved to
+    /// [`DEFAULT_CONFIGURATION_LIMIT`].
+    fn explore(&self, spec: ExploreSpec) -> ZoneExploration {
+        let spec = ExploreSpec {
+            limit: Some(spec.limit_or(DEFAULT_CONFIGURATION_LIMIT)),
+            ..spec
+        };
+        match explore::explore(self, &spec) {
+            Ok(report) => report,
+            Err(infallible) => match infallible {},
         }
+    }
+
+    /// Folds the exploration's report into the [`ZoneOutcome`], consuming
+    /// the abstraction counters once the exploration is over.
+    fn outcome(self, report: &ZoneExploration) -> ZoneOutcome {
+        let (explored, subsumed) = (report.expanded, report.subsumption_skips);
+        match report.stopped {
+            None => {}
+            Some(Stop::LimitExceeded) => return ZoneOutcome::LimitExceeded { explored, subsumed },
+            Some(Stop::Cancelled) => return ZoneOutcome::Cancelled { explored, subsumed },
+            Some(Stop::Halted) => unreachable!("the zone space never halts"),
+        }
+        let ts = self.kernel.timed.underlying();
+        let reachable: BTreeSet<StateId> = report.nodes.iter().map(|&(state, _)| state).collect();
+        let violating_states = reachable
+            .iter()
+            .copied()
+            .filter(|&s| !ts.violations(s).is_empty())
+            .collect();
+        let deadlock_states = reachable
+            .iter()
+            .copied()
+            .filter(|&s| ts.transitions_from(s).is_empty())
+            .collect();
+        let interner = self.interner.into_inner();
+        ZoneOutcome::Completed(ZoneReport {
+            reachable_states: reachable.into_iter().collect(),
+            violating_states,
+            deadlock_states,
+            configurations: report.nodes.len(),
+            subsumed_configurations: subsumed,
+            alu_subsumed: interner.alu_subsumed,
+            extrapolated_zones: interner.extrapolated,
+            arena: interner.arena.stats(),
+        })
     }
 }
 
-/// The abstraction counters a finished [`ZoneSpace`] hands to
-/// [`aggregate_report`].
-struct AbstractionStats {
-    extrapolated_zones: usize,
-    alu_subsumed: usize,
-    arena: ArenaStats,
-}
+/// The raw report of one zone exploration.
+type ZoneExploration = ExploreReport<(StateId, Arc<Dbm>), EventId>;
 
 /// Minimum number of inserts between sweeps of unreferenced interner
 /// entries.
@@ -448,19 +475,6 @@ impl SearchSpace for ZoneSpace<'_> {
             .collect())
     }
 
-    fn should_halt(
-        &self,
-        &(state, _): &Self::Config,
-        _successors: &[(EventId, Self::Config)],
-    ) -> bool {
-        let ts = self.kernel.timed.underlying();
-        match self.goal {
-            None => false,
-            Some(WitnessGoal::Violation) => !ts.violations(state).is_empty(),
-            Some(WitnessGoal::Deadlock) => ts.transitions_from(state).is_empty(),
-        }
-    }
-
     fn subsumes(&self, stored: &Self::Config, candidate: &Self::Config) -> bool {
         // In exact mode equal keys imply equal zones: exact deduplication.
         if self.kernel.exact {
@@ -478,7 +492,7 @@ impl SearchSpace for ZoneSpace<'_> {
 
     /// Only the witness search rebuilds a path.
     fn records_parents(&self) -> bool {
-        self.goal.is_some()
+        self.parents
     }
 
     fn note_pop_skip(&self, skipped: &Self::Config, stored: &[Self::Config]) {
@@ -547,14 +561,6 @@ impl SearchSpace for ZoneSpace<'_> {
     }
 }
 
-/// `spec` with an unset limit resolved to [`DEFAULT_CONFIGURATION_LIMIT`].
-fn with_default_limit(spec: ExploreSpec) -> ExploreSpec {
-    ExploreSpec {
-        limit: Some(spec.limit_or(DEFAULT_CONFIGURATION_LIMIT)),
-        ..spec
-    }
-}
-
 /// Explores the timed state space of `timed` with default options.
 ///
 /// # Examples
@@ -590,65 +596,9 @@ pub fn explore_timed_with(
     timed: &TimedTransitionSystem,
     options: ZoneExplorationOptions,
 ) -> ZoneOutcome {
-    let space = ZoneSpace::new(timed, &options.spec, None);
-    let outcome = match explore::explore(&space, &with_default_limit(options.spec)) {
-        Ok(outcome) => outcome,
-        Err(infallible) => match infallible {},
-    };
-    let report = match outcome {
-        ExploreOutcome::Completed(report) => report,
-        ExploreOutcome::LimitExceeded {
-            expanded,
-            subsumption_skips,
-            ..
-        } => {
-            return ZoneOutcome::LimitExceeded {
-                explored: expanded,
-                subsumed: subsumption_skips,
-            }
-        }
-        ExploreOutcome::Cancelled {
-            expanded,
-            subsumption_skips,
-            ..
-        } => {
-            return ZoneOutcome::Cancelled {
-                explored: expanded,
-                subsumed: subsumption_skips,
-            }
-        }
-    };
-    ZoneOutcome::Completed(aggregate_report(timed, &report, space.abstraction_stats()))
-}
-
-/// Folds the raw exploration report into the state-level [`ZoneReport`].
-fn aggregate_report(
-    timed: &TimedTransitionSystem,
-    report: &explore::ExploreReport<(StateId, Arc<Dbm>), EventId>,
-    stats: AbstractionStats,
-) -> ZoneReport {
-    let ts = timed.underlying();
-    let reachable: BTreeSet<StateId> = report.nodes.iter().map(|&(state, _)| state).collect();
-    let violating_states = reachable
-        .iter()
-        .copied()
-        .filter(|&s| !ts.violations(s).is_empty())
-        .collect();
-    let deadlock_states = reachable
-        .iter()
-        .copied()
-        .filter(|&s| ts.transitions_from(s).is_empty())
-        .collect();
-    ZoneReport {
-        reachable_states: reachable.iter().copied().collect(),
-        violating_states,
-        deadlock_states,
-        configurations: report.nodes.len(),
-        subsumed_configurations: report.subsumption_skips,
-        alu_subsumed: stats.alu_subsumed,
-        extrapolated_zones: stats.extrapolated_zones,
-        arena: stats.arena,
-    }
+    let space = ZoneSpace::new(timed, &options.spec, false);
+    let report = space.explore(options.spec);
+    space.outcome(&report)
 }
 
 /// The kind of state a symbolic witness search targets.
@@ -779,6 +729,9 @@ impl SymbolicTrace {
 /// Works for any run of the underlying transition system, e.g. the failure
 /// trace of the relative-timing engine; returns `None` when some step is not
 /// a transition of the system or is not timed-feasible after its prefix.
+/// That makes it the timing-consistency test of a run: `Some` exactly when
+/// time stamps exist at which every step fires inside its delay window
+/// without any pending event overtaking its deadline.
 ///
 /// # Examples
 ///
@@ -786,20 +739,26 @@ impl SymbolicTrace {
 /// use dbm::path_firing_windows;
 /// use tts::{DelayInterval, Time, TimedTransitionSystem, TsBuilder};
 ///
-/// let mut b = TsBuilder::new("chain");
+/// // `slow` and `fast` race from the initial state: `slow` takes at least 5
+/// // time units, `fast` at most 2, so `slow` cannot fire first.
+/// let mut b = TsBuilder::new("race");
 /// let s0 = b.add_state("s0");
 /// let s1 = b.add_state("s1");
 /// let s2 = b.add_state("s2");
-/// let a = b.add_transition(s0, "a", s1);
-/// let c = b.add_transition(s1, "b", s2);
+/// let s3 = b.add_state("s3");
+/// let slow = b.add_transition(s0, "slow", s1);
+/// let fast = b.add_transition(s0, "fast", s2);
+/// b.add_transition_by_id(s2, slow, s3);
 /// b.set_initial(s0);
 /// let mut timed = TimedTransitionSystem::new(b.build()?);
-/// timed.set_delay_by_name("a", DelayInterval::new(Time::new(1), Time::new(2))?);
-/// timed.set_delay_by_name("b", DelayInterval::new(Time::new(3), Time::new(4))?);
-/// let windows = path_firing_windows(&timed, s0, &[(a, s1), (c, s2)]).unwrap();
-/// // `a` fires at [1,2]; `b` fires 3 to 4 time units later.
+/// timed.set_delay_by_name("slow", DelayInterval::new(Time::new(5), Time::new(9))?);
+/// timed.set_delay_by_name("fast", DelayInterval::new(Time::new(1), Time::new(2))?);
+///
+/// assert_eq!(path_firing_windows(&timed, s0, &[(slow, s1)]), None);
+/// let windows = path_firing_windows(&timed, s0, &[(fast, s2), (slow, s3)]).unwrap();
+/// // `fast` fires at [1,2]; `slow`, pending since time 0, at [5,9].
 /// assert_eq!(windows[0].to_string(), "[1, 2]");
-/// assert_eq!(windows[1].to_string(), "[4, 6]");
+/// assert_eq!(windows[1].to_string(), "[5, 9]");
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn path_firing_windows(
@@ -808,11 +767,12 @@ pub fn path_firing_windows(
     run: &[(EventId, StateId)],
 ) -> Option<Vec<FiringWindow>> {
     let ts = timed.underlying();
-    // The exact kernel over one clock per event plus the absolute-time
-    // clock, which is never reset.
-    let kernel = Kernel::new(timed, true);
-    let absolute = ts.alphabet().len() + 1;
-    let mut zone = kernel.elapse(Dbm::zero(absolute), kernel.state(start))?;
+    // The live-clock kernel, with the absolute-time clock trailing each
+    // state's clocks: never reset, so its bounds at a firing are the
+    // step's window.
+    let kernel = Kernel::new(timed, false);
+    let clocks = kernel.state(start);
+    let mut zone = kernel.elapse(Dbm::zero(clocks.enabled.len() + 1), clocks)?;
     let mut state = start;
     let mut windows = Vec::with_capacity(run.len());
     for &(event, target) in run {
@@ -824,6 +784,7 @@ pub fn path_firing_windows(
         if !kernel.guard(&mut zone, source, event) {
             return None;
         }
+        let absolute = zone.clock_count();
         windows.push(FiringWindow {
             earliest: Time::new(zone.lower_bound(absolute)),
             latest: match zone.upper_bound(absolute) {
@@ -837,56 +798,23 @@ pub fn path_firing_windows(
     Some(windows)
 }
 
-/// Outcome of [`find_witness`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum WitnessOutcome {
-    /// A goal state is timed-reachable; the trace ends at the first such
-    /// state in breadth-first order.
-    Found(SymbolicTrace),
-    /// The exploration completed without reaching the goal; the exact report
-    /// is attached.
-    Unreachable(ZoneReport),
-    /// The configuration limit was exceeded before the goal was decided.
-    LimitExceeded {
-        /// Number of configurations explored before aborting.
-        explored: usize,
-        /// Enqueued configurations skipped by zone subsumption (0 in exact
-        /// mode).
-        subsumed: usize,
-    },
-    /// The [`ExploreSpec::cancel`](explore::ExploreSpec::cancel) token fired before the goal
-    /// was decided.
-    Cancelled {
-        /// Number of configurations explored before the cancellation.
-        explored: usize,
-        /// Enqueued configurations skipped by zone subsumption (0 in exact
-        /// mode).
-        subsumed: usize,
-    },
-}
-
-impl WitnessOutcome {
-    /// The witness trace, if one was found.
-    pub fn trace(&self) -> Option<&SymbolicTrace> {
-        match self {
-            WitnessOutcome::Found(trace) => Some(trace),
-            _ => None,
-        }
-    }
-}
-
-/// Searches the timed state space for the first goal state in deterministic
-/// breadth-first order and reconstructs the symbolic trace leading to it.
+/// Explores the timed state space, like [`explore_timed_with`], and
+/// reconstructs the symbolic trace to the first goal state in deterministic
+/// breadth-first order.
 ///
-/// The search runs on the shared exploration engine with parent tracking, so
-/// the returned trace — not just the verdict — is the breadth-first one, and
-/// subsumption only prunes configurations covered by already-found ones (the
-/// trace stays a genuine timed execution).
+/// One exploration answers both: it records the link that discovered each
+/// configuration, and the witness is the discovery path to the first
+/// expanded configuration whose state is a goal — whether the search drained
+/// or a limit, budget or cancellation stopped it later. Subsumption only
+/// prunes configurations covered by already-found ones, so the trace stays a
+/// genuine timed execution. The witness is `None` when no goal state was
+/// expanded (with a [`ZoneOutcome::Completed`] outcome: none is
+/// timed-reachable).
 ///
 /// # Examples
 ///
 /// ```
-/// use dbm::{find_witness, WitnessGoal, WitnessOutcome, ZoneExplorationOptions};
+/// use dbm::{find_witness, WitnessGoal, ZoneExplorationOptions};
 /// use tts::{DelayInterval, Time, TimedTransitionSystem, TsBuilder};
 ///
 /// // With overlapping delays the slow event can overtake the fast one.
@@ -902,12 +830,13 @@ impl WitnessOutcome {
 /// timed.set_delay_by_name("fast", DelayInterval::new(Time::new(1), Time::new(4))?);
 /// timed.set_delay_by_name("slow", DelayInterval::new(Time::new(2), Time::new(9))?);
 ///
-/// let outcome = find_witness(
+/// let (outcome, trace) = find_witness(
 ///     &timed,
 ///     ZoneExplorationOptions::default(),
 ///     WitnessGoal::Violation,
 /// );
-/// let trace = outcome.trace().expect("violation is reachable");
+/// assert_eq!(outcome.report().unwrap().reachable_states.len(), 3);
+/// let trace = trace.expect("violation is reachable");
 /// assert_eq!(trace.end_state(), ss);
 /// assert_eq!(trace.replay(&timed), Some(ss));
 /// let windows = trace.firing_windows(&timed).unwrap();
@@ -919,63 +848,41 @@ pub fn find_witness(
     timed: &TimedTransitionSystem,
     options: ZoneExplorationOptions,
     goal: WitnessGoal,
-) -> WitnessOutcome {
-    let space = ZoneSpace::new(timed, &options.spec, Some(goal));
+) -> (ZoneOutcome, Option<SymbolicTrace>) {
+    let ts = timed.underlying();
     let exact = options.spec.exact;
-    let outcome = match explore::explore(&space, &with_default_limit(options.spec)) {
-        Ok(outcome) => outcome,
-        Err(infallible) => match infallible {},
+    let space = ZoneSpace::new(timed, &options.spec, true);
+    let report = space.explore(options.spec);
+    let is_goal = |state: StateId| match goal {
+        WitnessGoal::Violation => !ts.violations(state).is_empty(),
+        WitnessGoal::Deadlock => ts.transitions_from(state).is_empty(),
     };
-    let report = match outcome {
-        ExploreOutcome::Completed(report) => report,
-        ExploreOutcome::LimitExceeded {
-            expanded,
-            subsumption_skips,
-            ..
-        } => {
-            return WitnessOutcome::LimitExceeded {
-                explored: expanded,
-                subsumed: subsumption_skips,
+    let witness = report
+        .nodes
+        .iter()
+        .position(|&(state, _)| is_goal(state))
+        .map(|goal_node| {
+            let (root, steps) = report
+                .path_to(goal_node)
+                .expect("the witness search records parents");
+            let lifted = |node: usize| {
+                let (state, zone) = &report.nodes[node];
+                (*state, Arc::new(space.kernel.lift(zone, *state)))
+            };
+            let steps = steps
+                .into_iter()
+                .map(|(event, node)| {
+                    let (state, zone) = lifted(node);
+                    (event, state, zone)
+                })
+                .collect();
+            SymbolicTrace {
+                start: lifted(root),
+                steps,
+                exact,
             }
-        }
-        ExploreOutcome::Cancelled {
-            expanded,
-            subsumption_skips,
-            ..
-        } => {
-            return WitnessOutcome::Cancelled {
-                explored: expanded,
-                subsumed: subsumption_skips,
-            }
-        }
-    };
-    if !report.halted {
-        return WitnessOutcome::Unreachable(aggregate_report(
-            timed,
-            &report,
-            space.abstraction_stats(),
-        ));
-    }
-    let goal_node = report.nodes.len() - 1;
-    let (root, steps) = report
-        .path_to(goal_node)
-        .expect("witness search records parents");
-    let lifted = |node: usize| {
-        let (state, zone) = &report.nodes[node];
-        (*state, Arc::new(space.kernel.lift(zone, *state)))
-    };
-    let steps = steps
-        .into_iter()
-        .map(|(event, node)| {
-            let (state, zone) = lifted(node);
-            (event, state, zone)
-        })
-        .collect();
-    WitnessOutcome::Found(SymbolicTrace {
-        start: lifted(root),
-        steps,
-        exact,
-    })
+        });
+    (space.outcome(&report), witness)
 }
 
 #[cfg(test)]
@@ -1178,15 +1085,35 @@ mod tests {
         timed
     }
 
+    /// [`overlapping_race`] with both orders joining in a terminal `both`
+    /// state, expanded after the violating one.
+    fn overlapping_race_to_both() -> TimedTransitionSystem {
+        let mut b = TsBuilder::new("race");
+        let s0 = b.add_state("s0");
+        let sf = b.add_state("fast-first");
+        let ss = b.add_state("slow-first");
+        let sboth = b.add_state("both");
+        b.add_transition(s0, "fast", sf);
+        b.add_transition(s0, "slow", ss);
+        b.add_transition(sf, "slow", sboth);
+        b.add_transition(ss, "fast", sboth);
+        b.mark_violation(ss, "slow overtook fast");
+        b.set_initial(s0);
+        let mut timed = TimedTransitionSystem::new(b.build().unwrap());
+        timed.set_delay_by_name("fast", d(1, 4));
+        timed.set_delay_by_name("slow", d(2, 9));
+        timed
+    }
+
     #[test]
     fn witness_reaches_the_violating_state_and_replays() {
         let timed = overlapping_race();
-        let outcome = find_witness(
+        let (_, trace) = find_witness(
             &timed,
             ZoneExplorationOptions::default(),
             WitnessGoal::Violation,
         );
-        let trace = outcome.trace().expect("violation reachable");
+        let trace = trace.expect("violation reachable");
         assert_eq!(trace.len(), 1);
         let end = trace.end_state();
         assert!(!timed.underlying().violations(end).is_empty());
@@ -1200,15 +1127,16 @@ mod tests {
     }
 
     #[test]
-    fn witness_is_identical_for_every_thread_count_and_subsumption() {
+    fn witness_is_identical_by_default_and_in_exact_mode() {
         let timed = overlapping_race();
-        let base = find_witness(
+        let (_, base) = find_witness(
             &timed,
             ZoneExplorationOptions::default(),
             WitnessGoal::Violation,
         );
+        let base = base.expect("violation reachable");
         for exact in MODES {
-            let outcome = find_witness(
+            let (_, trace) = find_witness(
                 &timed,
                 with_spec(ExploreSpec {
                     exact,
@@ -1216,9 +1144,9 @@ mod tests {
                 }),
                 WitnessGoal::Violation,
             );
-            let trace = outcome.trace().expect("violation reachable");
-            assert_eq!(trace.run(), base.trace().unwrap().run());
-            assert_eq!(trace.end_state(), base.trace().unwrap().end_state());
+            let trace = trace.expect("violation reachable");
+            assert_eq!(trace.run(), base.run());
+            assert_eq!(trace.end_state(), base.end_state());
             assert_eq!(trace.replay(&timed), Some(trace.end_state()));
         }
     }
@@ -1226,29 +1154,25 @@ mod tests {
     #[test]
     fn unreachable_goal_returns_the_exact_report() {
         let timed = race();
-        let outcome = find_witness(
+        let (outcome, trace) = find_witness(
             &timed,
             ZoneExplorationOptions::default(),
             WitnessGoal::Violation,
         );
-        match outcome {
-            WitnessOutcome::Unreachable(report) => {
-                let full = explore_timed(&timed).report().unwrap().clone();
-                assert_eq!(report, full);
-            }
-            other => panic!("expected unreachable, got {other:?}"),
-        }
+        assert_eq!(trace, None);
+        assert_eq!(outcome, explore_timed(&timed));
+        assert!(outcome.report().is_some());
     }
 
     #[test]
     fn deadlock_witness_walks_the_whole_race() {
         let timed = race();
-        let outcome = find_witness(
+        let (_, trace) = find_witness(
             &timed,
             ZoneExplorationOptions::default(),
             WitnessGoal::Deadlock,
         );
-        let trace = outcome.trace().expect("deadlock reachable");
+        let trace = trace.expect("deadlock reachable");
         // fast then slow into the terminal `both` state.
         assert_eq!(trace.len(), 2);
         let end = trace.end_state();
@@ -1260,17 +1184,30 @@ mod tests {
 
     #[test]
     fn witness_respects_the_configuration_limit() {
-        let timed = race();
-        let outcome = find_witness(
-            &timed,
+        let limit = |limit| {
             with_spec(ExploreSpec {
-                limit: Some(1),
+                limit: Some(limit),
                 ..ExploreSpec::default()
-            }),
-            WitnessGoal::Deadlock,
+            })
+        };
+        let (outcome, trace) = find_witness(&race(), limit(1), WitnessGoal::Deadlock);
+        assert!(matches!(outcome, ZoneOutcome::LimitExceeded { .. }));
+        assert!(trace.is_none());
+        // A limit met after the goal was expanded stops the exploration,
+        // not the witness: `slow-first` is the third configuration, and
+        // `both` the fourth.
+        let timed = overlapping_race_to_both();
+        let (_, full) = find_witness(&timed, limit(4), WitnessGoal::Violation);
+        let (outcome, trace) = find_witness(&timed, limit(3), WitnessGoal::Violation);
+        assert_eq!(
+            outcome,
+            ZoneOutcome::LimitExceeded {
+                explored: 4,
+                subsumed: 0
+            }
         );
-        assert!(matches!(outcome, WitnessOutcome::LimitExceeded { .. }));
-        assert!(outcome.trace().is_none());
+        assert_eq!(trace, full);
+        assert_eq!(trace.expect("violation expanded").len(), 1);
     }
 
     #[test]
@@ -1289,13 +1226,13 @@ mod tests {
                 subsumed: 0
             }
         );
-        let witness = find_witness(&race(), options, WitnessGoal::Deadlock);
-        assert!(matches!(witness, WitnessOutcome::Cancelled { .. }));
-        assert!(witness.trace().is_none());
+        let (witness_outcome, trace) = find_witness(&race(), options, WitnessGoal::Deadlock);
+        assert_eq!(witness_outcome, outcome);
+        assert!(trace.is_none());
     }
 
     #[test]
-    fn config_budget_cancels_at_the_same_count_for_every_thread_count() {
+    fn config_budget_cancels_at_the_same_count_on_every_run() {
         use explore::BudgetMeter;
         let mut counts = Vec::new();
         for _run in 0..2 {
@@ -1416,21 +1353,132 @@ mod tests {
     #[test]
     fn witness_found_under_extrapolation_replays_and_is_exactly_feasible() {
         let timed = overlapping_race();
-        let outcome = find_witness(
+        let (_, trace) = find_witness(
             &timed,
             ZoneExplorationOptions::default(),
             WitnessGoal::Violation,
         );
-        let trace = outcome.trace().expect("violation reachable");
+        let trace = trace.expect("violation reachable");
         let end = trace.end_state();
         // Replays under the abstraction it was found with...
         assert_eq!(trace.replay(&timed), Some(end));
         // ...and its discrete run is exactly feasible: the firing windows go
-        // through the unabstracted semantics (with the extra absolute-time
-        // clock) and must agree with the exact engine's windows.
+        // through the unabstracted live-clock semantics (with the trailing
+        // absolute-time clock).
         let windows = trace.firing_windows(&timed).expect("exactly feasible");
         assert_eq!(windows[0].earliest, Time::new(2));
         assert_eq!(windows[0].latest, Bound::Finite(Time::new(4)));
+    }
+
+    /// `slow` and `fast` racing from `s0` with the given delays, both orders
+    /// joining in `s3`: the system, `s0`, and the two events.
+    fn delayed_race(
+        slow: DelayInterval,
+        fast: DelayInterval,
+    ) -> (TimedTransitionSystem, StateId, [EventId; 2]) {
+        let mut b = TsBuilder::new("race");
+        let s0 = b.add_state("s0");
+        let s1 = b.add_state("s1");
+        let s2 = b.add_state("s2");
+        let s3 = b.add_state("s3");
+        let e_slow = b.add_transition(s0, "slow", s1);
+        let e_fast = b.add_transition(s0, "fast", s2);
+        b.add_transition_by_id(s1, e_fast, s3);
+        b.add_transition_by_id(s2, e_slow, s3);
+        b.set_initial(s0);
+        let mut timed = TimedTransitionSystem::new(b.build().unwrap());
+        timed.set_delay_by_name("slow", slow);
+        timed.set_delay_by_name("fast", fast);
+        (timed, s0, [e_slow, e_fast])
+    }
+
+    /// The firing windows of the run firing `events` in order from `s0`.
+    fn windows_of(
+        timed: &TimedTransitionSystem,
+        s0: StateId,
+        events: &[EventId],
+    ) -> Option<Vec<FiringWindow>> {
+        let ts = timed.underlying();
+        let mut state = s0;
+        let run: Vec<(EventId, StateId)> = events
+            .iter()
+            .map(|&event| {
+                state = ts.successors(state, event)[0];
+                (event, state)
+            })
+            .collect();
+        path_firing_windows(timed, s0, &run)
+    }
+
+    #[test]
+    fn replay_of_a_deadline_overtaken_is_infeasible() {
+        let (timed, s0, [slow, _]) = delayed_race(d(5, 9), d(1, 2));
+        assert_eq!(windows_of(&timed, s0, &[slow]), None);
+    }
+
+    #[test]
+    fn replay_respecting_the_deadline_is_feasible() {
+        let (timed, s0, [_, fast]) = delayed_race(d(5, 9), d(1, 2));
+        let windows = windows_of(&timed, s0, &[fast]).expect("fast may fire first");
+        assert_eq!(windows[0].to_string(), "[1, 2]");
+    }
+
+    #[test]
+    fn replay_of_overlapping_windows_allows_either_order() {
+        let (timed, s0, events) = delayed_race(d(1, 4), d(2, 6));
+        for event in events {
+            assert!(windows_of(&timed, s0, &[event]).is_some());
+        }
+    }
+
+    #[test]
+    fn replay_windows_accumulate_over_a_full_interleaving() {
+        let (timed, s0, [slow, fast]) = delayed_race(d(5, 9), d(1, 2));
+        // `slow` stays pending from time 0 while `fast` fires, so its window
+        // is measured from there, not from `fast`'s firing.
+        let windows = windows_of(&timed, s0, &[fast, slow]).expect("fast then slow");
+        assert_eq!(windows.len(), 2);
+        assert!(windows[0].earliest <= windows[1].earliest);
+        assert_eq!(windows[1].to_string(), "[5, 9]");
+    }
+
+    #[test]
+    fn replay_of_unbounded_events_forces_no_deadline() {
+        // The unbounded `slow` may fire at once, before the tight `fast`.
+        let (timed, s0, [slow, _]) = delayed_race(DelayInterval::unbounded(), d(1, 2));
+        let windows = windows_of(&timed, s0, &[slow]).expect("slow may fire first");
+        assert_eq!(windows[0].to_string(), "[0, 2]");
+        // Nothing bounds an unbounded event alone.
+        let (timed, s0, [slow, fast]) =
+            delayed_race(DelayInterval::unbounded(), DelayInterval::unbounded());
+        let windows = windows_of(&timed, s0, &[fast, slow]).expect("any order");
+        assert_eq!(windows[1].latest, Bound::Infinite);
+    }
+
+    #[test]
+    fn replay_of_the_empty_trace_is_feasible() {
+        let (timed, s0, _) = delayed_race(d(1, 2), d(1, 2));
+        assert_eq!(windows_of(&timed, s0, &[]), Some(Vec::new()));
+    }
+
+    #[test]
+    fn replay_of_the_race_lets_only_the_fast_event_fire_first() {
+        // `slow` [5,9] and `fast` [1,2] race from `s0` into dead ends: the
+        // first firing disables the other event, and `slow` cannot win.
+        let mut b = TsBuilder::new("race");
+        let s0 = b.add_state("s0");
+        let s1 = b.add_state("s1");
+        let s2 = b.add_state("s2");
+        let slow = b.add_transition(s0, "slow", s1);
+        let fast = b.add_transition(s0, "fast", s2);
+        b.set_initial(s0);
+        let mut timed = TimedTransitionSystem::new(b.build().unwrap());
+        timed.set_delay_by_name("slow", d(5, 9));
+        timed.set_delay_by_name("fast", d(1, 2));
+        assert_eq!(path_firing_windows(&timed, s0, &[(slow, s1)]), None);
+        let windows = path_firing_windows(&timed, s0, &[(fast, s2)]).expect("fast may fire first");
+        assert_eq!(windows.len(), 1);
+        assert_eq!(windows[0].to_string(), "[1, 2]");
     }
 
     #[test]
@@ -1453,13 +1501,15 @@ mod tests {
     /// clock disabled in the target reset to zero.
     fn assert_lifted_successors_match_the_exact_kernel(timed: &TimedTransitionSystem) {
         let ts = timed.underlying();
-        let space = ZoneSpace::new(timed, &ExploreSpec::default(), None);
+        let space = ZoneSpace::new(timed, &ExploreSpec::default(), false);
         let exact = Kernel::new(timed, true);
-        let Ok(ExploreOutcome::Completed(report)) =
-            explore::explore(&space, &ExploreSpec::default())
-        else {
-            panic!("the default exploration of {} completes", ts.name());
-        };
+        let report = space.explore(ExploreSpec::default());
+        assert_eq!(
+            report.stopped,
+            None,
+            "the default exploration of {} completes",
+            ts.name()
+        );
         let mut compared = 0;
         for (state, zone) in &report.nodes {
             let lifted = space.kernel.lift(zone, *state);

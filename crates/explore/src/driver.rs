@@ -12,23 +12,40 @@ const CANCEL_STRIDE: usize = 32;
 /// Expansions between two [`ProgressEvent::Batch`] events.
 const PROGRESS_STRIDE: usize = 32;
 
-/// Result of a completed exploration.
+/// Why a search stopped before its frontier drained.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stop {
+    /// [`SearchSpace::should_halt`] stopped the search at the last node.
+    Halted,
+    /// More configurations than [`ExploreSpec::limit`] were expanded.
+    LimitExceeded,
+    /// The [`ExploreSpec::cancel`] token stopped the search at a check
+    /// (cancelled, past its deadline, or a budget breach this search
+    /// recorded on it; the token's [`reason`](crate::CancelToken::reason)
+    /// tells which).
+    Cancelled,
+}
+
+/// What an exploration found, however it ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExploreReport<C, E> {
     /// Expanded configurations, as stored (interned), in deterministic
-    /// breadth-first order. When the search [`halted`](Self::halted), the
+    /// breadth-first order. When the search [halted](Stop::Halted), the
     /// halting configuration is the last one.
     pub nodes: Vec<C>,
+    /// Configurations counted as expanded: the nodes, plus the one over the
+    /// limit or a budget when that stopped the search.
+    pub expanded: usize,
     /// Number of configurations ever stored in the seen set (monotone count;
     /// under subsumption, later arrivals may prune earlier ones).
     pub discovered: usize,
     /// Enqueued configurations skipped without expansion because a subsuming
     /// configuration arrived after they were enqueued.
     pub subsumption_skips: usize,
-    /// `true` if [`SearchSpace::should_halt`] stopped the search; the last
-    /// node is then the halting configuration. Its successors were not
-    /// stored and do not count as discovered.
-    pub halted: bool,
+    /// Why the search stopped before its frontier drained; `None` if it
+    /// drained. The successors of a halting configuration were not stored
+    /// and do not count as discovered.
+    pub stopped: Option<Stop>,
     /// Parent links, aligned with [`nodes`](Self::nodes): entry `i` names the
     /// node that first discovered `nodes[i]` and the edge it was discovered
     /// through (`None` for initial configurations). Empty unless the space
@@ -65,45 +82,6 @@ impl<C, E: Clone> ExploreReport<C, E> {
     }
 }
 
-/// Outcome of [`explore`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ExploreOutcome<C, E> {
-    /// The frontier drained (or the space halted the search).
-    Completed(ExploreReport<C, E>),
-    /// More configurations than [`ExploreSpec::limit`] were expanded.
-    LimitExceeded {
-        /// Configurations expanded when the search aborted.
-        expanded: usize,
-        /// Configurations discovered when the search aborted.
-        discovered: usize,
-        /// Enqueued configurations skipped by pop-time subsumption before
-        /// the search aborted.
-        subsumption_skips: usize,
-    },
-    /// The [`ExploreSpec::cancel`] token stopped the search at a check
-    /// (cancelled, past its deadline, or a budget breach this search
-    /// recorded on it) without draining the frontier.
-    Cancelled {
-        /// Configurations expanded when the search was cancelled.
-        expanded: usize,
-        /// Configurations discovered when the search was cancelled.
-        discovered: usize,
-        /// Enqueued configurations skipped by pop-time subsumption before
-        /// the cancellation.
-        subsumption_skips: usize,
-    },
-}
-
-impl<C, E> ExploreOutcome<C, E> {
-    /// The report, if the exploration completed.
-    pub fn report(&self) -> Option<&ExploreReport<C, E>> {
-        match self {
-            ExploreOutcome::Completed(report) => Some(report),
-            ExploreOutcome::LimitExceeded { .. } | ExploreOutcome::Cancelled { .. } => None,
-        }
-    }
-}
-
 /// Explores `space` breadth-first and returns the expanded configurations in
 /// deterministic order.
 ///
@@ -111,7 +89,9 @@ impl<C, E> ExploreOutcome<C, E> {
 /// every expansion, a breach being recorded on `spec.cancel`, which is
 /// checked once per 32 frontier entries. `spec.progress` gets a `Batch`
 /// event every 32 expansions and at each level end, a `Level` event after
-/// every level and a `Cancelled` event when the search stops early.
+/// every level and a `Cancelled` event when the token stops the search.
+/// However the search ends, the report describes what it explored, with
+/// [`ExploreReport::stopped`] saying why it ended early.
 ///
 /// The search keeps, per dedup key, the stored configurations maximal under
 /// [`SearchSpace::subsumes`]; a successor subsumed by a stored configuration
@@ -125,7 +105,7 @@ impl<C, E> ExploreOutcome<C, E> {
 pub fn explore<S: SearchSpace>(
     space: &S,
     spec: &ExploreSpec,
-) -> Result<ExploreOutcome<S::Config, S::Edge>, S::Error> {
+) -> Result<ExploreReport<S::Config, S::Edge>, S::Error> {
     let mut seen: SeenMap<S> = SeenMap::default();
     // With exact deduplication (the default `subsumes`) a stored
     // configuration is never pruned, so the pop-time staleness check can
@@ -140,7 +120,7 @@ pub fn explore<S: SearchSpace>(
     let mut expanded = 0usize;
     let mut discovered = 0usize;
     let mut subsumption_skips = 0usize;
-    let mut halted = false;
+    let mut stopped = None;
 
     let mut frontier: Vec<S::Config> = Vec::new();
     // Aligned with `frontier` when tracing: the expanded node that
@@ -167,11 +147,8 @@ pub fn explore<S: SearchSpace>(
             // counters describe the explored prefix.
             if i % CANCEL_STRIDE == 0 && spec.cancel.is_cancelled() {
                 spec.progress.emit(&ProgressEvent::Cancelled { expanded });
-                return Ok(ExploreOutcome::Cancelled {
-                    expanded,
-                    discovered,
-                    subsumption_skips,
-                });
+                stopped = Some(Stop::Cancelled);
+                break 'search;
             }
             if stale_possible && !seen.contains(space, config) {
                 seen.note_skip(space, config);
@@ -180,11 +157,8 @@ pub fn explore<S: SearchSpace>(
             }
             expanded += 1;
             if expanded > limit {
-                return Ok(ExploreOutcome::LimitExceeded {
-                    expanded,
-                    discovered,
-                    subsumption_skips,
-                });
+                stopped = Some(Stop::LimitExceeded);
+                break 'search;
             }
             // Resource budgets, checked at the same point as the limit. A
             // breach stops the run's token with the breach as its reason,
@@ -192,11 +166,8 @@ pub fn explore<S: SearchSpace>(
             if let Some(breach) = spec.budget.check(expanded) {
                 spec.cancel.stop(StopReason::Budget(breach));
                 spec.progress.emit(&ProgressEvent::Cancelled { expanded });
-                return Ok(ExploreOutcome::Cancelled {
-                    expanded,
-                    discovered,
-                    subsumption_skips,
-                });
+                stopped = Some(Stop::Cancelled);
+                break 'search;
             }
             let successors = space.expand(config)?;
             let node_index = nodes.len();
@@ -205,7 +176,7 @@ pub fn explore<S: SearchSpace>(
                 parents.push(frontier_parents[i].clone());
             }
             if space.should_halt(config, &successors) {
-                halted = true;
+                stopped = Some(Stop::Halted);
                 break 'search;
             }
             for (edge, successor) in successors {
@@ -243,13 +214,14 @@ pub fn explore<S: SearchSpace>(
         frontier_parents = next_parents;
     }
 
-    Ok(ExploreOutcome::Completed(ExploreReport {
+    Ok(ExploreReport {
         nodes,
+        expanded,
         discovered,
         subsumption_skips,
-        halted,
+        stopped,
         parents,
-    }))
+    })
 }
 
 #[cfg(test)]
@@ -364,14 +336,18 @@ mod tests {
         }
     }
 
+    /// The report of a search that drained its frontier or halted.
     fn completed<S: SearchSpace>(space: &S, spec: &ExploreSpec) -> ExploreReport<S::Config, S::Edge>
     where
         S::Error: std::fmt::Debug,
     {
-        match explore(space, spec).expect("no error") {
-            ExploreOutcome::Completed(report) => report,
-            _ => panic!("expected completion"),
-        }
+        let report = explore(space, spec).expect("no error");
+        assert!(
+            matches!(report.stopped, None | Some(Stop::Halted)),
+            "expected completion, got {:?}",
+            report.stopped
+        );
+        report
     }
 
     #[test]
@@ -380,7 +356,7 @@ mod tests {
         assert_eq!(report.nodes.len(), 16);
         assert_eq!(report.discovered, 16);
         assert_eq!(report.subsumption_skips, 0);
-        assert!(!report.halted);
+        assert_eq!(report.stopped, None);
         // Breadth-first: Manhattan distance never decreases.
         let distances: Vec<u64> = report.nodes.iter().map(|&(x, y)| x + y).collect();
         assert!(distances.windows(2).all(|w| w[0] <= w[1]));
@@ -402,7 +378,7 @@ mod tests {
 
     #[test]
     fn expanded_limit_aborts_deterministically() {
-        let outcome = explore(
+        let report = explore(
             &Grid { side: 10 },
             &ExploreSpec {
                 limit: Some(7),
@@ -410,18 +386,12 @@ mod tests {
             },
         )
         .expect("no error");
-        match outcome {
-            ExploreOutcome::LimitExceeded {
-                expanded,
-                discovered,
-                subsumption_skips,
-            } => {
-                assert_eq!(expanded, 8, "aborts on the config exceeding the limit");
-                assert!(discovered >= expanded);
-                assert_eq!(subsumption_skips, 0);
-            }
-            other => panic!("expected limit abort, got {other:?}"),
-        }
+        assert_eq!(report.stopped, Some(Stop::LimitExceeded));
+        // The config over the limit is counted, not expanded.
+        assert_eq!(report.expanded, 8);
+        assert_eq!(report.nodes.len(), 7);
+        assert!(report.discovered >= report.expanded);
+        assert_eq!(report.subsumption_skips, 0);
     }
 
     #[test]
@@ -429,7 +399,7 @@ mod tests {
         use crate::budget::{BudgetMeter, BudgetResource};
         let budget = BudgetMeter::new(Some(7), None);
         let cancel = CancelToken::new();
-        let outcome = explore(
+        let report = explore(
             &Grid { side: 10 },
             &ExploreSpec {
                 budget: budget.clone(),
@@ -438,12 +408,8 @@ mod tests {
             },
         )
         .expect("no error");
-        match outcome {
-            ExploreOutcome::Cancelled { expanded, .. } => {
-                assert_eq!(expanded, 8, "aborts on the breaching config");
-            }
-            other => panic!("expected budget cancellation, got {other:?}"),
-        }
+        assert_eq!(report.stopped, Some(Stop::Cancelled));
+        assert_eq!(report.expanded, 8, "aborts on the breaching config");
         let Some(StopReason::Budget(breach)) = cancel.reason() else {
             panic!("breach recorded on the token: {:?}", cancel.reason());
         };
@@ -459,7 +425,7 @@ mod tests {
         let budget = BudgetMeter::new(None, Some(10));
         budget.charge_zone_bytes(11);
         let cancel = CancelToken::new();
-        let outcome = explore(
+        let report = explore(
             &Grid { side: 4 },
             &ExploreSpec {
                 budget: budget.clone(),
@@ -468,10 +434,8 @@ mod tests {
             },
         )
         .expect("no error");
-        assert!(matches!(
-            outcome,
-            ExploreOutcome::Cancelled { expanded: 1, .. }
-        ));
+        assert_eq!(report.stopped, Some(Stop::Cancelled));
+        assert_eq!(report.expanded, 1);
         assert_eq!(
             match cancel.reason() {
                 Some(StopReason::Budget(breach)) => Some(breach.resource),
@@ -536,7 +500,7 @@ mod tests {
             after: 10,
             calls: Cell::new(0),
         };
-        let outcome = explore(
+        let report = explore(
             &space,
             &ExploreSpec {
                 cancel: token,
@@ -544,27 +508,21 @@ mod tests {
             },
         )
         .expect("no error");
-        match outcome {
-            ExploreOutcome::Cancelled {
-                expanded,
-                discovered,
-                ..
-            } => {
-                // Far fewer than the 1024 grid configurations were
-                // expanded: the search stopped at its next check.
-                assert!(expanded >= 10, "expanded={expanded}");
-                assert!(expanded < 1024, "expanded={expanded}");
-                assert!(discovered >= expanded);
-            }
-            other => panic!("expected cancellation, got {other:?}"),
-        }
+        assert_eq!(report.stopped, Some(Stop::Cancelled));
+        // Far fewer than the 1024 grid configurations were expanded: the
+        // search stopped at its next check, and reports what it explored.
+        let expanded = report.expanded;
+        assert!(expanded >= 10, "expanded={expanded}");
+        assert!(expanded < 1024, "expanded={expanded}");
+        assert_eq!(report.nodes.len(), expanded);
+        assert!(report.discovered >= expanded);
     }
 
     #[test]
     fn pre_cancelled_token_stops_before_any_expansion() {
         let token = CancelToken::new();
         token.cancel();
-        let outcome = explore(
+        let report = explore(
             &Grid { side: 4 },
             &ExploreSpec {
                 cancel: token,
@@ -572,11 +530,9 @@ mod tests {
             },
         )
         .expect("no error");
-        assert!(matches!(
-            outcome,
-            ExploreOutcome::Cancelled { expanded: 0, .. }
-        ));
-        assert!(outcome.report().is_none());
+        assert_eq!(report.stopped, Some(Stop::Cancelled));
+        assert_eq!(report.expanded, 0);
+        assert!(report.nodes.is_empty());
     }
 
     #[test]
@@ -593,7 +549,7 @@ mod tests {
     }
 
     #[test]
-    fn progress_events_are_identical_across_thread_counts() {
+    fn progress_events_are_identical_across_runs() {
         use crate::progress::{ProgressEvent, ProgressSink};
         use std::sync::{Arc, Mutex};
 
@@ -646,7 +602,7 @@ mod tests {
         token.cancel();
         let events: Arc<Mutex<Vec<ProgressEvent>>> = Arc::default();
         let sink_events = Arc::clone(&events);
-        let outcome = explore(
+        let report = explore(
             &Grid { side: 4 },
             &ExploreSpec {
                 cancel: token,
@@ -657,7 +613,7 @@ mod tests {
             },
         )
         .expect("no error");
-        assert!(matches!(outcome, ExploreOutcome::Cancelled { .. }));
+        assert_eq!(report.stopped, Some(Stop::Cancelled));
         assert_eq!(
             events.lock().unwrap().as_slice(),
             &[ProgressEvent::Cancelled { expanded: 0 }]
@@ -702,7 +658,7 @@ mod tests {
             },
             &ExploreSpec::default(),
         );
-        assert!(report.halted);
+        assert_eq!(report.stopped, Some(Stop::Halted));
         assert_eq!(report.nodes.last(), Some(&(2, 1)));
         // Only configs at distance <= 3 can have been expanded.
         assert!(report.nodes.iter().all(|&(x, y)| x + y <= 3));
@@ -747,7 +703,7 @@ mod tests {
             }),
             &ExploreSpec::default(),
         );
-        assert!(report.halted);
+        assert_eq!(report.stopped, Some(Stop::Halted));
         let last = report.nodes.len() - 1;
         let (root, steps) = report.path_to(last).expect("parents recorded");
         assert_eq!(report.nodes[root], (0, 0));

@@ -13,18 +13,20 @@
 //!   relation under which a configuration needs no exploration because an
 //!   already-stored one covers it (e.g. zone inclusion in the DBM explorer).
 //! * [`explore`] — the driver: a plain FIFO breadth-first search run under
-//!   an [`ExploreSpec`]. Its [`ExploreReport`] lists the expanded
-//!   configurations in breadth-first order, the halting one last when
-//!   [`SearchSpace::should_halt`] stopped the search. It stores no edges,
-//!   only, for a space that [records parents](SearchSpace::records_parents),
-//!   the link that discovered each node, from which
-//!   [`ExploreReport::path_to`] rebuilds breadth-first witness paths.
+//!   an [`ExploreSpec`]. It returns one [`ExploreReport`] however the search
+//!   ends: the expanded configurations in breadth-first order, the counters
+//!   and, when the search stopped early, why ([`Stop`]: the space halted it
+//!   at the last node, the limit was exceeded, or the token stopped it).
+//!   It stores no edges, only, for a space that
+//!   [records parents](SearchSpace::records_parents), the link that
+//!   discovered each node, from which [`ExploreReport::path_to`] rebuilds
+//!   breadth-first witness paths.
 //! * [`CancelToken`] — cooperative cancellation and the one record of why
 //!   a run stopped: the driver checks it once per 32 frontier entries, so
 //!   a long-running exploration stops without running to its limit. It
 //!   stops on [`cancel`](CancelToken::cancel), at an optional deadline, or
 //!   on a budget breach, and keeps the first [`StopReason`]. A stopped
-//!   search returns [`ExploreOutcome::Cancelled`] with the counters of the
+//!   search reports [`Stop::Cancelled`] with the nodes and counters of the
 //!   explored prefix.
 //! * [`ProgressSink`] — progress reporting: a callback the driver feeds with
 //!   [`ProgressEvent`]s (32 more expansions, level finished, search
@@ -55,7 +57,7 @@
 //! # Example
 //!
 //! ```
-//! use explore::{explore, ExploreOutcome, ExploreSpec, SearchSpace};
+//! use explore::{explore, ExploreSpec, SearchSpace};
 //!
 //! /// Collatz-style reachability over `u64` values below a cap.
 //! struct Collatz {
@@ -86,15 +88,13 @@
 //!     }
 //! }
 //!
-//! let outcome = explore(&Collatz { cap: 64 }, &ExploreSpec::default()).unwrap();
-//! let report = match outcome {
-//!     ExploreOutcome::Completed(report) => report,
-//!     _ => unreachable!(),
-//! };
+//! let report = explore(&Collatz { cap: 64 }, &ExploreSpec::default()).unwrap();
+//! // The frontier drained: nothing stopped the search early.
+//! assert_eq!(report.stopped, None);
 //! assert!(report.nodes.contains(&64));
 //! // A second run returns the identical report.
 //! let again = explore(&Collatz { cap: 64 }, &ExploreSpec::default()).unwrap();
-//! assert_eq!(again, ExploreOutcome::Completed(report));
+//! assert_eq!(again, report);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -110,7 +110,7 @@ mod spec;
 
 pub use budget::{BudgetBreach, BudgetMeter, BudgetResource};
 pub use cancel::{CancelToken, StopReason};
-pub use driver::{explore, ExploreOutcome, ExploreReport};
+pub use driver::{explore, ExploreReport, Stop};
 pub use progress::{ProgressEvent, ProgressSink};
 pub use space::SearchSpace;
 pub use spec::ExploreSpec;

@@ -17,9 +17,11 @@
 
 use std::time::Instant;
 
+use cmos_circuit::CircuitModel;
+use stg::ExpandError;
 use transyt::{
     check_refinement, verify, ProofReport, ProofStep, RefinementObligation, SafetyProperty,
-    Verdict, VerificationReport, VerifyOptions,
+    Verdict, VerifyOptions,
 };
 use tts::{compose, compose_timed_all, ComposeError, TimedTransitionSystem, TransitionSystem};
 
@@ -128,18 +130,7 @@ pub fn experiment_2() -> Result<Verdict, ExperimentError> {
 ///
 /// Returns [`ExperimentError`] if a model cannot be built.
 pub fn experiment_2_with(options: &VerifyOptions) -> Result<Verdict, ExperimentError> {
-    let stage = stage_model(1).map_err(model_err)?;
-    let left = TimedTransitionSystem::new(a_in(0).map_err(model_err)?);
-    let right = out_env(1).map_err(model_err)?;
-    let closed = compose_timed_all(&[&left, stage.timed(), &right])?;
-    let abstraction = a_out(0).map_err(model_err)?;
-    let interface = Interface::new(0);
-    let obligation = RefinementObligation {
-        implementation: &closed,
-        abstraction: &abstraction,
-        watched: vec![interface.ack_rise.clone(), interface.ack_fall.clone()],
-    };
-    check_refinement(&obligation, options).map_err(model_err)
+    row_2(&stage_1()?, options)
 }
 
 /// Experiment 3: `IN ∥ I ∥ A_out ⊑ A_in ∥ A_out`, checking the `VALID`
@@ -159,18 +150,7 @@ pub fn experiment_3() -> Result<Verdict, ExperimentError> {
 ///
 /// Returns [`ExperimentError`] if a model cannot be built.
 pub fn experiment_3_with(options: &VerifyOptions) -> Result<Verdict, ExperimentError> {
-    let stage = stage_model(1).map_err(model_err)?;
-    let left = in_env(0).map_err(model_err)?;
-    let right = TimedTransitionSystem::new(a_out(1).map_err(model_err)?);
-    let closed = compose_timed_all(&[&left, stage.timed(), &right])?;
-    let abstraction = a_in(1).map_err(model_err)?;
-    let interface = Interface::new(1);
-    let obligation = RefinementObligation {
-        implementation: &closed,
-        abstraction: &abstraction,
-        watched: vec![interface.valid_fall.clone(), interface.valid_rise.clone()],
-    };
-    check_refinement(&obligation, options).map_err(model_err)
+    row_3(&stage_1()?, options)
 }
 
 /// Experiment 4: `A_in ∥ I ∥ A_out ⊑ A_in ∥ A_out` — the behavioural fixed
@@ -190,18 +170,7 @@ pub fn experiment_4() -> Result<Verdict, ExperimentError> {
 ///
 /// Returns [`ExperimentError`] if a model cannot be built.
 pub fn experiment_4_with(options: &VerifyOptions) -> Result<Verdict, ExperimentError> {
-    let stage = stage_model(1).map_err(model_err)?;
-    let left = TimedTransitionSystem::new(a_in(0).map_err(model_err)?);
-    let right = TimedTransitionSystem::new(a_out(1).map_err(model_err)?);
-    let closed = compose_timed_all(&[&left, stage.timed(), &right])?;
-    let abstraction = a_in(1).map_err(model_err)?;
-    let interface = Interface::new(1);
-    let obligation = RefinementObligation {
-        implementation: &closed,
-        abstraction: &abstraction,
-        watched: vec![interface.valid_fall.clone(), interface.valid_rise.clone()],
-    };
-    check_refinement(&obligation, options).map_err(model_err)
+    row_4(&stage_1()?, options)
 }
 
 /// Experiment 5: transistor-level verification of a 1-stage pipeline between
@@ -222,7 +191,80 @@ pub fn experiment_5() -> Result<Verdict, ExperimentError> {
 ///
 /// Returns [`ExperimentError`] if a model cannot be built.
 pub fn experiment_5_with(options: &VerifyOptions) -> Result<Verdict, ExperimentError> {
-    let stage = stage_model(1).map_err(model_err)?;
+    row_5(&stage_1()?, options)
+}
+
+/// The elaborated stage 1, the implementation rows 2–5 check.
+fn stage_1() -> Result<CircuitModel, ExperimentError> {
+    stage_model(1).map_err(model_err)
+}
+
+/// The untimed abstraction `a` as a context of stage 1.
+fn untimed(a: Result<TransitionSystem, ExpandError>) -> Result<TimedTransitionSystem, ExpandError> {
+    a.map(TimedTransitionSystem::new)
+}
+
+/// Rows 2–4: stage 1 between the `left` and `right` contexts refines
+/// `abstraction` on the `watched` pair of interface outputs.
+fn refinement_row(
+    stage: &CircuitModel,
+    left: Result<TimedTransitionSystem, ExpandError>,
+    right: Result<TimedTransitionSystem, ExpandError>,
+    abstraction: Result<TransitionSystem, ExpandError>,
+    watched: [String; 2],
+    options: &VerifyOptions,
+) -> Result<Verdict, ExperimentError> {
+    let (left, right) = (left.map_err(model_err)?, right.map_err(model_err)?);
+    let closed = compose_timed_all(&[&left, stage.timed(), &right])?;
+    let obligation = RefinementObligation {
+        implementation: &closed,
+        abstraction: &abstraction.map_err(model_err)?,
+        watched: watched.to_vec(),
+    };
+    check_refinement(&obligation, options).map_err(model_err)
+}
+
+/// Row 2: `A_in ∥ I ∥ OUT ⊑ A_in ∥ A_out` on `ACK0`.
+fn row_2(stage: &CircuitModel, options: &VerifyOptions) -> Result<Verdict, ExperimentError> {
+    let interface = Interface::new(0);
+    refinement_row(
+        stage,
+        untimed(a_in(0)),
+        out_env(1),
+        a_out(0),
+        [interface.ack_rise, interface.ack_fall],
+        options,
+    )
+}
+
+/// Row 3: `IN ∥ I ∥ A_out ⊑ A_in ∥ A_out` on `VALID1`.
+fn row_3(stage: &CircuitModel, options: &VerifyOptions) -> Result<Verdict, ExperimentError> {
+    let interface = Interface::new(1);
+    refinement_row(
+        stage,
+        in_env(0),
+        untimed(a_out(1)),
+        a_in(1),
+        [interface.valid_fall, interface.valid_rise],
+        options,
+    )
+}
+
+/// Row 4: `A_in ∥ I ∥ A_out ⊑ A_in ∥ A_out` on `VALID1`.
+fn row_4(stage: &CircuitModel, options: &VerifyOptions) -> Result<Verdict, ExperimentError> {
+    let interface = Interface::new(1);
+    refinement_row(
+        stage,
+        untimed(a_in(0)),
+        untimed(a_out(1)),
+        a_in(1),
+        [interface.valid_fall, interface.valid_rise],
+        options,
+    )
+}
+
+/// Row 5: `IN ∥ I ∥ OUT ⊨ S` at transistor level.
+fn row_5(stage: &CircuitModel, options: &VerifyOptions) -> Result<Verdict, ExperimentError> {
     let left = in_env(0).map_err(model_err)?;
     let right = out_env(1).map_err(model_err)?;
     let closed = compose_timed_all(&[&left, stage.timed(), &right])?;
@@ -244,27 +286,27 @@ pub fn table_1() -> Result<ProofReport, ExperimentError> {
 
 /// [`table_1`] with explicit verification options shared by all five
 /// obligations (e.g. a cancel token or a progress sink in
-/// [`VerifyOptions::spec`]).
+/// [`VerifyOptions::spec`]). Rows 2–5 share one elaboration of stage 1.
 ///
 /// # Errors
 ///
 /// Returns [`ExperimentError`] if a model cannot be built.
 pub fn table_1_with(options: &VerifyOptions) -> Result<ProofReport, ExperimentError> {
-    type Experiment = fn(&VerifyOptions) -> Result<Verdict, ExperimentError>;
+    type Row = fn(&CircuitModel, &VerifyOptions) -> Result<Verdict, ExperimentError>;
     let mut report = ProofReport::new();
-    let experiments: [(&str, Experiment); 5] = [
-        ("A_in || A_out |= S", experiment_1_with),
-        ("A_in || I || OUT <= A_in || A_out", experiment_2_with),
-        ("IN || I || A_out <= A_in || A_out", experiment_3_with),
-        (
-            "A_in || I || A_out <= A_in || A_out (fixed point)",
-            experiment_4_with,
-        ),
-        ("IN || I || OUT |= S (transistor level)", experiment_5_with),
+    let stage = stage_1()?;
+    let rows: [(&str, Row); 5] = [
+        ("A_in || A_out |= S", |_, options| {
+            experiment_1_with(options)
+        }),
+        ("A_in || I || OUT <= A_in || A_out", row_2),
+        ("IN || I || A_out <= A_in || A_out", row_3),
+        ("A_in || I || A_out <= A_in || A_out (fixed point)", row_4),
+        ("IN || I || OUT |= S (transistor level)", row_5),
     ];
-    for (name, run) in experiments {
+    for (name, run) in rows {
         let started = Instant::now();
-        let verdict = run(options)?;
+        let verdict = run(&stage, options)?;
         report.push(ProofStep::new(name, verdict, started.elapsed()));
     }
     Ok(report)
@@ -306,17 +348,6 @@ pub fn flat_pipeline_persistent_events(n: usize) -> Vec<String> {
     events
 }
 
-/// Convenience accessor: number of refinements of a verdict (reported in the
-/// Table 1 reproduction).
-pub fn refinement_count(verdict: &Verdict) -> usize {
-    verdict.report().refinements
-}
-
-/// Convenience accessor for the report of a verdict.
-pub fn verification_report(verdict: &Verdict) -> &VerificationReport {
-    verdict.report()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,7 +363,7 @@ mod tests {
     fn experiment_1_verifies_without_refinement() {
         let verdict = experiment_1().unwrap();
         assert!(verdict.is_verified(), "experiment 1 failed: {verdict}");
-        assert_eq!(refinement_count(&verdict), 0);
+        assert_eq!(verdict.report().refinements, 0);
     }
 
     #[test]

@@ -41,8 +41,8 @@ pub use env::{a_in, a_out, in_env, out_env, spec, Interface};
 pub use experiments::{
     abstract_pipeline, experiment_1, experiment_1_with, experiment_2, experiment_2_with,
     experiment_3, experiment_3_with, experiment_4, experiment_4_with, experiment_5,
-    experiment_5_with, flat_pipeline, flat_pipeline_persistent_events, refinement_count, table_1,
-    table_1_with, verification_report, ExperimentError,
+    experiment_5_with, flat_pipeline, flat_pipeline_persistent_events, table_1, table_1_with,
+    ExperimentError,
 };
 pub use export::{pipeline_stg, StgPipelineModel};
 pub use intro::intro_example;

@@ -229,30 +229,16 @@ pub struct ReachOutcome {
     pub goal: Option<ReachGoalOutcome>,
 }
 
-/// The witness search of a `zones --trace` task.
+/// The witness of a `zones --trace` task: a symbolic timed trace to the
+/// first goal state. `entries` aligns with `trace.steps`: the fired event's
+/// clock range on entry to the step's zone, pre-formatted (e.g. `[0, 4]` or
+/// `[2, inf)`).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ZoneWitness {
-    /// A symbolic timed trace to the first goal state was found. `entries`
-    /// aligns with `trace.steps`: the fired event's clock range on entry to
-    /// the step's zone, pre-formatted (e.g. `[0, 4]` or `[2, inf)`).
-    Found {
-        /// The witness trace.
-        trace: RenderedTrace,
-        /// Clock-on-entry annotations, one per step.
-        entries: Vec<String>,
-    },
-    /// The whole timed space was explored; no goal state is reachable.
-    Unreachable,
-    /// The witness search hit the configuration limit first.
-    LimitExceeded {
-        /// Configurations explored when the search aborted.
-        explored: usize,
-    },
-    /// The witness search was cancelled.
-    Cancelled {
-        /// Configurations explored when the search stopped.
-        explored: usize,
-    },
+pub struct ZoneWitness {
+    /// The witness trace.
+    pub trace: RenderedTrace,
+    /// Clock-on-entry annotations, one per step.
+    pub entries: Vec<String>,
 }
 
 /// Result of a `zones` task.
@@ -268,7 +254,10 @@ pub struct ZonesOutcome {
     /// violations, `"deadlock state"` otherwise. Set iff a trace was asked
     /// for.
     pub goal_name: Option<&'static str>,
-    /// The witness search result, when the spec asked for a trace.
+    /// The witness, when the spec asked for a trace and the exploration
+    /// expanded a goal state; otherwise [`outcome`](Self::outcome) says why
+    /// there is none (no goal state is reachable, or the search stopped
+    /// before one).
     pub witness: Option<ZoneWitness>,
 }
 
@@ -368,10 +357,7 @@ impl Outcome {
                 Verdict::Inconclusive { reason, .. } if reason == "verification cancelled"
             ),
             Outcome::Reach(_) => false,
-            Outcome::Zones(z) => {
-                matches!(z.outcome, ZoneOutcome::Cancelled { .. })
-                    || matches!(z.witness, Some(ZoneWitness::Cancelled { .. }))
-            }
+            Outcome::Zones(z) => matches!(z.outcome, ZoneOutcome::Cancelled { .. }),
             Outcome::TimedOut(_) => true,
             Outcome::BudgetExceeded(_) => true,
             // A store only ever holds completed runs.

@@ -162,13 +162,11 @@ pub fn document(outcome: &Outcome) -> Value {
             };
             reach_document(&r.model, &r.report, r.states, &goal)
         }
-        Outcome::Zones(z) => {
-            let trace = match &z.witness {
-                Some(ZoneWitness::Found { trace, .. }) => Some(trace),
-                _ => None,
-            };
-            zones_document(&z.model, &z.outcome, trace)
-        }
+        Outcome::Zones(z) => zones_document(
+            &z.model,
+            &z.outcome,
+            z.witness.as_ref().map(|witness| &witness.trace),
+        ),
         Outcome::TimedOut(t) => {
             let mut doc = Value::object()
                 .field("model", t.model.as_str())
@@ -293,8 +291,7 @@ pub fn text(outcome: &Outcome) -> String {
             summarise_zone_outcome(&z.outcome, &mut text);
             let goal_name = z.goal_name.unwrap_or("violating state");
             match &z.witness {
-                None => {}
-                Some(ZoneWitness::Found { trace, entries }) => {
+                Some(ZoneWitness { trace, entries }) => {
                     text.push_str(&format!("symbolic timed trace to the first {goal_name}:\n"));
                     text.push_str(&format!("  {}\n", trace.start));
                     for (step, entry) in trace.steps.iter().zip(entries) {
@@ -311,19 +308,18 @@ pub fn text(outcome: &Outcome) -> String {
                         text.push_str(&waveform);
                     }
                 }
-                Some(ZoneWitness::Unreachable) => {
-                    text.push_str(&format!("no {goal_name} is timed-reachable\n"));
-                }
-                Some(ZoneWitness::LimitExceeded { explored }) => {
-                    text.push_str(&format!(
-                        "witness search aborted after {explored} configurations\n"
-                    ));
-                }
-                Some(ZoneWitness::Cancelled { explored }) => {
-                    text.push_str(&format!(
-                        "witness search cancelled after {explored} configurations\n"
-                    ));
-                }
+                // No goal state was expanded: the exploration's outcome
+                // says why.
+                None if z.goal_name.is_some() => text.push_str(&match &z.outcome {
+                    ZoneOutcome::Completed(_) => format!("no {goal_name} is timed-reachable\n"),
+                    ZoneOutcome::LimitExceeded { explored, .. } => {
+                        format!("witness search aborted after {explored} configurations\n")
+                    }
+                    ZoneOutcome::Cancelled { explored, .. } => {
+                        format!("witness search cancelled after {explored} configurations\n")
+                    }
+                }),
+                None => {}
             }
         }
         Outcome::TimedOut(t) => {

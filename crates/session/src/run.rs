@@ -6,9 +6,7 @@
 //! run through exactly one implementation (and therefore produce
 //! byte-identical documents).
 
-use dbm::{
-    find_witness, FiringWindow, WitnessGoal, WitnessOutcome, ZoneExplorationOptions, ZoneOutcome,
-};
+use dbm::{find_witness, FiringWindow, SymbolicTrace, WitnessGoal, ZoneExplorationOptions};
 use explore::{CancelToken, ExploreSpec};
 use stg::{ExpandError, Marking, Stg};
 use transyt::VerifyOptions;
@@ -175,12 +173,9 @@ fn run_zones(
         }));
     }
 
-    // With --trace the witness search runs first: when the goal is
-    // unreachable it has already explored the whole space and carries the
-    // exact report, so the summary comes for free; only a found witness
-    // (which halts the search early) needs the separate full exploration.
-    // That one charges a meter of its own, so it meets the budget an
-    // untraced run meets and the witness search's zone bytes count once.
+    // With --trace the one exploration also records how it discovered each
+    // configuration, and the witness is read off it: the summary, the
+    // budget it meets and its progress events are the untraced run's.
     let goal = if ts.has_marked_states() {
         WitnessGoal::Violation
     } else {
@@ -190,63 +185,46 @@ fn run_zones(
         WitnessGoal::Violation => "violating state",
         WitnessGoal::Deadlock => "deadlock state",
     };
-    let (outcome, witness) = match find_witness(&timed, zone_options, goal) {
-        WitnessOutcome::Found(trace) => {
-            let full = ExploreSpec {
-                budget: spec.budget_meter(),
-                ..explore.clone()
-            };
-            let outcome = dbm::explore_timed_with(&timed, ZoneExplorationOptions { spec: full });
-            let windows = trace.firing_windows(&timed).unwrap_or_default();
-            let (start, _) = trace.start();
-            let mut steps = Vec::new();
-            let mut entries = Vec::new();
-            for (i, (event, state, zone)) in trace.steps().iter().enumerate() {
-                let window: Option<FiringWindow> = windows.get(i).copied();
-                let clock = event.index() + 1;
-                let entry_lower = zone.lower_bound(clock);
-                let entry_upper = zone.upper_bound(clock);
-                entries.push(match entry_upper {
-                    Some(u) => format!("[{entry_lower}, {u}]"),
-                    None => format!("[{entry_lower}, inf)"),
-                });
-                steps.push(TraceStep {
-                    event: ts.alphabet().name(*event).to_owned(),
-                    state: ts.state_name(*state).to_owned(),
-                    window,
-                });
-            }
-            let rendered = RenderedTrace {
-                kind: "witness",
-                start: ts.state_name(start).to_owned(),
-                steps,
-                end: ts.state_name(trace.end_state()).to_owned(),
-            };
-            (
-                outcome,
-                ZoneWitness::Found {
-                    trace: rendered,
-                    entries,
-                },
-            )
-        }
-        WitnessOutcome::Unreachable(report) => {
-            (ZoneOutcome::Completed(report), ZoneWitness::Unreachable)
-        }
-        WitnessOutcome::LimitExceeded { explored, subsumed } => (
-            ZoneOutcome::LimitExceeded { explored, subsumed },
-            ZoneWitness::LimitExceeded { explored },
-        ),
-        WitnessOutcome::Cancelled { explored, subsumed } => (
-            ZoneOutcome::Cancelled { explored, subsumed },
-            ZoneWitness::Cancelled { explored },
-        ),
-    };
+    let (outcome, trace) = find_witness(&timed, zone_options, goal);
     Ok(Outcome::Zones(ZonesOutcome {
         model: model_name,
         system,
         outcome,
         goal_name: Some(goal_name),
-        witness: Some(witness),
+        witness: trace.map(|trace| zone_witness(&timed, &trace)),
     }))
+}
+
+/// Renders a symbolic witness with its firing windows and, per step, the
+/// fired event's clock range on entry to the reached zone.
+fn zone_witness(timed: &TimedTransitionSystem, trace: &SymbolicTrace) -> ZoneWitness {
+    let ts = timed.underlying();
+    let windows = trace.firing_windows(timed).unwrap_or_default();
+    let (start, _) = trace.start();
+    let mut steps = Vec::new();
+    let mut entries = Vec::new();
+    for (i, (event, state, zone)) in trace.steps().iter().enumerate() {
+        let window: Option<FiringWindow> = windows.get(i).copied();
+        let clock = event.index() + 1;
+        let entry_lower = zone.lower_bound(clock);
+        let entry_upper = zone.upper_bound(clock);
+        entries.push(match entry_upper {
+            Some(u) => format!("[{entry_lower}, {u}]"),
+            None => format!("[{entry_lower}, inf)"),
+        });
+        steps.push(TraceStep {
+            event: ts.alphabet().name(*event).to_owned(),
+            state: ts.state_name(*state).to_owned(),
+            window,
+        });
+    }
+    ZoneWitness {
+        trace: RenderedTrace {
+            kind: "witness",
+            start: ts.state_name(start).to_owned(),
+            steps,
+            end: ts.state_name(trace.end_state()).to_owned(),
+        },
+        entries,
+    }
 }

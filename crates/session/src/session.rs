@@ -641,7 +641,8 @@ fn kind_of(model: &Model) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::outcome::ZoneWitness;
+    use crate::outcome::ZonesOutcome;
+    use dbm::ZoneOutcome;
 
     const RACE: &str = "tts race\n\
          state s0 s0\n\
@@ -877,9 +878,9 @@ mod tests {
 
     #[test]
     fn a_traced_zones_run_meets_the_budget_an_untraced_run_meets() {
-        // The witness search and the full exploration after it charge zone
-        // bytes to meters of their own. Sharing one, the traced run ended
-        // over a 150-byte budget that the untraced run completes within.
+        // The traced run is the untraced exploration, read for a witness,
+        // so it charges each zone's bytes once and meets every budget the
+        // untraced run meets.
         let session = Session::new();
         let (cached, _) = session
             .add_model(include_str!("../../../models/race_overlap.tts"))
@@ -899,11 +900,80 @@ mod tests {
                 }
                 (Outcome::Zones(untraced), Outcome::Zones(traced)) if budget > 100 => {
                     assert_eq!(traced.outcome, untraced.outcome);
-                    assert!(matches!(traced.witness, Some(ZoneWitness::Found { .. })));
+                    assert!(traced.witness.is_some());
                 }
                 other => panic!("budget {budget}: {other:?}"),
             }
         }
+    }
+
+    /// A `zones` run of `spec`, with the progress events it streamed.
+    fn zones_with_events(session: &Session, spec: &TaskSpec) -> (ZonesOutcome, Vec<ProgressEvent>) {
+        let events: Arc<Mutex<Vec<ProgressEvent>>> = Arc::default();
+        let sink = Arc::clone(&events);
+        let control = RunControl {
+            progress: ProgressSink::new(move |event| sink.lock().unwrap().push(*event)),
+            ..RunControl::default()
+        };
+        let Completion::Finished(result) = session.run_task(spec, control) else {
+            panic!("the executing caller is never detached");
+        };
+        let Ok(Outcome::Zones(zones)) = &result.outcome else {
+            panic!("expected a zones outcome, got {:?}", result.outcome);
+        };
+        let events = events.lock().unwrap().clone();
+        (zones.clone(), events)
+    }
+
+    #[test]
+    fn a_traced_zones_run_streams_the_untraced_runs_events() {
+        // One exploration answers a traced run: the same progress events
+        // and configuration count as the untraced run, on every shipped
+        // model (the pipelines of two stages or more stop at the limit).
+        let models = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../models");
+        let mut files: Vec<_> = std::fs::read_dir(&models)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .collect();
+        files.sort();
+        assert!(files.len() >= 8, "{files:?}");
+        let session = Session::new();
+        let mut witnesses = 0;
+        for file in &files {
+            let (cached, _) = session
+                .add_model(&std::fs::read_to_string(file).unwrap())
+                .unwrap();
+            let spec = TaskSpec::zones(&cached.hash).limit(2_000);
+            let (untraced, untraced_events) = zones_with_events(&session, &spec);
+            let (traced, traced_events) = zones_with_events(&session, &spec.with_trace(true));
+            let file = file.display();
+            assert_eq!(traced.outcome, untraced.outcome, "{file}");
+            assert_eq!(traced_events, untraced_events, "{file}");
+            assert!(!traced_events.is_empty(), "{file}");
+            witnesses += usize::from(traced.witness.is_some());
+        }
+        assert_eq!(witnesses, 1, "only race_overlap.tts reaches its goal");
+
+        // A limit that stops the exploration after the violating state (the
+        // third configuration) was expanded keeps the witness.
+        let (cached, _) = session
+            .add_model(include_str!("../../../models/race_overlap.tts"))
+            .unwrap();
+        let traced = |limit: usize| {
+            let spec = TaskSpec::zones(&cached.hash).limit(limit).with_trace(true);
+            zones_with_events(&session, &spec).0
+        };
+        let stopped = traced(3);
+        assert_eq!(
+            stopped.outcome,
+            ZoneOutcome::LimitExceeded {
+                explored: 4,
+                subsumed: 0
+            }
+        );
+        assert_eq!(stopped.witness, traced(10).witness);
+        assert!(stopped.witness.is_some());
+        assert_eq!(traced(2).witness, None);
     }
 
     #[test]

@@ -153,7 +153,7 @@ fn race_overlap_witness(exact: bool) -> (String, transyt_session::RenderedTrace)
     let Outcome::Zones(zones) = outcome else {
         panic!("zones task yields a zones outcome");
     };
-    let Some(ZoneWitness::Found { trace, .. }) = zones.witness else {
+    let Some(ZoneWitness { trace, .. }) = zones.witness else {
         panic!("race_overlap has a violating state; it must be found (exact={exact})");
     };
     (text, trace)
