@@ -32,6 +32,12 @@ impl Entry {
         Entry(value * 2)
     }
 
+    /// The encoded bound: consecutive bounds (`< c`, `≤ c`, `< c + 1`, …)
+    /// are consecutive integers.
+    pub(crate) fn raw(self) -> i64 {
+        self.0
+    }
+
     /// Returns `true` if this is the unbounded entry.
     pub fn is_infinite(self) -> bool {
         self == Entry::INFINITY

@@ -12,7 +12,8 @@
 //! * [`Entry`] — DBM bound entries (`< c`, `≤ c`, `∞`).
 //! * [`Dbm`] — canonical difference bound matrices with the standard zone
 //!   operations (`up`, `reset`, `constrain`, `gather`, inclusion,
-//!   intersection).
+//!   intersection), time elapse under an invariant in one pass (`elapse`),
+//!   and the aLU coverage check with the signature that filters it.
 //! * [`explore_timed`] — symbolic reachability of a
 //!   [`tts::TimedTransitionSystem`] with one clock per event, each zone
 //!   stored over its state's live clocks only and abstracted by default

@@ -89,20 +89,44 @@ impl Dbm {
         self.entries[i * dim + j] = e;
     }
 
+    /// Row `write` for writing beside row `read` for reading (`write ≠
+    /// read`): the two disjoint row slices of one relaxation step.
+    fn rows_mut(&mut self, write: usize, read: usize) -> (&mut [Entry], &[Entry]) {
+        let dim = self.dim();
+        debug_assert_ne!(write, read);
+        if write < read {
+            let (head, tail) = self.entries.split_at_mut(read * dim);
+            (&mut head[write * dim..][..dim], &tail[..dim])
+        } else {
+            let (head, tail) = self.entries.split_at_mut(write * dim);
+            (&mut tail[..dim], &head[read * dim..][..dim])
+        }
+    }
+
     /// Puts the matrix in canonical form (all-pairs shortest paths).
     pub fn canonicalize(&mut self) {
         let dim = self.dim();
         for k in 0..dim {
             for i in 0..dim {
-                let dik = self.get(i, k);
+                if i == k {
+                    // The path k → k → j tightens row k only through a
+                    // negative diagonal (an empty zone).
+                    let row = &mut self.entries[k * dim..][..dim];
+                    let dkk = row[k];
+                    if dkk < Entry::LE_ZERO {
+                        for entry in row.iter_mut() {
+                            *entry = (*entry).min(dkk + *entry);
+                        }
+                    }
+                    continue;
+                }
+                let (row_i, row_k) = self.rows_mut(i, k);
+                let dik = row_i[k];
                 if dik.is_infinite() {
                     continue;
                 }
-                for j in 0..dim {
-                    let candidate = dik + self.get(k, j);
-                    if candidate < self.get(i, j) {
-                        self.set(i, j, candidate);
-                    }
+                for (entry, &dkj) in row_i.iter_mut().zip(row_k) {
+                    *entry = (*entry).min(dik + dkj);
                 }
             }
         }
@@ -110,7 +134,10 @@ impl Dbm {
 
     /// Returns `true` if the zone contains no valuation.
     pub fn is_empty(&self) -> bool {
-        (0..self.dim()).any(|i| self.get(i, i) < Entry::LE_ZERO)
+        self.entries
+            .iter()
+            .step_by(self.dim() + 1)
+            .any(|&d| d < Entry::LE_ZERO)
     }
 
     /// Lets time elapse (removes the upper bounds of all clocks).
@@ -136,23 +163,73 @@ impl Dbm {
 
     /// Adds the constraint `x_i − x_j ≺ bound` and re-canonicalises
     /// incrementally.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index exceeds the dimension.
     pub fn constrain(&mut self, i: usize, j: usize, bound: Entry) {
-        if bound >= self.get(i, j) {
-            return;
-        }
-        self.set(i, j, bound);
-        if self.get(j, i).conflicts_with(bound) {
-            // Mark empty explicitly.
-            self.set(0, 0, Entry::LT_ZERO);
-            return;
-        }
         let dim = self.dim();
-        for a in 0..dim {
-            for b in 0..dim {
-                let via_ij = self.get(a, i) + bound + self.get(j, b);
-                if via_ij < self.get(a, b) {
-                    self.set(a, b, via_ij);
-                }
+        assert!(i < dim && j < dim, "clock index out of range");
+        if bound >= self.entries[i * dim + j] {
+            return;
+        }
+        self.entries[i * dim + j] = bound;
+        if self.entries[j * dim + i].conflicts_with(bound) {
+            // Mark empty explicitly.
+            self.entries[0] = Entry::LT_ZERO;
+            return;
+        }
+        // Every tightened entry is a path a → i → j → b through the new
+        // edge. Row j never tightens (its detour j → i → j costs at least
+        // ≤ 0, or the bound would conflict), nor does any row's entry
+        // (a, i), and a row that cannot reach i gains nothing.
+        for a in (0..dim).filter(|&a| a != j) {
+            let (row_a, row_j) = self.rows_mut(a, j);
+            let via = row_a[i] + bound;
+            if via.is_infinite() {
+                continue;
+            }
+            for (entry, &djb) in row_a.iter_mut().zip(row_j) {
+                *entry = (*entry).min(via + djb);
+            }
+        }
+    }
+
+    /// Lets time elapse under the invariant `x ≤ value` of every `(x, value)`
+    /// pair: the zone [`up`](Dbm::up) followed by one
+    /// [`constrain_upper`](Dbm::constrain_upper) per pair, in one O(n²)
+    /// pass instead of one per pair.
+    ///
+    /// After `up` on a canonical zone every new bound is an edge into the
+    /// reference clock, so a shortest path uses at most one of them:
+    /// `x_i − x_0` tightens to `t_i = min_x (D[i][x] + value_x)`, every
+    /// other entry `(i, j)` to `t_i + D[0][j]`, and the zone is empty
+    /// exactly when `t_0 < (≤, 0)`, which marks it so.
+    ///
+    /// The matrix must be canonical on entry; it stays canonical.
+    pub fn elapse(&mut self, invariant: &[(usize, i64)]) {
+        let dim = self.dim();
+        let through_bounds = |row: &[Entry]| {
+            invariant
+                .iter()
+                .map(|&(x, value)| row[x] + Entry::le(value))
+                .fold(Entry::INFINITY, Entry::min)
+        };
+        let (row_0, rows) = self.entries.split_at_mut(dim);
+        if through_bounds(row_0) < Entry::LE_ZERO {
+            // Some clock's lower bound already exceeds its invariant.
+            row_0[0] = Entry::LT_ZERO;
+            return;
+        }
+        for row in rows.chunks_exact_mut(dim) {
+            // `up` clears the entry (i, 0); only the bounds set it again.
+            let t_i = through_bounds(row);
+            row[0] = t_i;
+            if t_i.is_infinite() {
+                continue;
+            }
+            for (entry, &d0j) in row.iter_mut().zip(row_0.iter()).skip(1) {
+                *entry = (*entry).min(t_i + d0j);
             }
         }
     }
@@ -214,27 +291,86 @@ impl Dbm {
             lower.len() >= dim && upper.len() >= dim,
             "LU bound vectors shorter than the dimension"
         );
-        for (x, &upper_x) in upper.iter().enumerate().take(dim) {
-            // If the zone lies entirely above U(x) the pair (x, ·) cannot
-            // witness escape: `Z_{0x} < (≤, −U(x))` means every valuation
-            // has x > U(x).
-            if self.get(0, x) < Entry::le(-upper_x) {
-                continue;
-            }
-            for (y, &lower_y) in lower.iter().enumerate().take(dim) {
-                if x == y {
+        let (row_0, upper) = (&self.entries[..dim], &upper[..dim]);
+        for (y, &lower_y) in lower[..dim].iter().enumerate() {
+            let own = &self.entries[y * dim..][..dim];
+            let theirs = &other.entries[y * dim..][..dim];
+            for x in (0..dim).filter(|&x| x != y) {
+                // If the zone lies entirely above U(x) the pair (x, ·)
+                // cannot witness escape: `Z_{0x} < (≤, −U(x))` means every
+                // valuation has x > U(x).
+                if theirs[x] >= own[x] || row_0[x] < Entry::le(-upper[x]) {
                     continue;
                 }
-                let other_yx = other.get(y, x);
-                if other_yx >= self.get(y, x) {
-                    continue;
-                }
-                if other_yx + Entry::lt(-lower_y) < self.get(0, x) {
+                if theirs[x] + Entry::lt(-lower_y) < row_0[x] {
                     return false;
                 }
             }
         }
         true
+    }
+
+    /// A 64-bit over-approximation of what the zone covers under the LU
+    /// bounds `lower` / `upper` (indexed as in
+    /// [`included_in_alu`](Dbm::included_in_alu)), cheap enough to rule out
+    /// most coverage checks before they run:
+    /// `c.included_in_alu(s, lower, upper)` or `s.includes(c)` implies
+    /// `c.alu_signature(lower, upper) & !s.alu_signature(lower, upper) ==
+    /// 0`, and [`extrapolate_lu`](Dbm::extrapolate_lu) followed by
+    /// [`canonicalize`](Dbm::canonicalize) leaves the signature unchanged.
+    ///
+    /// The signature is a thermometer code, per clock `x`, of two entries
+    /// clamped where the aLU relation stops looking, the weaker the entry
+    /// the more bits:
+    ///
+    /// * the lower bound `Z_{0x}`, clamped below at `(<, −U(x))`. The pair
+    ///   `(x, y = 0)` of `included_in_alu` escapes when `S_{0x} < C_{0x}`
+    ///   and `C` reaches `x ≤ U(x)` (adding `(<, −L(0)) = (<, 0)` to the
+    ///   smaller entry keeps it below `C_{0x}`), so a covered `C` has, for
+    ///   every `x`, `C_{0x} ≤ (<, −U(x))` or `S_{0x} ≥ C_{0x}`: either way
+    ///   the clamped `S_{0x}` dominates the clamped `C_{0x}`;
+    /// * the upper bound `Z_{x0}`, clamped above at `(<, L(x) + 1)`. The
+    ///   pair `(0, y = x)` escapes when `S_{x0} < C_{x0}` and `S_{x0} + (<,
+    ///   −L(x)) < (≤, 0)`, i.e. `S_{x0} ≤ (≤, L(x))`, so a covered `C` has
+    ///   `S_{x0} ≥ C_{x0}` or `S_{x0} ≥ (<, L(x) + 1)`: either way the
+    ///   clamped `S_{x0}` dominates the clamped `C_{x0}`.
+    ///
+    /// Convex inclusion is entrywise dominance. Extrapolation keeps both
+    /// clamped entries: it widens a lower bound only above `U(x)`, to `(<,
+    /// −U(x))`, and an upper bound only when it, or the lower bound,
+    /// exceeds `L(x)`, to `∞`; both the original and the widened entry
+    /// clamp alike, and re-closure tightens the widened one no further
+    /// than the original (the widened zone includes the original). A kept
+    /// entry closes back to itself, squeezed between the original and the
+    /// kept one. Each of the `n` clocks gets `64 / 2n` bits per entry, the
+    /// clamped range spread evenly over them; a zone over more than 32
+    /// clocks gets the empty signature, which filters nothing.
+    pub fn alu_signature(&self, lower: &[i64], upper: &[i64]) -> u64 {
+        let dim = self.dim();
+        assert!(
+            lower.len() >= dim && upper.len() >= dim,
+            "LU bound vectors shorter than the dimension"
+        );
+        if dim == 1 || self.clocks > 32 {
+            return 0;
+        }
+        let width = 32 / self.clocks;
+        // The low `level` bits of the next field, `level` of `width + 1`
+        // levels spread evenly over the clamped range `floor ..= top`.
+        let thermometer = |entry: Entry, floor: Entry, top: Entry| {
+            let index = entry.max(floor).min(top).raw() - floor.raw();
+            let level = index * (width as i64 + 1) / (top.raw() - floor.raw() + 1);
+            (1u64 << level) - 1
+        };
+        let mut signature = 0;
+        for x in 1..dim {
+            let floor = Entry::lt(-upper[x]);
+            let lower_field = thermometer(self.entries[x], floor, Entry::LE_ZERO);
+            let ceiling = Entry::lt(lower[x] + 1);
+            let upper_field = thermometer(self.entries[x * dim], Entry::LE_ZERO, ceiling);
+            signature |= (lower_field | upper_field << width) << (2 * width * (x - 1));
+        }
+        signature
     }
 
     /// Intersects `self` with `other` in place and re-canonicalises.
@@ -298,44 +434,34 @@ impl Dbm {
             "LU bound vectors shorter than the dimension"
         );
         // The conditions consult the zone's original lower bounds (row 0),
-        // which the `i == 0` arm rewrites; snapshot them first.
-        let entry_bound: Vec<i64> = (0..dim)
-            .map(|j| self.get(0, j).value().map_or(0, |v| -v))
-            .collect();
+        // which only row 0's own widening rewrites: it runs last.
+        let lower_bound = |d0j: Entry| d0j.value().map_or(0, |v| -v);
         let mut changed = false;
-        for i in 0..dim {
-            for j in 0..dim {
-                if i == j {
-                    continue;
+        let (row_0, rows) = self.entries.split_at_mut(dim);
+        for (i, row) in (1..).zip(rows.chunks_exact_mut(dim)) {
+            // Bounds involving x_i above L(x_i) are irrelevant: the entry
+            // itself exceeds L, or the zone already starts above L.
+            let above_lower = lower_bound(row_0[i]) > lower[i];
+            for (j, entry) in row.iter_mut().enumerate() {
+                // The zone's lower bound on x_j exceeds U(x_j): no upper
+                // comparison can distinguish it any more, so every row but
+                // row 0 drops the bound entirely.
+                let above_upper = j > 0 && lower_bound(row_0[j]) > upper[j];
+                if i != j
+                    && !entry.is_infinite()
+                    && (above_lower || *entry > Entry::le(lower[i]) || above_upper)
+                {
+                    *entry = Entry::INFINITY;
+                    changed = true;
                 }
-                let d = self.get(i, j);
-                if i > 0 {
-                    // Bounds involving x_i above L(x_i) are irrelevant: the
-                    // entry itself exceeds L, or the zone already starts
-                    // above L.
-                    if (!d.is_infinite() && d > Entry::le(lower[i])) || entry_bound[i] > lower[i] {
-                        if !d.is_infinite() {
-                            self.set(i, j, Entry::INFINITY);
-                            changed = true;
-                        }
-                        continue;
-                    }
-                }
-                if j > 0 && entry_bound[j] > upper[j] {
-                    // The zone's lower bound on x_j exceeds U(x_j): no upper
-                    // comparison can distinguish it any more. Row 0 keeps
-                    // the coarse `x_j > U(x_j)`, every other row drops the
-                    // bound entirely.
-                    let widened = if i == 0 {
-                        Entry::lt(-upper[j])
-                    } else {
-                        Entry::INFINITY
-                    };
-                    if widened > d {
-                        self.set(i, j, widened);
-                        changed = true;
-                    }
-                }
+            }
+        }
+        // Row 0 keeps the coarse `x_j > U(x_j)`.
+        for (j, entry) in row_0.iter_mut().enumerate().skip(1) {
+            let widened = Entry::lt(-upper[j]);
+            if lower_bound(*entry) > upper[j] && widened > *entry {
+                *entry = widened;
+                changed = true;
             }
         }
         changed

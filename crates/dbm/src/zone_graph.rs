@@ -27,9 +27,9 @@
 //! the state consults it. A successor via event `a` into state `t` guards
 //! the source zone with `x_a ≥ L(a)`, gathers `t`'s clocks from it (a clock
 //! fresh in `t` — `a`'s own, or one disabled in the source — copies the
-//! reference row and column, i.e. starts at zero), lets time elapse and
-//! applies `t`'s invariant. A submatrix of a closed DBM is closed, `up`
-//! keeps it closed and `constrain` re-closes incrementally, so no O(n³)
+//! reference row and column, i.e. starts at zero), then lets time elapse
+//! under `t`'s invariant in one O(m²) pass ([`Dbm::elapse`]). A submatrix
+//! of a closed DBM is closed and the one-pass elapse re-closes, so no O(n³)
 //! closure pass runs per successor.
 //!
 //! # Zone abstraction
@@ -42,7 +42,9 @@
 //! of an already-seen zone of the same state, including configurations
 //! already enqueued when the covering zone arrived (the pop-time check).
 //! Stored zones stay convex: the non-convex abstraction exists only inside
-//! the O(n²) check [`Dbm::included_in_alu`]. Both consult per-state L/U
+//! the O(n²) check [`Dbm::included_in_alu`], which the seen map runs only
+//! against stored zones whose [`Dbm::alu_signature`] contains the
+//! candidate's (the space's coverage signature). Both consult per-state L/U
 //! vectors: a live clock faces only its own event's delay window. All of it
 //! is *exact for discrete-state reachability*: the reachable / violating /
 //! deadlocked state sets equal the unabstracted exploration's.
@@ -58,10 +60,9 @@
 //! the driver's breadth-first order).
 
 use std::cell::{OnceCell, RefCell};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashSet};
 use std::convert::Infallible;
-use std::hash::BuildHasherDefault;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 use explore::{BudgetMeter, ExploreReport, ExploreSpec, SearchSpace, Stop};
@@ -170,6 +171,9 @@ struct StateClocks {
     enabled: Vec<EventId>,
     lower: Vec<i64>,
     upper: Vec<i64>,
+    /// The state's invariant: `(clock, δu)` for every enabled event with an
+    /// upper delay bound.
+    invariant: Vec<(usize, i64)>,
 }
 
 /// The zone kernel: which clocks the zones of each discrete state keep, and
@@ -206,16 +210,21 @@ impl<'a> Kernel<'a> {
                 ts.transitions_from(state).iter().map(|&(e, _)| e).collect();
             enabled.sort_unstable();
             enabled.dedup();
-            let (mut lower, mut upper) = (vec![0], vec![0]);
-            for event in &enabled {
+            let (mut lower, mut upper, mut invariant) = (vec![0], vec![0], Vec::new());
+            for (k, event) in enabled.iter().enumerate() {
                 let delay = self.delays[event.index()];
                 lower.push(delay.lower().as_i64());
                 upper.push(delay.upper().finite().map_or(0, Time::as_i64));
+                if let Bound::Finite(bound) = delay.upper() {
+                    let clock = 1 + if self.exact { event.index() } else { k };
+                    invariant.push((clock, bound.as_i64()));
+                }
             }
             Box::new(StateClocks {
                 enabled,
                 lower,
                 upper,
+                invariant,
             })
         })
     }
@@ -241,14 +250,10 @@ impl<'a> Kernel<'a> {
     }
 
     /// Lets time elapse in `zone` under the invariant of `state` (the upper
-    /// delay bounds of its enabled events); `None` if that empties it.
+    /// delay bounds of its enabled events), in one pass; `None` if that
+    /// empties it.
     fn elapse(&self, mut zone: Dbm, state: &StateClocks) -> Option<Dbm> {
-        zone.up();
-        for &event in &state.enabled {
-            if let Bound::Finite(upper) = self.delays[event.index()].upper() {
-                zone.constrain_upper(self.clock(state, event), upper.as_i64());
-            }
-        }
+        zone.elapse(&state.invariant);
         (!zone.is_empty()).then_some(zone)
     }
 
@@ -259,6 +264,13 @@ impl<'a> Kernel<'a> {
         let lower = self.delays[event.index()].lower().as_i64();
         zone.constrain_lower(self.clock(source, event), lower);
         !zone.is_empty()
+    }
+
+    /// Whether every valuation of `zone` already meets the guard of
+    /// `event`, enabled in `source`.
+    fn guard_holds(&self, zone: &Dbm, source: &StateClocks, event: EventId) -> bool {
+        let lower = self.delays[event.index()].lower().as_i64();
+        zone.lower_bound(self.clock(source, event)) >= lower
     }
 
     /// Fires `event` on a guarded zone of `source` into `target`: gathers
@@ -288,7 +300,8 @@ impl<'a> Kernel<'a> {
     /// The zone reached by firing `event` from `zone` of `source` into
     /// `target`, or `None` when the firing is not timed-feasible. The one
     /// timed successor relation: the explorer and the witness replay both
-    /// go through it, the firing-window replay through its two halves.
+    /// go through it, the firing-window replay through its two halves. A
+    /// zone that already meets the guard is fired as it is, uncloned.
     fn successor(
         &self,
         zone: &Dbm,
@@ -296,12 +309,15 @@ impl<'a> Kernel<'a> {
         event: EventId,
         target: StateId,
     ) -> Option<Dbm> {
-        let source = self.state(source);
+        let (source, target) = (self.state(source), self.state(target));
+        if self.guard_holds(zone, source, event) {
+            return self.fire(zone, source, event, target);
+        }
         let mut guarded = zone.clone();
         if !self.guard(&mut guarded, source, event) {
             return None;
         }
-        self.fire(&guarded, source, event, self.state(target))
+        self.fire(&guarded, source, event, target)
     }
 
     /// LU-extrapolates a zone of `state` and re-closes it, as the search
@@ -326,15 +342,76 @@ impl<'a> Kernel<'a> {
     }
 }
 
+/// An interned zone beside its content hash, computed once when the zone
+/// is looked up: its insert, the table's growth and every sweep reuse it.
+struct Interned {
+    hash: u64,
+    zone: Arc<Dbm>,
+}
+
+impl Interned {
+    fn new(zone: Arc<Dbm>) -> Interned {
+        // FxHash's multiply-rotate over the entries, then murmur3's
+        // finaliser so the low bits the table indexes by mix every entry.
+        // Unkeyed: the table's order is the same on every run.
+        const SEED: u64 = 0x517c_c1b7_2722_0a95;
+        let mut hash = zone
+            .entries()
+            .iter()
+            .fold(zone.clock_count() as u64, |h, e| {
+                (h.rotate_left(5) ^ e.raw() as u64).wrapping_mul(SEED)
+            });
+        hash ^= hash >> 33;
+        hash = hash.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        hash ^= hash >> 33;
+        hash = hash.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        hash ^= hash >> 33;
+        Interned { hash, zone }
+    }
+}
+
+impl Hash for Interned {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl PartialEq for Interned {
+    fn eq(&self, other: &Interned) -> bool {
+        self.hash == other.hash && self.zone == other.zone
+    }
+}
+
+impl Eq for Interned {}
+
+/// The interning table's hasher: passes an [`Interned`] zone's stored hash
+/// through.
+#[derive(Default)]
+struct StoredHash(u64);
+
+impl Hasher for StoredHash {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the interning table hashes stored hashes only")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
 /// The interner's mutable state: the canonical-zone table, the DBM arena
 /// backing its clones, and the abstraction counters. Only touched in the
 /// driver's breadth-first order, so every field is deterministic (the
-/// table's hasher is unkeyed, so even the order a sweep hands buffers to
-/// the arena is).
+/// zones' hash is unkeyed, so even the order a sweep hands buffers to the
+/// arena is).
 struct InternerState {
     /// Canonical-DBM interning table: equal zones share one allocation, so
     /// bucket storage and queued clones are reference bumps.
-    zones: HashSet<Arc<Dbm>, BuildHasherDefault<DefaultHasher>>,
+    zones: HashSet<Interned, BuildHasherDefault<StoredHash>>,
     /// Inserts since the last sweep of dead entries (zones no longer
     /// referenced by any bucket or queue, e.g. after subsumption pruning).
     inserts: usize,
@@ -495,15 +572,34 @@ impl SearchSpace for ZoneSpace<'_> {
         self.parents
     }
 
-    fn note_pop_skip(&self, skipped: &Self::Config, stored: &[Self::Config]) {
+    /// The zone's [`Dbm::alu_signature`] under its state's LU bounds: aLU
+    /// coverage and convex inclusion both imply signature containment, and
+    /// extrapolation keeps it. Exact mode relates equal zones only.
+    fn coverage_signature(&self, (state, zone): &Self::Config) -> u64 {
+        if self.kernel.exact {
+            return 0;
+        }
+        let clocks = self.kernel.state(*state);
+        zone.alu_signature(&clocks.lower, &clocks.upper)
+    }
+
+    fn note_pop_skip(
+        &self,
+        skipped: &Self::Config,
+        covering: &mut dyn Iterator<Item = &Self::Config>,
+    ) {
         // Attribute the skip to the non-convex relation when no stored zone
         // of the state contains the skipped zone convexly — sound because
         // the pruning arrival aLU-covered the skipped zone, and by
         // transitivity so does whatever zone pruned *it*, i.e. some zone in
-        // the current bucket.
-        if !stored.iter().any(|(_, zone)| zone.includes(&skipped.1)) {
-            self.interner.borrow_mut().alu_subsumed += 1;
+        // the current bucket. Convex inclusion implies signature
+        // containment, so the zones the signature filtered out contain none.
+        for (_, zone) in covering {
+            if zone.includes(&skipped.1) {
+                return;
+            }
         }
+        self.interner.borrow_mut().alu_subsumed += 1;
     }
 
     fn intern(&self, (state, zone): Self::Config) -> Self::Config {
@@ -525,12 +621,13 @@ impl SearchSpace for ZoneSpace<'_> {
                 zone
             }
         };
-        if let Some(shared) = st.zones.get(&*zone) {
-            let shared = shared.clone();
+        let candidate = Interned::new(zone);
+        if let Some(shared) = st.zones.get(&candidate) {
+            let shared = shared.zone.clone();
             // The candidate hit an existing entry; if its matrix is
             // otherwise unreferenced (a widened clone nothing else holds),
             // reclaim the buffer.
-            if let Ok(dead) = Arc::try_unwrap(zone) {
+            if let Ok(dead) = Arc::try_unwrap(candidate.zone) {
                 st.arena.recycle(dead);
             }
             return (state, shared);
@@ -538,20 +635,20 @@ impl SearchSpace for ZoneSpace<'_> {
         // A genuinely new zone: account its entry storage. The arena keeps
         // the monotone byte census for the report; the meter lets a
         // `max_zone_bytes` budget abort the search deterministically.
-        self.budget.charge_zone_bytes(st.arena.charge_zone(&zone));
-        st.zones.insert(zone.clone());
+        self.budget
+            .charge_zone_bytes(st.arena.charge_zone(&candidate.zone));
+        let zone = candidate.zone.clone();
+        st.zones.insert(candidate);
         st.inserts += 1;
         if st.inserts >= st.sweep_at {
             // Drop entries only the interner still references (their zones
             // were pruned from every bucket and queue), so peak memory
             // follows the live antichain rather than every zone ever seen —
             // and hand the reclaimed buffers back to the arena.
-            let retired = std::mem::take(&mut st.zones);
-            for entry in retired {
-                if Arc::strong_count(&entry) > 1 {
-                    st.zones.insert(entry);
-                } else if let Ok(dead) = Arc::try_unwrap(entry) {
-                    st.arena.recycle(dead);
+            let InternerState { zones, arena, .. } = st;
+            for dead in zones.extract_if(|entry| Arc::strong_count(&entry.zone) == 1) {
+                if let Ok(dead) = Arc::try_unwrap(dead.zone) {
+                    arena.recycle(dead);
                 }
             }
             st.inserts = 0;

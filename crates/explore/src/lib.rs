@@ -12,6 +12,12 @@
 //!   successor expansion, a dedup key, and (optionally) a *subsumption*
 //!   relation under which a configuration needs no exploration because an
 //!   already-stored one covers it (e.g. zone inclusion in the DBM explorer).
+//!   A subsumption space may also declare a 64-bit
+//!   [coverage signature](SearchSpace::coverage_signature) that any cover
+//!   must contain: each bucket of the seen map keeps its signatures in one
+//!   contiguous vector and asks [`subsumes`](SearchSpace::subsumes) only
+//!   where the mask test passes, so a sound signature saves the checks
+//!   that would fail and changes no report.
 //! * [`explore`] — the driver: a plain FIFO breadth-first search run under
 //!   an [`ExploreSpec`]. It returns one [`ExploreReport`] however the search
 //!   ends: the expanded configurations in breadth-first order, the counters

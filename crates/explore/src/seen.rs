@@ -6,6 +6,36 @@ use std::collections::{HashMap, HashSet};
 
 use crate::space::SearchSpace;
 
+/// The stored configurations of one key, each beside its
+/// [coverage signature](SearchSpace::coverage_signature): the signatures
+/// sit in one contiguous vector, so a scan tests them without touching the
+/// configurations they rule out.
+struct Bucket<C> {
+    configs: Vec<C>,
+    signatures: Vec<u64>,
+}
+
+impl<C> Default for Bucket<C> {
+    fn default() -> Self {
+        Bucket {
+            configs: Vec::new(),
+            signatures: Vec::new(),
+        }
+    }
+}
+
+impl<C> Bucket<C> {
+    /// The stored configurations that may cover a configuration with
+    /// signature `signature`: those whose signature contains it.
+    fn covering(&self, signature: u64) -> impl Iterator<Item = &C> {
+        self.signatures
+            .iter()
+            .zip(&self.configs)
+            .filter(move |&(&stored, _)| signature & !stored == 0)
+            .map(|(_, config)| config)
+    }
+}
+
 /// Map from key to the bucket of stored configurations.
 ///
 /// Buckets are *antichains* of the subsumption relation: a configuration is
@@ -19,7 +49,7 @@ use crate::space::SearchSpace;
 /// store each configuration once instead of twice.
 pub(crate) struct SeenMap<S: SearchSpace> {
     keys: HashSet<S::Key>,
-    buckets: HashMap<S::Key, Vec<S::Config>>,
+    buckets: HashMap<S::Key, Bucket<S::Config>>,
 }
 
 impl<S: SearchSpace> Default for SeenMap<S> {
@@ -41,13 +71,40 @@ impl<S: SearchSpace> SeenMap<S> {
             // Exact deduplication: the key's presence is the whole answer.
             return self.keys.insert(key).then(|| space.intern(config));
         }
+        let signature = space.coverage_signature(&config);
         let bucket = self.buckets.entry(key).or_default();
-        if bucket.iter().any(|stored| space.subsumes(stored, &config)) {
+        if bucket
+            .covering(signature)
+            .any(|stored| space.subsumes(stored, &config))
+        {
             return None;
         }
         let config = space.intern(config);
-        bucket.retain(|stored| !space.subsumes(&config, stored));
-        bucket.push(config.clone());
+        debug_assert_eq!(
+            space.coverage_signature(&config),
+            signature,
+            "intern changed a coverage signature"
+        );
+        // Prune what the new configuration covers, keeping each kept
+        // signature beside its configuration.
+        let Bucket {
+            configs,
+            signatures,
+        } = bucket;
+        let (mut next, mut kept) = (0, 0);
+        configs.retain(|stored| {
+            let stored_signature = signatures[next];
+            next += 1;
+            let covered = stored_signature & !signature == 0 && space.subsumes(&config, stored);
+            if !covered {
+                signatures[kept] = stored_signature;
+                kept += 1;
+            }
+            !covered
+        });
+        signatures.truncate(kept);
+        configs.push(config.clone());
+        signatures.push(signature);
         Some(config)
     }
 
@@ -61,17 +118,28 @@ impl<S: SearchSpace> SeenMap<S> {
         if !space.uses_subsumption() {
             return self.keys.contains(&key);
         }
-        self.buckets
-            .get(&key)
-            .is_some_and(|bucket| bucket.iter().any(|stored| stored == config))
+        // Equal configurations have equal signatures.
+        let signature = space.coverage_signature(config);
+        self.buckets.get(&key).is_some_and(|bucket| {
+            bucket
+                .signatures
+                .iter()
+                .zip(&bucket.configs)
+                .any(|(&stored_signature, stored)| {
+                    stored_signature == signature && stored == config
+                })
+        })
     }
 
     /// Reports a pop-time skip to the space (see
-    /// [`SearchSpace::note_pop_skip`]) with the bucket currently stored
-    /// under the skipped configuration's key. Called right after
-    /// [`contains`](SeenMap::contains) returned `false` for `config`.
+    /// [`SearchSpace::note_pop_skip`]) with the stored configurations of
+    /// the skipped configuration's key whose signature passes its test.
+    /// Called right after [`contains`](SeenMap::contains) returned `false`
+    /// for `config`.
     pub(crate) fn note_skip(&self, space: &S, config: &S::Config) {
+        let signature = space.coverage_signature(config);
         let bucket = self.buckets.get(&space.key(config));
-        space.note_pop_skip(config, bucket.map_or(&[], Vec::as_slice));
+        let mut covering = bucket.into_iter().flat_map(|b| b.covering(signature));
+        space.note_pop_skip(config, &mut covering);
     }
 }

@@ -81,17 +81,42 @@ pub trait SearchSpace {
         false
     }
 
+    /// A bit set summarising what a configuration covers, which lets the
+    /// seen map rule out most [`subsumes`](SearchSpace::subsumes) calls
+    /// with one mask test. The contract:
+    ///
+    /// * `subsumes(stored, candidate)` implies
+    ///   `coverage_signature(candidate) & !coverage_signature(stored) == 0`;
+    /// * [`intern`](SearchSpace::intern) keeps a configuration's signature.
+    ///
+    /// The seen map keeps each bucket's signatures beside its
+    /// configurations and asks `subsumes` (and compares configurations, and
+    /// hands them to [`note_pop_skip`](SearchSpace::note_pop_skip)) only
+    /// for pairs that pass the test, so a sound signature changes no
+    /// report. The default (`0`) passes every pair. Only consulted for
+    /// spaces with [`uses_subsumption`](SearchSpace::uses_subsumption).
+    fn coverage_signature(&self, config: &Self::Config) -> u64 {
+        let _ = config;
+        0
+    }
+
     /// Observes a configuration the driver skipped at pop time because a
     /// later, wider arrival pruned it from the seen set, together with the
-    /// bucket of configurations currently stored under its key.
+    /// configurations stored under its key whose
+    /// [`coverage_signature`](SearchSpace::coverage_signature) may cover it
+    /// (the signature test passes).
     ///
     /// Only fires for spaces with
     /// [`uses_subsumption`](SearchSpace::uses_subsumption); the default does
     /// nothing. Spaces use it to classify *why* the skip was sound — e.g.
     /// the zone explorer counts skips that no stored zone covers convexly,
     /// attributing them to the non-convex aLU relation.
-    fn note_pop_skip(&self, skipped: &Self::Config, stored: &[Self::Config]) {
-        let _ = (skipped, stored);
+    fn note_pop_skip(
+        &self,
+        skipped: &Self::Config,
+        covering: &mut dyn Iterator<Item = &Self::Config>,
+    ) {
+        let _ = (skipped, covering);
     }
 
     /// Canonicalises a configuration before it is stored and enqueued. The

@@ -11,14 +11,14 @@
 #     pipelines stays within the pinned configuration ceilings;
 #   * the 3-stage pipeline COMPLETES under the defaults within the
 #     1,000,000-configuration budget — the headline aLU acceptance gate,
-#     ~6 min at ~600 MiB peak RSS on a 2-core container (skip with
+#     ~1.5 min at ~600 MiB peak RSS on a 2-core container (skip with
 #     --skip-3stage for a quick local run);
 #   * the 4-stage pipeline — too large for full zone closure in CI — runs a
 #     BUDGETED determinism gate: `--limit 50000` must abort at exactly the
 #     pinned configuration count, and two runs of the same binary must write
 #     byte-identical JSON documents (the marking table is keyed with a
 #     per-process random hasher, so hash order leaking into the document
-#     shows up as a difference), 3.6-5.2 s and ~300-320 MiB per run on the
+#     shows up as a difference), 2.5-2.6 s and ~300 MiB per run on the
 #     same container (skip with --skip-4stage);
 #   * `transyt verify` on the 4-stage pipeline ends with the pinned verdict,
 #     refinement and constraint counts and explored states (the relative-

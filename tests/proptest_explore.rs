@@ -4,8 +4,11 @@
 //! marking engine is also checked against a plain token-game reference on
 //! random nets and on the shipped models.
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
+use std::convert::Infallible;
 
+use explore::{explore, SearchSpace};
 use proptest::prelude::*;
 use stg::{
     expand_with_report, ExpandError, ExploreSpec, PlaceId, ReachReport, SignalRole, Stg, StgBuilder,
@@ -297,8 +300,123 @@ fn random_timed(
     timed
 }
 
+/// Interval bounds of the [`Intervals`] space.
+const SPAN: i32 = 40;
+
+/// A subsumption space over intervals: a configuration is `(state, lo,
+/// hi)`, a state's intervals form its bucket, and a wider interval subsumes
+/// a narrower one. Edge `n` moves from its state to its target, shifting
+/// the interval and stretching (or shrinking) it within `0..=SPAN`. With
+/// `signed` set the space declares a coverage signature: thermometer codes
+/// of `SPAN − lo` and of `hi`, quantised to 32 bits each.
+struct Intervals {
+    edges: Vec<(usize, usize, i32, i32)>,
+    signed: bool,
+    subsumes_calls: Cell<usize>,
+    /// Pop-time skips for which some configuration handed to
+    /// `note_pop_skip` subsumes the skipped one.
+    covered_skips: Cell<usize>,
+}
+
+impl Intervals {
+    fn new(edges: &[(usize, usize, i32, i32)], signed: bool) -> Intervals {
+        Intervals {
+            edges: edges.to_vec(),
+            signed,
+            subsumes_calls: Cell::new(0),
+            covered_skips: Cell::new(0),
+        }
+    }
+}
+
+impl SearchSpace for Intervals {
+    type Config = (usize, i32, i32);
+    type Key = usize;
+    type Edge = usize;
+    type Error = Infallible;
+
+    fn initial(&self) -> Result<Vec<Self::Config>, Infallible> {
+        Ok(vec![(0, 18, 20)])
+    }
+
+    fn key(&self, config: &Self::Config) -> usize {
+        config.0
+    }
+
+    fn expand(
+        &self,
+        &(state, lo, hi): &Self::Config,
+    ) -> Result<Vec<(usize, Self::Config)>, Infallible> {
+        Ok(self
+            .edges
+            .iter()
+            .enumerate()
+            .filter(|(_, edge)| edge.0 == state)
+            .map(|(n, &(_, target, shift, stretch))| {
+                let lo = (lo + shift).clamp(0, SPAN);
+                let hi = (hi + shift + stretch).clamp(lo, SPAN);
+                (n, (target, lo, hi))
+            })
+            .collect())
+    }
+
+    fn subsumes(&self, stored: &Self::Config, candidate: &Self::Config) -> bool {
+        self.subsumes_calls.set(self.subsumes_calls.get() + 1);
+        stored.1 <= candidate.1 && stored.2 >= candidate.2
+    }
+
+    fn uses_subsumption(&self) -> bool {
+        true
+    }
+
+    fn records_parents(&self) -> bool {
+        true
+    }
+
+    fn coverage_signature(&self, &(_, lo, hi): &Self::Config) -> u64 {
+        if !self.signed {
+            return 0;
+        }
+        let thermometer = |value: i32| (1u64 << (value * 32 / (SPAN + 1))) - 1;
+        thermometer(SPAN - lo) | thermometer(hi) << 32
+    }
+
+    fn note_pop_skip(
+        &self,
+        skipped: &Self::Config,
+        covering: &mut dyn Iterator<Item = &Self::Config>,
+    ) {
+        for stored in covering {
+            if stored.1 <= skipped.1 && stored.2 >= skipped.2 {
+                self.covered_skips.set(self.covered_skips.get() + 1);
+                return;
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The coverage signature only filters: a subsumption space run with a
+    /// sound signature yields the same report (nodes, parents, counters,
+    /// stop) as with the default one, hands `note_pop_skip` every
+    /// configuration that covers the skipped one, and asks `subsumes` no
+    /// more often.
+    #[test]
+    fn a_sound_signature_changes_no_report(
+        edges in proptest::collection::vec((0usize..3, 0usize..3, -4i32..5, -3i32..4), 3..16),
+        limit in 0usize..60,
+    ) {
+        // A zero draw runs without a limit.
+        let limit = (limit > 0).then_some(limit);
+        let spec = dbm::ExploreSpec { limit, ..dbm::ExploreSpec::default() };
+        let (plain, signed) = (Intervals::new(&edges, false), Intervals::new(&edges, true));
+        let expected = explore(&plain, &spec).unwrap();
+        prop_assert_eq!(explore(&signed, &spec).unwrap(), expected);
+        prop_assert_eq!(signed.covered_skips.get(), plain.covered_skips.get());
+        prop_assert!(signed.subsumes_calls.get() <= plain.subsumes_calls.get());
+    }
 
     #[test]
     fn parallel_stg_expansion_matches_sequential(
